@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import instrument
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, PreconditionError
 
 _INT64 = np.int64
 
@@ -198,6 +198,8 @@ def char_poly(U: Matrix) -> list[int]:
     """det(x Id - U) by the division-free Berkowitz algorithm.
 
     Returns ascending coefficients; the result is monic of degree n.
+    Raises PreconditionError when (n + 2)(p - 1)^2 >= 2^63, where the
+    int64 accumulation could overflow.
     """
     if U.rows != U.cols:
         raise ValueError("characteristic polynomial needs a square matrix")
@@ -206,7 +208,10 @@ def char_poly(U: Matrix) -> list[int]:
         return [1]
     a = U.a
     if (n + 2) * (p - 1) * (p - 1) >= 2**63:
-        raise ValueError("modulus too large for int64 Berkowitz accumulation")
+        raise PreconditionError(
+            f"modulus p = {p} too large for int64 Berkowitz accumulation at n = {n}: "
+            "needs (n + 2)(p - 1)^2 < 2^63"
+        )
     poly = np.array([1], dtype=_INT64)  # descending coefficients
     for i in range(1, n + 1):
         d = int(a[i - 1, i - 1])
@@ -227,23 +232,45 @@ def char_poly(U: Matrix) -> list[int]:
     return [int(c) for c in poly[::-1]]
 
 
-def sylvester_solve(Y: Matrix, V: Matrix, Z: Matrix) -> Matrix:
-    """The unique X with Y X - X V = Z, via the Kronecker linear system.
+def sylvester_solve(Y: Matrix, V: Matrix, Z: Matrix, chi_v: list[int] | None = None) -> Matrix:
+    """The unique X with Y X - X V = Z, by the Cayley-Hamilton identity.
 
-    Requires Spec(Y) and Spec(V) disjoint; raises ValueError when the
-    Kronecker system is singular.  The Kronecker route costs O(n^6); it
-    is deliberately simple and can be swapped for a faster backend
-    behind this signature.
+    With c = char_poly(V) = (c_0, ..., c_n), c_n = 1, the equation gives
+    Y^j X - X V^j = sum_{l<j} Y^(j-1-l) Z V^l, and chi_V(V) = 0 turns the
+    c-weighted sum of these into
+
+        chi_V(Y) X = sum_l R_l V^l,   R_l = sum_{j>l} c_j Y^(j-1-l) Z.
+
+    R_l and the right side are built by Horner (R_(n-1) = Z,
+    R_l = Y R_(l+1) + c_(l+1) Z), chi_V(Y) likewise, and X is
+    chi_V(Y)^(-1) times the right side.  chi_V(Y) is invertible exactly
+    when Spec(Y) and Spec(V) are disjoint; otherwise this raises
+    ValueError.  The cost is about 3n products of n x n matrices and one
+    n x n inverse, O(n^4), and no eigenvalues are needed, so it works
+    over any field.  chi_v, when given, must be char_poly(V); callers
+    solving many steps against one V pass it to skip recomputing it.
+    The modulus range is that of char_poly.
     """
     n, p = Y.rows, Y.p
     if not (Y.rows == Y.cols == V.rows == V.cols == Z.rows == Z.cols):
         raise ValueError("Sylvester solve needs equally sized square matrices")
+    c = char_poly(V) if chi_v is None else chi_v
     eye = np.eye(n, dtype=_INT64)
-    K = (np.kron(Y.a, eye) - np.kron(eye, V.a.T)) % p
-    sol = lin_solve(Matrix._mk(p, K), Matrix._mk(p, Z.a.reshape(n * n, 1)))
-    if sol is None or sol.nullspace.cols != 0:
-        raise ValueError("Sylvester system is singular: spectra of Y and V intersect")
-    X = Matrix._mk(p, sol.particular.a.reshape(n, n))
+    y, v, z = Y.a, V.a, Z.a
+    # R_(n-1) = Z, and S = sum_l R_l V^l on the right by Horner
+    r = s = z
+    # M = chi_V(Y) by Horner, starting from Y + c_(n-1) Id
+    m = (y + c[n - 1] * eye) % p
+    for l in range(n - 2, -1, -1):
+        instrument.mul_counter.add(n * n + n)  # c_(l+1) Z and c_l Id
+        r = (_matmul_mod(y, r, p) + c[l + 1] * z) % p
+        s = (_matmul_mod(s, v, p) + r) % p
+        m = (_matmul_mod(m, y, p) + c[l] * eye) % p
+    try:
+        minv = mat_inv(Matrix._mk(p, m))
+    except ValueError:
+        raise ValueError("Sylvester system is singular: spectra of Y and V intersect") from None
+    X = Matrix._mk(p, _matmul_mod(minv.a, s, p))
     if instrument.checks_enabled():
         if (Y @ X) - (X @ V) != Z:
             raise InternalInvariantError("Sylvester residual nonzero")

@@ -9,10 +9,13 @@ x^k delta(Y) = B sigma(Y) + W^(-1) C coefficient by coefficient and
 return (W Y, W M).
 
 The good-spectrum condition is a hard precondition here: it makes every
-per-coefficient Sylvester step uniquely solvable.  The inverse of the
-iterate is maintained incrementally across levels and refreshed by
-Newton doubling, and the residual products are computed only on the
-window where the residual is supported.
+per-coefficient Sylvester step Y_i X - X B0 = Z_i uniquely solvable.
+Each step is solved by the Cayley-Hamilton identity
+chi_B0(Y_i) X = sum_l R_l B0^l (see linalg.sylvester_solve): O(n^4)
+per coefficient, with chi_B0 computed once per ladder level.  The
+inverse of the iterate is maintained incrementally across levels and
+refreshed by Newton doubling, and the residual products are computed
+only on the window where the residual is supported.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from . import instrument
 from .errors import InternalInvariantError, SpectrumError
-from .linalg import Matrix, mat_inv, sylvester_solve
+from .linalg import Matrix, char_poly, mat_inv, sylvester_solve
 from .polymat import SeriesMatrix
 from .series import QContext
 from .solution import SolutionSpace
@@ -174,7 +177,9 @@ def diff_sylvester(Gamma: SeriesMatrix, B: SeriesMatrix, m: int, N: int, ctx: QC
     """Solve x^k delta(U) = B sigma(U) - U B + Gamma mod x^N, Gamma = 0 mod x^m.
 
     For k = 1 or q != 1; each coefficient is one constant Sylvester
-    solve, uniquely solvable under the good-spectrum condition.  The
+    solve Y_i X - X B0 = Z_i, uniquely solvable under the good-spectrum
+    condition.  The steps share B0, so char_poly(B0) is computed once
+    and every step is a Cayley-Hamilton solve of O(n^4) cost.  The
     result satisfies U = 0 mod x^m.
     """
     k, p, n = ctx.k, ctx.p, B.rows
@@ -191,6 +196,9 @@ def diff_sylvester(Gamma: SeriesMatrix, B: SeriesMatrix, m: int, N: int, ctx: QC
     U = np.zeros((n, n, N), dtype=_INT64)
     scalar = n == 1
     b0 = int(B0.a[0, 0]) if scalar else 0
+    # every step solves against the same B0, so its characteristic
+    # polynomial is computed once per call
+    chi = None if scalar else char_poly(B0)
     for i in range(m, N):
         C = Gd[:, :, i].copy() if i < Lg else np.zeros((n, n), dtype=_INT64)
         for j in range(1, min(k, i - m + 1)):
@@ -222,7 +230,7 @@ def diff_sylvester(Gamma: SeriesMatrix, B: SeriesMatrix, m: int, N: int, ctx: QC
             U[0, 0, i] = int(Za[0, 0]) * pow(den, p - 2, p) % p
             continue
         try:
-            X = sylvester_solve(Matrix(p, Ya), B0, Matrix(p, Za))
+            X = sylvester_solve(Matrix(p, Ya), B0, Matrix(p, Za), chi)
         except ValueError as e:
             raise SpectrumError(f"Sylvester step at index {i} is singular: {e}") from e
         U[:, :, i] = X.a

@@ -158,6 +158,17 @@ def test_gen_usage_errors():
     assert code == 1
 
 
+def test_gen_prime_above_char_poly_range_exit_2():
+    # (n + 2)(p - 1)^2 >= 2^63: char_poly's int64 guard is a typed error
+    code, out, err = run_cli(
+        ["gen", "--good-spectrum", "--p", "2147483647", "--n", "3", "--N", "8"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("precondition error: ") and err.count("\n") == 1
+    assert "2147483647" in err
+
+
 def test_gen_k0_reduction_round_trip(tmp_path):
     code, out, _ = run_cli(["gen", "--seed", "3", "--n", "1", "--N", "5", "--k", "0"])
     assert code == 0

@@ -114,6 +114,73 @@ def test_sylvester_random_verified():
         instrument.set_runtime_checks(False)
 
 
+def _kron_sylvester(Y, V, Z):
+    """Reference solve of Y X - X V = Z as the n^2 x n^2 Kronecker system.
+
+    Returns None when that system is singular.
+    """
+    n, p = Y.rows, Y.p
+    eye = np.eye(n, dtype=np.int64)
+    K = (np.kron(Y.a, eye) - np.kron(eye, V.a.T)) % p
+    sol = lin_solve(Matrix(p, K), Matrix(p, Z.a.reshape(n * n, 1)))
+    if sol is None or sol.nullspace.cols != 0:
+        return None
+    return Matrix(p, sol.particular.a.reshape(n, n))
+
+
+def _rand_matrix(rng, p, n):
+    return Matrix(p, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+
+
+def _rand_invertible(rng, p, n):
+    while True:
+        S = _rand_matrix(rng, p, n)
+        try:
+            return S, mat_inv(S)
+        except ValueError:
+            pass
+
+
+def _shared_eigenvalue_pair(rng, p, n):
+    """(Y, V) with Y = S V S^-1 + D sharing the eigenvalue lam of V."""
+    T, Tinv = _rand_invertible(rng, p, n)
+    lam = rng.randrange(p)
+    U = Matrix(p, [[rng.randrange(p) if j > i else 0 for j in range(n)] for i in range(n)])
+    U = U + Matrix.diag(p, [lam] + [rng.randrange(p) for _ in range(n - 1)])
+    V = T @ U @ Tinv  # V (T e_0) = lam T e_0
+    S, Sinv = _rand_invertible(rng, p, n)
+    x = S @ T.col(0)  # eigenvector of S V S^-1 for lam
+    j = int(np.nonzero(x.a[:, 0])[0][0])
+    a = Matrix.zeros(p, 1, n)
+    a.a[0, j] = pow(int(x.a[j, 0]), p - 2, p)  # a x = 1
+    H = _rand_matrix(rng, p, n)
+    D = H - (H @ x) @ a  # D x = 0, so Y x = lam x
+    return S @ V @ Sinv + D, V
+
+
+def test_sylvester_matches_kronecker_reference():
+    rng = random.Random(8)
+    for p in (3, 5, 7, 101, 134217757):
+        solved = singular = 0
+        for n in range(1, 7):
+            pairs = [(_rand_matrix(rng, p, n), _rand_matrix(rng, p, n)) for _ in range(8)]
+            pairs += [_shared_eigenvalue_pair(rng, p, n) for _ in range(4)]
+            for t, (Y, V) in enumerate(pairs):
+                Z = _rand_matrix(rng, p, n)
+                want = _kron_sylvester(Y, V, Z)
+                if t >= 8:
+                    assert want is None  # a shared eigenvalue makes the system singular
+                if want is None:
+                    singular += 1
+                    with pytest.raises(ValueError, match="spectra"):
+                        sylvester_solve(Y, V, Z)
+                    continue
+                solved += 1
+                assert sylvester_solve(Y, V, Z) == want
+                assert sylvester_solve(Y, V, Z, char_poly(V)) == want
+        assert solved and singular
+
+
 def test_matmul_chunked_large_inner():
     # inner dimension big enough to force chunked accumulation
     p = 134217757
