@@ -3,7 +3,7 @@ differential and q-difference systems x^k delta(F) = A sigma(F) + C
 over prime fields, with a quadratic baseline, a divide-and-conquer
 solver and a Newton-iteration solver that provably agree."""
 
-from .dac import ParametricVector, dac_solve, op_E, rdac
+from .dac import dac_solve
 from .errors import (
     InternalInvariantError,
     PreconditionError,
@@ -12,75 +12,34 @@ from .errors import (
     SpectrumError,
     UsageError,
 )
-from .field import FieldElement, PrimeField, is_prime
-from .linalg import AffineSolution, Matrix, char_poly, lin_solve, mat_inv, sylvester_solve
-from .newton import (
-    AssociatedData,
-    choose_associated,
-    diff_sylvester,
-    diff_sylvester_differential,
-    newton_ae,
-    newton_solve,
-    pol_coeffs_de,
-    splitting_lemma,
-)
-from .oracle import (
-    ProblemInstance,
-    dense_solve,
-    make_instance,
-    random_instance,
-    reduce_k0,
-    residual,
-)
+from .field import PrimeField
+from .linalg import Matrix
+from .newton import newton_solve
+from .oracle import ProblemInstance, dense_solve, make_instance, random_instance, residual
 from .polymat import SeriesMatrix
-from .series import QContext, Series
-from .solution import SolutionSpace, canonical_form, spaces_equal
-from .spectrum import SpectrumReport, diagonalize, good_spectrum, singular_indices
+from .series import QContext
+from .solution import SolutionSpace, spaces_equal
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineSolution",
-    "AssociatedData",
-    "FieldElement",
     "InternalInvariantError",
     "Matrix",
-    "ParametricVector",
     "PreconditionError",
     "PrimeField",
     "ProblemFormatError",
     "ProblemInstance",
     "QContext",
     "QdsolveError",
-    "Series",
     "SeriesMatrix",
     "SolutionSpace",
     "SpectrumError",
-    "SpectrumReport",
     "UsageError",
-    "canonical_form",
-    "char_poly",
-    "choose_associated",
     "dac_solve",
     "dense_solve",
-    "diagonalize",
-    "diff_sylvester",
-    "diff_sylvester_differential",
-    "good_spectrum",
-    "is_prime",
-    "lin_solve",
     "make_instance",
-    "mat_inv",
-    "newton_ae",
     "newton_solve",
-    "op_E",
-    "pol_coeffs_de",
     "random_instance",
-    "rdac",
-    "reduce_k0",
     "residual",
-    "singular_indices",
     "spaces_equal",
-    "splitting_lemma",
-    "sylvester_solve",
 ]

@@ -20,7 +20,7 @@ from .errors import (
     UsageError,
 )
 from .newton import newton_solve
-from .oracle import dense_solve, residual
+from .oracle import dense_solve, random_coefficients, residual
 from .problemfile import (
     parse_problem,
     parse_solution,
@@ -159,46 +159,24 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    import numpy as np
-
-    from .field import PrimeField
-    from .linalg import Matrix
-    from .polymat import SeriesMatrix
-    from .series import QContext
-    from .spectrum import good_spectrum
-
     if args.n < 1:
         raise UsageError("n must be positive")
     if args.N < 1:
         raise UsageError("N must be positive")
     if args.k < 0:
         raise UsageError("k must be nonnegative")
-    gen = np.random.Generator(np.random.Philox(key=args.seed))
-    field = PrimeField(args.p)
     if args.q == "random":
-        q = int(gen.integers(2, args.p))
+        q_mode = "random"
     else:
         try:
-            q = int(args.q) % args.p
+            q_mode = int(args.q)
         except ValueError:
             raise UsageError(f"bad q value {args.q!r}")
-        if q == 0:
-            raise PreconditionError("q must be nonzero mod p")
-    Adata = gen.integers(0, args.p, size=(args.n, args.n, args.N), dtype=np.int64)
-    Cdata = gen.integers(0, args.p, size=(args.n, 1, args.N), dtype=np.int64)
-    if args.good_spectrum and args.k >= 1:
-        ctx = QContext(field, q, args.k)
-        for attempt in range(501):
-            if good_spectrum(Matrix(args.p, Adata[:, :, 0]), ctx, args.N).good:
-                break
-            if attempt == 500:
-                raise PreconditionError("no good-spectrum constant matrix found")
-            Adata[:, :, 0] = gen.integers(0, args.p, size=(args.n, args.n), dtype=np.int64)
-    # for k = 0 the reduced instance has zero constant matrix, whose
-    # spectrum test reduces to the gamma conditions; nothing to reject on
-    A = SeriesMatrix(args.p, Adata, args.N)
-    C = SeriesMatrix(args.p, Cdata, args.N)
-    text = serialize_problem(args.p, q, args.k, args.n, args.N, A, C)
+    ctx, A, C = random_coefficients(
+        args.seed, args.p, args.n, args.N, args.k, q_mode, args.good_spectrum
+    )
+    # the order-0 instance is printed as drawn, not reduced
+    text = serialize_problem(args.p, ctx.q, args.k, args.n, args.N, A, C)
     parse_problem(text)  # validates gamma/field preconditions end to end
     sys.stdout.write(text)
     return 0

@@ -78,14 +78,6 @@ class ParametricVector:
         n = self.n
         return self.mat.col_slice(1 + l * n, 1 + (l + 1) * n)
 
-    def max_block_index(self) -> int:
-        """Largest singular index with a nonzero block, or -1."""
-        n = self.n
-        for l in range(len(self.sing) - 1, -1, -1):
-            if np.any(self.mat.data[:, 1 + l * n : 1 + (l + 1) * n, :]):
-                return self.sing[l]
-        return -1
-
     def specialize(self, values) -> SeriesMatrix:
         """Evaluate the parameters at concrete field values."""
         col = np.concatenate(
@@ -122,9 +114,6 @@ class ParametricVector:
 
     def sigma(self, ctx: QContext) -> "ParametricVector":
         return self._wrap(self.mat.sigma(ctx))
-
-    def lmul_series(self, A: SeriesMatrix, n: int) -> "ParametricVector":
-        return self._wrap(A.mul(self.mat, n))
 
     def lmul_const(self, M: Matrix) -> "ParametricVector":
         return self._wrap(self.mat.lmul_const(M))
@@ -177,22 +166,19 @@ def rdac(A: SeriesMatrix, C: ParametricVector, i: int, N: int, ctx: QContext) ->
         if i in sing:
             return ParametricVector.fresh_block(p, n, sing, i, 1)
         A0 = A.coefficient_array(0)
-        width = C.mat.cols
         if n == 1:
             ri = int(A0[0, 0]) * ctx.qpow(i) % p
             if ctx.k == 1:
                 ri = (ri - ctx.gamma(i)) % p
             c0 = C.mat.coefficient_array(0)[0]
-            instrument.mul_counter.add(1 + width + instrument.inv_cost(p))
+            instrument.mul_counter.add(1 + C.mat.cols + instrument.inv_cost(p))
             val = (-pow(ri, p - 2, p)) * c0 % p
             return ParametricVector(SeriesMatrix(p, val[None, :, None], 1), sing)
         Ri = A0 * ctx.qpow(i) % p
         instrument.mul_counter.add(n * n)
         if ctx.k == 1:
             Ri = (Ri - ctx.gamma(i) * np.eye(n, dtype=_INT64)) % p
-        C0 = C.coefficient_matrix(0)
-        instrument.mul_counter.add(n * n * width)
-        val = mat_inv(Matrix(p, Ri)).a @ ((-C0.a) % p) % p
+        val = (mat_inv(Matrix(p, Ri)) @ -C.coefficient_matrix(0)).a
         return ParametricVector(SeriesMatrix(p, val[:, :, None], 1), sing)
     m = (N + 1) // 2
     H = rdac(A.truncate(m), C.truncate(m), i, m, ctx)

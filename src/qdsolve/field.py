@@ -1,14 +1,14 @@
-"""Arithmetic in the prime field K = Z/pZ.
+"""The prime field K = Z/pZ.
 
-Every residue is kept canonical in [0, p), so equality of field values is
-plain integer comparison.  Hot paths elsewhere in the package work on raw
-ints or numpy int64 arrays; ``FieldElement`` is the convenience wrapper for
-scalar work.
+``PrimeField`` validates the modulus and names the field; the arithmetic
+itself works on raw ints and numpy int64 arrays with every residue kept
+canonical in [0, p), so equality of field values is plain integer
+comparison.
 """
 
 from __future__ import annotations
 
-from . import instrument
+from .errors import PreconditionError
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -45,9 +45,9 @@ class PrimeField:
 
     def __init__(self, p: int):
         if not isinstance(p, int) or p <= 2:
-            raise ValueError(f"modulus must be a prime > 2, got {p!r}")
+            raise PreconditionError(f"modulus must be a prime > 2, got {p!r}")
         if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
+            raise PreconditionError(f"modulus {p} is not prime")
         self.p = p
 
     def __eq__(self, other):
@@ -58,119 +58,3 @@ class PrimeField:
 
     def __repr__(self):
         return f"PrimeField({self.p})"
-
-    def normalize(self, a: int) -> int:
-        return a % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        instrument.mul_counter.add(1)
-        return a * b % self.p
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse; a must be nonzero mod p."""
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse in Z/pZ")
-        instrument.mul_counter.add(instrument.inv_cost(self.p))
-        return pow(a, self.p - 2, self.p)
-
-    def pow(self, a: int, e: int) -> int:
-        """a^e by square-and-multiply, e >= 0."""
-        if e < 0:
-            raise ValueError("exponent must be nonnegative")
-        if e > 0:
-            instrument.mul_counter.add((e.bit_length() - 1) + bin(e).count("1") - 1)
-        return pow(a % self.p, e, self.p)
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(value, self)
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(0, self)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(1, self)
-
-
-class FieldElement:
-    """A canonical residue in [0, p)."""
-
-    __slots__ = ("value", "field")
-
-    def __init__(self, value: int, field: PrimeField):
-        self.field = field
-        self.value = value % field.p
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field.p != self.field.p:
-                raise ValueError("field mismatch")
-            return other.value
-        if isinstance(other, int):
-            return other % self.field.p
-        return NotImplemented
-
-    def __eq__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is NotImplemented else v == self.value
-
-    def __hash__(self):
-        return hash((self.value, self.field.p))
-
-    def __repr__(self):
-        return f"FieldElement({self.value} mod {self.field.p})"
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return v
-        return FieldElement(self.value + v, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return v
-        return FieldElement(self.value - v, self.field)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return v
-        return FieldElement(v - self.value, self.field)
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.field)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return v
-        return FieldElement(self.field.mul(self.value, v), self.field)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return v
-        return FieldElement(self.field.mul(self.value, self.field.inv(v)), self.field)
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field.pow(self.value, e), self.field)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.value), self.field)
-
-    def is_zero(self) -> bool:
-        return self.value == 0

@@ -261,11 +261,8 @@ def diff_sylvester_differential(
             g = Gamma.entry(i, j)
             if i == j:
                 u = ctx.integrate(g.shift(-k))
-                arr = u.coeffs[:N]
-                U[i, j, : len(arr)] = arr
             else:
-                Pij = SeriesMatrix.from_series(B.entry(i, i) - B.entry(j, j))
-                sol = pol_coeffs_de(Pij, SeriesMatrix.from_series(g), N, ctx)
+                sol = pol_coeffs_de(B.entry(i, i) - B.entry(j, j), g, N, ctx)
                 if sol is None:
                     raise SpectrumError(
                         f"auxiliary scalar equation inconsistent at entry ({i}, {j})"
@@ -274,8 +271,9 @@ def diff_sylvester_differential(
                     raise InternalInvariantError(
                         "auxiliary scalar solution not unique despite k > 1"
                     )
-                arr = sol.particular.data[0, 0, :N]
-                U[i, j, : len(arr)] = arr
+                u = sol.particular
+            arr = u.data[0, 0, :N]
+            U[i, j, : len(arr)] = arr
     return SeriesMatrix(p, U, N)
 
 
@@ -295,7 +293,7 @@ def newton_ae(A: SeriesMatrix, B: SeriesMatrix, V: SeriesMatrix, N: int, ctx: QC
 
 
 def _newton_ae_impl(A: SeriesMatrix, B: SeriesMatrix, V: SeriesMatrix, N: int, ctx: QContext):
-    k, p, n = ctx.k, ctx.p, A.rows
+    k = ctx.k
     if N <= k:
         return V, None, 0
     if A.prec < N:
@@ -326,16 +324,8 @@ def _newton_ae_impl(A: SeriesMatrix, B: SeriesMatrix, V: SeriesMatrix, N: int, c
         if Rh.is_zero():
             continue
         need = window
-        if Winv is None:
-            Winv = Wp.truncate(need).inv_newton(need)
-            inv_valid = need
-        while inv_valid < need:
-            s2 = min(2 * inv_valid, need)
-            E = SeriesMatrix.identity(p, n, s2).scale(2) - Wp.truncate(s2).mul(
-                Winv.as_poly_prec(s2), s2
-            )
-            Winv = Winv.as_poly_prec(s2).mul(E, s2)
-            inv_valid = s2
+        Winv = Wp.inv_newton(need, Winv, inv_valid)
+        inv_valid = max(inv_valid, need)
         Gh = Winv.as_poly_prec(need).truncate(need).mul(Rh, need)
         Gamma = (-Gh).shift(mprev).truncate(target)
         U = sylv(Gamma, B, mprev, target, ctx)
@@ -360,7 +350,6 @@ def newton_solve(A: SeriesMatrix, C: SeriesMatrix, N: int, ctx: QContext) -> Sol
         raise ValueError("precision must be positive")
     if A.prec < N or C.prec < N:
         raise ValueError("operands known to lower precision than requested")
-    p, n = ctx.p, A.rows
     rep = good_spectrum(A.coefficient_matrix(0), ctx, N)
     if not rep.good:
         raise SpectrumError(f"no good spectrum at precision {N}: {rep.reason}")
@@ -370,16 +359,7 @@ def newton_solve(A: SeriesMatrix, C: SeriesMatrix, N: int, ctx: QContext) -> Sol
     assoc = choose_associated(At, ctx)
     W, Winv, inv_valid = _newton_ae_impl(At, assoc.B, assoc.V, N, ctx)
     Wp = W.as_poly_prec(N) if W.prec < N else W.truncate(N)
-    if Winv is None:
-        Winv = Wp.inv_newton(N)
-    else:
-        while inv_valid < N:
-            s2 = min(2 * inv_valid, N)
-            E = SeriesMatrix.identity(p, n, s2).scale(2) - Wp.truncate(s2).mul(
-                Winv.as_poly_prec(s2), s2
-            )
-            Winv = Winv.as_poly_prec(s2).mul(E, s2)
-            inv_valid = s2
+    Winv = Wp.inv_newton(N, Winv, inv_valid)
     Gamma = Winv.mul(C.truncate(N), N)
     sol = pol_coeffs_de(assoc.B, Gamma, N, ctx)
     if sol is None:

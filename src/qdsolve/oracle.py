@@ -244,31 +244,41 @@ def make_instance(p: int, q: int, k: int, n: int, N: int, A: SeriesMatrix, C: Se
     return ProblemInstance(field, QContext(field, q, k), n, N, A, C)
 
 
-def random_instance(
+def random_coefficients(
     seed: int,
     p: int,
     n: int,
     N: int,
     k: int,
-    q_mode: str = "one",
+    q_mode: str | int = "one",
     require_good_spectrum: bool = False,
     max_retries: int = 500,
-) -> ProblemInstance:
-    """Uniform random instance, deterministic in the seed (counter-based
-    generator).  With require_good_spectrum the constant coefficient of A
-    is rejection-sampled until the good-spectrum test passes."""
+) -> tuple[QContext, SeriesMatrix, SeriesMatrix]:
+    """(ctx, A, C) of a uniform random instance of order k >= 0, deterministic
+    in the seed (counter-based generator).
+
+    q_mode is "one", "random" (q uniform in [2, p)) or an explicit value of
+    q.  ctx is the context the instance is solved in: (q, k), or (q, 1)
+    for k = 0, whose instances are solved through the order-1 reduction.
+    With require_good_spectrum and k >= 1 the constant coefficient of A is
+    rejection-sampled until the good-spectrum test passes; for k = 0 the
+    reduced instance has zero constant matrix, whose spectrum test reduces
+    to the gamma conditions, so there is nothing to reject on.
+    """
     gen = np.random.Generator(np.random.Philox(key=seed))
     field = PrimeField(p)
     if q_mode == "one":
         q = 1
     elif q_mode == "random":
         q = int(gen.integers(2, p))
+    elif isinstance(q_mode, int):
+        q = q_mode
     else:
-        raise ValueError("q_mode must be 'one' or 'random'")
-    ctx = QContext(field, q, k)
+        raise ValueError("q_mode must be 'one', 'random' or an integer")
+    ctx = QContext(field, q, k or 1)
     Adata = gen.integers(0, p, size=(n, n, N), dtype=np.int64)
     Cdata = gen.integers(0, p, size=(n, 1, N), dtype=np.int64)
-    if require_good_spectrum:
+    if require_good_spectrum and k >= 1:
         for attempt in range(max_retries + 1):
             rep = good_spectrum(Matrix(p, Adata[:, :, 0]), ctx, N)
             if rep.good:
@@ -278,6 +288,21 @@ def random_instance(
                     f"no good-spectrum constant matrix found in {max_retries} draws"
                 )
             Adata[:, :, 0] = gen.integers(0, p, size=(n, n), dtype=np.int64)
-    A = SeriesMatrix(p, Adata, N)
-    C = SeriesMatrix(p, Cdata, N)
-    return ProblemInstance(field, ctx, n, N, A, C)
+    return ctx, SeriesMatrix(p, Adata, N), SeriesMatrix(p, Cdata, N)
+
+
+def random_instance(
+    seed: int,
+    p: int,
+    n: int,
+    N: int,
+    k: int,
+    q_mode: str | int = "one",
+    require_good_spectrum: bool = False,
+    max_retries: int = 500,
+) -> ProblemInstance:
+    """The instance drawn by random_coefficients; k = 0 is returned reduced."""
+    ctx, A, C = random_coefficients(seed, p, n, N, k, q_mode, require_good_spectrum, max_retries)
+    if k == 0:
+        A, C, N, _ = reduce_k0(A, C, N)
+    return ProblemInstance(ctx.field, ctx, n, N, A, C)

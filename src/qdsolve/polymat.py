@@ -1,10 +1,10 @@
-"""Matrices with truncated-series entries.
+"""Matrices with truncated-series entries: the package's one series type.
 
 Storage is a dense (rows, cols, L) int64 array of coefficient planes with
-L <= prec and the trailing all-zero planes trimmed; entries share one
-truncation order.  The matrix product is the naive cubic scheme over the
-entries, each pairwise product going through the truncated convolution
-backend.
+L <= prec, canonical residues in [0, p) and the trailing all-zero planes
+trimmed; entries share one truncation order.  A scalar series is a 1 x 1
+matrix.  The matrix product is the naive cubic scheme over the entries,
+each pairwise product going through the truncated convolution backend.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from . import instrument
 from .convolution import conv_trunc
 from .errors import InternalInvariantError
 from .linalg import Matrix, mat_inv
-from .series import Series
 
 _INT64 = np.int64
 
@@ -34,7 +33,8 @@ def _trim3(data: np.ndarray) -> np.ndarray:
 class SeriesMatrix:
     __slots__ = ("p", "prec", "data")
 
-    def __init__(self, p: int, data: np.ndarray, prec: int):
+    def __init__(self, p: int, data, prec: int):
+        data = np.asarray(data)
         if data.ndim != 3:
             raise ValueError("series matrix data must be 3-dimensional")
         if prec < 0:
@@ -62,25 +62,6 @@ class SeriesMatrix:
         return cls._mk(p, np.eye(n, dtype=_INT64)[:, :, None], prec)
 
     @classmethod
-    def from_entries(cls, grid, prec: int) -> "SeriesMatrix":
-        """Build from a rectangular grid of Series (all over the same field)."""
-        rows = len(grid)
-        cols = len(grid[0])
-        p = grid[0][0].p
-        L = 0
-        for row in grid:
-            for s in row:
-                if s.p != p:
-                    raise ValueError("mixed fields in series grid")
-                L = max(L, len(s.coeffs))
-        data = np.zeros((rows, cols, min(L, prec)), dtype=_INT64)
-        for i, row in enumerate(grid):
-            for j, s in enumerate(row):
-                c = s.coeffs[: data.shape[2]]
-                data[i, j, : len(c)] = c
-        return cls._mk(p, data, prec)
-
-    @classmethod
     def from_coeff_mats(cls, p: int, mats, prec: int, rows: int, cols: int) -> "SeriesMatrix":
         """Build from a list of degree-indexed coefficient matrices."""
         L = min(len(mats), prec)
@@ -90,10 +71,6 @@ class SeriesMatrix:
             data[:, :, d] = m.a if isinstance(m, Matrix) else np.asarray(m, dtype=_INT64)
         return cls._mk(p, _trim3(data % p), prec)
 
-    @classmethod
-    def from_series(cls, s: Series) -> "SeriesMatrix":
-        return cls._mk(s.p, s.coeffs[None, None, :].copy(), s.prec)
-
     @property
     def rows(self) -> int:
         return self.data.shape[0]
@@ -102,11 +79,9 @@ class SeriesMatrix:
     def cols(self) -> int:
         return self.data.shape[1]
 
-    def entry(self, i: int, j: int) -> Series:
-        arr = self.data[i, j]
-        nz = np.nonzero(arr)[0]
-        arr = arr[: nz[-1] + 1] if len(nz) else arr[:0]
-        return Series._mk(self.p, arr.copy(), self.prec)
+    def entry(self, i: int, j: int) -> "SeriesMatrix":
+        """Entry (i, j) as a 1 x 1 series matrix."""
+        return SeriesMatrix._mk(self.p, _trim3(self.data[i : i + 1, j : j + 1].copy()), self.prec)
 
     def coefficient_matrix(self, j: int) -> Matrix:
         if j < 0 or j >= self.prec:
@@ -305,15 +280,21 @@ class SeriesMatrix:
             at += m.cols
         return cls._mk(p, _trim3(data), prec)
 
-    def inv_newton(self, n: int) -> "SeriesMatrix":
-        """Inverse mod x^n by precision-doubling X <- X(2 Id - A X)."""
+    def inv_newton(self, n: int, X: "SeriesMatrix | None" = None, s: int = 1) -> "SeriesMatrix":
+        """Inverse mod x^n by precision-doubling X <- X(2 Id - A X).
+
+        X, when given, must invert A mod x^s and is refined from there (and
+        returned as it is when s >= n); otherwise the iteration starts from
+        the inverse of A_0.
+        """
         if self.rows != self.cols:
             raise ValueError("only square series matrices are invertible")
         if n > self.prec:
             raise ValueError("operand known to lower precision than requested")
         p = self.p
-        X = SeriesMatrix._mk(p, mat_inv(self.coefficient_matrix(0)).a[:, :, None], 1)
-        s = 1
+        if X is None:
+            X = SeriesMatrix._mk(p, mat_inv(self.coefficient_matrix(0)).a[:, :, None], 1)
+            s = 1
         while s < n:
             s2 = min(2 * s, n)
             AX = self.truncate(s2).mul(X.as_poly_prec(s2), s2)

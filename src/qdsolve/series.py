@@ -1,17 +1,16 @@
-"""Truncated power series over Z/pZ and the q-calculus operators.
+"""The q-calculus context: the dilation constant q, the singularity order k
+and their derived tables.
 
-A ``Series`` is a residue class mod x^prec with canonical int64
-coefficients and trailing zeros trimmed.  ``QContext`` bundles the field,
-the dilation constant q and the singularity order k, memoizes the
-q-integers gamma_i (gamma_0 = 0, gamma_{i+1} = q*gamma_i + 1) and the
-powers of q, and applies the operators
+``QContext`` bundles the field, q and k, memoizes the q-integers gamma_i
+(gamma_0 = 0, gamma_{i+1} = q*gamma_i + 1) and the powers q^i and
+q^(-i), and integrates a scalar series: integrate(f) is the g with
+delta(g) = f and g_0 = 0, where
 
     delta(f) = sum_{i>=1} gamma_i f_i x^(i-1)      (d/dx when q = 1)
     sigma(f)(x) = f(qx)
-    integrate(f) = the g with delta(g) = f, g_0 = 0.
 
-Values are immutable: operations return fresh objects and never mutate
-shared arrays, so everything here is safe to use concurrently.
+are applied by ``SeriesMatrix.delta`` and ``SeriesMatrix.sigma``.  A scalar
+series is a 1 x 1 ``SeriesMatrix``.
 """
 
 from __future__ import annotations
@@ -19,196 +18,15 @@ from __future__ import annotations
 import numpy as np
 
 from . import instrument
-from .convolution import conv_trunc
 from .errors import PreconditionError
 from .field import PrimeField
+from .polymat import SeriesMatrix, _trim3
 
 _INT64 = np.int64
-_EMPTY = np.zeros(0, dtype=_INT64)
-
-
-def _trim(arr: np.ndarray) -> np.ndarray:
-    nz = np.nonzero(arr)[0]
-    if len(nz) == 0:
-        return _EMPTY
-    return arr[: nz[-1] + 1]
-
-
-class Series:
-    __slots__ = ("p", "coeffs", "prec")
-
-    def __init__(self, p: int, coeffs, prec: int | None = None):
-        if isinstance(coeffs, np.ndarray):
-            arr = coeffs.astype(_INT64) % p
-        else:
-            arr = np.array([int(v) % p for v in coeffs], dtype=_INT64)
-        if prec is None:
-            prec = len(arr)
-        if prec < 0:
-            raise ValueError("precision must be nonnegative")
-        self.p = p
-        self.coeffs = _trim(arr[:prec])
-        self.prec = prec
-
-    @classmethod
-    def _mk(cls, p: int, arr: np.ndarray, prec: int) -> "Series":
-        # arr must already be canonical mod p and trimmed to length <= prec
-        s = object.__new__(cls)
-        s.p = p
-        s.coeffs = arr
-        s.prec = prec
-        return s
-
-    @classmethod
-    def zero(cls, p: int, prec: int) -> "Series":
-        return cls._mk(p, _EMPTY, prec)
-
-    @classmethod
-    def one(cls, p: int, prec: int) -> "Series":
-        if prec == 0:
-            return cls.zero(p, 0)
-        return cls._mk(p, np.array([1], dtype=_INT64), prec)
-
-    @classmethod
-    def x_power(cls, p: int, j: int, prec: int) -> "Series":
-        if j >= prec:
-            return cls.zero(p, prec)
-        arr = np.zeros(j + 1, dtype=_INT64)
-        arr[j] = 1
-        return cls._mk(p, arr, prec)
-
-    def coeff(self, i: int) -> int:
-        if i < 0 or i >= self.prec:
-            raise IndexError(f"coefficient {i} outside precision {self.prec}")
-        return int(self.coeffs[i]) if i < len(self.coeffs) else 0
-
-    def coeff_list(self, n: int | None = None) -> list[int]:
-        n = self.prec if n is None else n
-        out = [0] * n
-        for i in range(min(n, len(self.coeffs))):
-            out[i] = int(self.coeffs[i])
-        return out
-
-    def is_zero(self) -> bool:
-        return len(self.coeffs) == 0
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Series)
-            and other.p == self.p
-            and other.prec == self.prec
-            and np.array_equal(other.coeffs, self.coeffs)
-        )
-
-    def __repr__(self):
-        if self.is_zero():
-            body = "0"
-        else:
-            terms = []
-            for i, c in enumerate(self.coeffs):
-                if c == 0:
-                    continue
-                if i == 0:
-                    terms.append(f"{c}")
-                elif i == 1:
-                    terms.append(f"{c}*x")
-                else:
-                    terms.append(f"{c}*x^{i}")
-            body = " + ".join(terms)
-        return f"Series({body} mod x^{self.prec}, p={self.p})"
-
-    def _check_same_field(self, other: "Series"):
-        if other.p != self.p:
-            raise ValueError("series over different fields")
-
-    def __add__(self, other: "Series") -> "Series":
-        self._check_same_field(other)
-        prec = min(self.prec, other.prec)
-        a, b = self.coeffs[:prec], other.coeffs[:prec]
-        if len(a) < len(b):
-            a, b = b, a
-        out = a.copy()
-        out[: len(b)] = (out[: len(b)] + b) % self.p
-        return Series._mk(self.p, _trim(out), prec)
-
-    def __sub__(self, other: "Series") -> "Series":
-        return self + (-other)
-
-    def __neg__(self) -> "Series":
-        return Series._mk(self.p, (-self.coeffs) % self.p, self.prec)
-
-    def scale(self, c: int) -> "Series":
-        c %= self.p
-        if c == 0:
-            return Series.zero(self.p, self.prec)
-        instrument.mul_counter.add(len(self.coeffs))
-        return Series._mk(self.p, _trim(self.coeffs * c % self.p), self.prec)
-
-    def mul(self, other: "Series", n: int | None = None) -> "Series":
-        self._check_same_field(other)
-        if n is None:
-            n = min(self.prec, other.prec)
-        if n > self.prec or n > other.prec:
-            raise ValueError("target precision exceeds operand precision")
-        out = conv_trunc(self.coeffs, other.coeffs, self.p, n)
-        return Series._mk(self.p, _trim(out), n)
-
-    def truncate(self, n: int) -> "Series":
-        if n > self.prec:
-            raise ValueError(f"cannot truncate precision {self.prec} up to {n}")
-        return Series._mk(self.p, _trim(self.coeffs[:n]), n)
-
-    def as_poly_prec(self, n: int) -> "Series":
-        """Lift the precision: valid only when the value is an exact polynomial."""
-        if n < self.prec:
-            return self.truncate(n)
-        return Series._mk(self.p, self.coeffs, n)
-
-    def shift(self, m: int, truncate: bool = False) -> "Series":
-        """Multiply (m > 0) or divide (m < 0) by x^m, adjusting precision by m."""
-        if m == 0:
-            return self
-        if m > 0:
-            if len(self.coeffs) == 0:
-                return Series.zero(self.p, self.prec + m)
-            out = np.zeros(len(self.coeffs) + m, dtype=_INT64)
-            out[m:] = self.coeffs
-            return Series._mk(self.p, out, self.prec + m)
-        d = -m
-        if not truncate and np.any(self.coeffs[:d]):
-            j = int(np.nonzero(self.coeffs[:d])[0][0])
-            raise ValueError(f"division by x^{d} inexact: coefficient {j} is nonzero")
-        prec = max(self.prec - d, 0)
-        return Series._mk(self.p, _trim(self.coeffs[d:][:prec]), prec)
-
-    def inv(self, n: int) -> "Series":
-        """Multiplicative inverse mod x^n by Newton iteration; needs f(0) != 0."""
-        if n < 0:
-            raise ValueError("precision must be nonnegative")
-        c0 = self.coeff(0) if self.prec > 0 else 0
-        if c0 == 0:
-            raise ZeroDivisionError("series with zero constant term is not invertible")
-        if self.prec < n:
-            raise ValueError("operand known to lower precision than requested")
-        p = self.p
-        instrument.mul_counter.add(instrument.inv_cost(p))
-        x = np.array([pow(c0, p - 2, p)], dtype=_INT64)
-        s = 1
-        f = self.coeffs
-        while s < n:
-            s2 = min(2 * s, n)
-            fx = conv_trunc(f[:s2], x, p, s2)
-            e = (-fx) % p
-            if len(e) == 0:
-                e = np.zeros(1, dtype=_INT64)
-            e[0] = (e[0] + 2) % p
-            x = conv_trunc(x, e, p, s2)
-            s = s2
-        return Series._mk(p, _trim(x), n)
 
 
 class QContext:
-    """The pair (q, k) with the derived gamma sequence and operator actions.
+    """The pair (q, k) with the derived gamma and q-power tables.
 
     The memo tables only grow; after warm-up with ``gamma_slice`` they are
     read-only, so sharing a context across threads is safe.
@@ -271,7 +89,8 @@ class QContext:
 
     def qinv_pow_slice(self, n: int) -> np.ndarray:
         if self._qinv is None:
-            self._qinv = self.field.inv(self.q)
+            instrument.mul_counter.add(instrument.inv_cost(self.p))
+            self._qinv = pow(self.q, self.p - 2, self.p)
         if self._qip is None or len(self._qip) < n:
             p = self.p
             out = np.empty(n, dtype=_INT64)
@@ -282,33 +101,14 @@ class QContext:
             self._qip = out
         return self._qip[:n]
 
-    def delta(self, f: Series) -> Series:
-        """gamma-weighted shift-down; the sigma-derivation of the ring."""
-        if f.prec == 0:
-            raise ValueError("cannot differentiate a precision-0 series")
-        L = len(f.coeffs)
-        if L <= 1:
-            return Series.zero(f.p, f.prec - 1)
-        g = self.gamma_slice(L)
-        instrument.mul_counter.add(L - 1)
-        out = g[1:] * f.coeffs[1:] % self.p
-        return Series._mk(f.p, _trim(out), f.prec - 1)
-
-    def sigma(self, f: Series) -> Series:
-        """Substitute x -> qx."""
-        if self.q == 1 or f.is_zero():
-            return f
-        L = len(f.coeffs)
-        instrument.mul_counter.add(L)
-        out = self.qpow_slice(L) * f.coeffs % self.p
-        return Series._mk(f.p, _trim(out), f.prec)
-
-    def integrate(self, f: Series) -> Series:
-        """The right inverse of delta with zero constant term.
+    def integrate(self, f: SeriesMatrix) -> SeriesMatrix:
+        """The right inverse of delta with zero constant term, for a 1 x 1 f.
 
         Requires gamma_1 .. gamma_prec(f) all nonzero; raises naming the
         first offending index otherwise.
         """
+        if (f.rows, f.cols) != (1, 1):
+            raise ValueError("q-integration takes a 1 x 1 series matrix")
         n = f.prec
         g = self.gamma_slice(n + 1)
         zero = np.nonzero(g[1 : n + 1] == 0)[0]
@@ -317,11 +117,12 @@ class QContext:
                 f"gamma_{int(zero[0]) + 1} = 0 in F_{self.p}: q-integration undefined"
             )
         p = self.p
-        L = len(f.coeffs)
-        out = np.zeros(L + 1, dtype=_INT64)
+        coeffs = f.data[0, 0]
+        L = len(coeffs)
+        out = np.zeros((1, 1, L + 1), dtype=_INT64)
         for i in range(L):
-            c = int(f.coeffs[i])
+            c = int(coeffs[i])
             if c:
                 instrument.mul_counter.add(1 + instrument.inv_cost(p))
-                out[i + 1] = c * pow(int(g[i + 1]), p - 2, p) % p
-        return Series._mk(p, _trim(out), n + 1)
+                out[0, 0, i + 1] = c * pow(int(g[i + 1]), p - 2, p) % p
+        return SeriesMatrix._mk(p, _trim3(out), n + 1)

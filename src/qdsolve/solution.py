@@ -39,11 +39,6 @@ class SolutionSpace:
     def prec(self) -> int:
         return self.particular.prec
 
-    def member(self, weights) -> SeriesMatrix:
-        """The member particular + basis * weights."""
-        w = Matrix(self.particular.p, [[int(v)] for v in weights])
-        return self.particular + self.basis.rmul_const(w)
-
 
 def _flatten_cols(m: SeriesMatrix) -> np.ndarray:
     """Columns of a series matrix as rows of an (cols, rows*prec) array."""

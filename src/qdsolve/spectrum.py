@@ -118,17 +118,6 @@ def _pmulmod(f, g, m, p):
     return r
 
 
-def _pxpowmod(e, m, p):
-    """x^e mod m by square and multiply."""
-    result = [1]
-    base = _pdivmod([0, 1], m, p)[1] if len(m) <= 2 else [0, 1]
-    for bit in bin(e)[2:]:
-        result = _pmulmod(result, result, m, p)
-        if bit == "1":
-            result = _pmulmod(result, base, m, p)
-    return result
-
-
 def _peval_many(f, xs: np.ndarray, p: int) -> np.ndarray:
     out = np.zeros(len(xs), dtype=_INT64)
     instrument.mul_counter.add(len(f) * len(xs))
@@ -140,7 +129,7 @@ def _peval_many(f, xs: np.ndarray, p: int) -> np.ndarray:
 def _is_split_squarefree(chi, p) -> tuple[bool, str | None]:
     if len(_pgcd(chi, _pderiv(chi, p), p)) != 1:
         return False, "|Spec A0| = n fails (repeated eigenvalue)"
-    xp = _pxpowmod(p, chi, p)
+    xp = _ppowmod_linear(0, p, chi, p)  # x^p mod chi
     diff = list(xp) + [0] * max(0, 2 - len(xp))
     diff[1] = (diff[1] - 1) % p
     _, rem = _pdivmod(_ptrim(diff), chi, p)
@@ -164,16 +153,18 @@ def singular_indices(A0: Matrix, ctx, N: int) -> list[int]:
 
     k = 1: det(q^i A0 - gamma_i Id) = 0; k > 1: det(q^i A0) = 0.
     """
-    n, p = A0.rows, A0.p
+    return _singular_indices(char_poly(A0), ctx, N)
+
+
+def _singular_indices(chi, ctx, N: int) -> list[int]:
+    """singular_indices from chi = char_poly(A0)."""
     if ctx.k > 1:
-        chi = char_poly(A0)
         det_zero = chi[0] == 0  # det(A0) = (-1)^n chi(0)
         return list(range(N)) if det_zero else []
-    chi = char_poly(A0)
     # det(q^i A0 - gamma_i Id) = (-1)^n q^(i n) chi(gamma_i q^(-i))
-    pts = ctx.gamma_slice(N) * ctx.qinv_pow_slice(N) % p
+    pts = ctx.gamma_slice(N) * ctx.qinv_pow_slice(N) % ctx.p
     instrument.mul_counter.add(N)
-    vals = _peval_many(chi, pts, p)
+    vals = _peval_many(chi, pts, ctx.p)
     return [int(i) for i in np.nonzero(vals == 0)[0]]
 
 
@@ -181,8 +172,8 @@ def good_spectrum(A0: Matrix, ctx, N: int) -> SpectrumReport:
     """Evaluate the good-spectrum condition of the constant matrix at precision N."""
     n, p = A0.rows, A0.p
     q, k = ctx.q, ctx.k
-    sing = singular_indices(A0, ctx, N)
     chi = char_poly(A0)
+    sing = _singular_indices(chi, ctx, N)
     report = None
     if k == 1:
         if n == 1:

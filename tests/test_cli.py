@@ -52,8 +52,7 @@ def test_solve_exponential_file(tmp_path):
     assert code == 0
     assert "status: ok" in out and "t: 1" in out
     sol = parse_solution(out, 101, 1, 4)
-    col = sol.basis.entry(0, 0)
-    assert [col.coeff(i) for i in range(4)] == [1, 1, 51, 17]
+    assert sol.basis.data[0, 0, :4].tolist() == [1, 1, 51, 17]
 
 
 def test_solve_all_engines_agree_on_file(tmp_path):
@@ -139,6 +138,23 @@ def test_gen_idempotent_and_solvable(tmp_path):
     assert code == 0
 
 
+def test_gen_draws_random_instance():
+    # gen prints the instance random_instance draws; order 0 is printed
+    # unreduced and reduced on load
+    from qdsolve.oracle import random_instance
+
+    for k in (0, 1, 2):
+        for q in ("1", "5", "random"):
+            code, out, _ = run_cli(["gen", "--seed", "4", "--n", "2", "--N", "6",
+                                    "--k", str(k), "--q", q, "--good-spectrum"])
+            assert code == 0
+            got = parse_problem(out)
+            want = random_instance(4, 134217757, 2, 6, k, q if q == "random" else int(q),
+                                   require_good_spectrum=True)
+            assert (got.ctx.q, got.k, got.N) == (want.ctx.q, want.k, want.N)
+            assert got.A == want.A and got.C == want.C
+
+
 def test_gen_good_spectrum_feeds_newton(tmp_path):
     code, out, _ = run_cli(
         ["gen", "--seed", "9", "--n", "2", "--N", "8", "--k", "2",
@@ -167,6 +183,18 @@ def test_gen_prime_above_char_poly_range_exit_2():
     assert out == ""
     assert err.startswith("precondition error: ") and err.count("\n") == 1
     assert "2147483647" in err
+
+
+def test_non_prime_modulus_exit_2():
+    for argv in (
+        ["gen", "--p", "6", "--n", "1", "--N", "3"],
+        ["gen", "--p", "2", "--n", "1", "--N", "3"],
+        ["bench", "--p", "6", "--N", "8"],
+    ):
+        code, out, err = run_cli(argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("precondition error: modulus ") and err.count("\n") == 1
 
 
 def test_gen_k0_reduction_round_trip(tmp_path):

@@ -7,7 +7,7 @@ from qdsolve.dac import ParametricVector, dac_solve, op_E, rdac
 from qdsolve.field import PrimeField
 from qdsolve.oracle import dense_solve, random_instance, residual
 from qdsolve.polymat import SeriesMatrix
-from qdsolve.series import QContext, Series
+from qdsolve.series import QContext
 from qdsolve.solution import spaces_equal
 
 P101 = PrimeField(101)
@@ -36,8 +36,8 @@ def test_pv_specialize():
     fresh = ParametricVector.fresh_block(p, 2, (0,), 0, 2)
     combo = pv + fresh
     got = combo.specialize([5, 7])
-    want_top = Series(p, [1 + 5, 2], 2)
-    want_bot = Series(p, [3 + 7, 4], 2)
+    want_top = sm(p, [[[1 + 5, 2]]], 2)
+    want_bot = sm(p, [[[3 + 7, 4]]], 2)
     assert got.entry(0, 0) == want_top and got.entry(1, 0) == want_bot
 
 
@@ -106,6 +106,21 @@ def test_rdac_base_cases():
     assert out.block(0) == SeriesMatrix.identity(p, 1, 1)
 
 
+def test_rdac_leaf_products_near_int64_limit():
+    # p - 1 = 2^31 - 2, so n (p - 1)^2 >= 2^63 at n = 3: a leaf's
+    # R_i^(-1) C_0 product must be reduced in chunks, not summed in int64.
+    # rdac is called directly because dac_solve refuses this prime at its
+    # char_poly guard before reaching any leaf.
+    p = 2147483647
+    for seed in (1, 12):
+        inst = random_instance(seed, p, 3, 12, 1, "random")
+        F = rdac(inst.A, ParametricVector.from_concrete(inst.C, ()), 0, inst.N, inst.ctx)
+        want = dense_solve(inst)
+        assert want is not None and want.dim == 0
+        assert F.constant_part() == want.particular
+        assert residual(F.constant_part(), inst).is_zero()
+
+
 def test_rdac_exponential_block():
     # A = x, C = 0, k=1, q=1, N=4: phi_0 = 0, single block with exp coefficients
     p = 101
@@ -116,7 +131,7 @@ def test_rdac_exponential_block():
     assert F.constant_part().is_zero()
     block = F.block(0).entry(0, 0)
     inv2, inv6 = pow(2, p - 2, p), pow(6, p - 2, p)
-    assert block == Series(p, [1, 1, inv2, inv6], 4)
+    assert block == sm(p, [[[1, 1, inv2, inv6]]], 4)
     assert inv2 == 51 and inv6 == 17
 
 
@@ -138,7 +153,7 @@ def test_dac_examples():
     C = SeriesMatrix.zeros(p, 1, 1, 4)
     sol = dac_solve(A, C, 4, ctx)
     assert sol.particular.is_zero() and sol.dim == 1
-    assert sol.basis.entry(0, 0) == Series(p, [0, 1], 4)
+    assert sol.basis.entry(0, 0) == sm(p, [[[0, 1]]], 4)
 
     # A = 0, C = 1: inconsistent
     sol = dac_solve(SeriesMatrix.zeros(p, 1, 1, 4), sm(p, [[[1]]], 4), 4, ctx)
@@ -147,8 +162,7 @@ def test_dac_examples():
     # exponential through the reduction: A = x
     sol = dac_solve(sm(p, [[[0, 1]]], 4), SeriesMatrix.zeros(p, 1, 1, 4), 4, ctx)
     assert sol.particular.is_zero() and sol.dim == 1
-    col = sol.basis.entry(0, 0)
-    assert col.coeff(0) == 1 and [col.coeff(i) for i in range(4)] == [1, 1, 51, 17]
+    assert sol.basis.entry(0, 0) == sm(p, [[[1, 1, 51, 17]]], 4)
 
 
 def test_dac_fast_path_no_parameters():

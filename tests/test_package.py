@@ -1,0 +1,25 @@
+import re
+from pathlib import Path
+
+import qdsolve
+
+PUBLIC = {
+    "PrimeField", "QContext", "Matrix", "SeriesMatrix", "ProblemInstance", "SolutionSpace",
+    "make_instance", "random_instance", "residual", "spaces_equal",
+    "dense_solve", "dac_solve", "newton_solve",
+    "QdsolveError", "UsageError", "ProblemFormatError", "PreconditionError",
+    "SpectrumError", "InternalInvariantError",
+}
+
+
+def test_public_names():
+    assert set(qdsolve.__all__) == PUBLIC
+    assert len(qdsolve.__all__) == len(PUBLIC)
+    for name in PUBLIC:
+        assert hasattr(qdsolve, name), name
+    # every name the README's library sketch imports is exported
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"from qdsolve import \(([^)]*)\)", readme)
+    assert block is not None
+    names = {tok.strip() for tok in block.group(1).split(",") if tok.strip()}
+    assert names and names <= PUBLIC

@@ -8,7 +8,7 @@ from qdsolve.problemfile import (
     serialize_problem,
     serialize_solution,
 )
-from qdsolve.series import Series
+from qdsolve.polymat import SeriesMatrix
 from qdsolve.solution import spaces_equal
 
 
@@ -32,15 +32,15 @@ C[1]:
 """
     inst = parse_problem(text)
     assert (inst.p, inst.ctx.q, inst.k, inst.n, inst.N) == (101, 2, 1, 2, 3)
-    assert inst.A.entry(0, 1) == Series(101, [2, 0, 1], 3)
-    assert inst.C.entry(1, 0) == Series(101, [0, 100], 3)
+    assert inst.A.entry(0, 1) == SeriesMatrix(101, [[[2, 0, 1]]], 3)
+    assert inst.C.entry(1, 0) == SeriesMatrix(101, [[[0, 100]]], 3)
 
 
 def test_values_reduced_mod_p():
     text = "p: 7\nq: 1\nk: 1\nn: 1\nN: 2\nA[0]:\n100\nC[0]:\n-1\n"
     inst = parse_problem(text)
-    assert inst.A.entry(0, 0).coeff(0) == 100 % 7
-    assert inst.C.entry(0, 0).coeff(0) == 6
+    assert inst.A.coefficient_array(0)[0, 0] == 100 % 7
+    assert inst.C.coefficient_array(0)[0, 0] == 6
 
 
 def test_round_trip_serialization():
