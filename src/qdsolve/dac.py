@@ -23,7 +23,7 @@ import numpy as np
 
 from . import instrument
 from .errors import InternalInvariantError
-from .linalg import Matrix, mat_inv
+from .linalg import Matrix, _matmul_mod, mat_inv
 from .polymat import SeriesMatrix
 from .series import QContext
 from .solution import SolutionSpace, resolve_affine_family
@@ -225,24 +225,25 @@ def dac_solve(A: SeriesMatrix, C: SeriesMatrix, N: int, ctx: QContext) -> Soluti
     width = F.mat.cols
     qp = ctx.qpow_slice(N)
     gam = ctx.gamma_slice(N + k)
-    Fd = F.mat.data
-    Ld = Fd.shape[2]
-    Ad = A.data
-    La = Ad.shape[2]
+    Fd = F.mat.data.transpose(2, 0, 1)  # (Ld, n, width)
+    Ld = Fd.shape[0]
+    La = A.data.shape[2]
+    Acat = A.side_by_side()
     rows_const = []
     rows_coeff = []
     for i in R:
         ti = np.zeros((n, width), dtype=_INT64)
         j = i - k + 1
         if 0 <= j < Ld:
-            ti = int(gam[j]) * Fd[:, :, j] % p
+            ti = int(gam[j]) * Fd[j] % p
             instrument.mul_counter.add(n * width)
-        hi = min(i, Ld - 1)
-        for j in range(hi + 1):
-            d = i - j
-            if d < La:
-                instrument.mul_counter.add(n * width + n * n * width)
-                ti = (ti - Ad[:, :, d] @ (int(qp[j]) * Fd[:, :, j] % p)) % p
+        # sum of A_(i-j) q^j F_j over lo <= j <= hi: one window product
+        lo, hi = max(0, i - La + 1), min(i, Ld - 1)
+        if lo <= hi:
+            instrument.mul_counter.add((hi - lo + 1) * n * width)
+            Gw = (qp[lo : hi + 1, None, None] * Fd[lo : hi + 1] % p).reshape(-1, width)
+            win = Acat[:, (La - 1 - i + lo) * n : (La - i + hi) * n]
+            ti = (ti - _matmul_mod(win, Gw, p)) % p
         if i < C.data.shape[2]:
             ti[:, 0] = (ti[:, 0] - C.data[:, 0, i]) % p
         rows_const.append(ti[:, 0])

@@ -19,7 +19,13 @@ _INT64 = np.int64
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p with int64 accumulation kept below 2^63."""
+    """a @ b mod p with int64 accumulation kept below 2^63.
+
+    Up to step = 2^62 / (p-1)^2 inner terms one product cannot overflow.
+    Longer sums split b into s-bit limbs, b = b_hi 2^s + b_lo with
+    s = ceil(bits(p) / 2), so that every term is below p 2^s: two products
+    cover any inner < 2^62 / (p 2^s).  Past that the sum is chunked.
+    """
     inner = a.shape[1]
     if inner == 0:
         return np.zeros((a.shape[0], b.shape[1]), dtype=_INT64)
@@ -27,6 +33,11 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     instrument.mul_counter.add(a.shape[0] * inner * b.shape[1])
     if inner <= step:
         return a @ b % p
+    s = (p.bit_length() + 1) // 2
+    if inner << s < (2**62) // p:
+        # both limb sums stay below inner p 2^s, and 2^s < p
+        hi = a @ (b >> s) % p
+        return ((hi << s) + a @ (b & ((1 << s) - 1))) % p
     acc = np.zeros((a.shape[0], b.shape[1]), dtype=_INT64)
     for i in range(0, inner, step):
         acc = (acc + a[:, i : i + step] @ b[i : i + step, :]) % p

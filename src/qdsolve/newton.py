@@ -6,7 +6,9 @@ x^k delta(W) = A sigma(W) - W B mod x^N by a precision-doubling
 iteration (each step solves an auxiliary equation whose right side is
 the current residual), then solve the polynomial-coefficient equation
 x^k delta(Y) = B sigma(Y) + W^(-1) C coefficient by coefficient and
-return (W Y, W M).
+return (W Y, W M).  That last step, PolCoeffsDE, calls the dense oracle's
+step kernel (oracle._solve_term_by_term), so its singular steps get the
+same exact parameter and constraint treatment.
 
 The good-spectrum condition is a hard precondition here: it makes every
 per-coefficient Sylvester step Y_i X - X B0 = Z_i uniquely solvable.
@@ -27,6 +29,7 @@ import numpy as np
 from . import instrument
 from .errors import InternalInvariantError, SpectrumError
 from .linalg import Matrix, char_poly, mat_inv, sylvester_solve
+from .oracle import _solve_term_by_term
 from .polymat import SeriesMatrix
 from .series import QContext
 from .solution import SolutionSpace
@@ -102,75 +105,15 @@ def splitting_lemma(A: SeriesMatrix, ctx: QContext, seed: int = 0) -> Associated
 def pol_coeffs_de(P: SeriesMatrix, Q: SeriesMatrix, N: int, ctx: QContext) -> SolutionSpace | None:
     """Solve x^k delta(Y) = P sigma(Y) + Q mod x^N for polynomial P of degree < k.
 
-    Proceeds coefficient by coefficient; each step is one constant linear
-    solve.  Returns None as soon as a step is inconsistent.
+    PolCoeffsDE: the step kernel of the dense oracle applied to this
+    equation, so singular steps are resolved exactly and None means the
+    equation has no solution.
     """
-    k, p, n = ctx.k, ctx.p, P.rows
-    if P.data.shape[2] > k:
+    if P.data.shape[2] > ctx.k:
         raise ValueError("coefficient matrix must be a polynomial of degree < k")
     if Q.prec < N:
         raise ValueError("right-hand side known to lower precision than requested")
-    P0 = P.coefficient_matrix(0)
-    Pd = P.data
-    Ld = Pd.shape[2]
-    Qd = Q.data
-    Lq = Qd.shape[2]
-    eye = np.eye(n, dtype=_INT64)
-    Y = np.zeros((n, N), dtype=_INT64)
-    basis_parts: list[tuple[int, Matrix]] = []
-    scalar = n == 1
-    for i in range(N):
-        rhs = Qd[:, 0, i].copy() if i < Lq else np.zeros(n, dtype=_INT64)
-        for j in range(1, min(k, i + 1)):
-            if j < Ld:
-                instrument.mul_counter.add(n + n * n)
-                rhs = (rhs + Pd[:, :, j] @ (ctx.qpow(i - j) * Y[:, i - j] % p)) % p
-        if k == 1:
-            M = (ctx.gamma(i) * eye - ctx.qpow(i) * P0.a) % p
-            instrument.mul_counter.add(n * n)
-        else:
-            M = (-ctx.qpow(i) * P0.a) % p
-            instrument.mul_counter.add(n * n)
-            j = i - k + 1
-            if j >= 0:
-                instrument.mul_counter.add(n)
-                rhs = (rhs - ctx.gamma(j) * Y[:, j]) % p
-        if scalar:
-            mv, rv = int(M[0, 0]), int(rhs[0])
-            if mv == 0:
-                if rv:
-                    return None
-                basis_parts.append((i, Matrix(p, [[1]])))
-            else:
-                instrument.mul_counter.add(1 + instrument.inv_cost(p))
-                Y[0, i] = rv * pow(mv, p - 2, p) % p
-            continue
-        sol = _lin_solve_arr(M, rhs, p)
-        if sol is None:
-            return None
-        Y[:, i] = sol[0]
-        if sol[1].shape[1]:
-            basis_parts.append((i, Matrix(p, sol[1])))
-    particular = SeriesMatrix(p, Y[:, None, :], N)
-    if basis_parts:
-        cols = []
-        for i, M_i in basis_parts:
-            data = np.zeros((n, M_i.cols, i + 1), dtype=_INT64)
-            data[:, :, i] = M_i.a
-            cols.append(SeriesMatrix(p, data, N))
-        basis = SeriesMatrix.hstack(cols)
-    else:
-        basis = SeriesMatrix.zeros(p, n, 0, N)
-    return SolutionSpace(particular, basis)
-
-
-def _lin_solve_arr(M: np.ndarray, rhs: np.ndarray, p: int):
-    from .linalg import lin_solve
-
-    sol = lin_solve(Matrix(p, M), Matrix(p, rhs.reshape(-1, 1)))
-    if sol is None:
-        return None
-    return sol.particular.a[:, 0], sol.nullspace.a
+    return _solve_term_by_term(P, Q, N, ctx)
 
 
 def diff_sylvester(Gamma: SeriesMatrix, B: SeriesMatrix, m: int, N: int, ctx: QContext) -> SeriesMatrix:

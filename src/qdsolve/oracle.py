@@ -11,6 +11,10 @@ singular steps introduce placeholder parameters and emit affine
 constraints, and one final linear solve resolves the parameters.  Both
 routes accept every instance, make no spectrum assumptions, and are
 cross-checked against each other in the tests.
+
+The stepwise route, ``_solve_term_by_term``, is the package's one
+per-coefficient step kernel: Newton's PolCoeffsDE (``newton.pol_coeffs_de``)
+is this kernel on an equation whose A is a polynomial of degree < k.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 from . import instrument
 from .errors import PreconditionError
 from .field import PrimeField
-from .linalg import Matrix, _rref, lin_solve
+from .linalg import Matrix, _matmul_mod, _rref, lin_solve
 from .polymat import SeriesMatrix
 from .series import QContext
 from .solution import SolutionSpace, resolve_affine_family, spaces_equal  # noqa: F401
@@ -119,106 +123,97 @@ def _solve_operator_matrix(inst: ProblemInstance) -> SolutionSpace | None:
     return SolutionSpace(part, basis)
 
 
-def _solve_term_by_term(inst: ProblemInstance) -> SolutionSpace | None:
-    n, N, p, k = inst.n, inst.N, inst.p, inst.k
-    ctx = inst.ctx
-    qp = ctx.qpow_slice(N)
-    gam = ctx.gamma_slice(N + 1)
-    Ad = inst.A.data
-    La = Ad.shape[2]
-    Cd = inst.C.data
-    Lc = Cd.shape[2]
-    eye = np.eye(n, dtype=_INT64)
+def _solve_term_by_term(A: SeriesMatrix, C: SeriesMatrix, N: int, ctx: QContext) -> SolutionSpace | None:
+    """Solve x^k delta(F) = A sigma(F) + C mod x^N coefficient by coefficient.
+
+    The one per-coefficient step kernel, for A of any degree.  With
+    G_j = q^j F_j, coefficient i of the equation is the step
+
+        M_i F_i = C_i + sum_{d>=1} A_d G_(i-d) - [k > 1] gamma_(i-k+1) F_(i-k+1),
+
+    M_i = gamma_i Id - q^i A_0 for k = 1 and -q^i A_0 for k > 1.  The
+    window sum is one product of A_D .. A_1 side by side with the stacked
+    G_(i-D) .. G_(i-1).  Every F_i is affine in parameters: a singular step
+    makes each free column of M_i a new parameter and each zero row of M_i
+    an affine constraint on the earlier ones, and one final linear solve
+    resolves them.  Steps are solved by _rref, or by a scalar inverse when
+    n = 1.
+    """
+    p, k, n = ctx.p, ctx.k, A.rows
+    charge = instrument.mul_counter.add
+    qp = ctx.qpow_slice(N).tolist()
+    gam = ctx.gamma_slice(N).tolist()
+    A = A.as_poly_prec(N)  # exact: A.prec >= N, or A is PolCoeffsDE's polynomial
+    La = A.data.shape[2]
+    Acat = A.side_by_side()
+    Ms = (-ctx.qpow_slice(N)[:, None, None] * A.coefficient_array(0)) % p
+    if k == 1:
+        Ms = (Ms + ctx.gamma_slice(N)[:, None, None] * np.eye(n, dtype=_INT64)) % p
+    charge(N * n * n)
+    if n == 1:
+        Ms = Ms.ravel().tolist()
+        inv_c = instrument.inv_cost(p)
+    # rows in .. (i+1)n hold F_i and G_i, so a window is a row range; column 0
+    # is the constant part, column t the coefficient of parameter t.  Until
+    # step i solves them, the rows of F_i hold C_i.  Only windows read G,
+    # and G is F when q = 1.
     width = 1
-    F = np.zeros((N, n, 8), dtype=_INT64)  # affine rows, grown on demand
-    G = np.zeros((N, n, 8), dtype=_INT64)  # q^j-twisted copy used in the sums
-    cons: list[tuple[np.ndarray, int]] = []  # (affine row of length width, width then)
-
-    vector_path = n == 1
-    if vector_path:
-        A1 = Ad[0, 0, :] if La else np.zeros(1, dtype=_INT64)
-        split = N * (p - 1) * (p - 1) >= 2**63
-        if split:
-            s = (p.bit_length() + 1) // 2
-            A1hi, A1lo = A1 >> s, A1 & ((1 << s) - 1)
-
+    F = np.zeros((N * n, 8), dtype=_INT64)
+    Cd = C.data[:, 0, :N]
+    F[: Cd.size, 0] = Cd.T.ravel()
+    G = F if ctx.q == 1 else np.zeros_like(F)
+    twist = La > 1 and ctx.q != 1
+    cons: list[tuple[np.ndarray, int]] = []  # (affine row, width then)
     for i in range(N):
-        if vector_path:
-            dmax = min(i, La - 1)
-            if dmax >= 1:
-                seg = G[i - dmax : i, 0, :width][::-1]
-                instrument.mul_counter.add(dmax * width)
-                if split:
-                    hi = A1hi[1 : dmax + 1] @ seg
-                    lo = A1lo[1 : dmax + 1] @ seg
-                    acc = ((hi % p) * ((1 << s) % p) + lo) % p
-                else:
-                    acc = (A1[1 : dmax + 1] @ seg) % p
-                rhs = acc[None, :].copy()
+        r = i * n
+        rhs = F[r : r + n, :width]
+        D = min(i, La - 1)
+        if D > 0:
+            win = Acat[:, (La - 1 - D) * n : (La - 1) * n]
+            rhs = rhs + _matmul_mod(win, G[r - D * n : r, :width], p)
+        if k > 1 and i >= k - 1:
+            charge(n * width)
+            rj = r - (k - 1) * n
+            rhs = rhs - gam[i - k + 1] * F[rj : rj + n, :width]
+        rhs = rhs % p
+        if n == 1:
+            m = Ms[i]
+            if m == 0:
+                # 0 = rhs constrains the parameters; F_i is a new one
+                if rhs.any():
+                    cons.append((rhs[0], width))
+                fi = np.zeros((1, width + 1), dtype=_INT64)
+                fi[0, width] = 1
             else:
-                rhs = np.zeros((1, width), dtype=_INT64)
-            if i < Lc:
-                rhs[0, 0] = (rhs[0, 0] + Cd[0, 0, i]) % p
+                charge(width + inv_c)
+                fi = rhs * pow(m, p - 2, p) % p
         else:
-            rhs = np.zeros((n, width), dtype=_INT64)
-            if i < Lc:
-                rhs[:, 0] = Cd[:, 0, i]
-            for j in range(max(0, i - La + 1), i):
-                d = i - j
-                instrument.mul_counter.add(n * n * width)
-                rhs = (rhs + Ad[:, :, d] @ G[j, :, :width]) % p
-        j = i - k + 1
-        if k > 1 and 0 <= j < i:
-            instrument.mul_counter.add(n * width)
-            rhs = (rhs - int(gam[j]) * F[j, :, :width]) % p
-        # the step matrix: gamma_i Id - q^i A0 for k = 1, else -q^i A0
-        A0 = Ad[:, :, 0] if La else np.zeros((n, n), dtype=_INT64)
-        instrument.mul_counter.add(n * n)
-        if k == 1:
-            M = (int(gam[i]) * eye - int(qp[i]) * A0) % p
-        else:
-            M = (-int(qp[i]) * A0) % p
-        aug = np.hstack([M, rhs % p])
-        red, pivots = _rref(aug, p, n)
-        rank = len(pivots)
-        for row in red[rank:]:
-            if np.any(row[n:]):
-                cons.append((row[n:].copy(), width))
-        nfree = n - rank
-        if nfree:
-            newwidth = width + nfree
-            if newwidth > F.shape[2]:
-                grow = max(newwidth, 2 * F.shape[2])
-                F = np.concatenate([F, np.zeros((N, n, grow - F.shape[2]), dtype=_INT64)], axis=2)
-                G = np.concatenate([G, np.zeros((N, n, grow - G.shape[2]), dtype=_INT64)], axis=2)
-        fi = np.zeros((n, width + (nfree if nfree else 0)), dtype=_INT64)
-        pivset = set(pivots)
-        free_cols = [c for c in range(n) if c not in pivset]
-        for r_, c in enumerate(pivots):
-            fi[c, : width] = red[r_, n:]
-            for fj, fc in enumerate(free_cols):
-                fi[c, width + fj] = (-red[r_, fc]) % p
-        for fj, fc in enumerate(free_cols):
-            fi[fc, width + fj] = 1
-        if nfree:
-            width += nfree
-        F[i, :, :width] = fi[:, :width]
-        instrument.mul_counter.add(n * width)
-        G[i, :, :width] = int(qp[i]) * fi[:, :width] % p
-
-    nparams = width - 1
-    fam = SeriesMatrix(p, np.swapaxes(F[:, :, :width], 0, 2).transpose(1, 0, 2), N)
-    # fam data ordering: (n, width, N)
-    if cons:
-        coeffs = np.zeros((len(cons), nparams), dtype=_INT64)
-        const = np.zeros(len(cons), dtype=_INT64)
-        for idx, (row, w_then) in enumerate(cons):
-            const[idx] = row[0]
-            coeffs[idx, : w_then - 1] = row[1:w_then]
-    else:
-        coeffs = np.zeros((0, nparams), dtype=_INT64)
-        const = np.zeros(0, dtype=_INT64)
-    return resolve_affine_family(fam, coeffs, const)
+            red, pivots = _rref(np.hstack([Ms[i], rhs]), p, n)
+            rank = len(pivots)
+            for row in red[rank:, n:]:
+                if row.any():
+                    cons.append((row, width))
+            free = [c for c in range(n) if c not in pivots]
+            fi = np.zeros((n, width + len(free)), dtype=_INT64)
+            fi[pivots, :width] = red[:rank, n:]
+            fi[pivots, width:] = (-red[:rank][:, free]) % p
+            fi[free, width + np.arange(len(free))] = 1
+        width = fi.shape[1]
+        if width > F.shape[1]:
+            grow = np.zeros((N * n, width + F.shape[1]), dtype=_INT64)
+            F = np.hstack([F, grow])
+            G = F if ctx.q == 1 else np.hstack([G, grow])
+        F[r : r + n, :width] = fi
+        if twist:
+            charge(n * width)
+            G[r : r + n, :width] = qp[i] * fi % p
+    family = F[:, :width].reshape(N, n, width).transpose(1, 2, 0)
+    coeffs = np.zeros((len(cons), width - 1), dtype=_INT64)
+    const = np.zeros(len(cons), dtype=_INT64)
+    for idx, (row, w_then) in enumerate(cons):
+        const[idx] = row[0]
+        coeffs[idx, : w_then - 1] = row[1:w_then]
+    return resolve_affine_family(SeriesMatrix(p, family, N), coeffs, const)
 
 
 def dense_solve(inst: ProblemInstance, method: str = "auto") -> SolutionSpace | None:
@@ -232,7 +227,7 @@ def dense_solve(inst: ProblemInstance, method: str = "auto") -> SolutionSpace | 
     if method == "matrix":
         return _solve_operator_matrix(inst)
     if method == "stepwise":
-        return _solve_term_by_term(inst)
+        return _solve_term_by_term(inst.A, inst.C, inst.N, inst.ctx)
     raise ValueError(f"unknown dense_solve method {method!r}")
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from . import instrument
 from .convolution import conv_trunc
 from .errors import InternalInvariantError
-from .linalg import Matrix, mat_inv
+from .linalg import Matrix, _matmul_mod, mat_inv
 
 _INT64 = np.int64
 
@@ -61,16 +61,6 @@ class SeriesMatrix:
             return cls.zeros(p, n, n, 0)
         return cls._mk(p, np.eye(n, dtype=_INT64)[:, :, None], prec)
 
-    @classmethod
-    def from_coeff_mats(cls, p: int, mats, prec: int, rows: int, cols: int) -> "SeriesMatrix":
-        """Build from a list of degree-indexed coefficient matrices."""
-        L = min(len(mats), prec)
-        data = np.zeros((rows, cols, L), dtype=_INT64)
-        for d in range(L):
-            m = mats[d]
-            data[:, :, d] = m.a if isinstance(m, Matrix) else np.asarray(m, dtype=_INT64)
-        return cls._mk(p, _trim3(data % p), prec)
-
     @property
     def rows(self) -> int:
         return self.data.shape[0]
@@ -92,6 +82,16 @@ class SeriesMatrix:
         if j < self.data.shape[2]:
             return self.data[:, :, j]
         return np.zeros((self.rows, self.cols), dtype=_INT64)
+
+    def side_by_side(self) -> np.ndarray:
+        """[X_(L-1) | ... | X_1 | X_0]: the coefficients as one rows x L*cols array.
+
+        A window sum sum_(d=d0..d1) X_d Y_(i-d) is then one product: the
+        column blocks of d1 .. d0 against Y_(i-d1), ..., Y_(i-d0) stacked.
+        """
+        L = self.data.shape[2]
+        flat = np.ascontiguousarray(self.data[:, :, ::-1].transpose(0, 2, 1))
+        return flat.reshape(self.rows, L * self.cols)
 
     def is_zero(self) -> bool:
         return self.data.shape[2] == 0
@@ -175,36 +175,19 @@ class SeriesMatrix:
         """Constant matrix times series matrix."""
         if M.cols != self.rows:
             raise ValueError("dimension mismatch")
-        p = self.p
         L = self.data.shape[2]
-        instrument.mul_counter.add(M.rows * M.cols * self.cols * L)
         flat = self.data.reshape(self.rows, self.cols * L)
-        step = max(1, (2**62) // ((p - 1) * (p - 1) + 1))
-        if M.cols <= step:
-            out = M.a @ flat % p
-        else:
-            out = np.zeros((M.rows, flat.shape[1]), dtype=_INT64)
-            for i in range(0, M.cols, step):
-                out = (out + M.a[:, i : i + step] @ flat[i : i + step]) % p
-        return SeriesMatrix._mk(p, _trim3(out.reshape(M.rows, self.cols, L)), self.prec)
+        out = _matmul_mod(M.a, flat, self.p).reshape(M.rows, self.cols, L)
+        return SeriesMatrix._mk(self.p, _trim3(out), self.prec)
 
     def rmul_const(self, M: Matrix) -> "SeriesMatrix":
         """Series matrix times constant matrix."""
         if self.cols != M.rows:
             raise ValueError("dimension mismatch")
-        p = self.p
         L = self.data.shape[2]
-        instrument.mul_counter.add(self.rows * self.cols * M.cols * L)
-        step = max(1, (2**62) // ((p - 1) * (p - 1) + 1))
         tmp = np.swapaxes(self.data, 1, 2).reshape(self.rows * L, self.cols)
-        if self.cols <= step:
-            out = tmp @ M.a % p
-        else:
-            out = np.zeros((tmp.shape[0], M.cols), dtype=_INT64)
-            for i in range(0, self.cols, step):
-                out = (out + tmp[:, i : i + step] @ M.a[i : i + step]) % p
-        out = np.swapaxes(out.reshape(self.rows, L, M.cols), 1, 2)
-        return SeriesMatrix._mk(p, _trim3(np.ascontiguousarray(out)), self.prec)
+        out = np.swapaxes(_matmul_mod(tmp, M.a, self.p).reshape(self.rows, L, M.cols), 1, 2)
+        return SeriesMatrix._mk(self.p, _trim3(np.ascontiguousarray(out)), self.prec)
 
     def delta(self, ctx) -> "SeriesMatrix":
         if self.prec == 0:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qdsolve import instrument
-from qdsolve.linalg import Matrix, char_poly, lin_solve, mat_inv, sylvester_solve
+from qdsolve.linalg import Matrix, _matmul_mod, char_poly, lin_solve, mat_inv, sylvester_solve
+from qdsolve.polymat import SeriesMatrix
 
 
 def test_lin_solve_examples():
@@ -193,3 +194,31 @@ def test_matmul_chunked_large_inner():
             want[i, j] = sum(int(x) * int(y) for x, y in zip(a.a[i], b.a[:, j])) % p
     got = a @ b
     assert got == Matrix(p, [[int(want[i, j]) for j in range(2)] for i in range(3)])
+
+
+@pytest.mark.parametrize(
+    "p, extra",
+    # at p = 2^31 - 1 the limb split covers inner < 2^15; 2^15 is chunked
+    [(134217757, ()), (2147483647, (2**15,))],
+)
+def test_matmul_mod_limb_split(p, extra):
+    step = max(1, 2**62 // ((p - 1) ** 2 + 1))
+    rng = np.random.default_rng(p)
+    for inner in (step, step + 1, 4097) + extra:
+        a = rng.integers(0, p, (2, inner))
+        b = rng.integers(0, p, (inner, 3))
+        a[:, :4] = b[:4, :] = p - 1  # extreme residues
+        before = instrument.mul_counter.value
+        got = _matmul_mod(a, b, p)
+        assert instrument.mul_counter.value - before == 2 * inner * 3
+        # object arrays multiply in Python ints, which cannot overflow
+        assert got.tolist() == (a.astype(object) @ b.astype(object) % p).tolist(), inner
+    # the constant products of series matrices go through the same kernel
+    A = SeriesMatrix(p, rng.integers(0, p, (3, 3, 2)), 2)
+    M = rng.integers(0, p, (3, 3))
+    for d in range(2):
+        Ad = A.data[:, :, d].astype(object)
+        left = A.lmul_const(Matrix(p, M)).data[:, :, d]
+        right = A.rmul_const(Matrix(p, M)).data[:, :, d]
+        assert left.tolist() == (M.astype(object) @ Ad % p).tolist()
+        assert right.tolist() == (Ad @ M.astype(object) % p).tolist()

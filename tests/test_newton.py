@@ -16,7 +16,7 @@ from qdsolve.newton import (
     pol_coeffs_de,
     splitting_lemma,
 )
-from qdsolve.oracle import dense_solve, random_instance, residual
+from qdsolve.oracle import ProblemInstance, dense_solve, random_instance, residual
 from qdsolve.polymat import SeriesMatrix
 from qdsolve.series import QContext
 from qdsolve.solution import spaces_equal
@@ -62,6 +62,20 @@ def test_pol_coeffs_de_examples():
     Y = sol.particular
     res = Y.delta(ctx2).shift(2).truncate(6) - P2.as_poly_prec(6).mul(Y.sigma(ctx2), 6) - Q2
     assert res.is_zero()
+
+
+@pytest.mark.parametrize("q, k", [(3, 2), (5, 3)])
+def test_pol_coeffs_de_singular_p0_matches_dense(q, k):
+    # P = x, so every step matrix -q^i P0 is zero: each coefficient is free
+    # until a later step constrains it, and pinning it to 0 is inconsistent
+    p, N = 101, 6
+    ctx = QContext(P101, q, k)
+    P = sm(p, [[[0, 1]]], N)
+    Q = sm(p, [[[0, 0, 1, 2, 3, 4]]], N)
+    sol = pol_coeffs_de(P, Q, N, ctx)
+    want = dense_solve(ProblemInstance(P101, ctx, 1, N, P, Q), method="matrix")
+    assert want is not None and want.dim == 1
+    assert spaces_equal(sol, want)
 
 
 def test_splitting_lemma_examples():

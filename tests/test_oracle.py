@@ -111,6 +111,20 @@ def test_dense_routes_agree():
                 assert residual(s_mat.basis.col(j), inst, homogeneous=True).is_zero()
 
 
+def test_dense_routes_agree_at_p_2_31_minus_1():
+    # (p - 1)^2 is just below 2^62 here, so a sum of three int64 products
+    # overflows unless the window accumulation is chunked or limb-split
+    p = 2147483647
+    for seed in range(6):
+        for k in (1, 2, 3):
+            inst = random_instance(seed, p, 3, 9, k, "random")
+            s_mat = dense_solve(inst, method="matrix")
+            s_step = dense_solve(inst, method="stepwise")
+            assert spaces_equal(s_mat, s_step), (seed, k)
+            if s_mat is not None:
+                assert residual(s_mat.particular, inst).is_zero()
+
+
 def test_dense_residuals_always_zero():
     for trial in range(40):
         inst = random_instance(2000 + trial, 134217757, 2, 10, 1, "random")

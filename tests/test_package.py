@@ -1,3 +1,6 @@
+import ast
+import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -23,3 +26,21 @@ def test_public_names():
     assert block is not None
     names = {tok.strip() for tok in block.group(1).split(",") if tok.strip()}
     assert names and names <= PUBLIC
+
+
+def test_traced_names_resolve():
+    # the benchmark tracer wraps these names; read its table without running it
+    src = (Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py").read_text()
+    spans = next(
+        node.value for node in ast.parse(src).body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "SPANS" for t in node.targets)
+    )
+    targets = ast.literal_eval(spans)
+    assert targets
+    for layer, span, module, attr in targets:
+        owner = importlib.import_module(f"qdsolve.{module}")
+        *classes, name = attr.split(".")
+        for cls in classes:
+            owner = getattr(owner, cls)
+        fn = vars(owner).get(name)
+        assert inspect.isfunction(fn), f"{layer}.{span}: qdsolve.{module}.{attr}"

@@ -42,7 +42,7 @@ def test_apply_examples():
     ctx1 = QContext(P101, 1, 1)
     A = rand_sm(rng, 101, 2, 2, 5)
     assert A.sigma(ctx1) == A
-    const = SeriesMatrix.from_coeff_mats(101, [Matrix(101, [[3, 1], [4, 1]])], 5, 2, 2)
+    const = SeriesMatrix(101, np.array([[3, 1], [4, 1]])[:, :, None], 5)
     assert const.delta(ctx1).is_zero()
     ctx2 = QContext(P101, 2, 1)
     xid = SeriesMatrix.identity(101, 2, 3).shift(1)
@@ -67,24 +67,21 @@ def test_shift_examples():
 
 def test_inv_newton_examples():
     # (1-x) Id inverse is the geometric series times Id
-    geo = SeriesMatrix.from_coeff_mats(
-        101, [Matrix.identity(101, 2), Matrix.identity(101, 2).scale(-1)], 4, 2, 2
-    )
+    eye = np.eye(2, dtype=np.int64)
+    geo = SeriesMatrix(101, np.stack([eye, -eye], axis=2), 4)
     inv = geo.inv_newton(4)
-    want = SeriesMatrix.from_coeff_mats(
-        101, [Matrix.identity(101, 2)] * 4, 4, 2, 2
-    )
+    want = SeriesMatrix(101, np.stack([eye] * 4, axis=2), 4)
     assert inv == want
     assert geo.mul(inv, 4) == SeriesMatrix.identity(101, 2, 4)
 
     # Id + x N with N nilpotent: inverse Id - x N at precision 3
-    N = Matrix(101, [[0, 1], [0, 0]])
-    A = SeriesMatrix.from_coeff_mats(101, [Matrix.identity(101, 2), N], 3, 2, 2)
+    N = np.array([[0, 1], [0, 0]])
+    A = SeriesMatrix(101, np.stack([eye, N], axis=2), 3)
     inv = A.inv_newton(3)
-    want = SeriesMatrix.from_coeff_mats(101, [Matrix.identity(101, 2), N.scale(-1)], 3, 2, 2)
+    want = SeriesMatrix(101, np.stack([eye, -N], axis=2), 3)
     assert inv == want
 
-    bad = SeriesMatrix.from_coeff_mats(101, [Matrix(101, [[1, 1], [1, 1]])], 3, 2, 2)
+    bad = SeriesMatrix(101, np.ones((2, 2, 1), dtype=np.int64), 3)
     with pytest.raises(ValueError):
         bad.inv_newton(3)
 
