@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import instrument
+from .errors import PreconditionError
 
 _INT64 = np.int64
 _EMPTY = np.zeros(0, dtype=_INT64)
@@ -147,7 +148,14 @@ def _conv_direct(a: np.ndarray, b: np.ndarray, p: int, out_len: int) -> np.ndarr
         return np.convolve(a, b)[:out_len] % p
     s = (p.bit_length() + 1) // 2
     if mn * (p - 1) << s >= 2**63:
-        # Overlap too long even for the split; exact but rare fallback.
+        # Overlap too long even for the split: the NTT is exact only while
+        # its CRT range covers every coefficient of the product.
+        L = _next_pow2(len(a) + len(b) - 1)
+        if L * (p - 1) * (p - 1) >= _CRT_BOUND:
+            raise PreconditionError(
+                f"modulus p = {p} too large for an exact convolution of lengths "
+                f"{len(a)} and {len(b)}"
+            )
         return _conv_ntt(a, b, p, out_len)
     hi = np.convolve(a >> s, b)[:out_len] % p
     lo = np.convolve(a & ((1 << s) - 1), b)[:out_len] % p

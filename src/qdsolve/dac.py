@@ -12,9 +12,12 @@ The recursion halves the precision, solves the low half, forms the
 carried right-hand side by dividing the residual combination by x^m
 (a truncating division: rows at singular offsets are deliberately
 dropped and re-imposed at the top level), and solves the high half at
-shifted index.  The top level collects the skipped equations -- the
-coefficients of the full residual at the singular indices -- as affine
-constraints on the parameters and resolves them by one linear solve.
+shifted index.  It stops at precision DAC_LEAF: a leaf is solved by
+forward substitution, one coefficient after another in the same
+parameter layout, each step one window product and one small solve.
+The top level collects the skipped equations -- the coefficients of the
+full residual at the singular indices -- as affine constraints on the
+parameters and resolves them by one linear solve.
 """
 
 from __future__ import annotations
@@ -23,13 +26,17 @@ import numpy as np
 
 from . import instrument
 from .errors import InternalInvariantError
-from .linalg import Matrix, _matmul_mod, mat_inv
+from .linalg import Matrix, _matmul_mod, _rref, mat_inv
 from .polymat import SeriesMatrix
 from .series import QContext
 from .solution import SolutionSpace, resolve_affine_family
 from .spectrum import singular_indices
 
 _INT64 = np.int64
+
+# rdac solves a precision of at most this many coefficients by forward
+# substitution instead of halving it further
+DAC_LEAF = 64
 
 
 class ParametricVector:
@@ -156,39 +163,101 @@ def op_E(
 def rdac(A: SeriesMatrix, C: ParametricVector, i: int, N: int, ctx: QContext) -> ParametricVector:
     """Recursive halving pass; equations at singular offsets stay open.
 
-    Contract: C has precision >= N and only blocks at singular indices
-    below i; the result has precision N and blocks below i + N.
+    Halves N until N <= DAC_LEAF and solves each leaf by forward
+    substitution (``_solve_leaf``).  Contract: C has precision >= N and
+    only blocks at singular indices below i; the result has precision N
+    and blocks below i + N.
     """
-    p = ctx.p
-    n = A.rows
-    sing = C.sing
-    if N == 1:
-        if i in sing:
-            return ParametricVector.fresh_block(p, n, sing, i, 1)
-        A0 = A.coefficient_array(0)
-        if n == 1:
-            ri = int(A0[0, 0]) * ctx.qpow(i) % p
-            if ctx.k == 1:
-                ri = (ri - ctx.gamma(i)) % p
-            c0 = C.mat.coefficient_array(0)[0]
-            instrument.mul_counter.add(1 + C.mat.cols + instrument.inv_cost(p))
-            val = (-pow(ri, p - 2, p)) * c0 % p
-            return ParametricVector(SeriesMatrix(p, val[None, :, None], 1), sing)
-        Ri = A0 * ctx.qpow(i) % p
-        instrument.mul_counter.add(n * n)
-        if ctx.k == 1:
-            Ri = (Ri - ctx.gamma(i) * np.eye(n, dtype=_INT64)) % p
-        val = (mat_inv(Matrix(p, Ri)) @ -C.coefficient_matrix(0)).a
-        return ParametricVector(SeriesMatrix(p, val[:, :, None], 1), sing)
-    m = (N + 1) // 2
-    H = rdac(A.truncate(m), C.truncate(m), i, m, ctx)
-    Hp = H.as_poly_prec(N)
-    D = (-op_E(A, Hp, C.truncate(N), i, ctx, N)).shift(-m, truncate=True)
-    K = rdac(A.truncate(N - m), D, i + m, N - m, ctx)
-    F = Hp + K.shift(m).as_poly_prec(N).truncate(N)
+    if N <= DAC_LEAF:
+        F = _solve_leaf(A, C, i, N, ctx)
+    else:
+        m = (N + 1) // 2
+        H = rdac(A.truncate(m), C.truncate(m), i, m, ctx)
+        Hp = H.as_poly_prec(N)
+        D = (-op_E(A, Hp, C.truncate(N), i, ctx, N)).shift(-m, truncate=True)
+        K = rdac(A.truncate(N - m), D, i + m, N - m, ctx)
+        F = Hp + K.shift(m).as_poly_prec(N).truncate(N)
     if instrument.checks_enabled():
         _assert_open_rows_vanish(A, F, C, i, N, ctx)
     return F
+
+
+def _solve_leaf(A: SeriesMatrix, C: ParametricVector, i: int, N: int, ctx: QContext) -> ParametricVector:
+    """rdac's leaf: the offsets j = 0 .. N-1 in order, in the parameter layout.
+
+    At the global index g = i + j, with the history twisted as
+    G_j = q^g F_j, coefficient j of op_E vanishes when
+
+        M_g F_j = C_j + sum_(d>=1) A_d G_(j-d) - [k > 1] gamma_(g-k+1) F_(j-k+1),
+
+    M_g = gamma_g Id - q^g A_0 for k = 1 and -q^g A_0 for k > 1.  The
+    window sum is one product of A's coefficients side by side with the
+    stacked G rows.  At a singular g, F_j is the fresh parameter block
+    and the equation stays open.  For k > 1, M_g^(-1) = -q^(-g) A_0^(-1)
+    with A_0 inverted once; for k = 1 each step is one _rref, or one
+    scalar inverse when n = 1.
+    """
+    p, k, n = ctx.p, ctx.k, A.rows
+    sing = C.sing
+    w = C.mat.cols
+    charge = instrument.mul_counter.add
+    qp = ctx.qpow_slice(i + N)[i:].tolist()
+    gam = ctx.gamma_slice(i + N)[i:].tolist()
+    A = A.truncate(N)
+    La = A.data.shape[2]
+    Acat = A.side_by_side()
+    A0 = A.coefficient_array(0)
+    eye = np.eye(n, dtype=_INT64)
+    blocks = {g - i: l for l, g in enumerate(sing) if i <= g < i + N}
+    if k > 1 and len(blocks) < N:
+        A0inv = mat_inv(Matrix(p, A0)).a
+        qinv = ctx.qinv_pow_slice(i + N)[i:].tolist()
+    inv_c = instrument.inv_cost(p)
+    # rows jn .. (j+1)n hold F_j (and G_j); until step j solves them, the
+    # rows of F_j hold C_j.  Only windows read G, and G is F when q = 1.
+    F = np.zeros((N * n, w), dtype=_INT64)
+    Cd = C.mat.data[:, :, :N]
+    F[: Cd.shape[2] * n] = Cd.transpose(2, 0, 1).reshape(-1, w)
+    twist = La > 1 and ctx.q != 1
+    G = np.zeros_like(F) if twist else F
+    for j in range(N):
+        r = j * n
+        l = blocks.get(j)
+        if l is not None:
+            fi = np.zeros((n, w), dtype=_INT64)
+            fi[:, 1 + l * n : 1 + (l + 1) * n] = eye
+        else:
+            rhs = F[r : r + n]
+            D = min(j, La - 1)
+            if D > 0:
+                win = Acat[:, (La - 1 - D) * n : (La - 1) * n]
+                rhs = rhs + _matmul_mod(win, G[r - D * n : r], p)
+            if k > 1 and j >= k - 1:
+                charge(n * w)
+                rj = r - (k - 1) * n
+                rhs = rhs - gam[j - k + 1] * F[rj : rj + n]
+            rhs = rhs % p
+            if k > 1:
+                charge(n * w)
+                fi = _matmul_mod(A0inv, rhs * (p - qinv[j]) % p, p)
+            elif n == 1:
+                charge(1 + w + inv_c)
+                m = (gam[j] - qp[j] * int(A0[0, 0])) % p
+                if m == 0:
+                    raise ValueError(f"step {i + j} is singular but not in the singular list")
+                fi = rhs * pow(m, p - 2, p) % p
+            else:
+                charge(n * n)
+                red, pivots = _rref(np.hstack([(gam[j] * eye - qp[j] * A0) % p, rhs]), p, n)
+                if len(pivots) < n:
+                    raise ValueError(f"step {i + j} is singular but not in the singular list")
+                fi = red[:, n:]
+        F[r : r + n] = fi
+        if twist:
+            charge(n * w)
+            G[r : r + n] = qp[j] * fi % p
+    data = F.reshape(N, n, w).transpose(1, 2, 0)
+    return ParametricVector(SeriesMatrix(p, data, N), sing)
 
 
 def _assert_open_rows_vanish(A, F, C, i, N, ctx):

@@ -186,7 +186,10 @@ def diff_sylvester_differential(
     """The q = 1, k > 1 variant of the auxiliary solve; B must be diagonal.
 
     Diagonal entries integrate directly; off-diagonal entries reduce to
-    scalar polynomial-coefficient equations, unique because k > 1.
+    scalar polynomial-coefficient equations, unique because k > 1.  Gamma
+    vanishes below x^m, so an entry is u = x^m v: since q = 1,
+    x^k delta(x^m v) = x^m (x^k delta(v) + m x^(k-1) v), and v solves
+    x^k delta(v) = (B_ii - B_jj - m x^(k-1)) v + Gamma_ij / x^m mod x^(N-m).
     """
     k, p, n = ctx.k, ctx.p, B.rows
     if ctx.q != 1 or k <= 1:
@@ -198,6 +201,7 @@ def diff_sylvester_differential(
         offdiag[l, l, :] = 0
     if np.any(offdiag):
         raise ValueError("B must be diagonal")
+    mx = SeriesMatrix(p, [[[0] * (k - 1) + [m]]], N)  # m x^(k-1)
     U = np.zeros((n, n, N), dtype=_INT64)
     for i in range(n):
         for j in range(n):
@@ -205,7 +209,8 @@ def diff_sylvester_differential(
             if i == j:
                 u = ctx.integrate(g.shift(-k))
             else:
-                sol = pol_coeffs_de(B.entry(i, i) - B.entry(j, j), g, N, ctx)
+                P = (B.entry(i, i) - B.entry(j, j)).as_poly_prec(N) - mx
+                sol = pol_coeffs_de(P, g.shift(-m), N - m, ctx)
                 if sol is None:
                     raise SpectrumError(
                         f"auxiliary scalar equation inconsistent at entry ({i}, {j})"
@@ -214,7 +219,7 @@ def diff_sylvester_differential(
                     raise InternalInvariantError(
                         "auxiliary scalar solution not unique despite k > 1"
                     )
-                u = sol.particular
+                u = sol.particular.shift(m)
             arr = u.data[0, 0, :N]
             U[i, j, : len(arr)] = arr
     return SeriesMatrix(p, U, N)

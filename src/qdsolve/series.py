@@ -91,11 +91,15 @@ class QContext:
         if self._qinv is None:
             instrument.mul_counter.add(instrument.inv_cost(self.p))
             self._qinv = pow(self.q, self.p - 2, self.p)
-        if self._qip is None or len(self._qip) < n:
+        old = 0 if self._qip is None else len(self._qip)
+        if old < n:
             p = self.p
             out = np.empty(n, dtype=_INT64)
             w = 1
-            for i in range(n):
+            if old:
+                out[:old] = self._qip
+                w = int(self._qip[-1]) * self._qinv % p
+            for i in range(old, n):
                 out[i] = w
                 w = w * self._qinv % p
             self._qip = out

@@ -1,16 +1,21 @@
 import random
 
 import numpy as np
+import pytest
 
-from qdsolve import instrument
-from qdsolve.dac import ParametricVector, dac_solve, op_E, rdac
+from qdsolve import dac, instrument
+from qdsolve.dac import DAC_LEAF, ParametricVector, dac_solve, op_E, rdac
 from qdsolve.field import PrimeField
-from qdsolve.oracle import dense_solve, random_instance, residual
+from qdsolve.oracle import dense_solve, make_instance, random_instance, residual
 from qdsolve.polymat import SeriesMatrix
 from qdsolve.series import QContext
 from qdsolve.solution import spaces_equal
+from qdsolve.spectrum import singular_indices
 
 P101 = PrimeField(101)
+P28 = 134217757
+# the halving all the way down, and the cutoff the engine runs with
+LEAVES = pytest.mark.parametrize("leaf", [1, DAC_LEAF], ids=["leaf1", "default"])
 
 
 def sm(p, grid, prec):
@@ -135,7 +140,9 @@ def test_rdac_exponential_block():
     assert inv2 == 51 and inv6 == 17
 
 
-def test_rdac_open_rows_invariant(monkeypatch):
+@LEAVES
+def test_rdac_open_rows_invariant(monkeypatch, leaf):
+    monkeypatch.setattr(dac, "DAC_LEAF", leaf)
     instrument.set_runtime_checks(True)
     try:
         for trial in range(25):
@@ -175,7 +182,9 @@ def test_dac_fast_path_no_parameters():
     assert sol is not None and spaces_equal(sol, dense_solve(inst))
 
 
-def test_dac_residuals():
+@LEAVES
+def test_dac_residuals(monkeypatch, leaf):
+    monkeypatch.setattr(dac, "DAC_LEAF", leaf)
     for trial in range(30):
         inst = random_instance(5000 + trial, 134217757, 2, 12, 1, "random")
         sol = dac_solve(inst.A, inst.C, inst.N, inst.ctx)
@@ -187,7 +196,9 @@ def test_dac_residuals():
             assert residual(sol.basis.col(j), inst, homogeneous=True).is_zero()
 
 
-def test_dac_agrees_with_dense_random():
+@LEAVES
+def test_dac_agrees_with_dense_random(monkeypatch, leaf):
+    monkeypatch.setattr(dac, "DAC_LEAF", leaf)
     rng = random.Random(22)
     agree = 0
     for trial in range(150):
@@ -204,3 +215,107 @@ def test_dac_agrees_with_dense_random():
         assert spaces_equal(s_dac, s_dense), (trial, p, n, N, k, q_mode)
         agree += 1
     assert agree > 100
+
+
+# -- the leaf cutoff: precisions around DAC_LEAF, singular steps in leaves --
+
+LEAF_NS = (DAC_LEAF - 1, DAC_LEAF, DAC_LEAF + 1, 2 * DAC_LEAF + 1, 4 * DAC_LEAF)
+
+
+@pytest.fixture
+def checks_on():
+    instrument.set_runtime_checks(True)
+    yield
+    instrument.set_runtime_checks(False)
+
+
+def _leaves(i, N):
+    """(base, length) of the leaves rdac solves for precision N at base i."""
+    if N <= DAC_LEAF:
+        return [(i, N)]
+    m = (N + 1) // 2
+    return _leaves(i, m) + _leaves(i + m, N - m)
+
+
+def _planted(seed, q, k, n, N, A0=None):
+    """A random instance over F_P28 whose C is planted from a random F*."""
+    gen = np.random.default_rng(seed)
+    Ad = gen.integers(0, P28, (n, n, N))
+    if A0 is not None:
+        Ad[:, :, 0] = A0
+    inst = make_instance(P28, q, k, n, N, SeriesMatrix(P28, Ad, N), SeriesMatrix.zeros(P28, n, 1, N))
+    Fstar = SeriesMatrix(P28, gen.integers(0, P28, (n, 1, N)), N)
+    inst.C = residual(Fstar, inst, homogeneous=True)
+    return inst
+
+
+def _assert_agrees(inst):
+    s_dac = dac_solve(inst.A, inst.C, inst.N, inst.ctx)
+    s_dense = dense_solve(inst, method="matrix")
+    assert s_dense is not None
+    assert spaces_equal(s_dac, s_dense)
+
+
+@pytest.mark.parametrize("N", LEAF_NS)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_dac_leaf_sizes_match_dense(checks_on, N, k):
+    # q != 1 and several leaves: a leaf at base i > 0 must twist its
+    # history by the global power q^(i+j), once
+    rng = random.Random(N * 10 + k)
+    assert (len(_leaves(0, N)) > 1) == (N > DAC_LEAF)
+    for n in (1, 2, 3):
+        inst = _planted(7000 + 10 * N + n, rng.randrange(2, P28), k, n, N)
+        _assert_agrees(inst)
+
+
+def _rigged_A0(gen, q, gs, n):
+    """Upper-triangular A0 whose diagonal puts gamma_g q^(-g) for each g in gs
+    into its spectrum, so every g in gs is a singular step of a k = 1 solve."""
+    A0 = np.triu(gen.integers(0, P28, (n, n)))
+    for t, g in enumerate(gs):
+        qg = pow(q, g, P28)
+        gam = (qg - 1) * pow(q - 1, P28 - 2, P28) % P28
+        A0[t, t] = gam * pow(qg, P28 - 2, P28) % P28
+    perm = gen.permutation(n)
+    return A0[np.ix_(perm, perm)]
+
+
+@pytest.mark.parametrize("where", ["inside", "first", "last", "boundary"])
+def test_dac_singular_steps_in_leaves(checks_on, where):
+    L = DAC_LEAF
+    N = 2 * L
+    assert _leaves(0, N) == [(0, L), (L, L)]
+    # up to n singular steps: in a leaf's interior, at a leaf's first or last
+    # offset, or on both sides of the boundary between the two leaves
+    place = {
+        "inside": [L + L // 2, L // 2, L + 5],
+        "first": [L, 0, L + L // 2],
+        "last": [2 * L - 1, L - 1, L // 2],
+        "boundary": [L - 1, L, L + 1],
+    }[where]
+    gen = np.random.default_rng(len(where))
+    for n in (1, 2, 3):
+        gs = place[:n]
+        q = int(gen.integers(2, P28))
+        inst = _planted(8000 + n, q, 1, n, N, _rigged_A0(gen, q, gs, n))
+        R = singular_indices(inst.A.coefficient_matrix(0), inst.ctx, N)
+        assert set(gs) <= set(R)
+        _assert_agrees(inst)
+        # an unplanted C: usually inconsistent, and both engines must say so
+        inst.C = SeriesMatrix(P28, gen.integers(0, P28, (n, 1, N)), N)
+        assert spaces_equal(dac_solve(inst.A, inst.C, N, inst.ctx), dense_solve(inst, method="matrix"))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_dac_singular_constant_matrix_higher_order(checks_on, k):
+    # for k > 1 a singular A0 makes every step singular: every leaf offset
+    # is a fresh parameter block and every row is imposed at the top level
+    gen = np.random.default_rng(k)
+    for N in (DAC_LEAF + 1, 2 * DAC_LEAF + 1):
+        for n in (1, 2, 3):
+            u = gen.integers(0, P28, (n, 1))
+            v = gen.integers(0, P28, (1, n))
+            A0 = np.zeros((n, n), dtype=np.int64) if n == 1 else u @ v % P28
+            inst = _planted(9000 + N + n, int(gen.integers(2, P28)), k, n, N, A0)
+            assert singular_indices(inst.A.coefficient_matrix(0), inst.ctx, N) == list(range(N))
+            _assert_agrees(inst)

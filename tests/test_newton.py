@@ -230,6 +230,37 @@ def test_diff_sylvester_differential_matrix_random():
     assert not np.any(U.data[:, :, : m - 2 + 1])
 
 
+def test_diff_sylvester_differential_matches_full_window():
+    # each off-diagonal entry is solved on [m, N) only; it must equal the
+    # unique solution of the scalar equation over the whole window [0, N)
+    p = 134217757
+    field = PrimeField(p)
+    gen = np.random.default_rng(31)
+    checked = 0
+    for k in (2, 3):
+        ctx = QContext(field, 1, k)
+        for n, N, m in ((2, 9, k), (3, 14, k + 2), (2, 20, 11), (3, 17, 16)):
+            diag = gen.integers(0, p, (n, k))
+            diag[:, 0] = gen.choice(np.arange(1, p), n, replace=False)
+            Bd = np.zeros((n, n, k), dtype=np.int64)
+            for l in range(n):
+                Bd[l, l] = diag[l]
+            B = SeriesMatrix(p, Bd, k)
+            Gd = np.zeros((n, n, N), dtype=np.int64)
+            Gd[:, :, m:] = gen.integers(0, p, (n, n, N - m))
+            Gamma = SeriesMatrix(p, Gd, N)
+            U = diff_sylvester_differential(Gamma, B, m, N, ctx)
+            for i in range(n):
+                for j in range(n):
+                    if i == j:
+                        continue
+                    full = pol_coeffs_de(B.entry(i, i) - B.entry(j, j), Gamma.entry(i, j), N, ctx)
+                    assert full is not None and full.dim == 0
+                    assert U.entry(i, j) == full.particular, (k, n, N, m, i, j)
+                    checked += 1
+    assert checked == 2 * (2 + 6 + 2 + 6)
+
+
 def test_newton_ae_examples():
     p = 101
     ctx = QContext(P101, 1, 1)
