@@ -2,8 +2,9 @@
 
 Exit codes: 0 success (an inconsistent system, printed as BOT, is a
 valid answer), 1 usage or file-format problems, 2 violated semantic
-preconditions (non-prime modulus, zero q, gamma degeneracy, bad
-spectrum for the Newton engine), 3 internal invariant violations.
+preconditions (non-prime modulus or one not below 2^31, zero q, gamma
+degeneracy, bad spectrum for the Newton engine), 3 internal invariant
+violations.
 """
 
 from __future__ import annotations
@@ -84,7 +85,10 @@ def _cmd_solve(args) -> int:
     if args.algo == "dense":
         space = dense_solve(inst)
     elif args.algo == "dac":
-        R = singular_indices(inst.A.coefficient_matrix(0), inst.ctx, inst.N)
+        try:
+            R = singular_indices(inst.A.coefficient_matrix(0), inst.ctx, inst.N)
+        except PreconditionError:
+            R = []  # too large a modulus to count them; the solve does not need them
         if len(R) > 1:
             print(
                 f"warning: {len(R)} singular indices {R}; "

@@ -4,6 +4,10 @@
 itself works on raw ints and numpy int64 arrays with every residue kept
 canonical in [0, p), so equality of field values is plain integer
 comparison.
+
+The modulus must be below 2^31: the int64 kernels (``linalg._matmul_mod``,
+``linalg._rref``) multiply two residues without reduction and rely on
+(p - 1)^2 < 2^62.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 from .errors import PreconditionError
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_P_CEILING = 2**31
 
 
 def is_prime(n: int) -> bool:
@@ -39,13 +44,15 @@ def is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """The field Z/pZ for an odd prime p > 2."""
+    """The field Z/pZ for an odd prime 2 < p < 2^31."""
 
     __slots__ = ("p",)
 
     def __init__(self, p: int):
         if not isinstance(p, int) or p <= 2:
             raise PreconditionError(f"modulus must be a prime > 2, got {p!r}")
+        if p >= _P_CEILING:
+            raise PreconditionError(f"modulus {p} is not below the ceiling 2^31 of the int64 kernels")
         if not is_prime(p):
             raise PreconditionError(f"modulus {p} is not prime")
         self.p = p

@@ -32,7 +32,7 @@ from .linalg import Matrix, char_poly, mat_inv, sylvester_solve
 from .oracle import _solve_term_by_term
 from .polymat import SeriesMatrix
 from .series import QContext
-from .solution import SolutionSpace
+from .solution import SolutionSpace, resolve_affine_family
 from .spectrum import diagonalize, good_spectrum
 
 _INT64 = np.int64
@@ -113,7 +113,8 @@ def pol_coeffs_de(P: SeriesMatrix, Q: SeriesMatrix, N: int, ctx: QContext) -> So
         raise ValueError("coefficient matrix must be a polynomial of degree < k")
     if Q.prec < N:
         raise ValueError("right-hand side known to lower precision than requested")
-    return _solve_term_by_term(P, Q, N, ctx)
+    family, cons, _ = _solve_term_by_term(P, Q, N, ctx)
+    return resolve_affine_family(family, cons)
 
 
 def diff_sylvester(Gamma: SeriesMatrix, B: SeriesMatrix, m: int, N: int, ctx: QContext) -> SeriesMatrix:

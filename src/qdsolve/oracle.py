@@ -13,8 +13,10 @@ routes accept every instance, make no spectrum assumptions, and are
 cross-checked against each other in the tests.
 
 The stepwise route, ``_solve_term_by_term``, is the package's one
-per-coefficient step kernel: Newton's PolCoeffsDE (``newton.pol_coeffs_de``)
-is this kernel on an equation whose A is a polynomial of degree < k.
+per-coefficient step kernel.  Newton's PolCoeffsDE (``newton.pol_coeffs_de``)
+is this kernel on an equation whose A is a polynomial of degree < k, and
+each divide-and-conquer leaf (``dac.rdac``) is this kernel at the leaf's
+base index, on a right side that already carries parameters.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from . import instrument
 from .errors import PreconditionError
 from .field import PrimeField
-from .linalg import Matrix, _matmul_mod, _rref, lin_solve
+from .linalg import Matrix, _matmul_mod, _rref, lin_solve, mat_inv
 from .polymat import SeriesMatrix
 from .series import QContext
 from .solution import SolutionSpace, resolve_affine_family, spaces_equal  # noqa: F401
@@ -123,97 +125,133 @@ def _solve_operator_matrix(inst: ProblemInstance) -> SolutionSpace | None:
     return SolutionSpace(part, basis)
 
 
-def _solve_term_by_term(A: SeriesMatrix, C: SeriesMatrix, N: int, ctx: QContext) -> SolutionSpace | None:
-    """Solve x^k delta(F) = A sigma(F) + C mod x^N coefficient by coefficient.
+def _solve_term_by_term(
+    A: SeriesMatrix, C: SeriesMatrix, N: int, ctx: QContext, i: int = 0
+) -> tuple[SeriesMatrix, list[np.ndarray], list[int]]:
+    """Solve coefficients 0 .. N-1 of x^k delta(F) = A sigma(F) + C at base index i.
 
-    The one per-coefficient step kernel, for A of any degree.  With
-    G_j = q^j F_j, coefficient i of the equation is the step
+    The one per-coefficient step kernel, for A of any degree and C of any
+    width: column 0 is the constant part, column t the coefficient of
+    parameter t.  Base index i means the global powers q^(i+j) and
+    gamma_(i+j) at offset j, as for a divide-and-conquer leaf; i = 0 is the
+    equation itself.  With g = i + j and G_j = q^g F_j, coefficient j is
+    the step
 
-        M_i F_i = C_i + sum_{d>=1} A_d G_(i-d) - [k > 1] gamma_(i-k+1) F_(i-k+1),
+        M_g F_j = C_j + sum_{d>=1} A_d G_(j-d) - [k > 1] gamma_(g-k+1) F_(j-k+1),
 
-    M_i = gamma_i Id - q^i A_0 for k = 1 and -q^i A_0 for k > 1.  The
+    M_g = gamma_g Id - q^g A_0 for k = 1 and -q^g A_0 for k > 1.  The
     window sum is one product of A_D .. A_1 side by side with the stacked
-    G_(i-D) .. G_(i-1).  Every F_i is affine in parameters: a singular step
-    makes each free column of M_i a new parameter and each zero row of M_i
-    an affine constraint on the earlier ones, and one final linear solve
-    resolves them.  Steps are solved by _rref, or by a scalar inverse when
-    n = 1.
+    G_(j-D) .. G_(j-1).  For k > 1 with A_0 invertible every step is
+    M_g^(-1) = -q^(-g) A_0^(-1), with A_0 inverted once (a scalar inverse
+    when n = 1).  Otherwise each step is one _rref, or one scalar inverse
+    when n = 1, and a step found singular makes each free column of M_g a
+    new parameter and each zero row of M_g an affine constraint.
+
+    Returns (family, cons, sing): the n x width affine family mod x^N, the
+    constraint rows (row[0] + row[1:] . params = 0, each as wide as the
+    family was at its step) and the singular steps g met.
     """
     p, k, n = ctx.p, ctx.k, A.rows
     charge = instrument.mul_counter.add
-    qp = ctx.qpow_slice(N).tolist()
-    gam = ctx.gamma_slice(N).tolist()
+    inv_c = instrument.inv_cost(p)
+    qp = ctx.qpow_slice(i + N)[i:]
+    gam = ctx.gamma_slice(i + N)[i:]
     A = A.as_poly_prec(N)  # exact: A.prec >= N, or A is PolCoeffsDE's polynomial
     La = A.data.shape[2]
     Acat = A.side_by_side()
-    Ms = (-ctx.qpow_slice(N)[:, None, None] * A.coefficient_array(0)) % p
-    if k == 1:
-        Ms = (Ms + ctx.gamma_slice(N)[:, None, None] * np.eye(n, dtype=_INT64)) % p
-    charge(N * n * n)
-    if n == 1:
-        Ms = Ms.ravel().tolist()
-        inv_c = instrument.inv_cost(p)
-    # rows in .. (i+1)n hold F_i and G_i, so a window is a row range; column 0
-    # is the constant part, column t the coefficient of parameter t.  Until
-    # step i solves them, the rows of F_i hold C_i.  Only windows read G,
-    # and G is F when q = 1.
-    width = 1
-    F = np.zeros((N * n, 8), dtype=_INT64)
-    Cd = C.data[:, 0, :N]
-    F[: Cd.size, 0] = Cd.T.ravel()
-    G = F if ctx.q == 1 else np.zeros_like(F)
+    A0 = A.coefficient_array(0)
+    # k > 1: one A_0^(-1) gives every step; a singular A_0 makes every step
+    # singular, and then each step forms M_g like the k = 1 steps do
+    A0inv = None
+    if k > 1 and n == 1:
+        if A0[0, 0]:
+            charge(inv_c)
+            A0inv = pow(int(A0[0, 0]), p - 2, p)
+    elif k > 1:
+        try:
+            A0inv = mat_inv(Matrix(p, A0)).a
+        except ValueError:
+            pass
+    if A0inv is None:
+        Ms = (-qp[:, None, None] * A0) % p
+        if k == 1:
+            Ms = (Ms + gam[:, None, None] * np.eye(n, dtype=_INT64)) % p
+        charge(N * n * n)
+        if n == 1:
+            Ms = Ms.ravel().tolist()
+    else:
+        qinv = (p - ctx.qinv_pow_slice(i + N)[i:]).tolist()  # -q^(-g)
+    qp, gam = qp.tolist(), gam.tolist()
+    # rows jn .. (j+1)n hold F_j and G_j, so a window is a row range.  Until
+    # step j solves them, the rows of F_j hold C_j.  Only windows read G,
+    # and G is F when q = 1.  F grows its columns only at a singular step;
+    # Fw and Gw are the first width columns of F and G.
+    width = C.cols
+    F = np.zeros((N * n, width), dtype=_INT64)
+    Cd = C.data[:, :, :N]
+    F[: Cd.shape[2] * n] = Cd.transpose(2, 0, 1).reshape(-1, width)
     twist = La > 1 and ctx.q != 1
-    cons: list[tuple[np.ndarray, int]] = []  # (affine row, width then)
-    for i in range(N):
-        r = i * n
-        rhs = F[r : r + n, :width]
-        D = min(i, La - 1)
+    G = np.zeros_like(F) if twist else F
+    Fw, Gw = F, G
+    cons: list[np.ndarray] = []
+    sing: list[int] = []
+    for j in range(N):
+        r = j * n
+        rhs = Fw[r : r + n]
+        D = min(j, La - 1)
         if D > 0:
             win = Acat[:, (La - 1 - D) * n : (La - 1) * n]
-            rhs = rhs + _matmul_mod(win, G[r - D * n : r, :width], p)
-        if k > 1 and i >= k - 1:
+            rhs = rhs + _matmul_mod(win, Gw[r - D * n : r], p)
+        if k > 1 and j >= k - 1:
             charge(n * width)
             rj = r - (k - 1) * n
-            rhs = rhs - gam[i - k + 1] * F[rj : rj + n, :width]
+            rhs = rhs - gam[j - k + 1] * Fw[rj : rj + n]
         rhs = rhs % p
-        if n == 1:
-            m = Ms[i]
+        if A0inv is not None:
+            if n == 1:
+                charge(1 + width)
+                fi = rhs * (qinv[j] * A0inv % p) % p
+            else:
+                charge(n * width)
+                fi = _matmul_mod(A0inv, rhs * qinv[j] % p, p)
+        elif n == 1:
+            m = Ms[j]
             if m == 0:
-                # 0 = rhs constrains the parameters; F_i is a new one
+                # 0 = rhs constrains the parameters; F_j is a new one
+                sing.append(i + j)
                 if rhs.any():
-                    cons.append((rhs[0], width))
+                    cons.append(rhs[0])
                 fi = np.zeros((1, width + 1), dtype=_INT64)
                 fi[0, width] = 1
             else:
                 charge(width + inv_c)
                 fi = rhs * pow(m, p - 2, p) % p
         else:
-            red, pivots = _rref(np.hstack([Ms[i], rhs]), p, n)
+            red, pivots = _rref(np.hstack([Ms[j], rhs]), p, n)
             rank = len(pivots)
+            if rank < n:
+                sing.append(i + j)
             for row in red[rank:, n:]:
                 if row.any():
-                    cons.append((row, width))
+                    cons.append(row)
             free = [c for c in range(n) if c not in pivots]
             fi = np.zeros((n, width + len(free)), dtype=_INT64)
             fi[pivots, :width] = red[:rank, n:]
             fi[pivots, width:] = (-red[:rank][:, free]) % p
             fi[free, width + np.arange(len(free))] = 1
-        width = fi.shape[1]
-        if width > F.shape[1]:
-            grow = np.zeros((N * n, width + F.shape[1]), dtype=_INT64)
-            F = np.hstack([F, grow])
-            G = F if ctx.q == 1 else np.hstack([G, grow])
-        F[r : r + n, :width] = fi
+        if fi.shape[1] > width:
+            width = fi.shape[1]
+            if width > F.shape[1]:
+                grow = np.zeros((N * n, width), dtype=_INT64)
+                F = np.hstack([F, grow])
+                G = np.hstack([G, grow]) if twist else F
+            Fw, Gw = F[:, :width], G[:, :width]
+        Fw[r : r + n] = fi
         if twist:
             charge(n * width)
-            G[r : r + n, :width] = qp[i] * fi % p
-    family = F[:, :width].reshape(N, n, width).transpose(1, 2, 0)
-    coeffs = np.zeros((len(cons), width - 1), dtype=_INT64)
-    const = np.zeros(len(cons), dtype=_INT64)
-    for idx, (row, w_then) in enumerate(cons):
-        const[idx] = row[0]
-        coeffs[idx, : w_then - 1] = row[1:w_then]
-    return resolve_affine_family(SeriesMatrix(p, family, N), coeffs, const)
+            Gw[r : r + n] = qp[j] * fi % p
+    family = Fw.reshape(N, n, width).transpose(1, 2, 0)
+    return SeriesMatrix(p, family, N), cons, sing
 
 
 def dense_solve(inst: ProblemInstance, method: str = "auto") -> SolutionSpace | None:
@@ -227,7 +265,8 @@ def dense_solve(inst: ProblemInstance, method: str = "auto") -> SolutionSpace | 
     if method == "matrix":
         return _solve_operator_matrix(inst)
     if method == "stepwise":
-        return _solve_term_by_term(inst.A, inst.C, inst.N, inst.ctx)
+        family, cons, _ = _solve_term_by_term(inst.A, inst.C, inst.N, inst.ctx)
+        return resolve_affine_family(family, cons)
     raise ValueError(f"unknown dense_solve method {method!r}")
 
 

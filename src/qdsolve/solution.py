@@ -75,26 +75,28 @@ def spaces_equal(s1: SolutionSpace | None, s2: SolutionSpace | None) -> bool:
     return b1.shape == b2.shape and np.array_equal(b1, b2) and np.array_equal(p1, p2)
 
 
-def resolve_affine_family(
-    family: SeriesMatrix, cons_coeffs: np.ndarray, cons_const: np.ndarray
-) -> SolutionSpace | None:
+def resolve_affine_family(family: SeriesMatrix, cons: list[np.ndarray]) -> SolutionSpace | None:
     """Specialize a parameter-affine family subject to linear constraints.
 
     ``family`` is n x (1 + P): column 0 the constant part, column 1+t the
-    coefficient of parameter t.  Constraints read cons_coeffs @ params +
-    cons_const = 0.  Returns the solution space over the remaining
-    freedom, or None when the constraints are inconsistent.
+    coefficient of parameter t.  A constraint row reads row[0] +
+    row[1:] . params = 0 and may be narrower than the family: the
+    parameters it leaves out have coefficient 0.  Returns the solution
+    space over the remaining freedom, or None when the constraints are
+    inconsistent.
     """
     p = family.p
     nparams = family.cols - 1
+    coeffs = np.zeros((len(cons), nparams), dtype=_INT64)
+    const = np.zeros((len(cons), 1), dtype=_INT64)
+    for idx, row in enumerate(cons):
+        const[idx] = (-row[0]) % p
+        coeffs[idx, : len(row) - 1] = row[1:]
     if nparams == 0:
-        if np.any(cons_const % p):
+        if np.any(const):
             return None
         return SolutionSpace(family, SeriesMatrix.zeros(p, family.rows, 0, family.prec))
-    sol = lin_solve(
-        Matrix(p, cons_coeffs.reshape(-1, nparams)),
-        Matrix(p, (-cons_const.reshape(-1, 1)) % p),
-    )
+    sol = lin_solve(Matrix(p, coeffs), Matrix(p, const))
     if sol is None:
         return None
     blocks = family.col_slice(1, family.cols)

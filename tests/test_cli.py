@@ -197,6 +197,41 @@ def test_non_prime_modulus_exit_2():
         assert err.startswith("precondition error: modulus ") and err.count("\n") == 1
 
 
+def test_modulus_ceiling_exit_2(tmp_path):
+    # the int64 kernels need (p - 1)^2 < 2^62: a prime at or above 2^31 is
+    # refused before any solve, 2^31 - 1 is still accepted
+    for p in (4294967311, 2**61 - 1):
+        prob = tmp_path / f"{p}.prob"
+        prob.write_text(EXP_PROBLEM.replace("p: 101", f"p: {p}"))
+        for argv in (
+            ["gen", "--p", str(p), "--n", "1", "--N", "4"],
+            ["solve", str(prob), "--algo", "dense"],
+            ["solve", str(prob), "--algo", "dac"],
+        ):
+            code, out, err = run_cli(argv)
+            assert code == 2, argv
+            assert out == ""
+            assert err.startswith("precondition error: modulus ") and err.count("\n") == 1
+    code, out, _ = run_cli(["gen", "--p", "2147483647", "--n", "1", "--N", "4"])
+    assert code == 0 and "p: 2147483647" in out
+
+
+def test_dac_solve_at_p_2_31_minus_1(tmp_path):
+    # char_poly cannot count the singular indices at this prime, so the
+    # cost warning is skipped; the solve itself does not need them
+    code, text, _ = run_cli(
+        ["gen", "--p", "2147483647", "--n", "3", "--N", "80", "--q", "random"]
+    )
+    assert code == 0
+    prob = tmp_path / "p31.prob"
+    prob.write_text(text)
+    sol = tmp_path / "p31.sol"
+    code, out, err = run_cli(["solve", str(prob), "--algo", "dac", "--out", str(sol)])
+    assert code == 0 and err == ""
+    code, out, _ = run_cli(["check", str(prob), str(sol)])
+    assert code == 0 and out.startswith("ok:")
+
+
 def test_gen_k0_reduction_round_trip(tmp_path):
     code, out, _ = run_cli(["gen", "--seed", "3", "--n", "1", "--N", "5", "--k", "0"])
     assert code == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qdsolve import dac, instrument
-from qdsolve.dac import DAC_LEAF, ParametricVector, dac_solve, op_E, rdac
+from qdsolve.dac import DAC_LEAF, dac_solve, op_E, rdac
 from qdsolve.field import PrimeField
 from qdsolve.oracle import dense_solve, make_instance, random_instance, residual
 from qdsolve.polymat import SeriesMatrix
@@ -22,36 +22,12 @@ def sm(p, grid, prec):
     return SeriesMatrix(p, np.array(grid, dtype=np.int64), prec)
 
 
-def test_pv_linear_ops():
-    ctx = QContext(P101, 1, 1)
-    # pure-parameter vector: phi_0 = 0, one block = Id; delta kills it
-    pv = ParametricVector.fresh_block(101, 2, (0,), 0, 3)
-    d = pv.delta(ctx)
-    assert d.mat.is_zero()
-    ctx2 = QContext(P101, 1, 1)
-    assert pv.sigma(ctx2) == pv
-    shifted = pv.shift(2).truncate(2)
-    assert shifted.mat.is_zero()
-
-
-def test_pv_specialize():
-    p = 101
-    C = sm(p, [[[1, 2]], [[3, 4]]], 2)
-    pv = ParametricVector.from_concrete(C, (0,))
-    fresh = ParametricVector.fresh_block(p, 2, (0,), 0, 2)
-    combo = pv + fresh
-    got = combo.specialize([5, 7])
-    want_top = sm(p, [[[1 + 5, 2]]], 2)
-    want_bot = sm(p, [[[3 + 7, 4]]], 2)
-    assert got.entry(0, 0) == want_top and got.entry(1, 0) == want_bot
-
-
 def test_op_E_zero():
     ctx = QContext(P101, 1, 1)
     A = sm(101, [[[1, 1]]], 2)
-    z = ParametricVector.from_concrete(SeriesMatrix.zeros(101, 1, 1, 2), ())
+    z = SeriesMatrix.zeros(101, 1, 1, 2)
     E = op_E(A, z, z, 0, ctx, 2)
-    assert E.mat.is_zero()
+    assert E.is_zero()
 
 
 def test_op_E_constant_expansion():
@@ -60,8 +36,8 @@ def test_op_E_constant_expansion():
     p = 101
     ctx = QContext(P101, 1, 1)
     A = sm(p, [[[1]]], 1)
-    F = ParametricVector.from_concrete(sm(p, [[[7]]], 1), ())
-    Z = ParametricVector.from_concrete(SeriesMatrix.zeros(p, 1, 1, 1), ())
+    F = sm(p, [[[7]]], 1)
+    Z = SeriesMatrix.zeros(p, 1, 1, 1)
     E = op_E(A, F, Z, 0, ctx, 1)
     assert E.coefficient_matrix(0).a[0, 0] == (-7) % p
 
@@ -80,10 +56,8 @@ def test_op_E_splitting_identity():
         i = rng.randrange(0, 6)
         m = (N + 1) // 2
         A = SeriesMatrix(p, np.random.default_rng(trial).integers(0, p, (n, n, N)), N)
-        Fm = SeriesMatrix(p, np.random.default_rng(trial + 99).integers(0, p, (n, 1, N)), N)
-        Cm = SeriesMatrix(p, np.random.default_rng(trial + 999).integers(0, p, (n, 1, N)), N)
-        F = ParametricVector.from_concrete(Fm, ())
-        C = ParametricVector.from_concrete(Cm, ())
+        F = SeriesMatrix(p, np.random.default_rng(trial + 99).integers(0, p, (n, 1, N)), N)
+        C = SeriesMatrix(p, np.random.default_rng(trial + 999).integers(0, p, (n, 1, N)), N)
         H = F.truncate(m).as_poly_prec(N)
         K = F.shift(-m, truncate=True)
         E_full = op_E(A, F, C, i, ctx, N)
@@ -99,31 +73,31 @@ def test_rdac_base_cases():
     ctx = QContext(P101, 1, 1)
     # nonsingular index: returns -R_i^{-1} C_0
     A = sm(p, [[[2]]], 1)
-    C = ParametricVector.from_concrete(sm(p, [[[3]]], 1), ())
-    out = rdac(A, C, 0, 1, ctx)
+    out, cons, sing = rdac(A, sm(p, [[[3]]], 1), 0, 1, ctx)
     # R_0 = q^0 A0 - gamma_0 = 2; -inv(2)*3 = -52*...; inv(2)=51; -51*3 = -153 = -52 = 49
     assert out.coefficient_matrix(0).a[0, 0] == (-pow(2, p - 2, p) * 3) % p
-    # singular index: returns the fresh parameter block
+    assert out.cols == 1 and cons == [] and sing == []
+    # singular index: the step's unknown becomes parameter column 1, and its
+    # equation 0 = C_0 becomes the one constraint
     A0 = sm(p, [[[0]]], 1)
-    Cs = ParametricVector.from_concrete(sm(p, [[[3]]], 1), (0,))
-    out = rdac(A0, Cs, 0, 1, ctx)
-    assert out.constant_part().is_zero()
-    assert out.block(0) == SeriesMatrix.identity(p, 1, 1)
+    out, cons, sing = rdac(A0, sm(p, [[[3]]], 1), 0, 1, ctx)
+    assert sing == [0]
+    assert out.col(0).is_zero()
+    assert out.col(1) == SeriesMatrix.identity(p, 1, 1)
+    assert [row.tolist() for row in cons] == [[3]]
 
 
 def test_rdac_leaf_products_near_int64_limit():
-    # p - 1 = 2^31 - 2, so n (p - 1)^2 >= 2^63 at n = 3: a leaf's
-    # R_i^(-1) C_0 product must be reduced in chunks, not summed in int64.
-    # rdac is called directly because dac_solve refuses this prime at its
-    # char_poly guard before reaching any leaf.
+    # p - 1 = 2^31 - 2, so n (p - 1)^2 >= 2^63 at n = 3: a leaf's step
+    # products must be reduced in chunks, not summed in int64.
     p = 2147483647
     for seed in (1, 12):
         inst = random_instance(seed, p, 3, 12, 1, "random")
-        F = rdac(inst.A, ParametricVector.from_concrete(inst.C, ()), 0, inst.N, inst.ctx)
+        sol = dac_solve(inst.A, inst.C, inst.N, inst.ctx)
         want = dense_solve(inst)
         assert want is not None and want.dim == 0
-        assert F.constant_part() == want.particular
-        assert residual(F.constant_part(), inst).is_zero()
+        assert sol.dim == 0 and sol.particular == want.particular
+        assert residual(sol.particular, inst).is_zero()
 
 
 def test_rdac_exponential_block():
@@ -131,10 +105,10 @@ def test_rdac_exponential_block():
     p = 101
     ctx = QContext(P101, 1, 1)
     A = sm(p, [[[0, 1]]], 4)
-    C = ParametricVector.from_concrete(SeriesMatrix.zeros(p, 1, 1, 4), (0,))
-    F = rdac(A, C, 0, 4, ctx)
-    assert F.constant_part().is_zero()
-    block = F.block(0).entry(0, 0)
+    F, cons, sing = rdac(A, SeriesMatrix.zeros(p, 1, 1, 4), 0, 4, ctx)
+    assert sing == [0] and cons == []
+    assert F.col(0).is_zero()
+    block = F.entry(0, 1)
     inv2, inv6 = pow(2, p - 2, p), pow(6, p - 2, p)
     assert block == sm(p, [[[1, 1, inv2, inv6]]], 4)
     assert inv2 == 51 and inv6 == 17
@@ -176,8 +150,8 @@ def test_dac_fast_path_no_parameters():
     # R empty: the engine must not allocate parameter blocks
     p = 134217757
     inst = random_instance(77, p, 2, 10, 2, "random", require_good_spectrum=True)
-    R_F = rdac(inst.A, ParametricVector.from_concrete(inst.C, ()), 0, inst.N, inst.ctx)
-    assert R_F.mat.cols == 1  # width 1: no blocks
+    F, cons, sing = rdac(inst.A, inst.C, 0, inst.N, inst.ctx)
+    assert F.cols == 1 and cons == [] and sing == []  # width 1: no parameters
     sol = dac_solve(inst.A, inst.C, inst.N, inst.ctx)
     assert sol is not None and spaces_equal(sol, dense_solve(inst))
 
@@ -309,7 +283,7 @@ def test_dac_singular_steps_in_leaves(checks_on, where):
 @pytest.mark.parametrize("k", [2, 3])
 def test_dac_singular_constant_matrix_higher_order(checks_on, k):
     # for k > 1 a singular A0 makes every step singular: every leaf offset
-    # is a fresh parameter block and every row is imposed at the top level
+    # adds the nullity of A0 in parameters and its zero rows as constraints
     gen = np.random.default_rng(k)
     for N in (DAC_LEAF + 1, 2 * DAC_LEAF + 1):
         for n in (1, 2, 3):
@@ -319,3 +293,30 @@ def test_dac_singular_constant_matrix_higher_order(checks_on, k):
             inst = _planted(9000 + N + n, int(gen.integers(2, P28)), k, n, N, A0)
             assert singular_indices(inst.A.coefficient_matrix(0), inst.ctx, N) == list(range(N))
             _assert_agrees(inst)
+
+
+P31 = 2**31 - 1
+
+
+@pytest.mark.parametrize("N", [DAC_LEAF // 2 + 1, DAC_LEAF + 9])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_dac_at_p_2_31_minus_1(checks_on, N, k):
+    # char_poly cannot run at this prime, and DAC no longer needs it: the
+    # leaves find their own singular steps
+    gen = np.random.default_rng(N * 10 + k)
+    for n in (1, 2, 3, 4):
+        inst = random_instance(100 * N + 10 * k + n, P31, n, N, k, "random")
+        if k > 1 and n > 1:
+            # a singular A0 makes every step singular; a C planted from a
+            # random F* keeps the constrained family consistent
+            Ad = inst.A.data.copy()
+            Ad[0, :, 0] = 0
+            inst.A = SeriesMatrix(P31, Ad, N)
+            inst.C = residual(SeriesMatrix(P31, gen.integers(0, P31, (n, 1, N)), N), inst, homogeneous=True)
+        want = dense_solve(inst)
+        got = dac_solve(inst.A, inst.C, inst.N, inst.ctx)
+        assert spaces_equal(got, want), n
+        if got is not None:
+            assert residual(got.particular, inst).is_zero()
+            for j in range(got.dim):
+                assert residual(got.basis.col(j), inst, homogeneous=True).is_zero()

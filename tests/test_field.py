@@ -37,6 +37,14 @@ def test_primality_enforced():
     PrimeField(134217757)
 
 
+def test_modulus_ceiling():
+    # _matmul_mod and _rref rely on (p - 1)^2 < 2^62
+    PrimeField(2**31 - 1)
+    for p in (4294967311, 2**61 - 1):
+        with pytest.raises(PreconditionError, match="2\\^31"):
+            PrimeField(p)
+
+
 def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 97, 101}
     for n in range(1, 110):

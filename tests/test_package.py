@@ -44,3 +44,13 @@ def test_traced_names_resolve():
             owner = getattr(owner, cls)
         fn = vars(owner).get(name)
         assert inspect.isfunction(fn), f"{layer}.{span}: qdsolve.{module}.{attr}"
+
+
+def test_tracer_probe_positions():
+    # the tracer's probes read these arguments by position: op_E's prec
+    # (op_E.kept_ratio) and the convolutions' out_len (convolution.bytes)
+    from qdsolve import convolution, dac
+
+    assert list(inspect.signature(dac.op_E).parameters)[5] == "prec"
+    for fn in (convolution._conv_direct, convolution._conv_ntt):
+        assert list(inspect.signature(fn).parameters)[3] == "out_len", fn.__name__
