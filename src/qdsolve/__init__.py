@@ -13,7 +13,6 @@ from .errors import (
     UsageError,
 )
 from .field import PrimeField
-from .linalg import Matrix
 from .newton import newton_solve
 from .oracle import ProblemInstance, dense_solve, make_instance, random_instance, residual
 from .polymat import SeriesMatrix
@@ -24,7 +23,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "InternalInvariantError",
-    "Matrix",
     "PreconditionError",
     "PrimeField",
     "ProblemFormatError",

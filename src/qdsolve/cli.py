@@ -4,7 +4,10 @@ Exit codes: 0 success (an inconsistent system, printed as BOT, is a
 valid answer), 1 usage or file-format problems, 2 violated semantic
 preconditions (non-prime modulus or one not below 2^31, zero q, gamma
 degeneracy, bad spectrum for the Newton engine), 3 internal invariant
-violations.
+violations, 4 a solution that ``check`` refutes.  The modulus of a
+problem file is checked before any coefficient is stored, so a modulus
+at or above 2^31, however large, gets exit 2 and never a traceback.  No
+engine has a modulus limit of its own below 2^31.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .errors import (
     ProblemFormatError,
     UsageError,
 )
+from .linalg import char_poly
 from .newton import newton_solve
 from .oracle import dense_solve, random_coefficients, residual
 from .problemfile import (
@@ -85,10 +89,7 @@ def _cmd_solve(args) -> int:
     if args.algo == "dense":
         space = dense_solve(inst)
     elif args.algo == "dac":
-        try:
-            R = singular_indices(inst.A.coefficient_matrix(0), inst.ctx, inst.N)
-        except PreconditionError:
-            R = []  # too large a modulus to count them; the solve does not need them
+        R = singular_indices(char_poly(inst.A.coefficient_array(0), inst.p), inst.ctx, inst.N)
         if len(R) > 1:
             print(
                 f"warning: {len(R)} singular indices {R}; "

@@ -5,9 +5,13 @@ itself works on raw ints and numpy int64 arrays with every residue kept
 canonical in [0, p), so equality of field values is plain integer
 comparison.
 
-The modulus must be below 2^31: the int64 kernels (``linalg._matmul_mod``,
-``linalg._rref``) multiply two residues without reduction and rely on
-(p - 1)^2 < 2^62.
+The modulus must be below 2^31, so that (p - 1)^2 < 2^62: the product of
+two canonical residues, plus anything below 2^62, fits in int64.  That
+is the one overflow argument of the package.  Matrix and polynomial
+products, whose sums of such terms could exceed it, are formed only in
+``linalg._matmul_mod`` and in ``convolution``, which split or chunk long
+sums; every other kernel multiplies residues elementwise and reduces at
+once.
 """
 
 from __future__ import annotations

@@ -1,9 +1,12 @@
-"""Dense exact linear algebra over Z/pZ.
+"""Dense exact linear algebra over Z/pZ on constant matrices.
 
+A constant matrix is a two-dimensional int64 array of canonical residues
+in [0, p), and every function here takes the modulus p explicitly.
 Gauss-Jordan elimination with first-nonzero-row pivoting makes every
 result canonical and deterministic: particular solutions set free
 variables to zero and nullspace bases come out in standard reduced
-row-echelon form.
+row-echelon form.  Matrix products go through ``_matmul_mod``, which
+keeps int64 sums below 2^63 for every modulus below 2^31.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import instrument
-from .errors import InternalInvariantError, PreconditionError
+from .convolution import conv_trunc
+from .errors import InternalInvariantError
 
 _INT64 = np.int64
 
@@ -44,94 +48,12 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return acc
 
 
-class Matrix:
-    """A rows x cols matrix with canonical int64 entries mod p."""
-
-    __slots__ = ("p", "a")
-
-    def __init__(self, p: int, entries):
-        if isinstance(entries, np.ndarray):
-            a = entries.astype(_INT64) % p
-        else:
-            a = np.array([[int(v) % p for v in row] for row in entries], dtype=_INT64)
-        if a.ndim != 2:
-            raise ValueError("matrix entries must be two-dimensional")
-        self.p = p
-        self.a = a
-
-    @classmethod
-    def _mk(cls, p: int, a: np.ndarray) -> "Matrix":
-        m = object.__new__(cls)
-        m.p = p
-        m.a = a
-        return m
-
-    @classmethod
-    def zeros(cls, p: int, rows: int, cols: int) -> "Matrix":
-        return cls._mk(p, np.zeros((rows, cols), dtype=_INT64))
-
-    @classmethod
-    def identity(cls, p: int, n: int) -> "Matrix":
-        return cls._mk(p, np.eye(n, dtype=_INT64))
-
-    @classmethod
-    def diag(cls, p: int, values) -> "Matrix":
-        return cls._mk(p, np.diag(np.array([int(v) % p for v in values], dtype=_INT64)))
-
-    @property
-    def rows(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.a.shape[1]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and other.p == self.p
-            and other.a.shape == self.a.shape
-            and np.array_equal(other.a, self.a)
-        )
-
-    def __repr__(self):
-        return f"Matrix(p={self.p},\n{self.a})"
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        return Matrix._mk(self.p, (self.a + other.a) % self.p)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return Matrix._mk(self.p, (self.a - other.a) % self.p)
-
-    def __neg__(self) -> "Matrix":
-        return Matrix._mk(self.p, (-self.a) % self.p)
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("matrix dimension mismatch")
-        return Matrix._mk(self.p, _matmul_mod(self.a, other.a, self.p))
-
-    def scale(self, c: int) -> "Matrix":
-        instrument.mul_counter.add(self.rows * self.cols)
-        return Matrix._mk(self.p, self.a * (c % self.p) % self.p)
-
-    @property
-    def T(self) -> "Matrix":
-        return Matrix._mk(self.p, self.a.T.copy())
-
-    def is_zero(self) -> bool:
-        return not np.any(self.a)
-
-    def col(self, j: int) -> "Matrix":
-        return Matrix._mk(self.p, self.a[:, j : j + 1].copy())
-
-
 @dataclass
 class AffineSolution:
     """A particular solution plus a basis of the homogeneous kernel."""
 
-    particular: Matrix
-    nullspace: Matrix
+    particular: np.ndarray
+    nullspace: np.ndarray
 
 
 def _rref(m: np.ndarray, p: int, main_cols: int) -> tuple[np.ndarray, list[int]]:
@@ -163,87 +85,69 @@ def _rref(m: np.ndarray, p: int, main_cols: int) -> tuple[np.ndarray, list[int]]
     return m, pivots
 
 
-def lin_solve(U: Matrix, V: Matrix) -> AffineSolution | None:
+def lin_solve(U: np.ndarray, V: np.ndarray, p: int) -> AffineSolution | None:
     """Solve U X = V; None means the system is inconsistent.
 
     Returns a particular solution (free variables zero) and a basis of
     ker U in standard RREF form.  V may have several columns; each is
     solved against the same U.
     """
-    if U.p != V.p or U.rows != V.rows:
+    if U.shape[0] != V.shape[0]:
         raise ValueError("incompatible system")
-    p = U.p
-    n, ncols = U.rows, U.cols
-    m = V.cols
-    aug = np.hstack([U.a, V.a])
-    red, pivots = _rref(aug, p, ncols)
+    ncols, m = U.shape[1], V.shape[1]
+    red, pivots = _rref(np.hstack([U, V]), p, ncols)
     rank = len(pivots)
     if np.any(red[rank:, ncols:]):
         return None
     part = np.zeros((ncols, m), dtype=_INT64)
-    for i, c in enumerate(pivots):
-        part[c] = red[i, ncols:]
+    part[pivots] = red[:rank, ncols:]
     pivset = set(pivots)
     free = [c for c in range(ncols) if c not in pivset]
     null = np.zeros((ncols, len(free)), dtype=_INT64)
-    for j, f in enumerate(free):
-        null[f, j] = 1
-        for i, c in enumerate(pivots):
-            null[c, j] = (-red[i, f]) % p
-    return AffineSolution(Matrix._mk(p, part), Matrix._mk(p, null))
+    null[free, np.arange(len(free))] = 1
+    null[pivots] = (-red[:rank][:, free]) % p
+    return AffineSolution(part, null)
 
 
-def mat_inv(U: Matrix) -> Matrix:
+def mat_inv(U: np.ndarray, p: int) -> np.ndarray:
     """Inverse of a square matrix; raises ValueError when singular."""
-    if U.rows != U.cols:
+    n = U.shape[0]
+    if U.shape[1] != n:
         raise ValueError("only square matrices are invertible")
-    n, p = U.rows, U.p
-    aug = np.hstack([U.a.copy(), np.eye(n, dtype=_INT64)])
-    red, pivots = _rref(aug, p, n)
+    red, pivots = _rref(np.hstack([U, np.eye(n, dtype=_INT64)]), p, n)
     if len(pivots) != n:
         raise ValueError("matrix is singular")
-    return Matrix._mk(p, red[:, n:].copy())
+    return red[:, n:].copy()
 
 
-def char_poly(U: Matrix) -> list[int]:
+def char_poly(U: np.ndarray, p: int) -> list[int]:
     """det(x Id - U) by the division-free Berkowitz algorithm.
 
     Returns ascending coefficients; the result is monic of degree n.
-    Raises PreconditionError when (n + 2)(p - 1)^2 >= 2^63, where the
-    int64 accumulation could overflow.
     """
-    if U.rows != U.cols:
+    n = U.shape[0]
+    if U.shape[1] != n:
         raise ValueError("characteristic polynomial needs a square matrix")
-    n, p = U.rows, U.p
-    if n == 0:
-        return [1]
-    a = U.a
-    if (n + 2) * (p - 1) * (p - 1) >= 2**63:
-        raise PreconditionError(
-            f"modulus p = {p} too large for int64 Berkowitz accumulation at n = {n}: "
-            "needs (n + 2)(p - 1)^2 < 2^63"
-        )
     poly = np.array([1], dtype=_INT64)  # descending coefficients
     for i in range(1, n + 1):
-        d = int(a[i - 1, i - 1])
         t = np.zeros(i + 1, dtype=_INT64)
         t[0] = 1
-        t[1] = (-d) % p
+        t[1] = (-U[i - 1, i - 1]) % p
         if i > 1:
-            row = a[i - 1, : i - 1]
-            colv = a[: i - 1, i - 1].copy()
-            B = a[: i - 1, : i - 1]
-            instrument.mul_counter.add((i - 1) * (i - 1) * (i - 2) + (i - 1) * (i - 1))
+            row = U[i - 1 : i, : i - 1]
+            colv = U[: i - 1, i - 1 : i]
+            B = U[: i - 1, : i - 1]
             for j in range(2, i + 1):
-                t[j] = (-int(row @ colv)) % p
+                t[j] = (-_matmul_mod(row, colv, p)[0, 0]) % p
                 if j < i:
-                    colv = B @ colv % p
-        poly = np.convolve(t, poly)[: i + 1] % p
-        instrument.mul_counter.add((i + 1) * len(poly))
+                    colv = _matmul_mod(B, colv, p)
+        poly = conv_trunc(t, poly, p, i + 1)
     return [int(c) for c in poly[::-1]]
 
 
-def sylvester_solve(Y: Matrix, V: Matrix, Z: Matrix, chi_v: list[int] | None = None) -> Matrix:
+def sylvester_solve(
+    Y: np.ndarray, V: np.ndarray, Z: np.ndarray, p: int, chi_v: list[int] | None = None
+) -> np.ndarray:
     """The unique X with Y X - X V = Z, by the Cayley-Hamilton identity.
 
     With c = char_poly(V) = (c_0, ..., c_n), c_n = 1, the equation gives
@@ -260,29 +164,27 @@ def sylvester_solve(Y: Matrix, V: Matrix, Z: Matrix, chi_v: list[int] | None = N
     n x n inverse, O(n^4), and no eigenvalues are needed, so it works
     over any field.  chi_v, when given, must be char_poly(V); callers
     solving many steps against one V pass it to skip recomputing it.
-    The modulus range is that of char_poly.
     """
-    n, p = Y.rows, Y.p
-    if not (Y.rows == Y.cols == V.rows == V.cols == Z.rows == Z.cols):
+    n = Y.shape[0]
+    if not (Y.shape == V.shape == Z.shape == (n, n)):
         raise ValueError("Sylvester solve needs equally sized square matrices")
-    c = char_poly(V) if chi_v is None else chi_v
+    c = char_poly(V, p) if chi_v is None else chi_v
     eye = np.eye(n, dtype=_INT64)
-    y, v, z = Y.a, V.a, Z.a
     # R_(n-1) = Z, and S = sum_l R_l V^l on the right by Horner
-    r = s = z
+    r = s = Z
     # M = chi_V(Y) by Horner, starting from Y + c_(n-1) Id
-    m = (y + c[n - 1] * eye) % p
+    m = (Y + c[n - 1] * eye) % p
     for l in range(n - 2, -1, -1):
         instrument.mul_counter.add(n * n + n)  # c_(l+1) Z and c_l Id
-        r = (_matmul_mod(y, r, p) + c[l + 1] * z) % p
-        s = (_matmul_mod(s, v, p) + r) % p
-        m = (_matmul_mod(m, y, p) + c[l] * eye) % p
+        r = (_matmul_mod(Y, r, p) + c[l + 1] * Z) % p
+        s = (_matmul_mod(s, V, p) + r) % p
+        m = (_matmul_mod(m, Y, p) + c[l] * eye) % p
     try:
-        minv = mat_inv(Matrix._mk(p, m))
+        minv = mat_inv(m, p)
     except ValueError:
         raise ValueError("Sylvester system is singular: spectra of Y and V intersect") from None
-    X = Matrix._mk(p, _matmul_mod(minv.a, s, p))
+    X = _matmul_mod(minv, s, p)
     if instrument.checks_enabled():
-        if (Y @ X) - (X @ V) != Z:
+        if not np.array_equal((_matmul_mod(Y, X, p) - _matmul_mod(X, V, p)) % p, Z):
             raise InternalInvariantError("Sylvester residual nonzero")
     return X

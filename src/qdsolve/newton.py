@@ -28,7 +28,7 @@ import numpy as np
 
 from . import instrument
 from .errors import InternalInvariantError, SpectrumError
-from .linalg import Matrix, char_poly, mat_inv, sylvester_solve
+from .linalg import _matmul_mod, char_poly, mat_inv, sylvester_solve
 from .oracle import _solve_term_by_term
 from .polymat import SeriesMatrix
 from .series import QContext
@@ -63,11 +63,8 @@ def splitting_lemma(A: SeriesMatrix, ctx: QContext, seed: int = 0) -> Associated
     k, p, n = ctx.k, ctx.p, A.rows
     if k <= 1 or ctx.q != 1:
         raise ValueError("splitting construction applies to q = 1 and k > 1 only")
-    A0 = A.coefficient_matrix(0)
-    P, D0 = diagonalize(A0, seed=seed)
-    Pinv = mat_inv(P)
-    D = A.truncate(k).lmul_const(Pinv).rmul_const(P)
-    roots = [int(D0.a[i, i]) for i in range(n)]
+    P, roots = diagonalize(A.coefficient_array(0), p, seed=seed)
+    D = A.truncate(k).lmul_const(mat_inv(P, p)).rmul_const(P)
     inv_diff = np.zeros((n, n), dtype=_INT64)
     for l in range(n):
         for m_ in range(n):
@@ -77,18 +74,16 @@ def splitting_lemma(A: SeriesMatrix, ctx: QContext, seed: int = 0) -> Associated
     Vt = np.zeros((n, n, k), dtype=_INT64)
     Bc = np.zeros((n, n, k), dtype=_INT64)
     Vt[:, :, 0] = np.eye(n, dtype=_INT64)
-    Bc[:, :, 0] = D0.a
+    Bc[:, :, 0] = np.diag(roots)
     Dd = D.data
     Ld = Dd.shape[2]
     for i in range(1, k):
         delta_i = np.zeros((n, n), dtype=_INT64)
         for j in range(1, i + 1):
             if j < Ld:
-                instrument.mul_counter.add(n * n * n)
-                delta_i = (delta_i - Dd[:, :, j] @ Vt[:, :, i - j]) % p
+                delta_i = (delta_i - _matmul_mod(Dd[:, :, j], Vt[:, :, i - j], p)) % p
         for j in range(1, i):
-            instrument.mul_counter.add(n * n * n)
-            delta_i = (delta_i + Vt[:, :, j] @ Bc[:, :, i - j]) % p
+            delta_i = (delta_i + _matmul_mod(Vt[:, :, j], Bc[:, :, i - j], p)) % p
         bd = (-np.diagonal(delta_i)) % p
         Bc[:, :, i] = np.diag(bd)
         instrument.mul_counter.add(n * n)
@@ -129,7 +124,7 @@ def diff_sylvester(Gamma: SeriesMatrix, B: SeriesMatrix, m: int, N: int, ctx: QC
     k, p, n = ctx.k, ctx.p, B.rows
     if not (k <= m < N):
         raise ValueError("window must satisfy k <= m < N")
-    B0 = B.coefficient_matrix(0)
+    B0 = B.coefficient_array(0)
     Bd = B.data
     Ld = Bd.shape[2]
     Gd = Gamma.data
@@ -139,24 +134,25 @@ def diff_sylvester(Gamma: SeriesMatrix, B: SeriesMatrix, m: int, N: int, ctx: QC
     eye = np.eye(n, dtype=_INT64)
     U = np.zeros((n, n, N), dtype=_INT64)
     scalar = n == 1
-    b0 = int(B0.a[0, 0]) if scalar else 0
+    b0 = int(B0[0, 0]) if scalar else 0
     # every step solves against the same B0, so its characteristic
     # polynomial is computed once per call
-    chi = None if scalar else char_poly(B0)
+    chi = None if scalar else char_poly(B0, p)
     for i in range(m, N):
         C = Gd[:, :, i].copy() if i < Lg else np.zeros((n, n), dtype=_INT64)
         for j in range(1, min(k, i - m + 1)):
             if j < Ld:
-                instrument.mul_counter.add(n * n + 2 * n * n * n)
-                C = (C + Bd[:, :, j] @ (ctx.qpow(i - j) * U[:, :, i - j] % p)
-                     - U[:, :, i - j] @ Bd[:, :, j]) % p
+                instrument.mul_counter.add(n * n)
+                Uq = ctx.qpow(i - j) * U[:, :, i - j] % p
+                C = (C + _matmul_mod(Bd[:, :, j], Uq, p)
+                     - _matmul_mod(U[:, :, i - j], Bd[:, :, j], p)) % p
         if k == 1:
             instrument.mul_counter.add(n * n)
-            Ya = (ctx.qpow(i) * B0.a - ctx.gamma(i) * eye) % p
+            Ya = (ctx.qpow(i) * B0 - ctx.gamma(i) * eye) % p
             Za = (-C) % p
         else:
             instrument.mul_counter.add(n * n)
-            Ya = ctx.qpow(i) * B0.a % p
+            Ya = ctx.qpow(i) * B0 % p
             j = i - k + 1
             prev = ctx.gamma(j) * U[:, :, j] % p if j >= m else np.zeros((n, n), dtype=_INT64)
             if j >= m:
@@ -174,10 +170,9 @@ def diff_sylvester(Gamma: SeriesMatrix, B: SeriesMatrix, m: int, N: int, ctx: QC
             U[0, 0, i] = int(Za[0, 0]) * pow(den, p - 2, p) % p
             continue
         try:
-            X = sylvester_solve(Matrix(p, Ya), B0, Matrix(p, Za), chi)
+            U[:, :, i] = sylvester_solve(Ya, B0, Za, p, chi)
         except ValueError as e:
             raise SpectrumError(f"Sylvester step at index {i} is singular: {e}") from e
-        U[:, :, i] = X.a
     return SeriesMatrix(p, U, N)
 
 
@@ -299,7 +294,7 @@ def newton_solve(A: SeriesMatrix, C: SeriesMatrix, N: int, ctx: QContext) -> Sol
         raise ValueError("precision must be positive")
     if A.prec < N or C.prec < N:
         raise ValueError("operands known to lower precision than requested")
-    rep = good_spectrum(A.coefficient_matrix(0), ctx, N)
+    rep = good_spectrum(A.coefficient_array(0), ctx, N)
     if not rep.good:
         raise SpectrumError(f"no good spectrum at precision {N}: {rep.reason}")
     # coefficients of A beyond x^N never reach the truncated solution, so

@@ -1,16 +1,17 @@
 """Ground truth: the nN-dimensional dense solver, reduction of k = 0,
 residual checking and reproducible random instances.
 
-``dense_solve`` has two interchangeable strategies.  For small systems
-it literally materializes the nN x nN matrix of the coefficient map
-F -> x^k delta(F) - A sigma(F) (unknowns ordered coefficient-major) and
-hands it to lin_solve.  Above the size threshold it performs the same
-elimination organized as block-forward substitution down the
-block-triangular operator matrix: each coefficient is solved in turn,
+``dense_solve`` performs the elimination of the nN x nN operator
+matrix of F -> x^k delta(F) - A sigma(F) as block-forward substitution
+down its block-triangular structure: each coefficient is solved in turn,
 singular steps introduce placeholder parameters and emit affine
-constraints, and one final linear solve resolves the parameters.  Both
-routes accept every instance, make no spectrum assumptions, and are
-cross-checked against each other in the tests.
+constraints, and one final linear solve resolves the parameters.  It
+accepts every instance and makes no spectrum assumptions.
+
+``_solve_operator_matrix`` literally materializes that operator matrix
+(unknowns ordered coefficient-major) and hands it to lin_solve.  It is
+slower than the stepwise route at every size and no engine calls it: it
+is the tests' independent reference for all three engines.
 
 The stepwise route, ``_solve_term_by_term``, is the package's one
 per-coefficient step kernel.  Newton's PolCoeffsDE (``newton.pol_coeffs_de``)
@@ -28,16 +29,13 @@ import numpy as np
 from . import instrument
 from .errors import PreconditionError
 from .field import PrimeField
-from .linalg import Matrix, _matmul_mod, _rref, lin_solve, mat_inv
+from .linalg import _matmul_mod, _rref, lin_solve, mat_inv
 from .polymat import SeriesMatrix
 from .series import QContext
 from .solution import SolutionSpace, resolve_affine_family, spaces_equal  # noqa: F401
 from .spectrum import good_spectrum
 
 _INT64 = np.int64
-
-# n*N at or below this uses the literal operator-matrix route
-DENSE_MATRIX_LIMIT = 600
 
 
 @dataclass
@@ -114,13 +112,13 @@ def _solve_operator_matrix(inst: ProblemInstance) -> SolutionSpace | None:
     Cd = inst.C.data
     rhs = np.zeros((N, n), dtype=_INT64)
     rhs[: Cd.shape[2]] = np.swapaxes(Cd[:, 0, :], 0, 1)
-    sol = lin_solve(Matrix(p, L.reshape(N * n, N * n)), Matrix(p, rhs.reshape(N * n, 1)))
+    sol = lin_solve(L.reshape(N * n, N * n), rhs.reshape(N * n, 1), p)
     if sol is None:
         return None
-    part = SeriesMatrix(p, np.swapaxes(sol.particular.a.reshape(N, n), 0, 1)[:, None, :], N)
-    t = sol.nullspace.cols
+    part = SeriesMatrix(p, np.swapaxes(sol.particular.reshape(N, n), 0, 1)[:, None, :], N)
+    t = sol.nullspace.shape[1]
     basis = SeriesMatrix(
-        p, np.swapaxes(sol.nullspace.a.reshape(N, n, t), 0, 1).transpose(0, 2, 1), N
+        p, np.swapaxes(sol.nullspace.reshape(N, n, t), 0, 1).transpose(0, 2, 1), N
     )
     return SolutionSpace(part, basis)
 
@@ -169,7 +167,7 @@ def _solve_term_by_term(
             A0inv = pow(int(A0[0, 0]), p - 2, p)
     elif k > 1:
         try:
-            A0inv = mat_inv(Matrix(p, A0)).a
+            A0inv = mat_inv(A0, p)
         except ValueError:
             pass
     if A0inv is None:
@@ -254,20 +252,14 @@ def _solve_term_by_term(
     return SeriesMatrix(p, family, N), cons, sing
 
 
-def dense_solve(inst: ProblemInstance, method: str = "auto") -> SolutionSpace | None:
-    """Solve the full nN-dimensional linear system; the universal oracle.
+def dense_solve(inst: ProblemInstance) -> SolutionSpace | None:
+    """Solve the full nN-dimensional linear system by forward substitution.
 
-    No spectrum assumptions; None reports inconsistency.  ``method`` is
-    "matrix", "stepwise" or "auto" (size-based choice).
+    The universal oracle: no spectrum assumptions; None reports
+    inconsistency.
     """
-    if method == "auto":
-        method = "matrix" if inst.n * inst.N <= DENSE_MATRIX_LIMIT else "stepwise"
-    if method == "matrix":
-        return _solve_operator_matrix(inst)
-    if method == "stepwise":
-        family, cons, _ = _solve_term_by_term(inst.A, inst.C, inst.N, inst.ctx)
-        return resolve_affine_family(family, cons)
-    raise ValueError(f"unknown dense_solve method {method!r}")
+    family, cons, _ = _solve_term_by_term(inst.A, inst.C, inst.N, inst.ctx)
+    return resolve_affine_family(family, cons)
 
 
 def make_instance(p: int, q: int, k: int, n: int, N: int, A: SeriesMatrix, C: SeriesMatrix) -> ProblemInstance:
@@ -314,7 +306,7 @@ def random_coefficients(
     Cdata = gen.integers(0, p, size=(n, 1, N), dtype=np.int64)
     if require_good_spectrum and k >= 1:
         for attempt in range(max_retries + 1):
-            rep = good_spectrum(Matrix(p, Adata[:, :, 0]), ctx, N)
+            rep = good_spectrum(Adata[:, :, 0], ctx, N)
             if rep.good:
                 break
             if attempt == max_retries:

@@ -14,7 +14,7 @@ import numpy as np
 from . import instrument
 from .convolution import conv_trunc
 from .errors import InternalInvariantError
-from .linalg import Matrix, _matmul_mod, mat_inv
+from .linalg import _matmul_mod, mat_inv
 
 _INT64 = np.int64
 
@@ -73,12 +73,10 @@ class SeriesMatrix:
         """Entry (i, j) as a 1 x 1 series matrix."""
         return SeriesMatrix._mk(self.p, _trim3(self.data[i : i + 1, j : j + 1].copy()), self.prec)
 
-    def coefficient_matrix(self, j: int) -> Matrix:
+    def coefficient_array(self, j: int) -> np.ndarray:
+        """Coefficient j, 0 <= j < prec, as a canonical rows x cols array."""
         if j < 0 or j >= self.prec:
             raise IndexError(f"coefficient {j} outside precision {self.prec}")
-        return Matrix._mk(self.p, self.coefficient_array(j).copy())
-
-    def coefficient_array(self, j: int) -> np.ndarray:
         if j < self.data.shape[2]:
             return self.data[:, :, j]
         return np.zeros((self.rows, self.cols), dtype=_INT64)
@@ -154,39 +152,34 @@ class SeriesMatrix:
         Lout = min(n, max(0, La + Lb - 1))
         out = np.zeros((rows, cols, Lout), dtype=_INT64)
         if Lout:
-            cap = 2**62 // p
+            # fewer than 2^31 canonical terms of size < p < 2^31 sum below 2^62
             for i in range(rows):
                 di = self.data[i]
                 for j in range(cols):
                     dj = other.data[:, j]
                     acc = np.zeros(Lout, dtype=_INT64)
-                    pending = 0
                     for l in range(inner):
                         c = conv_trunc(di[l], dj[l], p, n)
                         acc[: len(c)] += c
-                        pending += 1
-                        if pending >= cap:
-                            acc %= p
-                            pending = 0
                     out[i, j] = acc % p
         return SeriesMatrix._mk(p, _trim3(out), n)
 
-    def lmul_const(self, M: Matrix) -> "SeriesMatrix":
-        """Constant matrix times series matrix."""
-        if M.cols != self.rows:
+    def lmul_const(self, M: np.ndarray) -> "SeriesMatrix":
+        """Constant matrix (canonical int64 array) times series matrix."""
+        if M.shape[1] != self.rows:
             raise ValueError("dimension mismatch")
         L = self.data.shape[2]
         flat = self.data.reshape(self.rows, self.cols * L)
-        out = _matmul_mod(M.a, flat, self.p).reshape(M.rows, self.cols, L)
+        out = _matmul_mod(M, flat, self.p).reshape(M.shape[0], self.cols, L)
         return SeriesMatrix._mk(self.p, _trim3(out), self.prec)
 
-    def rmul_const(self, M: Matrix) -> "SeriesMatrix":
-        """Series matrix times constant matrix."""
-        if self.cols != M.rows:
+    def rmul_const(self, M: np.ndarray) -> "SeriesMatrix":
+        """Series matrix times constant matrix (canonical int64 array)."""
+        if self.cols != M.shape[0]:
             raise ValueError("dimension mismatch")
         L = self.data.shape[2]
         tmp = np.swapaxes(self.data, 1, 2).reshape(self.rows * L, self.cols)
-        out = np.swapaxes(_matmul_mod(tmp, M.a, self.p).reshape(self.rows, L, M.cols), 1, 2)
+        out = np.swapaxes(_matmul_mod(tmp, M, self.p).reshape(self.rows, L, M.shape[1]), 1, 2)
         return SeriesMatrix._mk(self.p, _trim3(np.ascontiguousarray(out)), self.prec)
 
     def delta(self, ctx) -> "SeriesMatrix":
@@ -247,22 +240,6 @@ class SeriesMatrix:
     def col_slice(self, j0: int, j1: int) -> "SeriesMatrix":
         return SeriesMatrix._mk(self.p, _trim3(self.data[:, j0:j1, :].copy()), self.prec)
 
-    @classmethod
-    def hstack(cls, parts) -> "SeriesMatrix":
-        parts = list(parts)
-        p = parts[0].p
-        prec = min(m.prec for m in parts)
-        rows = parts[0].rows
-        L = max(m.data.shape[2] for m in parts)
-        cols = sum(m.cols for m in parts)
-        data = np.zeros((rows, cols, min(L, prec)), dtype=_INT64)
-        at = 0
-        for m in parts:
-            Lm = min(m.data.shape[2], data.shape[2])
-            data[:, at : at + m.cols, :Lm] = m.data[:, :, :Lm]
-            at += m.cols
-        return cls._mk(p, _trim3(data), prec)
-
     def inv_newton(self, n: int, X: "SeriesMatrix | None" = None, s: int = 1) -> "SeriesMatrix":
         """Inverse mod x^n by precision-doubling X <- X(2 Id - A X).
 
@@ -276,7 +253,7 @@ class SeriesMatrix:
             raise ValueError("operand known to lower precision than requested")
         p = self.p
         if X is None:
-            X = SeriesMatrix._mk(p, mat_inv(self.coefficient_matrix(0)).a[:, :, None], 1)
+            X = SeriesMatrix._mk(p, mat_inv(self.coefficient_array(0), p)[:, :, None], 1)
             s = 1
         while s < n:
             s2 = min(2 * s, n)

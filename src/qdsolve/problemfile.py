@@ -29,8 +29,8 @@ import re
 
 import numpy as np
 
-from .errors import PreconditionError, ProblemFormatError
-from .field import is_prime
+from .errors import ProblemFormatError
+from .field import PrimeField
 from .oracle import ProblemInstance, make_instance
 from .polymat import SeriesMatrix
 from .solution import SolutionSpace
@@ -120,10 +120,6 @@ def parse_problem(text: str) -> ProblemInstance:
     headers, blocks = _parse_document(text, int_headers={"p", "q", "k", "n", "N"})
     _require(headers, ("p", "q", "k", "n", "N"))
     p, q, k, n, N = (headers[key] for key in ("p", "q", "k", "n", "N"))
-    if not is_prime(p) or p <= 2:
-        raise PreconditionError(f"p = {p} is not an odd prime")
-    if q % p == 0:
-        raise PreconditionError("q must be nonzero mod p")
     if k < 0:
         raise ProblemFormatError("k must be nonnegative")
     if n < 1 or N < 1:
@@ -131,6 +127,7 @@ def parse_problem(text: str) -> ProblemInstance:
     for nm, _d in blocks:
         if nm not in ("A", "C"):
             raise ProblemFormatError(f"unknown block name {nm!r}")
+    PrimeField(p)  # the modulus is checked before any int64 array is built
     A = _build_series_matrix(blocks, "A", p, n, n, N)
     C = _build_series_matrix(blocks, "C", p, n, 1, N)
     return make_instance(p, q, k, n, N, A, C)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Matrix, lin_solve
+from .linalg import lin_solve
 from .polymat import SeriesMatrix
 
 _INT64 = np.int64
@@ -96,7 +96,7 @@ def resolve_affine_family(family: SeriesMatrix, cons: list[np.ndarray]) -> Solut
         if np.any(const):
             return None
         return SolutionSpace(family, SeriesMatrix.zeros(p, family.rows, 0, family.prec))
-    sol = lin_solve(Matrix(p, coeffs), Matrix(p, const))
+    sol = lin_solve(coeffs, const, p)
     if sol is None:
         return None
     blocks = family.col_slice(1, family.cols)

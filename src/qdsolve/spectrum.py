@@ -17,7 +17,7 @@ import numpy as np
 
 from . import instrument
 from .errors import InternalInvariantError
-from .linalg import Matrix, char_poly, lin_solve
+from .linalg import _matmul_mod, char_poly, lin_solve
 
 _INT64 = np.int64
 
@@ -148,16 +148,12 @@ class SpectrumReport:
     singular_indices: list[int] = field(default_factory=list)
 
 
-def singular_indices(A0: Matrix, ctx, N: int) -> list[int]:
+def singular_indices(chi: list[int], ctx, N: int) -> list[int]:
     """All i in [0, N) where the order-i linear system is singular.
 
-    k = 1: det(q^i A0 - gamma_i Id) = 0; k > 1: det(q^i A0) = 0.
+    chi is char_poly(A0).  k = 1: det(q^i A0 - gamma_i Id) = 0;
+    k > 1: det(q^i A0) = 0.
     """
-    return _singular_indices(char_poly(A0), ctx, N)
-
-
-def _singular_indices(chi, ctx, N: int) -> list[int]:
-    """singular_indices from chi = char_poly(A0)."""
     if ctx.k > 1:
         det_zero = chi[0] == 0  # det(A0) = (-1)^n chi(0)
         return list(range(N)) if det_zero else []
@@ -168,16 +164,19 @@ def _singular_indices(chi, ctx, N: int) -> list[int]:
     return [int(i) for i in np.nonzero(vals == 0)[0]]
 
 
-def good_spectrum(A0: Matrix, ctx, N: int) -> SpectrumReport:
-    """Evaluate the good-spectrum condition of the constant matrix at precision N."""
-    n, p = A0.rows, A0.p
+def good_spectrum(A0: np.ndarray, ctx, N: int) -> SpectrumReport:
+    """Evaluate the good-spectrum condition of the constant matrix at precision N.
+
+    A0 is a canonical int64 array over the field of ctx.
+    """
+    n, p = A0.shape[0], ctx.p
     q, k = ctx.q, ctx.k
-    chi = char_poly(A0)
-    sing = _singular_indices(chi, ctx, N)
+    chi = char_poly(A0, p)
+    sing = singular_indices(chi, ctx, N)
     report = None
     if k == 1:
         if n == 1:
-            a = int(A0.a[0, 0])
+            a = int(A0[0, 0])
             qp = ctx.qpow_slice(N)
             g = ctx.gamma_slice(N)
             instrument.mul_counter.add(N)
@@ -258,28 +257,29 @@ def _ppowmod_linear(a, e, m, p):
     return result
 
 
-def diagonalize(A0: Matrix, seed: int = 0) -> tuple[Matrix, Matrix]:
-    """P invertible and D diagonal with P^(-1) A0 P = D.
+def diagonalize(A0: np.ndarray, p: int, seed: int = 0) -> tuple[np.ndarray, list[int]]:
+    """(P, roots) with P invertible and P^(-1) A0 P = diag(roots).
 
-    Requires char_poly(A0) squarefree and split over K; the eigenvalue
-    order in D is ascending, so the output is deterministic given the
-    seed of the Las-Vegas root finder.
+    Requires char_poly(A0) squarefree and split over K; the roots are
+    ascending, so the output is deterministic given the seed of the
+    Las-Vegas root finder.
     """
-    n, p = A0.rows, A0.p
-    chi = char_poly(A0)
+    n = A0.shape[0]
+    chi = char_poly(A0, p)
     ok, why = _is_split_squarefree(chi, p)
     if not ok:
         raise ValueError(f"cannot diagonalize: {why}")
     roots = _find_roots(chi, p, seed)
+    zero = np.zeros((n, 1), dtype=_INT64)
     cols = []
     for r in roots:
-        shifted = Matrix(p, A0.a - r * np.eye(n, dtype=_INT64))
-        sol = lin_solve(shifted, Matrix.zeros(p, n, 1))
-        if sol is None or sol.nullspace.cols == 0:
+        sol = lin_solve((A0 - r * np.eye(n, dtype=_INT64)) % p, zero, p)
+        if sol is None or sol.nullspace.shape[1] == 0:
             raise InternalInvariantError("eigenvalue without eigenvector")
-        cols.append(sol.nullspace.a[:, 0])
-    P = Matrix(p, np.stack(cols, axis=1))
-    D = Matrix.diag(p, roots)
-    if (A0 @ P) != (P @ D):
+        cols.append(sol.nullspace[:, 0])
+    P = np.stack(cols, axis=1)
+    # A0 P = P diag(roots): column j of P scaled by roots[j]
+    instrument.mul_counter.add(n * n)
+    if not np.array_equal(_matmul_mod(A0, P, p), P * np.array(roots, dtype=_INT64) % p):
         raise InternalInvariantError("diagonalization residual nonzero")
-    return P, D
+    return P, roots

@@ -174,15 +174,27 @@ def test_gen_usage_errors():
     assert code == 1
 
 
-def test_gen_prime_above_char_poly_range_exit_2():
-    # (n + 2)(p - 1)^2 >= 2^63: char_poly's int64 guard is a typed error
-    code, out, err = run_cli(
+def test_good_spectrum_gen_solve_check_at_p_2_31_minus_1(tmp_path):
+    # the spectrum test and every engine run at the largest prime below the
+    # ceiling, and agree
+    from qdsolve.solution import spaces_equal
+
+    code, text, err = run_cli(
         ["gen", "--good-spectrum", "--p", "2147483647", "--n", "3", "--N", "8"]
     )
-    assert code == 2
-    assert out == ""
-    assert err.startswith("precondition error: ") and err.count("\n") == 1
-    assert "2147483647" in err
+    assert code == 0, err
+    prob = tmp_path / "p31.prob"
+    prob.write_text(text)
+    spaces = []
+    for algo in ("dense", "dac", "newton"):
+        sol = tmp_path / f"p31.{algo}.sol"
+        code, _, err = run_cli(["solve", str(prob), "--algo", algo, "--out", str(sol)])
+        assert code == 0, (algo, err)
+        spaces.append(parse_solution(sol.read_text(), 2147483647, 3, 8))
+        code, out, err = run_cli(["check", str(prob), str(sol)])
+        assert code == 0 and out.startswith("ok:"), (algo, err)
+    assert spaces[0] is not None
+    assert all(spaces_equal(s, spaces[0]) for s in spaces)
 
 
 def test_non_prime_modulus_exit_2():
@@ -199,14 +211,18 @@ def test_non_prime_modulus_exit_2():
 
 def test_modulus_ceiling_exit_2(tmp_path):
     # the int64 kernels need (p - 1)^2 < 2^62: a prime at or above 2^31 is
-    # refused before any solve, 2^31 - 1 is still accepted
-    for p in (4294967311, 2**61 - 1):
+    # refused before any array is built, even one past int64 itself, and
+    # 2^31 - 1 is still accepted
+    for p in (4294967311, 2**61 - 1, 2**89 - 1):
         prob = tmp_path / f"{p}.prob"
         prob.write_text(EXP_PROBLEM.replace("p: 101", f"p: {p}"))
+        sol = tmp_path / f"{p}.sol"
+        sol.write_text(f"status: bot\np: {p}\nn: 1\nN: 4\n")
         for argv in (
             ["gen", "--p", str(p), "--n", "1", "--N", "4"],
             ["solve", str(prob), "--algo", "dense"],
             ["solve", str(prob), "--algo", "dac"],
+            ["check", str(prob), str(sol)],
         ):
             code, out, err = run_cli(argv)
             assert code == 2, argv
@@ -217,8 +233,8 @@ def test_modulus_ceiling_exit_2(tmp_path):
 
 
 def test_dac_solve_at_p_2_31_minus_1(tmp_path):
-    # char_poly cannot count the singular indices at this prime, so the
-    # cost warning is skipped; the solve itself does not need them
+    # the cost warning counts the singular indices through char_poly at this
+    # prime too; this draw has none, so it stays silent
     code, text, _ = run_cli(
         ["gen", "--p", "2147483647", "--n", "3", "--N", "80", "--q", "random"]
     )

@@ -6,7 +6,8 @@ import pytest
 from qdsolve import dac, instrument
 from qdsolve.dac import DAC_LEAF, dac_solve, op_E, rdac
 from qdsolve.field import PrimeField
-from qdsolve.oracle import dense_solve, make_instance, random_instance, residual
+from qdsolve.linalg import char_poly
+from qdsolve.oracle import _solve_operator_matrix, make_instance, random_instance, residual
 from qdsolve.polymat import SeriesMatrix
 from qdsolve.series import QContext
 from qdsolve.solution import spaces_equal
@@ -39,7 +40,7 @@ def test_op_E_constant_expansion():
     F = sm(p, [[[7]]], 1)
     Z = SeriesMatrix.zeros(p, 1, 1, 1)
     E = op_E(A, F, Z, 0, ctx, 1)
-    assert E.coefficient_matrix(0).a[0, 0] == (-7) % p
+    assert E.coefficient_array(0)[0, 0] == (-7) % p
 
 
 def test_op_E_splitting_identity():
@@ -75,7 +76,7 @@ def test_rdac_base_cases():
     A = sm(p, [[[2]]], 1)
     out, cons, sing = rdac(A, sm(p, [[[3]]], 1), 0, 1, ctx)
     # R_0 = q^0 A0 - gamma_0 = 2; -inv(2)*3 = -52*...; inv(2)=51; -51*3 = -153 = -52 = 49
-    assert out.coefficient_matrix(0).a[0, 0] == (-pow(2, p - 2, p) * 3) % p
+    assert out.coefficient_array(0)[0, 0] == (-pow(2, p - 2, p) * 3) % p
     assert out.cols == 1 and cons == [] and sing == []
     # singular index: the step's unknown becomes parameter column 1, and its
     # equation 0 = C_0 becomes the one constraint
@@ -94,7 +95,7 @@ def test_rdac_leaf_products_near_int64_limit():
     for seed in (1, 12):
         inst = random_instance(seed, p, 3, 12, 1, "random")
         sol = dac_solve(inst.A, inst.C, inst.N, inst.ctx)
-        want = dense_solve(inst)
+        want = _solve_operator_matrix(inst)
         assert want is not None and want.dim == 0
         assert sol.dim == 0 and sol.particular == want.particular
         assert residual(sol.particular, inst).is_zero()
@@ -153,7 +154,7 @@ def test_dac_fast_path_no_parameters():
     F, cons, sing = rdac(inst.A, inst.C, 0, inst.N, inst.ctx)
     assert F.cols == 1 and cons == [] and sing == []  # width 1: no parameters
     sol = dac_solve(inst.A, inst.C, inst.N, inst.ctx)
-    assert sol is not None and spaces_equal(sol, dense_solve(inst))
+    assert sol is not None and spaces_equal(sol, _solve_operator_matrix(inst))
 
 
 @LEAVES
@@ -163,7 +164,7 @@ def test_dac_residuals(monkeypatch, leaf):
         inst = random_instance(5000 + trial, 134217757, 2, 12, 1, "random")
         sol = dac_solve(inst.A, inst.C, inst.N, inst.ctx)
         if sol is None:
-            assert dense_solve(inst) is None
+            assert _solve_operator_matrix(inst) is None
             continue
         assert residual(sol.particular, inst).is_zero()
         for j in range(sol.dim):
@@ -185,7 +186,7 @@ def test_dac_agrees_with_dense_random(monkeypatch, leaf):
         q_mode = rng.choice(["one", "random"])
         inst = random_instance(6000 + trial, p, n, N, k, q_mode)
         s_dac = dac_solve(inst.A, inst.C, inst.N, inst.ctx)
-        s_dense = dense_solve(inst)
+        s_dense = _solve_operator_matrix(inst)
         assert spaces_equal(s_dac, s_dense), (trial, p, n, N, k, q_mode)
         agree += 1
     assert agree > 100
@@ -225,7 +226,7 @@ def _planted(seed, q, k, n, N, A0=None):
 
 def _assert_agrees(inst):
     s_dac = dac_solve(inst.A, inst.C, inst.N, inst.ctx)
-    s_dense = dense_solve(inst, method="matrix")
+    s_dense = _solve_operator_matrix(inst)
     assert s_dense is not None
     assert spaces_equal(s_dac, s_dense)
 
@@ -272,12 +273,12 @@ def test_dac_singular_steps_in_leaves(checks_on, where):
         gs = place[:n]
         q = int(gen.integers(2, P28))
         inst = _planted(8000 + n, q, 1, n, N, _rigged_A0(gen, q, gs, n))
-        R = singular_indices(inst.A.coefficient_matrix(0), inst.ctx, N)
+        R = singular_indices(char_poly(inst.A.coefficient_array(0), P28), inst.ctx, N)
         assert set(gs) <= set(R)
         _assert_agrees(inst)
         # an unplanted C: usually inconsistent, and both engines must say so
         inst.C = SeriesMatrix(P28, gen.integers(0, P28, (n, 1, N)), N)
-        assert spaces_equal(dac_solve(inst.A, inst.C, N, inst.ctx), dense_solve(inst, method="matrix"))
+        assert spaces_equal(dac_solve(inst.A, inst.C, N, inst.ctx), _solve_operator_matrix(inst))
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -291,7 +292,7 @@ def test_dac_singular_constant_matrix_higher_order(checks_on, k):
             v = gen.integers(0, P28, (1, n))
             A0 = np.zeros((n, n), dtype=np.int64) if n == 1 else u @ v % P28
             inst = _planted(9000 + N + n, int(gen.integers(2, P28)), k, n, N, A0)
-            assert singular_indices(inst.A.coefficient_matrix(0), inst.ctx, N) == list(range(N))
+            assert singular_indices(char_poly(inst.A.coefficient_array(0), P28), inst.ctx, N) == list(range(N))
             _assert_agrees(inst)
 
 
@@ -301,8 +302,8 @@ P31 = 2**31 - 1
 @pytest.mark.parametrize("N", [DAC_LEAF // 2 + 1, DAC_LEAF + 9])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_dac_at_p_2_31_minus_1(checks_on, N, k):
-    # char_poly cannot run at this prime, and DAC no longer needs it: the
-    # leaves find their own singular steps
+    # DAC calls no spectrum code at any prime: the leaves find their own
+    # singular steps
     gen = np.random.default_rng(N * 10 + k)
     for n in (1, 2, 3, 4):
         inst = random_instance(100 * N + 10 * k + n, P31, n, N, k, "random")
@@ -313,7 +314,7 @@ def test_dac_at_p_2_31_minus_1(checks_on, N, k):
             Ad[0, :, 0] = 0
             inst.A = SeriesMatrix(P31, Ad, N)
             inst.C = residual(SeriesMatrix(P31, gen.integers(0, P31, (n, 1, N)), N), inst, homogeneous=True)
-        want = dense_solve(inst)
+        want = _solve_operator_matrix(inst)
         got = dac_solve(inst.A, inst.C, inst.N, inst.ctx)
         assert spaces_equal(got, want), n
         if got is not None:

@@ -2,7 +2,6 @@ import pytest
 
 from qdsolve.errors import PreconditionError
 from qdsolve.field import PrimeField, is_prime
-from qdsolve.linalg import Matrix
 from qdsolve.polymat import SeriesMatrix
 from qdsolve.series import QContext
 
@@ -53,14 +52,14 @@ def test_is_prime_small():
 
 
 def test_canonical_residues():
-    # constructors reduce every value into [0, p), whatever its sign or size
-    e = Matrix(7, [[-1, 13, 7 * 10**12 + 5]])
-    assert e.a.tolist() == [[6, 6, 5]]
-    assert (e + Matrix(7, [[1, 1, 2]])).a.tolist() == [[0, 0, 0]]
-    assert (-e).a.tolist() == [[1, 1, 2]]
+    # the constructor reduces every value into [0, p), whatever its sign or size
     s = SeriesMatrix(7, [[[-1, -13, 0]]], 3)
     assert s.data.tolist() == [[[6, 1]]]
     assert s.scale(2).data.tolist() == [[[5, 2]]]
+    e = SeriesMatrix(7, [[[-1], [13], [7 * 10**12 + 5]]], 1)
+    assert e.data.tolist() == [[[6], [6], [5]]]
+    assert (e + SeriesMatrix(7, [[[1], [1], [2]]], 1)).is_zero()
+    assert (-e).data.tolist() == [[[1], [1], [2]]]
 
 
 def test_inverse_involution_and_fermat():

@@ -6,7 +6,7 @@ from qdsolve.convolution import NTT_CUTOFF
 from qdsolve.dac import dac_solve
 from qdsolve.field import PrimeField
 from qdsolve.newton import newton_solve
-from qdsolve.oracle import ProblemInstance, dense_solve, random_instance, residual
+from qdsolve.oracle import ProblemInstance, _solve_operator_matrix, dense_solve, random_instance, residual
 from qdsolve.polymat import SeriesMatrix
 from qdsolve.series import QContext
 from qdsolve.solution import spaces_equal
@@ -21,7 +21,7 @@ def test_engines_agree_above_ntt_cutoff():
     inst = random_instance(424242, P28, 1, N, 1, "random", require_good_spectrum=True)
     s_dac = dac_solve(inst.A, inst.C, inst.N, inst.ctx)
     s_newton = newton_solve(inst.A, inst.C, inst.N, inst.ctx)
-    s_dense = dense_solve(inst)  # stepwise route at this size
+    s_dense = dense_solve(inst)
     assert spaces_equal(s_dac, s_newton)
     assert spaces_equal(s_dac, s_dense)
     assert residual(s_dac.particular, inst).is_zero()
@@ -36,11 +36,12 @@ def test_engines_agree_medium_k3():
 
 
 def test_dense_routes_agree_near_limit():
-    # straddle the matrix/stepwise switch with the same instance
+    # the step kernel against the operator-matrix reference at the largest
+    # sizes the reference is cheap at, nN from 500 to 570
     for seed, n, N in ((1, 1, 500), (2, 2, 280), (3, 3, 190)):
         inst = random_instance(60_000 + seed, P28, n, N, 1, "random")
-        s_mat = dense_solve(inst, method="matrix")
-        s_step = dense_solve(inst, method="stepwise")
+        s_mat = _solve_operator_matrix(inst)
+        s_step = dense_solve(inst)
         assert spaces_equal(s_mat, s_step), (n, N)
 
 
@@ -60,8 +61,8 @@ def test_stepwise_vector_path_with_parameters():
         field, ctx, 1, N,
         SeriesMatrix(P28, Adata, N), SeriesMatrix.zeros(P28, 1, 1, N),
     )
-    s_step = dense_solve(inst, method="stepwise")
-    s_mat = dense_solve(inst, method="matrix")
+    s_step = dense_solve(inst)
+    s_mat = _solve_operator_matrix(inst)
     s_dac = dac_solve(inst.A, inst.C, inst.N, inst.ctx)
     assert s_step.dim == 1
     assert spaces_equal(s_step, s_mat)

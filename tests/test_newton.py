@@ -6,7 +6,7 @@ import pytest
 from qdsolve import instrument
 from qdsolve.errors import SpectrumError
 from qdsolve.field import PrimeField
-from qdsolve.linalg import Matrix
+from qdsolve.linalg import mat_inv
 from qdsolve.newton import (
     choose_associated,
     diff_sylvester,
@@ -16,7 +16,7 @@ from qdsolve.newton import (
     pol_coeffs_de,
     splitting_lemma,
 )
-from qdsolve.oracle import ProblemInstance, dense_solve, random_instance, residual
+from qdsolve.oracle import ProblemInstance, _solve_operator_matrix, random_instance, residual
 from qdsolve.polymat import SeriesMatrix
 from qdsolve.series import QContext
 from qdsolve.solution import spaces_equal
@@ -73,7 +73,7 @@ def test_pol_coeffs_de_singular_p0_matches_dense(q, k):
     P = sm(p, [[[0, 1]]], N)
     Q = sm(p, [[[0, 0, 1, 2, 3, 4]]], N)
     sol = pol_coeffs_de(P, Q, N, ctx)
-    want = dense_solve(ProblemInstance(P101, ctx, 1, N, P, Q), method="matrix")
+    want = _solve_operator_matrix(ProblemInstance(P101, ctx, 1, N, P, Q))
     assert want is not None and want.dim == 1
     assert spaces_equal(sol, want)
 
@@ -130,9 +130,7 @@ def test_splitting_lemma_random_postconditions():
         for i in range(n):
             offdiag[i, i, :] = 0
         assert not np.any(offdiag)  # B diagonal
-        from qdsolve.linalg import mat_inv
-
-        mat_inv(out.V.coefficient_matrix(0))  # V0 invertible
+        mat_inv(out.V.coefficient_array(0), p)  # V0 invertible
 
 
 def test_choose_associated_branches():
@@ -305,10 +303,8 @@ def test_newton_ae_postconditions_random():
         else:
             # the differential corrections reach down to degree 1; the
             # constant term is the surviving congruence with the seed
-            assert W.coefficient_matrix(0) == assoc.V.coefficient_matrix(0)
-        from qdsolve.linalg import mat_inv
-
-        mat_inv(W.coefficient_matrix(0))
+            assert np.array_equal(W.coefficient_array(0), assoc.V.coefficient_array(0))
+        mat_inv(W.coefficient_array(0), p)
 
 
 def test_newton_solve_exponential():
@@ -357,7 +353,7 @@ def test_gauge_equivalence_both_directions():
         assoc = choose_associated(At, ctx)
         W = newton_ae(At, assoc.B, assoc.V, N, ctx).as_poly_prec(N)
         Winv = W.inv_newton(N)
-        sol = dense_solve(inst)
+        sol = _solve_operator_matrix(inst)
         if sol is None:
             continue
         G = sol.particular
@@ -385,14 +381,13 @@ def test_zero_constant_matrix_family():
     Adata[:, :, 0] = 0
     A = SeriesMatrix(p, Adata, N)
     from qdsolve.dac import dac_solve
-    from qdsolve.oracle import ProblemInstance, dense_solve
     from qdsolve.field import PrimeField
 
     # homogeneous: dimension n, all engines agree
     C0 = SeriesMatrix.zeros(p, n, 1, N)
     inst = ProblemInstance(PrimeField(p), ctx, n, N, A, C0)
     sols = [
-        dense_solve(inst),
+        _solve_operator_matrix(inst),
         dac_solve(A, C0, N, ctx),
         newton_solve(A, C0, N, ctx),
     ]
@@ -401,7 +396,7 @@ def test_zero_constant_matrix_family():
 
     # constant term in C makes coefficient 0 read 0 = C_0: inconsistent
     Cbad = SeriesMatrix(p, np.array([[[1]], [[0]]], dtype=np.int64), N)
-    assert dense_solve(ProblemInstance(PrimeField(p), ctx, n, N, A, Cbad)) is None
+    assert _solve_operator_matrix(ProblemInstance(PrimeField(p), ctx, n, N, A, Cbad)) is None
     assert dac_solve(A, Cbad, N, ctx) is None
     assert newton_solve(A, Cbad, N, ctx) is None
 
@@ -417,7 +412,39 @@ def test_newton_agrees_with_dense_random():
         q_mode = rng.choice(["one", "random"])
         inst = random_instance(10000 + trial, p, n, N, k, q_mode, require_good_spectrum=True)
         s_newton = newton_solve(inst.A, inst.C, inst.N, inst.ctx)
-        s_dense = dense_solve(inst)
+        s_dense = _solve_operator_matrix(inst)
         assert spaces_equal(s_newton, s_dense), (trial, n, N, k, q_mode)
         count += 1
     assert count == 60
+
+
+@pytest.mark.parametrize("q_mode", ["random", "one"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_engines_agree_at_p_2_31_minus_1(k, q_mode):
+    # (p - 1)^2 is just below 2^62: every product of the spectrum test, the
+    # splitting construction and the Sylvester steps must be split or chunked
+    from qdsolve.dac import dac_solve
+    from qdsolve.oracle import dense_solve
+
+    p = 2**31 - 1
+    instrument.set_runtime_checks(True)
+    try:
+        for n in (1, 2, 3, 4):
+            for seed in (0, 1):
+                N = 5 + 2 * n + seed
+                inst = random_instance(
+                    20000 + 10 * n + seed, p, n, N, k, q_mode, require_good_spectrum=True
+                )
+                want = _solve_operator_matrix(inst)
+                assert want is not None
+                for engine, got in (
+                    ("dense", dense_solve(inst)),
+                    ("dac", dac_solve(inst.A, inst.C, inst.N, inst.ctx)),
+                    ("newton", newton_solve(inst.A, inst.C, inst.N, inst.ctx)),
+                ):
+                    assert spaces_equal(got, want), (engine, n, seed)
+                    assert residual(got.particular, inst).is_zero(), (engine, n, seed)
+                    for j in range(got.dim):
+                        assert residual(got.basis.col(j), inst, homogeneous=True).is_zero()
+    finally:
+        instrument.set_runtime_checks(False)

@@ -5,6 +5,7 @@ from qdsolve.errors import PreconditionError
 from qdsolve.field import PrimeField
 from qdsolve.oracle import (
     ProblemInstance,
+    _solve_operator_matrix,
     dense_solve,
     make_instance,
     random_instance,
@@ -20,6 +21,13 @@ def scalar_instance(p, q, k, N, a_coeffs, c_coeffs):
     A = SeriesMatrix(p, np.array([[a_coeffs]], dtype=np.int64), N)
     C = SeriesMatrix(p, np.array([[c_coeffs]], dtype=np.int64), N)
     return make_instance(p, q, k, 1, N, A, C)
+
+
+def dense_pair(inst):
+    """The operator-matrix reference, checked against the step kernel."""
+    want = _solve_operator_matrix(inst)
+    assert spaces_equal(want, dense_solve(inst))
+    return want
 
 
 def pad(coeffs, N):
@@ -44,7 +52,7 @@ def test_reduce_k0_round_trip_exponential():
     p, N = 101, 7
     inst = scalar_instance(p, 1, 0, N, pad([1], N), pad([], N))
     assert inst.k == 1 and inst.N == N + 1
-    sol = dense_solve(inst)
+    sol = dense_pair(inst)
     assert sol is not None and sol.dim == 1
     col = [int(sol.basis.coefficient_array(i)[0, 0]) for i in range(N + 1)]
     inv_fact = 1
@@ -68,25 +76,25 @@ def test_dense_examples():
     p = 101
     # A = 1, C = 0, k = 1, q = 1: space {lambda * x}
     inst = scalar_instance(p, 1, 1, 4, pad([1], 4), pad([], 4))
-    sol = dense_solve(inst)
+    sol = dense_pair(inst)
     assert sol.particular.is_zero()
     assert sol.dim == 1
     assert sol.basis.entry(0, 0) == ser(p, [0, 1], 4)
 
     # A = 0, C = x, k = 1, q = 1: particular x, basis [1]
     inst = scalar_instance(p, 1, 1, 3, pad([], 3), pad([0, 1], 3))
-    sol = dense_solve(inst)
+    sol = dense_pair(inst)
     assert sol.particular.entry(0, 0) == ser(p, [0, 1], 3)
     assert sol.dim == 1 and sol.basis.entry(0, 0) == ser(p, [1], 3)
 
     # A = 1, C = 0, k = 1, q = 2: only the zero solution
     inst = scalar_instance(p, 2, 1, 4, pad([1], 4), pad([], 4))
-    sol = dense_solve(inst)
+    sol = dense_pair(inst)
     assert sol.particular.is_zero() and sol.dim == 0
 
     # A = 0, C = 1, k = 1: inconsistent
     inst = scalar_instance(p, 1, 1, 4, pad([], 4), pad([1], 4))
-    assert dense_solve(inst) is None
+    assert dense_pair(inst) is None
 
 
 def test_dense_routes_agree():
@@ -102,8 +110,8 @@ def test_dense_routes_agree():
         if p <= N:
             continue
         inst = random_instance(1000 + trial, p, n, N, k, q_mode)
-        s_mat = dense_solve(inst, method="matrix")
-        s_step = dense_solve(inst, method="stepwise")
+        s_mat = _solve_operator_matrix(inst)
+        s_step = dense_solve(inst)
         assert spaces_equal(s_mat, s_step), (trial, p, n, N, k)
         if s_mat is not None:
             assert residual(s_mat.particular, inst).is_zero()
@@ -118,8 +126,8 @@ def test_dense_routes_agree_at_p_2_31_minus_1():
     for seed in range(6):
         for k in (1, 2, 3):
             inst = random_instance(seed, p, 3, 9, k, "random")
-            s_mat = dense_solve(inst, method="matrix")
-            s_step = dense_solve(inst, method="stepwise")
+            s_mat = _solve_operator_matrix(inst)
+            s_step = dense_solve(inst)
             assert spaces_equal(s_mat, s_step), (seed, k)
             if s_mat is not None:
                 assert residual(s_mat.particular, inst).is_zero()
@@ -128,7 +136,7 @@ def test_dense_routes_agree_at_p_2_31_minus_1():
 def test_dense_residuals_always_zero():
     for trial in range(40):
         inst = random_instance(2000 + trial, 134217757, 2, 10, 1, "random")
-        sol = dense_solve(inst)
+        sol = dense_pair(inst)
         if sol is None:
             continue
         assert residual(sol.particular, inst).is_zero()
@@ -139,7 +147,7 @@ def test_dense_residuals_always_zero():
 def test_spaces_equal_examples():
     p, N = 101, 4
     inst = scalar_instance(p, 1, 1, N, pad([1], N), pad([], N))
-    sol = dense_solve(inst)
+    sol = _solve_operator_matrix(inst)
     # same affine set under basis rescaling and particular shifts
     shifted = SolutionSpace(sol.particular + sol.basis, sol.basis)
     scaled = SolutionSpace(sol.particular, sol.basis.scale(2))
@@ -153,7 +161,7 @@ def test_spaces_equal_examples():
 
 def test_spaces_equal_is_equivalence():
     insts = [random_instance(3000 + t, 134217757, 2, 8, 1, "random") for t in range(10)]
-    sols = [dense_solve(i) for i in insts]
+    sols = [_solve_operator_matrix(i) for i in insts]
     for s in sols:
         assert spaces_equal(s, s)
     for s1 in sols:
@@ -167,7 +175,7 @@ def test_spaces_equal_is_equivalence():
 
 def test_basis_columns_independent_across_engines():
     from qdsolve.dac import dac_solve
-    from qdsolve.linalg import Matrix, lin_solve
+    from qdsolve.linalg import lin_solve
     from qdsolve.solution import _flatten_cols
 
     import random as _r
@@ -197,15 +205,19 @@ def test_basis_columns_independent_across_engines():
             field, ctx, n, N,
             SeriesMatrix(p, Adata, N), SeriesMatrix.zeros(p, n, 1, N),
         )
-        sols = [dense_solve(inst), dac_solve(inst.A, inst.C, inst.N, inst.ctx)]
+        sols = [
+            _solve_operator_matrix(inst),
+            dense_solve(inst),
+            dac_solve(inst.A, inst.C, inst.N, inst.ctx),
+        ]
         for sol in sols:
             assert sol is not None  # homogeneous systems always admit 0
             if sol.dim == 0:
                 continue
             found += 1
             flat = _flatten_cols(sol.basis).T  # (nN, t)
-            ker = lin_solve(Matrix(inst.p, flat), Matrix.zeros(inst.p, flat.shape[0], 1))
-            assert ker.nullspace.cols == 0, "dependent basis columns"
+            ker = lin_solve(flat, np.zeros((flat.shape[0], 1), dtype=np.int64), inst.p)
+            assert ker.nullspace.shape[1] == 0, "dependent basis columns"
     assert found > 10
 
 
@@ -220,7 +232,7 @@ def test_random_instance_good_spectrum():
 
     for seed in range(8):
         inst = random_instance(seed, 134217757, 3, 12, 2, "one", require_good_spectrum=True)
-        assert good_spectrum(inst.A.coefficient_matrix(0), inst.ctx, inst.N).good
+        assert good_spectrum(inst.A.coefficient_array(0), inst.ctx, inst.N).good
 
 
 def test_instance_validation():

@@ -7,7 +7,7 @@ from pathlib import Path
 import qdsolve
 
 PUBLIC = {
-    "PrimeField", "QContext", "Matrix", "SeriesMatrix", "ProblemInstance", "SolutionSpace",
+    "PrimeField", "QContext", "SeriesMatrix", "ProblemInstance", "SolutionSpace",
     "make_instance", "random_instance", "residual", "spaces_equal",
     "dense_solve", "dac_solve", "newton_solve",
     "QdsolveError", "UsageError", "ProblemFormatError", "PreconditionError",
@@ -26,6 +26,41 @@ def test_public_names():
     assert block is not None
     names = {tok.strip() for tok in block.group(1).split(",") if tok.strip()}
     assert names and names <= PUBLIC
+
+
+# numpy calls that form a matrix or polynomial product, whose int64 sums
+# overflow unless they are split or chunked
+_PRODUCT_CALLS = {"dot", "matmul", "convolve", "einsum", "tensordot"}
+
+
+def test_products_only_in_kernels():
+    # residue products are formed in linalg._matmul_mod and convolution.py
+    # only; everywhere else a product must call one of them
+    pkg = Path(qdsolve.__file__).resolve().parent
+    found = []
+    for path in sorted(pkg.glob("*.py")):
+        if path.name == "convolution.py":
+            continue
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "linalg.py":
+            kernel = next(
+                node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_matmul_mod"
+            )
+            allowed = {id(node) for node in ast.walk(kernel)}
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{path.name}:{node.lineno}: @")
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _PRODUCT_CALLS
+            ):
+                found.append(f"{path.name}:{node.lineno}: .{node.func.attr}")
+    assert not found, found
 
 
 def test_traced_names_resolve():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qdsolve.field import PrimeField
-from qdsolve.linalg import Matrix
 from qdsolve.polymat import SeriesMatrix
 from qdsolve.series import QContext
 
@@ -121,24 +120,28 @@ def test_const_mul_and_access():
     rng = random.Random(5)
     p = 97
     A = rand_sm(rng, p, 2, 3, 4)
-    M = Matrix(p, [[rng.randrange(p) for _ in range(2)] for _ in range(4)])
+    M = np.array([[rng.randrange(p) for _ in range(2)] for _ in range(4)], dtype=np.int64)
     got = A.lmul_const(M)
     for d in range(4):
-        assert got.coefficient_matrix(d) == M @ A.coefficient_matrix(d)
-    R = Matrix(p, [[rng.randrange(p) for _ in range(5)] for _ in range(3)])
+        want = M.astype(object) @ A.coefficient_array(d).astype(object) % p
+        assert got.coefficient_array(d).tolist() == want.tolist()
+    R = np.array([[rng.randrange(p) for _ in range(5)] for _ in range(3)], dtype=np.int64)
     got = A.rmul_const(R)
     for d in range(4):
-        assert got.coefficient_matrix(d) == A.coefficient_matrix(d) @ R
+        want = A.coefficient_array(d).astype(object) @ R.astype(object) % p
+        assert got.coefficient_array(d).tolist() == want.tolist()
     e = A.entry(1, 2)
     assert (e.rows, e.cols, e.prec) == (1, 1, 4)
-    assert [e.coefficient_matrix(d).a[0, 0] for d in range(4)] == [A.data[1, 2, d] for d in range(4)]
+    assert [e.coefficient_array(d)[0, 0] for d in range(4)] == [A.data[1, 2, d] for d in range(4)]
+    with pytest.raises(IndexError):
+        A.coefficient_array(4)
 
 
 def test_hstack_and_cols():
     rng = random.Random(6)
     A = rand_sm(rng, 101, 3, 2, 4)
     B = rand_sm(rng, 101, 3, 1, 4)
-    C = SeriesMatrix.hstack([A, B])
+    C = SeriesMatrix(101, np.concatenate([A.data, B.data], axis=1), 4)
     assert C.cols == 3
     assert C.col(2) == B
     assert C.col_slice(0, 2) == A

@@ -1,4 +1,4 @@
-"""Property tests: the divide-and-conquer engine against the dense oracle."""
+"""Property tests: the divide-and-conquer engine against the operator-matrix reference."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from qdsolve.dac import DAC_LEAF, dac_solve  # noqa: E402
-from qdsolve.oracle import dense_solve, make_instance, residual  # noqa: E402
+from qdsolve.oracle import _solve_operator_matrix, make_instance, residual  # noqa: E402
 from qdsolve.polymat import SeriesMatrix  # noqa: E402
 from qdsolve.solution import spaces_equal  # noqa: E402
 
@@ -43,6 +43,6 @@ def instances(draw):
 @given(instances())
 def test_dac_and_dense_agree(inst):
     s_dac = dac_solve(inst.A, inst.C, inst.N, inst.ctx)
-    s_dense = dense_solve(inst)
+    s_dense = _solve_operator_matrix(inst)
     assert (s_dac is None) == (s_dense is None)
     assert spaces_equal(s_dac, s_dense)

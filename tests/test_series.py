@@ -24,7 +24,7 @@ def rand_series(rng, p, prec, ensure_zero_const=False):
 
 
 def coeff(f, i):
-    return int(f.coefficient_matrix(i).a[0, 0])
+    return int(f.coefficient_array(i)[0, 0])
 
 
 def test_gamma_examples():
