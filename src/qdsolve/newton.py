@@ -14,7 +14,7 @@ The good-spectrum condition is a hard precondition here: it makes every
 per-coefficient Sylvester step Y_i X - X B0 = Z_i uniquely solvable.
 Each step is solved by the Cayley-Hamilton identity
 chi_B0(Y_i) X = sum_l R_l B0^l (see linalg.sylvester_solve): O(n^4)
-per coefficient, with chi_B0 computed once per ladder level.  The
+per coefficient, with chi_B0 computed once per solve.  The
 inverse of the iterate is maintained incrementally across levels and
 refreshed by Newton doubling, and the residual products are computed
 only on the window where the residual is supported.
@@ -112,13 +112,21 @@ def pol_coeffs_de(P: SeriesMatrix, Q: SeriesMatrix, N: int, ctx: QContext) -> So
     return resolve_affine_family(family, cons)
 
 
-def diff_sylvester(Gamma: SeriesMatrix, B: SeriesMatrix, m: int, N: int, ctx: QContext) -> SeriesMatrix:
+def diff_sylvester(
+    Gamma: SeriesMatrix,
+    B: SeriesMatrix,
+    m: int,
+    N: int,
+    ctx: QContext,
+    chi: list[int] | None = None,
+) -> SeriesMatrix:
     """Solve x^k delta(U) = B sigma(U) - U B + Gamma mod x^N, Gamma = 0 mod x^m.
 
     For k = 1 or q != 1; each coefficient is one constant Sylvester
     solve Y_i X - X B0 = Z_i, uniquely solvable under the good-spectrum
-    condition.  The steps share B0, so char_poly(B0) is computed once
-    and every step is a Cayley-Hamilton solve of O(n^4) cost.  The
+    condition.  The steps share B0, so char_poly(B0) is needed once and
+    every step is a Cayley-Hamilton solve of O(n^4) cost; chi, when
+    given, must be char_poly(B0), and is computed here otherwise.  The
     result satisfies U = 0 mod x^m.
     """
     k, p, n = ctx.k, ctx.p, B.rows
@@ -135,9 +143,8 @@ def diff_sylvester(Gamma: SeriesMatrix, B: SeriesMatrix, m: int, N: int, ctx: QC
     U = np.zeros((n, n, N), dtype=_INT64)
     scalar = n == 1
     b0 = int(B0[0, 0]) if scalar else 0
-    # every step solves against the same B0, so its characteristic
-    # polynomial is computed once per call
-    chi = None if scalar else char_poly(B0, p)
+    if chi is None and not scalar:
+        chi = char_poly(B0, p)
     for i in range(m, N):
         C = Gd[:, :, i].copy() if i < Lg else np.zeros((n, n), dtype=_INT64)
         for j in range(1, min(k, i - m + 1)):
@@ -246,7 +253,10 @@ def _newton_ae_impl(A: SeriesMatrix, B: SeriesMatrix, V: SeriesMatrix, N: int, c
     W = V
     Winv: SeriesMatrix | None = None
     inv_valid = 0
-    sylv = diff_sylvester if (k == 1 or ctx.q != 1) else diff_sylvester_differential
+    differential = k > 1 and ctx.q == 1
+    # B, and so B0, is fixed for the whole solve: one char_poly(B0) serves
+    # every ladder level
+    chi = None if differential or B.rows == 1 else char_poly(B.coefficient_array(0), ctx.p)
     for idx in range(1, len(ladder)):
         target = ladder[idx]
         mprev = ladder[idx - 1]
@@ -272,7 +282,10 @@ def _newton_ae_impl(A: SeriesMatrix, B: SeriesMatrix, V: SeriesMatrix, N: int, c
         inv_valid = max(inv_valid, need)
         Gh = Winv.as_poly_prec(need).truncate(need).mul(Rh, need)
         Gamma = (-Gh).shift(mprev).truncate(target)
-        U = sylv(Gamma, B, mprev, target, ctx)
+        if differential:
+            U = diff_sylvester_differential(Gamma, B, mprev, target, ctx)
+        else:
+            U = diff_sylvester(Gamma, B, mprev, target, ctx, chi)
         # U = 0 mod x^(mprev - k + 1); the strict shift asserts the valuation
         v = mprev - k + 1
         Uh = U.shift(-v)

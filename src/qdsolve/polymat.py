@@ -3,8 +3,18 @@
 Storage is a dense (rows, cols, L) int64 array of coefficient planes with
 L <= prec, canonical residues in [0, p) and the trailing all-zero planes
 trimmed; entries share one truncation order.  A scalar series is a 1 x 1
-matrix.  The matrix product is the naive cubic scheme over the entries,
-each pairwise product going through the truncated convolution backend.
+matrix.
+
+The matrix product has two exact int64 routes.  When the shorter operand
+has at most rows * cols coefficients, it is shift-batched: one
+``_matmul_mod`` per coefficient of the shorter operand, added into the
+output window it reaches.  Otherwise each (row, inner, col) triple is one
+``conv_trunc`` call, which picks the direct or NTT convolution.  Every
+summand is a canonical residue below p < 2^31 and there are fewer than
+2^31 of them, so the accumulators stay below 2^62 and are reduced once.
+The shift-batched route charges the field multiplications of the
+products it forms; that is never more than the per-entry route's
+rows * inner * cols * La * Lb.
 """
 
 from __future__ import annotations
@@ -137,7 +147,25 @@ class SeriesMatrix:
         return SeriesMatrix._mk(self.p, self.data * c % self.p, self.prec)
 
     def mul(self, other: "SeriesMatrix", n: int | None = None) -> "SeriesMatrix":
-        """Naive cubic matrix product, entries truncated mod x^n."""
+        """Matrix product, entries truncated mod x^n.
+
+        With La, Lb the stored lengths, two exact routes give the same
+        canonical result:
+
+        * shift-batched, when min(La, Lb) <= rows * cols: for each
+          coefficient s of the shorter operand one ``_matmul_mod`` adds
+          its product with the longer operand's first m planes into the
+          output window [s, s + m), m = min(longer length, Lout - s);
+        * per entry otherwise: one ``conv_trunc`` per (row, inner, col)
+          triple, so long products keep the NTT.
+
+        The rule makes the first route take no more Python-level calls
+        than there are output entries.  Both routes sum canonical terms
+        below p < 2^31, fewer than 2^31 of them, so every int64 sum stays
+        below 2^62 and is reduced once at the end.  The shift-batched route
+        charges the products it forms, sum_s rows * inner * cols * m; the
+        per-entry route charges rows * inner * cols * La * Lb, never less.
+        """
         self._check_compat(other)
         if self.cols != other.rows:
             raise ValueError("inner dimensions disagree")
@@ -151,8 +179,21 @@ class SeriesMatrix:
         Lb = other.data.shape[2]
         Lout = min(n, max(0, La + Lb - 1))
         out = np.zeros((rows, cols, Lout), dtype=_INT64)
-        if Lout:
-            # fewer than 2^31 canonical terms of size < p < 2^31 sum below 2^62
+        if Lout and min(La, Lb) <= rows * cols:
+            if La <= Lb:
+                for s in range(min(La, Lout)):
+                    m = min(Lb, Lout - s)
+                    b = other.data[:, :, :m].reshape(inner, cols * m)
+                    out[:, :, s : s + m] += _matmul_mod(self.data[:, :, s], b, p).reshape(rows, cols, m)
+            else:
+                # planes first, so the first m planes are a (m * rows) x inner prefix
+                at = np.ascontiguousarray(self.data.transpose(2, 0, 1))
+                for s in range(min(Lb, Lout)):
+                    m = min(La, Lout - s)
+                    c = _matmul_mod(at[:m].reshape(m * rows, inner), other.data[:, :, s], p)
+                    out[:, :, s : s + m] += c.reshape(m, rows, cols).transpose(1, 2, 0)
+            out %= p
+        elif Lout:
             for i in range(rows):
                 di = self.data[i]
                 for j in range(cols):

@@ -2,9 +2,9 @@
 and their derived tables.
 
 ``QContext`` bundles the field, q and k, memoizes the q-integers gamma_i
-(gamma_0 = 0, gamma_{i+1} = q*gamma_i + 1) and the powers q^i and
-q^(-i), and integrates a scalar series: integrate(f) is the g with
-delta(g) = f and g_0 = 0, where
+(gamma_0 = 0, gamma_{i+1} = q*gamma_i + 1), their inverses, and the
+powers q^i and q^(-i), and integrates a scalar series: integrate(f) is
+the g with delta(g) = f and g_0 = 0, where
 
     delta(f) = sum_{i>=1} gamma_i f_i x^(i-1)      (d/dx when q = 1)
     sigma(f)(x) = f(qx)
@@ -28,11 +28,12 @@ _INT64 = np.int64
 class QContext:
     """The pair (q, k) with the derived gamma and q-power tables.
 
-    The memo tables only grow; after warm-up with ``gamma_slice`` they are
-    read-only, so sharing a context across threads is safe.
+    The memo tables only grow; after warm-up with ``gamma_slice`` (and
+    ``integrate`` at the largest precision, for the inverse table) they
+    are read-only, so sharing a context across threads is safe.
     """
 
-    __slots__ = ("field", "p", "q", "k", "_gam", "_qp", "_qip", "_qinv")
+    __slots__ = ("field", "p", "q", "k", "_gam", "_gaminv", "_qp", "_qip", "_qinv")
 
     def __init__(self, field: PrimeField, q: int, k: int):
         if not isinstance(k, int) or k < 1:
@@ -45,6 +46,7 @@ class QContext:
         self.q = q
         self.k = k
         self._gam = np.zeros(1, dtype=_INT64)
+        self._gaminv = np.zeros(1, dtype=_INT64)  # entry 0 unused: gamma_0 = 0
         self._qp = np.ones(1, dtype=_INT64)
         self._qip = None
         self._qinv = None
@@ -105,6 +107,32 @@ class QContext:
             self._qip = out
         return self._qip[:n]
 
+    def _gamma_inv_slice(self, n: int) -> np.ndarray:
+        """1 / gamma_i for 1 <= i < n (entry 0 is 0); gamma_1 .. gamma_(n-1) must be nonzero.
+
+        New entries are inverted together (batch inversion): prefix
+        products, one Fermat inversion of the last, and a backward pass.
+        """
+        old = len(self._gaminv)
+        if old < n:
+            p = self.p
+            g = [int(c) for c in self.gamma_slice(n)[old:]]
+            pre = []
+            acc = 1
+            for c in g:
+                acc = acc * c % p
+                pre.append(acc)
+            instrument.mul_counter.add(instrument.inv_cost(p) + 3 * len(g))
+            inv = pow(acc, p - 2, p)
+            out = np.empty(n, dtype=_INT64)
+            out[:old] = self._gaminv
+            for j in range(len(g) - 1, 0, -1):
+                out[old + j] = inv * pre[j - 1] % p
+                inv = inv * g[j] % p
+            out[old] = inv
+            self._gaminv = out
+        return self._gaminv[:n]
+
     def integrate(self, f: SeriesMatrix) -> SeriesMatrix:
         """The right inverse of delta with zero constant term, for a 1 x 1 f.
 
@@ -124,9 +152,6 @@ class QContext:
         coeffs = f.data[0, 0]
         L = len(coeffs)
         out = np.zeros((1, 1, L + 1), dtype=_INT64)
-        for i in range(L):
-            c = int(coeffs[i])
-            if c:
-                instrument.mul_counter.add(1 + instrument.inv_cost(p))
-                out[0, 0, i + 1] = c * pow(int(g[i + 1]), p - 2, p) % p
+        instrument.mul_counter.add(L)
+        out[0, 0, 1:] = coeffs * self._gamma_inv_slice(L + 1)[1:] % p
         return SeriesMatrix._mk(p, _trim3(out), n + 1)

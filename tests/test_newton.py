@@ -3,10 +3,10 @@ import random
 import numpy as np
 import pytest
 
-from qdsolve import instrument
+from qdsolve import instrument, linalg, newton, spectrum
 from qdsolve.errors import SpectrumError
 from qdsolve.field import PrimeField
-from qdsolve.linalg import mat_inv
+from qdsolve.linalg import char_poly, mat_inv
 from qdsolve.newton import (
     choose_associated,
     diff_sylvester,
@@ -195,6 +195,41 @@ def test_diff_sylvester_residual_random():
     finally:
         instrument.set_runtime_checks(False)
     assert solved >= 15  # most trials reach the matrix Sylvester path
+
+
+def test_diff_sylvester_given_chi_matches():
+    rng = np.random.default_rng(41)
+    p = 134217757
+    field = PrimeField(p)
+    for k, q in ((1, 1), (1, 5), (2, 7), (3, 11)):
+        ctx = QContext(field, q, k)
+        n, N, m = 3, 12, k + 2
+        B = SeriesMatrix(p, rng.integers(0, p, (n, n, k)), k)
+        Gd = np.zeros((n, n, N), dtype=np.int64)
+        Gd[:, :, m:] = rng.integers(0, p, (n, n, N - m))
+        Gamma = SeriesMatrix(p, Gd, N)
+        chi = char_poly(B.coefficient_array(0), p)
+        assert diff_sylvester(Gamma, B, m, N, ctx, chi) == diff_sylvester(Gamma, B, m, N, ctx)
+
+
+@pytest.mark.parametrize("k, q_mode", [(1, "one"), (1, "random"), (2, "random"), (3, "random")])
+def test_char_poly_twice_per_newton_solve(k, q_mode, monkeypatch):
+    # once in the spectrum test and once for B0, however long the ladder
+    calls = []
+
+    def counted(U, p):
+        calls.append(U.shape[0])
+        return char_poly(U, p)
+
+    for mod in (linalg, newton, spectrum):
+        monkeypatch.setattr(mod, "char_poly", counted)
+    p = 134217757
+    inst = random_instance(30000 + k, p, 3, 40, k, q_mode, require_good_spectrum=True)
+    assert len(newton._newton_ladder(inst.N, k)) > 3
+    calls.clear()  # drawing a good-spectrum instance ran the spectrum test
+    got = newton_solve(inst.A, inst.C, inst.N, inst.ctx)
+    assert calls == [3, 3]
+    assert spaces_equal(got, _solve_operator_matrix(inst))
 
 
 def test_diff_sylvester_differential_examples():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from qdsolve import instrument
 from qdsolve.errors import PreconditionError
 from qdsolve.field import PrimeField
 from qdsolve.polymat import SeriesMatrix
@@ -70,6 +71,26 @@ def test_q_integrate_examples():
     f = ser(5, [1, 1, 1, 1, 1], 5)
     with pytest.raises(PreconditionError, match="gamma_5"):
         ctx5.integrate(f)
+
+
+def test_integrate_inverse_table_grows_once():
+    # the table of 1/gamma_i grows by batch inversion (one Fermat inversion
+    # plus 3 multiplications per new entry) only when a call needs more of
+    # it; every call then charges one multiplication per coefficient
+    rng = random.Random(12)
+    for p in (101, 2**31 - 1):
+        ctx = QContext(PrimeField(p), 3, 1)
+        covered = 1
+        for L in (3, 1, 7, 7, 20, 20):
+            f = ser(p, [rng.randrange(1, p) for _ in range(L)], L)
+            before = instrument.mul_counter.value
+            got = ctx.integrate(f)
+            charge = instrument.mul_counter.value - before
+            want = [0] + [c * pow(ctx.gamma(i), p - 2, p) % p for i, c in enumerate(f.data[0, 0].tolist(), 1)]
+            assert got == ser(p, want, L + 1)
+            grown = max(0, L + 1 - covered)
+            covered = max(covered, L + 1)
+            assert charge == L + (instrument.inv_cost(p) + 3 * grown if grown else 0)
 
 
 def test_mul_examples():
