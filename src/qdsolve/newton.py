@@ -118,16 +118,16 @@ def diff_sylvester(
     m: int,
     N: int,
     ctx: QContext,
-    chi: list[int] | None = None,
+    chi: list[int] | None,
 ) -> SeriesMatrix:
     """Solve x^k delta(U) = B sigma(U) - U B + Gamma mod x^N, Gamma = 0 mod x^m.
 
     For k = 1 or q != 1; each coefficient is one constant Sylvester
     solve Y_i X - X B0 = Z_i, uniquely solvable under the good-spectrum
-    condition.  The steps share B0, so char_poly(B0) is needed once and
-    every step is a Cayley-Hamilton solve of O(n^4) cost; chi, when
-    given, must be char_poly(B0), and is computed here otherwise.  The
-    result satisfies U = 0 mod x^m.
+    condition.  The steps share B0, whose characteristic polynomial chi
+    the caller computes once (None when n = 1, where it is not read), so
+    every step is a Cayley-Hamilton solve of O(n^4) cost.  The result
+    satisfies U = 0 mod x^m.
     """
     k, p, n = ctx.k, ctx.p, B.rows
     if not (k <= m < N):
@@ -143,8 +143,6 @@ def diff_sylvester(
     U = np.zeros((n, n, N), dtype=_INT64)
     scalar = n == 1
     b0 = int(B0[0, 0]) if scalar else 0
-    if chi is None and not scalar:
-        chi = char_poly(B0, p)
     for i in range(m, N):
         C = Gd[:, :, i].copy() if i < Lg else np.zeros((n, n), dtype=_INT64)
         for j in range(1, min(k, i - m + 1)):

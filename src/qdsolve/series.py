@@ -28,9 +28,10 @@ _INT64 = np.int64
 class QContext:
     """The pair (q, k) with the derived gamma and q-power tables.
 
-    The memo tables only grow; after warm-up with ``gamma_slice`` (and
-    ``integrate`` at the largest precision, for the inverse table) they
+    The memo tables only grow; after warm-up with ``gamma_slice`` they
     are read-only, so sharing a context across threads is safe.
+    ``integrate`` grows the table of 1/gamma_i on demand but reads only
+    the table it built or found, so concurrent calls stay correct.
     """
 
     __slots__ = ("field", "p", "q", "k", "_gam", "_gaminv", "_qp", "_qip", "_qinv")
@@ -108,30 +109,21 @@ class QContext:
         return self._qip[:n]
 
     def _gamma_inv_slice(self, n: int) -> np.ndarray:
-        """1 / gamma_i for 1 <= i < n (entry 0 is 0); gamma_1 .. gamma_(n-1) must be nonzero.
-
-        New entries are inverted together (batch inversion): prefix
-        products, one Fermat inversion of the last, and a backward pass.
-        """
-        old = len(self._gaminv)
+        """1 / gamma_i for 1 <= i < n (entry 0 is 0); gamma_1 .. gamma_(n-1) must be nonzero."""
+        tab = self._gaminv
+        old = len(tab)
         if old < n:
             p = self.p
-            g = [int(c) for c in self.gamma_slice(n)[old:]]
-            pre = []
-            acc = 1
-            for c in g:
-                acc = acc * c % p
-                pre.append(acc)
-            instrument.mul_counter.add(instrument.inv_cost(p) + 3 * len(g))
-            inv = pow(acc, p - 2, p)
-            out = np.empty(n, dtype=_INT64)
-            out[:old] = self._gaminv
-            for j in range(len(g) - 1, 0, -1):
-                out[old + j] = inv * pre[j - 1] % p
-                inv = inv * g[j] % p
-            out[old] = inv
-            self._gaminv = out
-        return self._gaminv[:n]
+            g = self.gamma_slice(n)
+            instrument.mul_counter.add(instrument.inv_cost(p) * (n - old))
+            grown = np.empty(n, dtype=_INT64)
+            grown[:old] = tab
+            for i in range(old, n):
+                grown[i] = pow(int(g[i]), p - 2, p)
+            tab = grown
+            if n > len(self._gaminv):
+                self._gaminv = tab
+        return tab[:n]
 
     def integrate(self, f: SeriesMatrix) -> SeriesMatrix:
         """The right inverse of delta with zero constant term, for a 1 x 1 f.
