@@ -148,15 +148,13 @@ def _conv_direct(a: np.ndarray, b: np.ndarray, p: int, out_len: int) -> np.ndarr
         return np.convolve(a, b)[:out_len] % p
     s = (p.bit_length() + 1) // 2
     if mn * (p - 1) << s >= 2**63:
-        # Overlap too long even for the split: the NTT is exact only while
-        # its CRT range covers every coefficient of the product.
-        L = _next_pow2(len(a) + len(b) - 1)
-        if L * (p - 1) * (p - 1) >= _CRT_BOUND:
-            raise PreconditionError(
-                f"modulus p = {p} too large for an exact convolution of lengths "
-                f"{len(a)} and {len(b)}"
-            )
-        return _conv_ntt(a, b, p, out_len)
+        # With p < 2^31 this needs an overlap above 2^16, so at least 2^32
+        # pairs: conv_trunc sends such a product to the NTT whenever its CRT
+        # range covers the coefficients, and no exact route is left here.
+        raise PreconditionError(
+            f"modulus p = {p} too large for an exact convolution of lengths "
+            f"{len(a)} and {len(b)}"
+        )
     hi = np.convolve(a >> s, b)[:out_len] % p
     lo = np.convolve(a & ((1 << s) - 1), b)[:out_len] % p
     return (hi * ((1 << s) % p) + lo) % p
@@ -170,6 +168,6 @@ def conv_trunc(a: np.ndarray, b: np.ndarray, p: int, out_len: int) -> np.ndarray
     if out_len > full:
         out_len = full
     work = len(a) * len(b)
-    if work >= NTT_CUTOFF and full > 64 and _next_pow2(full) * (p - 1) ** 2 < _CRT_BOUND:
+    if work >= NTT_CUTOFF and _next_pow2(full) * (p - 1) ** 2 < _CRT_BOUND:
         return _conv_ntt(a, b, p, out_len)
     return _conv_direct(a, b, p, out_len)

@@ -14,7 +14,12 @@ The good-spectrum condition is a hard precondition here: it makes every
 per-coefficient Sylvester step Y_i X - X B0 = Z_i uniquely solvable.
 Each step is solved by the Cayley-Hamilton identity
 chi_B0(Y_i) X = sum_l R_l B0^l (see linalg.sylvester_solve): O(n^4)
-per coefficient, with chi_B0 computed once per solve.  The
+per coefficient, with chi_B0 = chi_A0 from the spectrum test.  For q = 1,
+k > 1, B is diagonal with distinct constant entries b_i0, so no entry of
+the auxiliary equation involves another (diff_sylvester_differential):
+diagonal entries are integrals, and all off-diagonal ones run
+(b_i0 - b_j0) U_t = gamma_(t-k+1) U_(t-k+1) - sum_(d=1..k-1) (b_id - b_jd) U_(t-d) - Gamma_t
+side by side, each product reduced mod p before it is summed.  The
 inverse of the iterate is maintained incrementally across levels and
 refreshed by Newton doubling, and the residual products are computed
 only on the window where the residual is supported.
@@ -65,12 +70,11 @@ def splitting_lemma(A: SeriesMatrix, ctx: QContext, seed: int = 0) -> Associated
         raise ValueError("splitting construction applies to q = 1 and k > 1 only")
     P, roots = diagonalize(A.coefficient_array(0), p, seed=seed)
     D = A.truncate(k).lmul_const(mat_inv(P, p)).rmul_const(P)
+    # 1 / (root_l - root_m) off the diagonal; its zero diagonal keeps V_i's zero
     inv_diff = np.zeros((n, n), dtype=_INT64)
-    for l in range(n):
-        for m_ in range(n):
-            if l != m_:
-                instrument.mul_counter.add(instrument.inv_cost(p))
-                inv_diff[l, m_] = pow((roots[l] - roots[m_]) % p, p - 2, p)
+    rows, cols = np.nonzero(~np.eye(n, dtype=bool))
+    instrument.mul_counter.add(len(rows) * instrument.inv_cost(p))
+    inv_diff[rows, cols] = [pow((roots[l] - roots[c]) % p, p - 2, p) for l, c in zip(rows, cols)]
     Vt = np.zeros((n, n, k), dtype=_INT64)
     Bc = np.zeros((n, n, k), dtype=_INT64)
     Vt[:, :, 0] = np.eye(n, dtype=_INT64)
@@ -87,9 +91,7 @@ def splitting_lemma(A: SeriesMatrix, ctx: QContext, seed: int = 0) -> Associated
         bd = (-np.diagonal(delta_i)) % p
         Bc[:, :, i] = np.diag(bd)
         instrument.mul_counter.add(n * n)
-        Vi = delta_i * inv_diff % p
-        np.fill_diagonal(Vi, 0)
-        Vt[:, :, i] = Vi
+        Vt[:, :, i] = delta_i * inv_diff % p
     B = SeriesMatrix(p, Bc, k)
     V = SeriesMatrix(p, Vt, k).lmul_const(P)
     if A.truncate(k).mul(V, k) != V.mul(B, k):
@@ -113,20 +115,15 @@ def pol_coeffs_de(P: SeriesMatrix, Q: SeriesMatrix, N: int, ctx: QContext) -> So
 
 
 def diff_sylvester(
-    Gamma: SeriesMatrix,
-    B: SeriesMatrix,
-    m: int,
-    N: int,
-    ctx: QContext,
-    chi: list[int] | None,
+    Gamma: SeriesMatrix, B: SeriesMatrix, m: int, N: int, ctx: QContext, chi: list[int] | None
 ) -> SeriesMatrix:
     """Solve x^k delta(U) = B sigma(U) - U B + Gamma mod x^N, Gamma = 0 mod x^m.
 
     For k = 1 or q != 1; each coefficient is one constant Sylvester
     solve Y_i X - X B0 = Z_i, uniquely solvable under the good-spectrum
     condition.  The steps share B0, whose characteristic polynomial chi
-    the caller computes once (None when n = 1, where it is not read), so
-    every step is a Cayley-Hamilton solve of O(n^4) cost.  The result
+    the caller computes once (not read when n = 1, and may be None then),
+    so every step is a Cayley-Hamilton solve of O(n^4) cost.  The result
     satisfies U = 0 mod x^m.
     """
     k, p, n = ctx.k, ctx.p, B.rows
@@ -141,8 +138,6 @@ def diff_sylvester(
         raise ValueError("right-hand side not divisible by x^m")
     eye = np.eye(n, dtype=_INT64)
     U = np.zeros((n, n, N), dtype=_INT64)
-    scalar = n == 1
-    b0 = int(B0[0, 0]) if scalar else 0
     for i in range(m, N):
         C = Gd[:, :, i].copy() if i < Lg else np.zeros((n, n), dtype=_INT64)
         for j in range(1, min(k, i - m + 1)):
@@ -151,21 +146,18 @@ def diff_sylvester(
                 Uq = ctx.qpow(i - j) * U[:, :, i - j] % p
                 C = (C + _matmul_mod(Bd[:, :, j], Uq, p)
                      - _matmul_mod(U[:, :, i - j], Bd[:, :, j], p)) % p
+        instrument.mul_counter.add(n * n)
         if k == 1:
-            instrument.mul_counter.add(n * n)
             Ya = (ctx.qpow(i) * B0 - ctx.gamma(i) * eye) % p
-            Za = (-C) % p
         else:
-            instrument.mul_counter.add(n * n)
             Ya = ctx.qpow(i) * B0 % p
-            j = i - k + 1
-            prev = ctx.gamma(j) * U[:, :, j] % p if j >= m else np.zeros((n, n), dtype=_INT64)
-            if j >= m:
+            if i - k + 1 >= m:
                 instrument.mul_counter.add(n * n)
-            Za = (prev - C) % p
-        if scalar:
+                C = C - ctx.gamma(i - k + 1) * U[:, :, i - k + 1] % p
+        Za = (-C) % p
+        if n == 1:
             # Y x - x B0 = Z collapses to (Y - B0) x = Z
-            den = (int(Ya[0, 0]) - b0) % p
+            den = int(Ya[0, 0] - B0[0, 0]) % p
             if den == 0:
                 raise SpectrumError(
                     f"Sylvester step at index {i} is singular: "
@@ -186,44 +178,52 @@ def diff_sylvester_differential(
 ) -> SeriesMatrix:
     """The q = 1, k > 1 variant of the auxiliary solve; B must be diagonal.
 
-    Diagonal entries integrate directly; off-diagonal entries reduce to
-    scalar polynomial-coefficient equations, unique because k > 1.  Gamma
-    vanishes below x^m, so an entry is u = x^m v: since q = 1,
-    x^k delta(x^m v) = x^m (x^k delta(v) + m x^(k-1) v), and v solves
-    x^k delta(v) = (B_ii - B_jj - m x^(k-1)) v + Gamma_ij / x^m mod x^(N-m).
+    Entry (i, j) is x^k delta(u) = (B_ii - B_jj) u + Gamma_ij and involves
+    no other entry.  A diagonal entry is an integral.  Off the diagonal,
+    with B_ii = sum_(d<k) b_id x^d, coefficient t in [m, N) is
+
+        (b_i0 - b_j0) U_t = gamma_(t-k+1) U_(t-k+1) - sum_(d=1..k-1) (b_id - b_jd) U_(t-d) - Gamma_t
+
+    (U_t = 0 below m since Gamma = 0 mod x^m), run for all n(n-1) entries
+    side by side with one inverse of b_i0 - b_j0 each.  Each product is
+    reduced mod p before it is summed.  Constant diagonal entries that are
+    not pairwise distinct raise SpectrumError before any arithmetic.
     """
     k, p, n = ctx.k, ctx.p, B.rows
-    if ctx.q != 1 or k <= 1:
-        raise ValueError("this variant applies to q = 1 and k > 1 only")
-    if not (k <= m < N):
-        raise ValueError("window must satisfy k <= m < N")
-    offdiag = B.data.copy()
-    for l in range(n):
-        offdiag[l, l, :] = 0
-    if np.any(offdiag):
-        raise ValueError("B must be diagonal")
-    mx = SeriesMatrix(p, [[[0] * (k - 1) + [m]]], N)  # m x^(k-1)
+    if ctx.q != 1 or not (1 < k <= m < N):
+        raise ValueError("this variant needs q = 1 and a window 1 < k <= m < N")
+    Bd, Gd = B.data, Gamma.truncate(N).data
+    off = ~np.eye(n, dtype=bool)
+    if np.any(Bd[off]) or Bd.shape[2] > k or np.any(Gd[:, :, :m]):
+        raise ValueError("B must be diagonal of degree < k and Gamma divisible by x^m")
+    rows, cols = np.nonzero(off)  # off-diagonal entry e is (rows[e], cols[e])
+    dif = np.zeros((len(rows), k), dtype=_INT64)
+    dif[:, : Bd.shape[2]] = (Bd[rows, rows] - Bd[cols, cols]) % p
+    if not dif[:, 0].all():
+        raise SpectrumError("constant diagonal entries of B are not pairwise distinct")
+    X = np.zeros((len(rows), N), dtype=_INT64)  # row e holds Gamma_t until step t solves U_t
+    X[:, : Gd.shape[2]] = Gd[rows, cols]
     U = np.zeros((n, n, N), dtype=_INT64)
     for i in range(n):
-        for j in range(n):
-            g = Gamma.entry(i, j)
-            if i == j:
-                u = ctx.integrate(g.shift(-k))
-            else:
-                P = (B.entry(i, i) - B.entry(j, j)).as_poly_prec(N) - mx
-                sol = pol_coeffs_de(P, g.shift(-m), N - m, ctx)
-                if sol is None:
-                    raise SpectrumError(
-                        f"auxiliary scalar equation inconsistent at entry ({i}, {j})"
-                    )
-                if sol.basis.cols:
-                    raise InternalInvariantError(
-                        "auxiliary scalar solution not unique despite k > 1"
-                    )
-                u = sol.particular.shift(m)
-            arr = u.data[0, 0, :N]
-            U[i, j, : len(arr)] = arr
-    return SeriesMatrix(p, U, N)
+        u = ctx.integrate(Gamma.entry(i, i).shift(-k)).data[0, 0, :N]
+        U[i, i, : len(u)] = u
+    instrument.mul_counter.add(len(rows) * instrument.inv_cost(p))
+    inv = np.array([pow(int(c), p - 2, p) for c in dif[:, 0]], dtype=_INT64)
+    gam = ctx.gamma_slice(N)
+    for t in range(m, N):
+        lo = max(m, t - k + 1)  # U_(t-d) for d = t-lo .. 1; the others vanish
+        acc = (dif[:, t - lo : 0 : -1] * X[:, lo:t] % p).sum(axis=1) + X[:, t]
+        if lo == t - k + 1:
+            acc += (p - gam[lo]) * X[:, lo] % p
+        instrument.mul_counter.add(len(rows) * (t - lo + 1 + (lo == t - k + 1)))
+        X[:, t] = (p - acc % p) * inv % p
+    U[rows, cols] = X
+    Us = SeriesMatrix(p, U, N)
+    if instrument.checks_enabled():
+        Bp = B.as_poly_prec(N)
+        if Us.delta(ctx).shift(k).truncate(N) - Bp.mul(Us, N) + Us.mul(Bp, N) != Gamma.truncate(N):
+            raise InternalInvariantError("differential auxiliary residual nonzero")
+    return Us
 
 
 def _newton_ladder(N: int, k: int) -> list[int]:
@@ -237,11 +237,12 @@ def _newton_ladder(N: int, k: int) -> list[int]:
 def newton_ae(A: SeriesMatrix, B: SeriesMatrix, V: SeriesMatrix, N: int, ctx: QContext) -> SeriesMatrix:
     """Lift V (a solution of the associated equation mod x^k, invertible)
     to a solution mod x^N with W = V mod x^k and W_0 invertible."""
-    W, _, _ = _newton_ae_impl(A, B, V, N, ctx)
+    W, _, _ = _newton_ae_impl(A, B, V, N, ctx, char_poly(B.coefficient_array(0), ctx.p))
     return W
 
 
-def _newton_ae_impl(A: SeriesMatrix, B: SeriesMatrix, V: SeriesMatrix, N: int, ctx: QContext):
+def _newton_ae_impl(A: SeriesMatrix, B: SeriesMatrix, V: SeriesMatrix, N: int, ctx: QContext, chi: list[int]):
+    # chi = char_poly(B0): B, and so B0, is fixed for the whole solve
     k = ctx.k
     if N <= k:
         return V, None, 0
@@ -252,9 +253,6 @@ def _newton_ae_impl(A: SeriesMatrix, B: SeriesMatrix, V: SeriesMatrix, N: int, c
     Winv: SeriesMatrix | None = None
     inv_valid = 0
     differential = k > 1 and ctx.q == 1
-    # B, and so B0, is fixed for the whole solve: one char_poly(B0) serves
-    # every ladder level
-    chi = None if differential or B.rows == 1 else char_poly(B.coefficient_array(0), ctx.p)
     for idx in range(1, len(ladder)):
         target = ladder[idx]
         mprev = ladder[idx - 1]
@@ -266,7 +264,6 @@ def _newton_ae_impl(A: SeriesMatrix, B: SeriesMatrix, V: SeriesMatrix, N: int, c
             - At.mul(Wp.sigma(ctx), target)
             + Wp.mul(Bt, target)
         )
-        window = target - mprev
         try:
             Rh = R.shift(-mprev)
         except ValueError as e:
@@ -275,7 +272,7 @@ def _newton_ae_impl(A: SeriesMatrix, B: SeriesMatrix, V: SeriesMatrix, N: int, c
             ) from e
         if Rh.is_zero():
             continue
-        need = window
+        need = target - mprev
         Winv = Wp.inv_newton(need, Winv, inv_valid)
         inv_valid = max(inv_valid, need)
         Gh = Winv.as_poly_prec(need).truncate(need).mul(Rh, need)
@@ -312,7 +309,8 @@ def newton_solve(A: SeriesMatrix, C: SeriesMatrix, N: int, ctx: QContext) -> Sol
     # lifting by zeros is sound when N < k
     At = A.truncate(N).as_poly_prec(max(N, ctx.k))
     assoc = choose_associated(At, ctx)
-    W, Winv, inv_valid = _newton_ae_impl(At, assoc.B, assoc.V, N, ctx)
+    # B0 is A0 or, after the splitting construction, similar to it
+    W, Winv, inv_valid = _newton_ae_impl(At, assoc.B, assoc.V, N, ctx, rep.chi)
     Wp = W.as_poly_prec(N) if W.prec < N else W.truncate(N)
     Winv = Wp.inv_newton(N, Winv, inv_valid)
     Gamma = Winv.mul(C.truncate(N), N)

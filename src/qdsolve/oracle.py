@@ -140,10 +140,10 @@ def _solve_term_by_term(
     M_g = gamma_g Id - q^g A_0 for k = 1 and -q^g A_0 for k > 1.  The
     window sum is one product of A_D .. A_1 side by side with the stacked
     G_(j-D) .. G_(j-1).  For k > 1 with A_0 invertible every step is
-    M_g^(-1) = -q^(-g) A_0^(-1), with A_0 inverted once (a scalar inverse
-    when n = 1).  Otherwise each step is one _rref, or one scalar inverse
-    when n = 1, and a step found singular makes each free column of M_g a
-    new parameter and each zero row of M_g an affine constraint.
+    M_g^(-1) = -q^(-g) A_0^(-1), with A_0 inverted once.  Otherwise each
+    step is one _rref, or one scalar inverse when n = 1 and M_g != 0, and
+    a step found singular makes each free column of M_g a new parameter
+    and each zero row of M_g an affine constraint.
 
     Returns (family, cons, sing): the n x width affine family mod x^N, the
     constraint rows (row[0] + row[1:] . params = 0, each as wide as the
@@ -161,11 +161,7 @@ def _solve_term_by_term(
     # k > 1: one A_0^(-1) gives every step; a singular A_0 makes every step
     # singular, and then each step forms M_g like the k = 1 steps do
     A0inv = None
-    if k > 1 and n == 1:
-        if A0[0, 0]:
-            charge(inv_c)
-            A0inv = pow(int(A0[0, 0]), p - 2, p)
-    elif k > 1:
+    if k > 1:
         try:
             A0inv = mat_inv(A0, p)
         except ValueError:
@@ -175,8 +171,7 @@ def _solve_term_by_term(
         if k == 1:
             Ms = (Ms + gam[:, None, None] * np.eye(n, dtype=_INT64)) % p
         charge(N * n * n)
-        if n == 1:
-            Ms = Ms.ravel().tolist()
+        m1 = Ms.ravel().tolist() if n == 1 else None  # the scalars M_g
     else:
         qinv = (p - ctx.qinv_pow_slice(i + N)[i:]).tolist()  # -q^(-g)
     qp, gam = qp.tolist(), gam.tolist()
@@ -206,24 +201,11 @@ def _solve_term_by_term(
             rhs = rhs - gam[j - k + 1] * Fw[rj : rj + n]
         rhs = rhs % p
         if A0inv is not None:
-            if n == 1:
-                charge(1 + width)
-                fi = rhs * (qinv[j] * A0inv % p) % p
-            else:
-                charge(n * width)
-                fi = _matmul_mod(A0inv, rhs * qinv[j] % p, p)
-        elif n == 1:
-            m = Ms[j]
-            if m == 0:
-                # 0 = rhs constrains the parameters; F_j is a new one
-                sing.append(i + j)
-                if rhs.any():
-                    cons.append(rhs[0])
-                fi = np.zeros((1, width + 1), dtype=_INT64)
-                fi[0, width] = 1
-            else:
-                charge(width + inv_c)
-                fi = rhs * pow(m, p - 2, p) % p
+            charge(n * width)
+            fi = _matmul_mod(A0inv, rhs * qinv[j] % p, p)
+        elif n == 1 and m1[j]:
+            charge(width + inv_c)
+            fi = rhs * pow(m1[j], p - 2, p) % p
         else:
             red, pivots = _rref(np.hstack([Ms[j], rhs]), p, n)
             rank = len(pivots)

@@ -146,6 +146,7 @@ class SpectrumReport:
     good: bool
     reason: str | None
     singular_indices: list[int] = field(default_factory=list)
+    chi: list[int] = field(default_factory=list)  # char_poly(A0)
 
 
 def singular_indices(chi: list[int], ctx, N: int) -> list[int]:
@@ -217,7 +218,7 @@ def good_spectrum(A0: np.ndarray, ctx, N: int) -> SpectrumReport:
             raise InternalInvariantError("good spectrum with more than one singular index")
         if ctx.k > 1 and sing:
             raise InternalInvariantError("good spectrum with singular indices for k > 1")
-    return SpectrumReport(good, report, sing)
+    return SpectrumReport(good, report, sing, chi)
 
 
 def _find_roots(chi, p: int, seed: int) -> list[int]:

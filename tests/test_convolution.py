@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qdsolve import convolution
-from qdsolve.convolution import _conv_direct, conv_trunc
+from qdsolve.convolution import conv_trunc
 from qdsolve.errors import PreconditionError
 
 
@@ -23,8 +23,8 @@ def test_direct_refuses_modulus_beyond_crt_range():
 
 
 def test_direct_ntt_fallback_matches_python_ints(monkeypatch):
-    # p = 2^31 - 1 with an overlap of 2^16 + 1 terms is past the limb split, so
-    # _conv_direct hands the product to the NTT, whose CRT range covers it
+    # p = 2^31 - 1 with an overlap of 2^16 + 1 terms is past the direct limb
+    # split; conv_trunc hands the product to the NTT, whose CRT range covers it
     p = 2**31 - 1
     calls = []
     ntt = convolution._conv_ntt
@@ -38,7 +38,7 @@ def test_direct_ntt_fallback_matches_python_ints(monkeypatch):
     a = gen.integers(p - 2**20, p, 2**16 + 1)
     b = gen.integers(0, p, 2**16 + 3)
     full = len(a) + len(b) - 1
-    got = _conv_direct(a, b, p, full)
+    got = conv_trunc(a, b, p, full)
     assert calls == [full]
     assert len(got) == full
     for c in (0, 1, 2, 1000, 2**16 - 1, 2**16, 2**16 + 2, 100_000, full - 2, full - 1):
