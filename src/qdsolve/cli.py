@@ -4,10 +4,11 @@ Exit codes: 0 success (an inconsistent system, printed as BOT, is a
 valid answer), 1 usage or file-format problems, 2 violated semantic
 preconditions (non-prime modulus or one not below 2^31, zero q, gamma
 degeneracy, bad spectrum for the Newton engine), 3 internal invariant
-violations, 4 a solution that ``check`` refutes.  The modulus of a
-problem file is checked before any coefficient is stored, so a modulus
-at or above 2^31, however large, gets exit 2 and never a traceback.  No
-engine has a modulus limit of its own below 2^31.
+violations, 4 a solution that ``check`` refutes.  ``solve --checks``
+runs the runtime self-checks during the solve; a failed one exits 3.
+The modulus of a problem file is checked before any coefficient is
+stored, so a modulus at or above 2^31, however large, gets exit 2 and
+never a traceback.  No engine has a modulus limit of its own below 2^31.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import instrument
 from .bench import ALGORITHMS, run_bench, to_csv
 from .dac import dac_solve
 from .errors import (
@@ -48,6 +50,8 @@ def _build_parser() -> _Parser:
     ps.add_argument("file", help="problem file path, or - for stdin")
     ps.add_argument("--algo", choices=ALGORITHMS, default="dac")
     ps.add_argument("--out", help="write the solution file here instead of stdout")
+    ps.add_argument("--checks", action="store_true",
+                    help="verify internal contracts (residuals, Sylvester solutions) while solving")
 
     pc = sub.add_parser("check", help="verify a solution file against a problem file")
     pc.add_argument("file", help="problem file path")
@@ -86,19 +90,24 @@ def _read(path: str) -> str:
 
 def _cmd_solve(args) -> int:
     inst = parse_problem(_read(args.file))
-    if args.algo == "dense":
-        space = dense_solve(inst)
-    elif args.algo == "dac":
-        R = singular_indices(char_poly(inst.A.coefficient_array(0), inst.p), inst.ctx, inst.N)
-        if len(R) > 1:
-            print(
-                f"warning: {len(R)} singular indices {R}; "
-                "the divide-and-conquer cost bound assumes at most one",
-                file=sys.stderr,
-            )
-        space = dac_solve(inst.A, inst.C, inst.N, inst.ctx)
-    else:
-        space = newton_solve(inst.A, inst.C, inst.N, inst.ctx)
+    was = instrument.checks_enabled()
+    instrument.set_runtime_checks(was or args.checks)
+    try:
+        if args.algo == "dense":
+            space = dense_solve(inst)
+        elif args.algo == "dac":
+            R = singular_indices(char_poly(inst.A.coefficient_array(0), inst.p), inst.ctx, inst.N)
+            if len(R) > 1:
+                print(
+                    f"warning: {len(R)} singular indices {R}; "
+                    "the divide-and-conquer cost bound assumes at most one",
+                    file=sys.stderr,
+                )
+            space = dac_solve(inst.A, inst.C, inst.N, inst.ctx)
+        else:
+            space = newton_solve(inst.A, inst.C, inst.N, inst.ctx)
+    finally:
+        instrument.set_runtime_checks(was)
     text = serialize_solution(space, inst.p, inst.n, inst.N)
     if space is None:
         print("BOT", file=sys.stderr)

@@ -6,11 +6,15 @@ Gauss-Jordan elimination with first-nonzero-row pivoting makes every
 result canonical and deterministic: particular solutions set free
 variables to zero and nullspace bases come out in standard reduced
 row-echelon form.  Matrix products go through ``_matmul_mod``, which
-keeps int64 sums below 2^63 for every modulus below 2^31.
+keeps int64 sums below 2^63 for every modulus below 2^31.  It, like
+``mat_inv_stack`` and ``sylvester_solve``, also takes stacks (..., n, n)
+of matrices and runs one vectorized pass over the whole stack.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,27 +29,28 @@ _INT64 = np.int64
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p with int64 accumulation kept below 2^63.
 
-    Up to step = 2^62 / (p-1)^2 inner terms one product cannot overflow.
+    Leading batch axes of a and b broadcast as they do for ``@``.  Up to
+    step = 2^62 / (p-1)^2 inner terms one product cannot overflow.
     Longer sums split b into s-bit limbs, b = b_hi 2^s + b_lo with
     s = ceil(bits(p) / 2), so that every term is below p 2^s: two products
     cover any inner < 2^62 / (p 2^s).  Past that the sum is chunked.
     """
-    inner = a.shape[1]
-    if inner == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=_INT64)
+    inner = a.shape[-1]
     step = max(1, (2**62) // ((p - 1) * (p - 1) + 1))
-    instrument.mul_counter.add(a.shape[0] * inner * b.shape[1])
     if inner <= step:
-        return a @ b % p
-    s = (p.bit_length() + 1) // 2
-    if inner << s < (2**62) // p:
-        # both limb sums stay below inner p 2^s, and 2^s < p
-        hi = a @ (b >> s) % p
-        return ((hi << s) + a @ (b & ((1 << s) - 1))) % p
-    acc = np.zeros((a.shape[0], b.shape[1]), dtype=_INT64)
-    for i in range(0, inner, step):
-        acc = (acc + a[:, i : i + step] @ b[i : i + step, :]) % p
-    return acc
+        out = a @ b % p
+    else:
+        s = (p.bit_length() + 1) // 2
+        if inner << s < (2**62) // p:
+            # both limb sums stay below inner p 2^s, and 2^s < p
+            hi = a @ (b >> s) % p
+            out = ((hi << s) + a @ (b & ((1 << s) - 1))) % p
+        else:
+            out = 0
+            for i in range(0, inner, step):
+                out = (out + a[..., i : i + step] @ b[..., i : i + step, :]) % p
+    instrument.mul_counter.add(out.size * inner)
+    return out
 
 
 @dataclass
@@ -109,8 +114,68 @@ def lin_solve(U: np.ndarray, V: np.ndarray, p: int) -> AffineSolution | None:
     return AffineSolution(part, null)
 
 
+def _inv_many(x: np.ndarray, p: int) -> np.ndarray:
+    """Inverses of nonzero residues by Montgomery's trick: one Fermat power
+    and 3(m-1) products for m values, charged by the caller."""
+    xs = x.tolist()
+    pre = list(itertools.accumulate(xs, lambda u, v: u * v % p, initial=1))
+    inv = pow(pre[-1], p - 2, p)
+    out = [0] * len(xs)
+    for i in range(len(xs) - 1, -1, -1):
+        out[i], inv = inv * pre[i] % p, inv * xs[i] % p
+    return np.array(out, dtype=_INT64)
+
+
+def mat_inv_stack(U: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of a stack U (..., n, n) of square matrices, and the mask of
+    its singular members, whose slots hold zeros.
+
+    One Gauss-Jordan elimination of [U | Id] runs on all members side by
+    side, pivoting and charging row operations as _rref does; a column's
+    pivots are inverted together.  A member with no pivot in some column
+    is singular and gets a stand-in pivot 1 so that the others run on.
+    """
+    n = U.shape[-1]
+    if U.shape[-2] != n:
+        raise ValueError("only square matrices are invertible")
+    batch = U.shape[:-2]
+    cols = 2 * n
+    W = np.zeros((math.prod(batch), n, cols), dtype=_INT64)
+    W[:, :, :n] = U.reshape(-1, n, n)
+    W[:, :, n:] = np.eye(n, dtype=_INT64)
+    singular = np.zeros(len(W), dtype=bool)
+    for c in range(n):
+        piv = W[:, c, c]  # a view: it follows the swaps below
+        if not piv.all():
+            # swap in the first nonzero row below; where there is none, pr = c
+            at = np.flatnonzero(piv == 0)
+            pr = c + (W[at, c:, c] != 0).argmax(axis=1)
+            W[at, c], W[at, pr] = W[at, pr], W[at, c]
+            dead = piv == 0
+            singular |= dead
+            W[dead, c, c] = 1
+        m = int(np.count_nonzero(piv != 1))
+        if m:
+            instrument.mul_counter.add(m * cols + 3 * (m - 1) + instrument.inv_cost(p))
+            W[:, c] = W[:, c] * _inv_many(piv, p)[:, None] % p
+        colv = W[:, :, c].copy()
+        colv[:, c] = 0
+        nnz = int(np.count_nonzero(colv))
+        if nnz:
+            instrument.mul_counter.add(nnz * cols)
+            W -= colv[:, :, None] * W[:, c : c + 1, :]
+            W %= p
+    inv = W[:, :, n:]
+    inv[singular] = 0
+    return inv.reshape(U.shape), singular.reshape(batch)
+
+
 def mat_inv(U: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of a square matrix; raises ValueError when singular."""
+    """Inverse of a square matrix; raises ValueError when singular.
+
+    One matrix goes through _rref, whose scalar pivots beat mat_inv_stack's
+    vectorized ones when there is nothing to vectorize over.
+    """
     n = U.shape[0]
     if U.shape[1] != n:
         raise ValueError("only square matrices are invertible")
@@ -145,12 +210,28 @@ def char_poly(U: np.ndarray, p: int) -> list[int]:
     return [int(c) for c in poly[::-1]]
 
 
+def monic_at(c: list[int], Y: np.ndarray, p: int) -> np.ndarray:
+    """c(Y) for a monic c given by ascending coefficients, at one matrix or
+    at each matrix of a stack (..., n, n), by Horner."""
+    d = len(c) - 1
+    n = Y.shape[-1]
+    eye = np.eye(n, dtype=_INT64)
+    m = (Y + c[d - 1] * eye) % p
+    for l in range(d - 2, -1, -1):
+        instrument.mul_counter.add(Y.size // n)  # c_l Id
+        m = (_matmul_mod(m, Y, p) + c[l] * eye) % p
+    return m
+
+
 def sylvester_solve(
-    Y: np.ndarray, V: np.ndarray, Z: np.ndarray, p: int, chi_v: list[int] | None = None
+    Y: np.ndarray, V: np.ndarray, Z: np.ndarray, p: int,
+    chi_v: list[int] | None = None, m_inv: np.ndarray | None = None,
 ) -> np.ndarray:
     """The unique X with Y X - X V = Z, by the Cayley-Hamilton identity.
 
-    With c = char_poly(V) = (c_0, ..., c_n), c_n = 1, the equation gives
+    Y and Z are n x n matrices or equally shaped stacks (..., n, n) of
+    them, solved side by side against the one n x n matrix V.  With
+    c = char_poly(V) = (c_0, ..., c_n), c_n = 1, the equation gives
     Y^j X - X V^j = sum_{l<j} Y^(j-1-l) Z V^l, and chi_V(V) = 0 turns the
     c-weighted sum of these into
 
@@ -161,29 +242,26 @@ def sylvester_solve(
     chi_V(Y)^(-1) times the right side.  chi_V(Y) is invertible exactly
     when Spec(Y) and Spec(V) are disjoint; otherwise this raises
     ValueError.  The cost is about 3n products of n x n matrices and one
-    n x n inverse, O(n^4), and no eigenvalues are needed, so it works
-    over any field.  chi_v, when given, must be char_poly(V); callers
-    solving many steps against one V pass it to skip recomputing it.
+    n x n inverse per member, O(n^4), and no eigenvalues are needed, so it
+    works over any field.  chi_v, when given, must be char_poly(V), and
+    m_inv chi_V(Y)^(-1); callers solving many steps against one V pass
+    them to skip recomputing them.
     """
-    n = Y.shape[0]
-    if not (Y.shape == V.shape == Z.shape == (n, n)):
+    n = V.shape[0]
+    if V.shape != (n, n) or Y.shape != Z.shape or Y.shape[-2:] != (n, n):
         raise ValueError("Sylvester solve needs equally sized square matrices")
     c = char_poly(V, p) if chi_v is None else chi_v
-    eye = np.eye(n, dtype=_INT64)
+    if m_inv is None:
+        m_inv, singular = mat_inv_stack(monic_at(c, Y, p), p)
+        if singular.any():
+            raise ValueError("Sylvester system is singular: spectra of Y and V intersect")
     # R_(n-1) = Z, and S = sum_l R_l V^l on the right by Horner
     r = s = Z
-    # M = chi_V(Y) by Horner, starting from Y + c_(n-1) Id
-    m = (Y + c[n - 1] * eye) % p
     for l in range(n - 2, -1, -1):
-        instrument.mul_counter.add(n * n + n)  # c_(l+1) Z and c_l Id
+        instrument.mul_counter.add(Z.size)  # c_(l+1) Z
         r = (_matmul_mod(Y, r, p) + c[l + 1] * Z) % p
         s = (_matmul_mod(s, V, p) + r) % p
-        m = (_matmul_mod(m, Y, p) + c[l] * eye) % p
-    try:
-        minv = mat_inv(m, p)
-    except ValueError:
-        raise ValueError("Sylvester system is singular: spectra of Y and V intersect") from None
-    X = _matmul_mod(minv, s, p)
+    X = _matmul_mod(m_inv, s, p)
     if instrument.checks_enabled():
         if not np.array_equal((_matmul_mod(Y, X, p) - _matmul_mod(X, V, p)) % p, Z):
             raise InternalInvariantError("Sylvester residual nonzero")

@@ -13,10 +13,14 @@ same exact parameter and constraint treatment.
 The good-spectrum condition is a hard precondition here: it makes every
 per-coefficient Sylvester step Y_i X - X B0 = Z_i uniquely solvable.
 Each step is solved by the Cayley-Hamilton identity
-chi_B0(Y_i) X = sum_l R_l B0^l (see linalg.sylvester_solve): O(n^4)
-per coefficient, with chi_B0 = chi_A0 from the spectrum test.  For q = 1,
-k > 1, B is diagonal with distinct constant entries b_i0, so no entry of
-the auxiliary equation involves another (diff_sylvester_differential):
+chi_B0(Y_i) X = sum_l R_l B0^l (see linalg.sylvester_solve), with
+chi_B0 = chi_A0 and the inverses of every chi_B0(Y_i) taken from the
+spectrum test's table, so a step is the R/S Horner scheme and one
+product.  For k = 1 the steps of a ladder level are independent and the
+level is one stacked solve; for k > 1, q != 1 the window sum links them
+and each step is one solve.  For q = 1, k > 1, B is diagonal with
+distinct constant entries b_i0, so no entry of the auxiliary equation
+involves another (diff_sylvester_differential):
 diagonal entries are integrals, and all off-diagonal ones run
 (b_i0 - b_j0) U_t = gamma_(t-k+1) U_(t-k+1) - sum_(d=1..k-1) (b_id - b_jd) U_(t-d) - Gamma_t
 side by side, each product reduced mod p before it is summed.  The
@@ -33,12 +37,12 @@ import numpy as np
 
 from . import instrument
 from .errors import InternalInvariantError, SpectrumError
-from .linalg import _matmul_mod, char_poly, mat_inv, sylvester_solve
+from .linalg import _matmul_mod, mat_inv, sylvester_solve
 from .oracle import _solve_term_by_term
 from .polymat import SeriesMatrix
 from .series import QContext
 from .solution import SolutionSpace, resolve_affine_family
-from .spectrum import diagonalize, good_spectrum
+from .spectrum import SpectrumReport, diagonalize, good_spectrum, step_matrices
 
 _INT64 = np.int64
 
@@ -115,29 +119,46 @@ def pol_coeffs_de(P: SeriesMatrix, Q: SeriesMatrix, N: int, ctx: QContext) -> So
 
 
 def diff_sylvester(
-    Gamma: SeriesMatrix, B: SeriesMatrix, m: int, N: int, ctx: QContext, chi: list[int] | None
+    Gamma: SeriesMatrix, B: SeriesMatrix, m: int, N: int, ctx: QContext, rep: SpectrumReport
 ) -> SeriesMatrix:
     """Solve x^k delta(U) = B sigma(U) - U B + Gamma mod x^N, Gamma = 0 mod x^m.
 
     For k = 1 or q != 1; each coefficient is one constant Sylvester
     solve Y_i X - X B0 = Z_i, uniquely solvable under the good-spectrum
-    condition.  The steps share B0, whose characteristic polynomial chi
-    the caller computes once (not read when n = 1, and may be None then),
-    so every step is a Cayley-Hamilton solve of O(n^4) cost.  The result
-    satisfies U = 0 mod x^m.
+    condition.  rep must be good_spectrum(B0, ctx, N') for some N' >= N:
+    its table holds chi_B0(Y_i)^(-1) for every step, so each step is only
+    the Cayley-Hamilton right side and one product.  For k = 1 the steps
+    do not depend on each other and the whole window is one stacked
+    sylvester_solve; for k > 1 the window sum links them and each step is
+    one call.  The result satisfies U = 0 mod x^m.
     """
     k, p, n = ctx.k, ctx.p, B.rows
     if not (k <= m < N):
         raise ValueError("window must satisfy k <= m < N")
+    if rep.steps_inv is None or len(rep.steps_inv) < N:
+        raise ValueError(f"spectrum report has no Sylvester table up to index {N - 1}")
     B0 = B.coefficient_array(0)
     Bd = B.data
     Ld = Bd.shape[2]
-    Gd = Gamma.data
+    Gd = Gamma.data[:, :, :N]
     Lg = Gd.shape[2]
     if np.any(Gd[:, :, :m]):
         raise ValueError("right-hand side not divisible by x^m")
-    eye = np.eye(n, dtype=_INT64)
+    bad = np.flatnonzero(rep.steps_singular[m:N])
+    if len(bad):
+        raise SpectrumError(
+            f"Sylvester step at index {m + int(bad[0])} is singular: "
+            "spectra of the step pair intersect"
+        )
+    Y = step_matrices(B0, ctx, m, N)
     U = np.zeros((n, n, N), dtype=_INT64)
+    if k == 1:
+        Z = np.zeros((N - m, n, n), dtype=_INT64)
+        if Lg > m:
+            Z[: Lg - m] = (-Gd[:, :, m:]).transpose(2, 0, 1) % p
+        X = sylvester_solve(Y, B0, Z, p, rep.chi, rep.steps_inv[m:N])
+        U[:, :, m:] = X.transpose(1, 2, 0)
+        return SeriesMatrix(p, U, N)
     for i in range(m, N):
         C = Gd[:, :, i].copy() if i < Lg else np.zeros((n, n), dtype=_INT64)
         for j in range(1, min(k, i - m + 1)):
@@ -146,30 +167,10 @@ def diff_sylvester(
                 Uq = ctx.qpow(i - j) * U[:, :, i - j] % p
                 C = (C + _matmul_mod(Bd[:, :, j], Uq, p)
                      - _matmul_mod(U[:, :, i - j], Bd[:, :, j], p)) % p
-        instrument.mul_counter.add(n * n)
-        if k == 1:
-            Ya = (ctx.qpow(i) * B0 - ctx.gamma(i) * eye) % p
-        else:
-            Ya = ctx.qpow(i) * B0 % p
-            if i - k + 1 >= m:
-                instrument.mul_counter.add(n * n)
-                C = C - ctx.gamma(i - k + 1) * U[:, :, i - k + 1] % p
-        Za = (-C) % p
-        if n == 1:
-            # Y x - x B0 = Z collapses to (Y - B0) x = Z
-            den = int(Ya[0, 0] - B0[0, 0]) % p
-            if den == 0:
-                raise SpectrumError(
-                    f"Sylvester step at index {i} is singular: "
-                    "spectra of the step pair intersect"
-                )
-            instrument.mul_counter.add(1 + instrument.inv_cost(p))
-            U[0, 0, i] = int(Za[0, 0]) * pow(den, p - 2, p) % p
-            continue
-        try:
-            U[:, :, i] = sylvester_solve(Ya, B0, Za, p, chi)
-        except ValueError as e:
-            raise SpectrumError(f"Sylvester step at index {i} is singular: {e}") from e
+        if i - k + 1 >= m:
+            instrument.mul_counter.add(n * n)
+            C = C - ctx.gamma(i - k + 1) * U[:, :, i - k + 1] % p
+        U[:, :, i] = sylvester_solve(Y[i - m], B0, (-C) % p, p, rep.chi, rep.steps_inv[i])
     return SeriesMatrix(p, U, N)
 
 
@@ -237,12 +238,14 @@ def _newton_ladder(N: int, k: int) -> list[int]:
 def newton_ae(A: SeriesMatrix, B: SeriesMatrix, V: SeriesMatrix, N: int, ctx: QContext) -> SeriesMatrix:
     """Lift V (a solution of the associated equation mod x^k, invertible)
     to a solution mod x^N with W = V mod x^k and W_0 invertible."""
-    W, _, _ = _newton_ae_impl(A, B, V, N, ctx, char_poly(B.coefficient_array(0), ctx.p))
+    W, _, _ = _newton_ae_impl(A, B, V, N, ctx, good_spectrum(B.coefficient_array(0), ctx, N))
     return W
 
 
-def _newton_ae_impl(A: SeriesMatrix, B: SeriesMatrix, V: SeriesMatrix, N: int, ctx: QContext, chi: list[int]):
-    # chi = char_poly(B0): B, and so B0, is fixed for the whole solve
+def _newton_ae_impl(
+    A: SeriesMatrix, B: SeriesMatrix, V: SeriesMatrix, N: int, ctx: QContext, rep: SpectrumReport
+):
+    # rep = good_spectrum(B0, ctx, N): B, and so B0, is fixed for the whole solve
     k = ctx.k
     if N <= k:
         return V, None, 0
@@ -280,7 +283,7 @@ def _newton_ae_impl(A: SeriesMatrix, B: SeriesMatrix, V: SeriesMatrix, N: int, c
         if differential:
             U = diff_sylvester_differential(Gamma, B, mprev, target, ctx)
         else:
-            U = diff_sylvester(Gamma, B, mprev, target, ctx, chi)
+            U = diff_sylvester(Gamma, B, mprev, target, ctx, rep)
         # U = 0 mod x^(mprev - k + 1); the strict shift asserts the valuation
         v = mprev - k + 1
         Uh = U.shift(-v)
@@ -309,8 +312,8 @@ def newton_solve(A: SeriesMatrix, C: SeriesMatrix, N: int, ctx: QContext) -> Sol
     # lifting by zeros is sound when N < k
     At = A.truncate(N).as_poly_prec(max(N, ctx.k))
     assoc = choose_associated(At, ctx)
-    # B0 is A0 or, after the splitting construction, similar to it
-    W, Winv, inv_valid = _newton_ae_impl(At, assoc.B, assoc.V, N, ctx, rep.chi)
+    # B0 is A0 unless k > 1 and q = 1, where diff_sylvester is not used
+    W, Winv, inv_valid = _newton_ae_impl(At, assoc.B, assoc.V, N, ctx, rep)
     Wp = W.as_poly_prec(N) if W.prec < N else W.truncate(N)
     Winv = Wp.inv_newton(N, Winv, inv_valid)
     Gamma = Winv.mul(C.truncate(N), N)

@@ -33,7 +33,7 @@ from .linalg import _matmul_mod, _rref, lin_solve, mat_inv
 from .polymat import SeriesMatrix
 from .series import QContext
 from .solution import SolutionSpace, resolve_affine_family, spaces_equal  # noqa: F401
-from .spectrum import good_spectrum
+from .spectrum import good_spectrum, step_matrices
 
 _INT64 = np.int64
 
@@ -167,10 +167,7 @@ def _solve_term_by_term(
         except ValueError:
             pass
     if A0inv is None:
-        Ms = (-qp[:, None, None] * A0) % p
-        if k == 1:
-            Ms = (Ms + gam[:, None, None] * np.eye(n, dtype=_INT64)) % p
-        charge(N * n * n)
+        Ms = (-step_matrices(A0, ctx, i, i + N)) % p
         m1 = Ms.ravel().tolist() if n == 1 else None  # the scalars M_g
     else:
         qinv = (p - ctx.qinv_pow_slice(i + N)[i:]).tolist()  # -q^(-g)

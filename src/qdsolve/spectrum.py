@@ -1,11 +1,15 @@
 """Good-spectrum tests, singular index enumeration and eigen-splitting.
 
-Spectrum disjointness is decided through polynomial gcds of
-characteristic polynomials, never through explicit eigenvalues (which
-may live outside K for the order-one clauses).  char_poly(q^i A0 -
-gamma_i Id) is obtained from chi = char_poly(A0) by the exact argument
-substitution chi(q^(-i)(x + gamma_i)), which is the same polynomial up
-to a nonzero constant factor.
+Spectrum disjointness is decided without explicit eigenvalues, which
+may live outside K for the order-one clauses.  Spec A0 and Spec Y meet
+exactly when chi(Y) is singular, chi = char_poly(A0) (the eigenvalues of
+chi(Y) are chi at those of Y), so the clauses for k = 1 and for k > 1,
+q != 1 form chi(Y_i) for every step matrix Y_i = q^i A0 - gamma_i Id or
+q^i A0, i < N, by one stacked Horner scheme and invert the whole stack
+in one vectorized elimination.  The singular mask is the verdict, and
+the inverses go to the Newton solver, whose Sylvester steps need exactly
+them.  The k > 1, q = 1 clause (A0 has n distinct eigenvalues in K) is
+decided by polynomial gcds.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from . import instrument
 from .errors import InternalInvariantError
-from .linalg import _matmul_mod, char_poly, lin_solve
+from .linalg import _matmul_mod, char_poly, lin_solve, mat_inv_stack, monic_at
 
 _INT64 = np.int64
 
@@ -73,39 +77,6 @@ def _pderiv(f, p):
     return _ptrim([i * f[i] % p for i in range(1, len(f))])
 
 
-def _pscale_arg(f, s, p):
-    """f(s*x)"""
-    out = []
-    w = 1
-    for c in f:
-        out.append(c * w % p)
-        w = w * s % p
-    return _ptrim(out)
-
-
-def _pshift_arg(f, c, p):
-    """f(x + c) by repeated synthetic division."""
-    if not f or c == 0:
-        return list(f)
-    work = list(f)
-    out = []
-    for _ in range(len(f)):
-        # divide work by (x - (-c)) synthetically; remainder is next coeff
-        rem = 0
-        for i in range(len(work) - 1, -1, -1):
-            rem = (rem * c + work[i]) % p
-        nxt = []
-        acc = 0
-        for i in range(len(work) - 1, 0, -1):
-            acc = (acc * c + work[i]) % p
-            nxt.append(acc)
-        out.append(rem)
-        work = nxt[::-1]
-        if not work:
-            break
-    return _ptrim(out)
-
-
 def _pmulmod(f, g, m, p):
     if not f or not g:
         return []
@@ -147,6 +118,10 @@ class SpectrumReport:
     reason: str | None
     singular_indices: list[int] = field(default_factory=list)
     chi: list[int] = field(default_factory=list)  # char_poly(A0)
+    # k = 1 or q != 1: chi(Y_i)^(-1) for i < N (zeros where singular), and
+    # the singular mask, which is set at i = 0, where there is no step
+    steps_inv: np.ndarray | None = None
+    steps_singular: np.ndarray | None = None
 
 
 def singular_indices(chi: list[int], ctx, N: int) -> list[int]:
@@ -165,60 +140,62 @@ def singular_indices(chi: list[int], ctx, N: int) -> list[int]:
     return [int(i) for i in np.nonzero(vals == 0)[0]]
 
 
+def step_matrices(A0: np.ndarray, ctx, lo: int, hi: int) -> np.ndarray:
+    """The Sylvester step matrices Y_i, lo <= i < hi, stacked along axis 0:
+    q^i A0 - gamma_i Id for k = 1, q^i A0 for k > 1."""
+    p, n = ctx.p, A0.shape[0]
+    instrument.mul_counter.add((hi - lo) * n * n)
+    Y = ctx.qpow_slice(hi)[lo:, None, None] * A0 % p
+    if ctx.k == 1:
+        Y = (Y - ctx.gamma_slice(hi)[lo:, None, None] * np.eye(n, dtype=_INT64)) % p
+    return Y
+
+
 def good_spectrum(A0: np.ndarray, ctx, N: int) -> SpectrumReport:
     """Evaluate the good-spectrum condition of the constant matrix at precision N.
 
-    A0 is a canonical int64 array over the field of ctx.
+    A0 is a canonical int64 array over the field of ctx.  For k = 1, and
+    for k > 1 with q != 1, the clause is that every chi(Y_i), 1 <= i < N,
+    is invertible; their inverses go into the report.
     """
     n, p = A0.shape[0], ctx.p
     q, k = ctx.q, ctx.k
     chi = char_poly(A0, p)
     sing = singular_indices(chi, ctx, N)
     report = None
+    steps_inv = steps_singular = None
+    first = None  # the first i >= 1 with chi(Y_i) singular
+    if k == 1 or q != 1:
+        steps_inv = np.zeros((N, n, n), dtype=_INT64)
+        steps_singular = np.ones(N, dtype=bool)
+        if N > 1:
+            M = monic_at(chi, step_matrices(A0, ctx, 1, N), p)
+            steps_inv[1:], steps_singular[1:] = mat_inv_stack(M, p)
+        bad = np.flatnonzero(steps_singular[1:])
+        if len(bad):
+            first = int(bad[0]) + 1
     if k == 1:
-        if n == 1:
-            a = int(A0[0, 0])
-            qp = ctx.qpow_slice(N)
-            g = ctx.gamma_slice(N)
-            instrument.mul_counter.add(N)
-            bad = np.nonzero((qp * a - g - a) % p == 0)[0]
-            bad = bad[bad >= 1]
-            if len(bad):
-                i = int(bad[0])
-                report = f"Spec A0 meets q^{i} Spec A0 - gamma_{i} (clause k=1, i={i})"
+        if first is not None:
+            report = f"Spec A0 meets q^{first} Spec A0 - gamma_{first} (clause k=1, i={first})"
+    elif chi[0] == 0:
+        report = "A0 is singular (clause k>1)"
+    elif q == 1:
+        limit = max(N - k, 0)
+        if p <= limit:
+            report = f"gamma_{p} = 0 in F_{p} (clause k>1, q=1)"
         else:
-            qinv = ctx.qinv_pow_slice(N)
-            for i in range(1, N):
-                # char poly of q^i A0 - gamma_i Id, up to a nonzero constant
-                shifted = _pshift_arg(_pscale_arg(chi, int(qinv[i]), p), ctx.gamma(i), p)
-                if len(_pgcd(chi, shifted, p)) != 1:
-                    report = f"Spec A0 meets q^{i} Spec A0 - gamma_{i} (clause k=1, i={i})"
-                    break
-    else:
-        if chi[0] == 0:
-            report = "A0 is singular (clause k>1)"
-        elif q == 1:
-            limit = max(N - k, 0)
-            if p <= limit:
-                report = f"gamma_{p} = 0 in F_{p} (clause k>1, q=1)"
-            else:
-                ok, why = _is_split_squarefree(chi, p)
-                if not ok:
-                    report = why
-        else:
-            qinv = ctx.qinv_pow_slice(N)
-            for i in range(1, N):
-                scaled = _pscale_arg(chi, int(qinv[i]), p)
-                if len(_pgcd(chi, scaled, p)) != 1:
-                    report = f"Spec A0 meets q^{i} Spec A0 (clause k>1, i={i})"
-                    break
+            ok, why = _is_split_squarefree(chi, p)
+            if not ok:
+                report = why
+    elif first is not None:
+        report = f"Spec A0 meets q^{first} Spec A0 (clause k>1, i={first})"
     good = report is None
     if good:
         if ctx.k == 1 and len(sing) > 1:
             raise InternalInvariantError("good spectrum with more than one singular index")
         if ctx.k > 1 and sing:
             raise InternalInvariantError("good spectrum with singular indices for k > 1")
-    return SpectrumReport(good, report, sing, chi)
+    return SpectrumReport(good, report, sing, chi, steps_inv, steps_singular)
 
 
 def _find_roots(chi, p: int, seed: int) -> list[int]:

@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from qdsolve.cli import main
 from qdsolve.problemfile import parse_problem, parse_solution
 
@@ -165,6 +167,32 @@ def test_gen_good_spectrum_feeds_newton(tmp_path):
     prob.write_text(out)
     code, _, err = run_cli(["solve", str(prob), "--algo", "newton"])
     assert code == 0, err
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_solve_checks_flag_same_answer(tmp_path, k, monkeypatch):
+    # --checks runs the self-checks (the stacked Sylvester residual among
+    # them) during the solve only, and the answer is the same file
+    from qdsolve import instrument
+
+    code, text, err = run_cli(["gen", "--seed", "5", "--n", "3", "--N", "40", "--k", str(k),
+                               "--q", "random", "--good-spectrum"])
+    assert code == 0, err
+    prob = tmp_path / "c.prob"
+    prob.write_text(text)
+    seen = []
+    real = instrument.checks_enabled
+    monkeypatch.setattr(instrument, "checks_enabled", lambda: seen.append(real()) or seen[-1])
+    files = []
+    for extra in ([], ["--checks"]):
+        seen.clear()
+        sol = tmp_path / f"c{len(files)}.sol"
+        code, _, err = run_cli(["solve", str(prob), "--algo", "newton", "--out", str(sol)] + extra)
+        assert code == 0, err
+        assert any(seen) == bool(extra)
+        assert not real()  # the flag is off again after the solve
+        files.append(sol.read_text())
+    assert files[0] == files[1]
 
 
 def test_gen_usage_errors():

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from qdsolve import instrument, linalg, newton, spectrum
+from qdsolve import instrument, linalg, newton, oracle, spectrum
 from qdsolve.errors import SpectrumError
 from qdsolve.field import PrimeField
 from qdsolve.linalg import char_poly, mat_inv
@@ -21,6 +21,7 @@ from qdsolve.oracle import ProblemInstance, _solve_operator_matrix, random_insta
 from qdsolve.polymat import SeriesMatrix
 from qdsolve.series import QContext
 from qdsolve.solution import spaces_equal
+from qdsolve.spectrum import good_spectrum
 
 P101 = PrimeField(101)
 
@@ -153,10 +154,11 @@ def test_diff_sylvester_scalar_example():
     ctx = QContext(P101, 1, 1)
     B = sm(p, [[[7]]], 1)
     Gamma = sm(p, [[[0, 0, 1]]], 5)
-    U = diff_sylvester(Gamma, B, 2, 5, ctx, None)
+    rep = good_spectrum(B.coefficient_array(0), ctx, 5)
+    U = diff_sylvester(Gamma, B, 2, 5, ctx, rep)
     assert U.entry(0, 0) == sm(p, [[[0, 0, pow(2, p - 2, p)]]], 5)
     # Gamma = 0 -> U = 0
-    assert diff_sylvester(SeriesMatrix.zeros(p, 1, 1, 5), B, 2, 5, ctx, None).is_zero()
+    assert diff_sylvester(SeriesMatrix.zeros(p, 1, 1, 5), B, 2, 5, ctx, rep).is_zero()
 
 
 def test_diff_sylvester_residual_random():
@@ -179,8 +181,8 @@ def test_diff_sylvester_residual_random():
             Gd[:, :, m:] = gen.integers(0, p, (n, n, N - m))
             Gamma = SeriesMatrix(p, Gd, N)
             try:
-                chi = None if n == 1 else char_poly(B.coefficient_array(0), p)
-                U = diff_sylvester(Gamma, B, m, N, ctx, chi)
+                rep = good_spectrum(B.coefficient_array(0), ctx, N)
+                U = diff_sylvester(Gamma, B, m, N, ctx, rep)
             except SpectrumError:
                 continue
             solved += n > 1
@@ -208,7 +210,9 @@ def test_char_poly_once_per_newton_solve(k, q_mode, monkeypatch):
         calls.append(U.shape[0])
         return char_poly(U, p)
 
-    for mod in (linalg, newton, spectrum):
+    # newton takes chi from the spectrum report and binds no char_poly
+    assert not hasattr(newton, "char_poly")
+    for mod in (linalg, spectrum):
         monkeypatch.setattr(mod, "char_poly", counted)
     p = 134217757
     inst = random_instance(30000 + k, p, 3, 40, k, q_mode, require_good_spectrum=True)
@@ -217,6 +221,41 @@ def test_char_poly_once_per_newton_solve(k, q_mode, monkeypatch):
     got = newton_solve(inst.A, inst.C, inst.N, inst.ctx)
     assert calls == [3]
     assert spaces_equal(got, _solve_operator_matrix(inst))
+
+
+def test_sylvester_steps_batched_per_level(monkeypatch):
+    # k = 1: the spectrum test and the auxiliary solves run no per-step
+    # elimination, and each ladder level is one stacked Sylvester solve
+    inside, rref_inside, sylvester_calls, levels = [], [], [], []
+
+    def within(name, fn):
+        def wrapped(*args):
+            inside.append(name)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+
+        return wrapped
+
+    rref = linalg._rref
+    for mod in (linalg, newton, oracle, spectrum):
+        if hasattr(mod, "_rref"):
+            monkeypatch.setattr(mod, "_rref", lambda *a: rref_inside.append(list(inside)) or rref(*a))
+    monkeypatch.setattr(newton, "good_spectrum", within("good_spectrum", newton.good_spectrum))
+    real_diff = newton.diff_sylvester
+    monkeypatch.setattr(
+        newton, "diff_sylvester", lambda *a: levels.append(a[2]) or within("diff_sylvester", real_diff)(*a)
+    )
+    real_syl = newton.sylvester_solve
+    monkeypatch.setattr(newton, "sylvester_solve", lambda *a: sylvester_calls.append(1) or real_syl(*a))
+    inst = random_instance(4242, 134217757, 4, 512, 1, "random", require_good_spectrum=True)
+    got = newton_solve(inst.A, inst.C, inst.N, inst.ctx)
+    assert got is not None and residual(got.particular, inst).is_zero()
+    assert rref_inside  # PolCoeffsDE still eliminates per step
+    assert not [names for names in rref_inside if names]
+    assert len(levels) == len(newton._newton_ladder(512, 1)) - 1
+    assert len(sylvester_calls) == len(levels)
 
 
 def test_diff_sylvester_differential_examples():

@@ -1,5 +1,7 @@
-"""Property tests: the divide-and-conquer engine against the operator-matrix
-reference, and both routes of SeriesMatrix.mul against a Python-int product."""
+"""Property tests: the divide-and-conquer and Newton engines against the
+operator-matrix reference, both routes of SeriesMatrix.mul and the batched
+_matmul_mod against Python-int products, the stacked inverse against mat_inv,
+and good_spectrum against the gcd criterion it replaced."""
 
 import numpy as np
 import pytest
@@ -10,9 +12,15 @@ from hypothesis import strategies as st  # noqa: E402
 
 from qdsolve import instrument, polymat  # noqa: E402
 from qdsolve.dac import DAC_LEAF, dac_solve  # noqa: E402
-from qdsolve.oracle import _solve_operator_matrix, make_instance, residual  # noqa: E402
+from qdsolve.errors import SpectrumError  # noqa: E402
+from qdsolve.field import PrimeField  # noqa: E402
+from qdsolve.linalg import _matmul_mod, _rref, char_poly, mat_inv, mat_inv_stack  # noqa: E402
+from qdsolve.newton import newton_solve  # noqa: E402
+from qdsolve.oracle import _solve_operator_matrix, dense_solve, make_instance, residual  # noqa: E402
 from qdsolve.polymat import SeriesMatrix  # noqa: E402
+from qdsolve.series import QContext  # noqa: E402
 from qdsolve.solution import spaces_equal  # noqa: E402
+from qdsolve.spectrum import _pgcd, good_spectrum  # noqa: E402
 
 
 @st.composite
@@ -142,3 +150,212 @@ def test_mul_dispatch_boundary(shape, extra, a_short, p, monkeypatch):
     A, B = operand(rows, inner, La), operand(inner, cols, Lb)
     for n in (0, short - 1, La + Lb - 2, La + Lb - 1, La + Lb):
         check_mul(A, B, n, monkeypatch)
+
+
+PRIMES = [3, 65521, 134217757, 2**31 - 1]
+
+
+@st.composite
+def square_stacks(draw):
+    """(U, forced, p): a stack (b, n, n) whose members are random, permuted
+    triangular (pivot searches move rows) or forced singular (a zero
+    column, a repeated row, or a row that combines two others)."""
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(1, 6))
+    b = draw(st.integers(1, 10))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    U = gen.integers(0, p, (b, n, n))
+    U[gen.random(U.shape) < 0.1] = p - 1  # extreme residues
+    forced = np.zeros(b, dtype=bool)
+    for j in range(b):
+        how = draw(st.sampled_from(["random", "permuted", "zero_col", "repeat_row", "combine"]))
+        if how == "permuted":
+            T = np.triu(U[j])
+            T[np.arange(n), np.arange(n)] = gen.integers(1, p, n)
+            U[j] = T[gen.permutation(n)]
+        elif how == "zero_col" or (how != "random" and n == 1):
+            U[j, :, gen.integers(n)] = 0
+            forced[j] = True
+        elif how == "repeat_row" or (how == "combine" and n == 2):
+            r, s = gen.choice(n, 2, replace=False)
+            U[j, r] = U[j, s]
+            forced[j] = True
+        elif how == "combine":
+            r, s, t = gen.choice(n, 3, replace=False)
+            a, c = (int(v) for v in gen.integers(0, p, 2))
+            U[j, r] = (a * U[j, s].astype(object) + c * U[j, t].astype(object)) % p
+            forced[j] = True
+    return U, forced, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_stacks())
+def test_mat_inv_stack_matches_mat_inv(case):
+    # the mask against the rank _rref finds, each inverse against mat_inv
+    # and a Python-int product, and leading batch axes kept
+    U, forced, p = case
+    b, n = U.shape[0], U.shape[1]
+    before = instrument.mul_counter.value
+    inv, sing = mat_inv_stack(U, p)
+    assert type(instrument.mul_counter.value - before) is int  # charges stay Python ints
+    assert sing[forced].all()
+    inv2, sing2 = mat_inv_stack(U.reshape(1, b, n, n), p)
+    assert np.array_equal(inv2[0], inv) and np.array_equal(sing2[0], sing)
+    eye = np.eye(n, dtype=np.int64)
+    for j in range(b):
+        rank = len(_rref(U[j].copy(), p, n)[1])
+        assert bool(sing[j]) == (rank < n)
+        if sing[j]:
+            assert not inv[j].any()
+            with pytest.raises(ValueError, match="singular"):
+                mat_inv(U[j], p)
+        else:
+            assert np.array_equal(U[j].astype(object) @ inv[j].astype(object) % p, eye)
+            assert np.array_equal(mat_inv(U[j], p), inv[j])
+
+
+@st.composite
+def long_products(draw):
+    """(a, b, p): operands with leading batch axes, broadcast or not, and an
+    inner dimension in the one-product, limb-split or chunked regime of
+    _matmul_mod (the last two exist only for the larger primes)."""
+    regime = draw(st.sampled_from(["direct", "limb", "chunk"]))
+    p = draw(st.sampled_from({"direct": PRIMES, "limb": PRIMES[2:], "chunk": PRIMES[3:]}[regime]))
+    step = max(1, 2**62 // ((p - 1) ** 2 + 1))
+    s = (p.bit_length() + 1) // 2
+    limb_end = -(-(2**62 // p) >> s)  # the first inner the limb split cannot cover
+    if regime == "direct":
+        inner = draw(st.integers(0, min(step, 64)))
+    elif regime == "limb":
+        inner = draw(st.integers(step + 1, min(limb_end - 1, step + 600)))
+    else:
+        inner = draw(st.integers(limb_end, limb_end + 40))
+    r, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    a_batch, b_batch = draw(st.sampled_from([((), (2,)), ((2,), ()), ((2,), (2,)), ((2, 1), (3,))]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = gen.integers(0, p, a_batch + (r, inner))
+    b = gen.integers(0, p, b_batch + (inner, c))
+    a[gen.random(a.shape) < 0.2] = p - 1  # extreme residues
+    b[gen.random(b.shape) < 0.2] = p - 1
+    return a, b, p
+
+
+@settings(max_examples=30, deadline=None)
+@given(long_products())
+def test_batched_matmul_mod_matches_python_ints(operands):
+    a, b, p = operands
+    before = instrument.mul_counter.value
+    got = _matmul_mod(a, b, p)
+    charged = instrument.mul_counter.value - before
+    want = np.matmul(a.astype(object), b.astype(object)) % p
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert np.array_equal(got, want.astype(np.int64))
+    assert charged == want.size * a.shape[-1]
+
+
+def _pscale_arg(f, s, p):
+    """f(s x)"""
+    return [c * pow(s, i, p) % p for i, c in enumerate(f)]
+
+
+def _pshift_arg(f, c, p):
+    """f(x + c), by Horner in Python ints."""
+    out = [0]
+    for a in reversed(f):
+        # out = out * (x + c) + a
+        out = [(u + c * v) % p for u, v in zip([0] + out, out + [0])]
+        out[0] = (out[0] + a) % p
+    return out
+
+
+def gcd_bad_steps(A0, ctx, N):
+    """The steps 1 <= i < N at which Spec A0 meets Spec Y_i, by the gcd of
+    chi = char_poly(A0) with char_poly(Y_i) = chi(q^(-i)(x + gamma_i)) up to a
+    constant (Y_i = q^i A0 - gamma_i Id), or chi(q^(-i) x) for k > 1."""
+    p = ctx.p
+    chi = char_poly(A0, p)
+    qinv = pow(ctx.q, p - 2, p)
+    bad = []
+    for i in range(1, N):
+        other = _pscale_arg(chi, pow(qinv, i, p), p)
+        if ctx.k == 1:
+            other = _pshift_arg(other, ctx.gamma(i), p)
+        if len(_pgcd(chi, other, p)) != 1:
+            bad.append(i)
+    return bad
+
+
+@st.composite
+def spectrum_cases(draw):
+    """(A0, ctx, N) for k = 1 (any q) or k in {2, 3} with q != 1; A0 random or
+    rigged so that Spec A0 meets Spec Y_i at a chosen step i."""
+    p = draw(st.sampled_from([3, 5, 101, 134217757, 2**31 - 1]))
+    k = draw(st.sampled_from([1, 1, 2, 3]))
+    n = draw(st.integers(1, 5))
+    N = draw(st.integers(1, 40))
+    q = 1 if k == 1 and draw(st.booleans()) else draw(st.integers(2, p - 1))
+    ctx = QContext(PrimeField(p), q, k)
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A0 = gen.integers(0, p, (n, n))
+    if N > 1 and draw(st.booleans()):
+        # eigenvalues lam and mu = q^i lam - gamma_i (k = 1) or q^i lam, on the
+        # diagonal of a triangular matrix conjugated by a unimodular one
+        i = draw(st.integers(1, N - 1))
+        qi, g = ctx.qpow(i), ctx.gamma(i) if k == 1 else 0
+        if n == 1:
+            if (qi - 1) % p == 0:
+                return A0, ctx, N
+            lam = g * pow(qi - 1, p - 2, p) % p
+            return np.array([[lam]], dtype=np.int64), ctx, N
+        lam = int(gen.integers(0, p))
+        T = np.triu(gen.integers(0, p, (n, n))).astype(object)
+        T[0, 0], T[1, 1] = lam, (qi * lam - g) % p
+        L = np.tril(gen.integers(0, p, (n, n)), -1).astype(object) + np.eye(n, dtype=object)
+        Linv = np.eye(n, dtype=object)
+        for d in range(1, n):  # (Id + E)^(-1) = sum (-E)^d for nilpotent E
+            Linv = Linv + np.linalg.matrix_power(np.eye(n, dtype=object) - L, d)
+        A0 = (L.dot(T).dot(Linv % p) % p).astype(np.int64)
+    return A0, ctx, N
+
+
+@settings(max_examples=200, deadline=None)
+@given(spectrum_cases())
+def test_good_spectrum_matches_gcd_reference(case):
+    A0, ctx, N = case
+    bad = gcd_bad_steps(A0, ctx, N)
+    rep = good_spectrum(A0, ctx, N)
+    assert np.flatnonzero(rep.steps_singular[1:]).tolist() == [i - 1 for i in bad]
+    if ctx.k > 1 and rep.chi[0] == 0:
+        assert not rep.good and "A0 is singular" in rep.reason
+        return
+    assert rep.good == (not bad)
+    if bad:
+        assert rep.reason.endswith(f"i={bad[0]})")
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances())
+def test_newton_agrees_or_names_first_bad_step(inst):
+    # with runtime checks on, Newton matches dense and the operator-matrix
+    # reference, or raises SpectrumError at the step the gcd test names
+    A0, ctx, N = inst.A.coefficient_array(0), inst.ctx, inst.N
+    tabulated = ctx.k == 1 or ctx.q != 1
+    bad = gcd_bad_steps(A0, ctx, N) if tabulated else []
+    singular = ctx.k > 1 and not char_poly(A0, ctx.p)[0]
+    instrument.set_runtime_checks(True)
+    try:
+        try:
+            got = newton_solve(inst.A, inst.C, N, ctx)
+        except SpectrumError as e:
+            if singular:
+                assert "A0 is singular" in str(e)
+            elif tabulated:
+                assert bad and str(e).endswith(f"i={bad[0]})")
+            else:
+                assert str(e).endswith(good_spectrum(A0, ctx, N).reason)
+            return
+        assert not bad and not singular
+        assert spaces_equal(got, dense_solve(inst))
+        assert spaces_equal(got, _solve_operator_matrix(inst))
+    finally:
+        instrument.set_runtime_checks(False)
