@@ -23,7 +23,7 @@ import numpy as np
 
 from . import instrument
 from .errors import InternalInvariantError
-from .oracle import _solve_term_by_term
+from .oracle import _a0_inverse, _solve_term_by_term
 from .polymat import SeriesMatrix
 from .series import QContext
 from .solution import SolutionSpace, resolve_affine_family
@@ -61,23 +61,30 @@ def _widen(M: SeriesMatrix, width: int) -> SeriesMatrix:
 
 
 def rdac(
-    A: SeriesMatrix, C: SeriesMatrix, i: int, N: int, ctx: QContext
+    A: SeriesMatrix,
+    C: SeriesMatrix,
+    i: int,
+    N: int,
+    ctx: QContext,
+    A0inv: np.ndarray | None = None,
 ) -> tuple[SeriesMatrix, list[np.ndarray], list[int]]:
     """Recursive halving pass at base index i: (family, constraints, singular steps).
 
     Halves N until N <= DAC_LEAF and solves each leaf with the step
-    kernel.  Contract: C has precision >= N; the family has precision N
-    and at least C's columns, and coefficient j of op_E vanishes for
-    every i + j that is not a singular step once the constraints hold.
+    kernel, handing it A0inv (``oracle._a0_inverse`` of A_0, the same at
+    every leaf) so that it does not invert A_0 again.  Contract: C has
+    precision >= N; the family has precision N and at least C's columns,
+    and coefficient j of op_E vanishes for every i + j that is not a
+    singular step once the constraints hold.
     """
     if N <= DAC_LEAF:
-        F, cons, sing = _solve_term_by_term(A, C, N, ctx, i)
+        F, cons, sing = _solve_term_by_term(A, C, N, ctx, i, A0inv)
     else:
         m = (N + 1) // 2
-        H, cons, sing = rdac(A.truncate(m), C.truncate(m), i, m, ctx)
+        H, cons, sing = rdac(A.truncate(m), C.truncate(m), i, m, ctx, A0inv)
         Hp = H.as_poly_prec(N)
         D = (-op_E(A, Hp, _widen(C.truncate(N), H.cols), i, ctx, N)).shift(-m, truncate=True)
-        K, cons_K, sing_K = rdac(A.truncate(N - m), D, i + m, N - m, ctx)
+        K, cons_K, sing_K = rdac(A.truncate(N - m), D, i + m, N - m, ctx, A0inv)
         F = _widen(Hp, K.cols) + K.shift(m)
         cons += cons_K
         sing += sing_K
@@ -108,5 +115,6 @@ def dac_solve(A: SeriesMatrix, C: SeriesMatrix, N: int, ctx: QContext) -> Soluti
         raise ValueError("precision must be positive")
     if A.prec < N or C.prec < N:
         raise ValueError("operands known to lower precision than requested")
-    F, cons, _ = rdac(A.truncate(N), C.truncate(N), 0, N, ctx)
+    A0inv = _a0_inverse(A.coefficient_array(0), ctx)
+    F, cons, _ = rdac(A.truncate(N), C.truncate(N), 0, N, ctx, A0inv)
     return resolve_affine_family(F, cons)

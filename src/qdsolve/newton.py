@@ -25,8 +25,12 @@ diagonal entries are integrals, and all off-diagonal ones run
 (b_i0 - b_j0) U_t = gamma_(t-k+1) U_(t-k+1) - sum_(d=1..k-1) (b_id - b_jd) U_(t-d) - Gamma_t
 side by side, each product reduced mod p before it is summed.  The
 inverse of the iterate is maintained incrementally across levels and
-refreshed by Newton doubling, and the residual products are computed
-only on the window where the residual is supported.
+refreshed by Newton doubling (``SeriesMatrix.inv_newton``), each
+doubling step forming only the error window of A X above the precision
+already reached.  The residual R of a level is formed in full on
+[0, target), so that its low part confirms the divisibility by x^mprev;
+the products after it run only on the window where the residual and the
+update are supported.
 """
 
 from __future__ import annotations

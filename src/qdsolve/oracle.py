@@ -123,8 +123,27 @@ def _solve_operator_matrix(inst: ProblemInstance) -> SolutionSpace | None:
     return SolutionSpace(part, basis)
 
 
+def _a0_inverse(A0: np.ndarray, ctx: QContext) -> np.ndarray | None:
+    """A_0^(-1) when k > 1 and A_0 is invertible, else None.
+
+    For k > 1 every step matrix is -q^g A_0, so this one inverse gives
+    every step of the step kernel at any base index.
+    """
+    if ctx.k > 1:
+        try:
+            return mat_inv(A0, ctx.p)
+        except ValueError:
+            pass
+    return None
+
+
 def _solve_term_by_term(
-    A: SeriesMatrix, C: SeriesMatrix, N: int, ctx: QContext, i: int = 0
+    A: SeriesMatrix,
+    C: SeriesMatrix,
+    N: int,
+    ctx: QContext,
+    i: int = 0,
+    A0inv: np.ndarray | None = None,
 ) -> tuple[SeriesMatrix, list[np.ndarray], list[int]]:
     """Solve coefficients 0 .. N-1 of x^k delta(F) = A sigma(F) + C at base index i.
 
@@ -140,7 +159,9 @@ def _solve_term_by_term(
     M_g = gamma_g Id - q^g A_0 for k = 1 and -q^g A_0 for k > 1.  The
     window sum is one product of A_D .. A_1 side by side with the stacked
     G_(j-D) .. G_(j-1).  For k > 1 with A_0 invertible every step is
-    M_g^(-1) = -q^(-g) A_0^(-1), with A_0 inverted once.  Otherwise each
+    M_g^(-1) = -q^(-g) A_0^(-1), with A_0 inverted once: A0inv, when the
+    caller has it from ``_a0_inverse`` (a divide-and-conquer solve inverts
+    once for all its leaves), else here.  Otherwise each
     step is one _rref, or one scalar inverse when n = 1 and M_g != 0, and
     a step found singular makes each free column of M_g a new parameter
     and each zero row of M_g an affine constraint.
@@ -160,12 +181,8 @@ def _solve_term_by_term(
     A0 = A.coefficient_array(0)
     # k > 1: one A_0^(-1) gives every step; a singular A_0 makes every step
     # singular, and then each step forms M_g like the k = 1 steps do
-    A0inv = None
-    if k > 1:
-        try:
-            A0inv = mat_inv(A0, p)
-        except ValueError:
-            pass
+    if A0inv is None:
+        A0inv = _a0_inverse(A0, ctx)
     if A0inv is None:
         Ms = (-step_matrices(A0, ctx, i, i + N)) % p
         m1 = Ms.ravel().tolist() if n == 1 else None  # the scalars M_g

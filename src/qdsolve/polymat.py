@@ -5,16 +5,22 @@ L <= prec, canonical residues in [0, p) and the trailing all-zero planes
 trimmed; entries share one truncation order.  A scalar series is a 1 x 1
 matrix.
 
-The matrix product has two exact int64 routes.  When the shorter operand
-has at most rows * cols coefficients, it is shift-batched: one
-``_matmul_mod`` per coefficient of the shorter operand, added into the
-output window it reaches.  Otherwise each (row, inner, col) triple is one
-``conv_trunc`` call, which picks the direct or NTT convolution.  Every
-summand is a canonical residue below p < 2^31 and there are fewer than
-2^31 of them, so the accumulators stay below 2^62 and are reduced once.
-The shift-batched route charges the field multiplications of the
-products it forms; that is never more than the per-entry route's
-rows * inner * cols * La * Lb.
+The matrix product, ``mul``, returns a window [lo, n) of coefficients
+(lo = 0 is the product mod x^n) and has two exact int64 routes.  When the
+shorter operand has at most rows * cols coefficients, it is
+shift-batched: one ``_matmul_mod`` per coefficient of the shorter
+operand, over only the planes of the longer one whose products land in
+the window.  Otherwise each (row, inner, col) triple is one
+``conv_trunc`` call, which picks the direct or NTT convolution; neither
+can skip the coefficients below lo, so this route forms them and drops
+them.  Every summand is a canonical residue below p < 2^31 and there are
+fewer than 2^31 of them, so the accumulators stay below 2^62 and are
+reduced once.  The shift-batched route charges the field multiplications
+of the products it forms; that is never more than the per-entry route's
+rows * inner * cols * La * Lb, which it charges whatever the window.
+Newton inversion (``inv_newton``) asks only for the window above the
+precision it has reached; on the shift-batched route a doubling step
+then charges half of the two full products it replaces.
 """
 
 from __future__ import annotations
@@ -146,25 +152,33 @@ class SeriesMatrix:
         # scaling by a nonzero unit preserves the support
         return SeriesMatrix._mk(self.p, self.data * c % self.p, self.prec)
 
-    def mul(self, other: "SeriesMatrix", n: int | None = None) -> "SeriesMatrix":
-        """Matrix product, entries truncated mod x^n.
+    def mul(self, other: "SeriesMatrix", n: int | None = None, lo: int = 0) -> "SeriesMatrix":
+        """Coefficients [lo, n) of the matrix product, as a series mod x^(n - lo).
 
-        With La, Lb the stored lengths, two exact routes give the same
-        canonical result:
+        lo = 0 is the product mod x^n.  A window lo > 0 is what a Newton
+        step needs when the low part of the product is known in advance:
+        the result is (A B mod x^n) divided by x^lo, and it is empty when
+        lo >= La + Lb - 1.  With La, Lb the stored lengths capped at n, two
+        exact routes give the same canonical result:
 
         * shift-batched, when min(La, Lb) <= rows * cols: for each
-          coefficient s of the shorter operand one ``_matmul_mod`` adds
-          its product with the longer operand's first m planes into the
-          output window [s, s + m), m = min(longer length, Lout - s);
+          coefficient t of the shorter operand one ``_matmul_mod`` takes
+          the planes of the longer operand in [max(0, lo - t), min(L, n - t))
+          and adds their product into the output window they reach, so
+          only pairs landing in [lo, n) are formed;
         * per entry otherwise: one ``conv_trunc`` per (row, inner, col)
-          triple, so long products keep the NTT.
+          triple, so long products keep the NTT.  ``np.convolve`` and the
+          NTT cannot skip the low coefficients, so this route forms the
+          product mod x^n in full and keeps the window.
 
         The rule makes the first route take no more Python-level calls
         than there are output entries.  Both routes sum canonical terms
         below p < 2^31, fewer than 2^31 of them, so every int64 sum stays
         below 2^62 and is reduced once at the end.  The shift-batched route
-        charges the products it forms, sum_s rows * inner * cols * m; the
-        per-entry route charges rows * inner * cols * La * Lb, never less.
+        charges the products it forms, rows * inner * cols per coefficient
+        pair (s, t) with lo <= s + t < n; the per-entry route charges what
+        ``conv_trunc`` forms, rows * inner * cols * La * Lb for direct
+        convolutions, whatever the window.
         """
         self._check_compat(other)
         if self.cols != other.rows:
@@ -173,37 +187,41 @@ class SeriesMatrix:
             n = min(self.prec, other.prec)
         if n > self.prec or n > other.prec:
             raise ValueError("target precision exceeds operand precision")
+        if not 0 <= lo <= n:
+            raise ValueError("window start outside [0, n]")
         p = self.p
         rows, inner, cols = self.rows, self.cols, other.cols
-        La = self.data.shape[2]
-        Lb = other.data.shape[2]
-        Lout = min(n, max(0, La + Lb - 1))
-        out = np.zeros((rows, cols, Lout), dtype=_INT64)
-        if Lout and min(La, Lb) <= rows * cols:
+        a, b = self.data[:, :, :n], other.data[:, :, :n]
+        La, Lb = a.shape[2], b.shape[2]
+        hi = min(n, max(0, La + Lb - 1))
+        out = np.zeros((rows, cols, max(0, hi - lo)), dtype=_INT64)
+        if hi > lo and min(La, Lb) <= rows * cols:
             if La <= Lb:
-                for s in range(min(La, Lout)):
-                    m = min(Lb, Lout - s)
-                    b = other.data[:, :, :m].reshape(inner, cols * m)
-                    out[:, :, s : s + m] += _matmul_mod(self.data[:, :, s], b, p).reshape(rows, cols, m)
+                for t in range(max(0, lo - Lb + 1), min(La, hi)):
+                    u0, u1 = max(0, lo - t), min(Lb, hi - t)
+                    m = u1 - u0
+                    c = _matmul_mod(a[:, :, t], b[:, :, u0:u1].reshape(inner, cols * m), p)
+                    out[:, :, t + u0 - lo : t + u1 - lo] += c.reshape(rows, cols, m)
             else:
-                # planes first, so the first m planes are a (m * rows) x inner prefix
-                at = np.ascontiguousarray(self.data.transpose(2, 0, 1))
-                for s in range(min(Lb, Lout)):
-                    m = min(La, Lout - s)
-                    c = _matmul_mod(at[:m].reshape(m * rows, inner), other.data[:, :, s], p)
-                    out[:, :, s : s + m] += c.reshape(m, rows, cols).transpose(1, 2, 0)
+                # planes first, so a run of planes is a (m * rows) x inner block
+                at = np.ascontiguousarray(a.transpose(2, 0, 1))
+                for t in range(max(0, lo - La + 1), min(Lb, hi)):
+                    u0, u1 = max(0, lo - t), min(La, hi - t)
+                    m = u1 - u0
+                    c = _matmul_mod(at[u0:u1].reshape(m * rows, inner), b[:, :, t], p)
+                    out[:, :, t + u0 - lo : t + u1 - lo] += c.reshape(m, rows, cols).transpose(1, 2, 0)
             out %= p
-        elif Lout:
+        elif hi > lo:
             for i in range(rows):
-                di = self.data[i]
+                di = a[i]
                 for j in range(cols):
-                    dj = other.data[:, j]
-                    acc = np.zeros(Lout, dtype=_INT64)
+                    dj = b[:, j]
+                    acc = np.zeros(hi - lo, dtype=_INT64)
                     for l in range(inner):
-                        c = conv_trunc(di[l], dj[l], p, n)
+                        c = conv_trunc(di[l], dj[l], p, n)[lo:]
                         acc[: len(c)] += c
                     out[i, j] = acc % p
-        return SeriesMatrix._mk(p, _trim3(out), n)
+        return SeriesMatrix._mk(p, _trim3(out), n - lo)
 
     def lmul_const(self, M: np.ndarray) -> "SeriesMatrix":
         """Constant matrix (canonical int64 array) times series matrix."""
@@ -286,7 +304,17 @@ class SeriesMatrix:
 
         X, when given, must invert A mod x^s and is refined from there (and
         returned as it is when s >= n); otherwise the iteration starts from
-        the inverse of A_0.
+        the inverse of A_0.  A step
+        from s to s2 = min(2s, n), h = s2 - s, forms only the error window:
+        A X = Id + x^s E mod x^s2, so
+
+            E = coefficients [s, s2) of A X,
+            X <- X - x^s (X mod x^h) E mod x^s2,
+
+        which is X(2 Id - A X) without the coefficients known beforehand.
+        On the shift-batched route of ``mul`` a step on full-length
+        operands charges rows^3 (s h + h (h + 1) / 2), half of the
+        2 rows^3 (s s2 - s (s - 1) / 2) of the two full products at s2 = 2s.
         """
         if self.rows != self.cols:
             raise ValueError("only square series matrices are invertible")
@@ -298,9 +326,10 @@ class SeriesMatrix:
             s = 1
         while s < n:
             s2 = min(2 * s, n)
-            AX = self.truncate(s2).mul(X.as_poly_prec(s2), s2)
-            E = SeriesMatrix.identity(p, self.rows, s2).scale(2) - AX
-            X = X.as_poly_prec(s2).mul(E, s2)
+            h = s2 - s
+            Xp = X.as_poly_prec(s2)
+            E = self.truncate(s2).mul(Xp, s2, lo=s)
+            X = Xp - X.truncate(h).mul(E, h).shift(s)
             s = s2
         if instrument.checks_enabled():
             prod = self.truncate(n).mul(X, n)

@@ -3,7 +3,9 @@ import random
 import numpy as np
 import pytest
 
+from qdsolve import instrument
 from qdsolve.field import PrimeField
+from qdsolve.linalg import mat_inv
 from qdsolve.polymat import SeriesMatrix
 from qdsolve.series import QContext
 
@@ -97,6 +99,67 @@ def test_inv_newton_random_verified():
         except ValueError:
             continue
         assert A.mul(inv, prec) == SeriesMatrix.identity(p, n, prec)
+
+
+def rand_invertible(rng, p, n, prec):
+    """A random n x n series matrix of stored length prec with A_0 invertible."""
+    while True:
+        data = rand_sm(rng, p, n, n, prec).data
+        data = np.pad(data, ((0, 0), (0, 0), (0, prec - data.shape[2])))
+        data[0, 0, prec - 1] = 1 + rng.randrange(p - 1)
+        A = SeriesMatrix(p, data, prec)
+        try:
+            mat_inv(A.coefficient_array(0), p)
+            return A
+        except ValueError:
+            pass
+
+
+def test_inv_newton_refines_from_any_precision():
+    # X mod x^s, with or without junk coefficients from x^s on, refines to
+    # the inverse computed from scratch
+    rng = random.Random(7)
+    p = 134217757
+    for _ in range(30):
+        n, N = rng.randrange(1, 5), rng.randrange(2, 40)
+        A = rand_invertible(rng, p, n, N)
+        want = A.inv_newton(N)
+        s = rng.randrange(1, N + 1)
+        X = want.truncate(s)
+        assert A.inv_newton(N, X, s) == want
+        junk = rand_sm(rng, p, n, n, N - s).shift(s)
+        assert A.inv_newton(N, X.as_poly_prec(N) + junk, s) == want
+
+
+def test_inv_newton_step_is_the_full_newton_step():
+    # one doubling step s -> s2 equals X (2 Id - A X) mod x^s2
+    rng = random.Random(8)
+    for p in (3, 65521, 134217757, 2**31 - 1):
+        for _ in range(10):
+            n, s = rng.randrange(1, 5), rng.randrange(1, 30)
+            s2 = s + rng.randrange(1, s + 1)  # a full or a last, partial step
+            A = rand_invertible(rng, p, n, s2)
+            X = A.inv_newton(s)
+            Xp = X.as_poly_prec(s2)
+            two = SeriesMatrix.identity(p, n, s2).scale(2)
+            want = Xp.mul(two - A.mul(Xp, s2), s2)
+            assert A.inv_newton(s2, X, s) == want
+
+
+@pytest.mark.parametrize("s", [1, 2, 5, 9])
+def test_inv_newton_step_charges_the_error_window(s):
+    # 3 x 3 operands of full length stay on the shift-batched route
+    # (length <= 9); a step s -> 2s charges the window product E, s h
+    # coefficient pairs, and the correction (X mod x^h) E, h (h + 1) / 2
+    rng = random.Random(9 + s)
+    p = 134217757
+    h = s
+    A = rand_invertible(rng, p, 3, 2 * s)
+    X = A.inv_newton(s)
+    assert X.data.shape[2] == s
+    before = instrument.mul_counter.value
+    A.inv_newton(2 * s, X, s)
+    assert instrument.mul_counter.value - before == 27 * (s * h + h * (h + 1) // 2)
 
 
 def test_matrix_product_rule():

@@ -58,46 +58,49 @@ def test_dac_and_dense_agree(inst):
     assert spaces_equal(s_dac, s_dense)
 
 
-def mul_reference(A: SeriesMatrix, B: SeriesMatrix, n: int) -> SeriesMatrix:
-    """A B mod x^n from Python-int coefficient products."""
+def mul_reference(A: SeriesMatrix, B: SeriesMatrix, n: int, lo: int = 0) -> SeriesMatrix:
+    """Coefficients [lo, n) of A B from Python-int coefficient products."""
     a, b = A.data.astype(object), B.data.astype(object)
     out = np.zeros((A.rows, B.cols, n), dtype=object)
     for s in range(a.shape[2]):
         for t in range(min(b.shape[2], n - s)):
             out[:, :, s + t] += a[:, :, s].dot(b[:, :, t])
-    return SeriesMatrix(A.p, (out % A.p).astype(np.int64), n)
+    return SeriesMatrix(A.p, (out[:, :, lo:] % A.p).astype(np.int64), n - lo)
 
 
-def check_mul(A: SeriesMatrix, B: SeriesMatrix, n: int, monkeypatch) -> None:
-    """A.mul(B, n) is the reference product, takes the route the dispatch
-    rule names, and charges what that route forms."""
+def check_mul(A: SeriesMatrix, B: SeriesMatrix, n: int, monkeypatch, lo: int = 0) -> None:
+    """A.mul(B, n, lo) is the reference window, takes the route the dispatch
+    rule names for the stored lengths capped at n, and charges what that
+    route forms: the coefficient pairs landing in [lo, n) when shift-batched,
+    every pair of every entry triple when per entry."""
     calls = []
     conv = polymat.conv_trunc
     monkeypatch.setattr(polymat, "conv_trunc", lambda *a: calls.append(1) or conv(*a))
     rows, inner, cols = A.rows, A.cols, B.cols
-    La, Lb = A.data.shape[2], B.data.shape[2]
-    Lout = min(n, max(0, La + Lb - 1))
+    La, Lb = min(A.data.shape[2], n), min(B.data.shape[2], n)
+    window = min(n, max(0, La + Lb - 1)) > lo
     before = instrument.mul_counter.value
-    got = A.mul(B, n)
+    got = A.mul(B, n, lo=lo)
     charge = instrument.mul_counter.value - before
     monkeypatch.setattr(polymat, "conv_trunc", conv)
-    assert got == mul_reference(A, B, n)
-    per_entry = rows * inner * cols * La * Lb if Lout else 0
+    assert got == mul_reference(A, B, n, lo)
+    per_entry = rows * inner * cols * La * Lb if window else 0
     if min(La, Lb) <= rows * cols:
         assert not calls
-        # one multiplication per coefficient pair that reaches the output
-        pairs = sum(1 for s in range(La) for t in range(Lb) if s + t < Lout)
+        # one multiplication per coefficient pair that lands in the window
+        pairs = sum(1 for s in range(La) for t in range(Lb) if lo <= s + t < n)
         assert charge == rows * inner * cols * pairs
     else:
-        assert len(calls) == (rows * inner * cols if Lout else 0)
+        assert len(calls) == (rows * inner * cols if window else 0)
         assert charge == per_entry
     assert charge <= per_entry
 
 
 @st.composite
 def mul_operands(draw):
-    """(A, B, n): shapes 1..6, stored lengths 0..24 (all-zero and
-    one-coefficient operands included) and n below, at or above La+Lb-1."""
+    """(A, B, n, lo): shapes 1..6, stored lengths 0..24 (all-zero and
+    one-coefficient operands included), n below, at or above La+Lb-1 and
+    a window start lo in [0, n], often 0 or n."""
     p = draw(st.sampled_from([3, 65521, 134217757, 2**31 - 1]))
     rows, inner, cols = (draw(st.integers(1, 6)) for _ in range(3))
     La, Lb = draw(st.integers(0, 24)), draw(st.integers(0, 24))
@@ -109,6 +112,7 @@ def mul_operands(draw):
         n = max(full, 0)
     else:
         n = draw(st.integers(max(full + 1, 0), full + 4))
+    lo = draw(st.one_of(st.just(0), st.just(n), st.integers(0, n)))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def operand(r, c, L):
@@ -119,24 +123,26 @@ def mul_operands(draw):
             data[:] = 0
         return SeriesMatrix(p, data, max(n, L))
 
-    return operand(rows, inner, La), operand(inner, cols, Lb), n
+    return operand(rows, inner, La), operand(inner, cols, Lb), n, lo
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(mul_operands())
 def test_mul_matches_reference(operands):
     # function-scoped monkeypatch cannot be shared across examples
+    A, B, n, lo = operands
     with pytest.MonkeyPatch.context() as mp:
-        check_mul(*operands, mp)
+        check_mul(A, B, n, mp, lo)
 
 
-@pytest.mark.parametrize("p", [3, 2**31 - 1])
+@pytest.mark.parametrize("p", [3, 65521, 134217757, 2**31 - 1])
 @pytest.mark.parametrize("a_short", [True, False])
 @pytest.mark.parametrize("extra", [0, 1])
 @pytest.mark.parametrize("shape", [(2, 3, 2), (1, 4, 3), (1, 1, 1)])
 def test_mul_dispatch_boundary(shape, extra, a_short, p, monkeypatch):
     # min(La, Lb) = rows * cols takes the shift-batched route, one more
-    # coefficient the per-entry route
+    # coefficient the per-entry route; each window start from 0 to past
+    # the last coefficient of the product
     rows, inner, cols = shape
     short, long = rows * cols + extra, rows * cols + 5
     La, Lb = (short, long) if a_short else (long, short)
@@ -149,7 +155,8 @@ def test_mul_dispatch_boundary(shape, extra, a_short, p, monkeypatch):
 
     A, B = operand(rows, inner, La), operand(inner, cols, Lb)
     for n in (0, short - 1, La + Lb - 2, La + Lb - 1, La + Lb):
-        check_mul(A, B, n, monkeypatch)
+        for lo in sorted({0, 1, short, n - 1, n} & set(range(n + 1))):
+            check_mul(A, B, n, monkeypatch, lo)
 
 
 PRIMES = [3, 65521, 134217757, 2**31 - 1]
