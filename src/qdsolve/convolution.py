@@ -5,7 +5,8 @@ Three backends behind one entry point:
 * direct ``np.convolve`` on int64 (with a one-sided limb split when the
   partial sums could overflow 63 bits),
 * a vectorized radix-2 NTT over three Fourier primes recombined by CRT,
-  used above a size cutoff,
+  used above a size cutoff; each (prime, length) plan is built once, its
+  twiddles from one ``field.powers`` table per direction,
 * trivial short-circuits for empty operands.
 
 ``conv_trunc`` adds the number of field multiplications the chosen
@@ -14,10 +15,13 @@ backend performs to the global counter.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import instrument
 from .errors import PreconditionError
+from .field import powers
 
 _INT64 = np.int64
 _EMPTY = np.zeros(0, dtype=_INT64)
@@ -36,7 +40,12 @@ def _next_pow2(n: int) -> int:
 
 
 class _NttPlan:
-    """Twiddle tables for length-L transforms modulo one Fourier prime."""
+    """Twiddle tables for length-L transforms modulo one Fourier prime.
+
+    Stage h of a transform multiplies by w^(s i), i < h, with stride
+    s = L / 2h: every s-th entry of one table of L / 2 powers per
+    direction, stored contiguous.
+    """
 
     __slots__ = ("P", "L", "fwd", "inv", "linv")
 
@@ -45,42 +54,16 @@ class _NttPlan:
         self.P = P
         self.L = L
         w = pow(g, (P - 1) // L, P)
-        winv = pow(w, P - 2, P)
-        self.fwd = []
-        self.inv = []
-        h = L // 2
-        while h >= 1:
-            wh = pow(w, L // (2 * h), P)
-            tw = np.empty(h, dtype=_INT64)
-            t = 1
-            for i in range(h):
-                tw[i] = t
-                t = t * wh % P
-            self.fwd.append(tw)
-            h //= 2
-        h = 1
-        while h <= L // 2:
-            wh = pow(winv, L // (2 * h), P)
-            tw = np.empty(h, dtype=_INT64)
-            t = 1
-            for i in range(h):
-                tw[i] = t
-                t = t * wh % P
-            self.inv.append(tw)
-            h *= 2
+        strides = [1 << j for j in range(L.bit_length() - 1)]  # 1, 2, .., L/2
+        fwd = powers(w, L // 2, P)
+        inv = powers(pow(w, P - 2, P), L // 2, P)
+        self.fwd = [fwd[::s].copy() for s in strides]  # h = L/2 down to 1
+        self.inv = [inv[::s].copy() for s in reversed(strides)]  # h = 1 up to L/2
         self.linv = pow(L, P - 2, P)
 
 
-_plan_cache: dict[tuple[int, int], _NttPlan] = {}
-
-
-def _plan(P: int, g: int, L: int) -> _NttPlan:
-    key = (P, L)
-    plan = _plan_cache.get(key)
-    if plan is None:
-        plan = _NttPlan(P, g, L)
-        _plan_cache[key] = plan
-    return plan
+# one plan per (prime, length), built at first use
+_plan = functools.cache(_NttPlan)
 
 
 def _ntt_forward(x: np.ndarray, plan: _NttPlan) -> np.ndarray:

@@ -4,8 +4,11 @@ The counter tracks the number of multiplications in K performed by the
 algorithms.  Vectorized kernels add their totals in bulk; limb splitting
 and other int64 overflow tricks are representation details and are not
 double-counted.  Inversions count the square-and-multiply cost of
-Fermat exponentiation.
+Fermat exponentiation; m inversions batched by ``field.inverses`` count
+one such power and 3(m - 1) products.
 """
+
+import functools
 
 
 class MulCounter:
@@ -23,17 +26,12 @@ class MulCounter:
 
 mul_counter = MulCounter()
 
-# Cost charged for one inversion a^(p-2) mod p; set per field at first use.
-_inv_cost_cache = {}
 
-
+@functools.cache
 def inv_cost(p):
-    c = _inv_cost_cache.get(p)
-    if c is None:
-        e = p - 2
-        c = (e.bit_length() - 1) + bin(e).count("1") - 1
-        _inv_cost_cache[p] = c
-    return c
+    """Cost charged for one inversion a^(p-2) mod p by square-and-multiply."""
+    e = p - 2
+    return (e.bit_length() - 1) + bin(e).count("1") - 1
 
 
 # When true, algorithms verify internal contracts by exact substitution

@@ -2,10 +2,12 @@
 
 A constant matrix is a two-dimensional int64 array of canonical residues
 in [0, p), and every function here takes the modulus p explicitly.
-Gauss-Jordan elimination with first-nonzero-row pivoting makes every
-result canonical and deterministic: particular solutions set free
-variables to zero and nullspace bases come out in standard reduced
-row-echelon form.  Matrix products go through ``_matmul_mod``, which
+Gauss-Jordan elimination (``_rref``) with first-nonzero-row pivoting
+makes every result canonical and deterministic: ``_affine_solve`` turns
+one reduction into a particular solution with the free variables zero
+and a nullspace basis in standard reduced row-echelon form, and both
+``lin_solve`` and the step kernel's singular steps read their answers
+from it.  Matrix products go through ``_matmul_mod``, which
 keeps int64 sums below 2^63 for every modulus below 2^31.  It, like
 ``mat_inv_stack`` and ``sylvester_solve``, also takes stacks (..., n, n)
 of matrices and runs one vectorized pass over the whole stack.
@@ -13,7 +15,6 @@ of matrices and runs one vectorized pass over the whole stack.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,6 +23,7 @@ import numpy as np
 from . import instrument
 from .convolution import conv_trunc
 from .errors import InternalInvariantError
+from .field import inverses
 
 _INT64 = np.int64
 
@@ -90,6 +92,26 @@ def _rref(m: np.ndarray, p: int, main_cols: int) -> tuple[np.ndarray, list[int]]
     return m, pivots
 
 
+def _affine_solve(U: np.ndarray, V: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce U X = V by one _rref of [U | V].
+
+    Returns the block [X_0 | K] and the rows E of V's part below the rank.
+    X_0 has the free variables zero and solves U X_0 = V exactly when E is
+    zero.  K is a basis of ker U in standard RREF form: a free column c
+    has its 1 in row c, and -(its reduced column) in the pivot rows.
+    """
+    ncols, m = U.shape[1], V.shape[1]
+    red, pivots = _rref(np.hstack([U, V]), p, ncols)
+    rank = len(pivots)
+    pivset = set(pivots)
+    free = [c for c in range(ncols) if c not in pivset]
+    X = np.zeros((ncols, m + len(free)), dtype=_INT64)
+    X[pivots, :m] = red[:rank, ncols:]
+    X[pivots, m:] = (-red[:rank][:, free]) % p
+    X[free, m + np.arange(len(free))] = 1
+    return X, red[rank:, ncols:]
+
+
 def lin_solve(U: np.ndarray, V: np.ndarray, p: int) -> AffineSolution | None:
     """Solve U X = V; None means the system is inconsistent.
 
@@ -99,31 +121,11 @@ def lin_solve(U: np.ndarray, V: np.ndarray, p: int) -> AffineSolution | None:
     """
     if U.shape[0] != V.shape[0]:
         raise ValueError("incompatible system")
-    ncols, m = U.shape[1], V.shape[1]
-    red, pivots = _rref(np.hstack([U, V]), p, ncols)
-    rank = len(pivots)
-    if np.any(red[rank:, ncols:]):
+    X, rest = _affine_solve(U, V, p)
+    if rest.any():
         return None
-    part = np.zeros((ncols, m), dtype=_INT64)
-    part[pivots] = red[:rank, ncols:]
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    null = np.zeros((ncols, len(free)), dtype=_INT64)
-    null[free, np.arange(len(free))] = 1
-    null[pivots] = (-red[:rank][:, free]) % p
-    return AffineSolution(part, null)
-
-
-def _inv_many(x: np.ndarray, p: int) -> np.ndarray:
-    """Inverses of nonzero residues by Montgomery's trick: one Fermat power
-    and 3(m-1) products for m values, charged by the caller."""
-    xs = x.tolist()
-    pre = list(itertools.accumulate(xs, lambda u, v: u * v % p, initial=1))
-    inv = pow(pre[-1], p - 2, p)
-    out = [0] * len(xs)
-    for i in range(len(xs) - 1, -1, -1):
-        out[i], inv = inv * pre[i] % p, inv * xs[i] % p
-    return np.array(out, dtype=_INT64)
+    m = V.shape[1]
+    return AffineSolution(X[:, :m], X[:, m:])
 
 
 def mat_inv_stack(U: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -154,10 +156,10 @@ def mat_inv_stack(U: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
             dead = piv == 0
             singular |= dead
             W[dead, c, c] = 1
-        m = int(np.count_nonzero(piv != 1))
-        if m:
-            instrument.mul_counter.add(m * cols + 3 * (m - 1) + instrument.inv_cost(p))
-            W[:, c] = W[:, c] * _inv_many(piv, p)[:, None] % p
+        scale = np.flatnonzero(piv != 1)
+        if len(scale):
+            instrument.mul_counter.add(len(scale) * cols)
+            W[scale, c] = W[scale, c] * inverses(piv[scale], p)[:, None] % p
         colv = W[:, :, c].copy()
         colv[:, c] = 0
         nnz = int(np.count_nonzero(colv))

@@ -41,6 +41,7 @@ import numpy as np
 
 from . import instrument
 from .errors import InternalInvariantError, SpectrumError
+from .field import inverses
 from .linalg import _matmul_mod, mat_inv, sylvester_solve
 from .oracle import _solve_term_by_term
 from .polymat import SeriesMatrix
@@ -81,8 +82,8 @@ def splitting_lemma(A: SeriesMatrix, ctx: QContext, seed: int = 0) -> Associated
     # 1 / (root_l - root_m) off the diagonal; its zero diagonal keeps V_i's zero
     inv_diff = np.zeros((n, n), dtype=_INT64)
     rows, cols = np.nonzero(~np.eye(n, dtype=bool))
-    instrument.mul_counter.add(len(rows) * instrument.inv_cost(p))
-    inv_diff[rows, cols] = [pow((roots[l] - roots[c]) % p, p - 2, p) for l, c in zip(rows, cols)]
+    r = np.array(roots, dtype=_INT64)
+    inv_diff[rows, cols] = inverses((r[rows] - r[cols]) % p, p)
     Vt = np.zeros((n, n, k), dtype=_INT64)
     Bc = np.zeros((n, n, k), dtype=_INT64)
     Vt[:, :, 0] = np.eye(n, dtype=_INT64)
@@ -212,8 +213,7 @@ def diff_sylvester_differential(
     for i in range(n):
         u = ctx.integrate(Gamma.entry(i, i).shift(-k)).data[0, 0, :N]
         U[i, i, : len(u)] = u
-    instrument.mul_counter.add(len(rows) * instrument.inv_cost(p))
-    inv = np.array([pow(int(c), p - 2, p) for c in dif[:, 0]], dtype=_INT64)
+    inv = inverses(dif[:, 0], p)
     gam = ctx.gamma_slice(N)
     for t in range(m, N):
         lo = max(m, t - k + 1)  # U_(t-d) for d = t-lo .. 1; the others vanish

@@ -28,8 +28,8 @@ import numpy as np
 
 from . import instrument
 from .errors import PreconditionError
-from .field import PrimeField
-from .linalg import _matmul_mod, _rref, lin_solve, mat_inv
+from .field import PrimeField, inverses
+from .linalg import _affine_solve, _matmul_mod, lin_solve, mat_inv
 from .polymat import SeriesMatrix
 from .series import QContext
 from .solution import SolutionSpace, resolve_affine_family, spaces_equal  # noqa: F401
@@ -158,13 +158,15 @@ def _solve_term_by_term(
 
     M_g = gamma_g Id - q^g A_0 for k = 1 and -q^g A_0 for k > 1.  The
     window sum is one product of A_D .. A_1 side by side with the stacked
-    G_(j-D) .. G_(j-1).  For k > 1 with A_0 invertible every step is
-    M_g^(-1) = -q^(-g) A_0^(-1), with A_0 inverted once: A0inv, when the
-    caller has it from ``_a0_inverse`` (a divide-and-conquer solve inverts
-    once for all its leaves), else here.  Otherwise each
-    step is one _rref, or one scalar inverse when n = 1 and M_g != 0, and
-    a step found singular makes each free column of M_g a new parameter
-    and each zero row of M_g an affine constraint.
+    G_(j-D) .. G_(j-1).  A step M_g = s_g M with M^(-1) known and s_g != 0
+    is one scaling by 1/s_g and one product: for k > 1 with A_0 invertible
+    M = A_0 and s_g = -q^g, with A_0 inverted once (A0inv, when the caller
+    has it from ``_a0_inverse``: a divide-and-conquer solve inverts once
+    for all its leaves), and for n = 1 M = 1 and s_g = M_g, all nonzero
+    M_g inverted by one ``field.inverses`` call.  Every other step is one
+    ``linalg._affine_solve``: its particular/nullspace block is F_j, so
+    each free column of a singular M_g becomes a new parameter, and each
+    nonzero leftover row an affine constraint.
 
     Returns (family, cons, sing): the n x width affine family mod x^N, the
     constraint rows (row[0] + row[1:] . params = 0, each as wide as the
@@ -172,23 +174,26 @@ def _solve_term_by_term(
     """
     p, k, n = ctx.p, ctx.k, A.rows
     charge = instrument.mul_counter.add
-    inv_c = instrument.inv_cost(p)
     qp = ctx.qpow_slice(i + N)[i:]
     gam = ctx.gamma_slice(i + N)[i:]
     A = A.as_poly_prec(N)  # exact: A.prec >= N, or A is PolCoeffsDE's polynomial
     La = A.data.shape[2]
     Acat = A.side_by_side()
     A0 = A.coefficient_array(0)
-    # k > 1: one A_0^(-1) gives every step; a singular A_0 makes every step
-    # singular, and then each step forms M_g like the k = 1 steps do
+    # sinv[j] = 1/s_g, or 0 where step j goes to _affine_solve.  A singular
+    # A_0 makes every k > 1 step singular, so then no step has an s_g.
     if A0inv is None:
         A0inv = _a0_inverse(A0, ctx)
     if A0inv is None:
         Ms = (-step_matrices(A0, ctx, i, i + N)) % p
-        m1 = Ms.ravel().tolist() if n == 1 else None  # the scalars M_g
+        sinv = np.zeros(N, dtype=_INT64)
+        if n == 1:
+            s = Ms.ravel()
+            nz = np.flatnonzero(s)
+            sinv[nz] = inverses(s[nz], p)
     else:
-        qinv = (p - ctx.qinv_pow_slice(i + N)[i:]).tolist()  # -q^(-g)
-    qp, gam = qp.tolist(), gam.tolist()
+        sinv = p - ctx.qinv_pow_slice(i + N)[i:]  # -q^(-g)
+    qp, gam, sinv = qp.tolist(), gam.tolist(), sinv.tolist()
     # rows jn .. (j+1)n hold F_j and G_j, so a window is a row range.  Until
     # step j solves them, the rows of F_j hold C_j.  Only windows read G,
     # and G is F when q = 1.  F grows its columns only at a singular step;
@@ -214,25 +219,16 @@ def _solve_term_by_term(
             rj = r - (k - 1) * n
             rhs = rhs - gam[j - k + 1] * Fw[rj : rj + n]
         rhs = rhs % p
-        if A0inv is not None:
+        if sinv[j]:
             charge(n * width)
-            fi = _matmul_mod(A0inv, rhs * qinv[j] % p, p)
-        elif n == 1 and m1[j]:
-            charge(width + inv_c)
-            fi = rhs * pow(m1[j], p - 2, p) % p
+            fi = rhs * sinv[j] % p
+            if A0inv is not None:
+                fi = _matmul_mod(A0inv, fi, p)
         else:
-            red, pivots = _rref(np.hstack([Ms[j], rhs]), p, n)
-            rank = len(pivots)
-            if rank < n:
+            fi, rest = _affine_solve(Ms[j], rhs, p)
+            if len(rest):
                 sing.append(i + j)
-            for row in red[rank:, n:]:
-                if row.any():
-                    cons.append(row)
-            free = [c for c in range(n) if c not in pivots]
-            fi = np.zeros((n, width + len(free)), dtype=_INT64)
-            fi[pivots, :width] = red[:rank, n:]
-            fi[pivots, width:] = (-red[:rank][:, free]) % p
-            fi[free, width + np.arange(len(free))] = 1
+            cons.extend(row for row in rest if row.any())
         if fi.shape[1] > width:
             width = fi.shape[1]
             if width > F.shape[1]:

@@ -4,12 +4,15 @@ and their derived tables.
 ``QContext`` bundles the field, q and k, memoizes the q-integers gamma_i
 (gamma_0 = 0, gamma_{i+1} = q*gamma_i + 1), their inverses, and the
 powers q^i and q^(-i), and integrates a scalar series: integrate(f) is
-the g with delta(g) = f and g_0 = 0, where
+the g with delta(g) = f and g_0 = 0.  One ``_grow`` rebuilds the q^i and
+q^(-i) tables with ``field.powers``, at least doubling them, and sets
+gamma_i = (q^i - 1) / (q - 1) (gamma_i = i when q = 1); the inverses
+1/gamma_i come from ``field.inverses``.  The operators are
 
     delta(f) = sum_{i>=1} gamma_i f_i x^(i-1)      (d/dx when q = 1)
     sigma(f)(x) = f(qx)
 
-are applied by ``SeriesMatrix.delta`` and ``SeriesMatrix.sigma``.  A scalar
+applied by ``SeriesMatrix.delta`` and ``SeriesMatrix.sigma``.  A scalar
 series is a 1 x 1 ``SeriesMatrix``.
 """
 
@@ -19,7 +22,7 @@ import numpy as np
 
 from . import instrument
 from .errors import PreconditionError
-from .field import PrimeField
+from .field import PrimeField, inverses, powers
 from .polymat import SeriesMatrix, _trim3
 
 _INT64 = np.int64
@@ -28,13 +31,14 @@ _INT64 = np.int64
 class QContext:
     """The pair (q, k) with the derived gamma and q-power tables.
 
-    The memo tables only grow; after warm-up with ``gamma_slice`` they
-    are read-only, so sharing a context across threads is safe.
-    ``integrate`` grows the table of 1/gamma_i on demand but reads only
-    the table it built or found, so concurrent calls stay correct.
+    The memo tables only grow, each replaced by a longer one; after
+    warm-up with ``gamma_slice`` they are read-only, so sharing a context
+    across threads is safe.  ``integrate`` grows the table of 1/gamma_i
+    on demand but reads only the table it built or found, so concurrent
+    calls stay correct.
     """
 
-    __slots__ = ("field", "p", "q", "k", "_gam", "_gaminv", "_qp", "_qip", "_qinv")
+    __slots__ = ("field", "p", "q", "k", "_gam", "_gaminv", "_qp", "_qip", "_qinv", "_dinv")
 
     def __init__(self, field: PrimeField, q: int, k: int):
         if not isinstance(k, int) or k < 1:
@@ -46,33 +50,30 @@ class QContext:
         self.p = field.p
         self.q = q
         self.k = k
-        self._gam = np.zeros(1, dtype=_INT64)
+        # 1/q and 1/(q - 1), charged once here rather than in any solve
+        self._qinv, self._dinv = 1, None
+        if q != 1:
+            self._qinv, self._dinv = inverses(np.array([q, q - 1]), self.p).tolist()
+        self._gam = self._qp = self._qip = np.zeros(0, dtype=_INT64)
         self._gaminv = np.zeros(1, dtype=_INT64)  # entry 0 unused: gamma_0 = 0
-        self._qp = np.ones(1, dtype=_INT64)
-        self._qip = None
-        self._qinv = None
 
     def __repr__(self):
         return f"QContext(p={self.p}, q={self.q}, k={self.k})"
 
     def _grow(self, n: int):
-        old = len(self._gam)
-        if n <= old:
+        """Rebuild the gamma_i, q^i and q^(-i) tables to at least n entries,
+        at least doubling them."""
+        if n <= len(self._qp):
             return
-        p, q = self.p, self.q
-        gam = np.empty(n, dtype=_INT64)
-        qp = np.empty(n, dtype=_INT64)
-        gam[:old] = self._gam
-        qp[:old] = self._qp
-        g = int(gam[old - 1])
-        w = int(qp[old - 1])
-        for i in range(old, n):
-            g = (q * g + 1) % p
-            w = w * q % p
-            gam[i] = g
-            qp[i] = w
-        self._gam = gam
-        self._qp = qp
+        n = max(n, 2 * len(self._qp))
+        p = self.p
+        qp = powers(self.q, n, p)
+        if self._dinv is None:
+            self._gam = np.arange(n, dtype=_INT64) % p
+        else:  # gamma_i = (q^i - 1) / (q - 1), the sum of q^0 .. q^(i-1)
+            self._gam = (qp - 1) * self._dinv % p
+        self._qip = powers(self._qinv, n, p)
+        self._qp = qp  # last: _grow reads its length, so the others are as long
 
     def gamma(self, i: int) -> int:
         self._grow(i + 1)
@@ -91,21 +92,7 @@ class QContext:
         return self._qp[:n]
 
     def qinv_pow_slice(self, n: int) -> np.ndarray:
-        if self._qinv is None:
-            instrument.mul_counter.add(instrument.inv_cost(self.p))
-            self._qinv = pow(self.q, self.p - 2, self.p)
-        old = 0 if self._qip is None else len(self._qip)
-        if old < n:
-            p = self.p
-            out = np.empty(n, dtype=_INT64)
-            w = 1
-            if old:
-                out[:old] = self._qip
-                w = int(self._qip[-1]) * self._qinv % p
-            for i in range(old, n):
-                out[i] = w
-                w = w * self._qinv % p
-            self._qip = out
+        self._grow(n)
         return self._qip[:n]
 
     def _gamma_inv_slice(self, n: int) -> np.ndarray:
@@ -113,14 +100,7 @@ class QContext:
         tab = self._gaminv
         old = len(tab)
         if old < n:
-            p = self.p
-            g = self.gamma_slice(n)
-            instrument.mul_counter.add(instrument.inv_cost(p) * (n - old))
-            grown = np.empty(n, dtype=_INT64)
-            grown[:old] = tab
-            for i in range(old, n):
-                grown[i] = pow(int(g[i]), p - 2, p)
-            tab = grown
+            tab = np.concatenate([tab, inverses(self.gamma_slice(n)[old:], self.p)])
             if n > len(self._gaminv):
                 self._gaminv = tab
         return tab[:n]

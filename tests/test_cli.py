@@ -92,6 +92,19 @@ def test_solve_newton_bad_spectrum_exit_2(tmp_path):
     assert code == 0
 
 
+def test_solve_dac_warns_on_many_singular_indices(tmp_path):
+    # k = 2 with A0 = 0: every index is singular, past the one the
+    # divide-and-conquer cost bound allows, but the solve still runs
+    prob = tmp_path / "sing.prob"
+    prob.write_text("p: 101\nq: 1\nk: 2\nn: 1\nN: 5\nA[1]:\n1\nC[0]:\n1\n")
+    code, out, err = run_cli(["solve", str(prob), "--algo", "dac"])
+    assert code == 0
+    assert "warning: 5 singular indices" in err
+    assert "status: " in out
+    _, dense, _ = run_cli(["solve", str(prob), "--algo", "dense"])
+    assert out == dense
+
+
 def test_check_round_trip(tmp_path):
     prob = tmp_path / "p.prob"
     sol = tmp_path / "s.sol"
@@ -116,8 +129,23 @@ def test_check_detects_perturbation(tmp_path):
             break
     sol.write_text("\n".join(lines) + "\n")
     code, out, err = run_cli(["check", str(prob), str(sol)])
-    assert code != 0
-    assert "coefficient 2" in err
+    assert code == 4
+    assert "basis column 0 fails the homogeneous equation at coefficient 2" in err
+
+
+def test_check_detects_wrong_particular(tmp_path):
+    # x delta(F) = 2 F + 1: F_0 = -1/2 and F_1 = 0, so a particular
+    # solution with F_1 = 1 leaves (1 - 2) F_1 at coefficient 1
+    prob = tmp_path / "p.prob"
+    sol = tmp_path / "s.sol"
+    prob.write_text("p: 101\nq: 1\nk: 1\nn: 1\nN: 4\nA[0]:\n2\nC[0]:\n1\n")
+    code, _, _ = run_cli(["solve", str(prob), "--out", str(sol)])
+    assert code == 0
+    assert "particular[1]" not in sol.read_text()
+    sol.write_text(sol.read_text() + "particular[1]:\n1\n")
+    code, out, err = run_cli(["check", str(prob), str(sol)])
+    assert code == 4
+    assert "particular solution fails at coefficient 1" in err
 
 
 def test_check_truncated_solution_is_parse_error(tmp_path):

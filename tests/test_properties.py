@@ -1,7 +1,8 @@
 """Property tests: the divide-and-conquer and Newton engines against the
 operator-matrix reference, both routes of SeriesMatrix.mul and the batched
 _matmul_mod against Python-int products, the stacked inverse against mat_inv,
-and good_spectrum against the gcd criterion it replaced."""
+good_spectrum against the gcd criterion it replaced, and the scalar helpers
+field.powers, field.inverses and the QContext tables against Python pow."""
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st  # noqa: E402
 from qdsolve import instrument, polymat  # noqa: E402
 from qdsolve.dac import DAC_LEAF, dac_solve  # noqa: E402
 from qdsolve.errors import SpectrumError  # noqa: E402
-from qdsolve.field import PrimeField  # noqa: E402
+from qdsolve.field import PrimeField, inverses, powers  # noqa: E402
 from qdsolve.linalg import _matmul_mod, _rref, char_poly, mat_inv, mat_inv_stack  # noqa: E402
 from qdsolve.newton import newton_solve  # noqa: E402
 from qdsolve.oracle import _solve_operator_matrix, dense_solve, make_instance, residual  # noqa: E402
@@ -366,3 +367,61 @@ def test_newton_agrees_or_names_first_bad_step(inst):
         assert spaces_equal(got, _solve_operator_matrix(inst))
     finally:
         instrument.set_runtime_checks(False)
+
+
+HELPER_PRIMES = [3, 65521, 134217757, 2**31 - 1]
+HELPER_LENGTHS = sorted({0, 1, 2} | {2**j + d for j in range(1, 9) for d in (-1, 1)})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(HELPER_PRIMES), st.sampled_from(HELPER_LENGTHS), st.integers(0, 2**32))
+def test_powers_match_python_pow(p, m, w):
+    w %= p
+    got = powers(w, m, p)
+    assert got.dtype == np.int64
+    assert got.tolist() == [pow(w, i, p) for i in range(m)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(HELPER_PRIMES), st.sampled_from(HELPER_LENGTHS), st.integers(0, 2**32 - 1))
+def test_inverses_match_python_pow_and_charge_once(p, m, seed):
+    gen = np.random.default_rng(seed)
+    x = gen.integers(1, p, m)
+    x[gen.random(m) < 0.2] = p - 1  # extreme residues
+    before = instrument.mul_counter.value
+    got = inverses(x, p)
+    charged = instrument.mul_counter.value - before
+    assert got.dtype == np.int64
+    assert got.tolist() == [pow(int(v), p - 2, p) for v in x]
+    assert charged == (3 * (m - 1) + instrument.inv_cost(p) if m else 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([3, 5, 101] + HELPER_PRIMES[1:]),
+    st.booleans(),
+    st.integers(2, 2**31),
+    st.lists(
+        st.tuples(st.sampled_from(["gamma", "qpow", "qinv"]), st.integers(0, 300)),
+        min_size=1, max_size=5,
+    ),
+)
+def test_qcontext_tables_in_any_growth_order(p, q_is_one, q, growth):
+    # the tables, grown by whichever accessor asks first and in any order
+    # of sizes (say 5, then 3, then 300), equal the gamma recurrence, q^i
+    # and q^(-i) at every size asked for
+    q = 1 if q_is_one else 2 + q % (p - 2)  # q in [2, p)
+    ctx = QContext(PrimeField(p), q, 1)
+    slices = {"gamma": ctx.gamma_slice, "qpow": ctx.qpow_slice, "qinv": ctx.qinv_pow_slice}
+    for which, n in growth:
+        assert len(slices[which](n)) == n
+    n = max(size for _, size in growth)
+    gam, g = [], 0
+    for _ in range(n):
+        gam.append(g)
+        g = (q * g + 1) % p
+    assert ctx.gamma_slice(n).tolist() == gam
+    assert ctx.qpow_slice(n).tolist() == [pow(q, i, p) for i in range(n)]
+    assert ctx.qinv_pow_slice(n).tolist() == [pow(q, -i, p) for i in range(n)]
+    if n:
+        assert (ctx.gamma(n - 1), ctx.qpow(n - 1)) == (gam[-1], pow(q, n - 1, p))

@@ -74,9 +74,10 @@ def test_q_integrate_examples():
 
 
 def test_integrate_inverse_table_grows_once():
-    # the table of 1/gamma_i grows (one Fermat inversion per new entry)
-    # only when a call needs more of it; every call then charges one
-    # multiplication per coefficient
+    # the table of 1/gamma_i grows (by one batched inversion of the m new
+    # entries, 3(m - 1) products and one Fermat power) only when a call
+    # needs more of it; every call then charges one multiplication per
+    # coefficient
     rng = random.Random(12)
     for p in (101, 2**31 - 1):
         ctx = QContext(PrimeField(p), 3, 1)
@@ -90,7 +91,7 @@ def test_integrate_inverse_table_grows_once():
             assert got == ser(p, want, L + 1)
             grown = max(0, L + 1 - covered)
             covered = max(covered, L + 1)
-            assert charge == L + instrument.inv_cost(p) * grown
+            assert charge == L + (3 * (grown - 1) + instrument.inv_cost(p) if grown else 0)
 
 
 def test_mul_examples():

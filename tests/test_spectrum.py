@@ -70,6 +70,18 @@ def test_good_spectrum_k_gt_1():
     assert rep.good
 
 
+def test_good_spectrum_gamma_p_clause():
+    # q = 1, k > 1: the steps reach gamma_p = p = 0 once N - k >= p
+    p, k = 7, 2
+    ctx = QContext(PrimeField(p), 1, k)
+    A0 = diag(p, [1, 2])
+    assert good_spectrum(A0, ctx, p + k - 1).good
+    for N in (p + k, p + k + 3):
+        rep = good_spectrum(A0, ctx, N)
+        assert not rep.good
+        assert rep.reason == "gamma_7 = 0 in F_7 (clause k>1, q=1)"
+
+
 def test_diagonalize_examples():
     P, roots = diagonalize(diag(101, [1, 2]), 101)
     assert roots == [1, 2] and np.array_equal(P, np.eye(2, dtype=np.int64))
