@@ -36,6 +36,7 @@ from .problemfile import (
     serialize_problem,
     serialize_solution,
 )
+from .solution import canonical_form
 from .spectrum import singular_indices
 
 
@@ -141,7 +142,12 @@ def _cmd_check(args) -> int:
             file=sys.stderr,
         )
         return 4
-    print(f"ok: particular and {space.dim} basis column(s) verified mod x^{inst.N}")
+    # t columns of n series with L stored planes span at most n L dimensions
+    t = space.dim
+    if t > inst.n * space.basis.data.shape[2] or len(canonical_form(space)[0]) < t:
+        print(f"the {t} basis columns are linearly dependent", file=sys.stderr)
+        return 4
+    print(f"ok: particular and {t} basis column(s) verified mod x^{inst.N}")
     return 0
 
 
@@ -163,6 +169,10 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 def _cmd_bench(args) -> int:
     ns = _parse_int_list(args.n, "n")
     Ns = _parse_int_list(args.N, "N")
+    if min(ns) < 1 or min(Ns) < 1:
+        raise UsageError("n and N must be positive")
+    if args.k < 0:
+        raise UsageError("k must be nonnegative")
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     for a in algos:
         if a not in ALGORITHMS:

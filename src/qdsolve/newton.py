@@ -60,24 +60,27 @@ class AssociatedData:
     V: SeriesMatrix
 
 
-def choose_associated(A: SeriesMatrix, ctx: QContext) -> AssociatedData:
+def choose_associated(A: SeriesMatrix, ctx: QContext, chi: list[int]) -> AssociatedData:
     """B = A mod x^k with V = Id, except in the differential case with
-    k > 1 where the splitting construction is required."""
+    k > 1 where the splitting construction is required.  chi is the
+    characteristic polynomial from A_0's good spectrum report."""
     k = ctx.k
     if k == 1 or ctx.q != 1:
         return AssociatedData(A.truncate(k), SeriesMatrix.identity(A.p, A.rows, k))
-    return splitting_lemma(A, ctx)
+    return splitting_lemma(A, ctx, chi)
 
 
-def splitting_lemma(A: SeriesMatrix, ctx: QContext, seed: int = 0) -> AssociatedData:
+def splitting_lemma(A: SeriesMatrix, ctx: QContext, chi: list[int]) -> AssociatedData:
     """Diagonal polynomial B and V with V_0 invertible, A V = V B mod x^k.
 
-    Needs k > 1, q = 1 and A_0 with n distinct eigenvalues in K.
+    Needs k > 1, q = 1 and A_0 with n distinct eigenvalues in K; chi is
+    the characteristic polynomial from A_0's good spectrum report, which
+    proved that.
     """
     k, p, n = ctx.k, ctx.p, A.rows
     if k <= 1 or ctx.q != 1:
         raise ValueError("splitting construction applies to q = 1 and k > 1 only")
-    P, roots = diagonalize(A.coefficient_array(0), p, seed=seed)
+    P, roots = diagonalize(A.coefficient_array(0), chi, p)
     D = A.truncate(k).lmul_const(mat_inv(P, p)).rmul_const(P)
     # 1 / (root_l - root_m) off the diagonal; its zero diagonal keeps V_i's zero
     inv_diff = np.zeros((n, n), dtype=_INT64)
@@ -315,7 +318,7 @@ def newton_solve(A: SeriesMatrix, C: SeriesMatrix, N: int, ctx: QContext) -> Sol
     # coefficients of A beyond x^N never reach the truncated solution, so
     # lifting by zeros is sound when N < k
     At = A.truncate(N).as_poly_prec(max(N, ctx.k))
-    assoc = choose_associated(At, ctx)
+    assoc = choose_associated(At, ctx, rep.chi)
     # B0 is A0 unless k > 1 and q = 1, where diff_sylvester is not used
     W, Winv, inv_valid = _newton_ae_impl(At, assoc.B, assoc.V, N, ctx, rep)
     Wp = W.as_poly_prec(N) if W.prec < N else W.truncate(N)

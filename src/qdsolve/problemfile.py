@@ -100,19 +100,18 @@ def _require(headers, keys):
 
 
 def _build_series_matrix(blocks, name, p, rows, cols, N):
-    degs = [d for (nm, d) in blocks if nm == name]
-    L = min(max(degs) + 1, N) if degs else 0
-    data = np.zeros((rows, cols, max(L, 0)), dtype=_INT64)
-    for (nm, d), vals in blocks.items():
-        if nm != name:
-            continue
+    mine = {d: vals for (nm, d), vals in blocks.items() if nm == name}
+    # every count is checked before the array is allocated
+    for d, vals in mine.items():
         if len(vals) != rows * cols:
             raise ProblemFormatError(
                 f"block {name}[{d}] has {len(vals)} entries, expected {rows * cols}"
             )
-        if d >= N:
-            continue  # beyond the working precision; ignored
-        data[:, :, d] = np.array([v % p for v in vals], dtype=_INT64).reshape(rows, cols)
+    L = min(max(mine) + 1, N) if mine else 0
+    data = np.zeros((rows, cols, L), dtype=_INT64)
+    for d, vals in mine.items():
+        if d < N:  # blocks beyond the working precision are ignored
+            data[:, :, d] = np.array([v % p for v in vals], dtype=_INT64).reshape(rows, cols)
     return SeriesMatrix(p, data, N)
 
 
@@ -184,6 +183,8 @@ def parse_solution(text: str, expect_p: int, expect_n: int, expect_N: int):
         raise ProblemFormatError(f"unknown status {status!r}")
     _require(headers, ("t",))
     t = headers["t"]
+    if not 0 <= t <= n * N:
+        raise ProblemFormatError(f"t = {t} outside [0, n N] = [0, {n * N}]")
     for nm, _d in blocks:
         if nm not in ("particular", "basis"):
             raise ProblemFormatError(f"unknown block name {nm!r}")

@@ -92,10 +92,6 @@ def resolve_affine_family(family: SeriesMatrix, cons: list[np.ndarray]) -> Solut
     for idx, row in enumerate(cons):
         const[idx] = (-row[0]) % p
         coeffs[idx, : len(row) - 1] = row[1:]
-    if nparams == 0:
-        if np.any(const):
-            return None
-        return SolutionSpace(family, SeriesMatrix.zeros(p, family.rows, 0, family.prec))
     sol = lin_solve(coeffs, const, p)
     if sol is None:
         return None

@@ -9,7 +9,8 @@ q^i A0, i < N, by one stacked Horner scheme and invert the whole stack
 in one vectorized elimination.  The singular mask is the verdict, and
 the inverses go to the Newton solver, whose Sylvester steps need exactly
 them.  The k > 1, q = 1 clause (A0 has n distinct eigenvalues in K) is
-decided by polynomial gcds.
+decided by polynomial gcds, and the report's chi is the one that
+diagonalize then splits into those eigenvalues: a solve forms chi once.
 """
 
 from __future__ import annotations
@@ -89,14 +90,6 @@ def _pmulmod(f, g, m, p):
     return r
 
 
-def _peval_many(f, xs: np.ndarray, p: int) -> np.ndarray:
-    out = np.zeros(len(xs), dtype=_INT64)
-    instrument.mul_counter.add(len(f) * len(xs))
-    for c in reversed(f):
-        out = (out * xs + c) % p
-    return out
-
-
 def _is_split_squarefree(chi, p) -> tuple[bool, str | None]:
     if len(_pgcd(chi, _pderiv(chi, p), p)) != 1:
         return False, "|Spec A0| = n fails (repeated eigenvalue)"
@@ -136,8 +129,8 @@ def singular_indices(chi: list[int], ctx, N: int) -> list[int]:
     # det(q^i A0 - gamma_i Id) = (-1)^n q^(i n) chi(gamma_i q^(-i))
     pts = ctx.gamma_slice(N) * ctx.qinv_pow_slice(N) % ctx.p
     instrument.mul_counter.add(N)
-    vals = _peval_many(chi, pts, ctx.p)
-    return [int(i) for i in np.nonzero(vals == 0)[0]]
+    vals = monic_at(chi, pts[:, None, None], ctx.p)
+    return [int(i) for i in np.flatnonzero(vals == 0)]
 
 
 def step_matrices(A0: np.ndarray, ctx, lo: int, hi: int) -> np.ndarray:
@@ -198,9 +191,13 @@ def good_spectrum(A0: np.ndarray, ctx, N: int) -> SpectrumReport:
     return SpectrumReport(good, report, sing, chi, steps_inv, steps_singular)
 
 
-def _find_roots(chi, p: int, seed: int) -> list[int]:
-    """Roots of a squarefree product of distinct linear factors."""
-    rng = random.Random(seed)
+def _find_roots(chi, p: int) -> list[int]:
+    """Roots of a squarefree product of distinct linear factors.
+
+    Las Vegas: the random splitting points only decide how fast the roots
+    are found, and the fixed seed makes the run reproducible.
+    """
+    rng = random.Random(0)
     roots: list[int] = []
 
     def split(f):
@@ -235,19 +232,17 @@ def _ppowmod_linear(a, e, m, p):
     return result
 
 
-def diagonalize(A0: np.ndarray, p: int, seed: int = 0) -> tuple[np.ndarray, list[int]]:
+def diagonalize(A0: np.ndarray, chi: list[int], p: int) -> tuple[np.ndarray, list[int]]:
     """(P, roots) with P invertible and P^(-1) A0 P = diag(roots).
 
-    Requires char_poly(A0) squarefree and split over K; the roots are
-    ascending, so the output is deterministic given the seed of the
-    Las-Vegas root finder.
+    chi must be char_poly(A0) from a good spectrum report with k > 1,
+    q = 1, which has proved it squarefree and split over K.  The roots are
+    ascending, so the output is deterministic.
     """
     n = A0.shape[0]
-    chi = char_poly(A0, p)
-    ok, why = _is_split_squarefree(chi, p)
-    if not ok:
-        raise ValueError(f"cannot diagonalize: {why}")
-    roots = _find_roots(chi, p, seed)
+    roots = _find_roots(chi, p)
+    if len(roots) != n or len(set(roots)) != n:
+        raise InternalInvariantError(f"chi has roots {roots} in K, expected {n} distinct ones")
     zero = np.zeros((n, 1), dtype=_INT64)
     cols = []
     for r in roots:

@@ -1,10 +1,15 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from qdsolve import cli
 from qdsolve.cli import main
-from qdsolve.problemfile import parse_problem, parse_solution
+from qdsolve.errors import InternalInvariantError
+from qdsolve.polymat import SeriesMatrix
+from qdsolve.problemfile import parse_problem, parse_solution, serialize_solution
+from qdsolve.solution import SolutionSpace
 
 EXP_PROBLEM = """\
 # exponential through the order reduction: A = x, C = 0
@@ -148,6 +153,42 @@ def test_check_detects_wrong_particular(tmp_path):
     assert "particular solution fails at coefficient 1" in err
 
 
+def test_check_rejects_bad_column_count_and_dependent_basis(tmp_path):
+    prob = tmp_path / "p.prob"
+    sol = tmp_path / "s.sol"
+    prob.write_text(HYPERGEOM_STYLE)
+    run_cli(["solve", str(prob), "--out", str(sol)])
+    space = parse_solution(sol.read_text(), 101, 2, 4)
+    assert space.dim >= 1
+    head = "status: ok\np: 101\nn: 2\nN: 4\n"
+    for t in (-1, 100000000000):
+        sol.write_text(head + f"t: {t}\n")
+        code, out, err = run_cli(["check", str(prob), str(sol)])
+        assert code == 1 and "outside" in err
+    # zero columns, and a repeated column, solve the homogeneous equation
+    # but are no basis
+    sol.write_text(head + "t: 1\n")
+    code, out, err = run_cli(["check", str(prob), str(sol)])
+    assert (code, err) == (4, "the 1 basis columns are linearly dependent\n")
+    b = space.basis
+    dup = SolutionSpace(space.particular, SeriesMatrix(101, np.concatenate([b.data, b.data[:, :1]], axis=1), 4))
+    sol.write_text(serialize_solution(dup, 101, 2, 4))
+    code, out, err = run_cli(["check", str(prob), str(sol)])
+    assert code == 4 and f"the {space.dim + 1} basis columns are linearly dependent" in err
+
+
+def test_solve_internal_invariant_exit_3(tmp_path, monkeypatch):
+    def broken(inst):
+        raise InternalInvariantError("injected")
+
+    monkeypatch.setattr(cli, "dense_solve", broken)
+    prob = tmp_path / "p.prob"
+    prob.write_text(EXP_PROBLEM)
+    code, out, err = run_cli(["solve", str(prob), "--algo", "dense"])
+    assert (code, out) == (3, "")
+    assert err == "internal invariant violated: injected\n"
+
+
 def test_check_truncated_solution_is_parse_error(tmp_path):
     prob = tmp_path / "p.prob"
     sol = tmp_path / "s.sol"
@@ -228,6 +269,15 @@ def test_gen_usage_errors():
     assert code == 1
     code, _, err = run_cli(["gen", "--seed", "1", "--n", "1", "--N", "0"])
     assert code == 1
+
+
+@pytest.mark.parametrize("flag, value", [("--n", "0"), ("--n", "2,-1"), ("--N", "0"), ("--k", "-1")])
+def test_bench_usage_errors(flag, value):
+    args = {"--n": "1", "--N": "8", "--k": "1"}
+    args[flag] = value
+    code, out, err = run_cli(["bench", "--algos", "dense"] + [x for kv in args.items() for x in kv])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
 
 
 def test_good_spectrum_gen_solve_check_at_p_2_31_minus_1(tmp_path):

@@ -33,6 +33,8 @@ def test_primality_enforced():
         PrimeField(2)  # p > 2 required
     with pytest.raises(PreconditionError):
         PrimeField(1)
+    with pytest.raises(PreconditionError):
+        PrimeField(1763)  # 41 * 43: no factor among the witnesses, a Miller-Rabin verdict
     PrimeField(134217757)
 
 

@@ -17,10 +17,16 @@ from qdsolve.newton import (
     pol_coeffs_de,
     splitting_lemma,
 )
-from qdsolve.oracle import ProblemInstance, _solve_operator_matrix, random_instance, residual
+from qdsolve.oracle import (
+    ProblemInstance,
+    _solve_operator_matrix,
+    _solve_term_by_term,
+    random_instance,
+    residual,
+)
 from qdsolve.polymat import SeriesMatrix
 from qdsolve.series import QContext
-from qdsolve.solution import spaces_equal
+from qdsolve.solution import SolutionSpace, resolve_affine_family, spaces_equal
 from qdsolve.spectrum import good_spectrum
 
 P101 = PrimeField(101)
@@ -60,6 +66,13 @@ def test_pol_coeffs_de_examples():
     Q2 = SeriesMatrix(p, rng.integers(0, p, (2, 1, 6)), 6)
     sol = pol_coeffs_de(P2, Q2, 6, ctx2)
     assert sol is not None and sol.dim == 0
+    # no parameters: the constant column is the space, and a constraint
+    # is consistent exactly when its constant term is 0
+    family, cons, _ = _solve_term_by_term(P2, Q2, 6, ctx2)
+    assert family.cols == 1 and cons == []
+    assert sol == SolutionSpace(family, SeriesMatrix.zeros(p, 2, 0, 6))
+    assert resolve_affine_family(family, [np.zeros(1, dtype=np.int64)]) == sol
+    assert resolve_affine_family(family, [np.ones(1, dtype=np.int64)]) is None
     # residual of x^2 delta(Y) - P sigma(Y) - Q
     Y = sol.particular
     res = Y.delta(ctx2).shift(2).truncate(6) - P2.as_poly_prec(6).mul(Y.sigma(ctx2), 6) - Q2
@@ -80,12 +93,20 @@ def test_pol_coeffs_de_singular_p0_matches_dense(q, k):
     assert spaces_equal(sol, want)
 
 
+def good_chi(A, ctx):
+    """chi of A_0 from its good spectrum report, as newton_solve passes it."""
+    rep = good_spectrum(A.coefficient_array(0), ctx, A.prec)
+    assert rep.good, rep.reason
+    return rep.chi
+
+
 def test_splitting_lemma_examples():
     p = 101
     ctx = QContext(P101, 1, 2)
     # constant diagonal A: V = Id, B = A
     A = SeriesMatrix(p, np.array([[[1], [0]], [[0], [2]]], dtype=np.int64), 2)
-    out = splitting_lemma(A, ctx)
+    chi = good_chi(A, ctx)
+    out = splitting_lemma(A, ctx, chi)
     assert out.V == SeriesMatrix.identity(p, 2, 2)
     assert out.B == A.truncate(2)
 
@@ -94,7 +115,7 @@ def test_splitting_lemma_examples():
     data[:, :, 0] = [[1, 0], [0, 2]]
     data[:, :, 1] = [[0, 1], [1, 0]]
     A = SeriesMatrix(p, data, 2)
-    out = splitting_lemma(A, ctx)
+    out = splitting_lemma(A, ctx, chi)  # A0 is unchanged, and so is chi
     assert out.B == A.truncate(1).as_poly_prec(2)  # B = diag(1,2), B_1 = 0
     want_v = np.zeros((2, 2, 2), dtype=np.int64)
     want_v[:, :, 0] = np.eye(2)
@@ -103,10 +124,11 @@ def test_splitting_lemma_examples():
     # defining relation
     assert A.mul(out.V, 2) == out.V.mul(out.B, 2)
 
-    with pytest.raises(ValueError):
-        splitting_lemma(
-            SeriesMatrix(p, np.array([[[0], [1]], [[0], [0]]], dtype=np.int64), 2), ctx
-        )
+    # a defective A0 fails good_spectrum (test_spectrum), so no chi reaches
+    # this far; the construction itself refuses the other equation classes
+    for other in (QContext(P101, 1, 1), QContext(P101, 5, 2)):
+        with pytest.raises(ValueError):
+            splitting_lemma(A, other, chi)
 
 
 def test_splitting_lemma_random_postconditions():
@@ -122,10 +144,10 @@ def test_splitting_lemma_random_postconditions():
         ctx = QContext(field, 1, k)
         gen = np.random.default_rng(attempt + 100)
         A = SeriesMatrix(p, gen.integers(0, p, (n, n, k + 2)), k + 2)
-        try:
-            out = splitting_lemma(A, ctx)
-        except ValueError:
+        rep = good_spectrum(A.coefficient_array(0), ctx, A.prec)
+        if not rep.good:
             continue
+        out = splitting_lemma(A, ctx, rep.chi)
         hits += 1
         assert A.truncate(k).mul(out.V, k) == out.V.mul(out.B, k)
         offdiag = out.B.data.copy()
@@ -140,11 +162,15 @@ def test_choose_associated_branches():
     # k=1: B = A0, V = Id
     ctx = QContext(P101, 5, 1)
     A = sm(p, [[[3, 1, 4]]], 3)
-    out = choose_associated(A, ctx)
+    out = choose_associated(A, ctx, good_chi(A, ctx))
     assert out.B == A.truncate(1) and out.V == SeriesMatrix.identity(p, 1, 1)
     # k=3, q != 1: B = A mod x^3, V = Id
     ctx = QContext(P101, 5, 3)
-    out = choose_associated(A, ctx)
+    out = choose_associated(A, ctx, good_chi(A, ctx))
+    assert out.B == A.truncate(3) and out.V == SeriesMatrix.identity(p, 1, 3)
+    # k=3, q = 1: the splitting construction, B diagonal of degree < k
+    ctx = QContext(P101, 1, 3)
+    out = choose_associated(A, ctx, good_chi(A, ctx))
     assert out.B == A.truncate(3) and out.V == SeriesMatrix.identity(p, 1, 3)
 
 
@@ -201,9 +227,12 @@ def test_diff_sylvester_residual_random():
     assert solved >= 15  # most trials reach the matrix Sylvester path
 
 
-@pytest.mark.parametrize("k, q_mode", [(1, "one"), (1, "random"), (2, "random"), (3, "random")])
+@pytest.mark.parametrize(
+    "k, q_mode", [(1, "one"), (1, "random"), (2, "random"), (3, "random"), (2, "one")]
+)
 def test_char_poly_once_per_newton_solve(k, q_mode, monkeypatch):
-    # the spectrum test's chi_A0 is chi_B0 too, however long the ladder
+    # the spectrum test's chi_A0 is chi_B0 too, however long the ladder, and
+    # in the differential case (k = 2, q = 1) diagonalize splits that same chi
     calls = []
 
     def counted(U, p):
@@ -379,8 +408,9 @@ def test_newton_ae_postconditions_random():
         q_mode = rng.choice(["one", "random"])
         inst = random_instance(8000 + trial, p, n, N, k, q_mode, require_good_spectrum=True)
         ctx = inst.ctx
-        assoc = choose_associated(inst.A.truncate(N).as_poly_prec(max(N, k)), ctx)
-        W = newton_ae(inst.A.truncate(N).as_poly_prec(max(N, k)), assoc.B, assoc.V, N, ctx)
+        At = inst.A.truncate(N).as_poly_prec(max(N, k))
+        assoc = choose_associated(At, ctx, good_spectrum(At.coefficient_array(0), ctx, N).chi)
+        W = newton_ae(At, assoc.B, assoc.V, N, ctx)
         # residual of the associated equation and det W0 != 0, all branches
         assert associated_residual(inst.A, assoc.B, W, min(N, W.prec), ctx).is_zero()
         if k == 1 or ctx.q != 1:
@@ -424,6 +454,12 @@ def test_newton_solve_bad_spectrum_raises():
     C = SeriesMatrix.zeros(p, 2, 1, 12)
     with pytest.raises(SpectrumError):
         newton_solve(A, C, 12, ctx)
+    # the auxiliary solve refuses a window over a step the report flags
+    rep = good_spectrum(A.coefficient_array(0), ctx, 12)
+    Gamma = SeriesMatrix(p, np.ones((2, 2, 10), dtype=np.int64), 10).shift(2)  # 0 mod x^2
+    assert diff_sylvester(Gamma, A.truncate(1), 2, 5, ctx, rep).prec == 5
+    with pytest.raises(SpectrumError, match="index 5 is singular"):
+        diff_sylvester(Gamma, A.truncate(1), 2, 6, ctx, rep)
 
 
 def test_gauge_equivalence_both_directions():
@@ -437,7 +473,7 @@ def test_gauge_equivalence_both_directions():
         inst = random_instance(9000 + trial, p, n, N, k, "random", require_good_spectrum=True)
         ctx = inst.ctx
         At = inst.A.truncate(N).as_poly_prec(max(N, k))
-        assoc = choose_associated(At, ctx)
+        assoc = choose_associated(At, ctx, good_spectrum(At.coefficient_array(0), ctx, N).chi)
         W = newton_ae(At, assoc.B, assoc.V, N, ctx).as_poly_prec(N)
         Winv = W.inv_newton(N)
         sol = _solve_operator_matrix(inst)

@@ -34,6 +34,11 @@ C[1]:
     assert (inst.p, inst.ctx.q, inst.k, inst.n, inst.N) == (101, 2, 1, 2, 3)
     assert inst.A.entry(0, 1) == SeriesMatrix(101, [[[2, 0, 1]]], 3)
     assert inst.C.entry(1, 0) == SeriesMatrix(101, [[[0, 100]]], 3)
+    # values may follow the block line, and a block at degree >= N is ignored
+    inline = text.replace("A[0]:\n1 2\n3 4", "A[0]: 1 2 3 4") + "A[3]:\n9 9\n9 9\n"
+    assert "A[0]: 1 2 3 4" in inline
+    again = parse_problem(inline)
+    assert again.A == inst.A and again.C == inst.C
 
 
 def test_values_reduced_mod_p():
@@ -80,8 +85,16 @@ def test_parse_rejections():
         parse_problem("p: 5\nq: 1\nk: 1\nn: 1\nN: 7\n")  # gamma degeneracy
     with pytest.raises(ProblemFormatError):
         parse_problem("p: 101\nq: 1\nk: -1\nn: 1\nN: 2\n")
+    # the count is checked before the 10^10-entry block would be allocated
+    with pytest.raises(ProblemFormatError, match="block A\\[0\\] has 1 entries, expected 10000000000"):
+        parse_problem("p: 101\nq: 1\nk: 1\nn: 100000\nN: 1\nA[0]:\n1\n")
 
 
 def test_solution_header_mismatch():
     with pytest.raises(ProblemFormatError):
         parse_solution("status: ok\np: 101\nn: 1\nN: 3\nt: 0\n", 101, 1, 4)
+    # t counts columns of a space inside K^(n N)
+    for t in (-1, 9, 10**11):
+        with pytest.raises(ProblemFormatError, match="outside"):
+            parse_solution(f"status: ok\np: 101\nn: 2\nN: 4\nt: {t}\n", 101, 2, 4)
+    assert parse_solution("status: ok\np: 101\nn: 2\nN: 4\nt: 8\n", 101, 2, 4).dim == 8

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from qdsolve.errors import InternalInvariantError
 from qdsolve.field import PrimeField
 from qdsolve.linalg import char_poly, mat_inv
 from qdsolve.series import QContext
@@ -68,6 +69,14 @@ def test_good_spectrum_k_gt_1():
     assert not rep.good and "i=1" in rep.reason
     rep = good_spectrum(diag(101, [1, 3]), ctxq, 3)
     assert rep.good
+    # q = 1 over F_7: the matrices diagonalize cannot split are refused here
+    ctx7 = QContext(PrimeField(7), 1, 2)
+    for A0, reason in [
+        (mat(7, [[0, 1], [0, 0]]), "A0 is singular (clause k>1)"),
+        (mat(7, [[1, 1], [0, 1]]), "|Spec A0| = n fails (repeated eigenvalue)"),
+        (mat(7, [[0, 1], [3, 0]]), "Spec A0 not contained in K (char poly does not split)"),
+    ]:
+        assert good_spectrum(A0, ctx7, 4).reason == reason
 
 
 def test_good_spectrum_gamma_p_clause():
@@ -82,19 +91,28 @@ def test_good_spectrum_gamma_p_clause():
         assert rep.reason == "gamma_7 = 0 in F_7 (clause k>1, q=1)"
 
 
+def good_chi(A0, p):
+    """chi of A0 from its good spectrum report for k = 2, q = 1."""
+    rep = good_spectrum(A0, QContext(PrimeField(p), 1, 2), 3)
+    return rep.chi if rep.good else None
+
+
 def test_diagonalize_examples():
-    P, roots = diagonalize(diag(101, [1, 2]), 101)
+    A0 = diag(101, [1, 2])
+    P, roots = diagonalize(A0, good_chi(A0, 101), 101)
     assert roots == [1, 2] and np.array_equal(P, np.eye(2, dtype=np.int64))
 
     A0 = mat(7, [[0, 1], [2, 1]])  # chi = x^2 - x - 2 = (x - 2)(x + 1)
-    P, roots = diagonalize(A0, 7)
+    P, roots = diagonalize(A0, good_chi(A0, 7), 7)
     assert roots == [2, 6]
     D = diag(7, roots)
     assert np.array_equal(mm(A0, P, 7), mm(P, D, 7))
     assert np.array_equal(mm(mm(mat_inv(P, 7), A0, 7), P, 7), D)
 
-    with pytest.raises(ValueError):
-        diagonalize(mat(7, [[0, 1], [0, 0]]), 7)
+    # a chi with a repeated root is never n distinct eigenvalues
+    A0 = mat(7, [[1, 1], [0, 1]])
+    with pytest.raises(InternalInvariantError):
+        diagonalize(A0, char_poly(A0, 7), 7)
 
 
 def test_diagonalize_random_and_seeded():
@@ -105,13 +123,13 @@ def test_diagonalize_random_and_seeded():
     while hits < 15:
         n = rng.randrange(1, 5)
         A0 = rand_mat(rng, p, n)
-        try:
-            P, roots = diagonalize(A0, p, seed=42)
-        except ValueError:
+        chi = good_chi(A0, p)
+        if chi is None:
             continue
+        P, roots = diagonalize(A0, chi, p)
         hits += 1
         assert np.array_equal(mm(A0, P, p), mm(P, diag(p, roots), p))
-        P2, roots2 = diagonalize(A0, p, seed=42)
+        P2, roots2 = diagonalize(A0, chi, p)
         assert np.array_equal(P2, P) and roots2 == roots
 
 
