@@ -174,6 +174,8 @@ def _cmd_bench(args) -> int:
     if args.k < 0:
         raise UsageError("k must be nonnegative")
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
+    if not algos:
+        raise UsageError("empty algorithm list")
     for a in algos:
         if a not in ALGORITHMS:
             raise UsageError(f"unknown algorithm {a!r}")

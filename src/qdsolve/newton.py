@@ -5,10 +5,14 @@ invertible, lift V to an invertible W solving the associated equation
 x^k delta(W) = A sigma(W) - W B mod x^N by a precision-doubling
 iteration (each step solves an auxiliary equation whose right side is
 the current residual), then solve the polynomial-coefficient equation
-x^k delta(Y) = B sigma(Y) + W^(-1) C coefficient by coefficient and
-return (W Y, W M).  That last step, PolCoeffsDE, calls the dense oracle's
-step kernel (oracle._solve_term_by_term), so its singular steps get the
-same exact parameter and constraint treatment.
+x^k delta(Y) = B sigma(Y) + Gamma coefficient by coefficient and return
+(W Y, W M).  The right side Gamma = W^(-1) C is lifted as C's column
+(``_lift_column``): W^(-1) is refined only to ceil(N/2) coefficients,
+and one error-window correction takes Gamma from there to x^N, so the
+last half of the precision costs n x n by n x 1 products, O(n^2 M(N)),
+instead of a full n x n inverse refresh.  PolCoeffsDE calls the dense
+oracle's step kernel (oracle._solve_term_by_term), so its singular steps
+get the same exact parameter and constraint treatment.
 
 The good-spectrum condition is a hard precondition here: it makes every
 per-coefficient Sylvester step Y_i X - X B0 = Z_i uniquely solvable.
@@ -301,6 +305,30 @@ def _newton_ae_impl(
     return W.as_poly_prec(N), Winv, inv_valid
 
 
+def _lift_column(
+    W: SeriesMatrix, C: SeriesMatrix, N: int, X: SeriesMatrix | None, s: int
+) -> SeriesMatrix:
+    """Gamma = W^(-1) C mod x^N, given X = W^(-1) mod x^s (or X = None).
+
+    X is first refined to h = ceil(N / 2) coefficients if s < h.  Then
+    Gamma_0 = X C mod x^h gives W Gamma_0 = C + x^h E mod x^N, and
+
+        Gamma = Gamma_0 - x^h (X mod x^(N - h)) E
+
+    since W X = Id mod x^h and 2h >= N.  Every product has C's columns,
+    so the lift costs O(n^2 M(N)) against the O(n^3 M(N)) of refining X
+    to x^N.
+    """
+    h = (N + 1) // 2
+    X = W.inv_newton(h, X, s)
+    G0 = X.mul(C, h).as_poly_prec(N)
+    E = W.mul(G0, N, lo=h) - C.shift(-h, truncate=True)
+    Gamma = G0 - X.mul(E, N - h).shift(h)
+    if instrument.checks_enabled() and W.mul(Gamma, N) != C:
+        raise InternalInvariantError("column lift residual W Gamma - C nonzero")
+    return Gamma
+
+
 def newton_solve(A: SeriesMatrix, C: SeriesMatrix, N: int, ctx: QContext) -> SolutionSpace | None:
     """Generators of the solution space mod x^N via the gauge transform.
 
@@ -322,8 +350,7 @@ def newton_solve(A: SeriesMatrix, C: SeriesMatrix, N: int, ctx: QContext) -> Sol
     # B0 is A0 unless k > 1 and q = 1, where diff_sylvester is not used
     W, Winv, inv_valid = _newton_ae_impl(At, assoc.B, assoc.V, N, ctx, rep)
     Wp = W.as_poly_prec(N) if W.prec < N else W.truncate(N)
-    Winv = Wp.inv_newton(N, Winv, inv_valid)
-    Gamma = Winv.mul(C.truncate(N), N)
+    Gamma = _lift_column(Wp, C.truncate(N), N, Winv, inv_valid)
     sol = pol_coeffs_de(assoc.B, Gamma, N, ctx)
     if sol is None:
         return None

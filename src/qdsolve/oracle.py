@@ -8,10 +8,10 @@ singular steps introduce placeholder parameters and emit affine
 constraints, and one final linear solve resolves the parameters.  It
 accepts every instance and makes no spectrum assumptions.
 
-``_solve_operator_matrix`` literally materializes that operator matrix
-(unknowns ordered coefficient-major) and hands it to lin_solve.  It is
-slower than the stepwise route at every size and no engine calls it: it
-is the tests' independent reference for all three engines.
+The literal route, which materializes that operator matrix and hands it
+to one linear solve, is slower than the stepwise one at every size and
+no engine calls it: it lives in the tests (``tests/operator_matrix.py``)
+as their independent reference for all three engines.
 
 The stepwise route, ``_solve_term_by_term``, is the package's one
 per-coefficient step kernel.  Newton's PolCoeffsDE (``newton.pol_coeffs_de``)
@@ -29,7 +29,7 @@ import numpy as np
 from . import instrument
 from .errors import PreconditionError
 from .field import PrimeField, inverses
-from .linalg import _affine_solve, _matmul_mod, lin_solve, mat_inv
+from .linalg import _affine_solve, _matmul_mod, mat_inv
 from .polymat import SeriesMatrix
 from .series import QContext
 from .solution import SolutionSpace, resolve_affine_family, spaces_equal  # noqa: F401
@@ -92,35 +92,6 @@ def residual(F: SeriesMatrix, inst: ProblemInstance, homogeneous: bool = False) 
     if not homogeneous:
         out = out - inst.C
     return out
-
-
-def _solve_operator_matrix(inst: ProblemInstance) -> SolutionSpace | None:
-    n, N, p, k = inst.n, inst.N, inst.p, inst.k
-    ctx = inst.ctx
-    qp = ctx.qpow_slice(N)
-    gam = ctx.gamma_slice(N)
-    Ad = inst.A.data
-    La = Ad.shape[2]
-    L = np.zeros((N, n, N, n), dtype=_INT64)
-    for d in range(La):
-        js = np.arange(N - d)
-        instrument.mul_counter.add(len(js) * n * n)
-        L[js + d, :, js, :] = (-qp[js, None, None] * Ad[None, :, :, d]) % p
-    js = np.arange(N - k + 1) if N - k + 1 > 0 else np.arange(0)
-    for t in range(n):
-        L[js + k - 1, t, js, t] = (L[js + k - 1, t, js, t] + gam[js]) % p
-    Cd = inst.C.data
-    rhs = np.zeros((N, n), dtype=_INT64)
-    rhs[: Cd.shape[2]] = np.swapaxes(Cd[:, 0, :], 0, 1)
-    sol = lin_solve(L.reshape(N * n, N * n), rhs.reshape(N * n, 1), p)
-    if sol is None:
-        return None
-    part = SeriesMatrix(p, np.swapaxes(sol.particular.reshape(N, n), 0, 1)[:, None, :], N)
-    t = sol.nullspace.shape[1]
-    basis = SeriesMatrix(
-        p, np.swapaxes(sol.nullspace.reshape(N, n, t), 0, 1).transpose(0, 2, 1), N
-    )
-    return SolutionSpace(part, basis)
 
 
 def _a0_inverse(A0: np.ndarray, ctx: QContext) -> np.ndarray | None:

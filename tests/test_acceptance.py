@@ -17,7 +17,6 @@ from qdsolve.linalg import char_poly, mat_inv
 from qdsolve.newton import choose_associated, newton_ae, newton_solve
 from qdsolve.oracle import (
     ProblemInstance,
-    _solve_operator_matrix,
     dense_solve,
     make_instance,
     random_instance,
@@ -27,6 +26,8 @@ from qdsolve.series import QContext
 from qdsolve.solution import spaces_equal
 from qdsolve.errors import PreconditionError
 from qdsolve.spectrum import good_spectrum, singular_indices
+
+from operator_matrix import solve_operator_matrix
 
 P28 = 134217757  # a 28-bit prime (2^27 + 29)
 
@@ -148,7 +149,7 @@ def test_A2_and_A5_engine_agreement_and_newton_invariants():
     insts = _a2_good_instances()
     a5_checked = 0
     for idx, inst in enumerate(insts):
-        s_dense = _solve_operator_matrix(inst)
+        s_dense = solve_operator_matrix(inst)
         s_dac = dac_solve(inst.A, inst.C, inst.N, inst.ctx)
         s_newton = newton_solve(inst.A, inst.C, inst.N, inst.ctx)
         assert spaces_equal(s_dense, dense_solve(inst)), f"dense routes disagree on instance {idx}"
@@ -185,7 +186,7 @@ def test_A2_and_A5_engine_agreement_and_newton_invariants():
         a5_checked += 1
     singular = _a2_singular_instances()
     for idx, inst in enumerate(singular):
-        s_dense = _solve_operator_matrix(inst)
+        s_dense = solve_operator_matrix(inst)
         s_dac = dac_solve(inst.A, inst.C, inst.N, inst.ctx)
         assert spaces_equal(s_dense, dense_solve(inst)), f"dense routes disagree on singular {idx}"
         assert spaces_equal(s_dense, s_dac), f"dense/dac disagree on singular {idx}"
@@ -219,7 +220,7 @@ def test_A3_hypergeometric_golden():
     inst = hypergeometric_instance(p, a, b, c, N)
     sol = dac_solve(inst.A, inst.C, inst.N, inst.ctx)
     assert sol is not None and sol.dim == 1
-    assert spaces_equal(sol, _solve_operator_matrix(inst))
+    assert spaces_equal(sol, solve_operator_matrix(inst))
     col = sol.basis.col(0)
     f = coeff_list(col.entry(0, 0))
     f0 = f[0]
@@ -251,7 +252,7 @@ def test_A4_exponential_golden():
     inst = make_instance(p, 1, 0, 1, N, A, C)  # k = 0 reduction inside
     assert inst.k == 1 and inst.N == N + 1
     spaces = [
-        _solve_operator_matrix(inst),
+        solve_operator_matrix(inst),
         dense_solve(inst),
         dac_solve(inst.A, inst.C, inst.N, inst.ctx),
         newton_solve(inst.A, inst.C, inst.N, inst.ctx),

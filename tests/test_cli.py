@@ -271,7 +271,10 @@ def test_gen_usage_errors():
     assert code == 1
 
 
-@pytest.mark.parametrize("flag, value", [("--n", "0"), ("--n", "2,-1"), ("--N", "0"), ("--k", "-1")])
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--n", "0"), ("--n", "2,-1"), ("--N", "0"), ("--k", "-1"), ("--algos", ","), ("--algos", " ")],
+)
 def test_bench_usage_errors(flag, value):
     args = {"--n": "1", "--N": "8", "--k": "1"}
     args[flag] = value

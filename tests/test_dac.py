@@ -7,11 +7,13 @@ from qdsolve import dac, instrument
 from qdsolve.dac import DAC_LEAF, dac_solve, op_E, rdac
 from qdsolve.field import PrimeField
 from qdsolve.linalg import char_poly
-from qdsolve.oracle import _solve_operator_matrix, make_instance, random_instance, residual
+from qdsolve.oracle import make_instance, random_instance, residual
 from qdsolve.polymat import SeriesMatrix
 from qdsolve.series import QContext
 from qdsolve.solution import spaces_equal
 from qdsolve.spectrum import singular_indices
+
+from operator_matrix import solve_operator_matrix
 
 P101 = PrimeField(101)
 P28 = 134217757
@@ -95,7 +97,7 @@ def test_rdac_leaf_products_near_int64_limit():
     for seed in (1, 12):
         inst = random_instance(seed, p, 3, 12, 1, "random")
         sol = dac_solve(inst.A, inst.C, inst.N, inst.ctx)
-        want = _solve_operator_matrix(inst)
+        want = solve_operator_matrix(inst)
         assert want is not None and want.dim == 0
         assert sol.dim == 0 and sol.particular == want.particular
         assert residual(sol.particular, inst).is_zero()
@@ -154,7 +156,7 @@ def test_dac_fast_path_no_parameters():
     F, cons, sing = rdac(inst.A, inst.C, 0, inst.N, inst.ctx)
     assert F.cols == 1 and cons == [] and sing == []  # width 1: no parameters
     sol = dac_solve(inst.A, inst.C, inst.N, inst.ctx)
-    assert sol is not None and spaces_equal(sol, _solve_operator_matrix(inst))
+    assert sol is not None and spaces_equal(sol, solve_operator_matrix(inst))
 
 
 @LEAVES
@@ -164,7 +166,7 @@ def test_dac_residuals(monkeypatch, leaf):
         inst = random_instance(5000 + trial, 134217757, 2, 12, 1, "random")
         sol = dac_solve(inst.A, inst.C, inst.N, inst.ctx)
         if sol is None:
-            assert _solve_operator_matrix(inst) is None
+            assert solve_operator_matrix(inst) is None
             continue
         assert residual(sol.particular, inst).is_zero()
         for j in range(sol.dim):
@@ -186,7 +188,7 @@ def test_dac_agrees_with_dense_random(monkeypatch, leaf):
         q_mode = rng.choice(["one", "random"])
         inst = random_instance(6000 + trial, p, n, N, k, q_mode)
         s_dac = dac_solve(inst.A, inst.C, inst.N, inst.ctx)
-        s_dense = _solve_operator_matrix(inst)
+        s_dense = solve_operator_matrix(inst)
         assert spaces_equal(s_dac, s_dense), (trial, p, n, N, k, q_mode)
         agree += 1
     assert agree > 100
@@ -226,7 +228,7 @@ def _planted(seed, q, k, n, N, A0=None):
 
 def _assert_agrees(inst):
     s_dac = dac_solve(inst.A, inst.C, inst.N, inst.ctx)
-    s_dense = _solve_operator_matrix(inst)
+    s_dense = solve_operator_matrix(inst)
     assert s_dense is not None
     assert spaces_equal(s_dac, s_dense)
 
@@ -278,7 +280,7 @@ def test_dac_singular_steps_in_leaves(checks_on, where):
         _assert_agrees(inst)
         # an unplanted C: usually inconsistent, and both engines must say so
         inst.C = SeriesMatrix(P28, gen.integers(0, P28, (n, 1, N)), N)
-        assert spaces_equal(dac_solve(inst.A, inst.C, N, inst.ctx), _solve_operator_matrix(inst))
+        assert spaces_equal(dac_solve(inst.A, inst.C, N, inst.ctx), solve_operator_matrix(inst))
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -314,7 +316,7 @@ def test_dac_at_p_2_31_minus_1(checks_on, N, k):
             Ad[0, :, 0] = 0
             inst.A = SeriesMatrix(P31, Ad, N)
             inst.C = residual(SeriesMatrix(P31, gen.integers(0, P31, (n, 1, N)), N), inst, homogeneous=True)
-        want = _solve_operator_matrix(inst)
+        want = solve_operator_matrix(inst)
         got = dac_solve(inst.A, inst.C, inst.N, inst.ctx)
         assert spaces_equal(got, want), n
         if got is not None:

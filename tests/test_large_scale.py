@@ -6,10 +6,12 @@ from qdsolve.convolution import NTT_CUTOFF
 from qdsolve.dac import dac_solve
 from qdsolve.field import PrimeField
 from qdsolve.newton import newton_solve
-from qdsolve.oracle import ProblemInstance, _solve_operator_matrix, dense_solve, random_instance, residual
+from qdsolve.oracle import ProblemInstance, dense_solve, random_instance, residual
 from qdsolve.polymat import SeriesMatrix
 from qdsolve.series import QContext
 from qdsolve.solution import spaces_equal
+
+from operator_matrix import solve_operator_matrix
 
 P28 = 134217757
 
@@ -40,7 +42,7 @@ def test_dense_routes_agree_near_limit():
     # sizes the reference is cheap at, nN from 500 to 570
     for seed, n, N in ((1, 1, 500), (2, 2, 280), (3, 3, 190)):
         inst = random_instance(60_000 + seed, P28, n, N, 1, "random")
-        s_mat = _solve_operator_matrix(inst)
+        s_mat = solve_operator_matrix(inst)
         s_step = dense_solve(inst)
         assert spaces_equal(s_mat, s_step), (n, N)
 
@@ -62,7 +64,7 @@ def test_stepwise_vector_path_with_parameters():
         SeriesMatrix(P28, Adata, N), SeriesMatrix.zeros(P28, 1, 1, N),
     )
     s_step = dense_solve(inst)
-    s_mat = _solve_operator_matrix(inst)
+    s_mat = solve_operator_matrix(inst)
     s_dac = dac_solve(inst.A, inst.C, inst.N, inst.ctx)
     assert s_step.dim == 1
     assert spaces_equal(s_step, s_mat)

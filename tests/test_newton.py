@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qdsolve import instrument, linalg, newton, oracle, spectrum
-from qdsolve.errors import SpectrumError
+from qdsolve.errors import InternalInvariantError, SpectrumError
 from qdsolve.field import PrimeField
 from qdsolve.linalg import char_poly, mat_inv
 from qdsolve.newton import (
@@ -19,7 +19,6 @@ from qdsolve.newton import (
 )
 from qdsolve.oracle import (
     ProblemInstance,
-    _solve_operator_matrix,
     _solve_term_by_term,
     random_instance,
     residual,
@@ -28,6 +27,8 @@ from qdsolve.polymat import SeriesMatrix
 from qdsolve.series import QContext
 from qdsolve.solution import SolutionSpace, resolve_affine_family, spaces_equal
 from qdsolve.spectrum import good_spectrum
+
+from operator_matrix import solve_operator_matrix
 
 P101 = PrimeField(101)
 
@@ -88,7 +89,7 @@ def test_pol_coeffs_de_singular_p0_matches_dense(q, k):
     P = sm(p, [[[0, 1]]], N)
     Q = sm(p, [[[0, 0, 1, 2, 3, 4]]], N)
     sol = pol_coeffs_de(P, Q, N, ctx)
-    want = _solve_operator_matrix(ProblemInstance(P101, ctx, 1, N, P, Q))
+    want = solve_operator_matrix(ProblemInstance(P101, ctx, 1, N, P, Q))
     assert want is not None and want.dim == 1
     assert spaces_equal(sol, want)
 
@@ -249,7 +250,7 @@ def test_char_poly_once_per_newton_solve(k, q_mode, monkeypatch):
     calls.clear()  # drawing a good-spectrum instance ran the spectrum test
     got = newton_solve(inst.A, inst.C, inst.N, inst.ctx)
     assert calls == [3]
-    assert spaces_equal(got, _solve_operator_matrix(inst))
+    assert spaces_equal(got, solve_operator_matrix(inst))
 
 
 def test_sylvester_steps_batched_per_level(monkeypatch):
@@ -476,7 +477,7 @@ def test_gauge_equivalence_both_directions():
         assoc = choose_associated(At, ctx, good_spectrum(At.coefficient_array(0), ctx, N).chi)
         W = newton_ae(At, assoc.B, assoc.V, N, ctx).as_poly_prec(N)
         Winv = W.inv_newton(N)
-        sol = _solve_operator_matrix(inst)
+        sol = solve_operator_matrix(inst)
         if sol is None:
             continue
         G = sol.particular
@@ -510,7 +511,7 @@ def test_zero_constant_matrix_family():
     C0 = SeriesMatrix.zeros(p, n, 1, N)
     inst = ProblemInstance(PrimeField(p), ctx, n, N, A, C0)
     sols = [
-        _solve_operator_matrix(inst),
+        solve_operator_matrix(inst),
         dac_solve(A, C0, N, ctx),
         newton_solve(A, C0, N, ctx),
     ]
@@ -519,7 +520,7 @@ def test_zero_constant_matrix_family():
 
     # constant term in C makes coefficient 0 read 0 = C_0: inconsistent
     Cbad = SeriesMatrix(p, np.array([[[1]], [[0]]], dtype=np.int64), N)
-    assert _solve_operator_matrix(ProblemInstance(PrimeField(p), ctx, n, N, A, Cbad)) is None
+    assert solve_operator_matrix(ProblemInstance(PrimeField(p), ctx, n, N, A, Cbad)) is None
     assert dac_solve(A, Cbad, N, ctx) is None
     assert newton_solve(A, Cbad, N, ctx) is None
 
@@ -535,7 +536,7 @@ def test_newton_agrees_with_dense_random():
         q_mode = rng.choice(["one", "random"])
         inst = random_instance(10000 + trial, p, n, N, k, q_mode, require_good_spectrum=True)
         s_newton = newton_solve(inst.A, inst.C, inst.N, inst.ctx)
-        s_dense = _solve_operator_matrix(inst)
+        s_dense = solve_operator_matrix(inst)
         assert spaces_equal(s_newton, s_dense), (trial, n, N, k, q_mode)
         count += 1
     assert count == 60
@@ -558,7 +559,7 @@ def test_engines_agree_at_p_2_31_minus_1(k, q_mode):
                 inst = random_instance(
                     20000 + 10 * n + seed, p, n, N, k, q_mode, require_good_spectrum=True
                 )
-                want = _solve_operator_matrix(inst)
+                want = solve_operator_matrix(inst)
                 assert want is not None
                 for engine, got in (
                     ("dense", dense_solve(inst)),
@@ -571,3 +572,135 @@ def test_engines_agree_at_p_2_31_minus_1(k, q_mode):
                         assert residual(got.basis.col(j), inst, homogeneous=True).is_zero()
     finally:
         instrument.set_runtime_checks(False)
+
+
+def _solve_checked(inst):
+    """Newton with runtime checks on, against dense and the operator matrix."""
+    from qdsolve.oracle import dense_solve
+
+    instrument.set_runtime_checks(True)
+    try:
+        got = newton_solve(inst.A, inst.C, inst.N, inst.ctx)
+        want = solve_operator_matrix(inst)
+        assert spaces_equal(got, want)
+        assert spaces_equal(dense_solve(inst), want)
+    finally:
+        instrument.set_runtime_checks(False)
+    return got
+
+
+@pytest.mark.parametrize(
+    "k, q_mode, N, constant_A",
+    [
+        (3, "random", 2, False),  # N < k: no ladder
+        (3, "random", 3, False),  # N = k
+        (2, "one", 2, False),
+        (1, "random", 1, False),  # h = N: the error window is empty
+        (1, "random", 2, False),
+        (2, "one", 1, False),
+        (1, "random", 17, True),  # every ladder residual is zero
+        (2, "random", 16, True),
+        (2, "one", 15, True),
+    ],
+)
+def test_column_lift_paths(k, q_mode, N, constant_A, monkeypatch):
+    # Gamma = W^(-1) C is lifted from what the ladder leaves: no inverse
+    # when N <= k or when A is constant (W = V solves the associated
+    # equation exactly), and a partial one otherwise
+    left = []
+    real = newton._newton_ae_impl
+    monkeypatch.setattr(newton, "_newton_ae_impl", lambda *a: left.append(real(*a)) or left[-1])
+    p = 134217757
+    for seed in range(3):
+        inst = random_instance(41000 + 10 * k + seed, p, 3, N, k, q_mode, require_good_spectrum=True)
+        if constant_A:
+            inst.A = inst.A.truncate(1).as_poly_prec(N)
+        got = _solve_checked(inst)
+        assert got is not None
+        _, Winv, inv_valid = left[-1]
+        if N <= k or constant_A:
+            assert Winv is None and inv_valid == 0
+        else:
+            assert Winv is not None and inv_valid > 0
+
+
+def _singular_system(p, q, n, N, s, gen):
+    """k = 1, good spectrum, singular index s only, C planted from a random F."""
+    from qdsolve.spectrum import singular_indices
+
+    field = PrimeField(p)
+    ctx = QContext(field, q, 1)
+    # gamma_s q^(-s) is an eigenvalue of A0 exactly when index s is singular
+    lam0 = ctx.gamma(s) * pow(q, -s, p) % p
+    while True:
+        lam = np.concatenate(([lam0], gen.integers(1, p, size=n - 1))).astype(np.int64)
+        P = gen.integers(0, p, size=(n, n), dtype=np.int64)
+        try:
+            A0 = linalg._matmul_mod(P * lam % p, mat_inv(P, p), p)
+        except ValueError:
+            continue
+        rep = good_spectrum(A0, ctx, N)
+        if rep.good and singular_indices(rep.chi, ctx, N) == [s]:
+            break
+    Ad = gen.integers(0, p, size=(n, n, N), dtype=np.int64)
+    Ad[:, :, 0] = A0
+    A = SeriesMatrix(p, Ad, N)
+    F = SeriesMatrix(p, gen.integers(0, p, size=(n, 1, N), dtype=np.int64), N)
+    C = residual(F, ProblemInstance(field, ctx, n, N, A, SeriesMatrix.zeros(p, n, 1, N)), True)
+    return ProblemInstance(field, ctx, n, N, A, C)
+
+
+def test_column_lift_singular_index_system():
+    # system_singular's shape: n = 4, k = 1, q != 1, one singular index, so
+    # PolCoeffsDE introduces a parameter after the lift
+    gen = np.random.default_rng(4343)
+    for N, s in ((41, 5), (48, 30)):
+        inst = _singular_system(134217757, 3, 4, N, s, gen)
+        got = _solve_checked(inst)
+        assert got is not None and got.dim == 1
+
+
+@pytest.mark.parametrize(
+    "k, q_mode, N",
+    [(1, "random", 31), (1, "one", 64), (2, "one", 33), (3, "random", 40), (2, "random", 7)],
+)
+def test_newton_solve_never_inverts_past_half(k, q_mode, N, monkeypatch):
+    # only the column Gamma reaches x^N; W^(-1) is never refreshed past
+    # ceil(N / 2) coefficients
+    asked = []
+    real = SeriesMatrix.inv_newton
+
+    def spy(self, n, *args, **kwargs):
+        asked.append(n)
+        return real(self, n, *args, **kwargs)
+
+    monkeypatch.setattr(SeriesMatrix, "inv_newton", spy)
+    inst = random_instance(42000 + N, 134217757, 3, N, k, q_mode, require_good_spectrum=True)
+    got = newton_solve(inst.A, inst.C, inst.N, inst.ctx)
+    assert spaces_equal(got, solve_operator_matrix(inst))
+    assert asked and max(asked) <= (N + 1) // 2, asked
+
+
+def test_column_lift_residual_checked(monkeypatch):
+    # a corrupted error window E makes W Gamma != C; the runtime check says
+    # so, and without it the answer is silently wrong
+    real = SeriesMatrix.mul
+
+    def corrupt(self, other, n=None, lo=0):
+        out = real(self, other, n, lo)
+        if lo > 0 and other.cols == 1 and out.prec > 0:
+            bump = np.zeros((out.rows, 1, 1), dtype=np.int64)
+            bump[0, 0, 0] = 1
+            out = out + SeriesMatrix(out.p, bump, out.prec)
+        return out
+
+    inst = random_instance(43000, 134217757, 3, 20, 1, "random", require_good_spectrum=True)
+    want = solve_operator_matrix(inst)
+    monkeypatch.setattr(SeriesMatrix, "mul", corrupt)
+    instrument.set_runtime_checks(True)
+    try:
+        with pytest.raises(InternalInvariantError, match="column lift"):
+            newton_solve(inst.A, inst.C, inst.N, inst.ctx)
+    finally:
+        instrument.set_runtime_checks(False)
+    assert not spaces_equal(newton_solve(inst.A, inst.C, inst.N, inst.ctx), want)

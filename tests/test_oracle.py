@@ -5,7 +5,6 @@ from qdsolve.errors import PreconditionError
 from qdsolve.field import PrimeField
 from qdsolve.oracle import (
     ProblemInstance,
-    _solve_operator_matrix,
     dense_solve,
     make_instance,
     random_instance,
@@ -16,6 +15,8 @@ from qdsolve.polymat import SeriesMatrix
 from qdsolve.series import QContext
 from qdsolve.solution import SolutionSpace, spaces_equal
 
+from operator_matrix import solve_operator_matrix
+
 
 def scalar_instance(p, q, k, N, a_coeffs, c_coeffs):
     A = SeriesMatrix(p, np.array([[a_coeffs]], dtype=np.int64), N)
@@ -25,7 +26,7 @@ def scalar_instance(p, q, k, N, a_coeffs, c_coeffs):
 
 def dense_pair(inst):
     """The operator-matrix reference, checked against the step kernel."""
-    want = _solve_operator_matrix(inst)
+    want = solve_operator_matrix(inst)
     assert spaces_equal(want, dense_solve(inst))
     return want
 
@@ -110,7 +111,7 @@ def test_dense_routes_agree():
         if p <= N:
             continue
         inst = random_instance(1000 + trial, p, n, N, k, q_mode)
-        s_mat = _solve_operator_matrix(inst)
+        s_mat = solve_operator_matrix(inst)
         s_step = dense_solve(inst)
         assert spaces_equal(s_mat, s_step), (trial, p, n, N, k)
         if s_mat is not None:
@@ -126,7 +127,7 @@ def test_dense_routes_agree_at_p_2_31_minus_1():
     for seed in range(6):
         for k in (1, 2, 3):
             inst = random_instance(seed, p, 3, 9, k, "random")
-            s_mat = _solve_operator_matrix(inst)
+            s_mat = solve_operator_matrix(inst)
             s_step = dense_solve(inst)
             assert spaces_equal(s_mat, s_step), (seed, k)
             if s_mat is not None:
@@ -147,7 +148,7 @@ def test_dense_residuals_always_zero():
 def test_spaces_equal_examples():
     p, N = 101, 4
     inst = scalar_instance(p, 1, 1, N, pad([1], N), pad([], N))
-    sol = _solve_operator_matrix(inst)
+    sol = solve_operator_matrix(inst)
     # same affine set under basis rescaling and particular shifts
     shifted = SolutionSpace(sol.particular + sol.basis, sol.basis)
     scaled = SolutionSpace(sol.particular, sol.basis.scale(2))
@@ -161,7 +162,7 @@ def test_spaces_equal_examples():
 
 def test_spaces_equal_is_equivalence():
     insts = [random_instance(3000 + t, 134217757, 2, 8, 1, "random") for t in range(10)]
-    sols = [_solve_operator_matrix(i) for i in insts]
+    sols = [solve_operator_matrix(i) for i in insts]
     for s in sols:
         assert spaces_equal(s, s)
     for s1 in sols:
@@ -206,7 +207,7 @@ def test_basis_columns_independent_across_engines():
             SeriesMatrix(p, Adata, N), SeriesMatrix.zeros(p, n, 1, N),
         )
         sols = [
-            _solve_operator_matrix(inst),
+            solve_operator_matrix(inst),
             dense_solve(inst),
             dac_solve(inst.A, inst.C, inst.N, inst.ctx),
         ]

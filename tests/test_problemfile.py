@@ -1,7 +1,7 @@
 import pytest
 
 from qdsolve.errors import PreconditionError, ProblemFormatError
-from qdsolve.oracle import _solve_operator_matrix, random_instance
+from qdsolve.oracle import random_instance
 from qdsolve.problemfile import (
     parse_problem,
     parse_solution,
@@ -10,6 +10,8 @@ from qdsolve.problemfile import (
 )
 from qdsolve.polymat import SeriesMatrix
 from qdsolve.solution import spaces_equal
+
+from operator_matrix import solve_operator_matrix
 
 
 def test_parse_basic_and_reduction():
@@ -60,7 +62,7 @@ def test_round_trip_serialization():
 
 def test_solution_round_trip_and_bot():
     inst = random_instance(4, 101, 2, 6, 1, "random")
-    sol = _solve_operator_matrix(inst)
+    sol = solve_operator_matrix(inst)
     text = serialize_solution(sol, inst.p, inst.n, inst.N)
     back = parse_solution(text, inst.p, inst.n, inst.N)
     assert spaces_equal(sol, back)

@@ -17,11 +17,13 @@ from qdsolve.errors import SpectrumError  # noqa: E402
 from qdsolve.field import PrimeField, inverses, powers  # noqa: E402
 from qdsolve.linalg import _matmul_mod, _rref, char_poly, mat_inv, mat_inv_stack  # noqa: E402
 from qdsolve.newton import newton_solve  # noqa: E402
-from qdsolve.oracle import _solve_operator_matrix, dense_solve, make_instance, residual  # noqa: E402
+from qdsolve.oracle import dense_solve, make_instance, residual  # noqa: E402
 from qdsolve.polymat import SeriesMatrix  # noqa: E402
 from qdsolve.series import QContext  # noqa: E402
 from qdsolve.solution import spaces_equal  # noqa: E402
 from qdsolve.spectrum import _pgcd, good_spectrum  # noqa: E402
+
+from operator_matrix import solve_operator_matrix  # noqa: E402
 
 
 @st.composite
@@ -54,7 +56,7 @@ def instances(draw):
 @given(instances())
 def test_dac_and_dense_agree(inst):
     s_dac = dac_solve(inst.A, inst.C, inst.N, inst.ctx)
-    s_dense = _solve_operator_matrix(inst)
+    s_dense = solve_operator_matrix(inst)
     assert (s_dac is None) == (s_dense is None)
     assert spaces_equal(s_dac, s_dense)
 
@@ -364,7 +366,7 @@ def test_newton_agrees_or_names_first_bad_step(inst):
             return
         assert not bad and not singular
         assert spaces_equal(got, dense_solve(inst))
-        assert spaces_equal(got, _solve_operator_matrix(inst))
+        assert spaces_equal(got, solve_operator_matrix(inst))
     finally:
         instrument.set_runtime_checks(False)
 
