@@ -6,10 +6,11 @@ parameter t, so every linear operation on vectors is a plain matrix
 operation; delta and sigma fix the parameters.
 
 The recursion halves the precision, solves the low half, forms the
-carried right-hand side by dividing the residual combination by x^m,
-and solves the high half at shifted index.  It stops at precision
-DAC_LEAF: a leaf is the dense oracle's step kernel
-(``oracle._solve_term_by_term``) at the leaf's base index.  The kernel
+carried right-hand side, coefficients [m, N) of the residual combination
+(``op_E`` on that window only, its product a middle product), and solves
+the high half at shifted index.  It stops at precision DAC_LEAF: a leaf
+is the dense oracle's step kernel (``oracle._solve_term_by_term``) at the
+leaf's base index.  The kernel
 finds the singular steps itself: each one adds as many parameters as
 the nullity of its step matrix and turns its zero rows into affine
 constraints.  The halves are joined by giving the low half's family and
@@ -40,17 +41,21 @@ def op_E(
     i: int,
     ctx: QContext,
     prec: int,
+    lo: int = 0,
 ) -> SeriesMatrix:
-    """x^k delta(F) - ((q^i A - gamma_i x^(k-1) Id) sigma(F) + C) mod x^prec."""
+    """Coefficients [lo, prec) of
+    x^k delta(F) - ((q^i A - gamma_i x^(k-1) Id) sigma(F) + C) mod x^prec,
+    as a series mod x^(prec - lo); lo = 0 is the whole residual.  The
+    product A sigma(F) is formed on the window only."""
     k = ctx.k
     sF = F.truncate(prec).sigma(ctx)
     out = F.truncate(prec).delta(ctx).shift(k).truncate(prec)
-    out = out - A.truncate(prec).mul(sF, prec).scale(ctx.qpow(i))
     gi = ctx.gamma(i)
     if gi:
         lift = max(prec - (k - 1), 0)
         out = out + sF.truncate(lift).shift(k - 1).truncate(prec).scale(gi)
-    return out - C.truncate(prec)
+    out = (out - C.truncate(prec)).shift(-lo, truncate=True)
+    return out - A.truncate(prec).mul(sF, prec, lo).scale(ctx.qpow(i))
 
 
 def _widen(M: SeriesMatrix, width: int) -> SeriesMatrix:
@@ -83,7 +88,7 @@ def rdac(
         m = (N + 1) // 2
         H, cons, sing = rdac(A.truncate(m), C.truncate(m), i, m, ctx, A0inv)
         Hp = H.as_poly_prec(N)
-        D = (-op_E(A, Hp, _widen(C.truncate(N), H.cols), i, ctx, N)).shift(-m, truncate=True)
+        D = -op_E(A, Hp, _widen(C.truncate(N), H.cols), i, ctx, N, m)
         K, cons_K, sing_K = rdac(A.truncate(N - m), D, i + m, N - m, ctx, A0inv)
         F = _widen(Hp, K.cols) + K.shift(m)
         cons += cons_K

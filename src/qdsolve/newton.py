@@ -31,10 +31,15 @@ side by side, each product reduced mod p before it is summed.  The
 inverse of the iterate is maintained incrementally across levels and
 refreshed by Newton doubling (``SeriesMatrix.inv_newton``), each
 doubling step forming only the error window of A X above the precision
-already reached.  The residual R of a level is formed in full on
-[0, target), so that its low part confirms the divisibility by x^mprev;
-the products after it run only on the window where the residual and the
-update are supported.
+already reached.  The residual R of a level vanishes below mprev and is
+formed on [mprev - 1, target) only, its products middle products.  The
+coefficient at mprev - 1 is checked on every solve: the step operator is
+invertible under the good-spectrum condition, so a wrong top coefficient
+of the previous update shows there (for q = 1, k > 1 a diagonal entry is
+an integral, and the next update, which starts k - 1 coefficients lower,
+computes that coefficient again).  With runtime checks on, the whole low
+part [0, mprev) is formed and checked too.  The products after it run
+only on the window where the residual and the update are supported.
 """
 
 from __future__ import annotations
@@ -238,6 +243,16 @@ def diff_sylvester_differential(
     return Us
 
 
+def _associated_residual(
+    A: SeriesMatrix, B: SeriesMatrix, W: SeriesMatrix, ctx: QContext, prec: int, lo: int = 0
+) -> SeriesMatrix:
+    """Coefficients [lo, prec) of x^k delta(W) - A sigma(W) + W B, as a
+    series mod x^(prec - lo); W and B are exact polynomials, A.prec >= prec."""
+    W, B = W.as_poly_prec(prec), B.as_poly_prec(prec)
+    out = W.delta(ctx).shift(ctx.k).truncate(prec).shift(-lo, truncate=True)
+    return out - A.truncate(prec).mul(W.sigma(ctx), prec, lo) + W.mul(B, prec, lo)
+
+
 def _newton_ladder(N: int, k: int) -> list[int]:
     ladder = [N]
     while ladder[-1] > k:
@@ -270,20 +285,20 @@ def _newton_ae_impl(
     for idx in range(1, len(ladder)):
         target = ladder[idx]
         mprev = ladder[idx - 1]
-        At = A.truncate(target)
         Wp = W.as_poly_prec(target)
-        Bt = B.as_poly_prec(target)
-        R = (
-            Wp.delta(ctx).shift(k).truncate(target)
-            - At.mul(Wp.sigma(ctx), target)
-            + Wp.mul(Bt, target)
-        )
+        # R vanishes below mprev; coefficient mprev - 1 is formed to check
+        # that, and a wrong top coefficient of the last update shows there
+        R = _associated_residual(A, B, Wp, ctx, target, mprev - 1)
         try:
-            Rh = R.shift(-mprev)
+            Rh = R.shift(-1)
         except ValueError as e:
             raise InternalInvariantError(
-                f"associated-equation residual not divisible by x^{mprev}"
+                f"associated-equation residual nonzero at x^{mprev - 1}"
             ) from e
+        if instrument.checks_enabled() and not _associated_residual(A, B, Wp, ctx, mprev).is_zero():
+            raise InternalInvariantError(
+                f"associated-equation residual not divisible by x^{mprev}"
+            )
         if Rh.is_zero():
             continue
         need = target - mprev

@@ -18,6 +18,11 @@ per-coefficient step kernel.  Newton's PolCoeffsDE (``newton.pol_coeffs_de``)
 is this kernel on an equation whose A is a polynomial of degree < k, and
 each divide-and-conquer leaf (``dac.rdac``) is this kernel at the leaf's
 base index, on a right side that already carries parameters.
+
+``residual``, which ``qdsolve check`` refutes solutions with, forms its
+product A sigma(F) by Kronecker substitution in Python integers
+(``_kronecker_product``), so the check shares no product kernel with the
+engines it audits.
 """
 
 from __future__ import annotations
@@ -82,13 +87,54 @@ def reduce_k0(A: SeriesMatrix, C: SeriesMatrix, N: int):
     return A.truncate(N).shift(1), C.truncate(N).shift(1), N + 1, 1
 
 
+def _kronecker_product(A: SeriesMatrix, B: SeriesMatrix, n: int) -> SeriesMatrix:
+    """A B mod x^n by Kronecker substitution in Python integers.
+
+    Each entry is packed into one integer, coefficient t in slot t of a
+    width that holds any coefficient of sum_l A_il B_lj (at most
+    inner * min(La, Lb) terms below p^2), so the slots never carry.  The
+    inner sums are taken on the packed integers and each slot is read back
+    and reduced mod p.  No product goes through ``SeriesMatrix.mul``, the
+    convolution backends or ``_matmul_mod``, so a residual formed this way
+    audits those kernels instead of reusing them.
+    """
+    p, rows, inner, cols = A.p, A.rows, A.cols, B.cols
+    a, b = A.data[:, :, :n], B.data[:, :, :n]
+    La, Lb = a.shape[2], b.shape[2]
+    if La == 0 or Lb == 0 or n == 0:
+        return SeriesMatrix.zeros(p, rows, cols, n)
+    words = (inner * min(La, Lb) * (p - 1) ** 2).bit_length() // 64 + 1  # 64-bit words per slot
+
+    def pack(data: np.ndarray) -> list[list[int]]:
+        slots = np.zeros(data.shape + (words,), dtype="<u8")
+        slots[..., 0] = data
+        return [[int.from_bytes(e.tobytes(), "little") for e in row] for row in slots]
+
+    pa, pb = pack(a), pack(b)
+    L = La + Lb - 1
+    radix = np.array([pow(2, 64 * w, p) for w in range(words)], dtype=np.uint64)
+    out = np.zeros((rows, cols, min(n, L)), dtype=_INT64)
+    for i in range(rows):
+        for j in range(cols):
+            v = sum(pa[i][l] * pb[l][j] for l in range(inner))
+            slots = np.frombuffer(v.to_bytes(8 * words * L, "little"), dtype="<u8").reshape(L, words)
+            # (word mod p) (2^(64 w) mod p) < 2^62, and a slot has at most three words
+            terms = slots[: out.shape[2]] % np.uint64(p) * radix % np.uint64(p)
+            out[i, j] = terms.sum(axis=1) % p
+    return SeriesMatrix(p, out, n)
+
+
 def residual(F: SeriesMatrix, inst: ProblemInstance, homogeneous: bool = False) -> SeriesMatrix:
-    """x^k delta(F) - A sigma(F) - C mod x^N; zero iff F solves."""
+    """x^k delta(F) - A sigma(F) - C mod x^N; zero iff F solves.
+
+    The product A sigma(F) is a Kronecker substitution in Python integers
+    (``_kronecker_product``), independent of the engines' product kernels.
+    """
     ctx, N = inst.ctx, inst.N
     if F.prec < N:
         raise ValueError("candidate solution known to lower precision than N")
     Ft = F.truncate(N)
-    out = Ft.delta(ctx).shift(ctx.k).truncate(N) - inst.A.mul(Ft.sigma(ctx), N)
+    out = Ft.delta(ctx).shift(ctx.k).truncate(N) - _kronecker_product(inst.A, Ft.sigma(ctx), N)
     if not homogeneous:
         out = out - inst.C
     return out

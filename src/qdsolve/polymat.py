@@ -10,14 +10,13 @@ The matrix product, ``mul``, returns a window [lo, n) of coefficients
 shorter operand has at most rows * cols coefficients, it is
 shift-batched: one ``_matmul_mod`` per coefficient of the shorter
 operand, over only the planes of the longer one whose products land in
-the window.  Otherwise each (row, inner, col) triple is one
-``conv_trunc`` call, which picks the direct or NTT convolution; neither
-can skip the coefficients below lo, so this route forms them and drops
-them.  Every summand is a canonical residue below p < 2^31 and there are
-fewer than 2^31 of them, so the accumulators stay below 2^62 and are
-reduced once.  The shift-batched route charges the field multiplications
-of the products it forms; that is never more than the per-entry route's
-rows * inner * cols * La * Lb, which it charges whatever the window.
+the window.  Otherwise each (row, inner, col) triple is one windowed
+``conv_trunc`` call, which picks the direct or NTT convolution and forms
+only the coefficients the window needs (a middle product when lo > 0).
+Every summand is a canonical residue below p < 2^31 and there are fewer
+than 2^31 of them, so the accumulators stay below 2^62 and are reduced
+once.  Both routes charge the field multiplications of the products they
+form, never more than the rows * inner * cols * La * Lb of full products.
 Newton inversion (``inv_newton``) asks only for the window above the
 precision it has reached; on the shift-batched route a doubling step
 then charges half of the two full products it replaces.
@@ -166,10 +165,11 @@ class SeriesMatrix:
           the planes of the longer operand in [max(0, lo - t), min(L, n - t))
           and adds their product into the output window they reach, so
           only pairs landing in [lo, n) are formed;
-        * per entry otherwise: one ``conv_trunc`` per (row, inner, col)
-          triple, so long products keep the NTT.  ``np.convolve`` and the
-          NTT cannot skip the low coefficients, so this route forms the
-          product mod x^n in full and keeps the window.
+        * per entry otherwise: one ``conv_trunc(.., n, lo)`` per (row,
+          inner, col) triple, so long products keep the NTT.  Both
+          backends form only the window: the direct one as a middle
+          product, Ls = min(La, Lb) terms per kept coefficient, the NTT
+          at a cyclic length whose wrap-around lands below lo.
 
         The rule makes the first route take no more Python-level calls
         than there are output entries.  Both routes sum canonical terms
@@ -177,8 +177,10 @@ class SeriesMatrix:
         below 2^62 and is reduced once at the end.  The shift-batched route
         charges the products it forms, rows * inner * cols per coefficient
         pair (s, t) with lo <= s + t < n; the per-entry route charges what
-        ``conv_trunc`` forms, rows * inner * cols * La * Lb for direct
-        convolutions, whatever the window.
+        ``conv_trunc`` forms per triple.  A direct convolution whose
+        window [lo, hi) reads w coefficients of the longer operand charges
+        Ls * min(w, hi - lo): La * Lb when lo = 0, Ls * (hi - lo) for a
+        middle product.
         """
         self._check_compat(other)
         if self.cols != other.rows:
@@ -218,7 +220,7 @@ class SeriesMatrix:
                     dj = b[:, j]
                     acc = np.zeros(hi - lo, dtype=_INT64)
                     for l in range(inner):
-                        c = conv_trunc(di[l], dj[l], p, n)[lo:]
+                        c = conv_trunc(di[l], dj[l], p, n, lo)
                         acc[: len(c)] += c
                     out[i, j] = acc % p
         return SeriesMatrix._mk(p, _trim3(out), n - lo)

@@ -449,3 +449,47 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "p: 134217757" in proc.stdout
+
+
+def test_check_catches_a_wrong_product_window(tmp_path, monkeypatch):
+    # a product kernel that gets its windows wrong: every mul with lo > 0
+    # returns its window with coefficient 0 bumped.  DAC's carry is such a
+    # window, so the DAC answer is wrong; check forms its residual without
+    # the product kernel and refutes it with exit 4, the patch still in place
+    from qdsolve import convolution, oracle, polymat
+
+    code, out, _ = run_cli(["gen", "--seed", "3", "--n", "2", "--N", "150", "--k", "1", "--q", "random"])
+    assert code == 0
+    prob = tmp_path / "g.prob"
+    prob.write_text(out)
+    good, bad = tmp_path / "good.sol", tmp_path / "bad.sol"
+    assert run_cli(["solve", str(prob), "--algo", "dense", "--out", str(good)])[0] == 0
+    mul = SeriesMatrix.mul
+
+    def wrong_window(self, other, n=None, lo=0):
+        out = mul(self, other, n, lo)
+        if lo == 0 or out.prec == 0:
+            return out
+        data = np.zeros((out.rows, out.cols, max(out.data.shape[2], 1)), dtype=np.int64)
+        data[:, :, : out.data.shape[2]] = out.data
+        data[0, 0, 0] += 1
+        return SeriesMatrix(out.p, data, out.prec)
+
+    monkeypatch.setattr(SeriesMatrix, "mul", wrong_window)
+    assert run_cli(["solve", str(prob), "--algo", "dac", "--out", str(bad)])[0] == 0
+    assert bad.read_text() != good.read_text()
+    code, _, err = run_cli(["check", str(prob), str(bad)])
+    assert code == 4, err
+    # the residual never reaches the product kernels: with all of them
+    # broken, the right answer still checks
+    def broken(*args, **kwargs):
+        raise AssertionError("check used an engine product kernel")
+
+    monkeypatch.setattr(SeriesMatrix, "mul", broken)
+    monkeypatch.setattr(polymat, "conv_trunc", broken)
+    monkeypatch.setattr(polymat, "_matmul_mod", broken)
+    monkeypatch.setattr(convolution, "_conv_direct", broken)
+    monkeypatch.setattr(convolution, "_conv_ntt", broken)
+    monkeypatch.setattr(oracle, "_matmul_mod", broken)
+    code, out, err = run_cli(["check", str(prob), str(good)])
+    assert code == 0, err

@@ -43,3 +43,63 @@ def test_direct_ntt_fallback_matches_python_ints(monkeypatch):
     assert len(got) == full
     for c in (0, 1, 2, 1000, 2**16 - 1, 2**16, 2**16 + 2, 100_000, full - 2, full - 1):
         assert int(got[c]) == _coeff(a, b, c, p), c
+
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+
+@st.composite
+def windows(draw):
+    """(a, b, p, hi, lo): lengths 1..40, random or all-(p-1) operands, hi
+    below, at or past the product's length and lo at 0, 1, hi - 1, hi or at
+    least the product's length."""
+    p = draw(st.sampled_from([3, 65521, 134217757, 2**31 - 1]))
+    La, Lb = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    full = La + Lb - 1
+    hi = draw(st.integers(0, full + 3))
+    lo = draw(st.sampled_from([0, 1, max(hi - 1, 0), hi, full, full + 2]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def operand(L):
+        if draw(st.booleans()):
+            return np.full(L, p - 1, dtype=np.int64)
+        return gen.integers(0, p, L)
+
+    return operand(La), operand(Lb), p, hi, lo
+
+
+@settings(max_examples=300, deadline=None)
+@given(windows(), st.booleans())
+def test_window_matches_python_ints(case, force_ntt):
+    a, b, p, hi, lo = case
+    used = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_conv_direct", "_conv_ntt"):
+            fn = getattr(convolution, name)
+            mp.setattr(convolution, name, lambda *args, fn=fn, name=name: used.append(name) or fn(*args))
+        if force_ntt:
+            mp.setattr(convolution, "NTT_CUTOFF", 0)
+        got = conv_trunc(a, b, p, hi, lo)
+    top = min(hi, len(a) + len(b) - 1)
+    assert [int(c) for c in got] == [_coeff(a, b, c, p) for c in range(lo, top)]
+    assert used == ([] if top <= lo else ["_conv_ntt" if force_ntt else "_conv_direct"])
+
+
+def test_middle_product_ntt_length(monkeypatch):
+    # coefficients [2048, 4096) of a length-4096 by length-2048 product: the
+    # cyclic length max(4096, 6143 - 2048) rounds to 4096, half of the
+    # 8192 the whole product needs, and the window is still exact
+    p = 134217757
+    lengths = []
+    plan = convolution._plan
+    monkeypatch.setattr(convolution, "_plan", lambda P, g, L: lengths.append(L) or plan(P, g, L))
+    gen = np.random.default_rng(11)
+    a, b = gen.integers(0, p, 4096), gen.integers(0, p, 2048)
+    got = conv_trunc(a, b, p, 4096, 2048)
+    assert set(lengths) == {4096}
+    assert len(got) == 2048
+    for c in (2048, 2049, 3000, 4094, 4095):
+        assert int(got[c - 2048]) == _coeff(a, b, c, p), c
+    assert np.array_equal(got, conv_trunc(a, b, p, 4096)[2048:])

@@ -704,3 +704,111 @@ def test_column_lift_residual_checked(monkeypatch):
     finally:
         instrument.set_runtime_checks(False)
     assert not spaces_equal(newton_solve(inst.A, inst.C, inst.N, inst.ctx), want)
+
+
+def _bumped(U: SeriesMatrix, j: int, entry=(0, 0)) -> SeriesMatrix:
+    """U with 1 added to one entry of coefficient j."""
+    data = np.zeros((U.rows, U.cols, U.prec), dtype=np.int64)
+    data[:, :, : U.data.shape[2]] = U.data
+    data[entry + (j,)] += 1
+    return SeriesMatrix(U.p, data, U.prec)
+
+
+@pytest.mark.parametrize(
+    "k, q_mode, solver",
+    [(1, "random", "diff_sylvester"), (1, "one", "diff_sylvester"),
+     (2, "random", "diff_sylvester"), (2, "one", "diff_sylvester_differential")],
+)
+def test_ladder_checks_top_coefficient_always(k, q_mode, solver, monkeypatch):
+    # the top coefficient of one level's update is wrong; the next level's
+    # residual is formed from coefficient mprev - 1 on, and that coefficient
+    # shows the error with runtime checks off.  For q = 1, k > 1 B is
+    # diagonal and the error is put off the diagonal: a diagonal entry is an
+    # integral, wrong at mprev - 1 only in a coefficient the next update
+    # (it starts k - 1 coefficients lower) computes again
+    inst = random_instance(5100 + k, 134217757, 3, 64, k, q_mode, require_good_spectrum=True)
+    want = oracle.dense_solve(inst)
+    real = getattr(newton, solver)
+    targets = []
+
+    def corrupt(entry):
+        def spy(*args):
+            U = real(*args)
+            targets.append(args[3])
+            return _bumped(U, U.prec - 1, entry) if len(targets) == 1 else U
+
+        return spy
+
+    assert not instrument.checks_enabled()
+    monkeypatch.setattr(newton, solver, corrupt((0, 1)))
+    with pytest.raises(InternalInvariantError, match="residual nonzero at x"):
+        newton_solve(inst.A, inst.C, inst.N, inst.ctx)
+    assert len(targets) == 1 and targets[0] < inst.N
+    targets.clear()
+    monkeypatch.setattr(newton, solver, corrupt((0, 0)))
+    if solver == "diff_sylvester_differential":
+        assert spaces_equal(newton_solve(inst.A, inst.C, inst.N, inst.ctx), want)
+        assert len(targets) == len(newton._newton_ladder(inst.N, k)) - 1
+    else:
+        with pytest.raises(InternalInvariantError, match="residual nonzero at x"):
+            newton_solve(inst.A, inst.C, inst.N, inst.ctx)
+
+
+def test_ladder_checks_low_part_with_runtime_checks(monkeypatch):
+    # W is made wrong at coefficient 16 alone after the level that reaches
+    # 32: U gains W^(-1) e x^16.  A has degree 1, so the next residual is
+    # wrong at 16 and 17 only, below the always-checked coefficient 31; the
+    # runtime checks form the whole low part and catch it, and without them
+    # the answer is silently wrong
+    N, c = 64, 16
+    inst = random_instance(5200, 134217757, 3, N, 1, "random", require_good_spectrum=True)
+    A, ctx, p = inst.A.truncate(2).as_poly_prec(N), inst.ctx, inst.p
+    assert newton._newton_ladder(N, 1)[-3:] == [c, 2 * c, N]
+    want = oracle.dense_solve(ProblemInstance(inst.field, ctx, 3, N, A, inst.C))
+    assoc = choose_associated(A, ctx, char_poly(A.coefficient_array(0), p))
+    Winv = newton_ae(A, assoc.B, assoc.V, N, ctx).inv_newton(N)
+    eps = np.arange(1, 10, dtype=np.int64).reshape(3, 3)
+    real = newton.diff_sylvester
+
+    def corrupt(Gamma, B, m, target, ctx_, rep):
+        U = real(Gamma, B, m, target, ctx_, rep)
+        if target != 2 * c:
+            return U
+        return U + Winv.truncate(target - c).rmul_const(eps).shift(c)
+
+    monkeypatch.setattr(newton, "diff_sylvester", corrupt)
+    instrument.set_runtime_checks(True)
+    try:
+        with pytest.raises(InternalInvariantError, match=f"not divisible by x\\^{2 * c}"):
+            newton_solve(A, inst.C, N, ctx)
+    finally:
+        instrument.set_runtime_checks(False)
+    got = newton_solve(A, inst.C, N, ctx)
+    assert want is not None and not spaces_equal(got, want)
+
+
+def test_dac_carry_window_passes_open_row_checks(monkeypatch):
+    # DAC forms its carry on [m, N) only; with runtime checks on, every
+    # node still forms its whole residual and finds the open rows zero,
+    # across a singular step in the second half and at p = 2^31 - 1
+    from qdsolve import dac
+
+    calls = []
+    real = dac._assert_open_rows_vanish
+    monkeypatch.setattr(dac, "_assert_open_rows_vanish", lambda *a: calls.append(a[4]) or real(*a))
+    instrument.set_runtime_checks(True)
+    try:
+        for p, s in ((134217757, 100), (2**31 - 1, 70)):
+            gen = np.random.default_rng(p + s)
+            n, N = 2, 150
+            Ad = gen.integers(0, p, (n, n, N))
+            Ad[:, :, 0] = [[s, 0], [0, p - 1]]  # q = 1, k = 1: step s is singular
+            inst = ProblemInstance(PrimeField(p), QContext(PrimeField(p), 1, 1), n, N,
+                                   SeriesMatrix(p, Ad, N), SeriesMatrix.zeros(p, n, 1, N))
+            inst.C = residual(SeriesMatrix(p, gen.integers(0, p, (n, 1, N)), N), inst, homogeneous=True)
+            got = dac.dac_solve(inst.A, inst.C, N, inst.ctx)
+            want = solve_operator_matrix(inst)
+            assert want is not None and want.dim == 1 and spaces_equal(got, want)
+    finally:
+        instrument.set_runtime_checks(False)
+    assert N in calls and len(calls) > 3

@@ -11,7 +11,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from qdsolve import instrument, polymat  # noqa: E402
+from qdsolve import convolution, instrument, polymat  # noqa: E402
 from qdsolve.dac import DAC_LEAF, dac_solve  # noqa: E402
 from qdsolve.errors import SpectrumError  # noqa: E402
 from qdsolve.field import PrimeField, inverses, powers  # noqa: E402
@@ -71,32 +71,54 @@ def mul_reference(A: SeriesMatrix, B: SeriesMatrix, n: int, lo: int = 0) -> Seri
     return SeriesMatrix(A.p, (out[:, :, lo:] % A.p).astype(np.int64), n - lo)
 
 
+def conv_charge(La: int, Lb: int, p: int, hi: int, lo: int) -> int:
+    """What one conv_trunc call charges for coefficients [lo, hi) of a
+    length-La by length-Lb product, hi <= La + Lb - 1: the NTT at the cyclic
+    length max(hi, La + Lb - 1 - lo) rounded up to a power of two, the
+    direct backend Ls = min(La, Lb) multiplications for each kept
+    coefficient or for each coefficient of the long operand reaching the
+    window, whichever is fewer."""
+    if hi <= lo:
+        return 0
+    full = La + Lb - 1
+    if La * Lb >= convolution.NTT_CUTOFF and convolution._next_pow2(full) * (p - 1) ** 2 < convolution._CRT_BOUND:
+        L = convolution._next_pow2(max(hi, full - lo))
+        lg = L.bit_length() - 1
+        return 3 * (3 * (L // 2) * lg + 2 * L) + 2 * (hi - lo)
+    Ls, Ll = min(La, Lb), max(La, Lb)
+    reach = min(Ll, hi) - max(0, lo - Ls + 1)
+    return Ls * min(reach, hi - lo)
+
+
 def check_mul(A: SeriesMatrix, B: SeriesMatrix, n: int, monkeypatch, lo: int = 0) -> None:
     """A.mul(B, n, lo) is the reference window, takes the route the dispatch
     rule names for the stored lengths capped at n, and charges what that
     route forms: the coefficient pairs landing in [lo, n) when shift-batched,
-    every pair of every entry triple when per entry."""
+    conv_charge of the window for every entry triple when per entry."""
     calls = []
     conv = polymat.conv_trunc
     monkeypatch.setattr(polymat, "conv_trunc", lambda *a: calls.append(1) or conv(*a))
     rows, inner, cols = A.rows, A.cols, B.cols
     La, Lb = min(A.data.shape[2], n), min(B.data.shape[2], n)
-    window = min(n, max(0, La + Lb - 1)) > lo
+    hi = min(n, max(0, La + Lb - 1))
     before = instrument.mul_counter.value
     got = A.mul(B, n, lo=lo)
     charge = instrument.mul_counter.value - before
     monkeypatch.setattr(polymat, "conv_trunc", conv)
     assert got == mul_reference(A, B, n, lo)
-    per_entry = rows * inner * cols * La * Lb if window else 0
     if min(La, Lb) <= rows * cols:
         assert not calls
         # one multiplication per coefficient pair that lands in the window
         pairs = sum(1 for s in range(La) for t in range(Lb) if lo <= s + t < n)
         assert charge == rows * inner * cols * pairs
     else:
-        assert len(calls) == (rows * inner * cols if window else 0)
-        assert charge == per_entry
-    assert charge <= per_entry
+        assert len(calls) == (rows * inner * cols if hi > lo else 0)
+        assert charge == rows * inner * cols * conv_charge(La, Lb, A.p, hi, lo)
+        if lo == 0 and len(calls) and La * Lb < convolution.NTT_CUTOFF:
+            # a product mod x^n forms every pair once, as np.convolve does
+            assert charge == rows * inner * cols * La * Lb
+    if La * Lb < convolution.NTT_CUTOFF:
+        assert charge <= rows * inner * cols * La * Lb
 
 
 @st.composite
@@ -130,11 +152,13 @@ def mul_operands(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(mul_operands())
-def test_mul_matches_reference(operands):
+@given(mul_operands(), st.booleans())
+def test_mul_matches_reference(operands, force_ntt):
     # function-scoped monkeypatch cannot be shared across examples
     A, B, n, lo = operands
     with pytest.MonkeyPatch.context() as mp:
+        if force_ntt:
+            mp.setattr(convolution, "NTT_CUTOFF", 0)
         check_mul(A, B, n, mp, lo)
 
 
