@@ -52,10 +52,12 @@ def _run_algo(algo: str, inst: ProblemInstance):
 
 
 def bench_case(algo: str, inst: ProblemInstance, seed: int, reps: int = 1) -> BenchRecord:
-    """Median-of-reps wall time and the deterministic mul count."""
+    """Median-of-reps wall time and the deterministic mul count, reps >= 1."""
+    if reps < 1:
+        raise ValueError("reps must be at least 1")
     times = []
     mul_count = 0
-    for _ in range(max(1, reps)):
+    for _ in range(reps):
         instrument.mul_counter.reset()
         t0 = time.perf_counter()
         _run_algo(algo, inst)
@@ -77,6 +79,11 @@ def bench_case(algo: str, inst: ProblemInstance, seed: int, reps: int = 1) -> Be
     )
 
 
+def case_seed(seed: int, n: int, N: int) -> int:
+    """The seed of the (n, N) instance of a bench run with this seed."""
+    return seed + 1_000_003 * n + N
+
+
 def run_bench(
     ns,
     Ns,
@@ -91,12 +98,10 @@ def run_bench(
     records = []
     for n in ns:
         for N in Ns:
-            case_seed = seed + 1_000_003 * n + N
-            inst = random_instance(
-                case_seed, p, n, N, k, q_mode, require_good_spectrum=True
-            )
+            s = case_seed(seed, n, N)
+            inst = random_instance(s, p, n, N, k, q_mode, require_good_spectrum=True)
             for algo in algos:
-                records.append(bench_case(algo, inst, case_seed, reps))
+                records.append(bench_case(algo, inst, s, reps))
     return records
 
 

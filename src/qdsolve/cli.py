@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import instrument
-from .bench import ALGORITHMS, run_bench, to_csv
+from .bench import ALGORITHMS, case_seed, run_bench, to_csv
 from .dac import dac_solve
 from .errors import (
     InternalInvariantError,
@@ -115,8 +115,11 @@ def _cmd_solve(args) -> int:
     if space is None:
         print("BOT", file=sys.stderr)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise UsageError(f"cannot write {args.out}: {e}")
     else:
         sys.stdout.write(text)
     return 0
@@ -166,6 +169,12 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     return vals
 
 
+def _check_seed(seed: int, origin: str = "") -> None:
+    # the counter-based generator takes keys in [0, 2^128)
+    if not 0 <= seed < 2**128:
+        raise UsageError(f"seed {seed}{origin} is outside [0, 2^128)")
+
+
 def _cmd_bench(args) -> int:
     ns = _parse_int_list(args.n, "n")
     Ns = _parse_int_list(args.N, "N")
@@ -173,6 +182,11 @@ def _cmd_bench(args) -> int:
         raise UsageError("n and N must be positive")
     if args.k < 0:
         raise UsageError("k must be nonnegative")
+    if args.reps < 1:
+        raise UsageError("reps must be positive")
+    for n in ns:
+        for N in Ns:
+            _check_seed(case_seed(args.seed, n, N), f" (from --seed {args.seed}, n = {n}, N = {N})")
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     if not algos:
         raise UsageError("empty algorithm list")
@@ -191,6 +205,7 @@ def _cmd_gen(args) -> int:
         raise UsageError("N must be positive")
     if args.k < 0:
         raise UsageError("k must be nonnegative")
+    _check_seed(args.seed)
     if args.q == "random":
         q_mode = "random"
     else:

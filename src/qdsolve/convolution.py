@@ -11,125 +11,101 @@ it:
   the window, a middle product: ``'valid'`` mode over that source
   zero-padded to [lo - Ls + 1, out_len), one dot product of length Ls
   per kept coefficient;
-* a vectorized radix-2 NTT over three Fourier primes recombined by CRT,
-  used above a size cutoff.  The cyclic length is the next power of two
-  of max(out_len, La + Lb - 1 - lo): every coefficient it wraps lands
-  below lo, so the window is exact.  Each (prime, length) plan is built
-  once, its twiddles from one ``field.powers`` table per direction;
+* an exact float64 FFT product over limbs (Percival, Math. Comp. 72,
+  2003), used above a size cutoff for p < 2^31.  Both operands are split
+  into k limbs of b bits, one ``rfft`` per operand transforms its stacked
+  limbs, the limb products are summed by degree (low*low, low*high +
+  high*low, high*high for two limbs), and one ``irfft`` returns the
+  2k - 1 degree rows, which are rounded and recombined mod p.  The
+  cyclic length L is the next power of two of max(out_len,
+  La + Lb - 1 - lo): every coefficient it wraps lands below lo, so the
+  window is exact;
 * trivial short-circuits for empty operands and empty windows.
 
+The limb count comes from an a-priori rounding bound.  A degree row sums
+at most k cyclic limb convolutions.  In each, the operands' Euclidean
+norms multiply to at most 4^b sqrt(L m), m = min(La, Lb), since limbs
+lie below 2^b and both operands, cut to out_len, have at most L
+coefficients and the shorter m.  Percival's bound for a radix-2
+transform with correctly rounded twiddles and unit roundoff 2^-53 puts
+the error of one convolution below that norm product times
+2^-53 (12 log2 L + 3), so every rounded row is exact when
+
+    k 4^b sqrt(L m) (12 log2 L + 3) 2^-53 <= 1/8,
+
+and ``_limbs`` picks the smallest such k, with b = ceil(bits(p - 1) / k).
+With m = L/2, two limbs cover p = 134217757 up to L = 16384, and
+p = 2^31 - 1 takes three from L = 2048 on.  The factor 2 below the
+tripwire covers the gap between the radix-2 model and numpy's
+mixed-radix transform: a kept value 1/4 or more from an integer raises
+``InternalInvariantError`` instead of being rounded.  The bound also
+keeps every row below 2^53, so the rounded rows are exact in int64.
+
 ``conv_trunc`` adds the number of field multiplications the chosen
-backend performs to the global counter.
+backend performs to the global counter.  The transform is charged in
+field-multiplication equivalents: (L/2) log2 L per real transform (2k
+forward, 2k - 1 inverse), L/2 + 1 per limb product and 2k - 1 per kept
+coefficient for the recombination.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 
 import numpy as np
 
 from . import instrument
-from .errors import PreconditionError
-from .field import powers
+from .errors import InternalInvariantError, PreconditionError
 
 _INT64 = np.int64
 _EMPTY = np.zeros(0, dtype=_INT64)
 
-# Fourier primes with large 2-adic valuation and their primitive roots.
-_NTT_PRIMES = (469762049, 998244353, 754974721)
-_NTT_ROOTS = (3, 3, 11)
-_CRT_BOUND = _NTT_PRIMES[0] * _NTT_PRIMES[1] * _NTT_PRIMES[2]
-
-# Product size (in coefficient pairs) above which the NTT pays off.
-NTT_CUTOFF = 4_000_000
+# Product size (in coefficient pairs) above which the transform pays off.
+TRANSFORM_CUTOFF = 4_000_000
 
 
 def _next_pow2(n: int) -> int:
     return 1 << max(0, (n - 1).bit_length())
 
 
-class _NttPlan:
-    """Twiddle tables for length-L transforms modulo one Fourier prime.
-
-    Stage h of a transform multiplies by w^(s i), i < h, with stride
-    s = L / 2h: every s-th entry of one table of L / 2 powers per
-    direction, stored contiguous.
-    """
-
-    __slots__ = ("P", "L", "fwd", "inv", "linv")
-
-    def __init__(self, P: int, g: int, L: int):
-        assert (P - 1) % L == 0, "transform length unsupported by this prime"
-        self.P = P
-        self.L = L
-        w = pow(g, (P - 1) // L, P)
-        strides = [1 << j for j in range(L.bit_length() - 1)]  # 1, 2, .., L/2
-        fwd = powers(w, L // 2, P)
-        inv = powers(pow(w, P - 2, P), L // 2, P)
-        self.fwd = [fwd[::s].copy() for s in strides]  # h = L/2 down to 1
-        self.inv = [inv[::s].copy() for s in reversed(strides)]  # h = 1 up to L/2
-        self.linv = pow(L, P - 2, P)
-
-
-# one plan per (prime, length), built at first use
-_plan = functools.cache(_NttPlan)
-
-
-def _ntt_forward(x: np.ndarray, plan: _NttPlan) -> np.ndarray:
-    # Decimation in frequency: natural order in, bit-reversed order out.
-    P = plan.P
-    for tw in plan.fwd:
-        h = len(tw)
-        y = x.reshape(-1, 2, h)
-        u = y[:, 0, :]
-        v = y[:, 1, :]
-        s = (u + v) % P
-        d = (u - v + P) * tw % P
-        y[:, 0, :] = s
-        y[:, 1, :] = d
-    return x
-
-
-def _ntt_inverse(x: np.ndarray, plan: _NttPlan) -> np.ndarray:
-    # Decimation in time: bit-reversed order in, natural order out.
-    P = plan.P
-    for tw in plan.inv:
-        h = len(tw)
-        y = x.reshape(-1, 2, h)
-        u = y[:, 0, :]
-        v = y[:, 1, :] * tw % P
-        s = (u + v) % P
-        d = (u - v + P) % P
-        y[:, 0, :] = s
-        y[:, 1, :] = d
-    x = x * plan.linv % P
-    return x
+def _limbs(p: int, L: int, m: int) -> tuple[int, int]:
+    """(k, b): the fewest b-bit limbs that meet the rounding bound for a
+    length-L transform whose shorter operand has m coefficients."""
+    bits = (p - 1).bit_length()
+    scale = math.sqrt(L * m) * (12 * (L.bit_length() - 1) + 3) * 2.0**-53
+    for k in range(1, bits + 1):
+        b = -(-bits // k)
+        if k * 4**b * scale <= 0.125:
+            return k, b
+    raise PreconditionError(f"no exact limb split for p = {p} at transform length {L}")
 
 
 def _conv_ntt(a: np.ndarray, b: np.ndarray, p: int, out_len: int, lo: int = 0) -> np.ndarray:
     # coefficient c >= L of the product wraps onto c - L < La + Lb - 1 - L <= lo
     L = _next_pow2(max(out_len, len(a) + len(b) - 1 - lo))
-    residues = []
-    for P, g in zip(_NTT_PRIMES, _NTT_ROOTS):
-        plan = _plan(P, g, L)
-        fa = np.zeros(L, dtype=_INT64)
-        fa[: len(a)] = a % P
-        fb = np.zeros(L, dtype=_INT64)
-        fb[: len(b)] = b % P
-        fa = _ntt_forward(fa, plan)
-        fb = _ntt_forward(fb, plan)
-        fa = fa * fb % P
-        residues.append(_ntt_inverse(fa, plan)[lo:out_len])
-    r1, r2, r3 = residues
-    p1, p2, p3 = _NTT_PRIMES
-    t2 = (r2 - r1) * pow(p1, p2 - 2, p2) % p2
-    m3 = (r1 + (p1 % p3) * t2) % p3
-    t3 = (r3 - m3) * pow(p1 * p2 % p3, p3 - 2, p3) % p3
-    out = (r1 + (p1 % p) * t2 + (p1 * p2 % p) * t3) % p
-    # 3 transforms per prime at L/2 muls per stage, plus pointwise,
-    # scaling and CRT recombination of the window.
+    k, bits = _limbs(p, L, min(len(a), len(b)))
+    shifts = bits * np.arange(k, dtype=_INT64)[:, None]
+    mask = (1 << bits) - 1
+    fa = np.fft.rfft((a >> shifts) & mask, L)
+    fb = np.fft.rfft((b >> shifts) & mask, L)
+    prod = np.zeros((2 * k - 1, L // 2 + 1), dtype=np.complex128)
+    for i in range(k):
+        prod[i : i + k] += fa[i] * fb
+    rows = np.fft.irfft(prod, L)[:, lo:out_len]
+    exact = np.rint(rows)
+    err = float(np.abs(rows - exact).max())
+    if not err < 0.25:  # NaN included
+        raise InternalInvariantError(
+            f"FFT product rounding error {err:.3g} at p = {p}, length {L}, {k} limbs"
+        )
+    radix = (1 << bits) % p
+    out = np.zeros(out_len - lo, dtype=_INT64)
+    for row in exact[::-1].astype(_INT64):
+        out = (out * radix + row) % p
     lg = L.bit_length() - 1
-    instrument.mul_counter.add(3 * (3 * (L // 2) * lg + 2 * L) + 2 * (out_len - lo))
+    instrument.mul_counter.add(
+        (4 * k - 1) * (L // 2) * lg + k * k * (L // 2 + 1) + (2 * k - 1) * (out_len - lo)
+    )
     return out
 
 
@@ -152,8 +128,8 @@ def _conv_direct(a: np.ndarray, b: np.ndarray, p: int, out_len: int, lo: int = 0
     s = (p.bit_length() + 1) // 2
     if Ls * (p - 1) << s >= 2**63:
         # With p < 2^31 this needs an overlap above 2^16, so at least 2^32
-        # pairs: conv_trunc sends such a product to the NTT whenever its CRT
-        # range covers the coefficients, and no exact route is left here.
+        # pairs: conv_trunc sends every such product to the transform, and
+        # no exact route is left here.
         raise PreconditionError(
             f"modulus p = {p} too large for an exact convolution of lengths "
             f"{len(a)} and {len(b)}"
@@ -174,8 +150,6 @@ def conv_trunc(a: np.ndarray, b: np.ndarray, p: int, out_len: int, lo: int = 0) 
         return _EMPTY
     # coefficients at or above out_len reach no kept coefficient
     a, b = a[:out_len], b[:out_len]
-    full = len(a) + len(b) - 1
-    work = len(a) * len(b)
-    if work >= NTT_CUTOFF and _next_pow2(full) * (p - 1) ** 2 < _CRT_BOUND:
+    if len(a) * len(b) >= TRANSFORM_CUTOFF and p < 2**31:
         return _conv_ntt(a, b, p, out_len, lo)
     return _conv_direct(a, b, p, out_len, lo)

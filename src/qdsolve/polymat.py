@@ -11,8 +11,9 @@ shorter operand has at most rows * cols coefficients, it is
 shift-batched: one ``_matmul_mod`` per coefficient of the shorter
 operand, over only the planes of the longer one whose products land in
 the window.  Otherwise each (row, inner, col) triple is one windowed
-``conv_trunc`` call, which picks the direct or NTT convolution and forms
-only the coefficients the window needs (a middle product when lo > 0).
+``conv_trunc`` call, which picks the direct convolution or, for long
+products, the exact float-FFT limb product, and forms only the
+coefficients the window needs (a middle product when lo > 0).
 Every summand is a canonical residue below p < 2^31 and there are fewer
 than 2^31 of them, so the accumulators stay below 2^62 and are reduced
 once.  Both routes charge the field multiplications of the products they
@@ -166,10 +167,11 @@ class SeriesMatrix:
           and adds their product into the output window they reach, so
           only pairs landing in [lo, n) are formed;
         * per entry otherwise: one ``conv_trunc(.., n, lo)`` per (row,
-          inner, col) triple, so long products keep the NTT.  Both
-          backends form only the window: the direct one as a middle
-          product, Ls = min(La, Lb) terms per kept coefficient, the NTT
-          at a cyclic length whose wrap-around lands below lo.
+          inner, col) triple, so long products keep the transform.
+          Both backends form only the window: the direct one as a middle
+          product, Ls = min(La, Lb) terms per kept coefficient, the
+          float-FFT limb product at a cyclic length whose wrap-around
+          lands below lo.
 
         The rule makes the first route take no more Python-level calls
         than there are output entries.  Both routes sum canonical terms
@@ -180,7 +182,10 @@ class SeriesMatrix:
         ``conv_trunc`` forms per triple.  A direct convolution whose
         window [lo, hi) reads w coefficients of the longer operand charges
         Ls * min(w, hi - lo): La * Lb when lo = 0, Ls * (hi - lo) for a
-        middle product.
+        middle product.  The limb product, exact by an a-priori rounding
+        bound that fixes its limb count, charges field-multiplication
+        equivalents: (L/2) log2 L per real transform, plus its limb
+        products and recombination (see ``convolution``).
         """
         self._check_compat(other)
         if self.cols != other.rows:

@@ -49,7 +49,11 @@ def _tokenize(text: str):
             continue
         m = _BLOCK_RE.match(line)
         if m:
-            yield ("block", (m.group(1), int(m.group(2))), lineno)
+            try:
+                deg = int(m.group(2))
+            except ValueError:  # past Python's digit limit for int()
+                raise ProblemFormatError(f"line {lineno}: block degree of {len(m.group(2))} digits")
+            yield ("block", (m.group(1), deg), lineno)
             for tok in m.group(3).split():
                 yield ("num", tok, lineno)
             continue

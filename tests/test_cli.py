@@ -271,6 +271,56 @@ def test_gen_usage_errors():
     assert code == 1
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**128), str(2**130 + 5)])
+def test_gen_seed_out_of_range_is_usage_error(seed):
+    # the generator's keys are [0, 2^128); outside it is one line, exit 1
+    code, out, err = run_cli(["gen", "--seed", seed, "--n", "1", "--N", "4"])
+    assert (code, out) == (1, "")
+    assert err == f"error: seed {seed} is outside [0, 2^128)\n"
+
+
+def test_gen_seed_range_ends_are_accepted():
+    for seed in ("0", str(2**128 - 1)):
+        code, out, err = run_cli(["gen", "--seed", seed, "--n", "1", "--N", "4"])
+        assert code == 0 and out.startswith("p: "), (seed, err)
+
+
+@pytest.mark.parametrize(
+    "seed, ns, case, n",
+    [(-2_000_000, "1", -999_989, 1), (2**128, "1", 2**128 + 1_000_011, 1),
+     (2**128 - 2_000_014, "1,2", 2**128, 2)],
+)
+def test_bench_case_seed_out_of_range_is_usage_error(seed, ns, case, n):
+    # the case seed seed + 1_000_003 n + N is checked for every (n, N)
+    # before any instance is drawn
+    code, out, err = run_cli(["bench", "--algos", "dense", "--seed", str(seed), "--n", ns, "--N", "8"])
+    assert (code, out) == (1, "")
+    assert err == f"error: seed {case} (from --seed {seed}, n = {n}, N = 8) is outside [0, 2^128)\n"
+
+
+def test_bench_smallest_case_seed_is_accepted():
+    # -1_000_011 + 1_000_003 * 1 + 8 = 0
+    code, out, err = run_cli(["bench", "--algos", "dense", "--seed", "-1000011", "--n", "1", "--N", "8"])
+    assert code == 0, err
+    assert out.splitlines()[1].startswith("dense,1,1,8,0,134217757,0,")
+
+
+@pytest.mark.parametrize("reps", ["0", "-1"])
+def test_bench_reps_below_one_is_usage_error(reps):
+    code, out, err = run_cli(["bench", "--algos", "dense", "--n", "1", "--N", "8", "--reps", reps])
+    assert (code, out, err) == (1, "", "error: reps must be positive\n")
+
+
+def test_solve_out_unwritable_exit_1(tmp_path):
+    prob = tmp_path / "exp.prob"
+    prob.write_text(EXP_PROBLEM)
+    target = tmp_path / "missing" / "x.sol"
+    code, out, err = run_cli(["solve", str(prob), "--out", str(target)])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+    assert not target.parent.exists()
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [("--n", "0"), ("--n", "2,-1"), ("--N", "0"), ("--k", "-1"), ("--algos", ","), ("--algos", " ")],

@@ -3,7 +3,7 @@ import pytest
 
 from qdsolve import convolution
 from qdsolve.convolution import conv_trunc
-from qdsolve.errors import PreconditionError
+from qdsolve.errors import InternalInvariantError, PreconditionError
 
 
 def _coeff(a, b, c, p):
@@ -14,7 +14,7 @@ def _coeff(a, b, c, p):
 
 def test_direct_refuses_modulus_beyond_crt_range():
     # at p = 2^61 - 1 even a length-3 by length-2 product overflows the limb
-    # split, and the NTT fallback's CRT range cannot hold its coefficients
+    # split, and the transform serves only p < 2^31
     p = 2**61 - 1
     a = np.array([1, 2, 3], dtype=np.int64)
     b = np.array([5, 7], dtype=np.int64)
@@ -24,7 +24,8 @@ def test_direct_refuses_modulus_beyond_crt_range():
 
 def test_direct_ntt_fallback_matches_python_ints(monkeypatch):
     # p = 2^31 - 1 with an overlap of 2^16 + 1 terms is past the direct limb
-    # split; conv_trunc hands the product to the NTT, whose CRT range covers it
+    # split; conv_trunc hands the product to the transform, which splits it
+    # into three limbs
     p = 2**31 - 1
     calls = []
     ntt = convolution._conv_ntt
@@ -80,7 +81,7 @@ def test_window_matches_python_ints(case, force_ntt):
             fn = getattr(convolution, name)
             mp.setattr(convolution, name, lambda *args, fn=fn, name=name: used.append(name) or fn(*args))
         if force_ntt:
-            mp.setattr(convolution, "NTT_CUTOFF", 0)
+            mp.setattr(convolution, "TRANSFORM_CUTOFF", 0)
         got = conv_trunc(a, b, p, hi, lo)
     top = min(hi, len(a) + len(b) - 1)
     assert [int(c) for c in got] == [_coeff(a, b, c, p) for c in range(lo, top)]
@@ -93,13 +94,85 @@ def test_middle_product_ntt_length(monkeypatch):
     # 8192 the whole product needs, and the window is still exact
     p = 134217757
     lengths = []
-    plan = convolution._plan
-    monkeypatch.setattr(convolution, "_plan", lambda P, g, L: lengths.append(L) or plan(P, g, L))
+    limbs = convolution._limbs
+    monkeypatch.setattr(convolution, "_limbs", lambda p, L, m: lengths.append(L) or limbs(p, L, m))
     gen = np.random.default_rng(11)
     a, b = gen.integers(0, p, 4096), gen.integers(0, p, 2048)
     got = conv_trunc(a, b, p, 4096, 2048)
-    assert set(lengths) == {4096}
+    assert lengths == [4096]
     assert len(got) == 2048
     for c in (2048, 2049, 3000, 4094, 4095):
         assert int(got[c - 2048]) == _coeff(a, b, c, p), c
     assert np.array_equal(got, conv_trunc(a, b, p, 4096)[2048:])
+
+
+def _window_by_kronecker(a, b, p, lo, hi):
+    """Coefficients [lo, hi) of a*b mod p, from one Python-int product of
+    the operands packed into fixed-width byte fields."""
+    width = (2 * p.bit_length() + max(len(a), len(b)).bit_length() + 7) // 8
+
+    def pack(x):
+        return int.from_bytes(b"".join(int(c).to_bytes(width, "little") for c in x), "little")
+
+    raw = (pack(a) * pack(b)).to_bytes(width * (len(a) + len(b)), "little")
+    return [int.from_bytes(raw[width * c : width * (c + 1)], "little") % p for c in range(lo, hi)]
+
+
+@st.composite
+def transform_windows(draw):
+    """(a, b, p, hi, lo, limbs): operands whose transform needs exactly
+    `limbs` limbs: p = 3 or 65521 with lengths up to 400 take one, p =
+    134217757 or 2^31 - 1 with lengths up to 400 two, and p = 2^31 - 1
+    with lengths and window end from 1100 on three (cyclic length 2048 or
+    more).  Operands random or all p - 1, windows starting at 0, 1, just
+    below hi or in between."""
+    limbs = draw(st.sampled_from([1, 2, 3]))
+    if limbs == 3:
+        p, small, big = 2**31 - 1, 1100, 1500
+    else:
+        p, small, big = draw(st.sampled_from([3, 65521] if limbs == 1 else [134217757, 2**31 - 1])), 1, 400
+    La, Lb = draw(st.integers(small, big)), draw(st.integers(small, big))
+    full = La + Lb - 1
+    hi = draw(st.integers(small, full + 3))
+    lo = draw(st.one_of(st.sampled_from([0, 1, max(hi - 1, 0)]), st.integers(0, hi)))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def operand(L):
+        if draw(st.booleans()):
+            return np.full(L, p - 1, dtype=np.int64)
+        return gen.integers(0, p, L)
+
+    return operand(La), operand(Lb), p, hi, lo, limbs
+
+
+@settings(max_examples=150, deadline=None)
+@given(transform_windows())
+def test_transform_matches_python_ints(case):
+    a, b, p, hi, lo, limbs = case
+    used = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(convolution, "TRANSFORM_CUTOFF", 0)
+        pick = convolution._limbs
+        mp.setattr(convolution, "_limbs", lambda *args: used.append(pick(*args)[0]) or pick(*args))
+        got = conv_trunc(a, b, p, hi, lo)
+    top = min(hi, len(a) + len(b) - 1)
+    assert [int(c) for c in got] == _window_by_kronecker(a, b, p, lo, top)
+    assert used == ([] if top <= lo else [limbs])
+
+
+def test_transform_rounding_tripwire(monkeypatch):
+    # a value a quarter or more from an integer is refused, never rounded;
+    # an error below that still rounds to the exact product
+    p = 134217757
+    gen = np.random.default_rng(3)
+    a, b = gen.integers(0, p, 3000), gen.integers(0, p, 2000)
+    monkeypatch.setattr(convolution, "TRANSFORM_CUTOFF", 0)
+    want = conv_trunc(a, b, p, 4000, 100)
+    irfft = np.fft.irfft
+    for shift, fails in ((0.2, False), (-0.2, False), (0.3, True), (-0.3, True)):
+        monkeypatch.setattr(np.fft, "irfft", lambda *args, s=shift: irfft(*args) + s)
+        if fails:
+            with pytest.raises(InternalInvariantError):
+                conv_trunc(a, b, p, 4000, 100)
+        else:
+            assert np.array_equal(conv_trunc(a, b, p, 4000, 100), want)

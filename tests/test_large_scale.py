@@ -1,8 +1,9 @@
-"""Cross-engine agreement at sizes where the NTT and vectorized paths engage."""
+"""Cross-engine agreement at sizes where the transform and vectorized paths engage."""
 
 import numpy as np
 
-from qdsolve.convolution import NTT_CUTOFF
+from qdsolve import convolution
+from qdsolve.convolution import TRANSFORM_CUTOFF
 from qdsolve.dac import dac_solve
 from qdsolve.field import PrimeField
 from qdsolve.newton import newton_solve
@@ -17,9 +18,9 @@ P28 = 134217757
 
 
 def test_engines_agree_above_ntt_cutoff():
-    # top-level products at this precision run through the NTT backend
+    # top-level products at this precision run through the transform
     N = 5000
-    assert N * (N // 2) > NTT_CUTOFF
+    assert N * (N // 2) > TRANSFORM_CUTOFF
     inst = random_instance(424242, P28, 1, N, 1, "random", require_good_spectrum=True)
     s_dac = dac_solve(inst.A, inst.C, inst.N, inst.ctx)
     s_newton = newton_solve(inst.A, inst.C, inst.N, inst.ctx)
@@ -27,6 +28,24 @@ def test_engines_agree_above_ntt_cutoff():
     assert spaces_equal(s_dac, s_newton)
     assert spaces_equal(s_dac, s_dense)
     assert residual(s_dac.particular, inst).is_zero()
+
+
+def test_engines_agree_above_transform_cutoff_at_p_2_31_minus_1(monkeypatch):
+    # at the largest admissible prime the long products need the widest
+    # limb split, three 11-bit limbs, and all three engines still agree
+    p, N = 2**31 - 1, 5000
+    assert N * (N // 2) > TRANSFORM_CUTOFF
+    used = []
+    limbs = convolution._limbs
+    monkeypatch.setattr(convolution, "_limbs", lambda *args: used.append(limbs(*args)[0]) or limbs(*args))
+    inst = random_instance(434343, p, 1, N, 1, "random", require_good_spectrum=True)
+    s_dac = dac_solve(inst.A, inst.C, inst.N, inst.ctx)
+    s_newton = newton_solve(inst.A, inst.C, inst.N, inst.ctx)
+    s_dense = dense_solve(inst)
+    assert 3 in used
+    assert spaces_equal(s_dac, s_newton)
+    assert spaces_equal(s_dac, s_dense)
+    assert residual(s_newton.particular, inst).is_zero()
 
 
 def test_engines_agree_medium_k3():

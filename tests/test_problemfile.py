@@ -1,6 +1,6 @@
 import pytest
 
-from qdsolve.errors import PreconditionError, ProblemFormatError
+from qdsolve.errors import PreconditionError, ProblemFormatError, QdsolveError
 from qdsolve.oracle import random_instance
 from qdsolve.problemfile import (
     parse_problem,
@@ -100,3 +100,46 @@ def test_solution_header_mismatch():
         with pytest.raises(ProblemFormatError, match="outside"):
             parse_solution(f"status: ok\np: 101\nn: 2\nN: 4\nt: {t}\n", 101, 2, 4)
     assert parse_solution("status: ok\np: 101\nn: 2\nN: 4\nt: 8\n", 101, 2, 4).dim == 8
+
+
+def test_block_degree_past_int_digit_limit_is_format_error():
+    with pytest.raises(ProblemFormatError, match="line 6: block degree of 5000 digits"):
+        parse_problem("p: 101\nq: 1\nk: 1\nn: 1\nN: 4\nA[" + "1" * 5000 + "]: 1\n")
+
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+_PROBLEM = "p: 101\nq: 3\nk: 1\nn: 2\nN: 4\nA[0]:\n1 2\n3 4\nA[2]: 0 1 0 0\nC[1]:\n5\n-1\n"
+_SOLUTION = "status: ok\np: 101\nn: 2\nN: 4\nt: 1\nparticular[0]:\n1\n2\nbasis[1]:\n3\n4\n"
+_GRAMMAR = "0123456789-+_: \n\t#[]pqknNtACbasisoparticularstatusbotok\u0663\u00b2x."
+
+
+@st.composite
+def documents(draw):
+    """Arbitrary text, or a valid problem or solution file with up to three
+    characters inserted, deleted or replaced and lines dropped or repeated.
+    Three edits can grow a number by at most three digits, so no draw asks
+    for a large array."""
+    if draw(st.booleans()):
+        return draw(st.text(max_size=200))
+    lines = draw(st.sampled_from([_PROBLEM, _SOLUTION])).splitlines(keepends=True)
+    lines = draw(st.lists(st.sampled_from(lines), max_size=len(lines) + 3)) if draw(st.booleans()) else lines
+    text = "".join(lines)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        ch = draw(st.sampled_from(_GRAMMAR))
+        text = draw(st.sampled_from([text[:at] + ch + text[at:], text[:at] + text[at + 1 :], text[:at] + ch + text[at + 1 :]]))
+    return text
+
+
+@settings(max_examples=500, deadline=None)
+@given(documents())
+def test_parsers_return_or_raise_typed_errors(text):
+    # any text is parsed or refused with a QdsolveError, never another exception
+    for parse in (parse_problem, lambda t: parse_solution(t, 101, 2, 4)):
+        try:
+            parse(text)
+        except QdsolveError:
+            pass

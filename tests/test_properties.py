@@ -73,18 +73,21 @@ def mul_reference(A: SeriesMatrix, B: SeriesMatrix, n: int, lo: int = 0) -> Seri
 
 def conv_charge(La: int, Lb: int, p: int, hi: int, lo: int) -> int:
     """What one conv_trunc call charges for coefficients [lo, hi) of a
-    length-La by length-Lb product, hi <= La + Lb - 1: the NTT at the cyclic
-    length max(hi, La + Lb - 1 - lo) rounded up to a power of two, the
-    direct backend Ls = min(La, Lb) multiplications for each kept
-    coefficient or for each coefficient of the long operand reaching the
-    window, whichever is fewer."""
+    length-La by length-Lb product, hi <= La + Lb - 1: the transform at the
+    cyclic length max(hi, La + Lb - 1 - lo) rounded up to a power of two,
+    4k - 1 real transforms, k^2 limb products and 2k - 1 recombination
+    steps per kept coefficient for its k limbs, the direct backend
+    Ls = min(La, Lb) multiplications for each kept coefficient or for each
+    coefficient of the long operand reaching the window, whichever is
+    fewer."""
     if hi <= lo:
         return 0
     full = La + Lb - 1
-    if La * Lb >= convolution.NTT_CUTOFF and convolution._next_pow2(full) * (p - 1) ** 2 < convolution._CRT_BOUND:
+    if La * Lb >= convolution.TRANSFORM_CUTOFF and p < 2**31:
         L = convolution._next_pow2(max(hi, full - lo))
+        k, _ = convolution._limbs(p, L, min(La, Lb))
         lg = L.bit_length() - 1
-        return 3 * (3 * (L // 2) * lg + 2 * L) + 2 * (hi - lo)
+        return (4 * k - 1) * (L // 2) * lg + k * k * (L // 2 + 1) + (2 * k - 1) * (hi - lo)
     Ls, Ll = min(La, Lb), max(La, Lb)
     reach = min(Ll, hi) - max(0, lo - Ls + 1)
     return Ls * min(reach, hi - lo)
@@ -114,10 +117,10 @@ def check_mul(A: SeriesMatrix, B: SeriesMatrix, n: int, monkeypatch, lo: int = 0
     else:
         assert len(calls) == (rows * inner * cols if hi > lo else 0)
         assert charge == rows * inner * cols * conv_charge(La, Lb, A.p, hi, lo)
-        if lo == 0 and len(calls) and La * Lb < convolution.NTT_CUTOFF:
+        if lo == 0 and len(calls) and La * Lb < convolution.TRANSFORM_CUTOFF:
             # a product mod x^n forms every pair once, as np.convolve does
             assert charge == rows * inner * cols * La * Lb
-    if La * Lb < convolution.NTT_CUTOFF:
+    if La * Lb < convolution.TRANSFORM_CUTOFF:
         assert charge <= rows * inner * cols * La * Lb
 
 
@@ -158,7 +161,7 @@ def test_mul_matches_reference(operands, force_ntt):
     A, B, n, lo = operands
     with pytest.MonkeyPatch.context() as mp:
         if force_ntt:
-            mp.setattr(convolution, "NTT_CUTOFF", 0)
+            mp.setattr(convolution, "TRANSFORM_CUTOFF", 0)
         check_mul(A, B, n, mp, lo)
 
 
