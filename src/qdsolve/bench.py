@@ -51,8 +51,13 @@ def _run_algo(algo: str, inst: ProblemInstance):
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
-def bench_case(algo: str, inst: ProblemInstance, seed: int, reps: int = 1) -> BenchRecord:
-    """Median-of-reps wall time and the deterministic mul count, reps >= 1."""
+def bench_case(algo: str, inst: ProblemInstance, seed: int, k: int, N: int, reps: int = 1) -> BenchRecord:
+    """Median-of-reps wall time and the deterministic mul count, reps >= 1.
+
+    k and N are the requested order and precision, which the record
+    keeps: a k = 0 request is solved as its reduced instance, of order 1
+    and precision N + 1.
+    """
     if reps < 1:
         raise ValueError("reps must be at least 1")
     times = []
@@ -69,8 +74,8 @@ def bench_case(algo: str, inst: ProblemInstance, seed: int, reps: int = 1) -> Be
     return BenchRecord(
         algo=algo,
         n=inst.n,
-        k=inst.k,
-        N=inst.N,
+        k=k,
+        N=N,
         q_is_one=inst.ctx.q == 1,
         p=inst.p,
         seed=seed,
@@ -101,7 +106,7 @@ def run_bench(
             s = case_seed(seed, n, N)
             inst = random_instance(s, p, n, N, k, q_mode, require_good_spectrum=True)
             for algo in algos:
-                records.append(bench_case(algo, inst, s, reps))
+                records.append(bench_case(algo, inst, s, k, N, reps))
     return records
 
 

@@ -34,7 +34,7 @@ import numpy as np
 from . import instrument
 from .errors import PreconditionError
 from .field import PrimeField, inverses
-from .linalg import _affine_solve, _matmul_mod, mat_inv
+from .linalg import _affine_solve, _matmul_mod, mat_inv, mat_inv_stack
 from .polymat import SeriesMatrix
 from .series import QContext
 from .solution import SolutionSpace, resolve_affine_family, spaces_equal  # noqa: F401
@@ -154,6 +154,50 @@ def _a0_inverse(A0: np.ndarray, ctx: QContext) -> np.ndarray | None:
     return None
 
 
+def _solve_independent_steps(
+    A0: np.ndarray, C: SeriesMatrix, N: int, ctx: QContext, i: int
+) -> tuple[SeriesMatrix, list[np.ndarray], list[int]]:
+    """The step kernel for k = 1 and a constant A = A_0: no step reads another.
+
+    Step j is M_g F_j = C_j.  Every M_g is inverted by one
+    ``mat_inv_stack`` (for n = 1 by one ``field.inverses`` call), which
+    also gives the singular mask, and the nonsingular steps are one
+    stacked product.  The singular ones go through ``_affine_solve`` in
+    ascending order, each on C_j widened to the parameters found before
+    it, so the family, its parameter columns, the constraint rows and the
+    singular steps are those the per-step loop of ``_solve_term_by_term``
+    gives.
+    """
+    p, n, w0 = ctx.p, A0.shape[0], C.cols
+    Ms = (-step_matrices(A0, ctx, i, i + N)) % p
+    if n == 1:
+        # field.inverses directly: a 1 x 1 elimination only adds two products a step
+        singular = Ms[:, 0, 0] == 0
+        inv = inverses(Ms[~singular, 0, 0], p)[:, None, None]
+    else:
+        inv, singular = mat_inv_stack(Ms, p)
+        inv = inv[~singular]
+    Cs = np.zeros((N, n, w0), dtype=_INT64)
+    Cd = C.data[:, :, :N]
+    Cs[: Cd.shape[2]] = Cd.transpose(2, 0, 1)
+    width = w0
+    solved = []
+    cons: list[np.ndarray] = []
+    for j in np.flatnonzero(singular).tolist():
+        rhs = np.zeros((n, width), dtype=_INT64)
+        rhs[:, :w0] = Cs[j]
+        fi, rest = _affine_solve(Ms[j], rhs, p)
+        cons.extend(row for row in rest if row.any())
+        solved.append((j, fi))
+        width = fi.shape[1]
+    F = np.zeros((N, n, width), dtype=_INT64)
+    F[~singular, :, :w0] = _matmul_mod(inv, Cs[~singular], p)
+    for j, fi in solved:
+        F[j, :, : fi.shape[1]] = fi
+    sing = [i + j for j, _ in solved]
+    return SeriesMatrix(p, F.transpose(1, 2, 0), N), cons, sing
+
+
 def _solve_term_by_term(
     A: SeriesMatrix,
     C: SeriesMatrix,
@@ -185,16 +229,26 @@ def _solve_term_by_term(
     each free column of a singular M_g becomes a new parameter, and each
     nonzero leftover row an affine constraint.
 
+    For k = 1 and a constant A, as in PolCoeffsDE for k = 1, there is no
+    window and no step reads another, so the steps run as one batch
+    (``_solve_independent_steps``): one stacked inversion of every M_g,
+    one stacked product for the nonsingular steps, and ``_affine_solve``
+    for the singular ones only.  The windowed k = 1 steps of dense and of
+    divide-and-conquer leaves still run one at a time until ROADMAP item 1
+    (a memory metric that measures the solver) lands.
+
     Returns (family, cons, sing): the n x width affine family mod x^N, the
     constraint rows (row[0] + row[1:] . params = 0, each as wide as the
     family was at its step) and the singular steps g met.
     """
     p, k, n = ctx.p, ctx.k, A.rows
+    A = A.as_poly_prec(N)  # exact: A.prec >= N, or A is PolCoeffsDE's polynomial
+    La = A.data.shape[2]
+    if k == 1 and La <= 1:
+        return _solve_independent_steps(A.coefficient_array(0), C, N, ctx, i)
     charge = instrument.mul_counter.add
     qp = ctx.qpow_slice(i + N)[i:]
     gam = ctx.gamma_slice(i + N)[i:]
-    A = A.as_poly_prec(N)  # exact: A.prec >= N, or A is PolCoeffsDE's polynomial
-    La = A.data.shape[2]
     Acat = A.side_by_side()
     A0 = A.coefficient_array(0)
     # sinv[j] = 1/s_g, or 0 where step j goes to _affine_solve.  A singular

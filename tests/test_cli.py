@@ -437,6 +437,19 @@ def test_bench_smoke_csv_schema():
         assert int(fields[8]) > 0
 
 
+@pytest.mark.parametrize("N", ["1", "5,9"])
+def test_bench_k0_rows_keep_requested_k_and_N(N):
+    # a k = 0 case is solved through its reduced order-1 instance at N + 1,
+    # but each row reports the order and precision that were asked for
+    code, out, _ = run_cli(["bench", "--n", "1,2", "--N", N, "--k", "0", "--seed", "3"])
+    assert code == 0
+    rows = [ln.split(",") for ln in out.strip().splitlines()[1:]]
+    Ns = [int(x) for x in N.split(",")]
+    assert len(rows) == 2 * len(Ns) * 3
+    assert {(int(r[1]), int(r[3])) for r in rows} == {(n, m) for n in (1, 2) for m in Ns}
+    assert all(r[2] == "0" for r in rows)
+
+
 def test_parse_errors_exit_1(tmp_path):
     bad = tmp_path / "bad.prob"
     bad.write_text("p: 101\nq: 1\nk: 1\nn: 1\n")  # missing N

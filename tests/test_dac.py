@@ -7,7 +7,7 @@ from qdsolve import dac, instrument
 from qdsolve.dac import DAC_LEAF, dac_solve, op_E, rdac
 from qdsolve.field import PrimeField
 from qdsolve.linalg import char_poly
-from qdsolve.oracle import make_instance, random_instance, residual
+from qdsolve.oracle import dense_solve, make_instance, random_instance, residual
 from qdsolve.polymat import SeriesMatrix
 from qdsolve.series import QContext
 from qdsolve.solution import spaces_equal
@@ -281,6 +281,22 @@ def test_dac_singular_steps_in_leaves(checks_on, where):
         # an unplanted C: usually inconsistent, and both engines must say so
         inst.C = SeriesMatrix(P28, gen.integers(0, P28, (n, 1, N)), N)
         assert spaces_equal(dac_solve(inst.A, inst.C, N, inst.ctx), solve_operator_matrix(inst))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_dac_constant_matrix_leaves_run_independent_steps(checks_on, n):
+    # k = 1 and a constant A: no step reads another, so each leaf, at base
+    # 0 and at base DAC_LEAF, solves its steps as one batch; the singular
+    # steps sit in both leaves
+    L = DAC_LEAF
+    N = 2 * L
+    gen = np.random.default_rng(50 + n)
+    q = int(gen.integers(2, P28))
+    A = SeriesMatrix(P28, _rigged_A0(gen, q, [L + 3, 5, 2 * L - 1][:n], n)[:, :, None], N)
+    inst = make_instance(P28, q, 1, n, N, A, SeriesMatrix.zeros(P28, n, 1, N))
+    inst.C = residual(SeriesMatrix(P28, gen.integers(0, P28, (n, 1, N)), N), inst, homogeneous=True)
+    _assert_agrees(inst)
+    assert spaces_equal(dense_solve(inst), dac_solve(inst.A, inst.C, N, inst.ctx))
 
 
 @pytest.mark.parametrize("k", [2, 3])

@@ -282,10 +282,40 @@ def test_sylvester_steps_batched_per_level(monkeypatch):
     inst = random_instance(4242, 134217757, 4, 512, 1, "random", require_good_spectrum=True)
     got = newton_solve(inst.A, inst.C, inst.N, inst.ctx)
     assert got is not None and residual(got.particular, inst).is_zero()
-    assert rref_inside  # PolCoeffsDE still eliminates per step
+    assert rref_inside  # the lift's W_0 inverse and the final resolve eliminate
     assert not [names for names in rref_inside if names]
     assert len(levels) == len(newton._newton_ladder(512, 1)) - 1
     assert len(sylvester_calls) == len(levels)
+
+
+def test_k1_newton_rref_calls_track_singular_steps(monkeypatch):
+    # PolCoeffsDE's k = 1 steps are one batched inversion: only a singular
+    # step is eliminated on its own, besides the lift's W_0 inverse and the
+    # final resolve of the constraints
+    p, n, N, s = 134217757, 4, 64, 21
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        ctx = QContext(PrimeField(p), int(rng.integers(2, p)), 1)
+        T = np.triu(rng.integers(0, p, (n, n)))
+        T[0, 0] = ctx.gamma(s) * pow(ctx.qpow(s), p - 2, p) % p  # q^s T_00 = gamma_s
+        perm = rng.permutation(n)
+        A = rng.integers(0, p, (n, n, N))
+        A[:, :, 0] = T[np.ix_(perm, perm)]
+        rep = good_spectrum(A[:, :, 0], ctx, N)
+        if rep.good and rep.singular_indices == [s]:
+            break
+    else:
+        pytest.fail("no good-spectrum draw with one singular step")
+    inst = ProblemInstance(ctx.field, ctx, n, N, SeriesMatrix(p, A, N), SeriesMatrix.zeros(p, n, 1, N))
+    inst.C = residual(SeriesMatrix(p, rng.integers(0, p, (n, 1, N)), N), inst, homogeneous=True)
+    calls = []
+    rref = linalg._rref
+    monkeypatch.setattr(linalg, "_rref", lambda *a: calls.append(1) or rref(*a))
+    got = newton_solve(inst.A, inst.C, N, ctx)
+    monkeypatch.setattr(linalg, "_rref", rref)
+    assert 1 <= len(calls) <= len(rep.singular_indices) + 2
+    assert got is not None and got.dim >= 1
+    assert spaces_equal(got, solve_operator_matrix(inst))
 
 
 def test_diff_sylvester_differential_examples():

@@ -16,8 +16,8 @@ from qdsolve.dac import DAC_LEAF, dac_solve  # noqa: E402
 from qdsolve.errors import SpectrumError  # noqa: E402
 from qdsolve.field import PrimeField, inverses, powers  # noqa: E402
 from qdsolve.linalg import _matmul_mod, _rref, char_poly, mat_inv, mat_inv_stack  # noqa: E402
-from qdsolve.newton import newton_solve  # noqa: E402
-from qdsolve.oracle import dense_solve, make_instance, residual  # noqa: E402
+from qdsolve.newton import newton_solve, pol_coeffs_de  # noqa: E402
+from qdsolve.oracle import _solve_term_by_term, dense_solve, make_instance, residual  # noqa: E402
 from qdsolve.polymat import SeriesMatrix  # noqa: E402
 from qdsolve.series import QContext  # noqa: E402
 from qdsolve.solution import spaces_equal  # noqa: E402
@@ -28,14 +28,15 @@ from operator_matrix import solve_operator_matrix  # noqa: E402
 
 @st.composite
 def instances(draw):
-    """A ProblemInstance over tiny and word-size primes, q = 1 or random; at
+    """A ProblemInstance over tiny primes up to the ceiling 2^31 - 1, q = 1 or
+    random, k = 0 (solved as its reduced order-1 instance at N + 1) to 3; at
     times its constant matrix has a zero row, which makes every step of a
     k > 1 equation singular, and at times C is planted from a solution."""
-    p = draw(st.sampled_from([3, 5, 7, 101, 134217757]))
-    k = draw(st.integers(1, 3))
+    p = draw(st.sampled_from([3, 5, 7, 101, 134217757, 2**31 - 1]))
+    k = draw(st.integers(0, 3))
     n = draw(st.integers(1, 3))
     N = draw(st.integers(1, 3 * DAC_LEAF))
-    if p > N and draw(st.booleans()):
+    if p > N + (k == 0) and draw(st.booleans()):
         q = 1
     else:
         q = draw(st.integers(2, p - 1))
@@ -44,7 +45,7 @@ def instances(draw):
     if draw(st.booleans()):
         Ad[0, :, 0] = 0
     inst = make_instance(p, q, k, n, N, SeriesMatrix(p, Ad, N), SeriesMatrix.zeros(p, n, 1, N))
-    F = SeriesMatrix(p, gen.integers(0, p, (n, 1, N)), N)
+    F = SeriesMatrix(p, gen.integers(0, p, (n, 1, inst.N)), inst.N)
     if draw(st.booleans()):
         inst.C = residual(F, inst, homogeneous=True)
     else:
@@ -396,6 +397,83 @@ def test_newton_agrees_or_names_first_bad_step(inst):
         assert spaces_equal(got, solve_operator_matrix(inst))
     finally:
         instrument.set_runtime_checks(False)
+
+
+def rank_mod(M, p):
+    """rank of M mod p by Gaussian elimination on Python ints."""
+    m = [[int(v) % p for v in row] for row in M]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        r = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if r is None:
+            continue
+        m[rank], m[r] = m[r], m[rank]
+        inv = pow(m[rank][c], p - 2, p)
+        for r in range(rank + 1, len(m)):
+            f = m[r][c] * inv % p
+            m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def constant_k1_cases(draw):
+    """(P, C, N, ctx) with P constant and k = 1, so that every step of
+    PolCoeffsDE is independent.  At times P's eigenvalues are rigged to
+    gamma_g q^(-g) for chosen steps g (g = 0 makes P singular), which makes
+    those steps singular; C is random, which mostly makes a singular step's
+    constraints inconsistent, or planted from a solution, which keeps them
+    consistent."""
+    p = draw(st.sampled_from([3, 65521, 2**31 - 1]))
+    n = draw(st.integers(1, 4))
+    N = draw(st.integers(1, 40))
+    q = 1 if p > N and draw(st.booleans()) else draw(st.integers(2, p - 1))
+    ctx = QContext(PrimeField(p), q, 1)
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A0 = gen.integers(0, p, (n, n))
+    if draw(st.booleans()):
+        steps = draw(st.lists(st.integers(0, N - 1), min_size=1, max_size=n))
+        T = np.triu(gen.integers(0, p, (n, n))).astype(object)
+        for t, g in enumerate(steps):
+            T[t, t] = ctx.gamma(g) * pow(ctx.qpow(g), p - 2, p) % p
+        perm = gen.permutation(n)
+        A0 = T[np.ix_(perm, perm)].astype(np.int64)  # a permutation similarity
+    P = SeriesMatrix(p, A0[:, :, None], N)
+    if draw(st.booleans()):
+        inst = make_instance(p, q, 1, n, N, P, SeriesMatrix.zeros(p, n, 1, N))
+        C = residual(SeriesMatrix(p, gen.integers(0, p, (n, 1, N)), N), inst, homogeneous=True)
+    else:
+        C = SeriesMatrix(p, gen.integers(0, p, (n, 1, N)), N)
+    return P, C, N, ctx
+
+
+@settings(max_examples=200, deadline=None)
+@given(constant_k1_cases(), st.sampled_from([0, 0, 1, 7, 64]))
+def test_batched_constant_steps_match_operator_matrix(case, i):
+    # the k = 1 batch of independent steps against the operator-matrix
+    # reference, with runtime checks on; at base index i (as in a
+    # divide-and-conquer leaf) the singular steps it reports are exactly the
+    # g = i + j whose step matrix gamma_g Id - q^g A_0 has a kernel
+    P, C, N, ctx = case
+    p, n, A0 = ctx.p, P.rows, P.coefficient_array(0)
+    nullity = [n - rank_mod(ctx.gamma(g) * np.eye(n, dtype=object)
+                            - ctx.qpow(g) * A0.astype(object), p) for g in range(i, i + N)]
+    instrument.set_runtime_checks(True)
+    try:
+        family, cons, sing = _solve_term_by_term(P, C, N, ctx, i)
+        got = pol_coeffs_de(P, C, N, ctx)
+    finally:
+        instrument.set_runtime_checks(False)
+    assert sing == [i + j for j in range(N) if nullity[j]]
+    # one parameter per free column of a singular step, and each constraint
+    # row as wide as the family was at its step
+    assert family.cols == C.cols + sum(nullity)
+    widths = [len(row) for row in cons]
+    assert widths == sorted(widths) and all(C.cols <= w <= family.cols for w in widths)
+    assert len(cons) <= sum(nullity)
+    want = solve_operator_matrix(make_instance(p, ctx.q, 1, n, N, P, C))
+    assert (got is None) == (want is None)
+    assert spaces_equal(got, want)
 
 
 HELPER_PRIMES = [3, 65521, 134217757, 2**31 - 1]
