@@ -10,12 +10,13 @@ carried right-hand side, coefficients [m, N) of the residual combination
 (``op_E`` on that window only, its product a middle product), and solves
 the high half at shifted index.  It stops at precision DAC_LEAF: a leaf
 is the dense oracle's step kernel (``oracle._solve_term_by_term``) at the
-leaf's base index.  The kernel
-finds the singular steps itself: each one adds as many parameters as
-the nullity of its step matrix and turns its zero rows into affine
-constraints.  The halves are joined by giving the low half's family and
-the carried right side zero columns for the parameters the high half
-added, and one final linear solve resolves the constraints.
+leaf's base index, which builds its own step-inverse table and runs its
+one loop over the leaf's steps.  The kernel finds the singular steps
+itself: each one adds as many parameters as the nullity of its step
+matrix and turns its zero rows into affine constraints.  The halves are
+joined by giving the low half's family and the carried right side zero
+columns for the parameters the high half added, and one final linear
+solve resolves the constraints.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import instrument
 from .errors import InternalInvariantError
-from .oracle import _a0_inverse, _solve_term_by_term
+from .oracle import _solve_term_by_term
 from .polymat import SeriesMatrix
 from .series import QContext
 from .solution import SolutionSpace, resolve_affine_family
@@ -66,30 +67,24 @@ def _widen(M: SeriesMatrix, width: int) -> SeriesMatrix:
 
 
 def rdac(
-    A: SeriesMatrix,
-    C: SeriesMatrix,
-    i: int,
-    N: int,
-    ctx: QContext,
-    A0inv: np.ndarray | None = None,
+    A: SeriesMatrix, C: SeriesMatrix, i: int, N: int, ctx: QContext
 ) -> tuple[SeriesMatrix, list[np.ndarray], list[int]]:
     """Recursive halving pass at base index i: (family, constraints, singular steps).
 
     Halves N until N <= DAC_LEAF and solves each leaf with the step
-    kernel, handing it A0inv (``oracle._a0_inverse`` of A_0, the same at
-    every leaf) so that it does not invert A_0 again.  Contract: C has
+    kernel at the leaf's base index.  Contract: C has
     precision >= N; the family has precision N and at least C's columns,
     and coefficient j of op_E vanishes for every i + j that is not a
     singular step once the constraints hold.
     """
     if N <= DAC_LEAF:
-        F, cons, sing = _solve_term_by_term(A, C, N, ctx, i, A0inv)
+        F, cons, sing = _solve_term_by_term(A, C, N, ctx, i)
     else:
         m = (N + 1) // 2
-        H, cons, sing = rdac(A.truncate(m), C.truncate(m), i, m, ctx, A0inv)
+        H, cons, sing = rdac(A.truncate(m), C.truncate(m), i, m, ctx)
         Hp = H.as_poly_prec(N)
         D = -op_E(A, Hp, _widen(C.truncate(N), H.cols), i, ctx, N, m)
-        K, cons_K, sing_K = rdac(A.truncate(N - m), D, i + m, N - m, ctx, A0inv)
+        K, cons_K, sing_K = rdac(A.truncate(N - m), D, i + m, N - m, ctx)
         F = _widen(Hp, K.cols) + K.shift(m)
         cons += cons_K
         sing += sing_K
@@ -120,6 +115,5 @@ def dac_solve(A: SeriesMatrix, C: SeriesMatrix, N: int, ctx: QContext) -> Soluti
         raise ValueError("precision must be positive")
     if A.prec < N or C.prec < N:
         raise ValueError("operands known to lower precision than requested")
-    A0inv = _a0_inverse(A.coefficient_array(0), ctx)
-    F, cons, _ = rdac(A.truncate(N), C.truncate(N), 0, N, ctx, A0inv)
+    F, cons, _ = rdac(A.truncate(N), C.truncate(N), 0, N, ctx)
     return resolve_affine_family(F, cons)

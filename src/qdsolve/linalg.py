@@ -15,6 +15,7 @@ of matrices and runs one vectorized pass over the whole stack.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,17 +29,24 @@ from .field import inverses
 _INT64 = np.int64
 
 
+@functools.cache
+def _overflow_step(p: int) -> int:
+    """How many products of residues mod p an int64 sum holds: 2^62 / (p-1)^2."""
+    return max(1, (2**62) // ((p - 1) * (p - 1) + 1))
+
+
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p with int64 accumulation kept below 2^63.
 
     Leading batch axes of a and b broadcast as they do for ``@``.  Up to
-    step = 2^62 / (p-1)^2 inner terms one product cannot overflow.
+    step = 2^62 / (p-1)^2 inner terms (``_overflow_step``, computed once
+    per p) one product cannot overflow.
     Longer sums split b into s-bit limbs, b = b_hi 2^s + b_lo with
     s = ceil(bits(p) / 2), so that every term is below p 2^s: two products
     cover any inner < 2^62 / (p 2^s).  Past that the sum is chunked.
     """
     inner = a.shape[-1]
-    step = max(1, (2**62) // ((p - 1) * (p - 1) + 1))
+    step = _overflow_step(p)
     if inner <= step:
         out = a @ b % p
     else:
@@ -136,11 +144,18 @@ def mat_inv_stack(U: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     side, pivoting and charging row operations as _rref does; a column's
     pivots are inverted together.  A member with no pivot in some column
     is singular and gets a stand-in pivot 1 so that the others run on.
+    A stack of 1 x 1 matrices skips the elimination: its nonzero members
+    are inverted by one ``field.inverses`` call, and charged just that.
     """
     n = U.shape[-1]
     if U.shape[-2] != n:
         raise ValueError("only square matrices are invertible")
     batch = U.shape[:-2]
+    if n == 1:
+        singular = U == 0
+        inv = np.zeros_like(U, dtype=_INT64)
+        inv[~singular] = inverses(U[~singular], p)
+        return inv, singular.reshape(batch)
     cols = 2 * n
     W = np.zeros((math.prod(batch), n, cols), dtype=_INT64)
     W[:, :, :n] = U.reshape(-1, n, n)

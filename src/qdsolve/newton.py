@@ -12,13 +12,12 @@ and one error-window correction takes Gamma from there to x^N, so the
 last half of the precision costs n x n by n x 1 products, O(n^2 M(N)),
 instead of a full n x n inverse refresh.  PolCoeffsDE calls the dense
 oracle's step kernel (oracle._solve_term_by_term), so its singular steps
-get the same exact parameter and constraint treatment.  For k = 1, B is
-constant and no step of that solve reads another: the kernel inverts
-every step matrix in one stacked elimination, solves the nonsingular
-steps as one stacked product and eliminates only the singular ones one
-by one.  The windowed k = 1 steps of dense and divide-and-conquer still
-run one at a time until ROADMAP item 1 (a memory metric that measures
-the solver) lands.
+get the same exact parameter and constraint treatment.  The kernel's
+step-inverse table holds, for k = 1, the inverse of every nonsingular
+step matrix from one stacked elimination, and for k > 1 the scaled
+inverse of B_0.  For k = 1, B is constant and no step of that solve
+reads another, so the nonsingular steps are one stacked product and the
+kernel's loop eliminates only the singular ones.
 
 The good-spectrum condition is a hard precondition here: it makes every
 per-coefficient Sylvester step Y_i X - X B0 = Z_i uniquely solvable.

@@ -17,7 +17,11 @@ The stepwise route, ``_solve_term_by_term``, is the package's one
 per-coefficient step kernel.  Newton's PolCoeffsDE (``newton.pol_coeffs_de``)
 is this kernel on an equation whose A is a polynomial of degree < k, and
 each divide-and-conquer leaf (``dac.rdac``) is this kernel at the leaf's
-base index, on a right side that already carries parameters.
+base index, on a right side that already carries parameters.  Every call
+builds one step-inverse table (one stacked inversion of the step
+matrices for k = 1, one inverse of A_0 for k > 1) and runs one loop over
+the steps: a step the table inverts is one product, any other one
+elimination.
 
 ``residual``, which ``qdsolve check`` refutes solutions with, forms its
 product A sigma(F) by Kronecker substitution in Python integers
@@ -33,7 +37,7 @@ import numpy as np
 
 from . import instrument
 from .errors import PreconditionError
-from .field import PrimeField, inverses
+from .field import PrimeField
 from .linalg import _affine_solve, _matmul_mod, mat_inv, mat_inv_stack
 from .polymat import SeriesMatrix
 from .series import QContext
@@ -140,71 +144,8 @@ def residual(F: SeriesMatrix, inst: ProblemInstance, homogeneous: bool = False) 
     return out
 
 
-def _a0_inverse(A0: np.ndarray, ctx: QContext) -> np.ndarray | None:
-    """A_0^(-1) when k > 1 and A_0 is invertible, else None.
-
-    For k > 1 every step matrix is -q^g A_0, so this one inverse gives
-    every step of the step kernel at any base index.
-    """
-    if ctx.k > 1:
-        try:
-            return mat_inv(A0, ctx.p)
-        except ValueError:
-            pass
-    return None
-
-
-def _solve_independent_steps(
-    A0: np.ndarray, C: SeriesMatrix, N: int, ctx: QContext, i: int
-) -> tuple[SeriesMatrix, list[np.ndarray], list[int]]:
-    """The step kernel for k = 1 and a constant A = A_0: no step reads another.
-
-    Step j is M_g F_j = C_j.  Every M_g is inverted by one
-    ``mat_inv_stack`` (for n = 1 by one ``field.inverses`` call), which
-    also gives the singular mask, and the nonsingular steps are one
-    stacked product.  The singular ones go through ``_affine_solve`` in
-    ascending order, each on C_j widened to the parameters found before
-    it, so the family, its parameter columns, the constraint rows and the
-    singular steps are those the per-step loop of ``_solve_term_by_term``
-    gives.
-    """
-    p, n, w0 = ctx.p, A0.shape[0], C.cols
-    Ms = (-step_matrices(A0, ctx, i, i + N)) % p
-    if n == 1:
-        # field.inverses directly: a 1 x 1 elimination only adds two products a step
-        singular = Ms[:, 0, 0] == 0
-        inv = inverses(Ms[~singular, 0, 0], p)[:, None, None]
-    else:
-        inv, singular = mat_inv_stack(Ms, p)
-        inv = inv[~singular]
-    Cs = np.zeros((N, n, w0), dtype=_INT64)
-    Cd = C.data[:, :, :N]
-    Cs[: Cd.shape[2]] = Cd.transpose(2, 0, 1)
-    width = w0
-    solved = []
-    cons: list[np.ndarray] = []
-    for j in np.flatnonzero(singular).tolist():
-        rhs = np.zeros((n, width), dtype=_INT64)
-        rhs[:, :w0] = Cs[j]
-        fi, rest = _affine_solve(Ms[j], rhs, p)
-        cons.extend(row for row in rest if row.any())
-        solved.append((j, fi))
-        width = fi.shape[1]
-    F = np.zeros((N, n, width), dtype=_INT64)
-    F[~singular, :, :w0] = _matmul_mod(inv, Cs[~singular], p)
-    for j, fi in solved:
-        F[j, :, : fi.shape[1]] = fi
-    sing = [i + j for j, _ in solved]
-    return SeriesMatrix(p, F.transpose(1, 2, 0), N), cons, sing
-
-
 def _solve_term_by_term(
-    A: SeriesMatrix,
-    C: SeriesMatrix,
-    N: int,
-    ctx: QContext,
-    i: int = 0,
-    A0inv: np.ndarray | None = None,
+    A: SeriesMatrix, C: SeriesMatrix, N: int, ctx: QContext, i: int = 0
 ) -> tuple[SeriesMatrix, list[np.ndarray], list[int]]:
     """Solve coefficients 0 .. N-1 of x^k delta(F) = A sigma(F) + C at base index i.
 
@@ -219,23 +160,21 @@ def _solve_term_by_term(
 
     M_g = gamma_g Id - q^g A_0 for k = 1 and -q^g A_0 for k > 1.  The
     window sum is one product of A_D .. A_1 side by side with the stacked
-    G_(j-D) .. G_(j-1).  A step M_g = s_g M with M^(-1) known and s_g != 0
-    is one scaling by 1/s_g and one product: for k > 1 with A_0 invertible
-    M = A_0 and s_g = -q^g, with A_0 inverted once (A0inv, when the caller
-    has it from ``_a0_inverse``: a divide-and-conquer solve inverts once
-    for all its leaves), and for n = 1 M = 1 and s_g = M_g, all nonzero
-    M_g inverted by one ``field.inverses`` call.  Every other step is one
-    ``linalg._affine_solve``: its particular/nullspace block is F_j, so
-    each free column of a singular M_g becomes a new parameter, and each
-    nonzero leftover row an affine constraint.
+    G_(j-D) .. G_(j-1).
 
-    For k = 1 and a constant A, as in PolCoeffsDE for k = 1, there is no
-    window and no step reads another, so the steps run as one batch
-    (``_solve_independent_steps``): one stacked inversion of every M_g,
-    one stacked product for the nonsingular steps, and ``_affine_solve``
-    for the singular ones only.  The windowed k = 1 steps of dense and of
-    divide-and-conquer leaves still run one at a time until ROADMAP item 1
-    (a memory metric that measures the solver) lands.
+    Every call first builds one step-inverse table (inv, elim): inv[j] is
+    M_g^(-1) for each step j not marked in elim.  For k = 1 it is one
+    ``mat_inv_stack`` of every M_g, whose singular mask is elim; for k > 1
+    it is one ``mat_inv`` of A_0 and inv[j] = -q^(-g) A_0^(-1), and a
+    singular A_0 marks every step.  When k = 1, n > 1 and A has a window,
+    every step is marked: batching those steps waits on ROADMAP item 1 (a
+    memory metric that measures the solver).  Then one loop runs the
+    steps in order: an unmarked step is one product with inv[j], a marked
+    one is one ``linalg._affine_solve``, whose particular/nullspace block
+    is F_j, so each free column of a singular M_g becomes a new parameter,
+    and each nonzero leftover row an affine constraint.  When k = 1 and A
+    is constant no step reads another, so the unmarked steps are solved
+    first as one stacked product and the loop visits the marked ones only.
 
     Returns (family, cons, sing): the n x width affine family mod x^N, the
     constraint rows (row[0] + row[1:] . params = 0, each as wide as the
@@ -244,27 +183,24 @@ def _solve_term_by_term(
     p, k, n = ctx.p, ctx.k, A.rows
     A = A.as_poly_prec(N)  # exact: A.prec >= N, or A is PolCoeffsDE's polynomial
     La = A.data.shape[2]
-    if k == 1 and La <= 1:
-        return _solve_independent_steps(A.coefficient_array(0), C, N, ctx, i)
-    charge = instrument.mul_counter.add
-    qp = ctx.qpow_slice(i + N)[i:]
-    gam = ctx.gamma_slice(i + N)[i:]
-    Acat = A.side_by_side()
     A0 = A.coefficient_array(0)
-    # sinv[j] = 1/s_g, or 0 where step j goes to _affine_solve.  A singular
-    # A_0 makes every k > 1 step singular, so then no step has an s_g.
-    if A0inv is None:
-        A0inv = _a0_inverse(A0, ctx)
-    if A0inv is None:
+    charge = instrument.mul_counter.add
+    inv, elim = None, np.ones(N, dtype=bool)
+    if k > 1:
+        try:  # -q^(-g) A_0^(-1)
+            inv = (p - ctx.qinv_pow_slice(i + N)[i:, None, None]) * mat_inv(A0, p) % p
+        except ValueError:  # A_0 is singular, and so is every step
+            pass
+        else:
+            charge(N * n * n)
+            elim[:] = False
+    if inv is None:
         Ms = (-step_matrices(A0, ctx, i, i + N)) % p
-        sinv = np.zeros(N, dtype=_INT64)
-        if n == 1:
-            s = Ms.ravel()
-            nz = np.flatnonzero(s)
-            sinv[nz] = inverses(s[nz], p)
-    else:
-        sinv = p - ctx.qinv_pow_slice(i + N)[i:]  # -q^(-g)
-    qp, gam, sinv = qp.tolist(), gam.tolist(), sinv.tolist()
+        if k == 1 and (La <= 1 or n == 1):
+            inv, elim = mat_inv_stack(Ms, p)
+    qp = ctx.qpow_slice(i + N)[i:].tolist()
+    gam = ctx.gamma_slice(i + N)[i:].tolist()
+    Acat = A.side_by_side()
     # rows jn .. (j+1)n hold F_j and G_j, so a window is a row range.  Until
     # step j solves them, the rows of F_j hold C_j.  Only windows read G,
     # and G is F when q = 1.  F grows its columns only at a singular step;
@@ -276,9 +212,15 @@ def _solve_term_by_term(
     twist = La > 1 and ctx.q != 1
     G = np.zeros_like(F) if twist else F
     Fw, Gw = F, G
+    steps = range(N)
+    if k == 1 and La <= 1:
+        F3, free = F.reshape(N, n, width), ~elim
+        F3[free] = _matmul_mod(inv[free], F3[free], p)
+        steps = np.flatnonzero(elim).tolist()
+    elim = elim.tolist()
     cons: list[np.ndarray] = []
     sing: list[int] = []
-    for j in range(N):
+    for j in steps:
         r = j * n
         rhs = Fw[r : r + n]
         D = min(j, La - 1)
@@ -290,16 +232,13 @@ def _solve_term_by_term(
             rj = r - (k - 1) * n
             rhs = rhs - gam[j - k + 1] * Fw[rj : rj + n]
         rhs = rhs % p
-        if sinv[j]:
-            charge(n * width)
-            fi = rhs * sinv[j] % p
-            if A0inv is not None:
-                fi = _matmul_mod(A0inv, fi, p)
-        else:
+        if elim[j]:
             fi, rest = _affine_solve(Ms[j], rhs, p)
             if len(rest):
                 sing.append(i + j)
             cons.extend(row for row in rest if row.any())
+        else:
+            fi = _matmul_mod(inv[j], rhs, p)
         if fi.shape[1] > width:
             width = fi.shape[1]
             if width > F.shape[1]:

@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qdsolve
 from qdsolve import cli
 from qdsolve.cli import main
 from qdsolve.errors import InternalInvariantError
@@ -506,9 +509,12 @@ def test_check_accepts_bot_solution(tmp_path):
 
 
 def test_console_entry_point():
+    # the child imports the package the suite imports, installed or not
+    src = str(Path(qdsolve.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "qdsolve.cli", "gen", "--seed", "1", "--n", "1", "--N", "3"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "p: 134217757" in proc.stdout

@@ -1,8 +1,10 @@
-"""Property tests: the divide-and-conquer and Newton engines against the
-operator-matrix reference, both routes of SeriesMatrix.mul and the batched
-_matmul_mod against Python-int products, the stacked inverse against mat_inv,
-good_spectrum against the gcd criterion it replaced, and the scalar helpers
-field.powers, field.inverses and the QContext tables against Python pow."""
+"""Property tests: the divide-and-conquer and Newton engines and the step
+kernel at any base index against the operator-matrix reference, every
+engine answer against the independent residual, both routes of
+SeriesMatrix.mul and the batched _matmul_mod against Python-int products,
+the stacked inverse against mat_inv, good_spectrum against the gcd
+criterion it replaced, and the scalar helpers field.powers,
+field.inverses and the QContext tables against Python pow."""
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from qdsolve.newton import newton_solve, pol_coeffs_de  # noqa: E402
 from qdsolve.oracle import _solve_term_by_term, dense_solve, make_instance, residual  # noqa: E402
 from qdsolve.polymat import SeriesMatrix  # noqa: E402
 from qdsolve.series import QContext  # noqa: E402
-from qdsolve.solution import spaces_equal  # noqa: E402
+from qdsolve.solution import resolve_affine_family, spaces_equal  # noqa: E402
 from qdsolve.spectrum import _pgcd, good_spectrum  # noqa: E402
 
 from operator_matrix import solve_operator_matrix  # noqa: E402
@@ -53,6 +55,18 @@ def instances(draw):
     return inst
 
 
+def assert_solves(space, inst):
+    """The particular solution and every basis column of space solve inst.
+
+    ``residual`` forms its product by Kronecker substitution in Python
+    integers, so this check shares no product kernel with the engines."""
+    if space is None:
+        return
+    assert residual(space.particular, inst).is_zero()
+    for j in range(space.dim):
+        assert residual(space.basis.col(j), inst, homogeneous=True).is_zero()
+
+
 @settings(max_examples=40, deadline=None)
 @given(instances())
 def test_dac_and_dense_agree(inst):
@@ -60,6 +74,8 @@ def test_dac_and_dense_agree(inst):
     s_dense = solve_operator_matrix(inst)
     assert (s_dac is None) == (s_dense is None)
     assert spaces_equal(s_dac, s_dense)
+    assert_solves(s_dac, inst)
+    assert_solves(s_dense, inst)
 
 
 def mul_reference(A: SeriesMatrix, B: SeriesMatrix, n: int, lo: int = 0) -> SeriesMatrix:
@@ -235,7 +251,12 @@ def test_mat_inv_stack_matches_mat_inv(case):
     b, n = U.shape[0], U.shape[1]
     before = instrument.mul_counter.value
     inv, sing = mat_inv_stack(U, p)
-    assert type(instrument.mul_counter.value - before) is int  # charges stay Python ints
+    charged = instrument.mul_counter.value - before
+    assert type(charged) is int  # charges stay Python ints
+    if n == 1:
+        # a 1 x 1 stack is one field.inverses call over its nonzero members
+        m = int(np.count_nonzero(U))
+        assert charged == (3 * (m - 1) + instrument.inv_cost(p) if m else 0)
     assert sing[forced].all()
     inv2, sing2 = mat_inv_stack(U.reshape(1, b, n, n), p)
     assert np.array_equal(inv2[0], inv) and np.array_equal(sing2[0], sing)
@@ -393,8 +414,11 @@ def test_newton_agrees_or_names_first_bad_step(inst):
                 assert str(e).endswith(good_spectrum(A0, ctx, N).reason)
             return
         assert not bad and not singular
-        assert spaces_equal(got, dense_solve(inst))
+        s_dense = dense_solve(inst)
+        assert spaces_equal(got, s_dense)
         assert spaces_equal(got, solve_operator_matrix(inst))
+        assert_solves(got, inst)
+        assert_solves(s_dense, inst)
     finally:
         instrument.set_runtime_checks(False)
 
@@ -417,51 +441,76 @@ def rank_mod(M, p):
 
 
 @st.composite
-def constant_k1_cases(draw):
-    """(P, C, N, ctx) with P constant and k = 1, so that every step of
-    PolCoeffsDE is independent.  At times P's eigenvalues are rigged to
-    gamma_g q^(-g) for chosen steps g (g = 0 makes P singular), which makes
-    those steps singular; C is random, which mostly makes a singular step's
-    constraints inconsistent, or planted from a solution, which keeps them
-    consistent."""
+def step_kernel_cases(draw):
+    """(P, inst, i): one step-kernel solve of x^k delta(F) = P sigma(F) + C
+    at base index i, and inst, the same equation written at base index 0:
+    A = q^i P - gamma_i x^(k-1) Id and inst.C = C.
+
+    For k = 1, P has 1 to 3 coefficients, so a constant P runs the batch
+    of independent steps and a longer one the windowed loop; at times P_0's
+    eigenvalues are rigged to gamma_g q^(-g) for chosen steps g in
+    [i, i + N), which makes those steps singular.  For k in {2, 3}, P_0 is
+    invertible (a row-permuted triangular matrix with a nonzero diagonal)
+    or has a zero row, which makes every step singular.  C is random, which
+    mostly makes a singular step's constraints inconsistent, or planted
+    from a solution, which keeps them consistent."""
     p = draw(st.sampled_from([3, 65521, 2**31 - 1]))
+    k = draw(st.sampled_from([1, 1, 2, 3]))
     n = draw(st.integers(1, 4))
     N = draw(st.integers(1, 40))
+    i = draw(st.sampled_from([0, 0, 1, 7, 64]))
     q = 1 if p > N and draw(st.booleans()) else draw(st.integers(2, p - 1))
-    ctx = QContext(PrimeField(p), q, 1)
+    ctx = QContext(PrimeField(p), q, k)
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    A0 = gen.integers(0, p, (n, n))
-    if draw(st.booleans()):
-        steps = draw(st.lists(st.integers(0, N - 1), min_size=1, max_size=n))
+    La = draw(st.integers(1, 3))
+    Pd = gen.integers(0, p, (n, n, La))
+    if k == 1 and draw(st.booleans()):
+        steps = draw(st.lists(st.integers(i, i + N - 1), min_size=1, max_size=n))
         T = np.triu(gen.integers(0, p, (n, n))).astype(object)
         for t, g in enumerate(steps):
             T[t, t] = ctx.gamma(g) * pow(ctx.qpow(g), p - 2, p) % p
         perm = gen.permutation(n)
-        A0 = T[np.ix_(perm, perm)].astype(np.int64)  # a permutation similarity
-    P = SeriesMatrix(p, A0[:, :, None], N)
+        Pd[:, :, 0] = T[np.ix_(perm, perm)].astype(np.int64)  # a permutation similarity
+    elif k > 1:
+        T = np.triu(gen.integers(0, p, (n, n)))
+        T[np.arange(n), np.arange(n)] = gen.integers(1, p, n)
+        if draw(st.booleans()):
+            T[draw(st.integers(0, n - 1))] = 0
+        Pd[:, :, 0] = T[gen.permutation(n)]
+    P = SeriesMatrix(p, Pd, N)
+    Ad = np.zeros((n, n, max(La, k)), dtype=object)
+    Ad[:, :, :La] = ctx.qpow(i) * Pd.astype(object)
+    Ad[:, :, k - 1] -= ctx.gamma(i) * np.eye(n, dtype=object)
+    inst = make_instance(p, q, k, n, N, SeriesMatrix(p, (Ad % p).astype(np.int64), N),
+                         SeriesMatrix.zeros(p, n, 1, N))
     if draw(st.booleans()):
-        inst = make_instance(p, q, 1, n, N, P, SeriesMatrix.zeros(p, n, 1, N))
-        C = residual(SeriesMatrix(p, gen.integers(0, p, (n, 1, N)), N), inst, homogeneous=True)
+        inst.C = residual(SeriesMatrix(p, gen.integers(0, p, (n, 1, N)), N), inst, homogeneous=True)
     else:
-        C = SeriesMatrix(p, gen.integers(0, p, (n, 1, N)), N)
-    return P, C, N, ctx
+        inst.C = SeriesMatrix(p, gen.integers(0, p, (n, 1, N)), N)
+    return P, inst, i
 
 
 @settings(max_examples=200, deadline=None)
-@given(constant_k1_cases(), st.sampled_from([0, 0, 1, 7, 64]))
-def test_batched_constant_steps_match_operator_matrix(case, i):
-    # the k = 1 batch of independent steps against the operator-matrix
-    # reference, with runtime checks on; at base index i (as in a
-    # divide-and-conquer leaf) the singular steps it reports are exactly the
-    # g = i + j whose step matrix gamma_g Id - q^g A_0 has a kernel
-    P, C, N, ctx = case
-    p, n, A0 = ctx.p, P.rows, P.coefficient_array(0)
-    nullity = [n - rank_mod(ctx.gamma(g) * np.eye(n, dtype=object)
-                            - ctx.qpow(g) * A0.astype(object), p) for g in range(i, i + N)]
+@given(step_kernel_cases())
+def test_batched_constant_steps_match_operator_matrix(case):
+    # the step kernel at base index i (as in a divide-and-conquer leaf) with
+    # runtime checks on, on all three kinds of step-inverse table (the k = 1
+    # stack, the k > 1 A_0 inverse, every step eliminated): the singular
+    # steps it reports are exactly the g = i + j whose step matrix M_g has
+    # a kernel, and its family and constraints give the space the
+    # operator-matrix reference finds for the equation at base index 0
+    P, inst, i = case
+    ctx, N, C = inst.ctx, inst.N, inst.C
+    p, k, n = ctx.p, ctx.k, P.rows
+    A0, eye = P.coefficient_array(0).astype(object), np.eye(n, dtype=object)
+    nullity = [n - rank_mod((k == 1) * ctx.gamma(g) * eye - ctx.qpow(g) * A0, p)
+               for g in range(i, i + N)]
     instrument.set_runtime_checks(True)
     try:
         family, cons, sing = _solve_term_by_term(P, C, N, ctx, i)
-        got = pol_coeffs_de(P, C, N, ctx)
+        got = resolve_affine_family(family, cons)
+        if i == 0 and P.data.shape[2] <= k:
+            assert spaces_equal(pol_coeffs_de(P, C, N, ctx), got)
     finally:
         instrument.set_runtime_checks(False)
     assert sing == [i + j for j in range(N) if nullity[j]]
@@ -471,9 +520,10 @@ def test_batched_constant_steps_match_operator_matrix(case, i):
     widths = [len(row) for row in cons]
     assert widths == sorted(widths) and all(C.cols <= w <= family.cols for w in widths)
     assert len(cons) <= sum(nullity)
-    want = solve_operator_matrix(make_instance(p, ctx.q, 1, n, N, P, C))
+    want = solve_operator_matrix(inst)
     assert (got is None) == (want is None)
     assert spaces_equal(got, want)
+    assert_solves(got, inst)
 
 
 HELPER_PRIMES = [3, 65521, 134217757, 2**31 - 1]
