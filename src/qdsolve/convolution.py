@@ -12,7 +12,8 @@ it:
   zero-padded to [lo - Ls + 1, out_len), one dot product of length Ls
   per kept coefficient;
 * an exact float64 FFT product over limbs (Percival, Math. Comp. 72,
-  2003), used above a size cutoff for p < 2^31.  Both operands are split
+  2003), used for p < 2^31 when the shorter operand, cut to out_len, has
+  at least ``TRANSFORM_CUTOFF`` = 512 coefficients.  Both operands are split
   into k limbs of b bits, one ``rfft`` per operand transforms its stacked
   limbs, the limb products are summed by degree (low*low, low*high +
   high*low, high*high for two limbs), and one ``irfft`` returns the
@@ -21,6 +22,19 @@ it:
   La + Lb - 1 - lo): every coefficient it wraps lands below lo, so the
   window is exact;
 * trivial short-circuits for empty operands and empty windows.
+
+The route depends on the shorter operand's length only, not on the
+number of coefficient pairs: a 64 x 65536 product stays direct.  The
+cutoff is the crossover measured in process (2-core Xeon VM, numpy
+2.4.6, best of 15), full products and windows [Ls, 2Ls) of an Ls by 2Ls
+product alike.  At Ls = 256 the direct route wins at p = 65521 and
+p = 134217757 (0.07 ms against 0.08 and 0.10-0.13 ms).  At 384 the
+transform wins at p = 65521 (0.10 against 0.15 ms) and ties at
+p = 134217757 (0.15-0.16 ms each).  From 512 on it wins at both primes,
+2.6-3.2x: 512 x 512 at p = 134217757 takes 0.17 against 0.52 ms, where
+512 (p - 1)^2 >= 2^63 puts the direct route on its limb split, and
+512 x 4096 takes 1.3 ms against 2.0 ms (p = 65521) and 4.0 ms
+(p = 134217757).
 
 The limb count comes from an a-priori rounding bound.  A degree row sums
 at most k cyclic limb convolutions.  In each, the operands' Euclidean
@@ -60,8 +74,9 @@ from .errors import InternalInvariantError, PreconditionError
 _INT64 = np.int64
 _EMPTY = np.zeros(0, dtype=_INT64)
 
-# Product size (in coefficient pairs) above which the transform pays off.
-TRANSFORM_CUTOFF = 4_000_000
+# Shorter operand's length, after the cut to out_len, from which the
+# transform runs (the measured crossover, see above).
+TRANSFORM_CUTOFF = 512
 
 
 def _next_pow2(n: int) -> int:
@@ -127,9 +142,9 @@ def _conv_direct(a: np.ndarray, b: np.ndarray, p: int, out_len: int, lo: int = 0
         return np.convolve(short, src, mode)[cut] % p
     s = (p.bit_length() + 1) // 2
     if Ls * (p - 1) << s >= 2**63:
-        # With p < 2^31 this needs an overlap above 2^16, so at least 2^32
-        # pairs: conv_trunc sends every such product to the transform, and
-        # no exact route is left here.
+        # With p < 2^31 this needs a shorter operand above 2^16 coefficients:
+        # conv_trunc sends every such product to the transform, and no exact
+        # route is left here.
         raise PreconditionError(
             f"modulus p = {p} too large for an exact convolution of lengths "
             f"{len(a)} and {len(b)}"
@@ -150,6 +165,7 @@ def conv_trunc(a: np.ndarray, b: np.ndarray, p: int, out_len: int, lo: int = 0) 
         return _EMPTY
     # coefficients at or above out_len reach no kept coefficient
     a, b = a[:out_len], b[:out_len]
-    if len(a) * len(b) >= TRANSFORM_CUTOFF and p < 2**31:
+    # the shorter operand has at least TRANSFORM_CUTOFF coefficients
+    if len(a) >= TRANSFORM_CUTOFF and len(b) >= TRANSFORM_CUTOFF and p < 2**31:
         return _conv_ntt(a, b, p, out_len, lo)
     return _conv_direct(a, b, p, out_len, lo)

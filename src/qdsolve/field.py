@@ -5,8 +5,11 @@ itself works on raw ints and numpy int64 arrays with every residue kept
 canonical in [0, p), so equality of field values is plain integer
 comparison.  ``powers`` tabulates w^0 .. w^(m-1) in about log2 m
 vectorized passes, and ``inverses`` inverts m nonzero residues with one
-Fermat power by Montgomery's trick; every table of powers and every
-batch of scalar inverses in the package comes from these two.
+Fermat power on a product tree (Montgomery's trick, one vectorized
+pass per level): ceil(log2 m) passes multiply adjacent pairs up to the
+product of all m, and as many carry its inverse back down.  Every table
+of powers and every batch of scalar inverses in the package comes from
+these two.
 
 The modulus must be below 2^31, so that (p - 1)^2 < 2^62: the product of
 two canonical residues, plus anything below 2^62, fits in int64.  That
@@ -18,8 +21,6 @@ once.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -69,18 +70,30 @@ def powers(w: int, m: int, p: int) -> np.ndarray:
 
 
 def inverses(x: np.ndarray, p: int) -> np.ndarray:
-    """Inverses of the nonzero residues x (one axis) by Montgomery's trick:
-    one Fermat power and 3(m-1) products for m values, charged here."""
-    xs = x.tolist()
-    if not xs:
+    """Inverses of the nonzero residues x (one axis) on a product tree:
+    one Fermat power and 3(m-1) products for m values, charged here.
+
+    Up, m - 1 pair products, an odd last entry moving up alone; down, two
+    per pair, a node's inverse times one child being the other's inverse.
+    """
+    if len(x) == 0:
         return np.zeros(0, dtype=np.int64)
-    instrument.mul_counter.add(3 * (len(xs) - 1) + instrument.inv_cost(p))
-    pre = list(itertools.accumulate(xs, lambda u, v: u * v % p, initial=1))
-    inv = pow(pre[-1], p - 2, p)
-    out = [0] * len(xs)
-    for i in range(len(xs) - 1, -1, -1):
-        out[i], inv = inv * pre[i] % p, inv * xs[i] % p
-    return np.array(out, dtype=np.int64)
+    instrument.mul_counter.add(3 * (len(x) - 1) + instrument.inv_cost(p))
+    tree = [np.asarray(x, dtype=np.int64)]
+    while len(tree[-1]) > 1:
+        v = tree[-1]
+        up = v[0:-1:2] * v[1::2] % p
+        tree.append(np.append(up, v[-1]) if len(v) % 2 else up)
+    inv = np.array([pow(int(tree[-1][0]), p - 2, p)], dtype=np.int64)
+    for v in reversed(tree[:-1]):
+        h = len(v) // 2
+        out = np.empty(len(v), dtype=np.int64)
+        out[0 : 2 * h : 2] = inv[:h] * v[1::2] % p
+        out[1::2] = inv[:h] * v[0 : 2 * h : 2] % p
+        if len(v) % 2:
+            out[-1] = inv[-1]
+        inv = out
+    return inv
 
 
 class PrimeField:

@@ -38,7 +38,8 @@ def _overflow_step(p: int) -> int:
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p with int64 accumulation kept below 2^63.
 
-    Leading batch axes of a and b broadcast as they do for ``@``.  Up to
+    Leading batch axes of a and b broadcast as they do for ``@``; an
+    inner dimension of 1 is the broadcast product a * b.  Up to
     step = 2^62 / (p-1)^2 inner terms (``_overflow_step``, computed once
     per p) one product cannot overflow.
     Longer sums split b into s-bit limbs, b = b_hi 2^s + b_lo with
@@ -47,7 +48,10 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """
     inner = a.shape[-1]
     step = _overflow_step(p)
-    if inner <= step:
+    if inner == 1:
+        # an outer product: broadcasting forms it without the matmul call
+        out = a * b % p
+    elif inner <= step:
         out = a @ b % p
     else:
         s = (p.bit_length() + 1) // 2

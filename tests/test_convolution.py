@@ -12,6 +12,15 @@ def _coeff(a, b, c, p):
     return sum(int(a[t]) * int(b[c - t]) for t in range(lo, hi + 1)) % p
 
 
+def _routes(monkeypatch):
+    """Record the backend each conv_trunc call takes."""
+    used = []
+    for name in ("_conv_direct", "_conv_ntt"):
+        fn = getattr(convolution, name)
+        monkeypatch.setattr(convolution, name, lambda *args, fn=fn, name=name: used.append(name) or fn(*args))
+    return used
+
+
 def test_direct_refuses_modulus_beyond_crt_range():
     # at p = 2^61 - 1 even a length-3 by length-2 product overflows the limb
     # split, and the transform serves only p < 2^31
@@ -75,11 +84,8 @@ def windows(draw):
 @given(windows(), st.booleans())
 def test_window_matches_python_ints(case, force_ntt):
     a, b, p, hi, lo = case
-    used = []
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_conv_direct", "_conv_ntt"):
-            fn = getattr(convolution, name)
-            mp.setattr(convolution, name, lambda *args, fn=fn, name=name: used.append(name) or fn(*args))
+        used = _routes(mp)
         if force_ntt:
             mp.setattr(convolution, "TRANSFORM_CUTOFF", 0)
         got = conv_trunc(a, b, p, hi, lo)
@@ -116,6 +122,43 @@ def _window_by_kronecker(a, b, p, lo, hi):
 
     raw = (pack(a) * pack(b)).to_bytes(width * (len(a) + len(b)), "little")
     return [int.from_bytes(raw[width * c : width * (c + 1)], "little") % p for c in range(lo, hi)]
+
+
+@pytest.mark.parametrize("p", [3, 65521, 134217757, 2**31 - 1])
+@pytest.mark.parametrize("ratio", [(1, 1), (1, 8), (8, 1)])
+@pytest.mark.parametrize("middle", [False, True])
+@pytest.mark.parametrize("below", [1, 0])
+def test_dispatch_boundary_on_shorter_operand(below, middle, ratio, p, monkeypatch):
+    # a shorter operand of TRANSFORM_CUTOFF - 1 coefficients takes the
+    # direct route and one of TRANSFORM_CUTOFF the transform, for the whole
+    # product and for a middle window that still reads every coefficient
+    # of the shorter operand
+    short = convolution.TRANSFORM_CUTOFF - below
+    La, Lb = short * ratio[0], short * ratio[1]
+    full = La + Lb - 1
+    lo, hi = (full // 3, 2 * full // 3) if middle else (0, full)
+    gen = np.random.default_rng(La + 3 * Lb + p)
+    a, b = gen.integers(0, p, La), gen.integers(0, p, Lb)
+    a[::3], b[::5] = p - 1, p - 1
+    used = _routes(monkeypatch)
+    got = conv_trunc(a, b, p, hi, lo)
+    assert used == ["_conv_direct" if below else "_conv_ntt"]
+    assert [int(c) for c in got] == _window_by_kronecker(a, b, p, lo, hi)
+
+
+def test_many_pairs_with_short_operand_stay_direct(monkeypatch):
+    # 64 x 65536 is over 4M coefficient pairs, but the shorter operand is
+    # far below the cutoff: the direct route's limb split forms it exactly
+    p = 2**31 - 1
+    gen = np.random.default_rng(17)
+    a, b = gen.integers(p - 2**20, p, 64), gen.integers(0, p, 2**16)
+    b[::7] = p - 1
+    full = len(a) + len(b) - 1
+    assert len(a) * len(b) >= 4_000_000
+    used = _routes(monkeypatch)
+    got = conv_trunc(a, b, p, full)
+    assert used == ["_conv_direct"]
+    assert [int(c) for c in got] == _window_by_kronecker(a, b, p, 0, full)
 
 
 @st.composite

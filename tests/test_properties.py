@@ -93,14 +93,15 @@ def conv_charge(La: int, Lb: int, p: int, hi: int, lo: int) -> int:
     length-La by length-Lb product, hi <= La + Lb - 1: the transform at the
     cyclic length max(hi, La + Lb - 1 - lo) rounded up to a power of two,
     4k - 1 real transforms, k^2 limb products and 2k - 1 recombination
-    steps per kept coefficient for its k limbs, the direct backend
+    steps per kept coefficient for its k limbs when the shorter operand
+    has TRANSFORM_CUTOFF coefficients or more, the direct backend
     Ls = min(La, Lb) multiplications for each kept coefficient or for each
     coefficient of the long operand reaching the window, whichever is
     fewer."""
     if hi <= lo:
         return 0
     full = La + Lb - 1
-    if La * Lb >= convolution.TRANSFORM_CUTOFF and p < 2**31:
+    if min(La, Lb) >= convolution.TRANSFORM_CUTOFF and p < 2**31:
         L = convolution._next_pow2(max(hi, full - lo))
         k, _ = convolution._limbs(p, L, min(La, Lb))
         lg = L.bit_length() - 1
@@ -134,10 +135,10 @@ def check_mul(A: SeriesMatrix, B: SeriesMatrix, n: int, monkeypatch, lo: int = 0
     else:
         assert len(calls) == (rows * inner * cols if hi > lo else 0)
         assert charge == rows * inner * cols * conv_charge(La, Lb, A.p, hi, lo)
-        if lo == 0 and len(calls) and La * Lb < convolution.TRANSFORM_CUTOFF:
+        if lo == 0 and len(calls) and min(La, Lb) < convolution.TRANSFORM_CUTOFF:
             # a product mod x^n forms every pair once, as np.convolve does
             assert charge == rows * inner * cols * La * Lb
-    if La * Lb < convolution.TRANSFORM_CUTOFF:
+    if min(La, Lb) < convolution.TRANSFORM_CUTOFF:
         assert charge <= rows * inner * cols * La * Lb
 
 
@@ -310,6 +311,33 @@ def test_batched_matmul_mod_matches_python_ints(operands):
     assert got.dtype == np.int64 and got.shape == want.shape
     assert np.array_equal(got, want.astype(np.int64))
     assert charged == want.size * a.shape[-1]
+
+
+@pytest.mark.parametrize(
+    "a_shape, b_shape",
+    [
+        ((1, 1), (1, 1)),
+        ((3, 1), (1, 4)),
+        ((5, 3, 1), (5, 1, 2)),
+        ((5, 3, 1), (1, 2)),
+        ((1, 1), (6, 1, 1)),
+        ((2, 1, 3, 1), (4, 1, 2)),
+    ],
+)
+def test_matmul_mod_inner_one_matches_matmul(a_shape, b_shape):
+    # an inner dimension of 1 is formed by broadcasting: the same product,
+    # batch axes and charge as @, at the largest modulus with the largest
+    # residues
+    p = 2**31 - 1
+    a, b = np.full(a_shape, p - 1, dtype=np.int64), np.full(b_shape, p - 1, dtype=np.int64)
+    before = instrument.mul_counter.value
+    got = _matmul_mod(a, b, p)
+    charged = instrument.mul_counter.value - before
+    want = np.matmul(a.astype(object), b.astype(object)) % p
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert np.array_equal(got, want.astype(np.int64))
+    assert np.array_equal(got, a @ b % p)
+    assert charged == want.size
 
 
 def _pscale_arg(f, s, p):
@@ -540,17 +568,32 @@ def test_powers_match_python_pow(p, m, w):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from(HELPER_PRIMES), st.sampled_from(HELPER_LENGTHS), st.integers(0, 2**32 - 1))
+@given(
+    st.sampled_from(HELPER_PRIMES),
+    st.sampled_from(HELPER_LENGTHS + [4095, 4096, 4097]),  # and the step tables at N = 4096
+    st.integers(0, 2**32 - 1),
+)
 def test_inverses_match_python_pow_and_charge_once(p, m, seed):
     gen = np.random.default_rng(seed)
     x = gen.integers(1, p, m)
     x[gen.random(m) < 0.2] = p - 1  # extreme residues
+    kept = x.copy()
     before = instrument.mul_counter.value
     got = inverses(x, p)
     charged = instrument.mul_counter.value - before
+    want = [pow(int(v), p - 2, p) for v in x]
     assert got.dtype == np.int64
-    assert got.tolist() == [pow(int(v), p - 2, p) for v in x]
+    assert got.tolist() == want
     assert charged == (3 * (m - 1) + instrument.inv_cost(p) if m else 0)
+    assert np.array_equal(x, kept)
+    # the same values as a 1 x 1 stack with some members zero: those are
+    # singular and their slots hold zeros, the rest hold the inverses
+    U = x.reshape(m, 1, 1).copy()
+    dead = gen.random(m) < 0.3
+    U[dead] = 0
+    inv, sing = mat_inv_stack(U, p)
+    assert np.array_equal(sing, dead)
+    assert inv[:, 0, 0].tolist() == [0 if d else w for d, w in zip(dead, want)]
 
 
 @settings(max_examples=60, deadline=None)
