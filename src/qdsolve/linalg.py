@@ -244,46 +244,112 @@ def monic_at(c: list[int], Y: np.ndarray, p: int) -> np.ndarray:
     return m
 
 
+def poly_at(T: np.ndarray, P: np.ndarray, p: int) -> np.ndarray:
+    """sum_m T[..., m] V^m, stacked (..., n, n), for coefficient rows T
+    (..., n) and the power row P = [V^0 | ... | V^(n-1)] of sylvester_tables.
+
+    The powers m >= 1 are one product of T against them, flattened; V^0 is
+    the identity, so the m = 0 coefficients are added on the diagonal.
+    """
+    n = P.shape[0]
+    lead = T.shape[:-1]
+    out = np.zeros(lead + (n * n,), dtype=_INT64)
+    if n > 1:
+        flat = P[:, n:].reshape(n, n - 1, n).transpose(1, 0, 2).reshape(n - 1, n * n)
+        out = _matmul_mod(T[..., 1:], flat, p)
+    out = out.reshape(lead + (n, n))
+    d = np.arange(n)
+    out[..., d, d] = (out[..., d, d] + T[..., :1]) % p
+    return out
+
+
+def sylvester_tables(V: np.ndarray, chi: list[int], p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(P, D) for an n x n matrix V with chi = char_poly(V): the power row
+    P = [V^0 | ... | V^(n-1)] and the right-side table D = [D_0 | ... | D_(n-1)],
+    D_a = sum_l c_(a+l+1) V^l (so D_(n-1) = Id), both n x n^2.
+
+    n - 2 products form the powers and one ``poly_at`` the table.
+    """
+    n = V.shape[0]
+    P = np.zeros((n, n * n), dtype=_INT64)
+    P[:, :n] = np.eye(n, dtype=_INT64)
+    for m in range(1, n):
+        P[:, m * n : (m + 1) * n] = V if m == 1 else _matmul_mod(P[:, (m - 1) * n : m * n], V, p)
+    # the Hankel rows H[a, l] = c_(a+l+1), zero past c_n
+    c = np.array(list(chi[1:]) + [0] * n, dtype=_INT64)
+    H = c[np.add.outer(np.arange(n), np.arange(n))]
+    D = poly_at(H, P, p).transpose(1, 0, 2).reshape(n, n * n)
+    return P, D
+
+
 def sylvester_solve(
-    Y: np.ndarray, V: np.ndarray, Z: np.ndarray, p: int,
+    Y, V: np.ndarray, Z: np.ndarray, p: int,
     chi_v: list[int] | None = None, m_inv: np.ndarray | None = None,
+    tables: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """The unique X with Y X - X V = Z, by the Cayley-Hamilton identity.
 
-    Y and Z are n x n matrices or equally shaped stacks (..., n, n) of
-    them, solved side by side against the one n x n matrix V.  With
-    c = char_poly(V) = (c_0, ..., c_n), c_n = 1, the equation gives
+    Z is an n x n matrix or a stack (..., n, n) of them, solved side by
+    side against the one n x n matrix V.  Y is a matrix or stack shaped
+    like Z, or scalars s shaped like Z's stack axes (a plain int for one
+    matrix), standing for Y = s V.  With c = char_poly(V) =
+    (c_0, ..., c_n), c_n = 1, the equation gives
     Y^j X - X V^j = sum_{l<j} Y^(j-1-l) Z V^l, and chi_V(V) = 0 turns the
     c-weighted sum of these into
 
-        chi_V(Y) X = sum_l R_l V^l,   R_l = sum_{j>l} c_j Y^(j-1-l) Z.
+        chi_V(Y) X = S = sum_a Y^a Z D_a,   D_a = sum_l c_(a+l+1) V^l.
 
-    R_l and the right side are built by Horner (R_(n-1) = Z,
-    R_l = Y R_(l+1) + c_(l+1) Z), chi_V(Y) likewise, and X is
-    chi_V(Y)^(-1) times the right side.  chi_V(Y) is invertible exactly
-    when Spec(Y) and Spec(V) are disjoint; otherwise this raises
-    ValueError.  The cost is about 3n products of n x n matrices and one
-    n x n inverse per member, O(n^4), and no eigenvalues are needed, so it
-    works over any field.  chi_v, when given, must be char_poly(V), and
-    m_inv chi_V(Y)^(-1); callers solving many steps against one V pass
-    them to skip recomputing them.
+    The D_a are polynomials in V alone (``sylvester_tables``), so all the
+    Z D_a are one product with the table [D_0 | ... | D_(n-2)], and
+    Z D_(n-1) = Z.  For a matrix Y, S is then Horner in Y, n - 1 products.
+    For Y = s V, S = Z D_0 + [V^1 | ... | V^(n-1)] times the stacked
+    s^a Z D_a, a >= 1: one product.  X is chi_V(Y)^(-1) S, one more.
+    chi_V(Y) is invertible exactly when Spec(Y) and Spec(V) are disjoint;
+    otherwise this raises ValueError.  Each member costs O(n^4) and no
+    eigenvalues are needed, so it works over any field.  chi_v, when
+    given, must be char_poly(V), m_inv chi_V(Y)^(-1) and tables
+    sylvester_tables(V, chi_v, p); callers solving many steps against
+    one V pass them to skip recomputing them.
     """
     n = V.shape[0]
-    if V.shape != (n, n) or Y.shape != Z.shape or Y.shape[-2:] != (n, n):
+    batch = Z.shape[:-2]
+    scaled = np.shape(Y) == batch
+    if V.shape != (n, n) or Z.shape[-2:] != (n, n) or not (scaled or np.shape(Y) == Z.shape):
         raise ValueError("Sylvester solve needs equally sized square matrices")
     c = char_poly(V, p) if chi_v is None else chi_v
+    P, D = sylvester_tables(V, c, p) if tables is None else tables
+    if scaled:
+        s = np.asarray(Y, dtype=_INT64)
     if m_inv is None:
+        if scaled:
+            instrument.mul_counter.add(math.prod(batch) * n * n)
+            Y = s[..., None, None] * V % p
         m_inv, singular = mat_inv_stack(monic_at(c, Y, p), p)
         if singular.any():
             raise ValueError("Sylvester system is singular: spectra of Y and V intersect")
-    # R_(n-1) = Z, and S = sum_l R_l V^l on the right by Horner
-    r = s = Z
-    for l in range(n - 2, -1, -1):
-        instrument.mul_counter.add(Z.size)  # c_(l+1) Z
-        r = (_matmul_mod(Y, r, p) + c[l + 1] * Z) % p
-        s = (_matmul_mod(s, V, p) + r) % p
-    X = _matmul_mod(m_inv, s, p)
+    S = Z
+    if n > 1:
+        ZD = _matmul_mod(Z, D[:, : (n - 1) * n], p)  # [Z D_0 | ... | Z D_(n-2)]
+        if scaled:
+            # s^a for a = 1 .. n-1, then s^a Z D_a stacked down the rows
+            sa = np.empty(batch + (n - 1,), dtype=_INT64)
+            sa[..., 0] = s
+            for a in range(1, n - 1):
+                sa[..., a] = sa[..., a - 1] * s % p
+            instrument.mul_counter.add(math.prod(batch) * ((n - 2) + (n - 1) * n * n))
+            W = np.concatenate([ZD[..., n:], Z], axis=-1).reshape(batch + (n, n - 1, n))
+            W = (W * sa[..., None, :, None] % p).swapaxes(-3, -2).reshape(batch + ((n - 1) * n, n))
+            S = (ZD[..., :n] + _matmul_mod(P[:, n:], W, p)) % p
+        else:
+            for a in range(n - 2, -1, -1):
+                S = (_matmul_mod(Y, S, p) + ZD[..., a * n : (a + 1) * n]) % p
+    X = _matmul_mod(m_inv, S, p)
     if instrument.checks_enabled():
-        if not np.array_equal((_matmul_mod(Y, X, p) - _matmul_mod(X, V, p)) % p, Z):
+        if scaled:
+            instrument.mul_counter.add(X.size)
+            YX = s[..., None, None] * _matmul_mod(V, X, p) % p
+        else:
+            YX = _matmul_mod(Y, X, p)
+        if not np.array_equal((YX - _matmul_mod(X, V, p)) % p, Z):
             raise InternalInvariantError("Sylvester residual nonzero")
     return X

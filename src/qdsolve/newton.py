@@ -22,14 +22,17 @@ kernel's loop eliminates only the singular ones.
 The good-spectrum condition is a hard precondition here: it makes every
 per-coefficient Sylvester step Y_i X - X B0 = Z_i uniquely solvable.
 Each step is solved by the Cayley-Hamilton identity
-chi_B0(Y_i) X = sum_l R_l B0^l (see linalg.sylvester_solve), with
-chi_B0 = chi_A0 and the inverses of every chi_B0(Y_i) taken from the
-spectrum test's table, so a step is the R/S Horner scheme and one
-product.  For k = 1 the steps of a ladder level are independent and the
-level is one stacked solve; for k > 1, q != 1 the window sum links them
-and each step is one solve.  For q = 1, k > 1, B is diagonal with
-distinct constant entries b_i0, so no entry of the auxiliary equation
-involves another (diff_sylvester_differential):
+chi_B0(Y_i) X = sum_a Y_i^a Z_i D_a (see linalg.sylvester_solve), with
+chi_B0 = chi_A0, D_a polynomials in B0, and the inverses of every
+chi_B0(Y_i), B0's powers and the D_a taken from the spectrum report, all
+formed once per solve.  For k = 1 the steps of a ladder level are
+independent and the level is one stacked solve, Horner in the stacked
+Y_i.  For k > 1, q != 1 the window sum links them and each step is one
+solve; there Y_i = q^i B0, so a step is three products: Z_i against the
+D_a, B0's powers against the q^(ia)-scaled results, and
+chi_B0(Y_i)^(-1).  For q = 1, k > 1, B is diagonal with distinct
+constant entries b_i0, so no entry of the auxiliary equation involves
+another (diff_sylvester_differential):
 diagonal entries are integrals, and all off-diagonal ones run
 (b_i0 - b_j0) U_t = gamma_(t-k+1) U_(t-k+1) - sum_(d=1..k-1) (b_id - b_jd) U_(t-d) - Gamma_t
 side by side, each product reduced mod p before it is summed.  The
@@ -148,11 +151,13 @@ def diff_sylvester(
     For k = 1 or q != 1; each coefficient is one constant Sylvester
     solve Y_i X - X B0 = Z_i, uniquely solvable under the good-spectrum
     condition.  rep must be good_spectrum(B0, ctx, N') for some N' >= N:
-    its table holds chi_B0(Y_i)^(-1) for every step, so each step is only
-    the Cayley-Hamilton right side and one product.  For k = 1 the steps
-    do not depend on each other and the whole window is one stacked
-    sylvester_solve; for k > 1 the window sum links them and each step is
-    one call.  The result satisfies U = 0 mod x^m.
+    it holds chi_B0(Y_i)^(-1) for every step and B0's Sylvester tables,
+    so each step is only the Cayley-Hamilton right side and one product.
+    For k = 1 the steps do not depend on each other and the whole window
+    is one stacked sylvester_solve.  For k > 1 the window sum links them
+    and each step is one call, with Y_i = q^i B0 passed as the scalar q^i:
+    three products, and two more, side by side, for the window.  The
+    result satisfies U = 0 mod x^m.
     """
     k, p, n = ctx.k, ctx.p, B.rows
     if not (k <= m < N):
@@ -172,28 +177,41 @@ def diff_sylvester(
             f"Sylvester step at index {m + int(bad[0])} is singular: "
             "spectra of the step pair intersect"
         )
-    Y = step_matrices(B0, ctx, m, N)
-    U = np.zeros((n, n, N), dtype=_INT64)
     if k == 1:
         Z = np.zeros((N - m, n, n), dtype=_INT64)
         if Lg > m:
             Z[: Lg - m] = (-Gd[:, :, m:]).transpose(2, 0, 1) % p
-        X = sylvester_solve(Y, B0, Z, p, rep.chi, rep.steps_inv[m:N])
+        Y = step_matrices(B0, ctx, m, N)
+        X = sylvester_solve(Y, B0, Z, p, rep.chi, rep.steps_inv[m:N], tables=rep.tables)
+        U = np.zeros((n, n, N), dtype=_INT64)
         U[:, :, m:] = X.transpose(1, 2, 0)
         return SeriesMatrix(p, U, N)
+    # column block t of Uc is U_t, and rows t n .. (t+1) n of Gq hold
+    # q^t U_t, so the window of step i is one slice of each
+    K = max(min(Ld, k) - 1, 0)
+    Bside = Bd[:, :, K:0:-1].transpose(0, 2, 1).reshape(n, K * n)  # [B_K | ... | B_1]
+    Bdown = Bd[:, :, K:0:-1].transpose(2, 0, 1).reshape(K * n, n)  # [B_K; ...; B_1]
+    Uc = np.zeros((n, N * n), dtype=_INT64)
+    Gq = np.zeros((N * n, n), dtype=_INT64)
+    qp = ctx.qpow_slice(N).tolist()
+    gam = ctx.gamma_slice(N).tolist()
     for i in range(m, N):
-        C = Gd[:, :, i].copy() if i < Lg else np.zeros((n, n), dtype=_INT64)
-        for j in range(1, min(k, i - m + 1)):
-            if j < Ld:
-                instrument.mul_counter.add(n * n)
-                Uq = ctx.qpow(i - j) * U[:, :, i - j] % p
-                C = (C + _matmul_mod(Bd[:, :, j], Uq, p)
-                     - _matmul_mod(U[:, :, i - j], Bd[:, :, j], p)) % p
+        C = Gd[:, :, i] if i < Lg else np.zeros((n, n), dtype=_INT64)
+        J = min(K, i - m)  # sum_(j=1..J) B_j q^(i-j) U_(i-j) - U_(i-j) B_j
+        if J:
+            lo, hi = (i - J) * n, i * n
+            C = (C + _matmul_mod(Bside[:, (K - J) * n :], Gq[lo:hi], p)
+                 - _matmul_mod(Uc[:, lo:hi], Bdown[(K - J) * n :], p))
         if i - k + 1 >= m:
             instrument.mul_counter.add(n * n)
-            C = C - ctx.gamma(i - k + 1) * U[:, :, i - k + 1] % p
-        U[:, :, i] = sylvester_solve(Y[i - m], B0, (-C) % p, p, rep.chi, rep.steps_inv[i])
-    return SeriesMatrix(p, U, N)
+            t = (i - k + 1) * n
+            C = C - gam[i - k + 1] * Uc[:, t : t + n] % p
+        X = sylvester_solve(qp[i], B0, (-C) % p, p, rep.chi, rep.steps_inv[i], tables=rep.tables)
+        Uc[:, i * n : (i + 1) * n] = X
+        if K and i + 1 < N:
+            instrument.mul_counter.add(n * n)
+            Gq[i * n : (i + 1) * n] = qp[i] * X % p
+    return SeriesMatrix(p, Uc.reshape(n, N, n).transpose(0, 2, 1), N)
 
 
 def diff_sylvester_differential(

@@ -5,12 +5,16 @@ may live outside K for the order-one clauses.  Spec A0 and Spec Y meet
 exactly when chi(Y) is singular, chi = char_poly(A0) (the eigenvalues of
 chi(Y) are chi at those of Y), so the clauses for k = 1 and for k > 1,
 q != 1 form chi(Y_i) for every step matrix Y_i = q^i A0 - gamma_i Id or
-q^i A0, i < N, by one stacked Horner scheme and invert the whole stack
-in one vectorized elimination.  The singular mask is the verdict, and
-the inverses go to the Newton solver, whose Sylvester steps need exactly
-them.  The k > 1, q = 1 clause (A0 has n distinct eigenvalues in K) is
-decided by polynomial gcds, and the report's chi is the one that
-diagonalize then splits into those eigenvalues: a solve forms chi once.
+q^i A0, 1 <= i < N, and invert the whole stack in one vectorized
+elimination.  Each Y_i is a polynomial in A0, and so is chi(Y_i): its
+coefficients, reduced mod chi, are one row of a table, and the stack is
+that table times the powers A0^0 .. A0^(n-1) (``step_chi_table``), one
+product.  The singular mask is the verdict, and the inverses, the powers
+and the Cayley-Hamilton right-side table go to the Newton solver, whose
+Sylvester steps need exactly them.  The k > 1, q = 1 clause (A0 has n
+distinct eigenvalues in K) is decided by polynomial gcds, and the
+report's chi is the one that diagonalize then splits into those
+eigenvalues: a solve forms chi once.
 """
 
 from __future__ import annotations
@@ -22,7 +26,9 @@ import numpy as np
 
 from . import instrument
 from .errors import InternalInvariantError
-from .linalg import _matmul_mod, char_poly, lin_solve, mat_inv_stack, monic_at
+from .linalg import (
+    _matmul_mod, char_poly, lin_solve, mat_inv_stack, monic_at, poly_at, sylvester_tables,
+)
 
 _INT64 = np.int64
 
@@ -107,14 +113,23 @@ def _is_split_squarefree(chi, p) -> tuple[bool, str | None]:
 
 @dataclass
 class SpectrumReport:
+    """The verdict of good_spectrum, and what it formed on the way.
+
+    For k = 1 or q != 1: steps_inv holds chi(Y_i)^(-1) for i < N (zeros
+    where singular) and steps_singular the singular mask, which is set at
+    i = 0, where there is no step.  When N > 1, tables is
+    sylvester_tables(A0, chi): the power row [A0^0 | ... | A0^(n-1)] and
+    the Cayley-Hamilton right-side table, which linalg.sylvester_solve
+    takes for every step against A0.
+    """
+
     good: bool
     reason: str | None
     singular_indices: list[int] = field(default_factory=list)
     chi: list[int] = field(default_factory=list)  # char_poly(A0)
-    # k = 1 or q != 1: chi(Y_i)^(-1) for i < N (zeros where singular), and
-    # the singular mask, which is set at i = 0, where there is no step
     steps_inv: np.ndarray | None = None
     steps_singular: np.ndarray | None = None
+    tables: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def singular_indices(chi: list[int], ctx, N: int) -> list[int]:
@@ -144,25 +159,67 @@ def step_matrices(A0: np.ndarray, ctx, lo: int, hi: int) -> np.ndarray:
     return Y
 
 
+def step_chi_table(chi: list[int], P: np.ndarray, ctx, N: int) -> np.ndarray:
+    """chi(Y_i) for the step matrices Y_i, 1 <= i < N, stacked along axis 0.
+
+    chi = char_poly(A0) and P = [A0^0 | ... | A0^(n-1)].  chi(Y_i) is g_i(A0)
+    for g_i = chi(q^i x - gamma_i) (k = 1) or chi(q^i x) (k > 1), and by
+    Cayley-Hamilton g_i may be reduced mod chi first; its leading
+    coefficient is q^(in), so the reduction is g_i - q^(in) chi.  For
+    k > 1 the entry on x^m is c_m (q^(im) - q^(in)); for k = 1, g_i comes
+    from Horner in the composed polynomial.  The reduced rows, an
+    (N - 1) x n table, then go through one ``poly_at``.
+    """
+    p, n = ctx.p, len(chi) - 1
+    charge = instrument.mul_counter.add
+    c = np.array(chi, dtype=_INT64)
+    a = ctx.qpow_slice(N)[1:]  # q^i
+    if ctx.k > 1:
+        qm = np.empty((N - 1, n + 1), dtype=_INT64)  # q^(im), m = 0 .. n
+        qm[:, 0], qm[:, 1] = 1, a
+        for m in range(2, n + 1):
+            qm[:, m] = qm[:, m - 1] * a % p
+        charge((N - 1) * (2 * n - 1))
+        T = c[:n] * (qm[:, :n] - qm[:, n:]) % p
+        return poly_at(T, P, p)
+    # g = chi(a x + b), b = -gamma_i: g = 1, then g = g (a x + b) + c_j for
+    # j = n-1 .. 0, where the first step, 1 (a x + b), needs no product
+    a, b = a[:, None], (p - ctx.gamma_slice(N)[1:, None]) % p
+    g = np.hstack([(b + c[n - 1]) % p, a])
+    for j in range(n - 2, -1, -1):
+        charge((N - 1) * 2 * g.shape[1])
+        h = np.zeros((N - 1, g.shape[1] + 1), dtype=_INT64)
+        h[:, :-1] = g * b % p
+        h[:, 1:] = (h[:, 1:] + g * a) % p
+        h[:, 0] = (h[:, 0] + c[j]) % p
+        g = h
+    charge((N - 1) * n)
+    T = (g[:, :n] - g[:, n:] * c[:n] % p) % p
+    return poly_at(T, P, p)
+
+
 def good_spectrum(A0: np.ndarray, ctx, N: int) -> SpectrumReport:
     """Evaluate the good-spectrum condition of the constant matrix at precision N.
 
     A0 is a canonical int64 array over the field of ctx.  For k = 1, and
     for k > 1 with q != 1, the clause is that every chi(Y_i), 1 <= i < N,
-    is invertible; their inverses go into the report.
+    is invertible.  The stack of chi(Y_i) is ``step_chi_table``, one
+    product against A0's powers, and one ``mat_inv_stack`` inverts it;
+    the inverses and the Sylvester tables go into the report.
     """
     n, p = A0.shape[0], ctx.p
     q, k = ctx.q, ctx.k
     chi = char_poly(A0, p)
     sing = singular_indices(chi, ctx, N)
     report = None
-    steps_inv = steps_singular = None
+    steps_inv = steps_singular = tables = None
     first = None  # the first i >= 1 with chi(Y_i) singular
     if k == 1 or q != 1:
         steps_inv = np.zeros((N, n, n), dtype=_INT64)
         steps_singular = np.ones(N, dtype=bool)
         if N > 1:
-            M = monic_at(chi, step_matrices(A0, ctx, 1, N), p)
+            tables = sylvester_tables(A0, chi, p)
+            M = step_chi_table(chi, tables[0], ctx, N)
             steps_inv[1:], steps_singular[1:] = mat_inv_stack(M, p)
         bad = np.flatnonzero(steps_singular[1:])
         if len(bad):
@@ -188,7 +245,7 @@ def good_spectrum(A0: np.ndarray, ctx, N: int) -> SpectrumReport:
             raise InternalInvariantError("good spectrum with more than one singular index")
         if ctx.k > 1 and sing:
             raise InternalInvariantError("good spectrum with singular indices for k > 1")
-    return SpectrumReport(good, report, sing, chi, steps_inv, steps_singular)
+    return SpectrumReport(good, report, sing, chi, steps_inv, steps_singular, tables)
 
 
 def _find_roots(chi, p: int) -> list[int]:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qdsolve import instrument
-from qdsolve.linalg import _matmul_mod, char_poly, lin_solve, mat_inv, sylvester_solve
+from qdsolve.linalg import _matmul_mod, char_poly, lin_solve, mat_inv, sylvester_solve, sylvester_tables
 from qdsolve.polymat import SeriesMatrix
 
 
@@ -181,7 +181,21 @@ def _shared_eigenvalue_pair(rng, p, n):
     return (mm(mm(S, V, p), Sinv, p) + D) % p, V
 
 
+def _check_sylvester(Y, V, Z, p, want):
+    """sylvester_solve(Y, V, Z) is want, with and without V's precomputed
+    chi and tables; want None means the system is singular and must raise."""
+    chi = char_poly(V, p)
+    tables = sylvester_tables(V, chi, p)
+    for extra in ((), (chi,), (chi, None, tables)):
+        if want is None:
+            with pytest.raises(ValueError, match="spectra"):
+                sylvester_solve(Y, V, Z, p, *extra)
+        else:
+            assert np.array_equal(sylvester_solve(Y, V, Z, p, *extra), want)
+
+
 def test_sylvester_matches_kronecker_reference():
+    # Y a matrix, Y = s V given as the scalar s, and stacks of either
     rng = random.Random(8)
     for p in (3, 5, 7, 101, 134217757):
         solved = singular = 0
@@ -193,15 +207,41 @@ def test_sylvester_matches_kronecker_reference():
                 want = _kron_sylvester(Y, V, Z, p)
                 if t >= 8:
                     assert want is None  # a shared eigenvalue makes the system singular
+                _check_sylvester(Y, V, Z, p, want)
                 if want is None:
                     singular += 1
-                    with pytest.raises(ValueError, match="spectra"):
-                        sylvester_solve(Y, V, Z, p)
                     continue
                 solved += 1
-                assert np.array_equal(sylvester_solve(Y, V, Z, p), want)
-                assert np.array_equal(sylvester_solve(Y, V, Z, p, char_poly(V, p)), want)
+                s = rng.randrange(p)
+                _check_sylvester(s, V, Z, p, _kron_sylvester(s * V % p, V, Z, p))
+            # Y = V shares its whole spectrum, and so does s = 1
+            _check_sylvester(1, V, Z, p, None)
+            # stacks against one V: matrices, then scalars; one singular
+            # member, here Y = V or s = 1, makes the whole stack raise
+            V = _rand_matrix(rng, p, n)
+            scales = [rng.randrange(p) for _ in range(3)]
+            Ys = np.stack([_rand_matrix(rng, p, n) for _ in range(2)] + [s * V % p for s in scales])
+            Zs = np.stack([_rand_matrix(rng, p, n) for _ in range(len(Ys))])
+            wants = [_kron_sylvester(Y, V, Z, p) for Y, Z in zip(Ys, Zs)]
+            want = None if any(w is None for w in wants) else np.stack(wants)
+            _check_sylvester(Ys, V, Zs, p, want)
+            want = None if any(w is None for w in wants[2:]) else np.stack(wants[2:])
+            _check_sylvester(np.array(scales), V, Zs[2:], p, want)
+            _check_sylvester(np.stack([Ys[0], V]), V, Zs[:2], p, None)
+            _check_sylvester(np.array([scales[0], 1]), V, Zs[:2], p, None)
         assert solved and singular
+    # every entry p - 1 at the ceiling: Y = -J and V = -J - Id (J all ones)
+    # have spectra {-n, 0} and {-n - 1, -1}, and s = -1 gives Y = J + Id
+    p = 2**31 - 1
+    for n in range(1, 7):
+        J = np.full((n, n), p - 1, dtype=np.int64)
+        V = (J - eye(n)) % p
+        _check_sylvester(J, V, J, p, _kron_sylvester(J, V, J, p))
+        _check_sylvester(p - 1, V, J, p, _kron_sylvester((p - 1) * V % p, V, J, p))
+        Ys, Zs = np.stack([J, J]), np.stack([J, (p - 1) * eye(n) % p])
+        want = np.stack([_kron_sylvester(J, V, Z, p) for Z in Zs])
+        _check_sylvester(Ys, V, Zs, p, want)
+        assert _kron_sylvester(J, V, J, p) is not None
 
 
 def test_matmul_chunked_large_inner():

@@ -278,7 +278,9 @@ def test_sylvester_steps_batched_per_level(monkeypatch):
         newton, "diff_sylvester", lambda *a: levels.append(a[2]) or within("diff_sylvester", real_diff)(*a)
     )
     real_syl = newton.sylvester_solve
-    monkeypatch.setattr(newton, "sylvester_solve", lambda *a: sylvester_calls.append(1) or real_syl(*a))
+    monkeypatch.setattr(
+        newton, "sylvester_solve", lambda *a, **kw: sylvester_calls.append(1) or real_syl(*a, **kw)
+    )
     inst = random_instance(4242, 134217757, 4, 512, 1, "random", require_good_spectrum=True)
     got = newton_solve(inst.A, inst.C, inst.N, inst.ctx)
     assert got is not None and residual(got.particular, inst).is_zero()
@@ -286,6 +288,31 @@ def test_sylvester_steps_batched_per_level(monkeypatch):
     assert not [names for names in rref_inside if names]
     assert len(levels) == len(newton._newton_ladder(512, 1)) - 1
     assert len(sylvester_calls) == len(levels)
+
+
+def test_k3_sylvester_steps_one_call_each(monkeypatch):
+    # k > 1, q != 1: every coefficient of every auxiliary solve is one
+    # linalg.sylvester_solve call, with Y_i = q^i B0 passed as the scalar
+    # q^i, and _rref still runs (the perfbench tracer self-check reads both
+    # on its k = 3 workload); runtime checks verify each step's residual
+    steps, calls, rrefs = [], [], []
+    real_diff, real_syl, rref = newton.diff_sylvester, newton.sylvester_solve, linalg._rref
+    monkeypatch.setattr(newton, "diff_sylvester", lambda *a: steps.append(a[3] - a[2]) or real_diff(*a))
+    monkeypatch.setattr(
+        newton, "sylvester_solve", lambda *a, **kw: calls.append(np.ndim(a[0])) or real_syl(*a, **kw)
+    )
+    monkeypatch.setattr(linalg, "_rref", lambda *a: rrefs.append(1) or rref(*a))
+    inst = random_instance(4343, 134217757, 3, 48, 3, "random", require_good_spectrum=True)
+    assert inst.ctx.q != 1
+    instrument.set_runtime_checks(True)
+    try:
+        got = newton_solve(inst.A, inst.C, inst.N, inst.ctx)
+    finally:
+        instrument.set_runtime_checks(False)
+    assert len(steps) > 1
+    assert len(calls) == sum(steps) and set(calls) == {0}
+    assert rrefs
+    assert spaces_equal(got, solve_operator_matrix(inst))
 
 
 def test_k1_newton_rref_calls_track_singular_steps(monkeypatch):

@@ -3,8 +3,9 @@ kernel at any base index against the operator-matrix reference, every
 engine answer against the independent residual, both routes of
 SeriesMatrix.mul and the batched _matmul_mod against Python-int products,
 the stacked inverse against mat_inv, good_spectrum against the gcd
-criterion it replaced, and the scalar helpers field.powers,
-field.inverses and the QContext tables against Python pow."""
+criterion it replaced, its chi(Y_i) table against Horner at each step
+matrix, and the scalar helpers field.powers, field.inverses and the
+QContext tables against Python pow."""
 
 import numpy as np
 import pytest
@@ -17,13 +18,15 @@ from qdsolve import convolution, instrument, polymat  # noqa: E402
 from qdsolve.dac import DAC_LEAF, dac_solve  # noqa: E402
 from qdsolve.errors import SpectrumError  # noqa: E402
 from qdsolve.field import PrimeField, inverses, powers  # noqa: E402
-from qdsolve.linalg import _matmul_mod, _rref, char_poly, mat_inv, mat_inv_stack  # noqa: E402
+from qdsolve.linalg import (  # noqa: E402
+    _matmul_mod, _rref, char_poly, mat_inv, mat_inv_stack, monic_at, sylvester_tables,
+)
 from qdsolve.newton import newton_solve, pol_coeffs_de  # noqa: E402
 from qdsolve.oracle import _solve_term_by_term, dense_solve, make_instance, residual  # noqa: E402
 from qdsolve.polymat import SeriesMatrix  # noqa: E402
 from qdsolve.series import QContext  # noqa: E402
 from qdsolve.solution import resolve_affine_family, spaces_equal  # noqa: E402
-from qdsolve.spectrum import _pgcd, good_spectrum  # noqa: E402
+from qdsolve.spectrum import _pgcd, good_spectrum, step_chi_table, step_matrices  # noqa: E402
 
 from operator_matrix import solve_operator_matrix  # noqa: E402
 
@@ -372,6 +375,28 @@ def gcd_bad_steps(A0, ctx, N):
     return bad
 
 
+def rigged_a0(gen, ctx, n, i):
+    """A random A0 whose spectrum meets that of the step matrix Y_i, or None
+    when n = 1 and q^i = 1, where no 1 x 1 A0 can be rigged that way.
+
+    Eigenvalues lam and mu = q^i lam - gamma_i (k = 1) or q^i lam sit on the
+    diagonal of a triangular matrix conjugated by a unimodular one."""
+    p = ctx.p
+    qi, g = ctx.qpow(i), ctx.gamma(i) if ctx.k == 1 else 0
+    if n == 1:
+        if (qi - 1) % p == 0:
+            return None
+        return np.array([[g * pow(qi - 1, p - 2, p) % p]], dtype=np.int64)
+    lam = int(gen.integers(0, p))
+    T = np.triu(gen.integers(0, p, (n, n))).astype(object)
+    T[0, 0], T[1, 1] = lam, (qi * lam - g) % p
+    L = np.tril(gen.integers(0, p, (n, n)), -1).astype(object) + np.eye(n, dtype=object)
+    Linv = np.eye(n, dtype=object)
+    for d in range(1, n):  # (Id + E)^(-1) = sum (-E)^d for nilpotent E
+        Linv = Linv + np.linalg.matrix_power(np.eye(n, dtype=object) - L, d)
+    return (L.dot(T).dot(Linv % p) % p).astype(np.int64)
+
+
 @st.composite
 def spectrum_cases(draw):
     """(A0, ctx, N) for k = 1 (any q) or k in {2, 3} with q != 1; A0 random or
@@ -385,23 +410,9 @@ def spectrum_cases(draw):
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     A0 = gen.integers(0, p, (n, n))
     if N > 1 and draw(st.booleans()):
-        # eigenvalues lam and mu = q^i lam - gamma_i (k = 1) or q^i lam, on the
-        # diagonal of a triangular matrix conjugated by a unimodular one
-        i = draw(st.integers(1, N - 1))
-        qi, g = ctx.qpow(i), ctx.gamma(i) if k == 1 else 0
-        if n == 1:
-            if (qi - 1) % p == 0:
-                return A0, ctx, N
-            lam = g * pow(qi - 1, p - 2, p) % p
-            return np.array([[lam]], dtype=np.int64), ctx, N
-        lam = int(gen.integers(0, p))
-        T = np.triu(gen.integers(0, p, (n, n))).astype(object)
-        T[0, 0], T[1, 1] = lam, (qi * lam - g) % p
-        L = np.tril(gen.integers(0, p, (n, n)), -1).astype(object) + np.eye(n, dtype=object)
-        Linv = np.eye(n, dtype=object)
-        for d in range(1, n):  # (Id + E)^(-1) = sum (-E)^d for nilpotent E
-            Linv = Linv + np.linalg.matrix_power(np.eye(n, dtype=object) - L, d)
-        A0 = (L.dot(T).dot(Linv % p) % p).astype(np.int64)
+        rigged = rigged_a0(gen, ctx, n, draw(st.integers(1, N - 1)))
+        if rigged is not None:
+            A0 = rigged
     return A0, ctx, N
 
 
@@ -418,6 +429,55 @@ def test_good_spectrum_matches_gcd_reference(case):
     assert rep.good == (not bad)
     if bad:
         assert rep.reason.endswith(f"i={bad[0]})")
+
+
+@st.composite
+def step_table_cases(draw):
+    """(A0, ctx, N, i) over tiny primes up to 2^31 - 1, k = 1 to 3, q = 1 or
+    random, n <= 6 and N <= 40; i is the step A0 is rigged to make singular,
+    or None.  At p = 3, q^i cycles, and so can gamma_i."""
+    p = draw(st.sampled_from([3, 5, 65521, 2**31 - 1]))
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 6))
+    N = draw(st.integers(1, 40))
+    q = 1 if draw(st.booleans()) else draw(st.integers(2, p - 1))
+    ctx = QContext(PrimeField(p), q, k)
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if N > 1 and draw(st.booleans()):
+        i = draw(st.integers(1, N - 1))
+        A0 = rigged_a0(gen, ctx, n, i)
+        if A0 is not None:
+            return A0, ctx, N, i
+    return gen.integers(0, p, (n, n)), ctx, N, None
+
+
+@settings(max_examples=200, deadline=None)
+@given(step_table_cases())
+def test_step_chi_table_matches_horner_reference(case):
+    # the chi(Y_i) table is one product of reduced coefficient rows against
+    # A0's powers; it must equal chi at each step matrix by Horner, and its
+    # inverses and singular mask what mat_inv_stack makes of that
+    A0, ctx, N, rigged = case
+    p, n = ctx.p, A0.shape[0]
+    chi = char_poly(A0, p)
+    want = monic_at(chi, step_matrices(A0, ctx, 1, N), p)
+    want_inv, want_singular = mat_inv_stack(want, p)
+    if rigged is not None:
+        assert want_singular[rigged - 1]
+    if N > 1:
+        P, _ = sylvester_tables(A0, chi, p)
+        before = instrument.mul_counter.value
+        got = step_chi_table(chi, P, ctx, N)
+        charged = instrument.mul_counter.value - before
+        assert np.array_equal(got, want)
+        # the coefficient rows, then the product with the powers A0^1 .. A0^(n-1)
+        rows = 2 * n - 1 if ctx.k > 1 else n * (n + 1) - 2 + n
+        assert charged == (N - 1) * (rows + n * n * (n - 1))
+    if ctx.k == 1 or ctx.q != 1:
+        rep = good_spectrum(A0, ctx, N)
+        assert rep.steps_singular[0]
+        assert np.array_equal(rep.steps_inv[1:], want_inv)
+        assert np.array_equal(rep.steps_singular[1:], want_singular)
 
 
 @settings(max_examples=60, deadline=None)
