@@ -19,8 +19,7 @@ import sys
 import numpy as np
 
 from . import instrument
-from .bench import ALGORITHMS, case_seed, run_bench, to_csv
-from .dac import dac_solve
+from .bench import ALGORITHMS, _run_algo, case_seed, run_bench, to_csv
 from .errors import (
     InternalInvariantError,
     PreconditionError,
@@ -28,8 +27,7 @@ from .errors import (
     UsageError,
 )
 from .linalg import char_poly
-from .newton import newton_solve
-from .oracle import dense_solve, random_coefficients, residual
+from .oracle import random_coefficients, residual
 from .problemfile import (
     parse_problem,
     parse_solution,
@@ -96,9 +94,7 @@ def _cmd_solve(args) -> int:
     was = instrument.checks_enabled()
     instrument.set_runtime_checks(was or args.checks)
     try:
-        if args.algo == "dense":
-            space = dense_solve(inst)
-        elif args.algo == "dac":
+        if args.algo == "dac":
             R = singular_indices(char_poly(inst.A.coefficient_array(0), inst.p), inst.ctx, inst.N)
             if len(R) > 1:
                 print(
@@ -106,9 +102,7 @@ def _cmd_solve(args) -> int:
                     "the divide-and-conquer cost bound assumes at most one",
                     file=sys.stderr,
                 )
-            space = dac_solve(inst.A, inst.C, inst.N, inst.ctx)
-        else:
-            space = newton_solve(inst.A, inst.C, inst.N, inst.ctx)
+        space = _run_algo(args.algo, inst)
     finally:
         instrument.set_runtime_checks(was)
     text = serialize_solution(space, inst.p, inst.n, inst.N)

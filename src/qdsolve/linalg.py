@@ -284,8 +284,7 @@ def sylvester_tables(V: np.ndarray, chi: list[int], p: int) -> tuple[np.ndarray,
 
 def sylvester_solve(
     Y, V: np.ndarray, Z: np.ndarray, p: int,
-    chi_v: list[int] | None = None, m_inv: np.ndarray | None = None,
-    tables: tuple[np.ndarray, np.ndarray] | None = None,
+    m_inv: np.ndarray, tables: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """The unique X with Y X - X V = Z, by the Cayley-Hamilton identity.
 
@@ -299,34 +298,27 @@ def sylvester_solve(
 
         chi_V(Y) X = S = sum_a Y^a Z D_a,   D_a = sum_l c_(a+l+1) V^l.
 
-    The D_a are polynomials in V alone (``sylvester_tables``), so all the
-    Z D_a are one product with the table [D_0 | ... | D_(n-2)], and
-    Z D_(n-1) = Z.  For a matrix Y, S is then Horner in Y, n - 1 products.
-    For Y = s V, S = Z D_0 + [V^1 | ... | V^(n-1)] times the stacked
-    s^a Z D_a, a >= 1: one product.  X is chi_V(Y)^(-1) S, one more.
-    chi_V(Y) is invertible exactly when Spec(Y) and Spec(V) are disjoint;
-    otherwise this raises ValueError.  Each member costs O(n^4) and no
-    eigenvalues are needed, so it works over any field.  chi_v, when
-    given, must be char_poly(V), m_inv chi_V(Y)^(-1) and tables
-    sylvester_tables(V, chi_v, p); callers solving many steps against
-    one V pass them to skip recomputing them.
+    The D_a are polynomials in V alone, so all the Z D_a are one product
+    with the table [D_0 | ... | D_(n-2)], and Z D_(n-1) = Z.  For a matrix
+    Y, S is then Horner in Y, n - 1 products.  For Y = s V,
+    S = Z D_0 + [V^1 | ... | V^(n-1)] times the stacked s^a Z D_a, a >= 1:
+    one product.  X is chi_V(Y)^(-1) S, one more.  Each member costs
+    O(n^4) and no eigenvalues are needed, so it works over any field.
+
+    m_inv must be chi_V(Y)^(-1), shaped like Z, and tables
+    sylvester_tables(V, char_poly(V), p); a caller solving many steps
+    against one V forms both once.  chi_V(Y) is invertible exactly when
+    Spec(Y) and Spec(V) are disjoint, which the singular mask of the
+    ``mat_inv_stack`` that forms m_inv decides.
     """
     n = V.shape[0]
     batch = Z.shape[:-2]
     scaled = np.shape(Y) == batch
     if V.shape != (n, n) or Z.shape[-2:] != (n, n) or not (scaled or np.shape(Y) == Z.shape):
         raise ValueError("Sylvester solve needs equally sized square matrices")
-    c = char_poly(V, p) if chi_v is None else chi_v
-    P, D = sylvester_tables(V, c, p) if tables is None else tables
+    P, D = tables
     if scaled:
         s = np.asarray(Y, dtype=_INT64)
-    if m_inv is None:
-        if scaled:
-            instrument.mul_counter.add(math.prod(batch) * n * n)
-            Y = s[..., None, None] * V % p
-        m_inv, singular = mat_inv_stack(monic_at(c, Y, p), p)
-        if singular.any():
-            raise ValueError("Sylvester system is singular: spectra of Y and V intersect")
     S = Z
     if n > 1:
         ZD = _matmul_mod(Z, D[:, : (n - 1) * n], p)  # [Z D_0 | ... | Z D_(n-2)]

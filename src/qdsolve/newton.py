@@ -52,8 +52,6 @@ only on the window where the residual and the update are supported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import instrument
@@ -69,25 +67,23 @@ from .spectrum import SpectrumReport, diagonalize, good_spectrum, step_matrices
 _INT64 = np.int64
 
 
-@dataclass
-class AssociatedData:
-    """Polynomial data (B, V) of degree < k with A sigma(V) = V B mod x^k."""
+def choose_associated(
+    A: SeriesMatrix, ctx: QContext, chi: list[int]
+) -> tuple[SeriesMatrix, SeriesMatrix]:
+    """Polynomials (B, V) of degree < k with A sigma(V) = V B mod x^k.
 
-    B: SeriesMatrix
-    V: SeriesMatrix
-
-
-def choose_associated(A: SeriesMatrix, ctx: QContext, chi: list[int]) -> AssociatedData:
-    """B = A mod x^k with V = Id, except in the differential case with
+    B = A mod x^k with V = Id, except in the differential case with
     k > 1 where the splitting construction is required.  chi is the
     characteristic polynomial from A_0's good spectrum report."""
     k = ctx.k
     if k == 1 or ctx.q != 1:
-        return AssociatedData(A.truncate(k), SeriesMatrix.identity(A.p, A.rows, k))
+        return A.truncate(k), SeriesMatrix.identity(A.p, A.rows, k)
     return splitting_lemma(A, ctx, chi)
 
 
-def splitting_lemma(A: SeriesMatrix, ctx: QContext, chi: list[int]) -> AssociatedData:
+def splitting_lemma(
+    A: SeriesMatrix, ctx: QContext, chi: list[int]
+) -> tuple[SeriesMatrix, SeriesMatrix]:
     """Diagonal polynomial B and V with V_0 invertible, A V = V B mod x^k.
 
     Needs k > 1, q = 1 and A_0 with n distinct eigenvalues in K; chi is
@@ -98,7 +94,9 @@ def splitting_lemma(A: SeriesMatrix, ctx: QContext, chi: list[int]) -> Associate
     if k <= 1 or ctx.q != 1:
         raise ValueError("splitting construction applies to q = 1 and k > 1 only")
     P, roots = diagonalize(A.coefficient_array(0), chi, p)
-    D = A.truncate(k).lmul_const(mat_inv(P, p)).rmul_const(P)
+    # P and P^(-1) as one-plane series, so each product with them is one _matmul_mod
+    Pc = SeriesMatrix(p, P[:, :, None], k)
+    D = SeriesMatrix(p, mat_inv(P, p)[:, :, None], k).mul(A.truncate(k)).mul(Pc)
     # 1 / (root_l - root_m) off the diagonal; its zero diagonal keeps V_i's zero
     inv_diff = np.zeros((n, n), dtype=_INT64)
     rows, cols = np.nonzero(~np.eye(n, dtype=bool))
@@ -122,10 +120,10 @@ def splitting_lemma(A: SeriesMatrix, ctx: QContext, chi: list[int]) -> Associate
         instrument.mul_counter.add(n * n)
         Vt[:, :, i] = delta_i * inv_diff % p
     B = SeriesMatrix(p, Bc, k)
-    V = SeriesMatrix(p, Vt, k).lmul_const(P)
+    V = Pc.mul(SeriesMatrix(p, Vt, k))
     if A.truncate(k).mul(V, k) != V.mul(B, k):
         raise InternalInvariantError("splitting construction residual nonzero")
-    return AssociatedData(B, V)
+    return B, V
 
 
 def pol_coeffs_de(P: SeriesMatrix, Q: SeriesMatrix, N: int, ctx: QContext) -> SolutionSpace | None:
@@ -182,7 +180,7 @@ def diff_sylvester(
         if Lg > m:
             Z[: Lg - m] = (-Gd[:, :, m:]).transpose(2, 0, 1) % p
         Y = step_matrices(B0, ctx, m, N)
-        X = sylvester_solve(Y, B0, Z, p, rep.chi, rep.steps_inv[m:N], tables=rep.tables)
+        X = sylvester_solve(Y, B0, Z, p, rep.steps_inv[m:N], rep.tables)
         U = np.zeros((n, n, N), dtype=_INT64)
         U[:, :, m:] = X.transpose(1, 2, 0)
         return SeriesMatrix(p, U, N)
@@ -206,7 +204,7 @@ def diff_sylvester(
             instrument.mul_counter.add(n * n)
             t = (i - k + 1) * n
             C = C - gam[i - k + 1] * Uc[:, t : t + n] % p
-        X = sylvester_solve(qp[i], B0, (-C) % p, p, rep.chi, rep.steps_inv[i], tables=rep.tables)
+        X = sylvester_solve(qp[i], B0, (-C) % p, p, rep.steps_inv[i], rep.tables)
         Uc[:, i * n : (i + 1) * n] = X
         if K and i + 1 < N:
             instrument.mul_counter.add(n * n)
@@ -327,7 +325,7 @@ def _newton_ae_impl(
         need = target - mprev
         Winv = Wp.inv_newton(need, Winv, inv_valid)
         inv_valid = max(inv_valid, need)
-        Gh = Winv.as_poly_prec(need).truncate(need).mul(Rh, need)
+        Gh = Winv.as_poly_prec(need).mul(Rh, need)
         Gamma = (-Gh).shift(mprev).truncate(target)
         if differential:
             U = diff_sylvester_differential(Gamma, B, mprev, target, ctx)
@@ -384,12 +382,12 @@ def newton_solve(A: SeriesMatrix, C: SeriesMatrix, N: int, ctx: QContext) -> Sol
     # coefficients of A beyond x^N never reach the truncated solution, so
     # lifting by zeros is sound when N < k
     At = A.truncate(N).as_poly_prec(max(N, ctx.k))
-    assoc = choose_associated(At, ctx, rep.chi)
+    B, V = choose_associated(At, ctx, rep.chi)
     # B0 is A0 unless k > 1 and q = 1, where diff_sylvester is not used
-    W, Winv, inv_valid = _newton_ae_impl(At, assoc.B, assoc.V, N, ctx, rep)
-    Wp = W.as_poly_prec(N) if W.prec < N else W.truncate(N)
+    W, Winv, inv_valid = _newton_ae_impl(At, B, V, N, ctx, rep)
+    Wp = W.as_poly_prec(N)
     Gamma = _lift_column(Wp, C.truncate(N), N, Winv, inv_valid)
-    sol = pol_coeffs_de(assoc.B, Gamma, N, ctx)
+    sol = pol_coeffs_de(B, Gamma, N, ctx)
     if sol is None:
         return None
     return SolutionSpace(Wp.mul(sol.particular, N), Wp.mul(sol.basis, N))

@@ -41,10 +41,13 @@ from .field import PrimeField
 from .linalg import _affine_solve, _matmul_mod, mat_inv, mat_inv_stack
 from .polymat import SeriesMatrix
 from .series import QContext
-from .solution import SolutionSpace, resolve_affine_family, spaces_equal  # noqa: F401
+from .solution import SolutionSpace, resolve_affine_family
 from .spectrum import good_spectrum, step_matrices
 
 _INT64 = np.int64
+
+# constant matrices drawn for a good-spectrum instance before giving up
+SPECTRUM_DRAWS = 500
 
 
 @dataclass
@@ -280,7 +283,6 @@ def random_coefficients(
     k: int,
     q_mode: str | int = "one",
     require_good_spectrum: bool = False,
-    max_retries: int = 500,
 ) -> tuple[QContext, SeriesMatrix, SeriesMatrix]:
     """(ctx, A, C) of a uniform random instance of order k >= 0, deterministic
     in the seed (counter-based generator).
@@ -289,7 +291,8 @@ def random_coefficients(
     q.  ctx is the context the instance is solved in: (q, k), or (q, 1)
     for k = 0, whose instances are solved through the order-1 reduction.
     With require_good_spectrum and k >= 1 the constant coefficient of A is
-    rejection-sampled until the good-spectrum test passes; for k = 0 the
+    rejection-sampled until the good-spectrum test passes, and after
+    SPECTRUM_DRAWS failed draws this raises PreconditionError; for k = 0 the
     reduced instance has zero constant matrix, whose spectrum test reduces
     to the gamma conditions, so there is nothing to reject on.
     """
@@ -307,13 +310,12 @@ def random_coefficients(
     Adata = gen.integers(0, p, size=(n, n, N), dtype=np.int64)
     Cdata = gen.integers(0, p, size=(n, 1, N), dtype=np.int64)
     if require_good_spectrum and k >= 1:
-        for attempt in range(max_retries + 1):
-            rep = good_spectrum(Adata[:, :, 0], ctx, N)
-            if rep.good:
+        for draw in range(1, SPECTRUM_DRAWS + 1):
+            if good_spectrum(Adata[:, :, 0], ctx, N).good:
                 break
-            if attempt == max_retries:
+            if draw == SPECTRUM_DRAWS:
                 raise PreconditionError(
-                    f"no good-spectrum constant matrix found in {max_retries} draws"
+                    f"no good-spectrum constant matrix found in {SPECTRUM_DRAWS} draws"
                 )
             Adata[:, :, 0] = gen.integers(0, p, size=(n, n), dtype=np.int64)
     return ctx, SeriesMatrix(p, Adata, N), SeriesMatrix(p, Cdata, N)
@@ -327,10 +329,7 @@ def random_instance(
     k: int,
     q_mode: str | int = "one",
     require_good_spectrum: bool = False,
-    max_retries: int = 500,
 ) -> ProblemInstance:
     """The instance drawn by random_coefficients; k = 0 is returned reduced."""
-    ctx, A, C = random_coefficients(seed, p, n, N, k, q_mode, require_good_spectrum, max_retries)
-    if k == 0:
-        A, C, N, _ = reduce_k0(A, C, N)
-    return ProblemInstance(ctx.field, ctx, n, N, A, C)
+    ctx, A, C = random_coefficients(seed, p, n, N, k, q_mode, require_good_spectrum)
+    return make_instance(p, ctx.q, k, n, N, A, C)

@@ -14,10 +14,12 @@ the window.  Otherwise each (row, inner, col) triple is one windowed
 ``conv_trunc`` call, which picks the direct convolution or, for long
 products, the exact float-FFT limb product, and forms only the
 coefficients the window needs (a middle product when lo > 0).
-Every summand is a canonical residue below p < 2^31 and there are fewer
-than 2^31 of them, so the accumulators stay below 2^62 and are reduced
-once.  Both routes charge the field multiplications of the products they
-form, never more than the rows * inner * cols * La * Lb of full products.
+A constant matrix is a one-plane operand, so a product with it is one
+``_matmul_mod`` on the first route.  Every summand is a canonical residue
+below p < 2^31 and there are fewer than 2^31 of them, so the accumulators
+stay below 2^62 and are reduced once.  Both routes charge the field
+multiplications of the products they form, never more than the
+rows * inner * cols * La * Lb of full products.
 Newton inversion (``inv_newton``) asks only for the window above the
 precision it has reached; on the shift-batched route a doubling step
 then charges half of the two full products it replaces.
@@ -229,24 +231,6 @@ class SeriesMatrix:
                         acc[: len(c)] += c
                     out[i, j] = acc % p
         return SeriesMatrix._mk(p, _trim3(out), n - lo)
-
-    def lmul_const(self, M: np.ndarray) -> "SeriesMatrix":
-        """Constant matrix (canonical int64 array) times series matrix."""
-        if M.shape[1] != self.rows:
-            raise ValueError("dimension mismatch")
-        L = self.data.shape[2]
-        flat = self.data.reshape(self.rows, self.cols * L)
-        out = _matmul_mod(M, flat, self.p).reshape(M.shape[0], self.cols, L)
-        return SeriesMatrix._mk(self.p, _trim3(out), self.prec)
-
-    def rmul_const(self, M: np.ndarray) -> "SeriesMatrix":
-        """Series matrix times constant matrix (canonical int64 array)."""
-        if self.cols != M.shape[0]:
-            raise ValueError("dimension mismatch")
-        L = self.data.shape[2]
-        tmp = np.swapaxes(self.data, 1, 2).reshape(self.rows * L, self.cols)
-        out = np.swapaxes(_matmul_mod(tmp, M, self.p).reshape(self.rows, L, M.shape[1]), 1, 2)
-        return SeriesMatrix._mk(self.p, _trim3(np.ascontiguousarray(out)), self.prec)
 
     def delta(self, ctx) -> "SeriesMatrix":
         if self.prec == 0:

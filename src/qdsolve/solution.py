@@ -95,7 +95,8 @@ def resolve_affine_family(family: SeriesMatrix, cons: list[np.ndarray]) -> Solut
     sol = lin_solve(coeffs, const, p)
     if sol is None:
         return None
-    blocks = family.col_slice(1, family.cols)
-    particular = family.col(0) + blocks.rmul_const(sol.particular)
-    basis = blocks.rmul_const(sol.nullspace)
+    blocks, prec = family.col_slice(1, family.cols), family.prec
+    # the constant matrices as one-plane series: each product is one _matmul_mod
+    particular = family.col(0) + blocks.mul(SeriesMatrix(p, sol.particular[:, :, None], prec))
+    basis = blocks.mul(SeriesMatrix(p, sol.nullspace[:, :, None], prec))
     return SolutionSpace(particular, basis)

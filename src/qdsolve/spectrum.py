@@ -163,28 +163,19 @@ def step_chi_table(chi: list[int], P: np.ndarray, ctx, N: int) -> np.ndarray:
     """chi(Y_i) for the step matrices Y_i, 1 <= i < N, stacked along axis 0.
 
     chi = char_poly(A0) and P = [A0^0 | ... | A0^(n-1)].  chi(Y_i) is g_i(A0)
-    for g_i = chi(q^i x - gamma_i) (k = 1) or chi(q^i x) (k > 1), and by
+    for g_i = chi(a_i x + b_i), a_i = q^i, with b_i = -gamma_i for k = 1 and
+    b_i = 0 for k > 1; g_i comes from Horner in the composed polynomial.  By
     Cayley-Hamilton g_i may be reduced mod chi first; its leading
-    coefficient is q^(in), so the reduction is g_i - q^(in) chi.  For
-    k > 1 the entry on x^m is c_m (q^(im) - q^(in)); for k = 1, g_i comes
-    from Horner in the composed polynomial.  The reduced rows, an
-    (N - 1) x n table, then go through one ``poly_at``.
+    coefficient is q^(in), so the reduction is g_i - q^(in) chi.  The
+    reduced rows, an (N - 1) x n table, then go through one ``poly_at``.
     """
     p, n = ctx.p, len(chi) - 1
     charge = instrument.mul_counter.add
     c = np.array(chi, dtype=_INT64)
-    a = ctx.qpow_slice(N)[1:]  # q^i
-    if ctx.k > 1:
-        qm = np.empty((N - 1, n + 1), dtype=_INT64)  # q^(im), m = 0 .. n
-        qm[:, 0], qm[:, 1] = 1, a
-        for m in range(2, n + 1):
-            qm[:, m] = qm[:, m - 1] * a % p
-        charge((N - 1) * (2 * n - 1))
-        T = c[:n] * (qm[:, :n] - qm[:, n:]) % p
-        return poly_at(T, P, p)
-    # g = chi(a x + b), b = -gamma_i: g = 1, then g = g (a x + b) + c_j for
-    # j = n-1 .. 0, where the first step, 1 (a x + b), needs no product
-    a, b = a[:, None], (p - ctx.gamma_slice(N)[1:, None]) % p
+    a = ctx.qpow_slice(N)[1:, None]
+    b = (p - ctx.gamma_slice(N)[1:, None]) % p if ctx.k == 1 else np.zeros_like(a)
+    # g = 1, then g = g (a x + b) + c_j for j = n-1 .. 0, where the first
+    # step, 1 (a x + b), needs no product
     g = np.hstack([(b + c[n - 1]) % p, a])
     for j in range(n - 2, -1, -1):
         charge((N - 1) * 2 * g.shape[1])

@@ -158,31 +158,31 @@ def test_A2_and_A5_engine_agreement_and_newton_invariants():
         # A5: the Newton machinery invariants on the same instance
         ctx, N, k = inst.ctx, inst.N, inst.k
         At = inst.A.truncate(N).as_poly_prec(max(N, k))
-        assoc = choose_associated(At, ctx, good_spectrum(At.coefficient_array(0), ctx, N).chi)
-        W = newton_ae(At, assoc.B, assoc.V, N, ctx)
+        B, V = choose_associated(At, ctx, good_spectrum(At.coefficient_array(0), ctx, N).chi)
+        W = newton_ae(At, B, V, N, ctx)
         Wp = W.as_poly_prec(max(N, W.prec))
         res = (
             Wp.delta(ctx).shift(k).truncate(N)
             - At.truncate(N).mul(Wp.sigma(ctx).truncate(N), N)
-            + Wp.truncate(N).mul(assoc.B.as_poly_prec(N), N)
+            + Wp.truncate(N).mul(B.as_poly_prec(N), N)
         )
         assert res.is_zero(), f"A5 residual nonzero on instance {idx}"
         mat_inv(W.coefficient_array(0), inst.p)  # det W0 != 0
         if k == 1 or ctx.q != 1:
-            kk = min(k, W.prec, assoc.V.prec)
-            assert W.truncate(kk) == assoc.V.truncate(kk)
+            kk = min(k, W.prec, V.prec)
+            assert W.truncate(kk) == V.truncate(kk)
         else:
             # differential branch: the diagonal corrections have valuation
             # m - k + 1, which is 1 at the bottom level, so only the
             # constant term of the seed survives; the splitting data must
             # satisfy its own contract
-            assert np.array_equal(W.coefficient_array(0), assoc.V.coefficient_array(0))
-            assert At.truncate(k).mul(assoc.V, k) == assoc.V.mul(assoc.B, k)
-            off = assoc.B.data.copy()
+            assert np.array_equal(W.coefficient_array(0), V.coefficient_array(0))
+            assert At.truncate(k).mul(V, k) == V.mul(B, k)
+            off = B.data.copy()
             for i in range(inst.n):
                 off[i, i, :] = 0
             assert not np.any(off), "B not diagonal"
-            mat_inv(assoc.V.coefficient_array(0), inst.p)
+            mat_inv(V.coefficient_array(0), inst.p)
         a5_checked += 1
     singular = _a2_singular_instances()
     for idx, inst in enumerate(singular):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import qdsolve
-from qdsolve import cli
+from qdsolve import bench
 from qdsolve.cli import main
 from qdsolve.errors import InternalInvariantError
 from qdsolve.polymat import SeriesMatrix
@@ -184,7 +184,7 @@ def test_solve_internal_invariant_exit_3(tmp_path, monkeypatch):
     def broken(inst):
         raise InternalInvariantError("injected")
 
-    monkeypatch.setattr(cli, "dense_solve", broken)
+    monkeypatch.setattr(bench, "dense_solve", broken)
     prob = tmp_path / "p.prob"
     prob.write_text(EXP_PROBLEM)
     code, out, err = run_cli(["solve", str(prob), "--algo", "dense"])

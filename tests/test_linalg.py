@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from qdsolve import instrument
-from qdsolve.linalg import _matmul_mod, char_poly, lin_solve, mat_inv, sylvester_solve, sylvester_tables
+from qdsolve.linalg import (
+    _matmul_mod, char_poly, lin_solve, mat_inv, mat_inv_stack, monic_at, sylvester_solve,
+    sylvester_tables,
+)
 from qdsolve.polymat import SeriesMatrix
 
 
@@ -100,23 +103,35 @@ def test_cayley_hamilton_random():
             assert not acc.any()
 
 
+def _sylvester(Y, V, Z, p):
+    """sylvester_solve(Y, V, Z) given V's tables and the mat_inv_stack
+    inverse of chi_V(Y), the inputs good_spectrum reports; None when the
+    singular mask shows that Spec(Y) and Spec(V) intersect.  Y with fewer
+    than two axes holds the scalars s of Y = s V."""
+    chi = char_poly(V, p)
+    Ym = np.asarray(Y, dtype=np.int64)[..., None, None] * V % p if np.ndim(Y) < 2 else Y
+    m_inv, singular = mat_inv_stack(monic_at(chi, Ym, p), p)
+    if singular.any():
+        return None
+    return sylvester_solve(Y, V, Z, p, m_inv, sylvester_tables(V, chi, p))
+
+
 def test_sylvester_examples():
     p = 101
     # scalar: Y = 0, V = 1 -> -X = Z
-    X = sylvester_solve(zeros(1, 1), eye(1), mat(p, [[13]]), p)
+    X = _sylvester(zeros(1, 1), eye(1), mat(p, [[13]]), p)
     assert np.array_equal(X, mat(p, [[-13]]))
 
     Y = diag(p, [1, 2])
     V = diag(p, [3, 4])
     Z = mat(p, [[1, 1], [1, 1]])
-    X = sylvester_solve(Y, V, Z, p)
+    X = _sylvester(Y, V, Z, p)
     # entrywise oracle for diagonal Y, V: X[i][j] = Z[i][j] / (y_i - v_j)
     want = [[pow((1 - 3) % p, p - 2, p), pow((1 - 4) % p, p - 2, p)],
             [pow((2 - 3) % p, p - 2, p), pow((2 - 4) % p, p - 2, p)]]
     assert np.array_equal(X, mat(p, want))
 
-    with pytest.raises(ValueError):
-        sylvester_solve(eye(2), eye(2), mat(p, [[1, 0], [0, 0]]), p)
+    assert _sylvester(eye(2), eye(2), mat(p, [[1, 0], [0, 0]]), p) is None
 
 
 def test_sylvester_random_verified():
@@ -129,9 +144,8 @@ def test_sylvester_random_verified():
                 Y = _rand_matrix(rng, p, n)
                 V = _rand_matrix(rng, p, n)
                 Z = _rand_matrix(rng, p, n)
-                try:
-                    X = sylvester_solve(Y, V, Z, p)
-                except ValueError:
+                X = _sylvester(Y, V, Z, p)
+                if X is None:
                     continue
                 assert np.array_equal((mm(Y, X, p) - mm(X, V, p)) % p, Z)
     finally:
@@ -182,16 +196,12 @@ def _shared_eigenvalue_pair(rng, p, n):
 
 
 def _check_sylvester(Y, V, Z, p, want):
-    """sylvester_solve(Y, V, Z) is want, with and without V's precomputed
-    chi and tables; want None means the system is singular and must raise."""
-    chi = char_poly(V, p)
-    tables = sylvester_tables(V, chi, p)
-    for extra in ((), (chi,), (chi, None, tables)):
-        if want is None:
-            with pytest.raises(ValueError, match="spectra"):
-                sylvester_solve(Y, V, Z, p, *extra)
-        else:
-            assert np.array_equal(sylvester_solve(Y, V, Z, p, *extra), want)
+    """_sylvester(Y, V, Z) is want; want None means the system is singular."""
+    got = _sylvester(Y, V, Z, p)
+    if want is None:
+        assert got is None
+    else:
+        assert np.array_equal(got, want)
 
 
 def test_sylvester_matches_kronecker_reference():
@@ -275,12 +285,13 @@ def test_matmul_mod_limb_split(p, extra):
         assert instrument.mul_counter.value - before == 2 * inner * 3
         # object arrays multiply in Python ints, which cannot overflow
         assert got.tolist() == (a.astype(object) @ b.astype(object) % p).tolist(), inner
-    # the constant products of series matrices go through the same kernel
+    # the products of series matrices with a constant one go through the same kernel
     A = SeriesMatrix(p, rng.integers(0, p, (3, 3, 2)), 2)
     M = rng.integers(0, p, (3, 3))
+    Mc = SeriesMatrix(p, M[:, :, None], 2)
     for d in range(2):
         Ad = A.data[:, :, d].astype(object)
-        left = A.lmul_const(M).data[:, :, d]
-        right = A.rmul_const(M).data[:, :, d]
+        left = Mc.mul(A).data[:, :, d]
+        right = A.mul(Mc).data[:, :, d]
         assert left.tolist() == (M.astype(object) @ Ad % p).tolist()
         assert right.tolist() == (Ad @ M.astype(object) % p).tolist()

@@ -107,23 +107,23 @@ def test_splitting_lemma_examples():
     # constant diagonal A: V = Id, B = A
     A = SeriesMatrix(p, np.array([[[1], [0]], [[0], [2]]], dtype=np.int64), 2)
     chi = good_chi(A, ctx)
-    out = splitting_lemma(A, ctx, chi)
-    assert out.V == SeriesMatrix.identity(p, 2, 2)
-    assert out.B == A.truncate(2)
+    B, V = splitting_lemma(A, ctx, chi)
+    assert V == SeriesMatrix.identity(p, 2, 2)
+    assert B == A.truncate(2)
 
     # A0 = diag(1,2), A1 = [[0,1],[1,0]]: B = diag, V = Id + x[[0,1],[-1,0]]
     data = np.zeros((2, 2, 2), dtype=np.int64)
     data[:, :, 0] = [[1, 0], [0, 2]]
     data[:, :, 1] = [[0, 1], [1, 0]]
     A = SeriesMatrix(p, data, 2)
-    out = splitting_lemma(A, ctx, chi)  # A0 is unchanged, and so is chi
-    assert out.B == A.truncate(1).as_poly_prec(2)  # B = diag(1,2), B_1 = 0
+    B, V = splitting_lemma(A, ctx, chi)  # A0 is unchanged, and so is chi
+    assert B == A.truncate(1).as_poly_prec(2)  # B = diag(1,2), B_1 = 0
     want_v = np.zeros((2, 2, 2), dtype=np.int64)
     want_v[:, :, 0] = np.eye(2)
     want_v[:, :, 1] = [[0, 1], [-1 % p, 0]]
-    assert out.V == SeriesMatrix(p, want_v, 2)
+    assert V == SeriesMatrix(p, want_v, 2)
     # defining relation
-    assert A.mul(out.V, 2) == out.V.mul(out.B, 2)
+    assert A.mul(V, 2) == V.mul(B, 2)
 
     # a defective A0 fails good_spectrum (test_spectrum), so no chi reaches
     # this far; the construction itself refuses the other equation classes
@@ -148,14 +148,14 @@ def test_splitting_lemma_random_postconditions():
         rep = good_spectrum(A.coefficient_array(0), ctx, A.prec)
         if not rep.good:
             continue
-        out = splitting_lemma(A, ctx, rep.chi)
+        B, V = splitting_lemma(A, ctx, rep.chi)
         hits += 1
-        assert A.truncate(k).mul(out.V, k) == out.V.mul(out.B, k)
-        offdiag = out.B.data.copy()
+        assert A.truncate(k).mul(V, k) == V.mul(B, k)
+        offdiag = B.data.copy()
         for i in range(n):
             offdiag[i, i, :] = 0
         assert not np.any(offdiag)  # B diagonal
-        mat_inv(out.V.coefficient_array(0), p)  # V0 invertible
+        mat_inv(V.coefficient_array(0), p)  # V0 invertible
 
 
 def test_choose_associated_branches():
@@ -163,16 +163,16 @@ def test_choose_associated_branches():
     # k=1: B = A0, V = Id
     ctx = QContext(P101, 5, 1)
     A = sm(p, [[[3, 1, 4]]], 3)
-    out = choose_associated(A, ctx, good_chi(A, ctx))
-    assert out.B == A.truncate(1) and out.V == SeriesMatrix.identity(p, 1, 1)
+    B, V = choose_associated(A, ctx, good_chi(A, ctx))
+    assert B == A.truncate(1) and V == SeriesMatrix.identity(p, 1, 1)
     # k=3, q != 1: B = A mod x^3, V = Id
     ctx = QContext(P101, 5, 3)
-    out = choose_associated(A, ctx, good_chi(A, ctx))
-    assert out.B == A.truncate(3) and out.V == SeriesMatrix.identity(p, 1, 3)
+    B, V = choose_associated(A, ctx, good_chi(A, ctx))
+    assert B == A.truncate(3) and V == SeriesMatrix.identity(p, 1, 3)
     # k=3, q = 1: the splitting construction, B diagonal of degree < k
     ctx = QContext(P101, 1, 3)
-    out = choose_associated(A, ctx, good_chi(A, ctx))
-    assert out.B == A.truncate(3) and out.V == SeriesMatrix.identity(p, 1, 3)
+    B, V = choose_associated(A, ctx, good_chi(A, ctx))
+    assert B == A.truncate(3) and V == SeriesMatrix.identity(p, 1, 3)
 
 
 def test_diff_sylvester_scalar_example():
@@ -467,18 +467,18 @@ def test_newton_ae_postconditions_random():
         inst = random_instance(8000 + trial, p, n, N, k, q_mode, require_good_spectrum=True)
         ctx = inst.ctx
         At = inst.A.truncate(N).as_poly_prec(max(N, k))
-        assoc = choose_associated(At, ctx, good_spectrum(At.coefficient_array(0), ctx, N).chi)
-        W = newton_ae(At, assoc.B, assoc.V, N, ctx)
+        B, V = choose_associated(At, ctx, good_spectrum(At.coefficient_array(0), ctx, N).chi)
+        W = newton_ae(At, B, V, N, ctx)
         # residual of the associated equation and det W0 != 0, all branches
-        assert associated_residual(inst.A, assoc.B, W, min(N, W.prec), ctx).is_zero()
+        assert associated_residual(inst.A, B, W, min(N, W.prec), ctx).is_zero()
         if k == 1 or ctx.q != 1:
             # here every correction vanishes mod x^m with m >= k
-            kk = min(k, W.prec, assoc.V.prec)
-            assert W.truncate(kk) == assoc.V.truncate(kk)
+            kk = min(k, W.prec, V.prec)
+            assert W.truncate(kk) == V.truncate(kk)
         else:
             # the differential corrections reach down to degree 1; the
             # constant term is the surviving congruence with the seed
-            assert np.array_equal(W.coefficient_array(0), assoc.V.coefficient_array(0))
+            assert np.array_equal(W.coefficient_array(0), V.coefficient_array(0))
         mat_inv(W.coefficient_array(0), p)
 
 
@@ -531,8 +531,8 @@ def test_gauge_equivalence_both_directions():
         inst = random_instance(9000 + trial, p, n, N, k, "random", require_good_spectrum=True)
         ctx = inst.ctx
         At = inst.A.truncate(N).as_poly_prec(max(N, k))
-        assoc = choose_associated(At, ctx, good_spectrum(At.coefficient_array(0), ctx, N).chi)
-        W = newton_ae(At, assoc.B, assoc.V, N, ctx).as_poly_prec(N)
+        B, V = choose_associated(At, ctx, good_spectrum(At.coefficient_array(0), ctx, N).chi)
+        W = newton_ae(At, B, V, N, ctx).as_poly_prec(N)
         Winv = W.inv_newton(N)
         sol = solve_operator_matrix(inst)
         if sol is None:
@@ -542,7 +542,7 @@ def test_gauge_equivalence_both_directions():
         # gauged residual: x^k delta(Y) - B sigma(Y) - W^(-1) C
         gauged = (
             Y.delta(ctx).shift(k).truncate(N)
-            - assoc.B.as_poly_prec(N).mul(Y.sigma(ctx), N)
+            - B.as_poly_prec(N).mul(Y.sigma(ctx), N)
             - Winv.mul(inst.C, N)
         )
         assert gauged.is_zero()
@@ -822,8 +822,8 @@ def test_ladder_checks_low_part_with_runtime_checks(monkeypatch):
     A, ctx, p = inst.A.truncate(2).as_poly_prec(N), inst.ctx, inst.p
     assert newton._newton_ladder(N, 1)[-3:] == [c, 2 * c, N]
     want = oracle.dense_solve(ProblemInstance(inst.field, ctx, 3, N, A, inst.C))
-    assoc = choose_associated(A, ctx, char_poly(A.coefficient_array(0), p))
-    Winv = newton_ae(A, assoc.B, assoc.V, N, ctx).inv_newton(N)
+    B, V = choose_associated(A, ctx, char_poly(A.coefficient_array(0), p))
+    Winv = newton_ae(A, B, V, N, ctx).inv_newton(N)
     eps = np.arange(1, 10, dtype=np.int64).reshape(3, 3)
     real = newton.diff_sylvester
 
@@ -831,7 +831,7 @@ def test_ladder_checks_low_part_with_runtime_checks(monkeypatch):
         U = real(Gamma, B, m, target, ctx_, rep)
         if target != 2 * c:
             return U
-        return U + Winv.truncate(target - c).rmul_const(eps).shift(c)
+        return U + Winv.truncate(target - c).mul(SeriesMatrix(p, eps[:, :, None], target - c)).shift(c)
 
     monkeypatch.setattr(newton, "diff_sylvester", corrupt)
     instrument.set_runtime_checks(True)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qdsolve import oracle
 from qdsolve.errors import PreconditionError
 from qdsolve.field import PrimeField
 from qdsolve.oracle import (
@@ -234,6 +235,18 @@ def test_random_instance_good_spectrum():
     for seed in range(8):
         inst = random_instance(seed, 134217757, 3, 12, 2, "one", require_good_spectrum=True)
         assert good_spectrum(inst.A.coefficient_array(0), inst.ctx, inst.N).good
+
+
+def test_random_coefficients_reports_the_draws_it_made(monkeypatch):
+    # at p = 3 and q = 1, gamma_3 = 0 makes Y_3 = A0, and chi(A0) = 0 is
+    # singular for every constant matrix, so every draw fails; the error
+    # names as many draws as were tested
+    tested = []
+    real = oracle.good_spectrum
+    monkeypatch.setattr(oracle, "good_spectrum", lambda *a: tested.append(1) or real(*a))
+    with pytest.raises(PreconditionError, match=f"in {oracle.SPECTRUM_DRAWS} draws"):
+        oracle.random_coefficients(0, 3, 2, 10, 1, "one", require_good_spectrum=True)
+    assert len(tested) == oracle.SPECTRUM_DRAWS
 
 
 def test_instance_validation():

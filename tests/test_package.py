@@ -1,10 +1,16 @@
 import ast
 import importlib
+import importlib.util
 import inspect
 import re
+import sys
 from pathlib import Path
 
 import qdsolve
+from qdsolve import instrument
+from qdsolve.oracle import random_instance
+
+ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC = {
     "PrimeField", "QContext", "SeriesMatrix", "ProblemInstance", "SolutionSpace",
@@ -21,7 +27,7 @@ def test_public_names():
     for name in PUBLIC:
         assert hasattr(qdsolve, name), name
     # every name the README's library sketch imports is exported
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     block = re.search(r"from qdsolve import \(([^)]*)\)", readme)
     assert block is not None
     names = {tok.strip() for tok in block.group(1).split(",") if tok.strip()}
@@ -65,7 +71,7 @@ def test_products_only_in_kernels():
 
 def test_traced_names_resolve():
     # the benchmark tracer wraps these names; read its table without running it
-    src = (Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py").read_text()
+    src = (ROOT / "perfbench" / "tracer.py").read_text()
     spans = next(
         node.value for node in ast.parse(src).body
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "SPANS" for t in node.targets)
@@ -89,3 +95,46 @@ def test_tracer_probe_positions():
     assert list(inspect.signature(dac.op_E).parameters)[5] == "prec"
     for fn in (convolution._conv_direct, convolution._conv_ntt):
         assert list(inspect.signature(fn).parameters)[3] == "out_len", fn.__name__
+
+
+def _bindings():
+    """Every attribute of a loaded qdsolve module, and of its classes."""
+    out = {}
+    for name, mod in list(sys.modules.items()):
+        if mod is None or not (name == "qdsolve" or name.startswith("qdsolve.")):
+            continue
+        for attr, value in vars(mod).items():
+            out[name, attr] = value
+            if isinstance(value, type) and value.__module__.startswith("qdsolve"):
+                for member, v in vars(value).items():
+                    out[name, f"{attr}.{member}"] = v
+    return out
+
+
+def test_tracer_installs_cleanly_around_each_engine():
+    # the benchmark's traced run installs this tracer around every solve; a
+    # SPANS target gone, or a REQUIRED_SITES site bound to another object,
+    # shows up there as a problem and makes that run incorrect
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    inst = random_instance(3, 134217757, 2, 16, 1, "random", require_good_spectrum=True)
+    engines = {
+        "oracle.dense_solve": lambda: qdsolve.dense_solve(inst),
+        "dac.dac_solve": lambda: qdsolve.dac_solve(inst.A, inst.C, inst.N, inst.ctx),
+        "newton.newton_solve": lambda: qdsolve.newton_solve(inst.A, inst.C, inst.N, inst.ctx),
+    }
+    before = _bindings()
+    tracer = tracer_module.Tracer()
+    for span, solve in engines.items():
+        m0 = instrument.mul_counter.value
+        tracer.install()
+        try:
+            solve()
+        finally:
+            tracer.uninstall()
+        assert tracer.stats[span][0] == 1, span
+        assert tracer.stats[span][3] == instrument.mul_counter.value - m0, span
+    assert not tracer.problems, sorted(tracer.problems)
+    after = _bindings()
+    assert [key for key, value in before.items() if after.get(key) is not value] == []

@@ -183,13 +183,19 @@ def test_const_mul_and_access():
     rng = random.Random(5)
     p = 97
     A = rand_sm(rng, p, 2, 3, 4)
+    # a constant factor is a one-plane series, and its product one
+    # _matmul_mod over all of A's planes, charged rows * inner * cols each
     M = np.array([[rng.randrange(p) for _ in range(2)] for _ in range(4)], dtype=np.int64)
-    got = A.lmul_const(M)
+    before = instrument.mul_counter.value
+    got = SeriesMatrix(p, M[:, :, None], 4).mul(A)
+    assert instrument.mul_counter.value - before == 4 * 2 * 3 * A.data.shape[2]
     for d in range(4):
         want = M.astype(object) @ A.coefficient_array(d).astype(object) % p
         assert got.coefficient_array(d).tolist() == want.tolist()
     R = np.array([[rng.randrange(p) for _ in range(5)] for _ in range(3)], dtype=np.int64)
-    got = A.rmul_const(R)
+    before = instrument.mul_counter.value
+    got = A.mul(SeriesMatrix(p, R[:, :, None], 4))
+    assert instrument.mul_counter.value - before == 2 * 3 * 5 * A.data.shape[2]
     for d in range(4):
         want = A.coefficient_array(d).astype(object) @ R.astype(object) % p
         assert got.coefficient_array(d).tolist() == want.tolist()
