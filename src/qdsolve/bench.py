@@ -8,7 +8,7 @@ header  algo,n,k,N,q_is_one,p,seed,ms,mul_count.
 
 from __future__ import annotations
 
-import math
+import statistics
 import time
 from dataclasses import dataclass
 
@@ -68,9 +68,6 @@ def bench_case(algo: str, inst: ProblemInstance, seed: int, k: int, N: int, reps
         _run_algo(algo, inst)
         times.append((time.perf_counter() - t0) * 1e3)
         mul_count = instrument.mul_counter.value
-    times.sort()
-    mid = len(times) // 2
-    ms = times[mid] if len(times) % 2 else (times[mid - 1] + times[mid]) / 2
     return BenchRecord(
         algo=algo,
         n=inst.n,
@@ -79,7 +76,7 @@ def bench_case(algo: str, inst: ProblemInstance, seed: int, k: int, N: int, reps
         q_is_one=inst.ctx.q == 1,
         p=inst.p,
         seed=seed,
-        ms=ms,
+        ms=statistics.median(times),
         mul_count=mul_count,
     )
 
@@ -113,14 +110,3 @@ def run_bench(
 def to_csv(records) -> str:
     return "\n".join([CSV_HEADER] + [r.csv_row() for r in records]) + "\n"
 
-
-def fit_loglog_slope(points) -> float:
-    """Least-squares slope of log2(y) against log2(x)."""
-    pts = [(math.log2(x), math.log2(y)) for x, y in points if y > 0]
-    if len(pts) < 2:
-        raise ValueError("need at least two points for a slope")
-    mx = sum(x for x, _ in pts) / len(pts)
-    my = sum(y for _, y in pts) / len(pts)
-    num = sum((x - mx) * (y - my) for x, y in pts)
-    den = sum((x - mx) ** 2 for x, _ in pts)
-    return num / den

@@ -4,8 +4,11 @@ Exit codes: 0 success (an inconsistent system, printed as BOT, is a
 valid answer), 1 usage or file-format problems, 2 violated semantic
 preconditions (non-prime modulus or one not below 2^31, zero q, gamma
 degeneracy, bad spectrum for the Newton engine), 3 internal invariant
-violations, 4 a solution that ``check`` refutes.  ``solve --checks``
-runs the runtime self-checks during the solve; a failed one exits 3.
+violations, 4 a solution that ``check`` refutes.  Sizes n, N whose
+arrays numpy cannot index are refused before any array is built (exit
+1), and a problem that does not fit in memory exits 2.
+``solve --checks`` runs the runtime self-checks during the solve; a
+failed one exits 3.
 The modulus of a problem file is checked before any coefficient is
 stored, so a modulus at or above 2^31, however large, gets exit 2 and
 never a traceback.  No engine has a modulus limit of its own below 2^31.
@@ -27,7 +30,7 @@ from .errors import (
     UsageError,
 )
 from .linalg import char_poly
-from .oracle import random_coefficients, residual
+from .oracle import _check_indexable, random_coefficients, residual
 from .problemfile import (
     parse_problem,
     parse_solution,
@@ -174,6 +177,7 @@ def _cmd_bench(args) -> int:
     Ns = _parse_int_list(args.N, "N")
     if min(ns) < 1 or min(Ns) < 1:
         raise UsageError("n and N must be positive")
+    _check_indexable(max(ns), max(Ns), UsageError)
     if args.k < 0:
         raise UsageError("k must be nonnegative")
     if args.reps < 1:
@@ -197,6 +201,7 @@ def _cmd_gen(args) -> int:
         raise UsageError("n must be positive")
     if args.N < 1:
         raise UsageError("N must be positive")
+    _check_indexable(args.n, args.N, UsageError)
     if args.k < 0:
         raise UsageError("k must be nonnegative")
     _check_seed(args.seed)
@@ -217,18 +222,16 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+_COMMANDS = {"solve": _cmd_solve, "check": _cmd_check, "bench": _cmd_bench, "gen": _cmd_gen}
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        try:
+            return _COMMANDS[args.command](args)
+        except MemoryError:
+            raise PreconditionError("the problem does not fit in memory") from None
     except (UsageError, ProblemFormatError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

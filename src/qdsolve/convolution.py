@@ -95,7 +95,7 @@ def _limbs(p: int, L: int, m: int) -> tuple[int, int]:
     raise PreconditionError(f"no exact limb split for p = {p} at transform length {L}")
 
 
-def _conv_ntt(a: np.ndarray, b: np.ndarray, p: int, out_len: int, lo: int = 0) -> np.ndarray:
+def _conv_ntt(a: np.ndarray, b: np.ndarray, p: int, out_len: int, lo: int) -> np.ndarray:
     # coefficient c >= L of the product wraps onto c - L < La + Lb - 1 - L <= lo
     L = _next_pow2(max(out_len, len(a) + len(b) - 1 - lo))
     k, bits = _limbs(p, L, min(len(a), len(b)))
@@ -124,7 +124,7 @@ def _conv_ntt(a: np.ndarray, b: np.ndarray, p: int, out_len: int, lo: int = 0) -
     return out
 
 
-def _conv_direct(a: np.ndarray, b: np.ndarray, p: int, out_len: int, lo: int = 0) -> np.ndarray:
+def _conv_direct(a: np.ndarray, b: np.ndarray, p: int, out_len: int, lo: int) -> np.ndarray:
     short, long = (a, b) if len(a) <= len(b) else (b, a)
     Ls = len(short)
     # coefficient c sums short[t] long[c - t], so the window reads long on [w0, w1)

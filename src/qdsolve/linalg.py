@@ -24,7 +24,7 @@ import numpy as np
 from . import instrument
 from .convolution import conv_trunc
 from .errors import InternalInvariantError
-from .field import inverses
+from .field import inverses, powers
 
 _INT64 = np.int64
 
@@ -290,9 +290,8 @@ def sylvester_solve(
 
     Z is an n x n matrix or a stack (..., n, n) of them, solved side by
     side against the one n x n matrix V.  Y is a matrix or stack shaped
-    like Z, or scalars s shaped like Z's stack axes (a plain int for one
-    matrix), standing for Y = s V.  With c = char_poly(V) =
-    (c_0, ..., c_n), c_n = 1, the equation gives
+    like Z or, for one matrix Z, an integer s standing for Y = s V.  With
+    c = char_poly(V) = (c_0, ..., c_n), c_n = 1, the equation gives
     Y^j X - X V^j = sum_{l<j} Y^(j-1-l) Z V^l, and chi_V(V) = 0 turns the
     c-weighted sum of these into
 
@@ -312,26 +311,19 @@ def sylvester_solve(
     ``mat_inv_stack`` that forms m_inv decides.
     """
     n = V.shape[0]
-    batch = Z.shape[:-2]
-    scaled = np.shape(Y) == batch
-    if V.shape != (n, n) or Z.shape[-2:] != (n, n) or not (scaled or np.shape(Y) == Z.shape):
+    scaled = np.ndim(Y) == 0
+    if V.shape != (n, n) or Z.shape[-2:] != (n, n) or Z.shape != ((n, n) if scaled else np.shape(Y)):
         raise ValueError("Sylvester solve needs equally sized square matrices")
     P, D = tables
-    if scaled:
-        s = np.asarray(Y, dtype=_INT64)
     S = Z
     if n > 1:
         ZD = _matmul_mod(Z, D[:, : (n - 1) * n], p)  # [Z D_0 | ... | Z D_(n-2)]
         if scaled:
-            # s^a for a = 1 .. n-1, then s^a Z D_a stacked down the rows
-            sa = np.empty(batch + (n - 1,), dtype=_INT64)
-            sa[..., 0] = s
-            for a in range(1, n - 1):
-                sa[..., a] = sa[..., a - 1] * s % p
-            instrument.mul_counter.add(math.prod(batch) * ((n - 2) + (n - 1) * n * n))
-            W = np.concatenate([ZD[..., n:], Z], axis=-1).reshape(batch + (n, n - 1, n))
-            W = (W * sa[..., None, :, None] % p).swapaxes(-3, -2).reshape(batch + ((n - 1) * n, n))
-            S = (ZD[..., :n] + _matmul_mod(P[:, n:], W, p)) % p
+            # s^a Z D_a for a = 1 .. n-1, stacked down the rows
+            instrument.mul_counter.add((n - 2) + (n - 1) * n * n)
+            W = np.concatenate([ZD[:, n:], Z], axis=1).reshape(n, n - 1, n)
+            W = (W * powers(Y, n, p)[1:, None] % p).swapaxes(0, 1).reshape((n - 1) * n, n)
+            S = (ZD[:, :n] + _matmul_mod(P[:, n:], W, p)) % p
         else:
             for a in range(n - 2, -1, -1):
                 S = (_matmul_mod(Y, S, p) + ZD[..., a * n : (a + 1) * n]) % p
@@ -339,7 +331,7 @@ def sylvester_solve(
     if instrument.checks_enabled():
         if scaled:
             instrument.mul_counter.add(X.size)
-            YX = s[..., None, None] * _matmul_mod(V, X, p) % p
+            YX = Y * _matmul_mod(V, X, p) % p
         else:
             YX = _matmul_mod(Y, X, p)
         if not np.array_equal((YX - _matmul_mod(X, V, p)) % p, Z):

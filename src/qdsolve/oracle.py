@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import instrument
-from .errors import PreconditionError
+from .errors import PreconditionError, QdsolveError
 from .field import PrimeField
 from .linalg import _affine_solve, _matmul_mod, mat_inv, mat_inv_stack
 from .polymat import SeriesMatrix
@@ -265,6 +265,18 @@ def dense_solve(inst: ProblemInstance) -> SolutionSpace | None:
     """
     family, cons, _ = _solve_term_by_term(inst.A, inst.C, inst.N, inst.ctx)
     return resolve_affine_family(family, cons)
+
+
+def _check_indexable(n: int, N: int, error: type[QdsolveError]) -> None:
+    """Raise error when numpy cannot index the arrays of an n x n system mod x^N.
+
+    numpy refuses an array of more than intp-max bytes with a ValueError.
+    The largest engine arrays, the transform's limb planes, take under 256
+    bytes per coefficient of A, so a size that passes and still does not
+    fit raises MemoryError instead.
+    """
+    if 256 * n * n * N > np.iinfo(np.intp).max:
+        raise error(f"n = {n} and N = {N} are too large: numpy cannot index arrays of that size")
 
 
 def make_instance(p: int, q: int, k: int, n: int, N: int, A: SeriesMatrix, C: SeriesMatrix) -> ProblemInstance:

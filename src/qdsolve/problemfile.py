@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ProblemFormatError
 from .field import PrimeField
-from .oracle import ProblemInstance, make_instance
+from .oracle import ProblemInstance, _check_indexable, make_instance
 from .polymat import SeriesMatrix
 from .solution import SolutionSpace
 
@@ -127,6 +127,7 @@ def parse_problem(text: str) -> ProblemInstance:
         raise ProblemFormatError("k must be nonnegative")
     if n < 1 or N < 1:
         raise ProblemFormatError("n and N must be positive")
+    _check_indexable(n, N, ProblemFormatError)
     for nm, _d in blocks:
         if nm not in ("A", "C"):
             raise ProblemFormatError(f"unknown block name {nm!r}")

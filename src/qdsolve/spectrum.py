@@ -164,10 +164,11 @@ def step_chi_table(chi: list[int], P: np.ndarray, ctx, N: int) -> np.ndarray:
 
     chi = char_poly(A0) and P = [A0^0 | ... | A0^(n-1)].  chi(Y_i) is g_i(A0)
     for g_i = chi(a_i x + b_i), a_i = q^i, with b_i = -gamma_i for k = 1 and
-    b_i = 0 for k > 1; g_i comes from Horner in the composed polynomial.  By
-    Cayley-Hamilton g_i may be reduced mod chi first; its leading
-    coefficient is q^(in), so the reduction is g_i - q^(in) chi.  The
-    reduced rows, an (N - 1) x n table, then go through one ``poly_at``.
+    b_i = 0 for k > 1; g_i comes from Horner in the composed polynomial,
+    whose b_i half is skipped for k > 1.  By Cayley-Hamilton g_i may be
+    reduced mod chi first; its leading coefficient is q^(in), so the
+    reduction is g_i - q^(in) chi.  The reduced rows, an (N - 1) x n
+    table, then go through one ``poly_at``.
     """
     p, n = ctx.p, len(chi) - 1
     charge = instrument.mul_counter.add
@@ -178,9 +179,10 @@ def step_chi_table(chi: list[int], P: np.ndarray, ctx, N: int) -> np.ndarray:
     # step, 1 (a x + b), needs no product
     g = np.hstack([(b + c[n - 1]) % p, a])
     for j in range(n - 2, -1, -1):
-        charge((N - 1) * 2 * g.shape[1])
+        charge((N - 1) * (2 if ctx.k == 1 else 1) * g.shape[1])
         h = np.zeros((N - 1, g.shape[1] + 1), dtype=_INT64)
-        h[:, :-1] = g * b % p
+        if ctx.k == 1:
+            h[:, :-1] = g * b % p
         h[:, 1:] = (h[:, 1:] + g * a) % p
         h[:, 0] = (h[:, 0] + c[j]) % p
         g = h

@@ -192,6 +192,38 @@ def test_solve_internal_invariant_exit_3(tmp_path, monkeypatch):
     assert err == "internal invariant violated: injected\n"
 
 
+def test_sizes_numpy_cannot_index_exit_1(tmp_path):
+    # N = 10^20 is past any int64 array length: refused before any array
+    # is built, with one line and exit 1, however it reaches the library
+    big = 10**20
+    prob = tmp_path / "big.prob"
+    prob.write_text(f"p: 101\nq: 2\nk: 1\nn: 1\nN: {big}\n")
+    sol = tmp_path / "big.sol"
+    sol.write_text(f"status: bot\np: 101\nn: 1\nN: {big}\n")
+    runs = [["solve", str(prob), "--algo", algo] for algo in ("dense", "dac", "newton")]
+    runs += [["check", str(prob), str(sol)], ["gen", "--n", "1", "--N", str(big)],
+             ["bench", "--n", "1", "--N", str(big), "--algos", "dense"],
+             ["gen", "--n", str(big), "--N", "1"]]
+    for argv in runs:
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: n = ") and "numpy cannot index" in err and err.count("\n") == 1, argv
+
+
+def test_out_of_memory_exit_2(tmp_path, monkeypatch):
+    # a MemoryError anywhere in a command is one line and exit 2; a real
+    # oversized allocation would test the machine's overcommit policy
+    def hungry(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(bench, "dense_solve", hungry)
+    prob = tmp_path / "p.prob"
+    prob.write_text(EXP_PROBLEM)
+    code, out, err = run_cli(["solve", str(prob), "--algo", "dense"])
+    assert (code, out) == (2, "")
+    assert err == "precondition error: the problem does not fit in memory\n"
+
+
 def test_check_truncated_solution_is_parse_error(tmp_path):
     prob = tmp_path / "p.prob"
     sol = tmp_path / "s.sol"

@@ -2,9 +2,13 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import re
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import qdsolve
 from qdsolve import instrument
@@ -138,3 +142,19 @@ def test_tracer_installs_cleanly_around_each_engine():
     assert not tracer.problems, sorted(tracer.problems)
     after = _bindings()
     assert [key for key, value in before.items() if after.get(key) is not value] == []
+
+
+@pytest.mark.parametrize(
+    "workload", [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+)
+def test_benchmark_traced_self_check(workload):
+    # the benchmark's traced run checks every answer and that each layer
+    # metric it expects reads nonzero; one that reads 0 fails it only there
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
+         "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert (result["correct"], result["failed"]) == (True, 0), done.stderr

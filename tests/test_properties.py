@@ -471,9 +471,10 @@ def test_step_chi_table_matches_horner_reference(case):
         charged = instrument.mul_counter.value - before
         assert np.array_equal(got, want)
         # the coefficient rows by Horner in chi(q^i x + b_i), b_i = -gamma_i
-        # or 0, then the product with the powers A0^1 .. A0^(n-1)
-        rows = n * (n + 1) - 2 + n
-        assert charged == (N - 1) * (rows + n * n * (n - 1))
+        # for k = 1 or 0 for k > 1, whose b_i products are skipped, then
+        # the product with the powers A0^1 .. A0^(n-1)
+        horner = n * (n + 1) - 2 if ctx.k == 1 else n * (n + 1) // 2 - 1
+        assert charged == (N - 1) * (horner + n + n * n * (n - 1))
     if ctx.k == 1 or ctx.q != 1:
         rep = good_spectrum(A0, ctx, N)
         assert rep.steps_singular[0]
