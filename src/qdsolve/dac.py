@@ -46,17 +46,11 @@ def op_E(
 ) -> SeriesMatrix:
     """Coefficients [lo, prec) of
     x^k delta(F) - ((q^i A - gamma_i x^(k-1) Id) sigma(F) + C) mod x^prec,
-    as a series mod x^(prec - lo); lo = 0 is the whole residual.  The
-    product A sigma(F) is formed on the window only."""
-    k = ctx.k
-    sF = F.truncate(prec).sigma(ctx)
-    out = F.truncate(prec).delta(ctx).shift(k).truncate(prec)
-    gi = ctx.gamma(i)
-    if gi:
-        lift = max(prec - (k - 1), 0)
-        out = out + sF.truncate(lift).shift(k - 1).truncate(prec).scale(gi)
-    out = (out - C.truncate(prec)).shift(-lo, truncate=True)
-    return out - A.truncate(prec).mul(sF, prec, lo).scale(ctx.qpow(i))
+    as a series mod x^(prec - lo); lo = 0 is the whole residual.  Its
+    left side x^k delta(F) + gamma_i x^(k-1) sigma(F) is ctx.theta at base
+    index i, and the product A sigma(F) is formed on the window only."""
+    out = ctx.theta(F, prec, lo, i) - C.truncate(prec).shift(-lo, truncate=True)
+    return out - A.truncate(prec).mul(F.truncate(prec).sigma(ctx), prec, lo).scale(ctx.qpow(i))
 
 
 def _widen(M: SeriesMatrix, width: int) -> SeriesMatrix:

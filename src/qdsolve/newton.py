@@ -70,28 +70,31 @@ _INT64 = np.int64
 def choose_associated(
     A: SeriesMatrix, ctx: QContext, chi: list[int]
 ) -> tuple[SeriesMatrix, SeriesMatrix]:
-    """Polynomials (B, V) of degree < k with A sigma(V) = V B mod x^k.
+    """Polynomials (B, V) of degree < k with A sigma(V) = V B mod x^k,
+    formed mod x^min(k, A.prec): coefficients past A's precision never
+    reach a solution known to that precision.
 
     B = A mod x^k with V = Id, except in the differential case with
     k > 1 where the splitting construction is required.  chi is the
     characteristic polynomial from A_0's good spectrum report."""
-    k = ctx.k
-    if k == 1 or ctx.q != 1:
-        return A.truncate(k), SeriesMatrix.identity(A.p, A.rows, k)
+    if ctx.k == 1 or ctx.q != 1:
+        m = min(ctx.k, A.prec)
+        return A.truncate(m), SeriesMatrix.identity(A.p, A.rows, m)
     return splitting_lemma(A, ctx, chi)
 
 
 def splitting_lemma(
     A: SeriesMatrix, ctx: QContext, chi: list[int]
 ) -> tuple[SeriesMatrix, SeriesMatrix]:
-    """Diagonal polynomial B and V with V_0 invertible, A V = V B mod x^k.
+    """Diagonal polynomial B and V with V_0 invertible, A V = V B mod x^k,
+    formed mod x^min(k, A.prec).
 
     Needs k > 1, q = 1 and A_0 with n distinct eigenvalues in K; chi is
     the characteristic polynomial from A_0's good spectrum report, which
     proved that.
     """
-    k, p, n = ctx.k, ctx.p, A.rows
-    if k <= 1 or ctx.q != 1:
+    k, p, n = min(ctx.k, A.prec), ctx.p, A.rows
+    if ctx.k <= 1 or ctx.q != 1:
         raise ValueError("splitting construction applies to q = 1 and k > 1 only")
     P, roots = diagonalize(A.coefficient_array(0), chi, p)
     # P and P^(-1) as one-plane series, so each product with them is one _matmul_mod
@@ -259,19 +262,18 @@ def diff_sylvester_differential(
     Us = SeriesMatrix(p, U, N)
     if instrument.checks_enabled():
         Bp = B.as_poly_prec(N)
-        if Us.delta(ctx).shift(k).truncate(N) - Bp.mul(Us, N) + Us.mul(Bp, N) != Gamma.truncate(N):
+        if ctx.theta(Us, N, 0, 0) - Bp.mul(Us, N) + Us.mul(Bp, N) != Gamma.truncate(N):
             raise InternalInvariantError("differential auxiliary residual nonzero")
     return Us
 
 
 def _associated_residual(
-    A: SeriesMatrix, B: SeriesMatrix, W: SeriesMatrix, ctx: QContext, prec: int, lo: int = 0
+    A: SeriesMatrix, B: SeriesMatrix, W: SeriesMatrix, ctx: QContext, prec: int, lo: int
 ) -> SeriesMatrix:
     """Coefficients [lo, prec) of x^k delta(W) - A sigma(W) + W B, as a
     series mod x^(prec - lo); W and B are exact polynomials, A.prec >= prec."""
     W, B = W.as_poly_prec(prec), B.as_poly_prec(prec)
-    out = W.delta(ctx).shift(ctx.k).truncate(prec).shift(-lo, truncate=True)
-    return out - A.truncate(prec).mul(W.sigma(ctx), prec, lo) + W.mul(B, prec, lo)
+    return ctx.theta(W, prec, lo, 0) - A.truncate(prec).mul(W.sigma(ctx), prec, lo) + W.mul(B, prec, lo)
 
 
 def _newton_ladder(N: int, k: int) -> list[int]:
@@ -316,7 +318,7 @@ def _newton_ae_impl(
             raise InternalInvariantError(
                 f"associated-equation residual nonzero at x^{mprev - 1}"
             ) from e
-        if instrument.checks_enabled() and not _associated_residual(A, B, Wp, ctx, mprev).is_zero():
+        if instrument.checks_enabled() and not _associated_residual(A, B, Wp, ctx, mprev, 0).is_zero():
             raise InternalInvariantError(
                 f"associated-equation residual not divisible by x^{mprev}"
             )
@@ -379,9 +381,7 @@ def newton_solve(A: SeriesMatrix, C: SeriesMatrix, N: int, ctx: QContext) -> Sol
     rep = good_spectrum(A.coefficient_array(0), ctx, N)
     if not rep.good:
         raise SpectrumError(f"no good spectrum at precision {N}: {rep.reason}")
-    # coefficients of A beyond x^N never reach the truncated solution, so
-    # lifting by zeros is sound when N < k
-    At = A.truncate(N).as_poly_prec(max(N, ctx.k))
+    At = A.truncate(N)
     B, V = choose_associated(At, ctx, rep.chi)
     # B0 is A0 unless k > 1 and q = 1, where diff_sylvester is not used
     W, Winv, inv_valid = _newton_ae_impl(At, B, V, N, ctx, rep)

@@ -141,7 +141,7 @@ def residual(F: SeriesMatrix, inst: ProblemInstance, homogeneous: bool = False) 
     if F.prec < N:
         raise ValueError("candidate solution known to lower precision than N")
     Ft = F.truncate(N)
-    out = Ft.delta(ctx).shift(ctx.k).truncate(N) - _kronecker_product(inst.A, Ft.sigma(ctx), N)
+    out = ctx.theta(Ft, N, 0, 0) - _kronecker_product(inst.A, Ft.sigma(ctx), N)
     if not homogeneous:
         out = out - inst.C
     return out

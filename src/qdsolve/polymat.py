@@ -205,21 +205,17 @@ class SeriesMatrix:
         hi = min(n, max(0, La + Lb - 1))
         out = np.zeros((rows, cols, max(0, hi - lo)), dtype=_INT64)
         if hi > lo and min(La, Lb) <= rows * cols:
-            if La <= Lb:
-                for t in range(max(0, lo - Lb + 1), min(La, hi)):
-                    u0, u1 = max(0, lo - t), min(Lb, hi - t)
-                    m = u1 - u0
-                    c = _matmul_mod(a[:, :, t], b[:, :, u0:u1].reshape(inner, cols * m), p)
-                    out[:, :, t + u0 - lo : t + u1 - lo] += c.reshape(rows, cols, m)
-            else:
-                # planes first, so a run of planes is a (m * rows) x inner block
-                at = np.ascontiguousarray(a.transpose(2, 0, 1))
-                for t in range(max(0, lo - La + 1), min(Lb, hi)):
-                    u0, u1 = max(0, lo - t), min(La, hi - t)
-                    m = u1 - u0
-                    c = _matmul_mod(at[u0:u1].reshape(m * rows, inner), b[:, :, t], p)
-                    out[:, :, t + u0 - lo : t + u1 - lo] += c.reshape(m, rows, cols).transpose(1, 2, 0)
-            out %= p
+            # planes first, so a run of planes is one stacked operand
+            at = np.ascontiguousarray(a.transpose(2, 0, 1))
+            bt = np.ascontiguousarray(b.transpose(2, 0, 1))
+            a_short = La <= Lb
+            Ls, Ll = (La, Lb) if a_short else (Lb, La)
+            acc = np.zeros((hi - lo, rows, cols), dtype=_INT64)
+            for t in range(max(0, lo - Ll + 1), min(Ls, hi)):
+                u0, u1 = max(0, lo - t), min(Ll, hi - t)
+                c = _matmul_mod(at[t], bt[u0:u1], p) if a_short else _matmul_mod(at[u0:u1], bt[t], p)
+                acc[t + u0 - lo : t + u1 - lo] += c
+            np.remainder(acc.transpose(1, 2, 0), p, out=out)
         elif hi > lo:
             for i in range(rows):
                 di = a[i]

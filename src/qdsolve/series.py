@@ -12,7 +12,9 @@ gamma_i = (q^i - 1) / (q - 1) (gamma_i = i when q = 1); the inverses
     delta(f) = sum_{i>=1} gamma_i f_i x^(i-1)      (d/dx when q = 1)
     sigma(f)(x) = f(qx)
 
-applied by ``SeriesMatrix.delta`` and ``SeriesMatrix.sigma``.  A scalar
+applied by ``SeriesMatrix.delta`` and ``SeriesMatrix.sigma``.  The
+equation's left side x^k delta(F) has one implementation, ``theta``, which
+forms a window of it at any base index without the x^k shift.  A scalar
 series is a 1 x 1 ``SeriesMatrix``.
 """
 
@@ -104,6 +106,29 @@ class QContext:
             if n > len(self._gaminv):
                 self._gaminv = tab
         return tab[:n]
+
+    def theta(self, F: SeriesMatrix, hi: int, lo: int, i: int) -> SeriesMatrix:
+        """Coefficients [lo, hi) of the left side x^k delta(F) at base index
+        i, as a series mod x^(hi - lo).
+
+        At base index i, F stands for x^i F, and the left side divided by
+        x^i is x^k delta(F) + gamma_i x^(k-1) sigma(F): its coefficient
+        t + k - 1 is gamma_(i+t) F_t, since gamma_(i+t) = gamma_t + q^t gamma_i.
+        Only the planes t of F with lo <= t + k - 1 < hi are read, and each
+        one formed charges rows * cols; no array reaches past hi, so k may
+        be far larger than any precision.  Requires hi <= F.prec + k - 1,
+        the precision of x^k delta(F).
+        """
+        if not 0 <= lo <= hi <= F.prec + self.k - 1:
+            raise ValueError("window outside the precision of x^k delta(F)")
+        s = self.k - 1
+        t0, t1 = max(lo - s, 0), min(F.data.shape[2], hi - s)
+        out = np.zeros((F.rows, F.cols, hi - lo), dtype=_INT64)
+        if t1 > t0:
+            instrument.mul_counter.add(F.rows * F.cols * (t1 - t0))
+            g = self.gamma_slice(i + t1)[i + t0 :]
+            out[:, :, t0 + s - lo : t1 + s - lo] = F.data[:, :, t0:t1] * g % self.p
+        return SeriesMatrix._mk(self.p, _trim3(out), hi - lo)
 
     def integrate(self, f: SeriesMatrix) -> SeriesMatrix:
         """The right inverse of delta with zero constant term, for a 1 x 1 f.

@@ -224,6 +224,47 @@ def test_out_of_memory_exit_2(tmp_path, monkeypatch):
     assert err == "precondition error: the problem does not fit in memory\n"
 
 
+@pytest.mark.parametrize("k", ["N", str(10**12), str(10**20)])
+@pytest.mark.parametrize("q", ["1", "random"])
+def test_order_at_or_past_precision_solves_and_checks(tmp_path, q, k):
+    # k >= N: x^k delta(F) vanishes mod x^N, and every engine answers
+    # without an array as long as k; N = 80 is past DAC_LEAF, so the
+    # divide-and-conquer carry and its self-check run
+    N = "80"
+    code, text, err = run_cli(["gen", "--seed", "1", "--n", "2", "--N", N, "--k", N if k == "N" else k,
+                               "--q", q, "--p", "65521", "--good-spectrum"])
+    assert code == 0, err
+    prob = tmp_path / "k.prob"
+    prob.write_text(text)
+    files = []
+    for algo in ("dense", "dac", "newton"):
+        sol = tmp_path / f"k.{algo}.sol"
+        code, _, err = run_cli(["solve", str(prob), "--algo", algo, "--checks", "--out", str(sol)])
+        assert code == 0, (algo, err)
+        code, out, err = run_cli(["check", str(prob), str(sol)])
+        assert code == 0 and out.startswith("ok"), (algo, err)
+        files.append(sol.read_text())
+    assert files[0] == files[1] == files[2]
+
+
+def test_bench_order_past_precision():
+    code, out, err = run_cli(["bench", "--n", "2", "--N", "80", "--k", str(10**12), "--p", "65521"])
+    assert code == 0, err
+    assert len(out.strip().splitlines()) == 4
+
+
+def test_newton_work_stops_growing_with_k_past_N():
+    # q = 1, k > N: the splitting construction is formed mod x^N, so every
+    # order past N costs what N + 1 costs, and k = 10^4 answers at once
+    counts = set()
+    for k in (21, 300, 10**4, 10**12):
+        code, out, err = run_cli(["bench", "--n", "2", "--N", "20", "--k", str(k), "--q-mode", "one",
+                                  "--p", "101", "--algos", "newton"])
+        assert code == 0, err
+        counts.add(int(out.splitlines()[1].split(",")[8]))
+        assert len(counts) == 1, k
+
+
 def test_check_truncated_solution_is_parse_error(tmp_path):
     prob = tmp_path / "p.prob"
     sol = tmp_path / "s.sol"

@@ -46,7 +46,8 @@ def test_op_E_constant_expansion():
 
 
 def test_op_E_splitting_identity():
-    # E(F, C, i) = (E(H, C, i) mod x^m) + x^m E(K, D, i+m) with the carried D
+    # E(F, C, i) = (E(H, C, i) mod x^m) + x^m E(K, D, i+m) with the carried D,
+    # and the window [lo, N) of E is E divided by x^lo
     rng = random.Random(21)
     p = 134217757
     field = PrimeField(p)
@@ -57,6 +58,7 @@ def test_op_E_splitting_identity():
         n = rng.randrange(1, 3)
         N = rng.randrange(2, 12)
         i = rng.randrange(0, 6)
+        lo = rng.randrange(0, N + 1)
         m = (N + 1) // 2
         A = SeriesMatrix(p, np.random.default_rng(trial).integers(0, p, (n, n, N)), N)
         F = SeriesMatrix(p, np.random.default_rng(trial + 99).integers(0, p, (n, 1, N)), N)
@@ -69,6 +71,8 @@ def test_op_E_splitting_identity():
         E_K = op_E(A.truncate(N - m), K, D, i + m, ctx, N - m)
         recomposed = E_H.truncate(m).as_poly_prec(N) + E_K.shift(m).as_poly_prec(N)
         assert recomposed == E_full, trial
+        # a window [lo, N) at base index i is the same residual cut below lo
+        assert op_E(A, F, C, i, ctx, N, lo) == E_full.shift(-lo, truncate=True), trial
 
 
 def test_rdac_base_cases():

@@ -73,6 +73,19 @@ def test_products_only_in_kernels():
     assert not found, found
 
 
+def test_left_side_only_through_theta():
+    # the engines and the check form x^k delta(F) through QContext.theta,
+    # which reads only the planes that reach the window; delta(..).shift(k)
+    # would allocate k planes before the cut
+    pkg = Path(qdsolve.__file__).resolve().parent
+    found = []
+    for name in ("oracle.py", "dac.py", "newton.py"):
+        for node in ast.walk(ast.parse((pkg / name).read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "delta":
+                found.append(f"{name}:{node.lineno}")
+    assert not found, found
+
+
 def test_traced_names_resolve():
     # the benchmark tracer wraps these names; read its table without running it
     src = (ROOT / "perfbench" / "tracer.py").read_text()

@@ -2,6 +2,7 @@
 kernel at any base index against the operator-matrix reference, every
 engine answer against the independent residual, both routes of
 SeriesMatrix.mul and the batched _matmul_mod against Python-int products,
+QContext.theta against the composed delta, shift and sigma chain,
 the stacked inverse against mat_inv, good_spectrum against the gcd
 criterion it replaced, its chi(Y_i) table against Horner at each step
 matrix, and the scalar helpers field.powers, field.inverses and the
@@ -208,6 +209,44 @@ def test_mul_dispatch_boundary(shape, extra, a_short, p, monkeypatch):
     for n in (0, short - 1, La + Lb - 2, La + Lb - 1, La + Lb):
         for lo in sorted({0, 1, short, n - 1, n} & set(range(n + 1))):
             check_mul(A, B, n, monkeypatch, lo)
+
+
+@st.composite
+def theta_cases(draw):
+    """(ctx, F, hi, lo, i): q = 1 or random, k = 1..4, base index 0, 1 or
+    17, F stored shorter than its precision at times, and a window
+    0 <= lo <= hi <= F.prec + k - 1, often with k past hi."""
+    p = draw(st.sampled_from([3, 65521, 134217757, 2**31 - 1]))
+    q = 1 if draw(st.booleans()) else draw(st.integers(2, p - 1))
+    k = draw(st.integers(1, 4))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    prec = draw(st.integers(1, 12))
+    L = draw(st.integers(0, prec))
+    hi = draw(st.integers(0, prec + k - 1))
+    lo = draw(st.integers(0, hi))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    F = SeriesMatrix(p, gen.integers(0, p, (rows, cols, L)), prec)
+    return QContext(PrimeField(p), q, k), F, hi, lo, draw(st.sampled_from([0, 1, 17]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta_cases())
+def test_theta_matches_composed_chain(case):
+    # the left side at base index i, x^k delta(F) + gamma_i x^(k-1) sigma(F),
+    # cut to [lo, hi), charging rows * cols per coefficient it forms
+    ctx, F, hi, lo, i = case
+    k = ctx.k
+    lhs = F.delta(ctx).shift(k).truncate(hi)
+    twist = F.sigma(ctx).shift(k - 1).truncate(hi).scale(ctx.gamma(i))
+    want = (lhs + twist).shift(-lo, truncate=True)
+    before = instrument.mul_counter.value
+    got = ctx.theta(F, hi, lo, i)
+    charge = instrument.mul_counter.value - before
+    assert got == want
+    formed = sum(1 for t in range(F.data.shape[2]) if lo <= t + k - 1 < hi)
+    assert charge == F.rows * F.cols * formed
+    with pytest.raises(ValueError):
+        ctx.theta(F, F.prec + k, lo, i)
 
 
 PRIMES = [3, 65521, 134217757, 2**31 - 1]
