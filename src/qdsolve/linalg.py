@@ -24,7 +24,7 @@ import numpy as np
 from . import instrument
 from .convolution import conv_trunc
 from .errors import InternalInvariantError
-from .field import inverses, powers
+from .field import inverses
 
 _INT64 = np.int64
 
@@ -290,7 +290,8 @@ def sylvester_solve(
 
     Z is an n x n matrix or a stack (..., n, n) of them, solved side by
     side against the one n x n matrix V.  Y is a matrix or stack shaped
-    like Z or, for one matrix Z, an integer s standing for Y = s V.  With
+    like Z or, for one matrix Z, the row (s, s^2, ..., s^(n-1)) of powers
+    of a scalar s standing for Y = s V (the row (s) when n = 1).  With
     c = char_poly(V) = (c_0, ..., c_n), c_n = 1, the equation gives
     Y^j X - X V^j = sum_{l<j} Y^(j-1-l) Z V^l, and chi_V(V) = 0 turns the
     c-weighted sum of these into
@@ -301,7 +302,8 @@ def sylvester_solve(
     with the table [D_0 | ... | D_(n-2)], and Z D_(n-1) = Z.  For a matrix
     Y, S is then Horner in Y, n - 1 products.  For Y = s V,
     S = Z D_0 + [V^1 | ... | V^(n-1)] times the stacked s^a Z D_a, a >= 1:
-    one product.  X is chi_V(Y)^(-1) S, one more.  Each member costs
+    one product, whose scalings read s^a from the row.  X is
+    chi_V(Y)^(-1) S, one more.  Each member costs
     O(n^4) and no eigenvalues are needed, so it works over any field.
 
     m_inv must be chi_V(Y)^(-1), shaped like Z, and tables
@@ -311,18 +313,20 @@ def sylvester_solve(
     ``mat_inv_stack`` that forms m_inv decides.
     """
     n = V.shape[0]
-    scaled = np.ndim(Y) == 0
+    scaled = np.ndim(Y) == 1
     if V.shape != (n, n) or Z.shape[-2:] != (n, n) or Z.shape != ((n, n) if scaled else np.shape(Y)):
         raise ValueError("Sylvester solve needs equally sized square matrices")
+    if scaled and len(Y) != max(n - 1, 1):
+        raise ValueError("a scaled Sylvester solve needs the powers s .. s^(n-1)")
     P, D = tables
     S = Z
     if n > 1:
         ZD = _matmul_mod(Z, D[:, : (n - 1) * n], p)  # [Z D_0 | ... | Z D_(n-2)]
         if scaled:
             # s^a Z D_a for a = 1 .. n-1, stacked down the rows
-            instrument.mul_counter.add((n - 2) + (n - 1) * n * n)
+            instrument.mul_counter.add((n - 1) * n * n)
             W = np.concatenate([ZD[:, n:], Z], axis=1).reshape(n, n - 1, n)
-            W = (W * powers(Y, n, p)[1:, None] % p).swapaxes(0, 1).reshape((n - 1) * n, n)
+            W = (W * Y[:, None] % p).swapaxes(0, 1).reshape((n - 1) * n, n)
             S = (ZD[:, :n] + _matmul_mod(P[:, n:], W, p)) % p
         else:
             for a in range(n - 2, -1, -1):
@@ -331,7 +335,7 @@ def sylvester_solve(
     if instrument.checks_enabled():
         if scaled:
             instrument.mul_counter.add(X.size)
-            YX = Y * _matmul_mod(V, X, p) % p
+            YX = Y[0] * _matmul_mod(V, X, p) % p
         else:
             YX = _matmul_mod(Y, X, p)
         if not np.array_equal((YX - _matmul_mod(X, V, p)) % p, Z):

@@ -14,10 +14,13 @@ instead of a full n x n inverse refresh.  PolCoeffsDE calls the dense
 oracle's step kernel (oracle._solve_term_by_term), so its singular steps
 get the same exact parameter and constraint treatment.  The kernel's
 step-inverse table holds, for k = 1, the inverse of every nonsingular
-step matrix from one stacked elimination, and for k > 1 the scaled
-inverse of B_0.  For k = 1, B is constant and no step of that solve
-reads another, so the nonsingular steps are one stacked product and the
-kernel's loop eliminates only the singular ones.
+step matrix from one stacked elimination, and for k > 1 the one matrix
+-B_0^(-1): the kernel folds the twist q^g of step g into B's
+coefficients and the right side, so every step reads one history array
+and is one window product and one product with -B_0^(-1).  For k = 1, B
+is constant and no step of that solve reads another, so the nonsingular
+steps are one stacked product and the kernel's loop eliminates only the
+singular ones.
 
 The good-spectrum condition is a hard precondition here: it makes every
 per-coefficient Sylvester step Y_i X - X B0 = Z_i uniquely solvable.
@@ -105,23 +108,32 @@ def splitting_lemma(
     rows, cols = np.nonzero(~np.eye(n, dtype=bool))
     r = np.array(roots, dtype=_INT64)
     inv_diff[rows, cols] = inverses((r[rows] - r[cols]) % p, p)
-    Vt = np.zeros((n, n, k), dtype=_INT64)
-    Bc = np.zeros((n, n, k), dtype=_INT64)
-    Vt[:, :, 0] = np.eye(n, dtype=_INT64)
-    Bc[:, :, 0] = np.diag(roots)
-    Dd = D.data
-    Ld = Dd.shape[2]
+    # rows t n .. (t+1) n of Vs hold V_t and row t of b the diagonal of B_t,
+    # so sum_(j>=1) D_j V_(i-j) is one product of [D_J | ... | D_1] with a
+    # row range of Vs, and sum_(j=1..i-1) V_j B_(i-j) scales V_j's columns
+    Vs = np.zeros((k * n, n), dtype=_INT64)
+    b = np.zeros((k, n), dtype=_INT64)
+    Vs[:n] = np.eye(n, dtype=_INT64)
+    b[0] = roots
+    V3 = Vs.reshape(k, n, n)
+    Dcat = D.side_by_side()
+    Ld = D.data.shape[2]
     for i in range(1, k):
+        # delta_i = sum_(j=1..i-1) V_j B_(i-j) - sum_(j=1..J) D_j V_(i-j)
         delta_i = np.zeros((n, n), dtype=_INT64)
-        for j in range(1, i + 1):
-            if j < Ld:
-                delta_i = (delta_i - _matmul_mod(Dd[:, :, j], Vt[:, :, i - j], p)) % p
-        for j in range(1, i):
-            delta_i = (delta_i + _matmul_mod(Vt[:, :, j], Bc[:, :, i - j], p)) % p
-        bd = (-np.diagonal(delta_i)) % p
-        Bc[:, :, i] = np.diag(bd)
+        J = min(i, Ld - 1)
+        if J > 0:
+            delta_i -= _matmul_mod(Dcat[:, (Ld - 1 - J) * n : (Ld - 1) * n], Vs[(i - J) * n : i * n], p)
+        if i > 1:
+            instrument.mul_counter.add((i - 1) * n * n)
+            delta_i += (V3[1:i] * b[i - 1 : 0 : -1, None, :] % p).sum(axis=0)
+        delta_i %= p
+        b[i] = (-np.diagonal(delta_i)) % p
         instrument.mul_counter.add(n * n)
-        Vt[:, :, i] = delta_i * inv_diff % p
+        V3[i] = delta_i * inv_diff % p
+    Bc = np.zeros((n, n, k), dtype=_INT64)
+    Bc[np.arange(n), np.arange(n)] = b.T
+    Vt = V3.transpose(1, 2, 0)
     B = SeriesMatrix(p, Bc, k)
     V = Pc.mul(SeriesMatrix(p, Vt, k))
     if A.truncate(k).mul(V, k) != V.mul(B, k):
@@ -156,8 +168,9 @@ def diff_sylvester(
     so each step is only the Cayley-Hamilton right side and one product.
     For k = 1 the steps do not depend on each other and the whole window
     is one stacked sylvester_solve.  For k > 1 the window sum links them
-    and each step is one call, with Y_i = q^i B0 passed as the scalar q^i:
-    three products, and two more, side by side, for the window.  The
+    and each step is one call, with Y_i = q^i B0 passed as its row of
+    powers q^i .. q^((n-1)i), all formed once per call: three products,
+    and two more, side by side, for the window.  The
     result satisfies U = 0 mod x^m.
     """
     k, p, n = ctx.k, ctx.p, B.rows
@@ -194,7 +207,13 @@ def diff_sylvester(
     Bdown = Bd[:, :, K:0:-1].transpose(2, 0, 1).reshape(K * n, n)  # [B_K; ...; B_1]
     Uc = np.zeros((n, N * n), dtype=_INT64)
     Gq = np.zeros((N * n, n), dtype=_INT64)
-    qp = ctx.qpow_slice(N).tolist()
+    qp = ctx.qpow_slice(N)
+    # row i - m holds q^i, q^(2i), .., q^((n-1)i): the Y_i = q^i B0 of step i
+    spow = np.repeat(qp[m:, None], max(n - 1, 1), axis=1)
+    instrument.mul_counter.add((N - m) * max(n - 2, 0))
+    for a in range(1, n - 1):
+        spow[:, a] = spow[:, a - 1] * qp[m:] % p
+    qp = qp.tolist()
     gam = ctx.gamma_slice(N).tolist()
     for i in range(m, N):
         C = Gd[:, :, i] if i < Lg else np.zeros((n, n), dtype=_INT64)
@@ -207,7 +226,7 @@ def diff_sylvester(
             instrument.mul_counter.add(n * n)
             t = (i - k + 1) * n
             C = C - gam[i - k + 1] * Uc[:, t : t + n] % p
-        X = sylvester_solve(qp[i], B0, (-C) % p, p, rep.steps_inv[i], rep.tables)
+        X = sylvester_solve(spow[i - m], B0, (-C) % p, p, rep.steps_inv[i], rep.tables)
         Uc[:, i * n : (i + 1) * n] = X
         if K and i + 1 < N:
             instrument.mul_counter.add(n * n)

@@ -18,9 +18,11 @@ per-coefficient step kernel.  Newton's PolCoeffsDE (``newton.pol_coeffs_de``)
 is this kernel on an equation whose A is a polynomial of degree < k, and
 each divide-and-conquer leaf (``dac.rdac``) is this kernel at the leaf's
 base index, on a right side that already carries parameters.  Every call
-builds one step-inverse table (one stacked inversion of the step
-matrices for k = 1, one inverse of A_0 for k > 1) and runs one loop over
-the steps: a step the table inverts is one product, any other one
+folds the twist q^g of step g into A's coefficients and C, so the steps
+read one history array, builds one step-inverse table (one stacked
+inversion of the step matrices for k = 1, the one matrix -A_0^(-1) for
+k > 1) and runs one loop over the steps: a step the table inverts is a
+window product and one product with the table, any other one
 elimination.
 
 ``residual``, which ``qdsolve check`` refutes solutions with, forms its
@@ -156,28 +158,35 @@ def _solve_term_by_term(
     width: column 0 is the constant part, column t the coefficient of
     parameter t.  Base index i means the global powers q^(i+j) and
     gamma_(i+j) at offset j, as for a divide-and-conquer leaf; i = 0 is the
-    equation itself.  With g = i + j and G_j = q^g F_j, coefficient j is
-    the step
+    equation itself.  With g = i + j, coefficient j is the step
 
-        M_g F_j = C_j + sum_{d>=1} A_d G_(j-d) - [k > 1] gamma_(g-k+1) F_(j-k+1),
+        M_g F_j = C_j + sum_{d>=1} q^(g-d) A_d F_(j-d) - [k > 1] gamma_(g-k+1) F_(j-k+1),
 
     M_g = gamma_g Id - q^g A_0 for k = 1 and -q^g A_0 for k > 1.  The
-    window sum is one product of A_D .. A_1 side by side with the stacked
-    G_(j-D) .. G_(j-1).
+    twist q^g is folded out once per call: with Ah_d = q^(-d) A_d and
+    Ch_j = q^(-g) C_j the right side is q^g R_j,
+
+        R_j = Ch_j + sum_{d>=1} Ah_d F_(j-d) - [k > 1] q^(-g) gamma_(g-k+1) F_(j-k+1),
+
+    so every step reads the one history array F, and the window sum is one
+    product of Ah_D .. Ah_1 side by side with the stacked F_(j-D) .. F_(j-1).
 
     Every call first builds one step-inverse table (inv, elim): inv[j] is
-    M_g^(-1) for each step j not marked in elim.  For k = 1 it is one
-    ``mat_inv_stack`` of every M_g, whose singular mask is elim; for k > 1
-    it is one ``mat_inv`` of A_0 and inv[j] = -q^(-g) A_0^(-1), and a
-    singular A_0 marks every step.  When k = 1, n > 1 and A has a window,
-    every step is marked: batching those steps waits on ROADMAP item 1 (a
-    memory metric that measures the solver).  Then one loop runs the
-    steps in order: an unmarked step is one product with inv[j], a marked
-    one is one ``linalg._affine_solve``, whose particular/nullspace block
-    is F_j, so each free column of a singular M_g becomes a new parameter,
-    and each nonzero leftover row an affine constraint.  When k = 1 and A
-    is constant no step reads another, so the unmarked steps are solved
-    first as one stacked product and the loop visits the marked ones only.
+    q^g M_g^(-1), so that F_j = inv[j] R_j, for each step j not marked in
+    elim.  For k = 1 it is one ``mat_inv_stack`` of every M_g, whose
+    singular mask is elim, scaled by q^g in one stacked product; for k > 1
+    it is the one matrix -A_0^(-1), from one ``mat_inv``, for every step,
+    and a singular A_0 marks every step.  When k = 1, n > 1 and A has a
+    window, every step is marked: batching those steps waits on ROADMAP
+    item 1 (a memory metric that measures the solver).  Then one loop runs
+    the steps in order: an unmarked step is one window product and one
+    product with inv[j], a marked one is one ``linalg._affine_solve`` of
+    M_g F_j = q^g R_j, whose particular/nullspace block is F_j, so each
+    free column of a singular M_g becomes a new parameter, and each nonzero
+    leftover row an affine constraint.  When k = 1 and A is constant no
+    step reads another and there is nothing to fold: the unmarked steps are
+    solved first as one stacked product of M_g^(-1) with C_j, and the loop
+    visits the marked ones only.
 
     Returns (family, cons, sing): the n x width affine family mod x^N, the
     constraint rows (row[0] + row[1:] . params = 0, each as wide as the
@@ -188,33 +197,43 @@ def _solve_term_by_term(
     La = A.data.shape[2]
     A0 = A.coefficient_array(0)
     charge = instrument.mul_counter.add
+    # q = 1 has nothing to fold, and neither has a batch of independent steps
+    fold = ctx.q != 1 and (k > 1 or La > 1)
+    qp = ctx.qpow_slice(i + N)[i:]
     inv, elim = None, np.ones(N, dtype=bool)
     if k > 1:
-        try:  # -q^(-g) A_0^(-1)
-            inv = (p - ctx.qinv_pow_slice(i + N)[i:, None, None]) * mat_inv(A0, p) % p
+        try:
+            inv = np.broadcast_to(-mat_inv(A0, p) % p, (N, n, n))
         except ValueError:  # A_0 is singular, and so is every step
             pass
         else:
-            charge(N * n * n)
             elim[:] = False
     if inv is None:
         Ms = (-step_matrices(A0, ctx, i, i + N)) % p
         if k == 1 and (La <= 1 or n == 1):
             inv, elim = mat_inv_stack(Ms, p)
-    qp = ctx.qpow_slice(i + N)[i:].tolist()
-    gam = ctx.gamma_slice(i + N)[i:].tolist()
-    Acat = A.side_by_side()
-    # rows jn .. (j+1)n hold F_j and G_j, so a window is a row range.  Until
-    # step j solves them, the rows of F_j hold C_j.  Only windows read G,
-    # and G is F when q = 1.  F grows its columns only at a singular step;
-    # Fw and Gw are the first width columns of F and G.
+            if fold:
+                charge(inv.size)
+                inv = inv * qp[:, None, None] % p
+    # [Ah_(La-1) | ... | Ah_1]; the window of step j is its last D blocks
+    Acat = A.side_by_side()[:, : (La - 1) * n]
     width = C.cols
+    # rows jn .. (j+1)n hold F_j, so a window is a row range.  Until step j
+    # solves them, the rows of F_j hold Ch_j.  F grows its columns only at
+    # a singular step; Fw is its first width columns.
     F = np.zeros((N * n, width), dtype=_INT64)
     Cd = C.data[:, :, :N]
-    F[: Cd.shape[2] * n] = Cd.transpose(2, 0, 1).reshape(-1, width)
-    twist = La > 1 and ctx.q != 1
-    G = np.zeros_like(F) if twist else F
-    Fw, Gw = F, G
+    Lc = Cd.shape[2]
+    F[: Lc * n] = Cd.transpose(2, 0, 1).reshape(-1, width)
+    gam = ctx.gamma_slice(i + N)[i : i + max(N - k + 1, 0)]  # gamma_(g-k+1) at j - k + 1
+    if fold:
+        qinv = ctx.qinv_pow_slice(i + N)[i:]  # q^(-g)
+        charge(Acat.size + Lc * n * width + len(gam))
+        Acat = Acat * np.repeat(ctx.qinv_pow_slice(La)[La - 1 : 0 : -1], n) % p
+        F[: Lc * n] = F[: Lc * n] * np.repeat(qinv[:Lc], n)[:, None] % p
+        gam = qinv[k - 1 :] * gam % p
+    gam = gam.tolist()
+    Fw = F
     steps = range(N)
     if k == 1 and La <= 1:
         F3, free = F.reshape(N, n, width), ~elim
@@ -228,14 +247,16 @@ def _solve_term_by_term(
         rhs = Fw[r : r + n]
         D = min(j, La - 1)
         if D > 0:
-            win = Acat[:, (La - 1 - D) * n : (La - 1) * n]
-            rhs = rhs + _matmul_mod(win, Gw[r - D * n : r], p)
+            rhs = rhs + _matmul_mod(Acat[:, (La - 1 - D) * n :], Fw[r - D * n : r], p)
         if k > 1 and j >= k - 1:
             charge(n * width)
             rj = r - (k - 1) * n
             rhs = rhs - gam[j - k + 1] * Fw[rj : rj + n]
         rhs = rhs % p
         if elim[j]:
+            if fold:
+                charge(n * width)
+                rhs = qp[j] * rhs % p
             fi, rest = _affine_solve(Ms[j], rhs, p)
             if len(rest):
                 sing.append(i + j)
@@ -245,14 +266,9 @@ def _solve_term_by_term(
         if fi.shape[1] > width:
             width = fi.shape[1]
             if width > F.shape[1]:
-                grow = np.zeros((N * n, width), dtype=_INT64)
-                F = np.hstack([F, grow])
-                G = np.hstack([G, grow]) if twist else F
-            Fw, Gw = F[:, :width], G[:, :width]
+                F = np.hstack([F, np.zeros((N * n, width), dtype=_INT64)])
+            Fw = F[:, :width]
         Fw[r : r + n] = fi
-        if twist:
-            charge(n * width)
-            Gw[r : r + n] = qp[j] * fi % p
     family = Fw.reshape(N, n, width).transpose(1, 2, 0)
     return SeriesMatrix(p, family, N), cons, sing
 

@@ -279,24 +279,40 @@ def test_A4_exponential_golden():
 def test_A6_scaling_slopes():
     from qdsolve.bench import run_bench
 
+    def top4_slopes(records):
+        by = {}
+        for r in records:
+            by.setdefault(r.algo, []).append((math.log2(r.N), math.log2(r.mul_count)))
+        return {algo: statistics.linear_regression(*zip(*pts[-4:])).slope for algo, pts in by.items()}
+
     t0 = time.perf_counter()
     Ns = [2**e for e in range(10, 16)]
-    records = run_bench([1], Ns, 1, "random", ["dense", "dac", "newton"],
-                        seed=42, reps=1, p=P28)
-    by = {}
-    for r in records:
-        by.setdefault(r.algo, []).append((math.log2(r.N), math.log2(r.mul_count)))
-    slopes = {algo: statistics.linear_regression(*zip(*pts[-4:])).slope for algo, pts in by.items()}
+    slopes = top4_slopes(run_bench([1], Ns, 1, "random", ["dense", "dac", "newton"],
+                                   seed=42, reps=1, p=P28))
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0, f"A6 took {elapsed:.1f}s, budget 300s"
     assert slopes["dac"] <= 1.35, f"dac slope {slopes['dac']:.3f} > 1.35"
     assert slopes["newton"] <= 1.35, f"newton slope {slopes['newton']:.3f} > 1.35"
     assert slopes["dense"] >= 1.8, f"dense slope {slopes['dense']:.3f} < 1.8"
+    # systems: N = 512 .. 4096 is past the transform cutoff, below which
+    # every engine's products are quadratic; seed 42 draws a good spectrum
+    # for every (n, N) at random q
+    t1 = time.perf_counter()
+    systems = []
+    for n in (2, 4):
+        for k in (1, 3):
+            got = top4_slopes(run_bench([n], [512, 1024, 2048, 4096], k, "random", ["dac", "newton"],
+                                        seed=42, reps=1, p=P28))
+            for algo, slope in got.items():
+                assert slope <= 1.35, f"{algo} slope {slope:.3f} > 1.35 at n={n}, k={k}"
+            systems.append(f"n={n} k={k}: dac {got['dac']:.2f}, newton {got['newton']:.2f}")
+    elapsed_systems = time.perf_counter() - t1
+    assert elapsed_systems < 60.0, f"A6 systems took {elapsed_systems:.1f}s, budget 60s"
     report(
         "A6",
         f"mul-count slopes over top-4 points: dac {slopes['dac']:.2f} <= 1.35, "
         f"newton {slopes['newton']:.2f} <= 1.35, dense {slopes['dense']:.2f} >= 1.8 "
-        f"in {elapsed:.0f}s",
+        f"in {elapsed:.0f}s; systems <= 1.35: {'; '.join(systems)} in {elapsed_systems:.0f}s",
     )
 
 

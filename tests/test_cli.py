@@ -265,6 +265,32 @@ def test_newton_work_stops_growing_with_k_past_N():
         assert len(counts) == 1, k
 
 
+def test_newton_python_calls_linear_in_N_past_k():
+    # q = 1, k >= N: the splitting construction is one window product per
+    # coefficient, so quadrupling N at most quintuples the n x n products
+    from qdsolve.linalg import _matmul_mod
+
+    def matmul_calls(N):
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code is _matmul_mod.__code__:
+                calls += 1
+
+        sys.setprofile(count)
+        try:
+            code, out, err = run_cli(["bench", "--n", "2", "--N", str(N), "--k", str(10**20),
+                                      "--q-mode", "one", "--p", "65521", "--algos", "newton"])
+        finally:
+            sys.setprofile(None)
+        assert code == 0, err
+        return calls
+
+    small, large = matmul_calls(80), matmul_calls(320)
+    assert large <= 5 * small, (small, large)
+
+
 def test_check_truncated_solution_is_parse_error(tmp_path):
     prob = tmp_path / "p.prob"
     sol = tmp_path / "s.sol"

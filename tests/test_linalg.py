@@ -107,9 +107,12 @@ def _sylvester(Y, V, Z, p):
     """sylvester_solve(Y, V, Z) given V's tables and the mat_inv_stack
     inverse of chi_V(Y), the inputs good_spectrum reports; None when the
     singular mask shows that Spec(Y) and Spec(V) intersect.  A plain int
-    Y is the scalar s of Y = s V."""
+    Y is the scalar s of Y = s V, passed on as its powers s .. s^(n-1)."""
     chi = char_poly(V, p)
-    Ym = Y * V % p if np.ndim(Y) == 0 else Y
+    Ym = Y
+    if np.ndim(Y) == 0:
+        Ym = Y * V % p
+        Y = np.array([pow(Y, a, p) for a in range(1, max(len(V) - 1, 1) + 1)], dtype=np.int64)
     m_inv, singular = mat_inv_stack(monic_at(chi, Ym, p), p)
     if singular.any():
         return None

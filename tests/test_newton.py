@@ -292,25 +292,27 @@ def test_sylvester_steps_batched_per_level(monkeypatch):
 
 def test_k3_sylvester_steps_one_call_each(monkeypatch):
     # k > 1, q != 1: every coefficient of every auxiliary solve is one
-    # linalg.sylvester_solve call, with Y_i = q^i B0 passed as the scalar
-    # q^i, and _rref still runs (the perfbench tracer self-check reads both
-    # on its k = 3 workload); runtime checks verify each step's residual
-    steps, calls, rrefs = [], [], []
+    # linalg.sylvester_solve call, with Y_i = q^i B0 passed as its row of
+    # powers q^i .. q^((n-1)i), and _rref still runs (the perfbench tracer
+    # self-check reads both on its k = 3 workload); runtime checks verify
+    # each step's residual
+    windows, rows, rrefs = [], [], []
     real_diff, real_syl, rref = newton.diff_sylvester, newton.sylvester_solve, linalg._rref
-    monkeypatch.setattr(newton, "diff_sylvester", lambda *a: steps.append(a[3] - a[2]) or real_diff(*a))
+    monkeypatch.setattr(newton, "diff_sylvester", lambda *a: windows.append(a[2:4]) or real_diff(*a))
     monkeypatch.setattr(
-        newton, "sylvester_solve", lambda *a, **kw: calls.append(np.ndim(a[0])) or real_syl(*a, **kw)
+        newton, "sylvester_solve", lambda *a, **kw: rows.append(np.asarray(a[0]).tolist()) or real_syl(*a, **kw)
     )
     monkeypatch.setattr(linalg, "_rref", lambda *a: rrefs.append(1) or rref(*a))
     inst = random_instance(4343, 134217757, 3, 48, 3, "random", require_good_spectrum=True)
-    assert inst.ctx.q != 1
+    p, q = inst.p, inst.ctx.q
+    assert q != 1
     instrument.set_runtime_checks(True)
     try:
         got = newton_solve(inst.A, inst.C, inst.N, inst.ctx)
     finally:
         instrument.set_runtime_checks(False)
-    assert len(steps) > 1
-    assert len(calls) == sum(steps) and set(calls) == {0}
+    assert len(windows) > 1
+    assert rows == [[pow(q, i * a, p) for a in (1, 2)] for m, N in windows for i in range(m, N)]
     assert rrefs
     assert spaces_equal(got, solve_operator_matrix(inst))
 

@@ -575,8 +575,10 @@ def step_kernel_cases(draw):
     at base index i, and inst, the same equation written at base index 0:
     A = q^i P - gamma_i x^(k-1) Id and inst.C = C.
 
-    For k = 1, P has 1 to 3 coefficients, so a constant P runs the batch
-    of independent steps and a longer one the windowed loop; at times P_0's
+    P has 1 to N coefficients, mostly few but at times as many as the
+    long windows of dense solves and divide-and-conquer leaves, and base
+    indices reach 4096.  For k = 1 a constant P runs the batch of
+    independent steps and a longer one the windowed loop; at times P_0's
     eigenvalues are rigged to gamma_g q^(-g) for chosen steps g in
     [i, i + N), which makes those steps singular.  For k in {2, 3}, P_0 is
     invertible (a row-permuted triangular matrix with a nonzero diagonal)
@@ -587,11 +589,11 @@ def step_kernel_cases(draw):
     k = draw(st.sampled_from([1, 1, 2, 3]))
     n = draw(st.integers(1, 4))
     N = draw(st.integers(1, 40))
-    i = draw(st.sampled_from([0, 0, 1, 7, 64]))
+    i = draw(st.sampled_from([0, 0, 1, 7, 64, 4095, 4096]))
     q = 1 if p > N and draw(st.booleans()) else draw(st.integers(2, p - 1))
     ctx = QContext(PrimeField(p), q, k)
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    La = draw(st.integers(1, 3))
+    La = draw(st.one_of(st.integers(1, min(N, 3)), st.integers(1, N)))
     Pd = gen.integers(0, p, (n, n, La))
     if k == 1 and draw(st.booleans()):
         steps = draw(st.lists(st.integers(i, i + N - 1), min_size=1, max_size=n))
