@@ -5,7 +5,11 @@ algorithms.  Vectorized kernels add their totals in bulk; limb splitting
 and other int64 overflow tricks are representation details and are not
 double-counted.  Inversions count the square-and-multiply cost of
 Fermat exponentiation; m inversions batched by ``field.inverses`` count
-one such power and 3(m - 1) products.
+one such power and 3(m - 1) products.  Two things stay uncharged on
+purpose: ``QContext``'s tables of q-powers and gamma_i, set-up shared by
+every solve in a context, and the Python-int products of the ``check``
+audit (``oracle._kronecker_product``), which must not reuse the kernels
+it audits.
 """
 
 import functools

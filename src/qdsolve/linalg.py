@@ -246,7 +246,7 @@ def monic_at(c: list[int], Y: np.ndarray, p: int) -> np.ndarray:
 
 def poly_at(T: np.ndarray, P: np.ndarray, p: int) -> np.ndarray:
     """sum_m T[..., m] V^m, stacked (..., n, n), for coefficient rows T
-    (..., n) and the power row P = [V^0 | ... | V^(n-1)] of sylvester_tables.
+    (..., n) and the power row P = [V^0 | ... | V^(n-1)] of ``power_row``.
 
     The powers m >= 1 are one product of T against them, flattened; V^0 is
     the identity, so the m = 0 coefficients are added on the diagonal.
@@ -263,18 +263,26 @@ def poly_at(T: np.ndarray, P: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def sylvester_tables(V: np.ndarray, chi: list[int], p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(P, D) for an n x n matrix V with chi = char_poly(V): the power row
-    P = [V^0 | ... | V^(n-1)] and the right-side table D = [D_0 | ... | D_(n-1)],
-    D_a = sum_l c_(a+l+1) V^l (so D_(n-1) = Id), both n x n^2.
-
-    n - 2 products form the powers and one ``poly_at`` the table.
-    """
+def power_row(V: np.ndarray, p: int) -> np.ndarray:
+    """The power row [V^0 | ... | V^(n-1)] of an n x n matrix V, n x n^2,
+    by n - 2 products."""
     n = V.shape[0]
     P = np.zeros((n, n * n), dtype=_INT64)
     P[:, :n] = np.eye(n, dtype=_INT64)
     for m in range(1, n):
         P[:, m * n : (m + 1) * n] = V if m == 1 else _matmul_mod(P[:, (m - 1) * n : m * n], V, p)
+    return P
+
+
+def sylvester_tables(V: np.ndarray, chi: list[int], p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(P, D) for an n x n matrix V with chi = char_poly(V): the power row
+    P = power_row(V, p) and the right-side table D = [D_0 | ... | D_(n-1)],
+    D_a = sum_l c_(a+l+1) V^l (so D_(n-1) = Id), both n x n^2.
+
+    One ``poly_at`` forms the table.
+    """
+    n = V.shape[0]
+    P = power_row(V, p)
     # the Hankel rows H[a, l] = c_(a+l+1), zero past c_n
     c = np.array(list(chi[1:]) + [0] * n, dtype=_INT64)
     H = c[np.add.outer(np.arange(n), np.arange(n))]

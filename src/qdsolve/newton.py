@@ -70,36 +70,30 @@ from .spectrum import SpectrumReport, diagonalize, good_spectrum, step_matrices
 _INT64 = np.int64
 
 
-def choose_associated(
-    A: SeriesMatrix, ctx: QContext, chi: list[int]
-) -> tuple[SeriesMatrix, SeriesMatrix]:
+def choose_associated(A: SeriesMatrix, ctx: QContext) -> tuple[SeriesMatrix, SeriesMatrix]:
     """Polynomials (B, V) of degree < k with A sigma(V) = V B mod x^k,
     formed mod x^min(k, A.prec): coefficients past A's precision never
     reach a solution known to that precision.
 
     B = A mod x^k with V = Id, except in the differential case with
-    k > 1 where the splitting construction is required.  chi is the
-    characteristic polynomial from A_0's good spectrum report."""
+    k > 1 where the splitting construction is required."""
     if ctx.k == 1 or ctx.q != 1:
         m = min(ctx.k, A.prec)
         return A.truncate(m), SeriesMatrix.identity(A.p, A.rows, m)
-    return splitting_lemma(A, ctx, chi)
+    return splitting_lemma(A, ctx)
 
 
-def splitting_lemma(
-    A: SeriesMatrix, ctx: QContext, chi: list[int]
-) -> tuple[SeriesMatrix, SeriesMatrix]:
+def splitting_lemma(A: SeriesMatrix, ctx: QContext) -> tuple[SeriesMatrix, SeriesMatrix]:
     """Diagonal polynomial B and V with V_0 invertible, A V = V B mod x^k,
     formed mod x^min(k, A.prec).
 
-    Needs k > 1, q = 1 and A_0 with n distinct eigenvalues in K; chi is
-    the characteristic polynomial from A_0's good spectrum report, which
-    proved that.
+    Needs k > 1, q = 1 and A_0 with n distinct eigenvalues in K, which
+    A_0's good spectrum report proved.
     """
     k, p, n = min(ctx.k, A.prec), ctx.p, A.rows
     if ctx.k <= 1 or ctx.q != 1:
         raise ValueError("splitting construction applies to q = 1 and k > 1 only")
-    P, roots = diagonalize(A.coefficient_array(0), chi, p)
+    P, roots = diagonalize(A.coefficient_array(0), p)
     # P and P^(-1) as one-plane series, so each product with them is one _matmul_mod
     Pc = SeriesMatrix(p, P[:, :, None], k)
     D = SeriesMatrix(p, mat_inv(P, p)[:, :, None], k).mul(A.truncate(k)).mul(Pc)
@@ -401,7 +395,7 @@ def newton_solve(A: SeriesMatrix, C: SeriesMatrix, N: int, ctx: QContext) -> Sol
     if not rep.good:
         raise SpectrumError(f"no good spectrum at precision {N}: {rep.reason}")
     At = A.truncate(N)
-    B, V = choose_associated(At, ctx, rep.chi)
+    B, V = choose_associated(At, ctx)
     # B0 is A0 unless k > 1 and q = 1, where diff_sylvester is not used
     W, Winv, inv_valid = _newton_ae_impl(At, B, V, N, ctx, rep)
     Wp = W.as_poly_prec(N)

@@ -63,6 +63,8 @@ class SeriesMatrix:
 
     @classmethod
     def _mk(cls, p: int, data: np.ndarray, prec: int) -> "SeriesMatrix":
+        if prec < 0:
+            raise ValueError("precision must be nonnegative")
         m = object.__new__(cls)
         m.p = p
         m.data = data

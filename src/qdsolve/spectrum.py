@@ -12,9 +12,12 @@ that table times the powers A0^0 .. A0^(n-1) (``step_chi_table``), one
 product.  The singular mask is the verdict, and the inverses, the powers
 and the Cayley-Hamilton right-side table go to the Newton solver, whose
 Sylvester steps need exactly them.  The k > 1, q = 1 clause (A0 has n
-distinct eigenvalues in K) is decided by polynomial gcds, and the
-report's chi is the one that diagonalize then splits into those
-eigenvalues: a solve forms chi once.
+distinct eigenvalues in K) is decided in K[A0], the polynomials in A0:
+chi is squarefree exactly when chi'(A0) is nonsingular, and then it
+splits over K exactly when A0^p = A0.  diagonalize finds those
+eigenvalues and their eigenlines in K[A0] too, by Cantor-Zassenhaus on
+matrix powers and kernels, so every field multiplication of the
+differential case goes through the charged matrix kernels.
 """
 
 from __future__ import annotations
@@ -26,89 +29,13 @@ import numpy as np
 
 from . import instrument
 from .errors import InternalInvariantError
+from .field import inverses
 from .linalg import (
-    _matmul_mod, char_poly, lin_solve, mat_inv_stack, monic_at, poly_at, sylvester_tables,
+    _matmul_mod, char_poly, lin_solve, mat_inv_stack, monic_at, poly_at, power_row,
+    sylvester_tables,
 )
 
 _INT64 = np.int64
-
-
-# ---------------------------------------------------------------------------
-# small dense polynomials over F_p: ascending int lists, trailing zeros trimmed
-
-
-def _ptrim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _pmonic(f, p):
-    if not f:
-        return f
-    lead = f[-1]
-    if lead == 1:
-        return f
-    inv = pow(lead, p - 2, p)
-    return [c * inv % p for c in f]
-
-
-def _pdivmod(f, g, p):
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    f = list(f)
-    dg = len(g) - 1
-    inv = pow(g[-1], p - 2, p)
-    q = [0] * max(0, len(f) - dg)
-    while len(f) - 1 >= dg and f:
-        c = f[-1] * inv % p
-        d = len(f) - 1 - dg
-        q[d] = c
-        for i in range(dg + 1):
-            f[d + i] = (f[d + i] - c * g[i]) % p
-        _ptrim(f)
-    return q, f
-
-
-def _pgcd(f, g, p):
-    f, g = list(f), list(g)
-    _ptrim(f)
-    _ptrim(g)
-    while g:
-        _, r = _pdivmod(f, g, p)
-        f, g = g, r
-    return _pmonic(f, p)
-
-
-def _pderiv(f, p):
-    return _ptrim([i * f[i] % p for i in range(1, len(f))])
-
-
-def _pmulmod(f, g, m, p):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    _, r = _pdivmod(out, m, p)
-    return r
-
-
-def _is_split_squarefree(chi, p) -> tuple[bool, str | None]:
-    if len(_pgcd(chi, _pderiv(chi, p), p)) != 1:
-        return False, "|Spec A0| = n fails (repeated eigenvalue)"
-    xp = _ppowmod_linear(0, p, chi, p)  # x^p mod chi
-    diff = list(xp) + [0] * max(0, 2 - len(xp))
-    diff[1] = (diff[1] - 1) % p
-    _, rem = _pdivmod(_ptrim(diff), chi, p)
-    if _ptrim(rem):
-        return False, "Spec A0 not contained in K (char poly does not split)"
-    return True, None
-
-
-# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -116,17 +43,16 @@ class SpectrumReport:
     """The verdict of good_spectrum, and what it formed on the way.
 
     For k = 1 or q != 1: steps_inv holds chi(Y_i)^(-1) for i < N (zeros
-    where singular) and steps_singular the singular mask, which is set at
-    i = 0, where there is no step.  When N > 1, tables is
-    sylvester_tables(A0, chi): the power row [A0^0 | ... | A0^(n-1)] and
-    the Cayley-Hamilton right-side table, which linalg.sylvester_solve
-    takes for every step against A0.
+    where singular), chi = char_poly(A0), and steps_singular the singular
+    mask, which is set at i = 0, where there is no step.  When N > 1,
+    tables is sylvester_tables(A0, chi): the power row [A0^0 | ... |
+    A0^(n-1)] and the Cayley-Hamilton right-side table, which
+    linalg.sylvester_solve takes for every step against A0.
     """
 
     good: bool
     reason: str | None
     singular_indices: list[int] = field(default_factory=list)
-    chi: list[int] = field(default_factory=list)  # char_poly(A0)
     steps_inv: np.ndarray | None = None
     steps_singular: np.ndarray | None = None
     tables: tuple[np.ndarray, np.ndarray] | None = None
@@ -198,7 +124,10 @@ def good_spectrum(A0: np.ndarray, ctx, N: int) -> SpectrumReport:
     for k > 1 with q != 1, the clause is that every chi(Y_i), 1 <= i < N,
     is invertible.  The stack of chi(Y_i) is ``step_chi_table``, one
     product against A0's powers, and one ``mat_inv_stack`` inverts it;
-    the inverses and the Sylvester tables go into the report.
+    the inverses and the Sylvester tables go into the report.  For k > 1,
+    q = 1 it is that A0 is nonsingular, gamma_i != 0 for i <= N - k, and
+    A0 has n distinct eigenvalues in K: one ``mat_inv_stack`` mask on
+    chi'(A0) and one comparison of A0^p with A0.
     """
     n, p = A0.shape[0], ctx.p
     q, k = ctx.q, ctx.k
@@ -223,13 +152,17 @@ def good_spectrum(A0: np.ndarray, ctx, N: int) -> SpectrumReport:
     elif chi[0] == 0:
         report = "A0 is singular (clause k>1)"
     elif q == 1:
-        limit = max(N - k, 0)
-        if p <= limit:
+        if p <= N - k:
             report = f"gamma_{p} = 0 in F_{p} (clause k>1, q=1)"
         else:
-            ok, why = _is_split_squarefree(chi, p)
-            if not ok:
-                report = why
+            # chi is squarefree iff chi'(A0) is nonsingular (its eigenvalues
+            # are chi' at those of A0), and then it splits over K iff A0^p = A0
+            instrument.mul_counter.add(n)
+            dchi = np.arange(1, n + 1) * np.array(chi[1:], dtype=_INT64) % p
+            if mat_inv_stack(poly_at(dchi, power_row(A0, p), p), p)[1]:
+                report = "|Spec A0| = n fails (repeated eigenvalue)"
+            elif not np.array_equal(_mat_pow(A0, p, p), A0):
+                report = "Spec A0 not contained in K (char poly does not split)"
     elif first is not None:
         report = f"Spec A0 meets q^{first} Spec A0 (clause k>1, i={first})"
     good = report is None
@@ -238,71 +171,74 @@ def good_spectrum(A0: np.ndarray, ctx, N: int) -> SpectrumReport:
             raise InternalInvariantError("good spectrum with more than one singular index")
         if ctx.k > 1 and sing:
             raise InternalInvariantError("good spectrum with singular indices for k > 1")
-    return SpectrumReport(good, report, sing, chi, steps_inv, steps_singular, tables)
+    return SpectrumReport(good, report, sing, steps_inv, steps_singular, tables)
 
 
-def _find_roots(chi, p: int) -> list[int]:
-    """Roots of a squarefree product of distinct linear factors.
-
-    Las Vegas: the random splitting points only decide how fast the roots
-    are found, and the fixed seed makes the run reproducible.
-    """
-    rng = random.Random(0)
-    roots: list[int] = []
-
-    def split(f):
-        if len(f) == 2:
-            roots.append(-f[0] * pow(f[1], p - 2, p) % p)
-            return
-        for _ in range(64):
-            a = rng.randrange(p)
-            # gcd((x+a)^((p-1)/2) - 1, f) splits by quadratic character
-            g = _ppowmod_linear(a, (p - 1) // 2, f, p)
-            g = list(g) + [0] * max(0, 1 - len(g))
-            g[0] = (g[0] - 1) % p
-            h = _pgcd(_ptrim(g), f, p)
-            if 0 < len(h) - 1 < len(f) - 1:
-                split(h)
-                split(_pdivmod(f, h, p)[0])
-                return
-        raise InternalInvariantError("root splitting failed repeatedly")
-
-    split(_pmonic(list(chi), p))
-    return sorted(roots)
-
-
-def _ppowmod_linear(a, e, m, p):
-    """(x + a)^e mod m."""
-    result = [1]
-    base = _pdivmod([a, 1], m, p)[1]
-    for bit in bin(e)[2:]:
-        result = _pmulmod(result, result, m, p)
+def _mat_pow(U: np.ndarray, e: int, p: int) -> np.ndarray:
+    """U^e for e >= 1 by square-and-multiply: a product per bit of e past
+    the first, and one more per set bit."""
+    out = U
+    for bit in bin(e)[3:]:
+        out = _matmul_mod(out, out, p)
         if bit == "1":
-            result = _pmulmod(result, base, m, p)
-    return result
+            out = _matmul_mod(out, U, p)
+    return out
 
 
-def diagonalize(A0: np.ndarray, chi: list[int], p: int) -> tuple[np.ndarray, list[int]]:
+def diagonalize(A0: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """(P, roots) with P invertible and P^(-1) A0 P = diag(roots).
 
-    chi must be char_poly(A0) from a good spectrum report with k > 1,
-    q = 1, which has proved it squarefree and split over K.  The roots are
-    ascending, so the output is deterministic.
+    A0 must have n distinct eigenvalues in K, which a good spectrum report
+    with k > 1, q = 1 has proved.  Cantor-Zassenhaus runs in K[A0]: a
+    round draws a and forms M = (A0 + a Id)^((p-1)/2), which acts on the
+    eigenline of r as 1, -1 or 0 when r + a is a nonzero square, a
+    nonsquare or zero, and replaces every invariant subspace S of
+    dimension > 1 by the nonzero kernels of M - s Id on S, s in {1, -1, 0}.
+    Each eigenline v is scaled so that its last nonzero entry is 1, which
+    makes it the vector lin_solve(A0 - r Id, 0) returns, and r is (A0 v)
+    at that entry.  The roots are ascending and P does not depend on the
+    draws, so the output is deterministic; the seeded draws only decide
+    how fast the lines are found.
     """
     n = A0.shape[0]
-    roots = _find_roots(chi, p)
-    if len(roots) != n or len(set(roots)) != n:
-        raise InternalInvariantError(f"chi has roots {roots} in K, expected {n} distinct ones")
-    zero = np.zeros((n, 1), dtype=_INT64)
-    cols = []
-    for r in roots:
-        sol = lin_solve((A0 - r * np.eye(n, dtype=_INT64)) % p, zero, p)
-        if sol is None or sol.nullspace.shape[1] == 0:
-            raise InternalInvariantError("eigenvalue without eigenvector")
-        cols.append(sol.nullspace[:, 0])
-    P = np.stack(cols, axis=1)
-    # A0 P = P diag(roots): column j of P scaled by roots[j]
-    instrument.mul_counter.add(n * n)
-    if not np.array_equal(_matmul_mod(A0, P, p), P * np.array(roots, dtype=_INT64) % p):
+    eye = np.eye(n, dtype=_INT64)
+    rng = random.Random(0)
+    spaces = [eye]  # column bases of A0-invariant subspaces
+    failed = 0
+    while any(S.shape[1] > 1 for S in spaces):
+        if failed == 64:
+            raise InternalInvariantError("root splitting failed repeatedly")
+        M = _mat_pow((A0 + rng.randrange(p) * eye) % p, (p - 1) // 2, p)
+        split = []
+        for S in spaces:
+            if S.shape[1] == 1:
+                split.append(S)
+                continue
+            # the kernels are independent, so the solves stop once they fill
+            # S; a right side with no columns asks lin_solve for the kernel only
+            MS, left = _matmul_mod(M, S, p), S.shape[1]
+            for s in (1, p - 1, 0):
+                K = lin_solve((MS - s * S) % p, S[:, :0], p).nullspace
+                if K.shape[1]:
+                    split.append(_matmul_mod(S, K, p))
+                    left -= K.shape[1]
+                    if not left:
+                        break
+        failed += len(split) == len(spaces)
+        spaces = split
+    # one eigenline per column; fewer than n when the rounds lost dimensions
+    V = np.hstack([eye[:, :0], *spaces])
+    last = n - 1 - (V[::-1] != 0).argmax(axis=0)
+    cols = np.arange(V.shape[1])
+    instrument.mul_counter.add(V.size)
+    V = V * inverses(V[last, cols], p) % p
+    AV = _matmul_mod(A0, V, p)
+    r = AV[last, cols]
+    roots = sorted(r.tolist())
+    if len(set(roots)) != n:
+        raise InternalInvariantError(f"A0 has eigenvalues {roots} in K, expected {n} distinct ones")
+    # A0 V = V diag(r): column j of V scaled by r[j]
+    instrument.mul_counter.add(V.size)
+    if not np.array_equal(AV, V * r % p):
         raise InternalInvariantError("diagonalization residual nonzero")
-    return P, roots
+    return V[:, np.argsort(r)], roots

@@ -94,11 +94,10 @@ def test_pol_coeffs_de_singular_p0_matches_dense(q, k):
     assert spaces_equal(sol, want)
 
 
-def good_chi(A, ctx):
-    """chi of A_0 from its good spectrum report, as newton_solve passes it."""
+def assert_good(A, ctx):
+    """A_0 passes the good spectrum test, as newton_solve requires."""
     rep = good_spectrum(A.coefficient_array(0), ctx, A.prec)
     assert rep.good, rep.reason
-    return rep.chi
 
 
 def test_splitting_lemma_examples():
@@ -106,8 +105,8 @@ def test_splitting_lemma_examples():
     ctx = QContext(P101, 1, 2)
     # constant diagonal A: V = Id, B = A
     A = SeriesMatrix(p, np.array([[[1], [0]], [[0], [2]]], dtype=np.int64), 2)
-    chi = good_chi(A, ctx)
-    B, V = splitting_lemma(A, ctx, chi)
+    assert_good(A, ctx)
+    B, V = splitting_lemma(A, ctx)
     assert V == SeriesMatrix.identity(p, 2, 2)
     assert B == A.truncate(2)
 
@@ -116,7 +115,7 @@ def test_splitting_lemma_examples():
     data[:, :, 0] = [[1, 0], [0, 2]]
     data[:, :, 1] = [[0, 1], [1, 0]]
     A = SeriesMatrix(p, data, 2)
-    B, V = splitting_lemma(A, ctx, chi)  # A0 is unchanged, and so is chi
+    B, V = splitting_lemma(A, ctx)  # A0 is unchanged
     assert B == A.truncate(1).as_poly_prec(2)  # B = diag(1,2), B_1 = 0
     want_v = np.zeros((2, 2, 2), dtype=np.int64)
     want_v[:, :, 0] = np.eye(2)
@@ -125,11 +124,11 @@ def test_splitting_lemma_examples():
     # defining relation
     assert A.mul(V, 2) == V.mul(B, 2)
 
-    # a defective A0 fails good_spectrum (test_spectrum), so no chi reaches
+    # a defective A0 fails good_spectrum (test_spectrum), so never reaches
     # this far; the construction itself refuses the other equation classes
     for other in (QContext(P101, 1, 1), QContext(P101, 5, 2)):
         with pytest.raises(ValueError):
-            splitting_lemma(A, other, chi)
+            splitting_lemma(A, other)
 
 
 def test_splitting_lemma_random_postconditions():
@@ -148,7 +147,7 @@ def test_splitting_lemma_random_postconditions():
         rep = good_spectrum(A.coefficient_array(0), ctx, A.prec)
         if not rep.good:
             continue
-        B, V = splitting_lemma(A, ctx, rep.chi)
+        B, V = splitting_lemma(A, ctx)
         hits += 1
         assert A.truncate(k).mul(V, k) == V.mul(B, k)
         offdiag = B.data.copy()
@@ -163,15 +162,18 @@ def test_choose_associated_branches():
     # k=1: B = A0, V = Id
     ctx = QContext(P101, 5, 1)
     A = sm(p, [[[3, 1, 4]]], 3)
-    B, V = choose_associated(A, ctx, good_chi(A, ctx))
+    assert_good(A, ctx)
+    B, V = choose_associated(A, ctx)
     assert B == A.truncate(1) and V == SeriesMatrix.identity(p, 1, 1)
     # k=3, q != 1: B = A mod x^3, V = Id
     ctx = QContext(P101, 5, 3)
-    B, V = choose_associated(A, ctx, good_chi(A, ctx))
+    assert_good(A, ctx)
+    B, V = choose_associated(A, ctx)
     assert B == A.truncate(3) and V == SeriesMatrix.identity(p, 1, 3)
     # k=3, q = 1: the splitting construction, B diagonal of degree < k
     ctx = QContext(P101, 1, 3)
-    B, V = choose_associated(A, ctx, good_chi(A, ctx))
+    assert_good(A, ctx)
+    B, V = choose_associated(A, ctx)
     assert B == A.truncate(3) and V == SeriesMatrix.identity(p, 1, 3)
 
 
@@ -233,7 +235,8 @@ def test_diff_sylvester_residual_random():
 )
 def test_char_poly_once_per_newton_solve(k, q_mode, monkeypatch):
     # the spectrum test's chi_A0 is chi_B0 too, however long the ladder, and
-    # in the differential case (k = 2, q = 1) diagonalize splits that same chi
+    # in the differential case (k = 2, q = 1) diagonalize needs no chi: it
+    # works on powers of A0
     calls = []
 
     def counted(U, p):
@@ -469,7 +472,7 @@ def test_newton_ae_postconditions_random():
         inst = random_instance(8000 + trial, p, n, N, k, q_mode, require_good_spectrum=True)
         ctx = inst.ctx
         At = inst.A.truncate(N).as_poly_prec(max(N, k))
-        B, V = choose_associated(At, ctx, good_spectrum(At.coefficient_array(0), ctx, N).chi)
+        B, V = choose_associated(At, ctx)
         W = newton_ae(At, B, V, N, ctx)
         # residual of the associated equation and det W0 != 0, all branches
         assert associated_residual(inst.A, B, W, min(N, W.prec), ctx).is_zero()
@@ -533,7 +536,7 @@ def test_gauge_equivalence_both_directions():
         inst = random_instance(9000 + trial, p, n, N, k, "random", require_good_spectrum=True)
         ctx = inst.ctx
         At = inst.A.truncate(N).as_poly_prec(max(N, k))
-        B, V = choose_associated(At, ctx, good_spectrum(At.coefficient_array(0), ctx, N).chi)
+        B, V = choose_associated(At, ctx)
         W = newton_ae(At, B, V, N, ctx).as_poly_prec(N)
         Winv = W.inv_newton(N)
         sol = solve_operator_matrix(inst)
@@ -685,8 +688,6 @@ def test_column_lift_paths(k, q_mode, N, constant_A, monkeypatch):
 
 def _singular_system(p, q, n, N, s, gen):
     """k = 1, good spectrum, singular index s only, C planted from a random F."""
-    from qdsolve.spectrum import singular_indices
-
     field = PrimeField(p)
     ctx = QContext(field, q, 1)
     # gamma_s q^(-s) is an eigenvalue of A0 exactly when index s is singular
@@ -699,7 +700,7 @@ def _singular_system(p, q, n, N, s, gen):
         except ValueError:
             continue
         rep = good_spectrum(A0, ctx, N)
-        if rep.good and singular_indices(rep.chi, ctx, N) == [s]:
+        if rep.good and rep.singular_indices == [s]:
             break
     Ad = gen.integers(0, p, size=(n, n, N), dtype=np.int64)
     Ad[:, :, 0] = A0
@@ -824,7 +825,7 @@ def test_ladder_checks_low_part_with_runtime_checks(monkeypatch):
     A, ctx, p = inst.A.truncate(2).as_poly_prec(N), inst.ctx, inst.p
     assert newton._newton_ladder(N, 1)[-3:] == [c, 2 * c, N]
     want = oracle.dense_solve(ProblemInstance(inst.field, ctx, 3, N, A, inst.C))
-    B, V = choose_associated(A, ctx, char_poly(A.coefficient_array(0), p))
+    B, V = choose_associated(A, ctx)
     Winv = newton_ae(A, B, V, N, ctx).inv_newton(N)
     eps = np.arange(1, 10, dtype=np.int64).reshape(3, 3)
     real = newton.diff_sylvester

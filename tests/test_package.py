@@ -73,6 +73,32 @@ def test_products_only_in_kernels():
     assert not found, found
 
 
+# where a three-argument pow may stand: field.py is the scalar arithmetic,
+# _rref charges its pivot inverses, and the audit product is uncharged by
+# design; anywhere else a modular power would add nothing to mul_counter
+_POW_ALLOWED = {("linalg.py", "_rref"), ("oracle.py", "_kronecker_product")}
+
+
+def test_modular_pow_only_where_charged():
+    pkg = Path(qdsolve.__file__).resolve().parent
+    found = []
+    for path in sorted(pkg.glob("*.py")):
+        if path.name == "field.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            name = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "pow"
+                    and len(node.args) + len(node.keywords) == 3
+                    and (path.name, name) not in _POW_ALLOWED
+                ):
+                    found.append(f"{path.name}:{node.lineno} in {name}")
+    assert not found, found
+
+
 def test_left_side_only_through_theta():
     # the engines and the check form x^k delta(F) through QContext.theta,
     # which reads only the planes that reach the window; delta(..).shift(k)

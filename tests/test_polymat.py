@@ -38,6 +38,31 @@ def test_mul_dimension_mismatch():
         A.mul(B, 4)
 
 
+def _eight():
+    """1 + 2x + ... + 8x^7 mod x^8 as a 1 x 1 series matrix."""
+    return SeriesMatrix(101, np.arange(1, 9).reshape(1, 1, 8), 8)
+
+
+def test_truncate_refuses_negative_precision():
+    with pytest.raises(ValueError, match="precision must be nonnegative"):
+        _eight().truncate(-3)
+
+
+def test_as_poly_prec_refuses_negative_precision():
+    with pytest.raises(ValueError, match="precision must be nonnegative"):
+        _eight().as_poly_prec(-3)
+
+
+def test_zeros_refuses_negative_precision():
+    with pytest.raises(ValueError, match="precision must be nonnegative"):
+        SeriesMatrix.zeros(101, 2, 2, -1)
+
+
+def test_identity_refuses_negative_precision():
+    with pytest.raises(ValueError, match="precision must be nonnegative"):
+        SeriesMatrix.identity(101, 2, -1)
+
+
 def test_apply_examples():
     rng = random.Random(1)
     ctx1 = QContext(P101, 1, 1)

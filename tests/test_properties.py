@@ -4,8 +4,9 @@ engine answer against the independent residual, both routes of
 SeriesMatrix.mul and the batched _matmul_mod against Python-int products,
 QContext.theta against the composed delta, shift and sigma chain,
 the stacked inverse against mat_inv, good_spectrum against the gcd
-criterion it replaced, its chi(Y_i) table against Horner at each step
-matrix, and the scalar helpers field.powers, field.inverses and the
+criterion it replaced, its q = 1, k > 1 clause and diagonalize against
+Python-int gcds and known spectra, its chi(Y_i) table against Horner at
+each step matrix, and the scalar helpers field.powers, field.inverses and the
 QContext tables against Python pow."""
 
 import numpy as np
@@ -20,14 +21,16 @@ from qdsolve.dac import DAC_LEAF, dac_solve  # noqa: E402
 from qdsolve.errors import SpectrumError  # noqa: E402
 from qdsolve.field import PrimeField, inverses, powers  # noqa: E402
 from qdsolve.linalg import (  # noqa: E402
-    _matmul_mod, _rref, char_poly, mat_inv, mat_inv_stack, monic_at, sylvester_tables,
+    _matmul_mod, _rref, char_poly, lin_solve, mat_inv, mat_inv_stack, monic_at, sylvester_tables,
 )
 from qdsolve.newton import newton_solve, pol_coeffs_de  # noqa: E402
 from qdsolve.oracle import _solve_term_by_term, dense_solve, make_instance, residual  # noqa: E402
 from qdsolve.polymat import SeriesMatrix  # noqa: E402
 from qdsolve.series import QContext  # noqa: E402
 from qdsolve.solution import resolve_affine_family, spaces_equal  # noqa: E402
-from qdsolve.spectrum import _pgcd, good_spectrum, step_chi_table, step_matrices  # noqa: E402
+from qdsolve.spectrum import (  # noqa: E402
+    diagonalize, good_spectrum, step_chi_table, step_matrices,
+)
 
 from operator_matrix import solve_operator_matrix  # noqa: E402
 
@@ -397,6 +400,54 @@ def _pshift_arg(f, c, p):
     return out
 
 
+# dense polynomials over F_p in Python ints: ascending lists, trailing
+# zeros trimmed, so the zero polynomial is []
+
+
+def _ptrim(f):
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _pmod(f, g, p):
+    """f mod g for a nonzero g."""
+    f = _ptrim([c % p for c in f])
+    inv = pow(g[-1], p - 2, p)
+    while len(f) >= len(g):
+        c, d = f[-1] * inv % p, len(f) - len(g)
+        for i, gi in enumerate(g):
+            f[d + i] = (f[d + i] - c * gi) % p
+        _ptrim(f)
+    return f
+
+
+def pgcd(f, g, p):
+    """The monic gcd of f and g, by Euclid."""
+    f, g = _ptrim([c % p for c in f]), _ptrim([c % p for c in g])
+    while g:
+        f, g = g, _pmod(f, g, p)
+    return [c * pow(f[-1], p - 2, p) % p for c in f] if f else f
+
+
+def _pmulmod(f, g, m, p):
+    out = [0] * (len(f) + len(g))
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return _pmod(out, m, p)
+
+
+def xpow_mod(e, m, p):
+    """x^e mod m, by square-and-multiply."""
+    out, x = _pmod([1], m, p), _pmod([0, 1], m, p)
+    for bit in bin(e)[2:]:
+        out = _pmulmod(out, out, m, p)
+        if bit == "1":
+            out = _pmulmod(out, x, m, p)
+    return out
+
+
 def gcd_bad_steps(A0, ctx, N):
     """The steps 1 <= i < N at which Spec A0 meets Spec Y_i, by the gcd of
     chi = char_poly(A0) with char_poly(Y_i) = chi(q^(-i)(x + gamma_i)) up to a
@@ -409,7 +460,7 @@ def gcd_bad_steps(A0, ctx, N):
         other = _pscale_arg(chi, pow(qinv, i, p), p)
         if ctx.k == 1:
             other = _pshift_arg(other, ctx.gamma(i), p)
-        if len(_pgcd(chi, other, p)) != 1:
+        if len(pgcd(chi, other, p)) != 1:
             bad.append(i)
     return bad
 
@@ -462,12 +513,118 @@ def test_good_spectrum_matches_gcd_reference(case):
     bad = gcd_bad_steps(A0, ctx, N)
     rep = good_spectrum(A0, ctx, N)
     assert np.flatnonzero(rep.steps_singular[1:]).tolist() == [i - 1 for i in bad]
-    if ctx.k > 1 and rep.chi[0] == 0:
+    if ctx.k > 1 and char_poly(A0, ctx.p)[0] == 0:
         assert not rep.good and "A0 is singular" in rep.reason
         return
     assert rep.good == (not bad)
     if bad:
         assert rep.reason.endswith(f"i={bad[0]})")
+
+
+SINGULAR = "A0 is singular (clause k>1)"
+REPEATED = "|Spec A0| = n fails (repeated eigenvalue)"
+NOT_SPLIT = "Spec A0 not contained in K (char poly does not split)"
+
+
+def gcd_reason(A0, p, k, N):
+    """The q = 1, k > 1 verdict by Python-int gcds: chi is squarefree when
+    gcd(chi, chi') = 1, and then splits over K when chi divides x^p - x."""
+    chi = char_poly(A0, p)
+    if chi[0] == 0:
+        return SINGULAR
+    if p <= N - k:
+        return f"gamma_{p} = 0 in F_{p} (clause k>1, q=1)"
+    if len(pgcd(chi, [i * c for i, c in enumerate(chi)][1:], p)) != 1:
+        return REPEATED
+    xp = xpow_mod(p, chi, p) + [0, 0]
+    xp[1] -= 1
+    return NOT_SPLIT if _pmod(xp, chi, p) else None
+
+
+def spectrum_reason(lams, quads, p, k, N):
+    """The same verdict from a known spectrum: the eigenvalues lams in K,
+    with multiplicity, and the nonsquares c of the factors x^2 - c."""
+    if 0 in lams:
+        return SINGULAR
+    if p <= N - k:
+        return f"gamma_{p} = 0 in F_{p} (clause k>1, q=1)"
+    if len(set(lams)) < len(lams) or len(set(quads)) < len(quads):
+        return REPEATED
+    return NOT_SPLIT if quads else None
+
+
+def _unit_triangular_inverse(L, n):
+    """(Id + E)^(-1) = sum (-E)^d for a nilpotent E, in object ints."""
+    inv = np.eye(n, dtype=object)
+    for d in range(1, n):
+        inv = inv + np.linalg.matrix_power(np.eye(n, dtype=object) - L, d)
+    return inv
+
+
+@st.composite
+def split_cases(draw):
+    """(A0, p, k, N, lams, quads) for the q = 1, k > 1 clause.  A0 is random
+    (lams None), or conjugate to a diagonal of nonzero eigenvalues, or to a
+    block diagonal of eigenvalues, Jordan blocks and companions of
+    irreducible x^2 - c; the last two have a known spectrum."""
+    p = draw(st.sampled_from([3, 5, 7, 65521, 2**31 - 1]))
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(2, 3))
+    N = draw(st.integers(1, 12))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mode = draw(st.sampled_from(["random", "diagonal", "blocks"]))
+    if mode == "random":
+        return gen.integers(0, p, (n, n)), p, k, N, None, None
+    J = np.zeros((n, n), dtype=object)
+    lams, quads, at = [], [], 0
+    while at < n:
+        kind = draw(st.sampled_from(["eigenvalue", "jordan", "quadratic"]))
+        if mode == "diagonal" or at + 2 > n:
+            kind = "eigenvalue"
+        if kind == "quadratic":
+            c = int(gen.integers(1, p))
+            while pow(c, (p - 1) // 2, p) != p - 1:
+                c = int(gen.integers(1, p))
+            J[at, at + 1], J[at + 1, at] = c, 1
+            quads.append(c)
+        else:
+            lam = int(gen.integers(mode == "diagonal", p))
+            size = 2 if kind == "jordan" else 1
+            for i in range(at, at + size):
+                J[i, i] = lam
+            if size == 2:
+                J[at, at + 1] = 1
+            lams += [lam] * size
+        at += 2 if kind != "eigenvalue" else 1
+    L = np.tril(gen.integers(0, p, (n, n)), -1).astype(object) + np.eye(n, dtype=object)
+    U = np.triu(gen.integers(0, p, (n, n)), 1).astype(object) + np.eye(n, dtype=object)
+    P = L.dot(U) % p
+    Pinv = _unit_triangular_inverse(U, n).dot(_unit_triangular_inverse(L, n)) % p
+    A0 = (P.dot(J).dot(Pinv) % p).astype(np.int64)
+    return A0, p, k, N, lams, quads
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_cases())
+def test_split_clause_and_diagonalize_match_references(case):
+    A0, p, k, N, lams, quads = case
+    n = A0.shape[0]
+    want = gcd_reason(A0, p, k, N)
+    if lams is not None:
+        assert spectrum_reason(lams, quads, p, k, N) == want
+    rep = good_spectrum(A0, QContext(PrimeField(p), 1, k), N)
+    assert rep.reason == want and rep.good == (want is None)
+    if not rep.good:
+        return
+    P, roots = diagonalize(A0, p)
+    assert roots == sorted(set(roots)) and len(roots) == n
+    if lams is not None:
+        assert roots == sorted(lams)
+    for j, r in enumerate(roots):
+        U = (A0 - r * np.eye(n, dtype=np.int64)) % p
+        kernel = lin_solve(U, np.zeros((n, 1), dtype=np.int64), p)
+        assert kernel.nullspace.shape[1] == 1
+        assert np.array_equal(P[:, j], kernel.nullspace[:, 0])
 
 
 @st.composite

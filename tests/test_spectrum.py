@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from qdsolve import instrument
 from qdsolve.errors import InternalInvariantError
 from qdsolve.field import PrimeField
 from qdsolve.linalg import char_poly, mat_inv
@@ -91,28 +92,30 @@ def test_good_spectrum_gamma_p_clause():
         assert rep.reason == "gamma_7 = 0 in F_7 (clause k>1, q=1)"
 
 
-def good_chi(A0, p):
-    """chi of A0 from its good spectrum report for k = 2, q = 1."""
-    rep = good_spectrum(A0, QContext(PrimeField(p), 1, 2), 3)
-    return rep.chi if rep.good else None
+def is_good(A0, p):
+    """Whether A0 passes the good spectrum test for k = 2, q = 1."""
+    return good_spectrum(A0, QContext(PrimeField(p), 1, 2), 3).good
 
 
 def test_diagonalize_examples():
     A0 = diag(101, [1, 2])
-    P, roots = diagonalize(A0, good_chi(A0, 101), 101)
+    assert is_good(A0, 101)
+    P, roots = diagonalize(A0, 101)
     assert roots == [1, 2] and np.array_equal(P, np.eye(2, dtype=np.int64))
 
     A0 = mat(7, [[0, 1], [2, 1]])  # chi = x^2 - x - 2 = (x - 2)(x + 1)
-    P, roots = diagonalize(A0, good_chi(A0, 7), 7)
+    assert is_good(A0, 7)
+    P, roots = diagonalize(A0, 7)
     assert roots == [2, 6]
     D = diag(7, roots)
     assert np.array_equal(mm(A0, P, 7), mm(P, D, 7))
     assert np.array_equal(mm(mm(mat_inv(P, 7), A0, 7), P, 7), D)
 
-    # a chi with a repeated root is never n distinct eigenvalues
-    A0 = mat(7, [[1, 1], [0, 1]])
-    with pytest.raises(InternalInvariantError):
-        diagonalize(A0, char_poly(A0, 7), 7)
+    # a Jordan block has one eigenline, a scalar matrix never splits and
+    # neither does the companion of the irreducible x^2 - 3 over F_7
+    for A0 in (mat(7, [[1, 1], [0, 1]]), diag(7, [3, 3]), mat(7, [[0, 3], [1, 0]])):
+        with pytest.raises(InternalInvariantError):
+            diagonalize(A0, 7)
 
 
 def test_diagonalize_random_and_seeded():
@@ -123,14 +126,30 @@ def test_diagonalize_random_and_seeded():
     while hits < 15:
         n = rng.randrange(1, 5)
         A0 = rand_mat(rng, p, n)
-        chi = good_chi(A0, p)
-        if chi is None:
+        if not is_good(A0, p):
             continue
-        P, roots = diagonalize(A0, chi, p)
+        P, roots = diagonalize(A0, p)
         hits += 1
         assert np.array_equal(mm(A0, P, p), mm(P, diag(p, roots), p))
-        P2, roots2 = diagonalize(A0, chi, p)
+        P2, roots2 = diagonalize(A0, p)
         assert np.array_equal(P2, P) and roots2 == roots
+
+
+def test_diagonalize_and_split_clause_charge_their_powers():
+    # diagonalize forms (A0 + a Id)^((p-1)/2) at least once and the split
+    # clause A0^p, each by square-and-multiply with one n x n product per
+    # squaring
+    p, n = 65521, 6
+    rng = random.Random(15)
+    # a unit lower triangular P, whose inverse mat_inv always finds
+    P = (np.tril(rand_mat(rng, p, n), -1) + np.eye(n, dtype=np.int64)) % p
+    A0 = mm(mm(P, diag(p, rng.sample(range(1, p), n)), p), mat_inv(P, p), p)
+    before = instrument.mul_counter.value
+    diagonalize(A0, p)
+    assert instrument.mul_counter.value - before >= (((p - 1) // 2).bit_length() - 1) * n**3
+    before = instrument.mul_counter.value
+    assert good_spectrum(A0, QContext(PrimeField(p), 1, 2), 8).good
+    assert instrument.mul_counter.value - before >= (p.bit_length() - 1) * n**3
 
 
 def brute_spectrum_report(A0, ctx, N):
