@@ -61,13 +61,12 @@ def bench_case(algo: str, inst: ProblemInstance, seed: int, k: int, N: int, reps
     if reps < 1:
         raise ValueError("reps must be at least 1")
     times = []
-    mul_count = 0
     for _ in range(reps):
-        instrument.mul_counter.reset()
+        m0 = instrument.mul_counter.value
         t0 = time.perf_counter()
         _run_algo(algo, inst)
         times.append((time.perf_counter() - t0) * 1e3)
-        mul_count = instrument.mul_counter.value
+        mul_count = instrument.mul_counter.value - m0
     return BenchRecord(
         algo=algo,
         n=inst.n,

@@ -1,15 +1,18 @@
-"""The prime field K = Z/pZ and its two batched scalar helpers.
+"""The prime field K = Z/pZ and its charged scalar kernels.
 
 ``PrimeField`` validates the modulus and names the field; the arithmetic
 itself works on raw ints and numpy int64 arrays with every residue kept
 canonical in [0, p), so equality of field values is plain integer
-comparison.  ``powers`` tabulates w^0 .. w^(m-1) in about log2 m
-vectorized passes, and ``inverses`` inverts m nonzero residues with one
-Fermat power on a product tree (Montgomery's trick, one vectorized
-pass per level): ceil(log2 m) passes multiply adjacent pairs up to the
-product of all m, and as many carry its inverse back down.  Every table
-of powers and every batch of scalar inverses in the package comes from
-these two.
+comparison.  ``mulmod`` is the one elementwise product: a * b mod p with
+broadcasting, charged one multiplication per entry of the result.
+``inverses`` inverts m nonzero residues with one Fermat power on a
+product tree (Montgomery's trick, one vectorized pass per level):
+ceil(log2 m) passes multiply adjacent pairs up to the product of all m,
+and as many carry its inverse back down.  ``powers`` tabulates
+w^0 .. w^(m-1) in about log2 m vectorized passes, uncharged: its tables
+are set-up, like ``QContext``'s.  Outside the matrix and convolution
+kernels, every elementwise product, table of powers and batch of scalar
+inverses in the package comes from these three.
 
 The modulus must be below 2^31, so that (p - 1)^2 < 2^62: the product of
 two canonical residues, plus anything below 2^62, fits in int64.  That
@@ -66,6 +69,14 @@ def powers(w: int, m: int, p: int) -> np.ndarray:
         out[h : h + t] = out[:t] * wh % p
         h += t
         wh = wh * wh % p
+    return out
+
+
+def mulmod(a, b, p: int):
+    """a * b mod p, broadcast as numpy does, charged one multiplication per
+    entry of the result."""
+    out = np.multiply(a, b) % p
+    instrument.mul_counter.add(np.size(out))
     return out
 
 

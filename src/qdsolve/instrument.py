@@ -1,15 +1,21 @@
 """Global field-multiplication counter and optional runtime self-checks.
 
 The counter tracks the number of multiplications in K performed by the
-algorithms.  Vectorized kernels add their totals in bulk; limb splitting
-and other int64 overflow tricks are representation details and are not
-double-counted.  Inversions count the square-and-multiply cost of
-Fermat exponentiation; m inversions batched by ``field.inverses`` count
-one such power and 3(m - 1) products.  Two things stay uncharged on
-purpose: ``QContext``'s tables of q-powers and gamma_i, set-up shared by
-every solve in a context, and the Python-int products of the ``check``
-audit (``oracle._kronecker_product``), which must not reuse the kernels
-it audits.
+algorithms, and only the kernels charge it: ``field.mulmod``, the one
+elementwise product (one per entry of its result), and
+``field.inverses``; ``linalg._matmul_mod``, ``_rref`` and
+``mat_inv_stack``; the two convolution backends; and the step kernel's
+per-step gamma product, which stays inline because it is reduced
+together with the step's right side.  Limb splitting and other int64
+overflow tricks are representation details and are not double-counted.
+Inversions count the square-and-multiply cost of Fermat exponentiation;
+m inversions batched by ``field.inverses`` count one such power and
+3(m - 1) products.  Uncharged on purpose are ``field.powers`` and
+``QContext``'s tables of q-powers and gamma_i, set-up shared by every
+solve in a context, the primality test ``field.is_prime``, and the
+Python-int products of the ``check`` audit (``oracle._kronecker_product``),
+which must not reuse the kernels it audits.  The counter is never
+reset: a caller reads the value before and after a solve.
 """
 
 import functools
@@ -23,9 +29,6 @@ class MulCounter:
 
     def add(self, n):
         self.value += n
-
-    def reset(self):
-        self.value = 0
 
 
 mul_counter = MulCounter()

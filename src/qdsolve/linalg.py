@@ -24,7 +24,7 @@ import numpy as np
 from . import instrument
 from .convolution import conv_trunc
 from .errors import InternalInvariantError
-from .field import inverses
+from .field import inverses, mulmod
 
 _INT64 = np.int64
 
@@ -231,19 +231,6 @@ def char_poly(U: np.ndarray, p: int) -> list[int]:
     return [int(c) for c in poly[::-1]]
 
 
-def monic_at(c: list[int], Y: np.ndarray, p: int) -> np.ndarray:
-    """c(Y) for a monic c given by ascending coefficients, at one matrix or
-    at each matrix of a stack (..., n, n), by Horner."""
-    d = len(c) - 1
-    n = Y.shape[-1]
-    eye = np.eye(n, dtype=_INT64)
-    m = (Y + c[d - 1] * eye) % p
-    for l in range(d - 2, -1, -1):
-        instrument.mul_counter.add(Y.size // n)  # c_l Id
-        m = (_matmul_mod(m, Y, p) + c[l] * eye) % p
-    return m
-
-
 def poly_at(T: np.ndarray, P: np.ndarray, p: int) -> np.ndarray:
     """sum_m T[..., m] V^m, stacked (..., n, n), for coefficient rows T
     (..., n) and the power row P = [V^0 | ... | V^(n-1)] of ``power_row``.
@@ -332,9 +319,8 @@ def sylvester_solve(
         ZD = _matmul_mod(Z, D[:, : (n - 1) * n], p)  # [Z D_0 | ... | Z D_(n-2)]
         if scaled:
             # s^a Z D_a for a = 1 .. n-1, stacked down the rows
-            instrument.mul_counter.add((n - 1) * n * n)
             W = np.concatenate([ZD[:, n:], Z], axis=1).reshape(n, n - 1, n)
-            W = (W * Y[:, None] % p).swapaxes(0, 1).reshape((n - 1) * n, n)
+            W = mulmod(W, Y[:, None], p).swapaxes(0, 1).reshape((n - 1) * n, n)
             S = (ZD[:, :n] + _matmul_mod(P[:, n:], W, p)) % p
         else:
             for a in range(n - 2, -1, -1):
@@ -342,8 +328,7 @@ def sylvester_solve(
     X = _matmul_mod(m_inv, S, p)
     if instrument.checks_enabled():
         if scaled:
-            instrument.mul_counter.add(X.size)
-            YX = Y[0] * _matmul_mod(V, X, p) % p
+            YX = mulmod(Y[0], _matmul_mod(V, X, p), p)
         else:
             YX = _matmul_mod(Y, X, p)
         if not np.array_equal((YX - _matmul_mod(X, V, p)) % p, Z):

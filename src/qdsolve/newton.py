@@ -59,7 +59,7 @@ import numpy as np
 
 from . import instrument
 from .errors import InternalInvariantError, SpectrumError
-from .field import inverses
+from .field import inverses, mulmod
 from .linalg import _matmul_mod, mat_inv, sylvester_solve
 from .oracle import _solve_term_by_term
 from .polymat import SeriesMatrix
@@ -119,12 +119,10 @@ def splitting_lemma(A: SeriesMatrix, ctx: QContext) -> tuple[SeriesMatrix, Serie
         if J > 0:
             delta_i -= _matmul_mod(Dcat[:, (Ld - 1 - J) * n : (Ld - 1) * n], Vs[(i - J) * n : i * n], p)
         if i > 1:
-            instrument.mul_counter.add((i - 1) * n * n)
-            delta_i += (V3[1:i] * b[i - 1 : 0 : -1, None, :] % p).sum(axis=0)
+            delta_i += mulmod(V3[1:i], b[i - 1 : 0 : -1, None, :], p).sum(axis=0)
         delta_i %= p
         b[i] = (-np.diagonal(delta_i)) % p
-        instrument.mul_counter.add(n * n)
-        V3[i] = delta_i * inv_diff % p
+        V3[i] = mulmod(delta_i, inv_diff, p)
     Bc = np.zeros((n, n, k), dtype=_INT64)
     Bc[np.arange(n), np.arange(n)] = b.T
     Vt = V3.transpose(1, 2, 0)
@@ -204,9 +202,8 @@ def diff_sylvester(
     qp = ctx.qpow_slice(N)
     # row i - m holds q^i, q^(2i), .., q^((n-1)i): the Y_i = q^i B0 of step i
     spow = np.repeat(qp[m:, None], max(n - 1, 1), axis=1)
-    instrument.mul_counter.add((N - m) * max(n - 2, 0))
     for a in range(1, n - 1):
-        spow[:, a] = spow[:, a - 1] * qp[m:] % p
+        spow[:, a] = mulmod(spow[:, a - 1], qp[m:], p)
     qp = qp.tolist()
     gam = ctx.gamma_slice(N).tolist()
     for i in range(m, N):
@@ -217,14 +214,12 @@ def diff_sylvester(
             C = (C + _matmul_mod(Bside[:, (K - J) * n :], Gq[lo:hi], p)
                  - _matmul_mod(Uc[:, lo:hi], Bdown[(K - J) * n :], p))
         if i - k + 1 >= m:
-            instrument.mul_counter.add(n * n)
             t = (i - k + 1) * n
-            C = C - gam[i - k + 1] * Uc[:, t : t + n] % p
+            C = C - mulmod(gam[i - k + 1], Uc[:, t : t + n], p)
         X = sylvester_solve(spow[i - m], B0, (-C) % p, p, rep.steps_inv[i], rep.tables)
         Uc[:, i * n : (i + 1) * n] = X
         if K and i + 1 < N:
-            instrument.mul_counter.add(n * n)
-            Gq[i * n : (i + 1) * n] = qp[i] * X % p
+            Gq[i * n : (i + 1) * n] = mulmod(qp[i], X, p)
     return SeriesMatrix(p, Uc.reshape(n, N, n).transpose(0, 2, 1), N)
 
 
@@ -266,11 +261,10 @@ def diff_sylvester_differential(
     gam = ctx.gamma_slice(N)
     for t in range(m, N):
         lo = max(m, t - k + 1)  # U_(t-d) for d = t-lo .. 1; the others vanish
-        acc = (dif[:, t - lo : 0 : -1] * X[:, lo:t] % p).sum(axis=1) + X[:, t]
+        acc = mulmod(dif[:, t - lo : 0 : -1], X[:, lo:t], p).sum(axis=1) + X[:, t]
         if lo == t - k + 1:
-            acc += (p - gam[lo]) * X[:, lo] % p
-        instrument.mul_counter.add(len(rows) * (t - lo + 1 + (lo == t - k + 1)))
-        X[:, t] = (p - acc % p) * inv % p
+            acc += mulmod(p - gam[lo], X[:, lo], p)
+        X[:, t] = mulmod(p - acc % p, inv, p)
     U[rows, cols] = X
     Us = SeriesMatrix(p, U, N)
     if instrument.checks_enabled():

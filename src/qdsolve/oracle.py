@@ -39,7 +39,7 @@ import numpy as np
 
 from . import instrument
 from .errors import PreconditionError, QdsolveError
-from .field import PrimeField
+from .field import PrimeField, mulmod
 from .linalg import _affine_solve, _matmul_mod, mat_inv, mat_inv_stack
 from .polymat import SeriesMatrix
 from .series import QContext
@@ -196,7 +196,6 @@ def _solve_term_by_term(
     A = A.as_poly_prec(N)  # exact: A.prec >= N, or A is PolCoeffsDE's polynomial
     La = A.data.shape[2]
     A0 = A.coefficient_array(0)
-    charge = instrument.mul_counter.add
     # q = 1 has nothing to fold, and neither has a batch of independent steps
     fold = ctx.q != 1 and (k > 1 or La > 1)
     qp = ctx.qpow_slice(i + N)[i:]
@@ -213,8 +212,7 @@ def _solve_term_by_term(
         if k == 1 and (La <= 1 or n == 1):
             inv, elim = mat_inv_stack(Ms, p)
             if fold:
-                charge(inv.size)
-                inv = inv * qp[:, None, None] % p
+                inv = mulmod(inv, qp[:, None, None], p)
     # [Ah_(La-1) | ... | Ah_1]; the window of step j is its last D blocks
     Acat = A.side_by_side()[:, : (La - 1) * n]
     width = C.cols
@@ -228,10 +226,9 @@ def _solve_term_by_term(
     gam = ctx.gamma_slice(i + N)[i : i + max(N - k + 1, 0)]  # gamma_(g-k+1) at j - k + 1
     if fold:
         qinv = ctx.qinv_pow_slice(i + N)[i:]  # q^(-g)
-        charge(Acat.size + Lc * n * width + len(gam))
-        Acat = Acat * np.repeat(ctx.qinv_pow_slice(La)[La - 1 : 0 : -1], n) % p
-        F[: Lc * n] = F[: Lc * n] * np.repeat(qinv[:Lc], n)[:, None] % p
-        gam = qinv[k - 1 :] * gam % p
+        Acat = mulmod(Acat, np.repeat(ctx.qinv_pow_slice(La)[La - 1 : 0 : -1], n), p)
+        F[: Lc * n] = mulmod(F[: Lc * n], np.repeat(qinv[:Lc], n)[:, None], p)
+        gam = mulmod(qinv[k - 1 :], gam, p)
     gam = gam.tolist()
     Fw = F
     steps = range(N)
@@ -249,14 +246,14 @@ def _solve_term_by_term(
         if D > 0:
             rhs = rhs + _matmul_mod(Acat[:, (La - 1 - D) * n :], Fw[r - D * n : r], p)
         if k > 1 and j >= k - 1:
-            charge(n * width)
+            # reduced together with the right side, so not through mulmod
+            instrument.mul_counter.add(n * width)
             rj = r - (k - 1) * n
             rhs = rhs - gam[j - k + 1] * Fw[rj : rj + n]
         rhs = rhs % p
         if elim[j]:
             if fold:
-                charge(n * width)
-                rhs = qp[j] * rhs % p
+                rhs = mulmod(qp[j], rhs, p)
             fi, rest = _affine_solve(Ms[j], rhs, p)
             if len(rest):
                 sing.append(i + j)

@@ -32,6 +32,7 @@ import numpy as np
 from . import instrument
 from .convolution import conv_trunc
 from .errors import InternalInvariantError
+from .field import mulmod
 from .linalg import _matmul_mod, mat_inv
 
 _INT64 = np.int64
@@ -57,6 +58,13 @@ class SeriesMatrix:
             raise ValueError("series matrix data must be 3-dimensional")
         if prec < 0:
             raise ValueError("precision must be nonnegative")
+        kind = data.dtype.kind
+        if (data.size and kind not in "iuO") or (
+            kind == "O" and not all(isinstance(v, (int, np.integer)) for v in data.flat)
+        ):
+            raise ValueError("series coefficients must be integers")
+        if kind in "uO":  # Python ints of any size, and uint64, may not fit in int64
+            data = data % p
         self.p = p
         self.data = _trim3((data.astype(_INT64) % p)[:, :, :prec])
         self.prec = prec
@@ -152,9 +160,8 @@ class SeriesMatrix:
         c %= self.p
         if c == 0:
             return SeriesMatrix.zeros(self.p, self.rows, self.cols, self.prec)
-        instrument.mul_counter.add(self.data.size)
         # scaling by a nonzero unit preserves the support
-        return SeriesMatrix._mk(self.p, self.data * c % self.p, self.prec)
+        return SeriesMatrix._mk(self.p, mulmod(self.data, c, self.p), self.prec)
 
     def mul(self, other: "SeriesMatrix", n: int | None = None, lo: int = 0) -> "SeriesMatrix":
         """Coefficients [lo, n) of the matrix product, as a series mod x^(n - lo).
@@ -236,18 +243,14 @@ class SeriesMatrix:
         L = self.data.shape[2]
         if L <= 1:
             return SeriesMatrix.zeros(self.p, self.rows, self.cols, self.prec - 1)
-        g = ctx.gamma_slice(L)
-        instrument.mul_counter.add(self.rows * self.cols * (L - 1))
-        out = self.data[:, :, 1:] * g[1:] % self.p
+        out = mulmod(self.data[:, :, 1:], ctx.gamma_slice(L)[1:], self.p)
         return SeriesMatrix._mk(self.p, _trim3(out), self.prec - 1)
 
     def sigma(self, ctx) -> "SeriesMatrix":
         if ctx.q == 1 or self.is_zero():
             return self
-        L = self.data.shape[2]
-        instrument.mul_counter.add(self.rows * self.cols * L)
         # the weights q^i are units, so the support is preserved
-        out = self.data * ctx.qpow_slice(L) % self.p
+        out = mulmod(self.data, ctx.qpow_slice(self.data.shape[2]), self.p)
         return SeriesMatrix._mk(self.p, out, self.prec)
 
     def shift(self, m: int, truncate: bool = False) -> "SeriesMatrix":

@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import instrument
 from .errors import PreconditionError
-from .field import PrimeField, inverses, powers
+from .field import PrimeField, inverses, mulmod, powers
 from .polymat import SeriesMatrix, _trim3
 
 _INT64 = np.int64
@@ -125,9 +124,8 @@ class QContext:
         t0, t1 = max(lo - s, 0), min(F.data.shape[2], hi - s)
         out = np.zeros((F.rows, F.cols, hi - lo), dtype=_INT64)
         if t1 > t0:
-            instrument.mul_counter.add(F.rows * F.cols * (t1 - t0))
             g = self.gamma_slice(i + t1)[i + t0 :]
-            out[:, :, t0 + s - lo : t1 + s - lo] = F.data[:, :, t0:t1] * g % self.p
+            out[:, :, t0 + s - lo : t1 + s - lo] = mulmod(F.data[:, :, t0:t1], g, self.p)
         return SeriesMatrix._mk(self.p, _trim3(out), hi - lo)
 
     def integrate(self, f: SeriesMatrix) -> SeriesMatrix:
@@ -149,6 +147,5 @@ class QContext:
         coeffs = f.data[0, 0]
         L = len(coeffs)
         out = np.zeros((1, 1, L + 1), dtype=_INT64)
-        instrument.mul_counter.add(L)
-        out[0, 0, 1:] = coeffs * self._gamma_inv_slice(L + 1)[1:] % p
+        out[0, 0, 1:] = mulmod(coeffs, self._gamma_inv_slice(L + 1)[1:], p)
         return SeriesMatrix._mk(p, _trim3(out), n + 1)

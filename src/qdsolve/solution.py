@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .field import mulmod
 from .linalg import lin_solve
 from .polymat import SeriesMatrix
 
@@ -60,7 +61,7 @@ def canonical_form(space: SolutionSpace) -> tuple[np.ndarray, np.ndarray]:
     part = _flatten_cols(space.particular)[0] % p
     for i, c in enumerate(pivots):
         if part[c]:
-            part = (part - part[c] * red[i]) % p
+            part = (part - mulmod(part[c], red[i], p)) % p
     return red, part
 
 

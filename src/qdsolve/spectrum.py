@@ -27,12 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import instrument
 from .errors import InternalInvariantError
-from .field import inverses
+from .field import inverses, mulmod
 from .linalg import (
-    _matmul_mod, char_poly, lin_solve, mat_inv_stack, monic_at, poly_at, power_row,
-    sylvester_tables,
+    _matmul_mod, char_poly, lin_solve, mat_inv_stack, poly_at, power_row, sylvester_tables,
 )
 
 _INT64 = np.int64
@@ -67,21 +65,22 @@ def singular_indices(chi: list[int], ctx, N: int) -> list[int]:
     if ctx.k > 1:
         det_zero = chi[0] == 0  # det(A0) = (-1)^n chi(0)
         return list(range(N)) if det_zero else []
-    # det(q^i A0 - gamma_i Id) = (-1)^n q^(i n) chi(gamma_i q^(-i))
-    pts = ctx.gamma_slice(N) * ctx.qinv_pow_slice(N) % ctx.p
-    instrument.mul_counter.add(N)
-    vals = monic_at(chi, pts[:, None, None], ctx.p)
+    # det(q^i A0 - gamma_i Id) = (-1)^n q^(i n) chi(gamma_i q^(-i)), and chi
+    # is monic: Horner starts from x + c_(n-1)
+    pts = mulmod(ctx.gamma_slice(N), ctx.qinv_pow_slice(N), ctx.p)
+    vals = (pts + chi[-2]) % ctx.p
+    for c in chi[-3::-1]:
+        vals = (mulmod(vals, pts, ctx.p) + c) % ctx.p
     return [int(i) for i in np.flatnonzero(vals == 0)]
 
 
 def step_matrices(A0: np.ndarray, ctx, lo: int, hi: int) -> np.ndarray:
     """The Sylvester step matrices Y_i, lo <= i < hi, stacked along axis 0:
     q^i A0 - gamma_i Id for k = 1, q^i A0 for k > 1."""
-    p, n = ctx.p, A0.shape[0]
-    instrument.mul_counter.add((hi - lo) * n * n)
-    Y = ctx.qpow_slice(hi)[lo:, None, None] * A0 % p
+    Y = mulmod(ctx.qpow_slice(hi)[lo:, None, None], A0, ctx.p)
     if ctx.k == 1:
-        Y = (Y - ctx.gamma_slice(hi)[lo:, None, None] * np.eye(n, dtype=_INT64)) % p
+        d = np.arange(A0.shape[0])
+        Y[:, d, d] = (Y[:, d, d] - ctx.gamma_slice(hi)[lo:, None]) % ctx.p
     return Y
 
 
@@ -97,7 +96,6 @@ def step_chi_table(chi: list[int], P: np.ndarray, ctx, N: int) -> np.ndarray:
     table, then go through one ``poly_at``.
     """
     p, n = ctx.p, len(chi) - 1
-    charge = instrument.mul_counter.add
     c = np.array(chi, dtype=_INT64)
     a = ctx.qpow_slice(N)[1:, None]
     b = (p - ctx.gamma_slice(N)[1:, None]) % p if ctx.k == 1 else np.zeros_like(a)
@@ -105,15 +103,13 @@ def step_chi_table(chi: list[int], P: np.ndarray, ctx, N: int) -> np.ndarray:
     # step, 1 (a x + b), needs no product
     g = np.hstack([(b + c[n - 1]) % p, a])
     for j in range(n - 2, -1, -1):
-        charge((N - 1) * (2 if ctx.k == 1 else 1) * g.shape[1])
         h = np.zeros((N - 1, g.shape[1] + 1), dtype=_INT64)
         if ctx.k == 1:
-            h[:, :-1] = g * b % p
-        h[:, 1:] = (h[:, 1:] + g * a) % p
+            h[:, :-1] = mulmod(g, b, p)
+        h[:, 1:] = (h[:, 1:] + mulmod(g, a, p)) % p
         h[:, 0] = (h[:, 0] + c[j]) % p
         g = h
-    charge((N - 1) * n)
-    T = (g[:, :n] - g[:, n:] * c[:n] % p) % p
+    T = (g[:, :n] - mulmod(g[:, n:], c[:n], p)) % p
     return poly_at(T, P, p)
 
 
@@ -157,8 +153,7 @@ def good_spectrum(A0: np.ndarray, ctx, N: int) -> SpectrumReport:
         else:
             # chi is squarefree iff chi'(A0) is nonsingular (its eigenvalues
             # are chi' at those of A0), and then it splits over K iff A0^p = A0
-            instrument.mul_counter.add(n)
-            dchi = np.arange(1, n + 1) * np.array(chi[1:], dtype=_INT64) % p
+            dchi = mulmod(np.arange(1, n + 1), chi[1:], p)
             if mat_inv_stack(poly_at(dchi, power_row(A0, p), p), p)[1]:
                 report = "|Spec A0| = n fails (repeated eigenvalue)"
             elif not np.array_equal(_mat_pow(A0, p, p), A0):
@@ -208,7 +203,7 @@ def diagonalize(A0: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     while any(S.shape[1] > 1 for S in spaces):
         if failed == 64:
             raise InternalInvariantError("root splitting failed repeatedly")
-        M = _mat_pow((A0 + rng.randrange(p) * eye) % p, (p - 1) // 2, p)
+        M = _mat_pow((A0 + np.diag(np.full(n, rng.randrange(p)))) % p, (p - 1) // 2, p)
         split = []
         for S in spaces:
             if S.shape[1] == 1:
@@ -217,8 +212,8 @@ def diagonalize(A0: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             # the kernels are independent, so the solves stop once they fill
             # S; a right side with no columns asks lin_solve for the kernel only
             MS, left = _matmul_mod(M, S, p), S.shape[1]
-            for s in (1, p - 1, 0):
-                K = lin_solve((MS - s * S) % p, S[:, :0], p).nullspace
+            for T in ((MS - S) % p, (MS + S) % p, MS):
+                K = lin_solve(T, S[:, :0], p).nullspace
                 if K.shape[1]:
                     split.append(_matmul_mod(S, K, p))
                     left -= K.shape[1]
@@ -230,15 +225,13 @@ def diagonalize(A0: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     V = np.hstack([eye[:, :0], *spaces])
     last = n - 1 - (V[::-1] != 0).argmax(axis=0)
     cols = np.arange(V.shape[1])
-    instrument.mul_counter.add(V.size)
-    V = V * inverses(V[last, cols], p) % p
+    V = mulmod(V, inverses(V[last, cols], p), p)
     AV = _matmul_mod(A0, V, p)
     r = AV[last, cols]
     roots = sorted(r.tolist())
     if len(set(roots)) != n:
         raise InternalInvariantError(f"A0 has eigenvalues {roots} in K, expected {n} distinct ones")
     # A0 V = V diag(r): column j of V scaled by r[j]
-    instrument.mul_counter.add(V.size)
-    if not np.array_equal(AV, V * r % p):
+    if not np.array_equal(AV, mulmod(V, r, p)):
         raise InternalInvariantError("diagonalization residual nonzero")
     return V[:, np.argsort(r)], roots

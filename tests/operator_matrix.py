@@ -1,17 +1,19 @@
-"""The tests' independent reference solver: the literal operator matrix.
+"""The tests' independent references: the literal operator matrix, and a
+monic polynomial at a stack of matrices.
 
 ``solve_operator_matrix`` materializes the nN x nN matrix of
 F -> x^k delta(F) - A sigma(F) (unknowns ordered coefficient-major) and
 hands it, with C, to one ``lin_solve``.  It shares no step kernel with
 the engines and is slower than all of them at every size, so it lives
-here and not in the package.
+here and not in the package.  ``monic_at`` is chi(Y) by matrix Horner,
+the reference for the spectrum tables the package forms in K[A0].
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from qdsolve.linalg import lin_solve
+from qdsolve.linalg import _matmul_mod, lin_solve
 from qdsolve.oracle import ProblemInstance
 from qdsolve.polymat import SeriesMatrix
 from qdsolve.solution import SolutionSpace
@@ -42,3 +44,13 @@ def solve_operator_matrix(inst: ProblemInstance) -> SolutionSpace | None:
         p, np.swapaxes(sol.nullspace.reshape(N, n, t), 0, 1).transpose(0, 2, 1), N
     )
     return SolutionSpace(part, basis)
+
+
+def monic_at(c: list[int], Y: np.ndarray, p: int) -> np.ndarray:
+    """c(Y) for a monic c given by ascending coefficients, at one matrix or
+    at each matrix of a stack (..., n, n), by Horner."""
+    eye = np.eye(Y.shape[-1], dtype=np.int64)
+    m = (Y + c[-2] * eye) % p
+    for cl in c[-3::-1]:
+        m = (_matmul_mod(m, Y, p) + cl * eye) % p
+    return m

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
+from qdsolve import instrument
 from qdsolve.errors import PreconditionError
-from qdsolve.field import PrimeField, is_prime
+from qdsolve.field import PrimeField, is_prime, mulmod
 from qdsolve.polymat import SeriesMatrix
 from qdsolve.series import QContext
 
@@ -62,6 +64,52 @@ def test_canonical_residues():
     assert e.data.tolist() == [[[6], [6], [5]]]
     assert (e + SeriesMatrix(7, [[[1], [1], [2]]], 1)).is_zero()
     assert (-e).data.tolist() == [[[1], [1], [2]]]
+
+
+def test_huge_integers_reduced_before_the_int64_cast():
+    # a problem file's integers may have any size; they reduce mod p first
+    assert SeriesMatrix(101, [[[2**70]]], 1).data.tolist() == [[[2**70 % 101]]]
+    big = np.array([[[-(3**80), 5, 2**64 + 1]]], dtype=object)
+    assert SeriesMatrix(101, big, 3).data.tolist() == [[[-(3**80) % 101, 5, (2**64 + 1) % 101]]]
+    top = np.array([[[2**64 - 1]]], dtype=np.uint64)
+    assert SeriesMatrix(101, top, 1).data.tolist() == [[[(2**64 - 1) % 101]]]
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [[[1.5, 2.7]]],
+        np.array([[[1, 2]]], dtype=np.float32),
+        np.array([[["1", "2"]]]),
+        np.array([[[1, 0.5]]], dtype=object),
+        np.array([[[True, False]]]),
+    ],
+)
+def test_non_integer_coefficients_refused(data):
+    # truncating 1.5 to 1 would be a silently wrong coefficient
+    with pytest.raises(ValueError, match="integers"):
+        SeriesMatrix(101, data, 2)
+
+
+def test_mulmod_broadcasts_and_charges_each_entry():
+    p = 101
+    before = instrument.mul_counter.value
+    assert int(mulmod(7, 20, p)) == 140 % p
+    assert instrument.mul_counter.value - before == 1
+    x = np.arange(5, dtype=np.int64) * 30
+    before = instrument.mul_counter.value
+    assert mulmod(np.int64(4), x, p).tolist() == [4 * v % p for v in x.tolist()]
+    assert instrument.mul_counter.value - before == 5
+    a = np.arange(6, dtype=np.int64).reshape(2, 1, 3) + 95
+    b = np.arange(4, dtype=np.int64)[:, None] + 99
+    before = instrument.mul_counter.value
+    got = mulmod(a, b, p)
+    assert got.shape == (2, 4, 3)
+    assert got.tolist() == (a * b % p).tolist()
+    assert instrument.mul_counter.value - before == 24
+    before = instrument.mul_counter.value
+    assert mulmod(np.zeros((0, 3), dtype=np.int64), x[:3], p).shape == (0, 3)
+    assert instrument.mul_counter.value - before == 0
 
 
 def test_inverse_involution_and_fermat():

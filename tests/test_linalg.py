@@ -5,10 +5,12 @@ import pytest
 
 from qdsolve import instrument
 from qdsolve.linalg import (
-    _matmul_mod, char_poly, lin_solve, mat_inv, mat_inv_stack, monic_at, sylvester_solve,
+    _matmul_mod, char_poly, lin_solve, mat_inv, mat_inv_stack, sylvester_solve,
     sylvester_tables,
 )
 from qdsolve.polymat import SeriesMatrix
+
+from operator_matrix import monic_at
 
 
 def mat(p, rows):

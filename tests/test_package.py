@@ -99,6 +99,82 @@ def test_modular_pow_only_where_charged():
     assert not found, found
 
 
+# the kernels that charge mul_counter: field.mulmod is the elementwise
+# product, and the step kernel's per-step gamma product stays inline
+# because it is reduced together with the step's right side
+_CHARGING_KERNELS = {
+    ("field.py", "mulmod"), ("field.py", "inverses"),
+    ("linalg.py", "_matmul_mod"), ("linalg.py", "_rref"), ("linalg.py", "mat_inv_stack"),
+    ("convolution.py", "_conv_direct"), ("convolution.py", "_conv_ntt"),
+    ("oracle.py", "_solve_term_by_term"),
+}
+# products reduced mod p that are uncharged by design: set-up tables, the
+# primality test and the check's audit product
+_UNCHARGED_BY_DESIGN = {
+    ("field.py", "powers"), ("field.py", "is_prime"),
+    ("series.py", "QContext._grow"), ("oracle.py", "_kronecker_product"),
+}
+
+
+def _functions(path):
+    """(qualified name, node) for every top-level function and method; any
+    other module- or class-level statement comes with the name None."""
+    for top in ast.parse(path.read_text()).body:
+        if isinstance(top, ast.ClassDef):
+            for node in top.body:
+                yield (f"{top.name}.{node.name}" if isinstance(node, ast.FunctionDef) else None), node
+        else:
+            yield (top.name if isinstance(top, ast.FunctionDef) else None), top
+
+
+def test_mul_counter_only_in_kernels():
+    pkg = Path(qdsolve.__file__).resolve().parent
+    found = []
+    for path in sorted(pkg.glob("*.py")):
+        for name, fn in _functions(path):
+            if (path.name, name) in _CHARGING_KERNELS:
+                continue
+            for node in ast.walk(fn):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and node.attr == "add"
+                    and "mul_counter" in (getattr(node.value, "attr", None), getattr(node.value, "id", None))
+                ):
+                    found.append(f"{path.name}:{node.lineno} in {name}")
+    assert not found, found
+
+
+def _outside_subscripts(node):
+    """node and its descendants, not descending into subscript indices."""
+    yield node
+    for field, value in ast.iter_fields(node):
+        if isinstance(node, ast.Subscript) and field == "slice":
+            continue
+        for child in value if isinstance(value, list) else [value]:
+            if isinstance(child, ast.AST):
+                yield from _outside_subscripts(child)
+
+
+def test_reduced_products_only_in_kernels():
+    # x * y % p or (a + x * y) % p outside the kernels is a product that
+    # mulmod would charge and this one does not
+    pkg = Path(qdsolve.__file__).resolve().parent
+    allowed = _CHARGING_KERNELS | _UNCHARGED_BY_DESIGN
+    found = []
+    for path in sorted(pkg.glob("*.py")):
+        for name, fn in _functions(path):
+            if (path.name, name) in allowed:
+                continue
+            for node in _outside_subscripts(fn):
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+                    found += [
+                        f"{path.name}:{m.lineno} in {name}"
+                        for m in _outside_subscripts(node.left)
+                        if isinstance(m, ast.BinOp) and isinstance(m.op, ast.Mult)
+                    ]
+    assert not found, found
+
+
 def test_left_side_only_through_theta():
     # the engines and the check form x^k delta(F) through QContext.theta,
     # which reads only the planes that reach the window; delta(..).shift(k)

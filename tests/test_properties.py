@@ -21,7 +21,7 @@ from qdsolve.dac import DAC_LEAF, dac_solve  # noqa: E402
 from qdsolve.errors import SpectrumError  # noqa: E402
 from qdsolve.field import PrimeField, inverses, powers  # noqa: E402
 from qdsolve.linalg import (  # noqa: E402
-    _matmul_mod, _rref, char_poly, lin_solve, mat_inv, mat_inv_stack, monic_at, sylvester_tables,
+    _matmul_mod, _rref, char_poly, lin_solve, mat_inv, mat_inv_stack, sylvester_tables,
 )
 from qdsolve.newton import newton_solve, pol_coeffs_de  # noqa: E402
 from qdsolve.oracle import _solve_term_by_term, dense_solve, make_instance, residual  # noqa: E402
@@ -32,7 +32,7 @@ from qdsolve.spectrum import (  # noqa: E402
     diagonalize, good_spectrum, step_chi_table, step_matrices,
 )
 
-from operator_matrix import solve_operator_matrix  # noqa: E402
+from operator_matrix import monic_at, solve_operator_matrix  # noqa: E402
 
 
 @st.composite
