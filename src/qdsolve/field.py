@@ -1,4 +1,4 @@
-"""The prime field K = Z/pZ and its charged scalar kernels.
+"""The prime field K = Z/pZ and its elementwise kernels.
 
 ``PrimeField`` validates the modulus and names the field; the arithmetic
 itself works on raw ints and numpy int64 arrays with every residue kept
@@ -75,8 +75,8 @@ def powers(w: int, m: int, p: int) -> np.ndarray:
 def mulmod(a, b, p: int):
     """a * b mod p, broadcast as numpy does, charged one multiplication per
     entry of the result."""
-    out = np.multiply(a, b) % p
-    instrument.mul_counter.add(np.size(out))
+    out = np.multiply(a, b) % p  # an array or a numpy scalar, so it has a size
+    instrument.mul_counter.add(out.size)
     return out
 
 
