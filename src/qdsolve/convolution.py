@@ -1,65 +1,89 @@
-"""Exact windowed convolution of coefficient arrays mod p.
+"""Exact windowed products of polynomial matrices mod p.
 
-``conv_trunc(a, b, p, out_len, lo)`` returns coefficients [lo, out_len)
-of a*b and forms only what that window needs.  Three backends sit behind
-it:
+``conv_trunc(a, b, p, out_len, lo)`` takes the operand stacks a (rows,
+inner, La) and b (inner, cols, Lb) and returns coefficients
+[lo, min(out_len, La + Lb - 1)) of their matrix product, entry (i, j)
+being sum_l a[i, l] * b[l, j], as one (rows, cols, .) array.  It forms
+only what that window needs.  One-dimensional operands are the
+1 x 1 x 1 case and give a one-dimensional result.  The route, the
+window, the limb split and the charge are decided once per product,
+never per entry.  Three backends sit behind it:
 
-* direct ``np.convolve`` on int64 (with a one-sided limb split when the
-  partial sums could overflow 63 bits).  A window is either the full
-  product of the shorter operand with the long operand's coefficients
-  that reach it, cut to the window, or, when that source is longer than
-  the window, a middle product: ``'valid'`` mode over that source
-  zero-padded to [lo - Ls + 1, out_len), one dot product of length Ls
-  per kept coefficient;
+* direct, on int64: each (row, inner, col) triple is one C-level
+  ``correlate`` against the shorter operand, which is reversed once per
+  product.  A window is either the full product of the shorter operand
+  with the long operand's coefficients that reach it, cut to the
+  window, or, when that source is longer than the window, a middle
+  product: ``'valid'`` mode over that source zero-padded to
+  [lo - Ls + 1, out_len), one dot product of length Ls per kept
+  coefficient.  An entry's inner sum is reduced mod p once when
+  inner Ls (p - 1)^2 < 2^63, and each triple once otherwise; when even
+  Ls (p - 1)^2 reaches 2^63, a one-sided limb split of the shorter
+  operand keeps each correlation below it;
 * an exact float64 FFT product over limbs (Percival, Math. Comp. 72,
   2003), used for p < 2^31 when the shorter operand, cut to out_len, has
-  at least ``TRANSFORM_CUTOFF`` = 512 coefficients.  Both operands are split
-  into k limbs of b bits, one ``rfft`` per operand transforms its stacked
-  limbs, the limb products are summed by degree (low*low, low*high +
-  high*low, high*high for two limbs), and one ``irfft`` returns the
-  2k - 1 degree rows, which are rounded and recombined mod p.  The
-  cyclic length L is the next power of two of max(out_len,
-  La + Lb - 1 - lo): every coefficient it wraps lands below lo, so the
-  window is exact;
+  at least ``TRANSFORM_CUTOFF`` = 512 coefficients.  Every entry of both
+  stacks is split into k limbs of b bits and transformed once:
+  k (rows inner + inner cols) forward ``rfft``s, in one call per stack.
+  The limb products and their inner sums are one batched complex
+  matmul over the F = L/2 + 1 frequencies, (F, k rows, inner) @
+  (F, inner, k cols), an outer product when inner = 1.  They are summed
+  by degree (low*low, low*high + high*low, high*high for two limbs),
+  and one ``irfft`` call returns the 2k - 1 degree rows of each of the
+  rows cols entries, which are rounded and recombined mod p.  The cyclic
+  length L is the next power of two of max(out_len, La + Lb - 1 - lo):
+  every coefficient it wraps lands below lo, so the window is exact;
 * trivial short-circuits for empty operands and empty windows.
 
 The route depends on the shorter operand's length only, not on the
-number of coefficient pairs: a 64 x 65536 product stays direct.  The
-cutoff is the crossover measured in process (2-core Xeon VM, numpy
-2.4.6, best of 15), full products and windows [Ls, 2Ls) of an Ls by 2Ls
-product alike.  At Ls = 256 the direct route wins at p = 65521 and
-p = 134217757 (0.07 ms against 0.08 and 0.10-0.13 ms).  At 384 the
-transform wins at p = 65521 (0.10 against 0.15 ms) and ties at
-p = 134217757 (0.15-0.16 ms each).  From 512 on it wins at both primes,
-2.6-3.2x: 512 x 512 at p = 134217757 takes 0.17 against 0.52 ms, where
-512 (p - 1)^2 >= 2^63 puts the direct route on its limb split, and
-512 x 4096 takes 1.3 ms against 2.0 ms (p = 65521) and 4.0 ms
-(p = 134217757).
+number of coefficient pairs or of entries: a 64 x 65536 product stays
+direct.  The cutoff is the crossover measured in process for one entry
+(2-core Xeon VM, numpy 2.4.6, best of 15), full products and windows
+[Ls, 2Ls) of an Ls by 2Ls product alike.  At Ls = 256 the direct route
+wins at p = 65521 and p = 134217757 (0.07 ms against 0.08 and
+0.10-0.13 ms).  At 384 the transform wins at p = 65521 (0.10 against
+0.15 ms) and ties at p = 134217757 (0.15-0.16 ms each).  From 512 on it
+wins at both primes, 2.6-3.2x: 512 x 512 at p = 134217757 takes 0.17
+against 0.52 ms, where 512 (p - 1)^2 >= 2^63 puts the direct route on
+its limb split, and 512 x 4096 takes 1.3 ms against 2.0 ms (p = 65521)
+and 4.0 ms (p = 134217757).
 
-The limb count comes from an a-priori rounding bound.  A degree row sums
-at most k cyclic limb convolutions.  In each, the operands' Euclidean
-norms multiply to at most 4^b sqrt(L m), m = min(La, Lb), since limbs
-lie below 2^b and both operands, cut to out_len, have at most L
-coefficients and the shorter m.  Percival's bound for a radix-2
-transform with correctly rounded twiddles and unit roundoff 2^-53 puts
-the error of one convolution below that norm product times
-2^-53 (12 log2 L + 3), so every rounded row is exact when
+The limb count comes from an a-priori rounding bound.  A degree row of
+an entry sums at most k limb pairs for each of the inner terms.  For
+each pair the operands' Euclidean norms multiply to at most
+4^b sqrt(L m), m = min(La, Lb), since limbs lie below 2^b and both
+operands, cut to out_len, have at most L coefficients and the shorter
+m.  Over the inner sum, sum_l |a_l| |b_l| <= inner 4^b sqrt(L m): the
+factor is linear in inner.  Percival's bound for a radix-2 transform
+with correctly rounded twiddles and unit roundoff 2^-53 puts the error
+of one convolution below its norm product times 2^-53 (12 log2 L + 3),
+and a sum formed in the frequency domain and inverted once stays below
+the sum of those bounds.  So every rounded row is exact when
 
-    k 4^b sqrt(L m) (12 log2 L + 3) 2^-53 <= 1/8,
+    k inner 4^b sqrt(L m) (12 log2 L + 3) 2^-53 <= 1/8,
 
 and ``_limbs`` picks the smallest such k, with b = ceil(bits(p - 1) / k).
-With m = L/2, two limbs cover p = 134217757 up to L = 16384, and
-p = 2^31 - 1 takes three from L = 2048 on.  The factor 2 below the
-tripwire covers the gap between the radix-2 model and numpy's
-mixed-radix transform: a kept value 1/4 or more from an integer raises
-``InternalInvariantError`` instead of being rounded.  The bound also
-keeps every row below 2^53, so the rounded rows are exact in int64.
+It is handed m inner^2 in place of m, since sqrt(L m inner^2) =
+inner sqrt(L m); handing it m inner would cover only sqrt(inner) of the
+linear factor.  With m = L/2 and inner = 1, two limbs cover
+p = 134217757 up to L = 16384, and p = 2^31 - 1 takes three from
+L = 2048 on.  The factor 2 below the tripwire covers the gap between the
+radix-2 model and numpy's mixed-radix transform: a kept value 1/4 or
+more from an integer raises ``InternalInvariantError`` instead of being
+rounded.  The bound also keeps every row below 2^53, so the rounded rows
+are exact in int64.
 
-``conv_trunc`` adds the number of field multiplications the chosen
-backend performs to the global counter.  The transform is charged in
-field-multiplication equivalents: (L/2) log2 L per real transform (2k
-forward, 2k - 1 inverse), L/2 + 1 per limb product and 2k - 1 per kept
-coefficient for the recombination.
+``conv_trunc`` adds the field multiplications the chosen backend
+performs to the global counter, once per product.  The direct backend
+charges rows inner cols times what one triple forms, Ls min(w, hi - lo)
+for the window [lo, hi) and the w coefficients of the long operand that
+reach it: La Lb for a full product, Ls per kept coefficient for a
+middle product.  The transform is charged in field-multiplication
+equivalents: (L/2) log2 L per real transform (k (rows inner + inner
+cols) forward, (2k - 1) rows cols inverse), k^2 rows inner cols
+(L/2 + 1) for the limb products and 2k - 1 per kept coefficient of each
+entry for the recombination.  At 1 x 1 x 1 both charges are those of
+the single product.
 """
 
 from __future__ import annotations
@@ -72,7 +96,12 @@ from . import instrument
 from .errors import InternalInvariantError, PreconditionError
 
 _INT64 = np.int64
-_EMPTY = np.zeros(0, dtype=_INT64)
+
+try:  # numpy's C correlation, without np.correlate's mode-name lookup
+    from numpy._core.multiarray import correlate2 as _correlate
+except ImportError:  # pragma: no cover - an older or newer numpy layout
+    _correlate = np.correlate
+_VALID, _FULL = 0, 2  # numpy's correlate mode numbers
 
 # Shorter operand's length, after the cut to out_len, from which the
 # transform runs (the measured crossover, see above).
@@ -85,7 +114,8 @@ def _next_pow2(n: int) -> int:
 
 def _limbs(p: int, L: int, m: int) -> tuple[int, int]:
     """(k, b): the fewest b-bit limbs that meet the rounding bound for a
-    length-L transform whose shorter operand has m coefficients."""
+    length-L transform of an inner sum whose norm products add up to at
+    most 4^b sqrt(L m), m = inner^2 min(La, Lb)."""
     bits = (p - 1).bit_length()
     scale = math.sqrt(L * m) * (12 * (L.bit_length() - 1) + 3) * 2.0**-53
     for k in range(1, bits + 1):
@@ -96,76 +126,135 @@ def _limbs(p: int, L: int, m: int) -> tuple[int, int]:
 
 
 def _conv_ntt(a: np.ndarray, b: np.ndarray, p: int, out_len: int, lo: int) -> np.ndarray:
+    rows, inner, La = a.shape
+    cols, Lb = b.shape[1], b.shape[2]
     # coefficient c >= L of the product wraps onto c - L < La + Lb - 1 - L <= lo
-    L = _next_pow2(max(out_len, len(a) + len(b) - 1 - lo))
-    k, bits = _limbs(p, L, min(len(a), len(b)))
-    shifts = bits * np.arange(k, dtype=_INT64)[:, None]
+    L = _next_pow2(max(out_len, La + Lb - 1 - lo))
+    k, bits = _limbs(p, L, min(La, Lb) * inner * inner)
+    shifts = bits * np.arange(k, dtype=_INT64)[:, None, None, None]
     mask = (1 << bits) - 1
-    fa = np.fft.rfft((a >> shifts) & mask, L)
-    fb = np.fft.rfft((b >> shifts) & mask, L)
-    prod = np.zeros((2 * k - 1, L // 2 + 1), dtype=np.complex128)
-    for i in range(k):
-        prod[i : i + k] += fa[i] * fb
-    rows = np.fft.irfft(prod, L)[:, lo:out_len]
-    exact = np.rint(rows)
-    err = float(np.abs(rows - exact).max())
+    fa = np.fft.rfft((a >> shifts) & mask, L)  # (k, rows, inner, F)
+    fb = np.fft.rfft((b >> shifts) & mask, L)  # (k, inner, cols, F)
+    F = L // 2 + 1
+    # limb i of row r times limb j of column c, summed over inner, lands in
+    # degree row i + j of entry (r, c); with one inner term it is an outer
+    # product, formed one limb of a at a time
+    deg = np.zeros((rows, cols, 2 * k - 1, F), dtype=np.complex128)
+    if inner == 1:
+        fbt = fb[:, 0].transpose(1, 0, 2)  # (cols, k, F)
+        for i in range(k):
+            deg[:, :, i : i + k] += fa[i, :, 0, None, None] * fbt
+    else:
+        lhs = fa.transpose(3, 0, 1, 2).reshape(F, k * rows, inner)
+        rhs = fb.transpose(3, 1, 0, 2).reshape(F, inner, k * cols)
+        prod = (lhs @ rhs).reshape(F, k, rows, k, cols)
+        for i in range(k):
+            deg[:, :, i : i + k] += prod[:, i].transpose(1, 3, 2, 0)
+    vals = np.fft.irfft(deg, L)[..., lo:out_len]
+    exact = np.rint(vals)
+    err = float(np.abs(vals - exact).max())
     if not err < 0.25:  # NaN included
         raise InternalInvariantError(
             f"FFT product rounding error {err:.3g} at p = {p}, length {L}, {k} limbs"
         )
+    exact = exact.astype(_INT64)
     radix = (1 << bits) % p
-    out = np.zeros(out_len - lo, dtype=_INT64)
-    for row in exact[::-1].astype(_INT64):
-        out = (out * radix + row) % p
+    out = exact[:, :, -1] % p
+    for d in range(2 * k - 3, -1, -1):
+        out = (out * radix + exact[:, :, d]) % p
     lg = L.bit_length() - 1
+    transforms = k * (rows * inner + inner * cols) + (2 * k - 1) * rows * cols
     instrument.mul_counter.add(
-        (4 * k - 1) * (L // 2) * lg + k * k * (L // 2 + 1) + (2 * k - 1) * (out_len - lo)
+        transforms * (L // 2) * lg
+        + k * k * rows * inner * cols * (L // 2 + 1)
+        + (2 * k - 1) * rows * cols * (out_len - lo)
     )
     return out
 
 
 def _conv_direct(a: np.ndarray, b: np.ndarray, p: int, out_len: int, lo: int) -> np.ndarray:
-    short, long = (a, b) if len(a) <= len(b) else (b, a)
-    Ls = len(short)
+    rows, inner, La = a.shape
+    cols, Lb = b.shape[1], b.shape[2]
+    # entry (s, t) of the result is the sum over l of short[s, l] * long[t, l]:
+    # (rows, cols) when a is the shorter operand, (cols, rows) otherwise
+    a_short = La <= Lb
+    short, long = (a, b.transpose(1, 0, 2)) if a_short else (b.transpose(1, 0, 2), a)
+    Ls, Ll = short.shape[2], long.shape[2]
     # coefficient c sums short[t] long[c - t], so the window reads long on [w0, w1)
-    w0, w1 = max(0, lo - Ls + 1), min(len(long), out_len)
-    if w1 - w0 <= out_len - lo:
+    w0, w1 = max(0, lo - Ls + 1), min(Ll, out_len)
+    width = out_len - lo
+    if w1 - w0 <= width:
         # full product of the source, cut to the window (lo = 0: mod x^out_len)
-        src, mode, cut = long[w0:w1], "full", slice(lo - w0, out_len - w0)
+        src, mode, cut = long[:, :, w0:w1], _FULL, slice(lo - w0, out_len - w0)
     else:
         # middle product: output t of 'valid' mode is coefficient lo + t
-        src = np.zeros(out_len - lo + Ls - 1, dtype=_INT64)
-        src[w0 - lo + Ls - 1 : w1 - lo + Ls - 1] = long[w0:w1]
-        mode, cut = "valid", slice(None)
-    instrument.mul_counter.add(Ls * min(w1 - w0, out_len - lo))
-    if Ls * (p - 1) * (p - 1) < 2**63:
-        return np.convolve(short, src, mode)[cut] % p
-    s = (p.bit_length() + 1) // 2
-    if Ls * (p - 1) << s >= 2**63:
-        # With p < 2^31 this needs a shorter operand above 2^16 coefficients:
-        # conv_trunc sends every such product to the transform, and no exact
-        # route is left here.
-        raise PreconditionError(
-            f"modulus p = {p} too large for an exact convolution of lengths "
-            f"{len(a)} and {len(b)}"
-        )
-    hi = np.convolve(short >> s, src, mode)[cut] % p
-    lo_limb = np.convolve(short & ((1 << s) - 1), src, mode)[cut] % p
-    return (hi * ((1 << s) % p) + lo_limb) % p
+        src = np.zeros(long.shape[:2] + (width + Ls - 1,), dtype=_INT64)
+        src[:, :, w0 - lo + Ls - 1 : w1 - lo + Ls - 1] = long[:, :, w0:w1]
+        mode, cut = _VALID, slice(None)
+    instrument.mul_counter.add(rows * inner * cols * Ls * min(w1 - w0, width))
+    # correlating against the reversed shorter operand is the convolution
+    rev = np.ascontiguousarray(short[:, :, ::-1])
+    if Ls * (p - 1) * (p - 1) >= 2**63:
+        s = (p.bit_length() + 1) // 2
+        if Ls * (p - 1) << s >= 2**63:
+            # With p < 2^31 this needs a shorter operand above 2^16 coefficients:
+            # conv_trunc sends every such product to the transform, and no exact
+            # route is left here.
+            raise PreconditionError(
+                f"modulus p = {p} too large for an exact convolution of lengths {La} and {Lb}"
+            )
+        radix = (1 << s) % p
+        ys = [list(zip(hi, lo_)) for hi, lo_ in zip(rev >> s, rev & ((1 << s) - 1))]
+
+        def term(x, y, m):
+            return (_correlate(x, y[0], m) % p * radix + _correlate(x, y[1], m) % p) % p
+
+    elif inner * Ls * (p - 1) * (p - 1) >= 2**63:
+        ys = [list(y) for y in rev]
+
+        def term(x, y, m):
+            return _correlate(x, y, m) % p
+
+    else:  # an entry's whole inner sum fits, and is reduced once
+        ys, term = [list(y) for y in rev], _correlate
+    xs = [list(x) for x in src]
+    modes = [mode] * inner
+    out = np.empty((rows, cols, width), dtype=_INT64)
+    dst = out if a_short else out.transpose(1, 0, 2)
+    for si, ys_s in enumerate(ys):
+        for ti, xs_t in enumerate(xs):
+            terms = map(term, xs_t, ys_s, modes)
+            acc = next(terms)
+            for t in terms:
+                acc += t
+            np.remainder(acc[cut], p, out=dst[si, ti])
+    return out
 
 
 def conv_trunc(a: np.ndarray, b: np.ndarray, p: int, out_len: int, lo: int = 0) -> np.ndarray:
-    """Coefficients [lo, out_len) of a*b, entries canonical mod p.
+    """Coefficients [lo, out_len) of the matrix product of the stacks
+    a (rows, inner, La) and b (inner, cols, Lb), as a (rows, cols, .)
+    array with entries canonical mod p.
 
-    lo = 0 is a*b mod x^out_len.  The result is cut at the product's
-    length and is empty when lo >= min(out_len, len(a) + len(b) - 1).
+    lo = 0 is the product mod x^out_len.  The result is cut at the
+    product's length La + Lb - 1 and has no coefficients when lo reaches
+    it or an operand has none.  One-dimensional a and b are the
+    1 x 1 x 1 case and give a one-dimensional result.
     """
-    out_len = min(out_len, len(a) + len(b) - 1)
-    if len(a) == 0 or len(b) == 0 or out_len <= lo:
-        return _EMPTY
-    # coefficients at or above out_len reach no kept coefficient
-    a, b = a[:out_len], b[:out_len]
-    # the shorter operand has at least TRANSFORM_CUTOFF coefficients
-    if len(a) >= TRANSFORM_CUTOFF and len(b) >= TRANSFORM_CUTOFF and p < 2**31:
-        return _conv_ntt(a, b, p, out_len, lo)
-    return _conv_direct(a, b, p, out_len, lo)
+    flat = a.ndim == 1
+    if flat:
+        a, b = a[None, None], b[None, None]
+    if a.ndim != 3 or b.ndim != 3 or a.shape[1] != b.shape[0]:
+        raise ValueError("operand stacks must be (rows, inner, La) and (inner, cols, Lb)")
+    out_len = min(out_len, a.shape[2] + b.shape[2] - 1)
+    if a.size == 0 or b.size == 0 or out_len <= lo:
+        out = np.zeros((a.shape[0], b.shape[1], 0), dtype=_INT64)
+    else:
+        # coefficients at or above out_len reach no kept coefficient
+        a, b = a[:, :, :out_len], b[:, :, :out_len]
+        # the shorter operand has at least TRANSFORM_CUTOFF coefficients
+        if min(a.shape[2], b.shape[2]) >= TRANSFORM_CUTOFF and p < 2**31:
+            out = _conv_ntt(a, b, p, out_len, lo)
+        else:
+            out = _conv_direct(a, b, p, out_len, lo)
+    return out[0, 0] if flat else out

@@ -9,10 +9,12 @@ broadcasting, charged one multiplication per entry of the result.
 product tree (Montgomery's trick, one vectorized pass per level):
 ceil(log2 m) passes multiply adjacent pairs up to the product of all m,
 and as many carry its inverse back down.  ``powers`` tabulates
-w^0 .. w^(m-1) in about log2 m vectorized passes, uncharged: its tables
-are set-up, like ``QContext``'s.  Outside the matrix and convolution
-kernels, every elementwise product, table of powers and batch of scalar
-inverses in the package comes from these three.
+w^0 .. w^(m-1) in about log2 m vectorized passes, and ``_inverse_tree``,
+the core of ``inverses``, builds ``QContext``'s table of 1/gamma_i; both
+are uncharged, since their tables are set-up, like ``QContext``'s other
+tables.  Outside the matrix and convolution kernels, every elementwise
+product, table of powers and batch of scalar inverses in the package
+comes from these.
 
 The modulus must be below 2^31, so that (p - 1)^2 < 2^62: the product of
 two canonical residues, plus anything below 2^62, fits in int64.  That
@@ -82,14 +84,20 @@ def mulmod(a, b, p: int):
 
 def inverses(x: np.ndarray, p: int) -> np.ndarray:
     """Inverses of the nonzero residues x (one axis) on a product tree:
-    one Fermat power and 3(m-1) products for m values, charged here.
+    one Fermat power and 3(m-1) products for m values, charged here."""
+    if len(x):
+        instrument.mul_counter.add(3 * (len(x) - 1) + instrument.inv_cost(p))
+    return _inverse_tree(x, p)
+
+
+def _inverse_tree(x: np.ndarray, p: int) -> np.ndarray:
+    """The uncharged core of ``inverses``, for set-up tables.
 
     Up, m - 1 pair products, an odd last entry moving up alone; down, two
     per pair, a node's inverse times one child being the other's inverse.
     """
     if len(x) == 0:
         return np.zeros(0, dtype=np.int64)
-    instrument.mul_counter.add(3 * (len(x) - 1) + instrument.inv_cost(p))
     tree = [np.asarray(x, dtype=np.int64)]
     while len(tree[-1]) > 1:
         v = tree[-1]

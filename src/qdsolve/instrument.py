@@ -11,10 +11,13 @@ overflow tricks are representation details and are not double-counted.
 Inversions count the square-and-multiply cost of Fermat exponentiation;
 m inversions batched by ``field.inverses`` count one such power and
 3(m - 1) products.  Uncharged on purpose are ``field.powers`` and
-``QContext``'s tables of q-powers and gamma_i, set-up shared by every
-solve in a context, the primality test ``field.is_prime``, and the
-Python-int products of the ``check`` audit (``oracle._kronecker_product``),
-which must not reuse the kernels it audits.  The counter is never
+``QContext``'s tables of q-powers, gamma_i and 1/gamma_i (the last from
+``field._inverse_tree``, the uncharged core of ``inverses``), set-up
+shared by every solve in a context, so that a solve's count does not
+depend on which solve grew them first; the primality test
+``field.is_prime``; and the Python-int products of the ``check`` audit
+(``oracle._kronecker_product``), which must not reuse the kernels it
+audits.  The counter is never
 reset: a caller reads the value before and after a solve.
 """
 

@@ -6,20 +6,19 @@ trimmed; entries share one truncation order.  A scalar series is a 1 x 1
 matrix.
 
 The matrix product, ``mul``, returns a window [lo, n) of coefficients
-(lo = 0 is the product mod x^n) and has two exact int64 routes.  When the
+(lo = 0 is the product mod x^n) and has two exact routes.  When the
 shorter operand has at most rows * cols coefficients, it is
 shift-batched: one ``_matmul_mod`` per coefficient of the shorter
 operand, over only the planes of the longer one whose products land in
-the window.  Otherwise each (row, inner, col) triple is one windowed
-``conv_trunc`` call, which picks the direct convolution or, for long
-products, the exact float-FFT limb product, and forms only the
-coefficients the window needs (a middle product when lo > 0).
-A constant matrix is a one-plane operand, so a product with it is one
-``_matmul_mod`` on the first route.  Every summand is a canonical residue
-below p < 2^31 and there are fewer than 2^31 of them, so the accumulators
-stay below 2^62 and are reduced once.  Both routes charge the field
-multiplications of the products they form, never more than the
-rows * inner * cols * La * Lb of full products.
+the window.  Otherwise the whole product is one windowed ``conv_trunc``
+call on the two coefficient stacks, which picks the direct convolution
+or, for long products, the exact float-FFT limb product once for every
+entry, and forms only the coefficients the window needs (a middle
+product when lo > 0).  A constant matrix is a one-plane operand, so a
+product with it is one ``_matmul_mod`` on the first route.  Both routes
+charge the field multiplications of the products they form, never more,
+off the transform, than the rows * inner * cols * La * Lb of full
+products.
 Newton inversion (``inv_newton``) asks only for the window above the
 precision it has reached; on the shift-batched route a doubling step
 then charges half of the two full products it replaces.
@@ -176,27 +175,31 @@ class SeriesMatrix:
           coefficient t of the shorter operand one ``_matmul_mod`` takes
           the planes of the longer operand in [max(0, lo - t), min(L, n - t))
           and adds their product into the output window they reach, so
-          only pairs landing in [lo, n) are formed;
-        * per entry otherwise: one ``conv_trunc(.., n, lo)`` per (row,
-          inner, col) triple, so long products keep the transform.
-          Both backends form only the window: the direct one as a middle
-          product, Ls = min(La, Lb) terms per kept coefficient, the
-          float-FFT limb product at a cyclic length whose wrap-around
-          lands below lo.
+          only pairs landing in [lo, n) are formed.  Every summand is a
+          canonical residue below p < 2^31 and there are fewer than 2^31
+          of them, so the int64 sums stay below 2^62 and are reduced once;
+        * per entry otherwise: one ``conv_trunc(a, b, p, n, lo)`` call on
+          the (rows, inner, La) and (inner, cols, Lb) stacks, which decides
+          its backend, window and limb split once for the product.  Both
+          backends form only the window: the direct one as a middle
+          product, Ls = min(La, Lb) terms per kept coefficient of each
+          entry triple, the float-FFT limb product, which keeps long
+          products quasi-linear, at a cyclic length whose wrap-around
+          lands below lo, transforming each entry once.
 
         The rule makes the first route take no more Python-level calls
-        than there are output entries.  Both routes sum canonical terms
-        below p < 2^31, fewer than 2^31 of them, so every int64 sum stays
-        below 2^62 and is reduced once at the end.  The shift-batched route
-        charges the products it forms, rows * inner * cols per coefficient
-        pair (s, t) with lo <= s + t < n; the per-entry route charges what
-        ``conv_trunc`` forms per triple.  A direct convolution whose
-        window [lo, hi) reads w coefficients of the longer operand charges
-        Ls * min(w, hi - lo): La * Lb when lo = 0, Ls * (hi - lo) for a
-        middle product.  The limb product, exact by an a-priori rounding
-        bound that fixes its limb count, charges field-multiplication
-        equivalents: (L/2) log2 L per real transform, plus its limb
-        products and recombination (see ``convolution``).
+        than there are output entries.  The shift-batched route charges
+        the products it forms, rows * inner * cols per coefficient pair
+        (s, t) with lo <= s + t < n; the per-entry route charges what
+        ``conv_trunc`` forms.  A direct product whose window [lo, hi)
+        reads w coefficients of the longer operand charges
+        rows * inner * cols * Ls * min(w, hi - lo): the La * Lb pairs of
+        each triple when lo = 0, Ls * (hi - lo) for a middle product.  The
+        limb product, exact by an a-priori rounding bound that fixes its
+        limb count, charges field-multiplication equivalents: (L/2) log2 L
+        per real transform, one per limb of each entry of either operand
+        and per degree row of each output entry, plus its limb products
+        and recombination (see ``convolution``).
         """
         self._check_compat(other)
         if self.cols != other.rows:
@@ -208,12 +211,13 @@ class SeriesMatrix:
         if not 0 <= lo <= n:
             raise ValueError("window start outside [0, n]")
         p = self.p
-        rows, inner, cols = self.rows, self.cols, other.cols
+        rows, cols = self.rows, other.cols
         a, b = self.data[:, :, :n], other.data[:, :, :n]
         La, Lb = a.shape[2], b.shape[2]
         hi = min(n, max(0, La + Lb - 1))
-        out = np.zeros((rows, cols, max(0, hi - lo)), dtype=_INT64)
-        if hi > lo and min(La, Lb) <= rows * cols:
+        if hi <= lo:
+            out = np.zeros((rows, cols, 0), dtype=_INT64)
+        elif min(La, Lb) <= rows * cols:
             # planes first, so a run of planes is one stacked operand
             at = np.ascontiguousarray(a.transpose(2, 0, 1))
             bt = np.ascontiguousarray(b.transpose(2, 0, 1))
@@ -224,17 +228,10 @@ class SeriesMatrix:
                 u0, u1 = max(0, lo - t), min(Ll, hi - t)
                 c = _matmul_mod(at[t], bt[u0:u1], p) if a_short else _matmul_mod(at[u0:u1], bt[t], p)
                 acc[t + u0 - lo : t + u1 - lo] += c
+            out = np.empty((rows, cols, hi - lo), dtype=_INT64)
             np.remainder(acc.transpose(1, 2, 0), p, out=out)
-        elif hi > lo:
-            for i in range(rows):
-                di = a[i]
-                for j in range(cols):
-                    dj = b[:, j]
-                    acc = np.zeros(hi - lo, dtype=_INT64)
-                    for l in range(inner):
-                        c = conv_trunc(di[l], dj[l], p, n, lo)
-                        acc[: len(c)] += c
-                    out[i, j] = acc % p
+        else:
+            out = conv_trunc(a, b, p, n, lo)
         return SeriesMatrix._mk(p, _trim3(out), n - lo)
 
     def delta(self, ctx) -> "SeriesMatrix":

@@ -7,7 +7,9 @@ powers q^i and q^(-i), and integrates a scalar series: integrate(f) is
 the g with delta(g) = f and g_0 = 0.  One ``_grow`` rebuilds the q^i and
 q^(-i) tables with ``field.powers``, at least doubling them, and sets
 gamma_i = (q^i - 1) / (q - 1) (gamma_i = i when q = 1); the inverses
-1/gamma_i come from ``field.inverses``.  The operators are
+1/gamma_i come from ``field._inverse_tree``.  All these tables are
+uncharged set-up: a solve's count does not depend on which earlier solve
+in the same context grew them.  The operators are
 
     delta(f) = sum_{i>=1} gamma_i f_i x^(i-1)      (d/dx when q = 1)
     sigma(f)(x) = f(qx)
@@ -23,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PreconditionError
-from .field import PrimeField, inverses, mulmod, powers
+from .field import PrimeField, _inverse_tree, inverses, mulmod, powers
 from .polymat import SeriesMatrix, _trim3
 
 _INT64 = np.int64
@@ -101,7 +103,7 @@ class QContext:
         tab = self._gaminv
         old = len(tab)
         if old < n:
-            tab = np.concatenate([tab, inverses(self.gamma_slice(n)[old:], self.p)])
+            tab = np.concatenate([tab, _inverse_tree(self.gamma_slice(n)[old:], self.p)])
             if n > len(self._gaminv):
                 self._gaminv = tab
         return tab[:n]

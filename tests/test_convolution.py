@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
-from qdsolve import convolution
+from qdsolve import convolution, instrument
 from qdsolve.convolution import conv_trunc
 from qdsolve.errors import InternalInvariantError, PreconditionError
+from qdsolve.oracle import _kronecker_product
+from qdsolve.polymat import SeriesMatrix
 
 
 def _coeff(a, b, c, p):
@@ -219,3 +223,126 @@ def test_transform_rounding_tripwire(monkeypatch):
                 conv_trunc(a, b, p, 4000, 100)
         else:
             assert np.array_equal(conv_trunc(a, b, p, 4000, 100), want)
+
+
+# (La, Lb, n, lo, p) -> the charge of a 1 x 1 SeriesMatrix.mul; these are
+# the counts single-entry products charged before products were stacked:
+# on the transform with one, two and three limbs, at the cutoff, and on the
+# direct route just below it, for a middle window and with its limb split
+_SCALAR_CHARGES = {
+    (4096, 4096, 4096, 0, 134217757): 401412,
+    (2048, 4096, 4096, 2048, 134217757): 186372,
+    (1024, 3000, 4000, 100, 2**31 - 1): 308277,
+    (600, 700, 1299, 0, 65521): 36116,
+    (511, 2000, 2510, 0, 134217757): 1022000,
+    (300, 400, 650, 200, 134217757): 120000,
+    (512, 512, 1023, 511, 3): 16385,
+    (40, 90, 129, 0, 2**31 - 1): 3600,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SCALAR_CHARGES))
+def test_scalar_products_charge_as_single_entries(case):
+    # a 1 x 1 product is one entry: stacking the API must move neither
+    # its answer nor its charge, so scalar solves count what they did
+    La, Lb, n, lo, p = case
+    gen = np.random.default_rng(La + 7 * Lb + lo)
+    a, b = gen.integers(0, p, (1, 1, La)), gen.integers(0, p, (1, 1, Lb))
+    a[0, 0, -1] = b[0, 0, -1] = 1
+    before = instrument.mul_counter.value
+    got = SeriesMatrix(p, a, n).mul(SeriesMatrix(p, b, n), n, lo)
+    assert instrument.mul_counter.value - before == _SCALAR_CHARGES[case]
+    want = _window_by_kronecker(a[0, 0], b[0, 0], p, lo, min(n, La + Lb - 1))
+    assert got.data[0, 0].tolist() + [0] * (len(want) - got.data.shape[2]) == want
+    assert np.array_equal(conv_trunc(a[0, 0], b[0, 0], p, n, lo), want)
+
+
+def _stack_by_kronecker(a, b, p, lo, hi):
+    """Coefficients [lo, hi) of the matrix product of the stacks a and b,
+    from the check's Python-int Kronecker product."""
+    prod = _kronecker_product(SeriesMatrix(p, a, hi), SeriesMatrix(p, b, hi), hi).data
+    out = np.zeros((a.shape[0], b.shape[1], hi), dtype=np.int64)
+    out[:, :, : prod.shape[2]] = prod
+    return out[:, :, lo:]
+
+
+@st.composite
+def stacks(draw):
+    """(a, b, p, hi, lo): stacks (rows, inner, La) and (inner, cols, Lb)
+    with rows, inner and cols 1..9, each length short (1..40) or on
+    either side of 512 (500..530), random or all-(p - 1) entries, hi up to
+    past the product's length and lo at 0, 1, just below hi or in
+    between."""
+    p = draw(st.sampled_from([3, 65521, 134217757, 2**31 - 1]))
+    rows, inner, cols = (draw(st.integers(1, 9)) for _ in range(3))
+    length = st.one_of(st.integers(1, 40), st.integers(500, 530))
+    La, Lb = draw(length), draw(length)
+    hi = draw(st.integers(0, La + Lb + 2))
+    lo = draw(st.one_of(st.sampled_from([0, 1, max(hi - 1, 0)]), st.integers(0, hi)))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def operand(shape):
+        if draw(st.booleans()):
+            return np.full(shape, p - 1, dtype=np.int64)
+        return gen.integers(0, p, shape)
+
+    return operand((rows, inner, La)), operand((inner, cols, Lb)), p, hi, lo
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacks(), st.booleans())
+def test_stacked_product_matches_python_ints(case, force_ntt):
+    # one call forms the whole matrix product, on either backend, exactly
+    a, b, p, hi, lo = case
+    limbs = []
+    with pytest.MonkeyPatch.context() as mp:
+        used = _routes(mp)
+        if force_ntt:
+            mp.setattr(convolution, "TRANSFORM_CUTOFF", 0)
+        pick = convolution._limbs
+        mp.setattr(convolution, "_limbs", lambda *args: limbs.append((args[1], pick(*args))) or pick(*args))
+        got = conv_trunc(a, b, p, hi, lo)
+    La, Lb = a.shape[2], b.shape[2]
+    top = min(hi, La + Lb - 1)
+    want = _stack_by_kronecker(a, b, p, lo, top)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    ntt = force_ntt or min(La, Lb, top) >= convolution.TRANSFORM_CUTOFF
+    assert used == ([] if top <= lo else ["_conv_ntt" if ntt else "_conv_direct"])
+    for L, (k, bits) in limbs:
+        # the rounding bound with the inner sum's linear factor
+        m, inner = min(La, Lb, top), a.shape[1]
+        bound = k * inner * 4**bits * math.sqrt(L * m) * (12 * math.log2(L) + 3) * 2.0**-53
+        assert bound <= 0.125
+
+
+@pytest.mark.parametrize(("p", "inner", "regime"), [
+    (134217757, 1, "reduced once per entry"),
+    (134217757, 2, "reduced once per triple"),
+    (2**31 - 1, 3, "limb split"),
+])
+def test_direct_overflow_regimes(p, inner, regime):
+    # Ls = 300: inner Ls (p - 1)^2 < 2^63 at p = 134217757 only for
+    # inner = 1, and Ls (p - 1)^2 >= 2^63 at p = 2^31 - 1; every regime is
+    # exact on all-(p - 1) operands, full products and middle windows alike
+    a = np.full((2, inner, 300), p - 1, dtype=np.int64)
+    b = np.full((inner, 3, 450), p - 1, dtype=np.int64)
+    b[:, :, ::7] = 5
+    for hi, lo in ((749, 0), (600, 350), (320, 310)):
+        assert np.array_equal(conv_trunc(a, b, p, hi, lo), _stack_by_kronecker(a, b, p, lo, hi)), regime
+
+
+@pytest.mark.parametrize(("inner", "want"), [(1, 2), (2, 3)])
+def test_limbs_cover_the_inner_sum(inner, want, monkeypatch):
+    # at p = 2^31 - 1 and cyclic length 1024 two limbs meet the rounding
+    # bound for one entry (0.085 <= 1/8); an inner sum of two doubles the
+    # bound, so it takes three (two would pass with only sqrt(inner))
+    p = 2**31 - 1
+    used = []
+    pick = convolution._limbs
+    monkeypatch.setattr(convolution, "_limbs", lambda *args: used.append(pick(*args)[0]) or pick(*args))
+    a = np.full((1, inner, 512), p - 1, dtype=np.int64)
+    b = np.full((inner, 1, 512), p - 1, dtype=np.int64)
+    got = conv_trunc(a, b, p, 1023)
+    assert used == [want]
+    assert np.array_equal(got, _stack_by_kronecker(a, b, p, 0, 1023))

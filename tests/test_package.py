@@ -108,10 +108,11 @@ _CHARGING_KERNELS = {
     ("convolution.py", "_conv_direct"), ("convolution.py", "_conv_ntt"),
     ("oracle.py", "_solve_term_by_term"),
 }
-# products reduced mod p that are uncharged by design: set-up tables, the
-# primality test and the check's audit product
+# products reduced mod p that are uncharged by design: set-up tables (the
+# powers and the 1/gamma_i table's inverse tree), the primality test and
+# the check's audit product
 _UNCHARGED_BY_DESIGN = {
-    ("field.py", "powers"), ("field.py", "is_prime"),
+    ("field.py", "powers"), ("field.py", "_inverse_tree"), ("field.py", "is_prime"),
     ("series.py", "QContext._grow"), ("oracle.py", "_kronecker_product"),
 }
 

@@ -97,32 +97,50 @@ def mul_reference(A: SeriesMatrix, B: SeriesMatrix, n: int, lo: int = 0) -> Seri
 
 def conv_charge(La: int, Lb: int, p: int, hi: int, lo: int) -> int:
     """What one conv_trunc call charges for coefficients [lo, hi) of a
-    length-La by length-Lb product, hi <= La + Lb - 1: the transform at the
-    cyclic length max(hi, La + Lb - 1 - lo) rounded up to a power of two,
-    4k - 1 real transforms, k^2 limb products and 2k - 1 recombination
-    steps per kept coefficient for its k limbs when the shorter operand
-    has TRANSFORM_CUTOFF coefficients or more, the direct backend
-    Ls = min(La, Lb) multiplications for each kept coefficient or for each
-    coefficient of the long operand reaching the window, whichever is
-    fewer."""
+    length-La by length-Lb product of single entries, hi <= La + Lb - 1:
+    the transform at the cyclic length max(hi, La + Lb - 1 - lo) rounded
+    up to a power of two, 4k - 1 real transforms, k^2 limb products and
+    2k - 1 recombination steps per kept coefficient for its k limbs when
+    the shorter operand has TRANSFORM_CUTOFF coefficients or more, the
+    direct backend Ls = min(La, Lb) multiplications for each kept
+    coefficient or for each coefficient of the long operand reaching the
+    window, whichever is fewer."""
+    return stacked_charge(1, 1, 1, La, Lb, p, hi, lo)
+
+
+def stacked_charge(rows: int, inner: int, cols: int, La: int, Lb: int, p: int, hi: int, lo: int) -> int:
+    """What one conv_trunc call on (rows, inner, La) by (inner, cols, Lb)
+    stacks charges for the window [lo, hi): on the direct route
+    rows * inner * cols times the single-entry charge; on the transform
+    (L/2) log2 L per real transform, k (rows inner + inner cols) forward and
+    (2k - 1) rows cols inverse, k^2 rows inner cols (L/2 + 1) limb products
+    and 2k - 1 recombination steps per kept coefficient of each entry, with
+    the limbs chosen for the inner sum."""
     if hi <= lo:
         return 0
     full = La + Lb - 1
     if min(La, Lb) >= convolution.TRANSFORM_CUTOFF and p < 2**31:
         L = convolution._next_pow2(max(hi, full - lo))
-        k, _ = convolution._limbs(p, L, min(La, Lb))
+        k, _ = convolution._limbs(p, L, min(La, Lb) * inner * inner)
         lg = L.bit_length() - 1
-        return (4 * k - 1) * (L // 2) * lg + k * k * (L // 2 + 1) + (2 * k - 1) * (hi - lo)
+        transforms = k * (rows * inner + inner * cols) + (2 * k - 1) * rows * cols
+        return (
+            transforms * (L // 2) * lg
+            + k * k * rows * inner * cols * (L // 2 + 1)
+            + (2 * k - 1) * rows * cols * (hi - lo)
+        )
     Ls, Ll = min(La, Lb), max(La, Lb)
     reach = min(Ll, hi) - max(0, lo - Ls + 1)
-    return Ls * min(reach, hi - lo)
+    return rows * inner * cols * Ls * min(reach, hi - lo)
 
 
 def check_mul(A: SeriesMatrix, B: SeriesMatrix, n: int, monkeypatch, lo: int = 0) -> None:
     """A.mul(B, n, lo) is the reference window, takes the route the dispatch
     rule names for the stored lengths capped at n, and charges what that
-    route forms: the coefficient pairs landing in [lo, n) when shift-batched,
-    conv_charge of the window for every entry triple when per entry."""
+    route forms: the coefficient pairs landing in [lo, n) when shift-batched;
+    per entry, exactly one conv_trunc call for the whole product, charging
+    rows * inner * cols times conv_charge on the direct route and
+    stacked_charge on the transform."""
     calls = []
     conv = polymat.conv_trunc
     monkeypatch.setattr(polymat, "conv_trunc", lambda *a: calls.append(1) or conv(*a))
@@ -134,18 +152,21 @@ def check_mul(A: SeriesMatrix, B: SeriesMatrix, n: int, monkeypatch, lo: int = 0
     charge = instrument.mul_counter.value - before
     monkeypatch.setattr(polymat, "conv_trunc", conv)
     assert got == mul_reference(A, B, n, lo)
+    direct = min(La, Lb) < convolution.TRANSFORM_CUTOFF or A.p >= 2**31
     if min(La, Lb) <= rows * cols:
         assert not calls
         # one multiplication per coefficient pair that lands in the window
         pairs = sum(1 for s in range(La) for t in range(Lb) if lo <= s + t < n)
         assert charge == rows * inner * cols * pairs
     else:
-        assert len(calls) == (rows * inner * cols if hi > lo else 0)
-        assert charge == rows * inner * cols * conv_charge(La, Lb, A.p, hi, lo)
-        if lo == 0 and len(calls) and min(La, Lb) < convolution.TRANSFORM_CUTOFF:
-            # a product mod x^n forms every pair once, as np.convolve does
+        assert len(calls) == (1 if hi > lo else 0)
+        assert charge == stacked_charge(rows, inner, cols, La, Lb, A.p, hi, lo)
+        if direct:
+            assert charge == rows * inner * cols * conv_charge(La, Lb, A.p, hi, lo)
+        if lo == 0 and calls and direct:
+            # a product mod x^n forms every pair once, as a convolution does
             assert charge == rows * inner * cols * La * Lb
-    if min(La, Lb) < convolution.TRANSFORM_CUTOFF:
+    if direct:
         assert charge <= rows * inner * cols * La * Lb
 
 
