@@ -97,12 +97,6 @@ from .errors import InternalInvariantError, PreconditionError
 
 _INT64 = np.int64
 
-try:  # numpy's C correlation, without np.correlate's mode-name lookup
-    from numpy._core.multiarray import correlate2 as _correlate
-except ImportError:  # pragma: no cover - an older or newer numpy layout
-    _correlate = np.correlate
-_VALID, _FULL = 0, 2  # numpy's correlate mode numbers
-
 # Shorter operand's length, after the cut to out_len, from which the
 # transform runs (the measured crossover, see above).
 TRANSFORM_CUTOFF = 512
@@ -185,12 +179,12 @@ def _conv_direct(a: np.ndarray, b: np.ndarray, p: int, out_len: int, lo: int) ->
     width = out_len - lo
     if w1 - w0 <= width:
         # full product of the source, cut to the window (lo = 0: mod x^out_len)
-        src, mode, cut = long[:, :, w0:w1], _FULL, slice(lo - w0, out_len - w0)
+        src, mode, cut = long[:, :, w0:w1], "full", slice(lo - w0, out_len - w0)
     else:
         # middle product: output t of 'valid' mode is coefficient lo + t
         src = np.zeros(long.shape[:2] + (width + Ls - 1,), dtype=_INT64)
         src[:, :, w0 - lo + Ls - 1 : w1 - lo + Ls - 1] = long[:, :, w0:w1]
-        mode, cut = _VALID, slice(None)
+        mode, cut = "valid", slice(None)
     instrument.mul_counter.add(rows * inner * cols * Ls * min(w1 - w0, width))
     # correlating against the reversed shorter operand is the convolution
     rev = np.ascontiguousarray(short[:, :, ::-1])
@@ -207,16 +201,16 @@ def _conv_direct(a: np.ndarray, b: np.ndarray, p: int, out_len: int, lo: int) ->
         ys = [list(zip(hi, lo_)) for hi, lo_ in zip(rev >> s, rev & ((1 << s) - 1))]
 
         def term(x, y, m):
-            return (_correlate(x, y[0], m) % p * radix + _correlate(x, y[1], m) % p) % p
+            return (np.correlate(x, y[0], m) % p * radix + np.correlate(x, y[1], m) % p) % p
 
     elif inner * Ls * (p - 1) * (p - 1) >= 2**63:
         ys = [list(y) for y in rev]
 
         def term(x, y, m):
-            return _correlate(x, y, m) % p
+            return np.correlate(x, y, m) % p
 
     else:  # an entry's whole inner sum fits, and is reduced once
-        ys, term = [list(y) for y in rev], _correlate
+        ys, term = [list(y) for y in rev], np.correlate
     xs = [list(x) for x in src]
     modes = [mode] * inner
     out = np.empty((rows, cols, width), dtype=_INT64)

@@ -257,6 +257,37 @@ def test_scalar_products_charge_as_single_entries(case):
     assert np.array_equal(conv_trunc(a[0, 0], b[0, 0], p, n, lo), want)
 
 
+# (rows, inner, cols, La, Lb, n, lo, p) -> (limbs, charge), worked by hand.
+# 4 x 4 x 4 of 512 coefficients at p = 65521: L = 1024, and m inner^2 = 8192
+# takes two 8-bit limbs where one entry (m = 512) or m inner would take one
+# 16-bit limb.  112 transforms (2 (16 + 16) forward, 3 * 16 inverse) of
+# 512 * 10 each, 4 * 64 * 513 limb products and 3 * 16 recombinations per
+# kept coefficient: 573440 + 131328 + 3 * 16 * 1023 (or * 512 for the
+# window [511, 1023)).  2 x 3 x 2 at p = 2^31 - 1: m inner^2 = 4608 takes
+# three 11-bit limbs where one entry takes two 16-bit limbs; 3 (6 + 6) + 5 * 4
+# = 56 transforms, 286720 + 9 * 12 * 513 + 5 * 4 * 1023.
+_STACKED_CHARGES = {
+    (4, 4, 4, 512, 512, 1023, 0, 65521): (2, 753872),
+    (4, 4, 4, 512, 512, 1023, 511, 65521): (2, 729344),
+    (2, 3, 2, 512, 512, 1023, 0, 2**31 - 1): (3, 362584),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STACKED_CHARGES))
+def test_stacked_transform_charges(case, monkeypatch):
+    # the transform's charge and limb count for inner > 1, pinned by value
+    rows, inner, cols, La, Lb, n, lo, p = case
+    gen = np.random.default_rng(rows + inner + lo)
+    a, b = gen.integers(0, p, (rows, inner, La)), gen.integers(0, p, (inner, cols, Lb))
+    limbs = []
+    pick = convolution._limbs
+    monkeypatch.setattr(convolution, "_limbs", lambda *args: limbs.append(pick(*args)[0]) or pick(*args))
+    before = instrument.mul_counter.value
+    got = conv_trunc(a, b, p, n, lo)
+    assert (limbs, instrument.mul_counter.value - before) == ([_STACKED_CHARGES[case][0]], _STACKED_CHARGES[case][1])
+    assert np.array_equal(got, _stack_by_kronecker(a, b, p, lo, n))
+
+
 def _stack_by_kronecker(a, b, p, lo, hi):
     """Coefficients [lo, hi) of the matrix product of the stacks a and b,
     from the check's Python-int Kronecker product."""
