@@ -1,28 +1,29 @@
-"""Exact windowed products of polynomial matrices mod p.
+"""Exact windowed products of polynomial matrices mod p: the package's
+one place where residue products are formed and their route decided.
 
 ``conv_trunc(a, b, p, out_len, lo)`` takes the operand stacks a (rows,
 inner, La) and b (inner, cols, Lb) and returns coefficients
 [lo, min(out_len, La + Lb - 1)) of their matrix product, entry (i, j)
 being sum_l a[i, l] * b[l, j], as one (rows, cols, .) array.  It forms
 only what that window needs.  One-dimensional operands are the
-1 x 1 x 1 case and give a one-dimensional result.  The route, the
-window, the limb split and the charge are decided once per product,
-never per entry.  Three backends sit behind it:
+1 x 1 x 1 case and give a one-dimensional result.  Empty operands and
+empty windows return no coefficients.  Otherwise the route, the window,
+the limb split and the charge are decided once per product, never per
+entry, from Ls = min(La, Lb), the shorter operand's length cut to
+out_len; for p < 2^31 the first rule that holds picks the backend:
 
-* direct, on int64: each (row, inner, col) triple is one C-level
-  ``correlate`` against the shorter operand, which is reversed once per
-  product.  A window is either the full product of the shorter operand
-  with the long operand's coefficients that reach it, cut to the
-  window, or, when that source is longer than the window, a middle
-  product: ``'valid'`` mode over that source zero-padded to
-  [lo - Ls + 1, out_len), one dot product of length Ls per kept
-  coefficient.  An entry's inner sum is reduced mod p once when
-  inner Ls (p - 1)^2 < 2^63, and each triple once otherwise; when even
-  Ls (p - 1)^2 reaches 2^63, a one-sided limb split of the shorter
-  operand keeps each correlation below it;
+* shift-batched, when Ls <= rows cols: one ``_matmul_mod`` per
+  coefficient t of the shorter operand takes the planes of the longer
+  one in [max(0, lo - t), min(Ll, out_len - t)) and adds their product
+  into the output window they reach, so only the coefficient pairs that
+  land in [lo, out_len) are formed.  A constant matrix is a one-plane
+  operand, so a product with it is one ``_matmul_mod``.  Every summand
+  is a canonical residue and there are at most Ls < 2^31 of them, so
+  the int64 sums stay below 2^62 and are reduced once.  The rule makes
+  the route take no more Python-level calls than there are output
+  entries;
 * an exact float64 FFT product over limbs (Percival, Math. Comp. 72,
-  2003), used for p < 2^31 when the shorter operand, cut to out_len, has
-  at least ``TRANSFORM_CUTOFF`` = 512 coefficients.  Every entry of both
+  2003), when Ls >= ``TRANSFORM_CUTOFF`` = 512.  Every entry of both
   stacks is split into k limbs of b bits and transformed once:
   k (rows inner + inner cols) forward ``rfft``s, in one call per stack.
   The limb products and their inner sums are one batched complex
@@ -33,11 +34,24 @@ never per entry.  Three backends sit behind it:
   rows cols entries, which are rounded and recombined mod p.  The cyclic
   length L is the next power of two of max(out_len, La + Lb - 1 - lo):
   every coefficient it wraps lands below lo, so the window is exact;
-* trivial short-circuits for empty operands and empty windows.
+* direct otherwise, and for every p >= 2^31, on int64: each
+  (row, inner, col) triple is one C-level ``correlate`` against the
+  shorter operand, which is reversed once per product.  A window is
+  either the full product of the shorter operand with the long operand's
+  coefficients that reach it, cut to the window, or, when that source is
+  longer than the window, a middle product: ``'valid'`` mode over that
+  source zero-padded to [lo - Ls + 1, out_len), one dot product of
+  length Ls per kept coefficient.  An entry's inner sum is reduced mod p
+  once when inner Ls (p - 1)^2 < 2^63, and each triple once otherwise;
+  when even Ls (p - 1)^2 reaches 2^63, a one-sided limb split of the
+  shorter operand keeps each correlation below it.
 
-The route depends on the shorter operand's length only, not on the
-number of coefficient pairs or of entries: a 64 x 65536 product stays
-direct.  The cutoff is the crossover measured in process for one entry
+``_matmul_mod``, the constant-matrix product the shift-batched route runs
+on, is also the one matrix product of the package's other modules.
+
+The transform cutoff depends on the shorter operand's length only, not
+on the number of coefficient pairs or of entries: a 64 x 65536 product
+stays direct.  The cutoff is the crossover measured in process for one entry
 (2-core Xeon VM, numpy 2.4.6, best of 15), full products and windows
 [Ls, 2Ls) of an Ls by 2Ls product alike.  At Ls = 256 the direct route
 wins at p = 65521 and p = 134217757 (0.07 ms against 0.08 and
@@ -73,21 +87,25 @@ more from an integer raises ``InternalInvariantError`` instead of being
 rounded.  The bound also keeps every row below 2^53, so the rounded rows
 are exact in int64.
 
-``conv_trunc`` adds the field multiplications the chosen backend
-performs to the global counter, once per product.  The direct backend
+The backend ``conv_trunc`` picks adds the field multiplications it
+performs to the global counter, once per product.  The shift-batched
+route charges what its ``_matmul_mod`` calls form, rows inner cols per
+coefficient pair (s, t) with lo <= s + t < out_len.  The direct backend
 charges rows inner cols times what one triple forms, Ls min(w, hi - lo)
 for the window [lo, hi) and the w coefficients of the long operand that
 reach it: La Lb for a full product, Ls per kept coefficient for a
-middle product.  The transform is charged in field-multiplication
-equivalents: (L/2) log2 L per real transform (k (rows inner + inner
-cols) forward, (2k - 1) rows cols inverse), k^2 rows inner cols
-(L/2 + 1) for the limb products and 2k - 1 per kept coefficient of each
-entry for the recombination.  At 1 x 1 x 1 both charges are those of
-the single product.
+middle product.  Off the transform, no product so charges more than the
+rows inner cols La Lb of a full product.  The transform is charged in
+field-multiplication equivalents: (L/2) log2 L per real transform (k
+(rows inner + inner cols) forward, (2k - 1) rows cols inverse), k^2 rows
+inner cols (L/2 + 1) for the limb products and 2k - 1 per kept
+coefficient of each entry for the recombination.  At 1 x 1 x 1 all three
+charges are those of the single product.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -117,6 +135,62 @@ def _limbs(p: int, L: int, m: int) -> tuple[int, int]:
         if k * 4**b * scale <= 0.125:
             return k, b
     raise PreconditionError(f"no exact limb split for p = {p} at transform length {L}")
+
+
+@functools.cache
+def _overflow_step(p: int) -> int:
+    """How many products of residues mod p an int64 sum holds: 2^62 / (p-1)^2."""
+    return max(1, (2**62) // ((p - 1) * (p - 1) + 1))
+
+
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p with int64 accumulation kept below 2^63, for p < 2^31.
+
+    Leading batch axes of a and b broadcast as they do for ``@``; an
+    inner dimension of 1 is the broadcast product a * b.  Up to
+    step = 2^62 / (p-1)^2 inner terms (``_overflow_step``, computed once
+    per p) one product cannot overflow.
+    Longer sums split b into s-bit limbs, b = b_hi 2^s + b_lo with
+    s = ceil(bits(p) / 2), so that every term is below p 2^s: two products
+    cover any inner < 2^62 / (p 2^s).  Past that the sum is chunked.
+    """
+    inner = a.shape[-1]
+    step = _overflow_step(p)
+    if inner == 1:
+        # an outer product: broadcasting forms it without the matmul call
+        out = a * b % p
+    elif inner <= step:
+        out = a @ b % p
+    else:
+        s = (p.bit_length() + 1) // 2
+        if inner << s < (2**62) // p:
+            # both limb sums stay below inner p 2^s, and 2^s < p
+            hi = a @ (b >> s) % p
+            out = ((hi << s) + a @ (b & ((1 << s) - 1))) % p
+        else:
+            out = 0
+            for i in range(0, inner, step):
+                out = (out + a[..., i : i + step] @ b[..., i : i + step, :]) % p
+    instrument.mul_counter.add(out.size * inner)
+    return out
+
+
+def _conv_shift(a: np.ndarray, b: np.ndarray, p: int, out_len: int, lo: int) -> np.ndarray:
+    rows, cols = a.shape[0], b.shape[1]
+    La, Lb = a.shape[2], b.shape[2]
+    # planes first, so a run of planes is one stacked operand
+    at = np.ascontiguousarray(a.transpose(2, 0, 1))
+    bt = np.ascontiguousarray(b.transpose(2, 0, 1))
+    a_short = La <= Lb
+    Ls, Ll = (La, Lb) if a_short else (Lb, La)
+    acc = np.zeros((out_len - lo, rows, cols), dtype=_INT64)
+    for t in range(max(0, lo - Ll + 1), min(Ls, out_len)):
+        u0, u1 = max(0, lo - t), min(Ll, out_len - t)
+        c = _matmul_mod(at[t], bt[u0:u1], p) if a_short else _matmul_mod(at[u0:u1], bt[t], p)
+        acc[t + u0 - lo : t + u1 - lo] += c
+    out = np.empty((rows, cols, out_len - lo), dtype=_INT64)
+    np.remainder(acc.transpose(1, 2, 0), p, out=out)
+    return out
 
 
 def _conv_ntt(a: np.ndarray, b: np.ndarray, p: int, out_len: int, lo: int) -> np.ndarray:
@@ -246,8 +320,12 @@ def conv_trunc(a: np.ndarray, b: np.ndarray, p: int, out_len: int, lo: int = 0) 
     else:
         # coefficients at or above out_len reach no kept coefficient
         a, b = a[:, :, :out_len], b[:, :, :out_len]
-        # the shorter operand has at least TRANSFORM_CUTOFF coefficients
-        if min(a.shape[2], b.shape[2]) >= TRANSFORM_CUTOFF and p < 2**31:
+        # the route rule of the module docstring; _matmul_mod and the
+        # transform are exact only for p < 2^31
+        Ls = min(a.shape[2], b.shape[2])
+        if Ls <= a.shape[0] * b.shape[1] and p < 2**31:
+            out = _conv_shift(a, b, p, out_len, lo)
+        elif Ls >= TRANSFORM_CUTOFF and p < 2**31:
             out = _conv_ntt(a, b, p, out_len, lo)
         else:
             out = _conv_direct(a, b, p, out_len, lo)

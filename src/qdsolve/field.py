@@ -20,9 +20,9 @@ The modulus must be below 2^31, so that (p - 1)^2 < 2^62: the product of
 two canonical residues, plus anything below 2^62, fits in int64.  That
 is the one overflow argument of the package.  Matrix and polynomial
 products, whose sums of such terms could exceed it, are formed only in
-``linalg._matmul_mod`` and in ``convolution``, which split or chunk long
-sums; every other kernel multiplies residues elementwise and reduces at
-once.
+``convolution``, by ``convolution._matmul_mod`` and the convolution
+backends, which split or chunk long sums; every other kernel multiplies
+residues elementwise and reduces at once.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 The counter tracks the number of multiplications in K performed by the
 algorithms, and only the kernels charge it: ``field.mulmod``, the one
 elementwise product (one per entry of its result), and
-``field.inverses``; ``linalg._matmul_mod``, ``_rref`` and
-``mat_inv_stack``; the two convolution backends; and the step kernel's
+``field.inverses``; ``convolution._matmul_mod`` and the two convolution
+backends; ``linalg._rref`` and ``mat_inv_stack``; and the step kernel's
 per-step gamma product, which stays inline because it is reduced
 together with the step's right side.  Limb splitting and other int64
 overflow tricks are representation details and are not double-counted.

@@ -7,7 +7,7 @@ makes every result canonical and deterministic: ``_affine_solve`` turns
 one reduction into a particular solution with the free variables zero
 and a nullspace basis in standard reduced row-echelon form, and both
 ``lin_solve`` and the step kernel's singular steps read their answers
-from it.  Matrix products go through ``_matmul_mod``, which
+from it.  Matrix products go through ``convolution._matmul_mod``, which
 keeps int64 sums below 2^63 for every modulus below 2^31.  It, like
 ``mat_inv_stack`` and ``sylvester_solve``, also takes stacks (..., n, n)
 of matrices and runs one vectorized pass over the whole stack.
@@ -15,56 +15,17 @@ of matrices and runs one vectorized pass over the whole stack.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import instrument
-from .convolution import conv_trunc
+from .convolution import _matmul_mod, conv_trunc
 from .errors import InternalInvariantError
 from .field import inverses, mulmod
 
 _INT64 = np.int64
-
-
-@functools.cache
-def _overflow_step(p: int) -> int:
-    """How many products of residues mod p an int64 sum holds: 2^62 / (p-1)^2."""
-    return max(1, (2**62) // ((p - 1) * (p - 1) + 1))
-
-
-def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p with int64 accumulation kept below 2^63.
-
-    Leading batch axes of a and b broadcast as they do for ``@``; an
-    inner dimension of 1 is the broadcast product a * b.  Up to
-    step = 2^62 / (p-1)^2 inner terms (``_overflow_step``, computed once
-    per p) one product cannot overflow.
-    Longer sums split b into s-bit limbs, b = b_hi 2^s + b_lo with
-    s = ceil(bits(p) / 2), so that every term is below p 2^s: two products
-    cover any inner < 2^62 / (p 2^s).  Past that the sum is chunked.
-    """
-    inner = a.shape[-1]
-    step = _overflow_step(p)
-    if inner == 1:
-        # an outer product: broadcasting forms it without the matmul call
-        out = a * b % p
-    elif inner <= step:
-        out = a @ b % p
-    else:
-        s = (p.bit_length() + 1) // 2
-        if inner << s < (2**62) // p:
-            # both limb sums stay below inner p 2^s, and 2^s < p
-            hi = a @ (b >> s) % p
-            out = ((hi << s) + a @ (b & ((1 << s) - 1))) % p
-        else:
-            out = 0
-            for i in range(0, inner, step):
-                out = (out + a[..., i : i + step] @ b[..., i : i + step, :]) % p
-    instrument.mul_counter.add(out.size * inner)
-    return out
 
 
 @dataclass

@@ -58,9 +58,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import instrument
+from .convolution import _matmul_mod
 from .errors import InternalInvariantError, SpectrumError
 from .field import inverses, mulmod
-from .linalg import _matmul_mod, mat_inv, sylvester_solve
+from .linalg import mat_inv, sylvester_solve
 from .oracle import _solve_term_by_term
 from .polymat import SeriesMatrix
 from .series import QContext

@@ -38,9 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import instrument
+from .convolution import _matmul_mod
 from .errors import PreconditionError, QdsolveError
 from .field import PrimeField, mulmod
-from .linalg import _affine_solve, _matmul_mod, mat_inv, mat_inv_stack
+from .linalg import _affine_solve, mat_inv, mat_inv_stack
 from .polymat import SeriesMatrix
 from .series import QContext
 from .solution import SolutionSpace, resolve_affine_family
@@ -317,9 +318,10 @@ def random_coefficients(
     for k = 0, whose instances are solved through the order-1 reduction.
     With require_good_spectrum and k >= 1 the constant coefficient of A is
     rejection-sampled until the good-spectrum test passes, and after
-    SPECTRUM_DRAWS failed draws this raises PreconditionError; for k = 0 the
-    reduced instance has zero constant matrix, whose spectrum test reduces
-    to the gamma conditions, so there is nothing to reject on.
+    SPECTRUM_DRAWS failed draws this raises PreconditionError.  For k = 0
+    the reduced instance has zero constant matrix whatever A is, so its
+    spectrum is tested once, at precision N + 1, and a failure raises
+    PreconditionError at once: no redraw could change it.
     """
     gen = np.random.Generator(np.random.Philox(key=seed))
     field = PrimeField(p)
@@ -343,6 +345,8 @@ def random_coefficients(
                     f"no good-spectrum constant matrix found in {SPECTRUM_DRAWS} draws"
                 )
             Adata[:, :, 0] = gen.integers(0, p, size=(n, n), dtype=np.int64)
+    elif require_good_spectrum and not good_spectrum(np.zeros((n, n), dtype=_INT64), ctx, N + 1).good:
+        raise PreconditionError("no good-spectrum constant matrix for k = 0: the reduced one is zero")
     return ctx, SeriesMatrix(p, Adata, N), SeriesMatrix(p, Cdata, N)
 
 

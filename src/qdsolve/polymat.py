@@ -6,22 +6,11 @@ trimmed; entries share one truncation order.  A scalar series is a 1 x 1
 matrix.
 
 The matrix product, ``mul``, returns a window [lo, n) of coefficients
-(lo = 0 is the product mod x^n) and has two exact routes.  When the
-shorter operand has at most rows * cols coefficients, it is
-shift-batched: one ``_matmul_mod`` per coefficient of the shorter
-operand, over only the planes of the longer one whose products land in
-the window.  Otherwise the whole product is one windowed ``conv_trunc``
-call on the two coefficient stacks, which picks the direct convolution
-or, for long products, the exact float-FFT limb product once for every
-entry, and forms only the coefficients the window needs (a middle
-product when lo > 0).  A constant matrix is a one-plane operand, so a
-product with it is one ``_matmul_mod`` on the first route.  Both routes
-charge the field multiplications of the products they form, never more,
-off the transform, than the rows * inner * cols * La * Lb of full
-products.
-Newton inversion (``inv_newton``) asks only for the window above the
-precision it has reached; on the shift-batched route a doubling step
-then charges half of the two full products it replaces.
+as a series of precision n - lo (lo = 0 is the product mod x^n).  It is
+one ``convolution.conv_trunc`` call, which decides the product's route
+and charge and forms only the coefficients the window needs; a constant
+matrix is a one-plane operand.  Newton inversion (``inv_newton``) asks
+only for the window above the precision it has reached.
 """
 
 from __future__ import annotations
@@ -32,7 +21,7 @@ from . import instrument
 from .convolution import conv_trunc
 from .errors import InternalInvariantError
 from .field import mulmod
-from .linalg import _matmul_mod, mat_inv
+from .linalg import mat_inv
 
 _INT64 = np.int64
 
@@ -168,71 +157,18 @@ class SeriesMatrix:
         lo = 0 is the product mod x^n.  A window lo > 0 is what a Newton
         step needs when the low part of the product is known in advance:
         the result is (A B mod x^n) divided by x^lo, and it is empty when
-        lo >= La + Lb - 1.  With La, Lb the stored lengths capped at n, two
-        exact routes give the same canonical result:
-
-        * shift-batched, when min(La, Lb) <= rows * cols: for each
-          coefficient t of the shorter operand one ``_matmul_mod`` takes
-          the planes of the longer operand in [max(0, lo - t), min(L, n - t))
-          and adds their product into the output window they reach, so
-          only pairs landing in [lo, n) are formed.  Every summand is a
-          canonical residue below p < 2^31 and there are fewer than 2^31
-          of them, so the int64 sums stay below 2^62 and are reduced once;
-        * per entry otherwise: one ``conv_trunc(a, b, p, n, lo)`` call on
-          the (rows, inner, La) and (inner, cols, Lb) stacks, which decides
-          its backend, window and limb split once for the product.  Both
-          backends form only the window: the direct one as a middle
-          product, Ls = min(La, Lb) terms per kept coefficient of each
-          entry triple, the float-FFT limb product, which keeps long
-          products quasi-linear, at a cyclic length whose wrap-around
-          lands below lo, transforming each entry once.
-
-        The rule makes the first route take no more Python-level calls
-        than there are output entries.  The shift-batched route charges
-        the products it forms, rows * inner * cols per coefficient pair
-        (s, t) with lo <= s + t < n; the per-entry route charges what
-        ``conv_trunc`` forms.  A direct product whose window [lo, hi)
-        reads w coefficients of the longer operand charges
-        rows * inner * cols * Ls * min(w, hi - lo): the La * Lb pairs of
-        each triple when lo = 0, Ls * (hi - lo) for a middle product.  The
-        limb product, exact by an a-priori rounding bound that fixes its
-        limb count, charges field-multiplication equivalents: (L/2) log2 L
-        per real transform, one per limb of each entry of either operand
-        and per degree row of each output entry, plus its limb products
-        and recombination (see ``convolution``).
+        lo >= La + Lb - 1.  The product is one ``conv_trunc`` call, whose
+        routes and charges ``convolution`` describes.
         """
         self._check_compat(other)
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions disagree")
         if n is None:
             n = min(self.prec, other.prec)
         if n > self.prec or n > other.prec:
             raise ValueError("target precision exceeds operand precision")
         if not 0 <= lo <= n:
             raise ValueError("window start outside [0, n]")
-        p = self.p
-        rows, cols = self.rows, other.cols
-        a, b = self.data[:, :, :n], other.data[:, :, :n]
-        La, Lb = a.shape[2], b.shape[2]
-        hi = min(n, max(0, La + Lb - 1))
-        if hi <= lo:
-            out = np.zeros((rows, cols, 0), dtype=_INT64)
-        elif min(La, Lb) <= rows * cols:
-            # planes first, so a run of planes is one stacked operand
-            at = np.ascontiguousarray(a.transpose(2, 0, 1))
-            bt = np.ascontiguousarray(b.transpose(2, 0, 1))
-            a_short = La <= Lb
-            Ls, Ll = (La, Lb) if a_short else (Lb, La)
-            acc = np.zeros((hi - lo, rows, cols), dtype=_INT64)
-            for t in range(max(0, lo - Ll + 1), min(Ls, hi)):
-                u0, u1 = max(0, lo - t), min(Ll, hi - t)
-                c = _matmul_mod(at[t], bt[u0:u1], p) if a_short else _matmul_mod(at[u0:u1], bt[t], p)
-                acc[t + u0 - lo : t + u1 - lo] += c
-            out = np.empty((rows, cols, hi - lo), dtype=_INT64)
-            np.remainder(acc.transpose(1, 2, 0), p, out=out)
-        else:
-            out = conv_trunc(a, b, p, n, lo)
-        return SeriesMatrix._mk(p, _trim3(out), n - lo)
+        out = conv_trunc(self.data, other.data, self.p, n, lo)
+        return SeriesMatrix._mk(self.p, _trim3(out), n - lo)
 
     def delta(self, ctx) -> "SeriesMatrix":
         if self.prec == 0:
@@ -300,10 +236,8 @@ class SeriesMatrix:
             E = coefficients [s, s2) of A X,
             X <- X - x^s (X mod x^h) E mod x^s2,
 
-        which is X(2 Id - A X) without the coefficients known beforehand.
-        On the shift-batched route of ``mul`` a step on full-length
-        operands charges rows^3 (s h + h (h + 1) / 2), half of the
-        2 rows^3 (s s2 - s (s - 1) / 2) of the two full products at s2 = 2s.
+        which is X(2 Id - A X) without the coefficients known beforehand,
+        at about half the work of its two full products.
         """
         if self.rows != self.cols:
             raise ValueError("only square series matrices are invertible")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import mulmod
-from .linalg import lin_solve
+from .linalg import _rref, lin_solve
 from .polymat import SeriesMatrix
 
 _INT64 = np.int64
@@ -52,8 +52,6 @@ def _flatten_cols(m: SeriesMatrix) -> np.ndarray:
 
 def canonical_form(space: SolutionSpace) -> tuple[np.ndarray, np.ndarray]:
     """(canonical basis rows, canonical particular) for set comparison."""
-    from .linalg import _rref
-
     p = space.particular.p
     rows = _flatten_cols(space.basis) % p
     red, pivots = _rref(rows.copy(), p, rows.shape[1])

@@ -27,11 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .convolution import _matmul_mod
 from .errors import InternalInvariantError
 from .field import inverses, mulmod
-from .linalg import (
-    _matmul_mod, char_poly, lin_solve, mat_inv_stack, poly_at, power_row, sylvester_tables,
-)
+from .linalg import char_poly, lin_solve, mat_inv_stack, poly_at, power_row, sylvester_tables
 
 _INT64 = np.int64
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from qdsolve.linalg import _matmul_mod, lin_solve
+from qdsolve.convolution import _matmul_mod
+from qdsolve.linalg import lin_solve
 from qdsolve.oracle import ProblemInstance
 from qdsolve.polymat import SeriesMatrix
 from qdsolve.solution import SolutionSpace

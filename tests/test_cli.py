@@ -268,7 +268,7 @@ def test_newton_work_stops_growing_with_k_past_N():
 def test_newton_python_calls_linear_in_N_past_k():
     # q = 1, k >= N: the splitting construction is one window product per
     # coefficient, so quadrupling N at most quintuples the n x n products
-    from qdsolve.linalg import _matmul_mod
+    from qdsolve.convolution import _matmul_mod
 
     def matmul_calls(N):
         calls = 0
@@ -624,7 +624,7 @@ def test_check_catches_a_wrong_product_window(tmp_path, monkeypatch):
     # returns its window with coefficient 0 bumped.  DAC's carry is such a
     # window, so the DAC answer is wrong; check forms its residual without
     # the product kernel and refutes it with exit 4, the patch still in place
-    from qdsolve import convolution, oracle, polymat
+    from qdsolve import convolution
 
     code, out, _ = run_cli(["gen", "--seed", "3", "--n", "2", "--N", "150", "--k", "1", "--q", "random"])
     assert code == 0
@@ -649,15 +649,28 @@ def test_check_catches_a_wrong_product_window(tmp_path, monkeypatch):
     code, _, err = run_cli(["check", str(prob), str(bad)])
     assert code == 4, err
     # the residual never reaches the product kernels: with all of them
-    # broken, the right answer still checks
+    # broken wherever a qdsolve module binds them, found by identity under
+    # any name, the right answer still checks
     def broken(*args, **kwargs):
         raise AssertionError("check used an engine product kernel")
 
     monkeypatch.setattr(SeriesMatrix, "mul", broken)
-    monkeypatch.setattr(polymat, "conv_trunc", broken)
-    monkeypatch.setattr(polymat, "_matmul_mod", broken)
-    monkeypatch.setattr(convolution, "_conv_direct", broken)
-    monkeypatch.setattr(convolution, "_conv_ntt", broken)
-    monkeypatch.setattr(oracle, "_matmul_mod", broken)
+    kernels = {
+        id(getattr(convolution, name))
+        for name in ("_matmul_mod", "conv_trunc", "_conv_shift", "_conv_direct", "_conv_ntt")
+    }
+    sites = [
+        (mod, attr)
+        for name, mod in list(sys.modules.items())
+        if mod is not None and (name == "qdsolve" or name.startswith("qdsolve."))
+        for attr, value in list(vars(mod).items())
+        if id(value) in kernels
+    ]
+    assert {mod.__name__ for mod, _ in sites} >= {
+        "qdsolve.convolution", "qdsolve.polymat", "qdsolve.linalg", "qdsolve.oracle",
+        "qdsolve.newton", "qdsolve.spectrum",
+    }
+    for mod, attr in sites:
+        monkeypatch.setattr(mod, attr, broken)
     code, out, err = run_cli(["check", str(prob), str(good)])
     assert code == 0, err

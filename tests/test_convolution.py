@@ -19,7 +19,7 @@ def _coeff(a, b, c, p):
 def _routes(monkeypatch):
     """Record the backend each conv_trunc call takes."""
     used = []
-    for name in ("_conv_direct", "_conv_ntt"):
+    for name in ("_conv_shift", "_conv_direct", "_conv_ntt"):
         fn = getattr(convolution, name)
         monkeypatch.setattr(convolution, name, lambda *args, fn=fn, name=name: used.append(name) or fn(*args))
     return used
@@ -27,12 +27,16 @@ def _routes(monkeypatch):
 
 def test_direct_refuses_modulus_beyond_crt_range():
     # at p = 2^61 - 1 even a length-3 by length-2 product overflows the limb
-    # split, and the transform serves only p < 2^31
+    # split, and the transform serves only p < 2^31; so does the shift-batched
+    # route, whose int64 products of two residues would wrap, so a length-1
+    # operand goes to the direct route and is refused too
     p = 2**61 - 1
     a = np.array([1, 2, 3], dtype=np.int64)
     b = np.array([5, 7], dtype=np.int64)
     with pytest.raises(PreconditionError):
         conv_trunc(a, b, p, 4)
+    with pytest.raises(PreconditionError):
+        conv_trunc(np.array([p - 1]), np.array([p - 1, 1]), p, 2)
 
 
 def test_direct_ntt_fallback_matches_python_ints(monkeypatch):
@@ -57,6 +61,28 @@ def test_direct_ntt_fallback_matches_python_ints(monkeypatch):
     assert len(got) == full
     for c in (0, 1, 2, 1000, 2**16 - 1, 2**16, 2**16 + 2, 100_000, full - 2, full - 1):
         assert int(got[c]) == _coeff(a, b, c, p), c
+
+
+def _route(Ls, rows_cols, p):
+    """The backend conv_trunc's rule names for a shorter operand of Ls
+    coefficients, cut to the window's end, and rows * cols output entries."""
+    if Ls <= rows_cols and p < 2**31:
+        return "_conv_shift"
+    return "_conv_ntt" if Ls >= convolution.TRANSFORM_CUTOFF and p < 2**31 else "_conv_direct"
+
+
+def _by_transform(a, b, p, hi, lo):
+    """conv_trunc(a, b, p, hi, lo) formed by the transform backend whatever
+    the route rule picks: the same cut to the product's length and to hi,
+    handed to _conv_ntt.  None when the window is empty."""
+    flat = a.ndim == 1
+    if flat:
+        a, b = a[None, None], b[None, None]
+    top = min(hi, a.shape[2] + b.shape[2] - 1)
+    if a.size == 0 or b.size == 0 or top <= lo:
+        return None
+    got = convolution._conv_ntt(a[:, :, :top], b[:, :, :top], p, top, lo)
+    return got[0, 0] if flat else got
 
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -87,15 +113,21 @@ def windows(draw):
 @settings(max_examples=300, deadline=None)
 @given(windows(), st.booleans())
 def test_window_matches_python_ints(case, force_ntt):
+    # the route rule's backend, or the transform called directly: both exact
     a, b, p, hi, lo = case
+    top = min(hi, len(a) + len(b) - 1)
+    want = [_coeff(a, b, c, p) for c in range(lo, top)]
+    if force_ntt:
+        got = _by_transform(a, b, p, hi, lo)
+        assert (got is None) == (top <= lo)
+        if got is not None:
+            assert [int(c) for c in got] == want
+        return
     with pytest.MonkeyPatch.context() as mp:
         used = _routes(mp)
-        if force_ntt:
-            mp.setattr(convolution, "TRANSFORM_CUTOFF", 0)
         got = conv_trunc(a, b, p, hi, lo)
-    top = min(hi, len(a) + len(b) - 1)
-    assert [int(c) for c in got] == [_coeff(a, b, c, p) for c in range(lo, top)]
-    assert used == ([] if top <= lo else ["_conv_ntt" if force_ntt else "_conv_direct"])
+    assert [int(c) for c in got] == want
+    assert used == ([] if top <= lo else [_route(min(len(a), len(b), top), 1, p)])
 
 
 def test_middle_product_ntt_length(monkeypatch):
@@ -195,16 +227,19 @@ def transform_windows(draw):
 @settings(max_examples=150, deadline=None)
 @given(transform_windows())
 def test_transform_matches_python_ints(case):
+    # the transform backend, called directly, at every length and window
     a, b, p, hi, lo, limbs = case
     used = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(convolution, "TRANSFORM_CUTOFF", 0)
         pick = convolution._limbs
         mp.setattr(convolution, "_limbs", lambda *args: used.append(pick(*args)[0]) or pick(*args))
-        got = conv_trunc(a, b, p, hi, lo)
+        got = _by_transform(a, b, p, hi, lo)
     top = min(hi, len(a) + len(b) - 1)
-    assert [int(c) for c in got] == _window_by_kronecker(a, b, p, lo, top)
-    assert used == ([] if top <= lo else [limbs])
+    if top <= lo:
+        assert got is None and used == []
+    else:
+        assert [int(c) for c in got] == _window_by_kronecker(a, b, p, lo, top)
+        assert used == [limbs]
 
 
 def test_transform_rounding_tripwire(monkeypatch):
@@ -323,23 +358,26 @@ def stacks(draw):
 @settings(max_examples=60, deadline=None)
 @given(stacks(), st.booleans())
 def test_stacked_product_matches_python_ints(case, force_ntt):
-    # one call forms the whole matrix product, on either backend, exactly
+    # one call forms the whole matrix product exactly, on the backend the
+    # route rule names, or on the transform called directly
     a, b, p, hi, lo = case
     limbs = []
     with pytest.MonkeyPatch.context() as mp:
         used = _routes(mp)
-        if force_ntt:
-            mp.setattr(convolution, "TRANSFORM_CUTOFF", 0)
         pick = convolution._limbs
         mp.setattr(convolution, "_limbs", lambda *args: limbs.append((args[1], pick(*args))) or pick(*args))
-        got = conv_trunc(a, b, p, hi, lo)
+        got = _by_transform(a, b, p, hi, lo) if force_ntt else conv_trunc(a, b, p, hi, lo)
     La, Lb = a.shape[2], b.shape[2]
     top = min(hi, La + Lb - 1)
     want = _stack_by_kronecker(a, b, p, lo, top)
-    assert got.shape == want.shape
-    assert np.array_equal(got, want)
-    ntt = force_ntt or min(La, Lb, top) >= convolution.TRANSFORM_CUTOFF
-    assert used == ([] if top <= lo else ["_conv_ntt" if ntt else "_conv_direct"])
+    if force_ntt:
+        assert (got is None) == (top <= lo)
+        assert used == ([] if top <= lo else ["_conv_ntt"])
+    else:
+        assert used == ([] if top <= lo else [_route(min(La, Lb, top), a.shape[0] * b.shape[1], p)])
+    if got is not None:
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
     for L, (k, bits) in limbs:
         # the rounding bound with the inner sum's linear factor
         m, inner = min(La, Lb, top), a.shape[1]

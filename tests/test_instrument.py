@@ -7,7 +7,8 @@ import pytest
 from qdsolve import instrument
 from qdsolve.bench import ALGORITHMS, _run_algo, case_seed, run_bench
 from qdsolve.field import PrimeField
-from qdsolve.linalg import _matmul_mod, mat_inv
+from qdsolve.convolution import _matmul_mod
+from qdsolve.linalg import mat_inv
 from qdsolve.oracle import ProblemInstance, random_instance, residual
 from qdsolve.polymat import SeriesMatrix
 from qdsolve.series import QContext

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from qdsolve import instrument
+from qdsolve.convolution import _matmul_mod
 from qdsolve.linalg import (
-    _matmul_mod, char_poly, lin_solve, mat_inv, mat_inv_stack, sylvester_solve,
-    sylvester_tables,
+    char_poly, lin_solve, mat_inv, mat_inv_stack, sylvester_solve, sylvester_tables,
 )
 from qdsolve.polymat import SeriesMatrix
 

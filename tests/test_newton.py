@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from qdsolve import instrument, linalg, newton, oracle, spectrum
+from qdsolve import convolution, instrument, linalg, newton, oracle, spectrum
 from qdsolve.errors import InternalInvariantError, SpectrumError
 from qdsolve.field import PrimeField
 from qdsolve.linalg import char_poly, mat_inv
@@ -696,7 +696,7 @@ def _singular_system(p, q, n, N, s, gen):
         lam = np.concatenate(([lam0], gen.integers(1, p, size=n - 1))).astype(np.int64)
         P = gen.integers(0, p, size=(n, n), dtype=np.int64)
         try:
-            A0 = linalg._matmul_mod(P * lam % p, mat_inv(P, p), p)
+            A0 = convolution._matmul_mod(P * lam % p, mat_inv(P, p), p)
         except ValueError:
             continue
         rep = good_spectrum(A0, ctx, N)

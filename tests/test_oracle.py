@@ -249,6 +249,25 @@ def test_random_coefficients_reports_the_draws_it_made(monkeypatch):
     assert len(tested) == oracle.SPECTRUM_DRAWS
 
 
+def test_k0_good_spectrum_tests_the_reduced_instance():
+    # the reduced instance's constant matrix is zero, so at k = 1 its steps
+    # are -gamma_i Id, singular when the order of q is at most N; at p = 101,
+    # N = 8 and random q, seed 3 draws such a q (Spec A0 meets q^5 Spec A0
+    # - gamma_5), and every instance returned has a good spectrum
+    from qdsolve.spectrum import good_spectrum
+
+    with pytest.raises(PreconditionError, match="k = 0"):
+        random_instance(3, 101, 1, 8, 0, "random", require_good_spectrum=True)
+    refused = 0
+    for seed in range(40):
+        try:
+            inst = random_instance(seed, 101, 1, 8, 0, "random", require_good_spectrum=True)
+        except PreconditionError:
+            refused += 1
+            continue
+        assert good_spectrum(inst.A.coefficient_array(0), inst.ctx, inst.N).good, seed
+    assert 0 < refused < 40
+
 def test_instance_validation():
     with pytest.raises(PreconditionError):
         scalar_instance(101, 1, 1, 101, [1], [0])  # q = 1 needs p > N

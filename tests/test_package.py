@@ -44,24 +44,14 @@ _PRODUCT_CALLS = {"dot", "matmul", "convolve", "einsum", "tensordot"}
 
 
 def test_products_only_in_kernels():
-    # residue products are formed in linalg._matmul_mod and convolution.py
-    # only; everywhere else a product must call one of them
+    # residue products are formed in convolution.py only; everywhere else a
+    # product must call one of its kernels
     pkg = Path(qdsolve.__file__).resolve().parent
     found = []
     for path in sorted(pkg.glob("*.py")):
         if path.name == "convolution.py":
             continue
-        tree = ast.parse(path.read_text())
-        allowed = set()
-        if path.name == "linalg.py":
-            kernel = next(
-                node for node in tree.body
-                if isinstance(node, ast.FunctionDef) and node.name == "_matmul_mod"
-            )
-            allowed = {id(node) for node in ast.walk(kernel)}
-        for node in ast.walk(tree):
-            if id(node) in allowed:
-                continue
+        for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
                 found.append(f"{path.name}:{node.lineno}: @")
             elif (
@@ -71,6 +61,20 @@ def test_products_only_in_kernels():
             ):
                 found.append(f"{path.name}:{node.lineno}: .{node.func.attr}")
     assert not found, found
+
+
+def test_product_kernels_defined_only_in_convolution():
+    # the constant-matrix product and the route decision live in one module;
+    # the series type reaches them only through conv_trunc
+    pkg = Path(qdsolve.__file__).resolve().parent
+    defined = sorted(
+        (path.name, node.name)
+        for path in pkg.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name in ("_matmul_mod", "conv_trunc")
+    )
+    assert defined == [("convolution.py", "_matmul_mod"), ("convolution.py", "conv_trunc")]
+    assert "_matmul_mod" not in (pkg / "polymat.py").read_text()
 
 
 # where a three-argument pow may stand: field.py is the scalar arithmetic,
@@ -104,7 +108,7 @@ def test_modular_pow_only_where_charged():
 # because it is reduced together with the step's right side
 _CHARGING_KERNELS = {
     ("field.py", "mulmod"), ("field.py", "inverses"),
-    ("linalg.py", "_matmul_mod"), ("linalg.py", "_rref"), ("linalg.py", "mat_inv_stack"),
+    ("convolution.py", "_matmul_mod"), ("linalg.py", "_rref"), ("linalg.py", "mat_inv_stack"),
     ("convolution.py", "_conv_direct"), ("convolution.py", "_conv_ntt"),
     ("oracle.py", "_solve_term_by_term"),
 }
@@ -213,7 +217,7 @@ def test_tracer_probe_positions():
     from qdsolve import convolution, dac
 
     assert list(inspect.signature(dac.op_E).parameters)[5] == "prec"
-    for fn in (convolution._conv_direct, convolution._conv_ntt):
+    for fn in (convolution._conv_shift, convolution._conv_direct, convolution._conv_ntt):
         assert list(inspect.signature(fn).parameters)[3] == "out_len", fn.__name__
 
 

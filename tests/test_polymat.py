@@ -173,7 +173,7 @@ def test_inv_newton_step_is_the_full_newton_step():
 
 @pytest.mark.parametrize("s", [1, 2, 5, 9])
 def test_inv_newton_step_charges_the_error_window(s):
-    # 3 x 3 operands of full length stay on the shift-batched route
+    # 3 x 3 operands of full length take conv_trunc's shift-batched route
     # (length <= 9); a step s -> 2s charges the window product E, s h
     # coefficient pairs, and the correction (X mod x^h) E, h (h + 1) / 2
     rng = random.Random(9 + s)
@@ -208,8 +208,9 @@ def test_const_mul_and_access():
     rng = random.Random(5)
     p = 97
     A = rand_sm(rng, p, 2, 3, 4)
-    # a constant factor is a one-plane series, and its product one
-    # _matmul_mod over all of A's planes, charged rows * inner * cols each
+    # a constant factor is a one-plane series, and conv_trunc forms its
+    # product as one _matmul_mod over all of A's planes, charged
+    # rows * inner * cols each
     M = np.array([[rng.randrange(p) for _ in range(2)] for _ in range(4)], dtype=np.int64)
     before = instrument.mul_counter.value
     got = SeriesMatrix(p, M[:, :, None], 4).mul(A)

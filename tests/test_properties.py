@@ -1,6 +1,6 @@
 """Property tests: the divide-and-conquer and Newton engines and the step
 kernel at any base index against the operator-matrix reference, every
-engine answer against the independent residual, both routes of
+engine answer against the independent residual, every route of
 SeriesMatrix.mul and the batched _matmul_mod against Python-int products,
 QContext.theta against the composed delta, shift and sigma chain,
 the stacked inverse against mat_inv, good_spectrum against the gcd
@@ -20,8 +20,9 @@ from qdsolve import convolution, instrument, polymat  # noqa: E402
 from qdsolve.dac import DAC_LEAF, dac_solve  # noqa: E402
 from qdsolve.errors import SpectrumError  # noqa: E402
 from qdsolve.field import PrimeField, inverses, powers  # noqa: E402
+from qdsolve.convolution import _matmul_mod  # noqa: E402
 from qdsolve.linalg import (  # noqa: E402
-    _matmul_mod, _rref, char_poly, lin_solve, mat_inv, mat_inv_stack, sylvester_tables,
+    _rref, char_poly, lin_solve, mat_inv, mat_inv_stack, sylvester_tables,
 )
 from qdsolve.newton import newton_solve, pol_coeffs_de  # noqa: E402
 from qdsolve.oracle import _solve_term_by_term, dense_solve, make_instance, residual  # noqa: E402
@@ -134,16 +135,19 @@ def stacked_charge(rows: int, inner: int, cols: int, La: int, Lb: int, p: int, h
     return rows * inner * cols * Ls * min(reach, hi - lo)
 
 
-def check_mul(A: SeriesMatrix, B: SeriesMatrix, n: int, monkeypatch, lo: int = 0) -> None:
-    """A.mul(B, n, lo) is the reference window, takes the route the dispatch
-    rule names for the stored lengths capped at n, and charges what that
-    route forms: the coefficient pairs landing in [lo, n) when shift-batched;
-    per entry, exactly one conv_trunc call for the whole product, charging
+def check_mul(A: SeriesMatrix, B: SeriesMatrix, n: int, monkeypatch, lo: int = 0) -> list[str]:
+    """A.mul(B, n, lo) is the reference window, makes exactly one conv_trunc
+    call, which takes the backend the route rule names for the stored
+    lengths capped at n, and charges what that backend forms: the
+    coefficient pairs landing in [lo, n) when shift-batched,
     rows * inner * cols times conv_charge on the direct route and
-    stacked_charge on the transform."""
-    calls = []
+    stacked_charge on the transform.  Returns the backends that ran."""
+    calls, used = [], []
     conv = polymat.conv_trunc
     monkeypatch.setattr(polymat, "conv_trunc", lambda *a: calls.append(1) or conv(*a))
+    backends = {name: getattr(convolution, name) for name in ("_conv_shift", "_conv_direct", "_conv_ntt")}
+    for name, fn in backends.items():
+        monkeypatch.setattr(convolution, name, lambda *a, fn=fn, name=name: used.append(name) or fn(*a))
     rows, inner, cols = A.rows, A.cols, B.cols
     La, Lb = min(A.data.shape[2], n), min(B.data.shape[2], n)
     hi = min(n, max(0, La + Lb - 1))
@@ -151,23 +155,29 @@ def check_mul(A: SeriesMatrix, B: SeriesMatrix, n: int, monkeypatch, lo: int = 0
     got = A.mul(B, n, lo=lo)
     charge = instrument.mul_counter.value - before
     monkeypatch.setattr(polymat, "conv_trunc", conv)
+    for name, fn in backends.items():
+        monkeypatch.setattr(convolution, name, fn)
     assert got == mul_reference(A, B, n, lo)
+    assert len(calls) == 1
     direct = min(La, Lb) < convolution.TRANSFORM_CUTOFF or A.p >= 2**31
-    if min(La, Lb) <= rows * cols:
-        assert not calls
+    if hi <= lo or min(La, Lb) == 0:
+        assert used == [] and charge == 0
+    elif min(La, Lb) <= rows * cols:
+        assert used == ["_conv_shift"]
         # one multiplication per coefficient pair that lands in the window
         pairs = sum(1 for s in range(La) for t in range(Lb) if lo <= s + t < n)
         assert charge == rows * inner * cols * pairs
     else:
-        assert len(calls) == (1 if hi > lo else 0)
+        assert used == ["_conv_direct" if direct else "_conv_ntt"]
         assert charge == stacked_charge(rows, inner, cols, La, Lb, A.p, hi, lo)
         if direct:
             assert charge == rows * inner * cols * conv_charge(La, Lb, A.p, hi, lo)
-        if lo == 0 and calls and direct:
+        if lo == 0 and direct:
             # a product mod x^n forms every pair once, as a convolution does
             assert charge == rows * inner * cols * La * Lb
     if direct:
         assert charge <= rows * inner * cols * La * Lb
+    return used
 
 
 @st.composite
@@ -216,9 +226,9 @@ def test_mul_matches_reference(operands, force_ntt):
 @pytest.mark.parametrize("extra", [0, 1])
 @pytest.mark.parametrize("shape", [(2, 3, 2), (1, 4, 3), (1, 1, 1)])
 def test_mul_dispatch_boundary(shape, extra, a_short, p, monkeypatch):
-    # min(La, Lb) = rows * cols takes the shift-batched route, one more
-    # coefficient the per-entry route; each window start from 0 to past
-    # the last coefficient of the product
+    # conv_trunc sends min(La, Lb) = rows * cols to the shift-batched
+    # backend and one more coefficient to the direct one, for each window
+    # start from 0 to past the last coefficient of the product
     rows, inner, cols = shape
     short, long = rows * cols + extra, rows * cols + 5
     La, Lb = (short, long) if a_short else (long, short)
@@ -232,7 +242,9 @@ def test_mul_dispatch_boundary(shape, extra, a_short, p, monkeypatch):
     A, B = operand(rows, inner, La), operand(inner, cols, Lb)
     for n in (0, short - 1, La + Lb - 2, La + Lb - 1, La + Lb):
         for lo in sorted({0, 1, short, n - 1, n} & set(range(n + 1))):
-            check_mul(A, B, n, monkeypatch, lo)
+            used = check_mul(A, B, n, monkeypatch, lo)
+            if n >= short and lo < min(n, La + Lb - 1):
+                assert used == ["_conv_direct" if extra else "_conv_shift"], (n, lo)
 
 
 @st.composite
