@@ -10,7 +10,10 @@ only what that window needs.  One-dimensional operands are the
 empty windows return no coefficients.  Otherwise the route, the window,
 the limb split and the charge are decided once per product, never per
 entry, from Ls = min(La, Lb), the shorter operand's length cut to
-out_len; for p < 2^31 the first rule that holds picks the backend:
+out_len, and the stack shape; the first rule that holds picks the
+backend.  A modulus at or above the ceiling 2^31 of the int64 kernels
+(``field._P_CEILING``) is refused on entry, as ``PrimeField`` and
+``SeriesMatrix`` refuse it:
 
 * shift-batched, when Ls <= rows cols: one ``_matmul_mod`` per
   coefficient t of the shorter operand takes the planes of the longer
@@ -23,7 +26,9 @@ out_len; for p < 2^31 the first rule that holds picks the backend:
   the route take no more Python-level calls than there are output
   entries;
 * an exact float64 FFT product over limbs (Percival, Math. Comp. 72,
-  2003), when Ls >= ``TRANSFORM_CUTOFF`` = 512.  Every entry of both
+  2003), when Ls >= ``TRANSFORM_CUTOFF`` = 512, or when Ls >=
+  ``STACKED_TRANSFORM_CUTOFF`` = 128 and the stacks have rows >= 2,
+  cols >= 2 and rows inner cols >= 27.  Every entry of both
   stacks is split into k limbs of b bits and transformed once:
   k (rows inner + inner cols) forward ``rfft``s, in one call per stack.
   The limb products and their inner sums are one batched complex
@@ -34,7 +39,7 @@ out_len; for p < 2^31 the first rule that holds picks the backend:
   rows cols entries, which are rounded and recombined mod p.  The cyclic
   length L is the next power of two of max(out_len, La + Lb - 1 - lo):
   every coefficient it wraps lands below lo, so the window is exact;
-* direct otherwise, and for every p >= 2^31, on int64: each
+* direct otherwise, on int64: each
   (row, inner, col) triple is one C-level ``correlate`` against the
   shorter operand, which is reversed once per product.  A window is
   either the full product of the shorter operand with the long operand's
@@ -44,14 +49,15 @@ out_len; for p < 2^31 the first rule that holds picks the backend:
   length Ls per kept coefficient.  An entry's inner sum is reduced mod p
   once when inner Ls (p - 1)^2 < 2^63, and each triple once otherwise;
   when even Ls (p - 1)^2 reaches 2^63, a one-sided limb split of the
-  shorter operand keeps each correlation below it.
+  shorter operand keeps each correlation below Ls (p - 1) 2^16 < 2^56,
+  since Ls < 512 here.
 
 ``_matmul_mod``, the constant-matrix product the shift-batched route runs
 on, is also the one matrix product of the package's other modules.
 
-The transform cutoff depends on the shorter operand's length only, not
+``TRANSFORM_CUTOFF`` depends on the shorter operand's length only, not
 on the number of coefficient pairs or of entries: a 64 x 65536 product
-stays direct.  The cutoff is the crossover measured in process for one entry
+stays direct.  It is the crossover measured in process for one entry
 (2-core Xeon VM, numpy 2.4.6, best of 15), full products and windows
 [Ls, 2Ls) of an Ls by 2Ls product alike.  At Ls = 256 the direct route
 wins at p = 65521 and p = 134217757 (0.07 ms against 0.08 and
@@ -61,6 +67,39 @@ wins at both primes, 2.6-3.2x: 512 x 512 at p = 134217757 takes 0.17
 against 0.52 ms, where 512 (p - 1)^2 >= 2^63 puts the direct route on
 its limb split, and 512 x 4096 takes 1.3 ms against 2.0 ms (p = 65521)
 and 4.0 ms (p = 134217757).
+
+A stack transforms each entry once and forms its inner sums as one
+batched matmul, so its crossover lies lower than one entry's: the
+direct route costs rows inner cols correlations, the transform about
+k (rows inner + inner cols + rows cols) transforms for k limbs.
+``STACKED_TRANSFORM_CUTOFF`` is where the stacks the solvers form gain
+from it.  In process (2-core Xeon VM, numpy 2.4.6, best of 7 x 5), in
+microseconds, direct / transform, for the windows [0, 128) and
+[64, 128) of a 128 by 128 product:
+
+    shape (rows x inner x cols), p   [0, 128)      [64, 128)
+    4 x 4 x 4, 134217757              806 / 357     546 / 335
+    6 x 6 x 6, 65521                 2269 / 185    1080 / 179
+    4 x 4 x 2, 134217757              406 / 178     208 / 169
+    3 x 3 x 3, 134217757              290 / 171     152 / 160
+    2 x 2 x 2, 134217757               97 / 123      54 / 122
+    2 x 1 x 2, 134217757               99 / 124      61 / 117
+    4 x 4 x 1, 134217757              208 / 143     111 / 136
+    9 x 9 x 1, 134217757             1038 / 470     505 / 479
+    3 x 3 x 3, 2^31 - 1               752 / 177     395 / 166
+    9 x 9 x 9, 2^31 - 1             19329 / 4040   9712 / 3562
+
+Repeated runs moved single figures by up to 1.8x, not their order.  At
+Ls = 128 the transform loses on 2 x 2 x 2 and 2 x 1 x 2 stacks at
+p = 134217757, by up to 2.3x, and ties on 3 x 3 x 3 windows there;
+rows inner cols >= 27 keeps the smaller stacks direct.  Matrix times
+vector products (cols = 1), and vector times matrix ones (rows = 1),
+lose or tie on the windows [m, 2m) the divide-and-conquer engine
+forms, so they keep the single-entry rule.  Below 128 the stacked
+transform still wins on 4 x 4 x 4 and larger stacks from about 32
+coefficients; that lower crossover waits on a benchmark whose peak
+memory does not grow with the number of solves per run (ROADMAP
+item 1), since a faster solver fits more answers into a run.
 
 The limb count comes from an a-priori rounding bound.  A degree row of
 an entry sums at most k limb pairs for each of the inner terms.  For
@@ -112,12 +151,15 @@ import numpy as np
 
 from . import instrument
 from .errors import InternalInvariantError, PreconditionError
+from .field import _P_CEILING
 
 _INT64 = np.int64
 
 # Shorter operand's length, after the cut to out_len, from which the
 # transform runs (the measured crossover, see above).
 TRANSFORM_CUTOFF = 512
+# The same for stacks of rows, cols >= 2 and rows inner cols >= 27.
+STACKED_TRANSFORM_CUTOFF = 128
 
 
 def _next_pow2(n: int) -> int:
@@ -264,13 +306,6 @@ def _conv_direct(a: np.ndarray, b: np.ndarray, p: int, out_len: int, lo: int) ->
     rev = np.ascontiguousarray(short[:, :, ::-1])
     if Ls * (p - 1) * (p - 1) >= 2**63:
         s = (p.bit_length() + 1) // 2
-        if Ls * (p - 1) << s >= 2**63:
-            # With p < 2^31 this needs a shorter operand above 2^16 coefficients:
-            # conv_trunc sends every such product to the transform, and no exact
-            # route is left here.
-            raise PreconditionError(
-                f"modulus p = {p} too large for an exact convolution of lengths {La} and {Lb}"
-            )
         radix = (1 << s) % p
         ys = [list(zip(hi, lo_)) for hi, lo_ in zip(rev >> s, rev & ((1 << s) - 1))]
 
@@ -309,6 +344,8 @@ def conv_trunc(a: np.ndarray, b: np.ndarray, p: int, out_len: int, lo: int = 0) 
     it or an operand has none.  One-dimensional a and b are the
     1 x 1 x 1 case and give a one-dimensional result.
     """
+    if p >= _P_CEILING:
+        raise PreconditionError(f"modulus {p} is not below the ceiling 2^31 of the int64 kernels")
     flat = a.ndim == 1
     if flat:
         a, b = a[None, None], b[None, None]
@@ -320,12 +357,14 @@ def conv_trunc(a: np.ndarray, b: np.ndarray, p: int, out_len: int, lo: int = 0) 
     else:
         # coefficients at or above out_len reach no kept coefficient
         a, b = a[:, :, :out_len], b[:, :, :out_len]
-        # the route rule of the module docstring; _matmul_mod and the
-        # transform are exact only for p < 2^31
+        # the route rule of the module docstring
+        rows, inner, cols = a.shape[0], a.shape[1], b.shape[1]
         Ls = min(a.shape[2], b.shape[2])
-        if Ls <= a.shape[0] * b.shape[1] and p < 2**31:
+        if Ls <= rows * cols:
             out = _conv_shift(a, b, p, out_len, lo)
-        elif Ls >= TRANSFORM_CUTOFF and p < 2**31:
+        elif Ls >= TRANSFORM_CUTOFF or (
+            Ls >= STACKED_TRANSFORM_CUTOFF and min(rows, cols) >= 2 and rows * inner * cols >= 27
+        ):
             out = _conv_ntt(a, b, p, out_len, lo)
         else:
             out = _conv_direct(a, b, p, out_len, lo)

@@ -109,5 +109,6 @@ def dac_solve(A: SeriesMatrix, C: SeriesMatrix, N: int, ctx: QContext) -> Soluti
         raise ValueError("precision must be positive")
     if A.prec < N or C.prec < N:
         raise ValueError("operands known to lower precision than requested")
+    ctx.require_field(A, C)
     F, cons, _ = rdac(A.truncate(N), C.truncate(N), 0, N, ctx)
     return resolve_affine_family(F, cons)

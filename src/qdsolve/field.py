@@ -27,6 +27,8 @@ residues elementwise and reduces at once.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import instrument
@@ -137,3 +139,11 @@ class PrimeField:
 
     def __repr__(self):
         return f"PrimeField({self.p})"
+
+
+@functools.cache
+def checked_modulus(p: int) -> int:
+    """p, when ``PrimeField`` accepts it; otherwise its PreconditionError.
+    The verdict is cached per p, so a series type can ask on every
+    construction."""
+    return PrimeField(p).p

@@ -386,6 +386,7 @@ def newton_solve(A: SeriesMatrix, C: SeriesMatrix, N: int, ctx: QContext) -> Sol
         raise ValueError("precision must be positive")
     if A.prec < N or C.prec < N:
         raise ValueError("operands known to lower precision than requested")
+    ctx.require_field(A, C)
     rep = good_spectrum(A.coefficient_array(0), ctx, N)
     if not rep.good:
         raise SpectrumError(f"no good spectrum at precision {N}: {rep.reason}")

@@ -67,7 +67,8 @@ class ProblemInstance:
     def __post_init__(self):
         p = self.field.p
         if self.ctx.field.p != p:
-            raise ValueError("context and field disagree")
+            raise PreconditionError(f"context over p = {self.ctx.p} for a field over p = {p}")
+        self.ctx.require_field(self.A, self.C)
         if self.ctx.q == 1 and p <= self.N:
             raise PreconditionError(
                 f"q = 1 requires p > N for nonzero gamma values (p={p}, N={self.N})"

@@ -3,7 +3,8 @@
 Storage is a dense (rows, cols, L) int64 array of coefficient planes with
 L <= prec, canonical residues in [0, p) and the trailing all-zero planes
 trimmed; entries share one truncation order.  A scalar series is a 1 x 1
-matrix.
+matrix.  Its constructors refuse, with ``PreconditionError``, every
+modulus ``PrimeField`` refuses, so no kernel sees p >= 2^31.
 
 The matrix product, ``mul``, returns a window [lo, n) of coefficients
 as a series of precision n - lo (lo = 0 is the product mod x^n).  It is
@@ -20,7 +21,7 @@ import numpy as np
 from . import instrument
 from .convolution import conv_trunc
 from .errors import InternalInvariantError
-from .field import mulmod
+from .field import checked_modulus, mulmod
 from .linalg import mat_inv
 
 _INT64 = np.int64
@@ -51,6 +52,7 @@ class SeriesMatrix:
             kind == "O" and not all(isinstance(v, (int, np.integer)) for v in data.flat)
         ):
             raise ValueError("series coefficients must be integers")
+        p = checked_modulus(p)
         if kind in "uO":  # Python ints of any size, and uint64, may not fit in int64
             data = data % p
         self.p = p
@@ -69,10 +71,11 @@ class SeriesMatrix:
 
     @classmethod
     def zeros(cls, p: int, rows: int, cols: int, prec: int) -> "SeriesMatrix":
-        return cls._mk(p, np.zeros((rows, cols, 0), dtype=_INT64), prec)
+        return cls._mk(checked_modulus(p), np.zeros((rows, cols, 0), dtype=_INT64), prec)
 
     @classmethod
     def identity(cls, p: int, n: int, prec: int) -> "SeriesMatrix":
+        p = checked_modulus(p)
         if prec == 0:
             return cls.zeros(p, n, n, 0)
         return cls._mk(p, np.eye(n, dtype=_INT64)[:, :, None], prec)

@@ -63,6 +63,12 @@ class QContext:
     def __repr__(self):
         return f"QContext(p={self.p}, q={self.q}, k={self.k})"
 
+    def require_field(self, *mats: SeriesMatrix) -> None:
+        """PreconditionError unless every series matrix is over this
+        context's field: an operand over another p states another equation."""
+        if any(m.p != self.p for m in mats):
+            raise PreconditionError(f"operands over p = {[m.p for m in mats]} in a context over p = {self.p}")
+
     def _grow(self, n: int):
         """Rebuild the gamma_i, q^i and q^(-i) tables to at least n entries,
         at least doubling them."""

@@ -26,10 +26,8 @@ def _routes(monkeypatch):
 
 
 def test_direct_refuses_modulus_beyond_crt_range():
-    # at p = 2^61 - 1 even a length-3 by length-2 product overflows the limb
-    # split, and the transform serves only p < 2^31; so does the shift-batched
-    # route, whose int64 products of two residues would wrap, so a length-1
-    # operand goes to the direct route and is refused too
+    # every route's int64 products of two residues would wrap at p = 2^61 - 1,
+    # so conv_trunc refuses it on entry, whatever the operands' lengths
     p = 2**61 - 1
     a = np.array([1, 2, 3], dtype=np.int64)
     b = np.array([5, 7], dtype=np.int64)
@@ -63,12 +61,15 @@ def test_direct_ntt_fallback_matches_python_ints(monkeypatch):
         assert int(got[c]) == _coeff(a, b, c, p), c
 
 
-def _route(Ls, rows_cols, p):
+def _route(Ls, rows, inner, cols):
     """The backend conv_trunc's rule names for a shorter operand of Ls
-    coefficients, cut to the window's end, and rows * cols output entries."""
-    if Ls <= rows_cols and p < 2**31:
+    coefficients, cut to the window's end, and (rows, inner, cols) stacks."""
+    if Ls <= rows * cols:
         return "_conv_shift"
-    return "_conv_ntt" if Ls >= convolution.TRANSFORM_CUTOFF and p < 2**31 else "_conv_direct"
+    stacked = (
+        Ls >= convolution.STACKED_TRANSFORM_CUTOFF and min(rows, cols) >= 2 and rows * inner * cols >= 27
+    )
+    return "_conv_ntt" if Ls >= convolution.TRANSFORM_CUTOFF or stacked else "_conv_direct"
 
 
 def _by_transform(a, b, p, hi, lo):
@@ -127,7 +128,7 @@ def test_window_matches_python_ints(case, force_ntt):
         used = _routes(mp)
         got = conv_trunc(a, b, p, hi, lo)
     assert [int(c) for c in got] == want
-    assert used == ([] if top <= lo else [_route(min(len(a), len(b), top), 1, p)])
+    assert used == ([] if top <= lo else [_route(min(len(a), len(b), top), 1, 1, 1)])
 
 
 def test_middle_product_ntt_length(monkeypatch):
@@ -336,12 +337,12 @@ def _stack_by_kronecker(a, b, p, lo, hi):
 def stacks(draw):
     """(a, b, p, hi, lo): stacks (rows, inner, La) and (inner, cols, Lb)
     with rows, inner and cols 1..9, each length short (1..40) or on
-    either side of 512 (500..530), random or all-(p - 1) entries, hi up to
-    past the product's length and lo at 0, 1, just below hi or in
-    between."""
+    either side of the stacked cutoff 128 (120..136) or of 512 (500..530),
+    random or all-(p - 1) entries, hi up to past the product's length and
+    lo at 0, 1, just below hi or in between."""
     p = draw(st.sampled_from([3, 65521, 134217757, 2**31 - 1]))
     rows, inner, cols = (draw(st.integers(1, 9)) for _ in range(3))
-    length = st.one_of(st.integers(1, 40), st.integers(500, 530))
+    length = st.one_of(st.integers(1, 40), st.integers(120, 136), st.integers(500, 530))
     La, Lb = draw(length), draw(length)
     hi = draw(st.integers(0, La + Lb + 2))
     lo = draw(st.one_of(st.sampled_from([0, 1, max(hi - 1, 0)]), st.integers(0, hi)))
@@ -374,7 +375,7 @@ def test_stacked_product_matches_python_ints(case, force_ntt):
         assert (got is None) == (top <= lo)
         assert used == ([] if top <= lo else ["_conv_ntt"])
     else:
-        assert used == ([] if top <= lo else [_route(min(La, Lb, top), a.shape[0] * b.shape[1], p)])
+        assert used == ([] if top <= lo else [_route(min(La, Lb, top), *a.shape[:2], b.shape[1])])
     if got is not None:
         assert got.shape == want.shape
         assert np.array_equal(got, want)
@@ -383,6 +384,29 @@ def test_stacked_product_matches_python_ints(case, force_ntt):
         m, inner = min(La, Lb, top), a.shape[1]
         bound = k * inner * 4**bits * math.sqrt(L * m) * (12 * math.log2(L) + 3) * 2.0**-53
         assert bound <= 0.125
+
+
+@pytest.mark.parametrize("p", [65521, 134217757, 2**31 - 1])
+@pytest.mark.parametrize("shape", [(3, 3, 3), (2, 7, 2), (2, 2, 2), (4, 4, 1), (1, 4, 4)])
+@pytest.mark.parametrize("below", [1, 0])
+def test_stacked_dispatch_boundary(below, shape, p):
+    # a stack with rows, cols >= 2 and rows inner cols >= 27 takes the
+    # transform from STACKED_TRANSFORM_CUTOFF coefficients on and the direct
+    # route one coefficient below; smaller stacks, and matrix-vector
+    # products either way round, stay direct; exact on all-(p - 1) entries
+    # for the whole product and a middle window alike
+    rows, inner, cols = shape
+    Ls = convolution.STACKED_TRANSFORM_CUTOFF - below
+    a = np.full((rows, inner, Ls), p - 1, dtype=np.int64)
+    b = np.full((inner, cols, 2 * Ls), p - 1, dtype=np.int64)
+    b[:, :, ::5] = np.random.default_rng(Ls + p).integers(0, p, b[:, :, ::5].shape)
+    stacked = min(rows, cols) >= 2 and rows * inner * cols >= 27
+    for hi, lo in ((3 * Ls - 1, 0), (2 * Ls, Ls)):
+        with pytest.MonkeyPatch.context() as mp:
+            used = _routes(mp)
+            got = conv_trunc(a, b, p, hi, lo)
+        assert used == ["_conv_ntt" if stacked and not below else "_conv_direct"]
+        assert np.array_equal(got, _stack_by_kronecker(a, b, p, lo, hi))
 
 
 @pytest.mark.parametrize(("p", "inner", "regime"), [

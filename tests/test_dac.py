@@ -5,9 +5,10 @@ import pytest
 
 from qdsolve import dac, instrument
 from qdsolve.dac import DAC_LEAF, dac_solve, op_E, rdac
+from qdsolve.errors import PreconditionError
 from qdsolve.field import PrimeField
 from qdsolve.linalg import char_poly
-from qdsolve.oracle import dense_solve, make_instance, random_instance, residual
+from qdsolve.oracle import dense_solve, make_instance, random_coefficients, random_instance, residual
 from qdsolve.polymat import SeriesMatrix
 from qdsolve.series import QContext
 from qdsolve.solution import spaces_equal
@@ -343,3 +344,14 @@ def test_dac_at_p_2_31_minus_1(checks_on, N, k):
             assert residual(got.particular, inst).is_zero()
             for j in range(got.dim):
                 assert residual(got.basis.col(j), inst, homogeneous=True).is_zero()
+
+
+def test_dac_refuses_operands_over_another_field():
+    # A and C at p = 103 in a context at p = 101: refused, where the solver
+    # used to return a space at p = 101, the answer to another equation
+    _, A, C = random_coefficients(1, 103, 2, 8, 1, "random")
+    ctx = QContext(PrimeField(101), 5, 1)
+    with pytest.raises(PreconditionError, match="operands over p"):
+        dac_solve(A, C, 8, ctx)
+    with pytest.raises(PreconditionError, match="operands over p"):
+        dac_solve(SeriesMatrix.zeros(101, 2, 2, 8), C, 8, ctx)

@@ -131,3 +131,19 @@ def test_field_protocol():
     assert hash(F) == hash(PrimeField(11))
     assert len({F, PrimeField(11), PrimeField(13)}) == 2
     assert repr(F) == "PrimeField(11)"
+
+
+def test_series_matrix_refuses_what_prime_field_refuses():
+    # at p = 2^61 - 1, (p - 1)^2 wraps in int64: scale(p - 1) of
+    # [p - 1, p - 2] gave [0, 9] for [1, 2]; every constructor now refuses
+    # the modulus PrimeField refuses, and accepts the ceiling's largest prime
+    P = 2**61 - 1
+    for p in (P, 2**31, 10, 2):
+        with pytest.raises(PreconditionError):
+            SeriesMatrix(p, [[[p - 1, p - 2]]], 2)
+        with pytest.raises(PreconditionError):
+            SeriesMatrix.zeros(p, 1, 1, 2)
+        with pytest.raises(PreconditionError):
+            SeriesMatrix.identity(p, 2, 2)
+    p = 2**31 - 1
+    assert SeriesMatrix(p, [[[p - 1, p - 2]]], 2).scale(p - 1).data.tolist() == [[[1, 2]]]

@@ -48,6 +48,9 @@ def _rigged_k1() -> ProblemInstance:
 # (instance, solution dimension, {engine: mul_count}); N = 80 > DAC_LEAF, so
 # the divide-and-conquer engine recurses.  Newton's k = 1 count includes
 # singular_indices' scalar Horner, (n - 1) N products for chi at N points.
+# At n = 4, N = 256 Newton's 4 x 4 x 4 products of 128 coefficients and more
+# take the stacked transform (6,936,986 with them direct); the
+# divide-and-conquer engine's matrix-vector products stay direct.
 PINNED = {
     "k1_rigged_singular_step": (_rigged_k1, 1, {"dense": 55393, "dac": 45184, "newton": 367169}),
     "k3_random_q": (
@@ -57,6 +60,10 @@ PINNED = {
     "k2_q1": (
         lambda: random_instance(32, P, 3, 80, 2, "one", require_good_spectrum=True),
         0, {"dense": 29508, "dac": 29739, "newton": 311755},
+    ),
+    "k1_n4_stacked_transform": (
+        lambda: random_instance(33, P, 4, 256, 1, "random", require_good_spectrum=True),
+        0, {"dense": 572656, "dac": 574656, "newton": 3961450},
     ),
 }
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qdsolve import convolution, instrument, linalg, newton, oracle, spectrum
-from qdsolve.errors import InternalInvariantError, SpectrumError
+from qdsolve.errors import InternalInvariantError, PreconditionError, SpectrumError
 from qdsolve.field import PrimeField
 from qdsolve.linalg import char_poly, mat_inv
 from qdsolve.newton import (
@@ -20,6 +20,7 @@ from qdsolve.newton import (
 from qdsolve.oracle import (
     ProblemInstance,
     _solve_term_by_term,
+    random_coefficients,
     random_instance,
     residual,
 )
@@ -872,3 +873,14 @@ def test_dac_carry_window_passes_open_row_checks(monkeypatch):
     finally:
         instrument.set_runtime_checks(False)
     assert N in calls and len(calls) > 3
+
+
+def test_newton_refuses_operands_over_another_field():
+    # A and C at p = 103 in a context at p = 101: a typed refusal, before
+    # any spectrum test, where a bare ValueError escaped from a product
+    _, A, C = random_coefficients(1, 103, 2, 8, 1, "random")
+    ctx = QContext(PrimeField(101), 5, 1)
+    for a in (A, SeriesMatrix.zeros(101, 2, 2, 8)):
+        with pytest.raises(PreconditionError, match="operands over p") as err:
+            newton_solve(a, C, 8, ctx)
+        assert type(err.value) is PreconditionError

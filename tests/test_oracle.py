@@ -8,6 +8,7 @@ from qdsolve.oracle import (
     ProblemInstance,
     dense_solve,
     make_instance,
+    random_coefficients,
     random_instance,
     reduce_k0,
     residual,
@@ -267,6 +268,21 @@ def test_k0_good_spectrum_tests_the_reduced_instance():
             continue
         assert good_spectrum(inst.A.coefficient_array(0), inst.ctx, inst.N).good, seed
     assert 0 < refused < 40
+
+def test_instance_refuses_operands_over_another_field():
+    # A and C drawn at p = 103 in a context at p = 101 state another
+    # equation: refused, where dense_solve used to solve it at p = 101; a
+    # context over another p than the field is refused with the same type
+    _, A, C = random_coefficients(1, 103, 2, 8, 1, "random")
+    field = PrimeField(101)
+    ctx = QContext(field, 5, 1)
+    with pytest.raises(PreconditionError, match="operands over p"):
+        ProblemInstance(field, ctx, 2, 8, A, C)
+    with pytest.raises(PreconditionError, match="operands over p"):
+        ProblemInstance(field, ctx, 2, 8, SeriesMatrix.zeros(101, 2, 2, 8), C)
+    with pytest.raises(PreconditionError, match="context over p = 103"):
+        ProblemInstance(field, QContext(PrimeField(103), 5, 1), 2, 8, A, C)
+
 
 def test_instance_validation():
     with pytest.raises(PreconditionError):

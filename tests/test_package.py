@@ -77,6 +77,33 @@ def test_product_kernels_defined_only_in_convolution():
     assert "_matmul_mod" not in (pkg / "polymat.py").read_text()
 
 
+def test_modulus_ceiling_stated_once():
+    # the int64 kernels' ceiling 2**31 is written once, as field._P_CEILING;
+    # every other module that tests a modulus against it imports that name
+    pkg = Path(qdsolve.__file__).resolve().parent
+    found = []
+    for path in sorted(pkg.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.BinOp)
+                    and isinstance(node.op, ast.Pow)
+                    and getattr(node.left, "value", None) == 2
+                    and getattr(node.right, "value", None) == 31
+                ) or getattr(node, "value", None) == 2**31:
+                    where = [t.id for t in getattr(top, "targets", []) if isinstance(t, ast.Name)]
+                    if (path.name, where) != ("field.py", ["_P_CEILING"]):
+                        found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+    imports = [
+        alias.name
+        for node in ast.walk(ast.parse((pkg / "convolution.py").read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "field"
+        for alias in node.names
+    ]
+    assert "_P_CEILING" in imports
+
+
 # where a three-argument pow may stand: field.py is the scalar arithmetic,
 # _rref charges its pivot inverses, and the audit product is uncharged by
 # design; anywhere else a modular power would add nothing to mul_counter

@@ -1,19 +1,21 @@
 """Property tests: the divide-and-conquer and Newton engines and the step
-kernel at any base index against the operator-matrix reference, every
-engine answer against the independent residual, every route of
-SeriesMatrix.mul and the batched _matmul_mod against Python-int products,
-QContext.theta against the composed delta, shift and sigma chain,
-the stacked inverse against mat_inv, good_spectrum against the gcd
-criterion it replaced, its q = 1, k > 1 clause and diagonalize against
-Python-int gcds and known spectra, its chi(Y_i) table against Horner at
-each step matrix, and the scalar helpers field.powers, field.inverses and the
-QContext tables against Python pow."""
+kernel at any base index against the operator-matrix reference, with each
+product on the route the rule picks and with every product pinned to the
+direct or the transform backend, every engine answer against the
+independent residual, every route of SeriesMatrix.mul and the batched
+_matmul_mod against Python-int products, QContext.theta against the
+composed delta, shift and sigma chain, the stacked inverse against
+mat_inv, good_spectrum against the gcd criterion it replaced, its q = 1,
+k > 1 clause and diagonalize against Python-int gcds and known spectra,
+its chi(Y_i) table against Horner at each step matrix, and the scalar
+helpers field.powers, field.inverses and the QContext tables against
+Python pow."""
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from qdsolve import convolution, instrument, polymat  # noqa: E402
@@ -75,15 +77,43 @@ def assert_solves(space, inst):
         assert residual(space.basis.col(j), inst, homogeneous=True).is_zero()
 
 
-@settings(max_examples=40, deadline=None)
-@given(instances())
-def test_dac_and_dense_agree(inst):
+@pytest.fixture(params=["direct", "transform"])
+def pinned_route(request, monkeypatch):
+    """Every conv_trunc product on one backend, whatever the route rule
+    names; the tests without this fixture run each product as ruled.  The
+    three backends share one signature, so rebinding them in convolution
+    pins the route.  The direct backend is exact while its limb split
+    covers the shorter operand, below 2^16 coefficients at p < 2^31; the
+    engine tests draw N <= 3 DAC_LEAF."""
+    backend = convolution._conv_direct if request.param == "direct" else convolution._conv_ntt
+    for name in ("_conv_shift", "_conv_direct", "_conv_ntt"):
+        monkeypatch.setattr(convolution, name, backend)
+    return request.param
+
+
+# the pin is meant to hold across a test's examples
+PIN_ACROSS_EXAMPLES = [HealthCheck.function_scoped_fixture]
+
+
+def check_dac_and_dense(inst):
     s_dac = dac_solve(inst.A, inst.C, inst.N, inst.ctx)
     s_dense = solve_operator_matrix(inst)
     assert (s_dac is None) == (s_dense is None)
     assert spaces_equal(s_dac, s_dense)
     assert_solves(s_dac, inst)
     assert_solves(s_dense, inst)
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances())
+def test_dac_and_dense_agree(inst):
+    check_dac_and_dense(inst)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=PIN_ACROSS_EXAMPLES)
+@given(inst=instances())
+def test_dac_and_dense_agree_on_pinned_route(pinned_route, inst):
+    check_dac_and_dense(inst)
 
 
 def mul_reference(A: SeriesMatrix, B: SeriesMatrix, n: int, lo: int = 0) -> SeriesMatrix:
@@ -109,6 +139,16 @@ def conv_charge(La: int, Lb: int, p: int, hi: int, lo: int) -> int:
     return stacked_charge(1, 1, 1, La, Lb, p, hi, lo)
 
 
+def by_transform(rows: int, inner: int, cols: int, Ls: int) -> bool:
+    """Whether conv_trunc's rule sends a product that is off the shift
+    route (Ls > rows cols) to the transform: from TRANSFORM_CUTOFF
+    coefficients on, or from STACKED_TRANSFORM_CUTOFF on for stacks with
+    rows, cols >= 2 and rows inner cols >= 27."""
+    return Ls >= convolution.TRANSFORM_CUTOFF or (
+        Ls >= convolution.STACKED_TRANSFORM_CUTOFF and min(rows, cols) >= 2 and rows * inner * cols >= 27
+    )
+
+
 def stacked_charge(rows: int, inner: int, cols: int, La: int, Lb: int, p: int, hi: int, lo: int) -> int:
     """What one conv_trunc call on (rows, inner, La) by (inner, cols, Lb)
     stacks charges for the window [lo, hi): on the direct route
@@ -120,7 +160,7 @@ def stacked_charge(rows: int, inner: int, cols: int, La: int, Lb: int, p: int, h
     if hi <= lo:
         return 0
     full = La + Lb - 1
-    if min(La, Lb) >= convolution.TRANSFORM_CUTOFF and p < 2**31:
+    if by_transform(rows, inner, cols, min(La, Lb)):
         L = convolution._next_pow2(max(hi, full - lo))
         k, _ = convolution._limbs(p, L, min(La, Lb) * inner * inner)
         lg = L.bit_length() - 1
@@ -159,7 +199,7 @@ def check_mul(A: SeriesMatrix, B: SeriesMatrix, n: int, monkeypatch, lo: int = 0
         monkeypatch.setattr(convolution, name, fn)
     assert got == mul_reference(A, B, n, lo)
     assert len(calls) == 1
-    direct = min(La, Lb) < convolution.TRANSFORM_CUTOFF or A.p >= 2**31
+    direct = not by_transform(rows, inner, cols, min(La, Lb))
     if hi <= lo or min(La, Lb) == 0:
         assert used == [] and charge == 0
     elif min(La, Lb) <= rows * cols:
@@ -711,11 +751,9 @@ def test_step_chi_table_matches_horner_reference(case):
         assert np.array_equal(rep.steps_singular[1:], want_singular)
 
 
-@settings(max_examples=60, deadline=None)
-@given(instances())
-def test_newton_agrees_or_names_first_bad_step(inst):
-    # with runtime checks on, Newton matches dense and the operator-matrix
-    # reference, or raises SpectrumError at the step the gcd test names
+def check_newton(inst):
+    """With runtime checks on, Newton matches dense and the operator-matrix
+    reference, or raises SpectrumError at the step the gcd test names."""
     A0, ctx, N = inst.A.coefficient_array(0), inst.ctx, inst.N
     tabulated = ctx.k == 1 or ctx.q != 1
     bad = gcd_bad_steps(A0, ctx, N) if tabulated else []
@@ -740,6 +778,18 @@ def test_newton_agrees_or_names_first_bad_step(inst):
         assert_solves(s_dense, inst)
     finally:
         instrument.set_runtime_checks(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances())
+def test_newton_agrees_or_names_first_bad_step(inst):
+    check_newton(inst)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=PIN_ACROSS_EXAMPLES)
+@given(inst=instances())
+def test_newton_agrees_on_pinned_route(pinned_route, inst):
+    check_newton(inst)
 
 
 def rank_mod(M, p):
@@ -811,15 +861,13 @@ def step_kernel_cases(draw):
     return P, inst, i
 
 
-@settings(max_examples=200, deadline=None)
-@given(step_kernel_cases())
-def test_batched_constant_steps_match_operator_matrix(case):
-    # the step kernel at base index i (as in a divide-and-conquer leaf) with
-    # runtime checks on, on all three kinds of step-inverse table (the k = 1
-    # stack, the k > 1 A_0 inverse, every step eliminated): the singular
-    # steps it reports are exactly the g = i + j whose step matrix M_g has
-    # a kernel, and its family and constraints give the space the
-    # operator-matrix reference finds for the equation at base index 0
+def check_step_kernel(case):
+    """The step kernel at base index i (as in a divide-and-conquer leaf) with
+    runtime checks on, on all three kinds of step-inverse table (the k = 1
+    stack, the k > 1 A_0 inverse, every step eliminated): the singular
+    steps it reports are exactly the g = i + j whose step matrix M_g has
+    a kernel, and its family and constraints give the space the
+    operator-matrix reference finds for the equation at base index 0."""
     P, inst, i = case
     ctx, N, C = inst.ctx, inst.N, inst.C
     p, k, n = ctx.p, ctx.k, P.rows
@@ -845,6 +893,18 @@ def test_batched_constant_steps_match_operator_matrix(case):
     assert (got is None) == (want is None)
     assert spaces_equal(got, want)
     assert_solves(got, inst)
+
+
+@settings(max_examples=200, deadline=None)
+@given(step_kernel_cases())
+def test_batched_constant_steps_match_operator_matrix(case):
+    check_step_kernel(case)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=PIN_ACROSS_EXAMPLES)
+@given(case=step_kernel_cases())
+def test_step_kernel_on_pinned_route(pinned_route, case):
+    check_step_kernel(case)
 
 
 HELPER_PRIMES = [3, 65521, 134217757, 2**31 - 1]
