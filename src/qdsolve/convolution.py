@@ -54,6 +54,9 @@ backend.  A modulus at or above the ceiling 2^31 of the int64 kernels
 
 ``_matmul_mod``, the constant-matrix product the shift-batched route runs
 on, is also the one matrix product of the package's other modules.
+``_step_mod`` is one step of the step kernel (``oracle._solve_term_by_term``):
+its window product, gamma term and product with the step-inverse table
+as one call, under ``_matmul_mod``'s overflow rule and charge.
 
 ``TRANSFORM_CUTOFF`` depends on the shorter operand's length only, not
 on the number of coefficient pairs or of entries: a 64 x 65536 product
@@ -217,6 +220,48 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def _step_mod(
+    a: np.ndarray, f: np.ndarray, c: np.ndarray, g: int, h: np.ndarray | None,
+    inv: np.ndarray | None, p: int,
+) -> np.ndarray:
+    """inv @ ((c + a @ f - g h) mod p) mod p: one step of the step kernel.
+
+    c (n, w) is the step's canonical right side, a (n, m) @ f (m, w) its
+    window sum (m = 0 for none) and g h its k > 1 gamma term (h None for
+    none).  inv None returns the reduced right side itself.  The sum is
+    reduced once when its m + 1 products fit an int64 sum (``_overflow_step``);
+    otherwise the window product goes through ``_matmul_mod`` first, and
+    so does the product with inv when its n terms do not fit.  Charged as
+    ``_matmul_mod`` would charge the two products, n w m and n n w, plus
+    n w for the gamma term.
+    """
+    step = _overflow_step(p)
+    m = a.shape[1]
+    muls = 0
+    if m == 0:
+        r = c
+    elif m < step:
+        r = c + a @ f
+        muls = r.size * m
+    else:
+        r = c + _matmul_mod(a, f, p)
+    if h is not None:
+        r = r - g * h
+        muls += r.size
+    r = r % p
+    if inv is not None:
+        n = inv.shape[1]
+        if n == 1:
+            r = inv * r % p
+        elif n <= step:
+            r = inv @ r % p
+        else:
+            r, n = _matmul_mod(inv, r, p), 0
+        muls += r.size * n
+    instrument.mul_counter.add(muls)
+    return r
+
+
 def _conv_shift(a: np.ndarray, b: np.ndarray, p: int, out_len: int, lo: int) -> np.ndarray:
     rows, cols = a.shape[0], b.shape[1]
     La, Lb = a.shape[2], b.shape[2]
@@ -255,14 +300,22 @@ def _conv_ntt(a: np.ndarray, b: np.ndarray, p: int, out_len: int, lo: int) -> np
         for i in range(k):
             deg[:, :, i : i + k] += fa[i, :, 0, None, None] * fbt
     else:
+        # each spectrum, its transposed copy and their product is dropped
+        # as soon as the next one exists: they are the transient's bulk
         lhs = fa.transpose(3, 0, 1, 2).reshape(F, k * rows, inner)
         rhs = fb.transpose(3, 1, 0, 2).reshape(F, inner, k * cols)
+        del fa, fb
         prod = (lhs @ rhs).reshape(F, k, rows, k, cols)
+        del lhs, rhs
         for i in range(k):
             deg[:, :, i : i + k] += prod[:, i].transpose(1, 3, 2, 0)
+        del prod
     vals = np.fft.irfft(deg, L)[..., lo:out_len]
+    del deg
     exact = np.rint(vals)
-    err = float(np.abs(vals - exact).max())
+    # |vals - exact|, formed in place
+    np.subtract(vals, exact, out=vals)
+    err = float(np.abs(vals, out=vals).max())
     if not err < 0.25:  # NaN included
         raise InternalInvariantError(
             f"FFT product rounding error {err:.3g} at p = {p}, length {L}, {k} limbs"
@@ -302,31 +355,35 @@ def _conv_direct(a: np.ndarray, b: np.ndarray, p: int, out_len: int, lo: int) ->
         src[:, :, w0 - lo + Ls - 1 : w1 - lo + Ls - 1] = long[:, :, w0:w1]
         mode, cut = "valid", slice(None)
     instrument.mul_counter.add(rows * inner * cols * Ls * min(w1 - w0, width))
+    # one row per (entry, inner term), the rows of entry s at s inner ..;
     # correlating against the reversed shorter operand is the convolution
-    rev = np.ascontiguousarray(short[:, :, ::-1])
+    ys = short[:, :, ::-1].reshape(-1, Ls)
     if Ls * (p - 1) * (p - 1) >= 2**63:
         s = (p.bit_length() + 1) // 2
         radix = (1 << s) % p
-        ys = [list(zip(hi, lo_)) for hi, lo_ in zip(rev >> s, rev & ((1 << s) - 1))]
+        ys = list(zip(ys >> s, ys & ((1 << s) - 1)))
 
         def term(x, y, m):
             return (np.correlate(x, y[0], m) % p * radix + np.correlate(x, y[1], m) % p) % p
 
     elif inner * Ls * (p - 1) * (p - 1) >= 2**63:
-        ys = [list(y) for y in rev]
 
         def term(x, y, m):
             return np.correlate(x, y, m) % p
 
     else:  # an entry's whole inner sum fits, and is reduced once
-        ys, term = [list(y) for y in rev], np.correlate
-    xs = [list(x) for x in src]
+        term = np.correlate
+    xs = src.reshape(-1, src.shape[2])
+    if rows * inner * cols == 1:  # one triple: no row lists and no output stack
+        return (term(xs[0], ys[0], mode)[cut] % p)[None, None]
+    xs, ys = list(xs), list(ys)
     modes = [mode] * inner
     out = np.empty((rows, cols, width), dtype=_INT64)
     dst = out if a_short else out.transpose(1, 0, 2)
-    for si, ys_s in enumerate(ys):
-        for ti, xs_t in enumerate(xs):
-            terms = map(term, xs_t, ys_s, modes)
+    for si in range(len(ys) // inner):
+        ys_s = ys[si * inner : (si + 1) * inner]
+        for ti in range(len(xs) // inner):
+            terms = map(term, xs[ti * inner : (ti + 1) * inner], ys_s, modes)
             acc = next(terms)
             for t in terms:
                 acc += t
@@ -356,7 +413,10 @@ def conv_trunc(a: np.ndarray, b: np.ndarray, p: int, out_len: int, lo: int = 0) 
         out = np.zeros((a.shape[0], b.shape[1], 0), dtype=_INT64)
     else:
         # coefficients at or above out_len reach no kept coefficient
-        a, b = a[:, :, :out_len], b[:, :, :out_len]
+        if a.shape[2] > out_len:
+            a = a[:, :, :out_len]
+        if b.shape[2] > out_len:
+            b = b[:, :, :out_len]
         # the route rule of the module docstring
         rows, inner, cols = a.shape[0], a.shape[1], b.shape[1]
         Ls = min(a.shape[2], b.shape[2])

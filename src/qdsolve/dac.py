@@ -10,13 +10,16 @@ carried right-hand side, coefficients [m, N) of the residual combination
 (``op_E`` on that window only, its product a middle product), and solves
 the high half at shifted index.  It stops at precision DAC_LEAF: a leaf
 is the dense oracle's step kernel (``oracle._solve_term_by_term``) at the
-leaf's base index, which builds its own step-inverse table and runs its
-one loop over the leaf's steps.  The kernel finds the singular steps
-itself: each one adds as many parameters as the nullity of its step
-matrix and turns its zero rows into affine constraints.  The halves are
-joined by giving the low half's family and the carried right side zero
-columns for the parameters the high half added, and one final linear
-solve resolves the constraints.
+leaf's base index, which runs its one loop over the leaf's steps.  The
+step-inverse table (``oracle.step_table``) depends only on the steps g,
+A_0 and the context, so ``dac_solve`` builds it once per solve, for all
+N steps, and each leaf takes its slice of it; it is never kept on the
+context, so a solve's count does not depend on what ran before.  The
+kernel finds the singular steps itself: each one adds as many
+parameters as the nullity of its step matrix and turns its zero rows
+into affine constraints.  The halves are joined by giving the low half's
+family and the carried right side zero columns for the parameters the
+high half added, and one final linear solve resolves the constraints.
 """
 
 from __future__ import annotations
@@ -25,13 +28,19 @@ import numpy as np
 
 from . import instrument
 from .errors import InternalInvariantError
-from .oracle import _solve_term_by_term
+from .oracle import StepTable, _solve_term_by_term, step_table
 from .polymat import SeriesMatrix
 from .series import QContext
 from .solution import SolutionSpace, resolve_affine_family
 
 # rdac solves a precision of at most this many coefficients by forward
-# substitution instead of halving it further
+# substitution instead of halving it further.  Larger leaves are faster at
+# n = 1: on the benchmark's scalar_long pool (N = 4096, seed 1, in process,
+# medians of 24 solves, 2-core Xeon VM) a solve took 27.6 / 24.4 / 23.1 ms
+# at 64 / 128 / 256, against 34.8 ms with one table per leaf at 64.  But at
+# 128 wide_k3's N = 128 solve is one leaf, so it forms no direct product,
+# and the benchmark's per-layer self-check expects one there; a leaf that
+# depends on n would be a new knob.
 DAC_LEAF = 64
 
 
@@ -61,24 +70,27 @@ def _widen(M: SeriesMatrix, width: int) -> SeriesMatrix:
 
 
 def rdac(
-    A: SeriesMatrix, C: SeriesMatrix, i: int, N: int, ctx: QContext
+    A: SeriesMatrix, C: SeriesMatrix, i: int, N: int, ctx: QContext, table: StepTable | None = None
 ) -> tuple[SeriesMatrix, list[np.ndarray], list[int]]:
     """Recursive halving pass at base index i: (family, constraints, singular steps).
 
     Halves N until N <= DAC_LEAF and solves each leaf with the step
-    kernel at the leaf's base index.  Contract: C has
+    kernel at the leaf's base index, on its slice of table, the
+    step-inverse table of steps [i, i + N); without one each leaf builds
+    its own.  Contract: C has
     precision >= N; the family has precision N and at least C's columns,
     and coefficient j of op_E vanishes for every i + j that is not a
     singular step once the constraints hold.
     """
     if N <= DAC_LEAF:
-        F, cons, sing = _solve_term_by_term(A, C, N, ctx, i)
+        F, cons, sing = _solve_term_by_term(A, C, N, ctx, i, table)
     else:
         m = (N + 1) // 2
-        H, cons, sing = rdac(A.truncate(m), C.truncate(m), i, m, ctx)
+        low, high = (None, None) if table is None else (table[:m], table[m:])
+        H, cons, sing = rdac(A.truncate(m), C.truncate(m), i, m, ctx, low)
         Hp = H.as_poly_prec(N)
         D = -op_E(A, Hp, _widen(C.truncate(N), H.cols), i, ctx, N, m)
-        K, cons_K, sing_K = rdac(A.truncate(N - m), D, i + m, N - m, ctx)
+        K, cons_K, sing_K = rdac(A.truncate(N - m), D, i + m, N - m, ctx, high)
         F = _widen(Hp, K.cols) + K.shift(m)
         cons += cons_K
         sing += sing_K
@@ -110,5 +122,7 @@ def dac_solve(A: SeriesMatrix, C: SeriesMatrix, N: int, ctx: QContext) -> Soluti
     if A.prec < N or C.prec < N:
         raise ValueError("operands known to lower precision than requested")
     ctx.require_field(A, C)
-    F, cons, _ = rdac(A.truncate(N), C.truncate(N), 0, N, ctx)
+    A = A.truncate(N)
+    table = step_table(A.coefficient_array(0), ctx, 0, N, A.data.shape[2] > 1)
+    F, cons, _ = rdac(A, C.truncate(N), 0, N, ctx, table)
     return resolve_affine_family(F, cons)

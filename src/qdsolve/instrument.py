@@ -4,9 +4,10 @@ The counter tracks the number of multiplications in K performed by the
 algorithms, and only the kernels charge it: ``field.mulmod``, the one
 elementwise product (one per entry of its result), and
 ``field.inverses``; ``convolution._matmul_mod`` and the two convolution
-backends; ``linalg._rref`` and ``mat_inv_stack``; and the step kernel's
-per-step gamma product, which stays inline because it is reduced
-together with the step's right side.  Limb splitting and other int64
+backends; ``linalg._rref`` and ``mat_inv_stack``; and
+``convolution._step_mod``, one step of the step kernel, which charges
+its window product, its gamma product and its product with the
+step-inverse table, reduced together.  Limb splitting and other int64
 overflow tricks are representation details and are not double-counted.
 Inversions count the square-and-multiply cost of Fermat exponentiation;
 m inversions batched by ``field.inverses`` count one such power and

@@ -19,11 +19,14 @@ is this kernel on an equation whose A is a polynomial of degree < k, and
 each divide-and-conquer leaf (``dac.rdac``) is this kernel at the leaf's
 base index, on a right side that already carries parameters.  Every call
 folds the twist q^g of step g into A's coefficients and C, so the steps
-read one history array, builds one step-inverse table (one stacked
-inversion of the step matrices for k = 1, the one matrix -A_0^(-1) for
-k > 1) and runs one loop over the steps: a step the table inverts is a
-window product and one product with the table, any other one
-elimination.
+read one history array, and runs one loop over the steps on one
+step-inverse table (``step_table``: one stacked inversion of the step
+matrices for k = 1, the one matrix -A_0^(-1) for k > 1).  A
+divide-and-conquer solve builds that table once for all its steps and
+hands each leaf its slice; ``dense_solve`` and PolCoeffsDE let the
+kernel build its own.  Each step is one ``convolution._step_mod`` call,
+which for a step the table inverts is also the product with the table;
+any other step is then one elimination.
 
 ``residual``, which ``qdsolve check`` refutes solutions with, forms its
 product A sigma(F) by Kronecker substitution in Python integers
@@ -37,8 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import instrument
-from .convolution import _matmul_mod
+from .convolution import _matmul_mod, _step_mod
 from .errors import PreconditionError, QdsolveError
 from .field import PrimeField, mulmod
 from .linalg import _affine_solve, mat_inv, mat_inv_stack
@@ -151,8 +153,54 @@ def residual(F: SeriesMatrix, inst: ProblemInstance, homogeneous: bool = False) 
     return out
 
 
+@dataclass(frozen=True)
+class StepTable:
+    """The step-inverse table of a run of steps g = lo, lo + 1, ...: row j is
+    step g = lo + j.
+
+    inv[j] is M_g^(-1) for k = 1, which a call that folds the twist q^g
+    scales by q^g, and q^g M_g^(-1) = -A_0^(-1) for k > 1; inv is None
+    when no step is inverted.  elim marks the steps that are eliminated
+    instead, and M holds the step matrices M_g they are eliminated on
+    (None when no step is).  A slice is the table of a sub-run.
+    """
+
+    M: np.ndarray | None
+    inv: np.ndarray | None
+    elim: np.ndarray
+
+    def __getitem__(self, s: slice) -> "StepTable":
+        return StepTable(*(None if t is None else t[s] for t in (self.M, self.inv, self.elim)))
+
+
+def step_table(A0: np.ndarray, ctx: QContext, lo: int, hi: int, windowed: bool) -> StepTable:
+    """The step-inverse table of steps lo <= g < hi of an equation with
+    constant coefficient A0 (``windowed``: A has more coefficients).
+
+    For k > 1 it is the one matrix -A_0^(-1), from one ``mat_inv``, for
+    every step, and a singular A_0 marks every step.  For k = 1 it is one
+    ``mat_inv_stack`` of every M_g = gamma_g Id - q^g A_0, whose singular
+    mask is elim, except when n > 1 and A is windowed: then every step is
+    marked (batching those steps waits on ROADMAP item 1, a memory metric
+    that measures the solver).
+    """
+    p, n = ctx.p, A0.shape[0]
+    elim = np.ones(hi - lo, dtype=bool)
+    if ctx.k > 1:
+        try:
+            inv = -mat_inv(A0, p) % p
+        except ValueError:  # A_0 is singular, and so is every step
+            pass
+        else:
+            return StepTable(None, np.broadcast_to(inv, (hi - lo, n, n)), ~elim)
+    M = (-step_matrices(A0, ctx, lo, hi)) % p
+    if ctx.k == 1 and (n == 1 or not windowed):
+        return StepTable(M, *mat_inv_stack(M, p))
+    return StepTable(M, None, elim)
+
+
 def _solve_term_by_term(
-    A: SeriesMatrix, C: SeriesMatrix, N: int, ctx: QContext, i: int = 0
+    A: SeriesMatrix, C: SeriesMatrix, N: int, ctx: QContext, i: int = 0, table: StepTable | None = None
 ) -> tuple[SeriesMatrix, list[np.ndarray], list[int]]:
     """Solve coefficients 0 .. N-1 of x^k delta(F) = A sigma(F) + C at base index i.
 
@@ -173,22 +221,20 @@ def _solve_term_by_term(
     so every step reads the one history array F, and the window sum is one
     product of Ah_D .. Ah_1 side by side with the stacked F_(j-D) .. F_(j-1).
 
-    Every call first builds one step-inverse table (inv, elim): inv[j] is
-    q^g M_g^(-1), so that F_j = inv[j] R_j, for each step j not marked in
-    elim.  For k = 1 it is one ``mat_inv_stack`` of every M_g, whose
-    singular mask is elim, scaled by q^g in one stacked product; for k > 1
-    it is the one matrix -A_0^(-1), from one ``mat_inv``, for every step,
-    and a singular A_0 marks every step.  When k = 1, n > 1 and A has a
-    window, every step is marked: batching those steps waits on ROADMAP
-    item 1 (a memory metric that measures the solver).  Then one loop runs
-    the steps in order: an unmarked step is one window product and one
-    product with inv[j], a marked one is one ``linalg._affine_solve`` of
-    M_g F_j = q^g R_j, whose particular/nullspace block is F_j, so each
-    free column of a singular M_g becomes a new parameter, and each nonzero
-    leftover row an affine constraint.  When k = 1 and A is constant no
-    step reads another and there is nothing to fold: the unmarked steps are
-    solved first as one stacked product of M_g^(-1) with C_j, and the loop
-    visits the marked ones only.
+    The step-inverse table (``step_table``) of steps [i, i + N) is handed
+    in, as a divide-and-conquer solve hands each leaf its slice of the
+    one table it builds, or built here.  A call that folds scales a k = 1
+    table by q^g, so that F_j = inv[j] R_j for each step j not marked in
+    elim.  Then one loop runs the steps in order: an unmarked step is one
+    ``convolution._step_mod`` call (window product, gamma term, one
+    reduction and the product with inv[j]), a marked one forms R_j by the
+    same call and is one ``linalg._affine_solve`` of M_g F_j = q^g R_j,
+    whose particular/nullspace block is F_j, so each free column of a
+    singular M_g becomes a new parameter, and each nonzero leftover row an
+    affine constraint.  When k = 1 and A is constant no step reads
+    another and there is nothing to fold: the unmarked steps are solved
+    first as one stacked product of M_g^(-1) with C_j, and the loop visits
+    the marked ones only.
 
     Returns (family, cons, sing): the n x width affine family mod x^N, the
     constraint rows (row[0] + row[1:] . params = 0, each as wide as the
@@ -197,24 +243,14 @@ def _solve_term_by_term(
     p, k, n = ctx.p, ctx.k, A.rows
     A = A.as_poly_prec(N)  # exact: A.prec >= N, or A is PolCoeffsDE's polynomial
     La = A.data.shape[2]
-    A0 = A.coefficient_array(0)
     # q = 1 has nothing to fold, and neither has a batch of independent steps
     fold = ctx.q != 1 and (k > 1 or La > 1)
     qp = ctx.qpow_slice(i + N)[i:]
-    inv, elim = None, np.ones(N, dtype=bool)
-    if k > 1:
-        try:
-            inv = np.broadcast_to(-mat_inv(A0, p) % p, (N, n, n))
-        except ValueError:  # A_0 is singular, and so is every step
-            pass
-        else:
-            elim[:] = False
-    if inv is None:
-        Ms = (-step_matrices(A0, ctx, i, i + N)) % p
-        if k == 1 and (La <= 1 or n == 1):
-            inv, elim = mat_inv_stack(Ms, p)
-            if fold:
-                inv = mulmod(inv, qp[:, None, None], p)
+    if table is None:
+        table = step_table(A.coefficient_array(0), ctx, i, i + N, La > 1)
+    Ms, inv, elim = table.M, table.inv, table.elim
+    if fold and k == 1 and inv is not None:
+        inv = mulmod(inv, qp[:, None, None], p)
     # [Ah_(La-1) | ... | Ah_1]; the window of step j is its last D blocks
     Acat = A.side_by_side()[:, : (La - 1) * n]
     width = C.cols
@@ -234,34 +270,29 @@ def _solve_term_by_term(
     gam = gam.tolist()
     Fw = F
     steps = range(N)
-    if k == 1 and La <= 1:
+    if k == 1 and La <= 1 and inv is not None:
         F3, free = F.reshape(N, n, width), ~elim
         F3[free] = _matmul_mod(inv[free], F3[free], p)
         steps = np.flatnonzero(elim).tolist()
     elim = elim.tolist()
     cons: list[np.ndarray] = []
     sing: list[int] = []
+    back = (k - 1) * n
     for j in steps:
         r = j * n
-        rhs = Fw[r : r + n]
         D = min(j, La - 1)
-        if D > 0:
-            rhs = rhs + _matmul_mod(Acat[:, (La - 1 - D) * n :], Fw[r - D * n : r], p)
-        if k > 1 and j >= k - 1:
-            # reduced together with the right side, so not through mulmod
-            instrument.mul_counter.add(n * width)
-            rj = r - (k - 1) * n
-            rhs = rhs - gam[j - k + 1] * Fw[rj : rj + n]
-        rhs = rhs % p
+        h = Fw[r - back : r - back + n] if k > 1 and j >= k - 1 else None
+        fi = _step_mod(
+            Acat[:, (La - 1 - D) * n :], Fw[r - D * n : r], Fw[r : r + n],
+            gam[j - k + 1] if h is not None else 0, h, None if elim[j] else inv[j], p,
+        )
         if elim[j]:
             if fold:
-                rhs = mulmod(qp[j], rhs, p)
-            fi, rest = _affine_solve(Ms[j], rhs, p)
+                fi = mulmod(qp[j], fi, p)
+            fi, rest = _affine_solve(Ms[j], fi, p)
             if len(rest):
                 sing.append(i + j)
             cons.extend(row for row in rest if row.any())
-        else:
-            fi = _matmul_mod(inv[j], rhs, p)
         if fi.shape[1] > width:
             width = fi.shape[1]
             if width > F.shape[1]:

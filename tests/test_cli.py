@@ -657,7 +657,7 @@ def test_check_catches_a_wrong_product_window(tmp_path, monkeypatch):
     monkeypatch.setattr(SeriesMatrix, "mul", broken)
     kernels = {
         id(getattr(convolution, name))
-        for name in ("_matmul_mod", "conv_trunc", "_conv_shift", "_conv_direct", "_conv_ntt")
+        for name in ("_matmul_mod", "_step_mod", "conv_trunc", "_conv_shift", "_conv_direct", "_conv_ntt")
     }
     sites = [
         (mod, attr)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -322,6 +323,25 @@ def test_stacked_transform_charges(case, monkeypatch):
     got = conv_trunc(a, b, p, n, lo)
     assert (limbs, instrument.mul_counter.value - before) == ([_STACKED_CHARGES[case][0]], _STACKED_CHARGES[case][1])
     assert np.array_equal(got, _stack_by_kronecker(a, b, p, lo, n))
+
+
+def test_stacked_transform_working_set():
+    # a 6 x 6 x 6 full product of 320 coefficients at p = 65521 takes the
+    # transform with two limbs at cyclic length 1024; dropping each spectrum
+    # once the next array exists keeps its traced peak at 3.25 MB, where
+    # holding all of them at once peaked at 6.38 MB
+    p = 65521
+    gen = np.random.default_rng(6)
+    a, b = gen.integers(0, p, (6, 6, 320)), gen.integers(0, p, (6, 6, 320))
+    want = conv_trunc(a, b, p, 639)  # warm: numpy.fft's first use
+    tracemalloc.start()
+    try:
+        got = conv_trunc(a, b, p, 639)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak < 4 * 2**20
 
 
 def _stack_by_kronecker(a, b, p, lo, hi):

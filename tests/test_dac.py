@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from qdsolve import dac, instrument
+from qdsolve import dac, instrument, oracle
 from qdsolve.dac import DAC_LEAF, dac_solve, op_E, rdac
 from qdsolve.errors import PreconditionError
 from qdsolve.field import PrimeField
@@ -355,3 +355,44 @@ def test_dac_refuses_operands_over_another_field():
         dac_solve(A, C, 8, ctx)
     with pytest.raises(PreconditionError, match="operands over p"):
         dac_solve(SeriesMatrix.zeros(101, 2, 2, 8), C, 8, ctx)
+
+
+@pytest.mark.parametrize(("k", "n", "built"), [(1, 1, "mat_inv_stack"), (3, 2, "mat_inv")])
+def test_dac_builds_one_step_table_per_solve(monkeypatch, k, n, built):
+    # the step-inverse table depends only on the steps, A_0 and the
+    # context: one stacked inversion of all N step matrices for k = 1,
+    # n = 1, one inverse of A_0 for k > 1, for eight leaves alike
+    N = 5 * DAC_LEAF
+    assert len(_leaves(0, N)) == 8
+    inst = random_instance(41 + k, P28, n, N, k, "random", require_good_spectrum=True)
+    calls = {"mat_inv": [], "mat_inv_stack": []}
+    for name, seen in calls.items():
+        fn = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda M, p, fn=fn, seen=seen: seen.append(M.shape) or fn(M, p))
+    sol = dac_solve(inst.A, inst.C, N, inst.ctx)
+    assert calls == {
+        "mat_inv": [(n, n)] if built == "mat_inv" else [],
+        "mat_inv_stack": [(N, n, n)] if built == "mat_inv_stack" else [],
+    }
+    assert spaces_equal(sol, dense_solve(inst))
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_dac_count_does_not_depend_on_earlier_solves(monkeypatch, k):
+    # the table is built per solve and never kept on the context, and the
+    # context's own tables are uncharged: a solve charges the same in a
+    # fresh context, after itself and after a longer solve in the context
+    monkeypatch.setattr(instrument, "_runtime_checks", False)
+    N = 2 * DAC_LEAF + 5
+    inst = random_instance(60 + k, P28, 2, N, k, "random", require_good_spectrum=True)
+    longer = random_instance(70 + k, P28, 2, 3 * N, k, inst.ctx.q, require_good_spectrum=True)
+
+    def charge(ctx):
+        before = instrument.mul_counter.value
+        dac_solve(inst.A, inst.C, N, ctx)
+        return instrument.mul_counter.value - before
+
+    fresh = charge(QContext(inst.ctx.field, inst.ctx.q, k))
+    warm = QContext(inst.ctx.field, inst.ctx.q, k)
+    dac_solve(longer.A, longer.C, longer.N, warm)
+    assert charge(warm) == charge(warm) == fresh

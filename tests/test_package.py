@@ -131,13 +131,13 @@ def test_modular_pow_only_where_charged():
 
 
 # the kernels that charge mul_counter: field.mulmod is the elementwise
-# product, and the step kernel's per-step gamma product stays inline
-# because it is reduced together with the step's right side
+# product, and convolution._step_mod is one step of the step kernel, its
+# window, gamma and table products reduced together
 _CHARGING_KERNELS = {
     ("field.py", "mulmod"), ("field.py", "inverses"),
     ("convolution.py", "_matmul_mod"), ("linalg.py", "_rref"), ("linalg.py", "mat_inv_stack"),
     ("convolution.py", "_conv_direct"), ("convolution.py", "_conv_ntt"),
-    ("oracle.py", "_solve_term_by_term"),
+    ("convolution.py", "_step_mod"), ("oracle.py", "_solve_term_by_term"),
 }
 # products reduced mod p that are uncharged by design: set-up tables (the
 # powers and the 1/gamma_i table's inverse tree), the primality test and

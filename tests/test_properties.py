@@ -1,7 +1,9 @@
 """Property tests: the divide-and-conquer and Newton engines and the step
 kernel at any base index against the operator-matrix reference, with each
 product on the route the rule picks and with every product pinned to the
-direct or the transform backend, every engine answer against the
+shift-batched, the direct or the transform backend, the step kernel on
+a divide-and-conquer solve's one step-inverse table against the tables
+it builds itself, every engine answer against the
 independent residual, every route of SeriesMatrix.mul and the batched
 _matmul_mod against Python-int products, QContext.theta against the
 composed delta, shift and sigma chain, the stacked inverse against
@@ -18,8 +20,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from qdsolve import convolution, instrument, polymat  # noqa: E402
-from qdsolve.dac import DAC_LEAF, dac_solve  # noqa: E402
+from qdsolve import convolution, dac, instrument, polymat  # noqa: E402
+from qdsolve.dac import DAC_LEAF, dac_solve, rdac  # noqa: E402
 from qdsolve.errors import SpectrumError  # noqa: E402
 from qdsolve.field import PrimeField, inverses, powers  # noqa: E402
 from qdsolve.convolution import _matmul_mod  # noqa: E402
@@ -27,7 +29,9 @@ from qdsolve.linalg import (  # noqa: E402
     _rref, char_poly, lin_solve, mat_inv, mat_inv_stack, sylvester_tables,
 )
 from qdsolve.newton import newton_solve, pol_coeffs_de  # noqa: E402
-from qdsolve.oracle import _solve_term_by_term, dense_solve, make_instance, residual  # noqa: E402
+from qdsolve.oracle import (  # noqa: E402
+    _solve_term_by_term, dense_solve, make_instance, residual, step_table,
+)
 from qdsolve.polymat import SeriesMatrix  # noqa: E402
 from qdsolve.series import QContext  # noqa: E402
 from qdsolve.solution import resolve_affine_family, spaces_equal  # noqa: E402
@@ -77,15 +81,20 @@ def assert_solves(space, inst):
         assert residual(space.basis.col(j), inst, homogeneous=True).is_zero()
 
 
-@pytest.fixture(params=["direct", "transform"])
+@pytest.fixture(params=["shift", "direct", "transform"])
 def pinned_route(request, monkeypatch):
     """Every conv_trunc product on one backend, whatever the route rule
     names; the tests without this fixture run each product as ruled.  The
     three backends share one signature, so rebinding them in convolution
-    pins the route.  The direct backend is exact while its limb split
-    covers the shorter operand, below 2^16 coefficients at p < 2^31; the
-    engine tests draw N <= 3 DAC_LEAF."""
-    backend = convolution._conv_direct if request.param == "direct" else convolution._conv_ntt
+    pins the route.  The shift-batched backend is exact for any lengths,
+    its int64 sums of canonical residues staying below 2^62, and the
+    direct one while its limb split covers the shorter operand, below
+    2^16 coefficients at p < 2^31; the engine tests draw N <= 3 DAC_LEAF."""
+    backend = {
+        "shift": convolution._conv_shift,
+        "direct": convolution._conv_direct,
+        "transform": convolution._conv_ntt,
+    }[request.param]
     for name in ("_conv_shift", "_conv_direct", "_conv_ntt"):
         monkeypatch.setattr(convolution, name, backend)
     return request.param
@@ -905,6 +914,66 @@ def test_batched_constant_steps_match_operator_matrix(case):
 @given(case=step_kernel_cases())
 def test_step_kernel_on_pinned_route(pinned_route, case):
     check_step_kernel(case)
+
+
+def leaves(i, N, leaf):
+    """(base, length) of the leaves rdac solves at base i for precision N."""
+    if N <= leaf:
+        return [(i, N)]
+    m = (N + 1) // 2
+    return leaves(i, m, leaf) + leaves(i + m, N - m, leaf)
+
+
+@st.composite
+def table_slice_cases(draw):
+    """(A, C, N, ctx, leaf): a divide-and-conquer solve with leaves of 1, 2
+    or 64 steps.  A is constant, has two coefficients or is dense; for
+    k = 1 at times A_0's eigenvalues are rigged to gamma_g q^(-g) for
+    steps g at the first or last offset of a leaf, which makes them
+    singular, and for k > 1 at times A_0 has a zero row, which makes every
+    step singular."""
+    p = draw(st.sampled_from([3, 65521, 2**31 - 1]))
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    leaf = draw(st.sampled_from([1, 2, 64]))
+    N = draw(st.integers(1, 3 * max(leaf, 4)))
+    q = 1 if p > N and draw(st.booleans()) else draw(st.integers(2, p - 1))
+    ctx = QContext(PrimeField(p), q, k)
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    La = min(N, draw(st.sampled_from([1, 2, N])))
+    Ad = gen.integers(0, p, (n, n, La))
+    if k == 1 and draw(st.booleans()):
+        edges = sorted({g for base, length in leaves(0, N, leaf) for g in (base, base + length - 1)})
+        steps = draw(st.lists(st.sampled_from(edges), min_size=1, max_size=n))
+        T = np.triu(gen.integers(0, p, (n, n))).astype(object)
+        for t, g in enumerate(steps):
+            T[t, t] = ctx.gamma(g) * pow(ctx.qpow(g), p - 2, p) % p
+        perm = gen.permutation(n)
+        Ad[:, :, 0] = T[np.ix_(perm, perm)].astype(np.int64)
+    elif k > 1 and draw(st.booleans()):
+        Ad[draw(st.integers(0, n - 1)), :, 0] = 0
+    C = SeriesMatrix(p, gen.integers(0, p, (n, 1, N)), N)
+    return SeriesMatrix(p, Ad, N), C, N, ctx, leaf
+
+
+@settings(max_examples=80, deadline=None)
+@given(table_slice_cases())
+def test_step_kernel_on_supplied_table_slice(case):
+    # every leaf on its slice of the solve's one step-inverse table finds
+    # the family, constraints and singular steps it finds on its own table
+    A, C, N, ctx, leaf = case
+    table = step_table(A.coefficient_array(0), ctx, 0, N, A.data.shape[2] > 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dac, "DAC_LEAF", leaf)
+        instrument.set_runtime_checks(True)
+        try:
+            F_own, cons_own, sing_own = rdac(A, C, 0, N, ctx)
+            F, cons, sing = rdac(A, C, 0, N, ctx, table)
+        finally:
+            instrument.set_runtime_checks(False)
+    assert F == F_own
+    assert len(cons) == len(cons_own) and all(map(np.array_equal, cons, cons_own))
+    assert sing == sing_own
 
 
 HELPER_PRIMES = [3, 65521, 134217757, 2**31 - 1]
