@@ -55,7 +55,7 @@ backend.  A modulus at or above the ceiling 2^31 of the int64 kernels
 ``_matmul_mod``, the constant-matrix product the shift-batched route runs
 on, is also the one matrix product of the package's other modules.
 ``_step_mod`` is one step of the step kernel (``oracle._solve_term_by_term``):
-its window product, gamma term and product with the step-inverse table
+its window product, gamma term and product with the step table's inverse
 as one call, under ``_matmul_mod``'s overflow rule and charge.
 
 ``TRANSFORM_CUTOFF`` depends on the shorter operand's length only, not

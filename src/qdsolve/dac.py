@@ -11,10 +11,11 @@ carried right-hand side, coefficients [m, N) of the residual combination
 the high half at shifted index.  It stops at precision DAC_LEAF: a leaf
 is the dense oracle's step kernel (``oracle._solve_term_by_term``) at the
 leaf's base index, which runs its one loop over the leaf's steps.  The
-step-inverse table (``oracle.step_table``) depends only on the steps g,
-A_0 and the context, so ``dac_solve`` builds it once per solve, for all
-N steps, and each leaf takes its slice of it; it is never kept on the
-context, so a solve's count does not depend on what ran before.  The
+step table (``oracle.step_table``: the folded step matrices
+q^(-g) M_g and their inverses) depends only on the steps g, A and the
+context, so ``dac_solve`` builds it once per solve, for all N steps, and
+each leaf takes its slice of it; it is never kept on the context, so a
+solve's count does not depend on what ran before.  The
 kernel finds the singular steps itself: each one adds as many
 parameters as the nullity of its step matrix and turns its zero rows
 into affine constraints.  The halves are joined by giving the low half's
@@ -76,7 +77,7 @@ def rdac(
 
     Halves N until N <= DAC_LEAF and solves each leaf with the step
     kernel at the leaf's base index, on its slice of table, the
-    step-inverse table of steps [i, i + N); without one each leaf builds
+    step table of steps [i, i + N); without one each leaf builds
     its own.  Contract: C has
     precision >= N; the family has precision N and at least C's columns,
     and coefficient j of op_E vanishes for every i + j that is not a
@@ -123,6 +124,6 @@ def dac_solve(A: SeriesMatrix, C: SeriesMatrix, N: int, ctx: QContext) -> Soluti
         raise ValueError("operands known to lower precision than requested")
     ctx.require_field(A, C)
     A = A.truncate(N)
-    table = step_table(A.coefficient_array(0), ctx, 0, N, A.data.shape[2] > 1)
+    table = step_table(A, ctx, 0, N)
     F, cons, _ = rdac(A, C.truncate(N), 0, N, ctx, table)
     return resolve_affine_family(F, cons)

@@ -7,7 +7,7 @@ elementwise product (one per entry of its result), and
 backends; ``linalg._rref`` and ``mat_inv_stack``; and
 ``convolution._step_mod``, one step of the step kernel, which charges
 its window product, its gamma product and its product with the
-step-inverse table, reduced together.  Limb splitting and other int64
+step table's inverse, reduced together.  Limb splitting and other int64
 overflow tricks are representation details and are not double-counted.
 Inversions count the square-and-multiply cost of Fermat exponentiation;
 m inversions batched by ``field.inverses`` count one such power and

@@ -7,10 +7,13 @@ makes every result canonical and deterministic: ``_affine_solve`` turns
 one reduction into a particular solution with the free variables zero
 and a nullspace basis in standard reduced row-echelon form, and both
 ``lin_solve`` and the step kernel's singular steps read their answers
-from it.  Matrix products go through ``convolution._matmul_mod``, which
-keeps int64 sums below 2^63 for every modulus below 2^31.  It, like
-``mat_inv_stack`` and ``sylvester_solve``, also takes stacks (..., n, n)
-of matrices and runs one vectorized pass over the whole stack.
+from it.  Every inverse comes from ``mat_inv_stack``, one Gauss-Jordan
+elimination of a whole stack (..., n, n) side by side; ``mat_inv`` is
+its one-matrix case.  Matrix products go through
+``convolution._matmul_mod``, which keeps int64 sums below 2^63 for
+every modulus below 2^31.  It, like ``mat_inv_stack`` and
+``sylvester_solve``, takes stacks of matrices and runs one vectorized
+pass over the whole stack.
 """
 
 from __future__ import annotations
@@ -153,18 +156,12 @@ def mat_inv_stack(U: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def mat_inv(U: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of a square matrix; raises ValueError when singular.
-
-    One matrix goes through _rref, whose scalar pivots beat mat_inv_stack's
-    vectorized ones when there is nothing to vectorize over.
-    """
-    n = U.shape[0]
-    if U.shape[1] != n:
-        raise ValueError("only square matrices are invertible")
-    red, pivots = _rref(np.hstack([U, np.eye(n, dtype=_INT64)]), p, n)
-    if len(pivots) != n:
+    """Inverse of a square matrix, the one-member case of ``mat_inv_stack``;
+    raises ValueError when singular."""
+    inv, singular = mat_inv_stack(U[None], p)
+    if singular[0]:
         raise ValueError("matrix is singular")
-    return red[:, n:].copy()
+    return inv[0]
 
 
 def char_poly(U: np.ndarray, p: int) -> list[int]:

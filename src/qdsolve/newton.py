@@ -12,13 +12,13 @@ and one error-window correction takes Gamma from there to x^N, so the
 last half of the precision costs n x n by n x 1 products, O(n^2 M(N)),
 instead of a full n x n inverse refresh.  PolCoeffsDE calls the dense
 oracle's step kernel (oracle._solve_term_by_term), so its singular steps
-get the same exact parameter and constraint treatment.  The kernel's
-step-inverse table holds, for k = 1, the inverse of every nonsingular
-step matrix from one stacked elimination, and for k > 1 the one matrix
--B_0^(-1): the kernel folds the twist q^g of step g into B's
-coefficients and the right side, so every step reads one history array
-and is one window product and one product with -B_0^(-1).  For k = 1, B
-is constant and no step of that solve reads another, so the nonsingular
+get the same exact parameter and constraint treatment.  The kernel
+folds the twist q^g of step g out of the whole step, so its step table
+holds the folded step matrices, gamma_g q^(-g) Id - B_0 for k = 1 and
+the one matrix -B_0 for k > 1, with their inverses from one stacked
+elimination; for k > 1 every step reads one history array and is one
+window product and one product with -B_0^(-1).  For k = 1, B is
+constant and no step of that solve reads another, so the nonsingular
 steps are one stacked product and the kernel's loop eliminates only the
 singular ones.
 

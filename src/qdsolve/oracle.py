@@ -18,15 +18,15 @@ per-coefficient step kernel.  Newton's PolCoeffsDE (``newton.pol_coeffs_de``)
 is this kernel on an equation whose A is a polynomial of degree < k, and
 each divide-and-conquer leaf (``dac.rdac``) is this kernel at the leaf's
 base index, on a right side that already carries parameters.  Every call
-folds the twist q^g of step g into A's coefficients and C, so the steps
-read one history array, and runs one loop over the steps on one
-step-inverse table (``step_table``: one stacked inversion of the step
-matrices for k = 1, the one matrix -A_0^(-1) for k > 1).  A
-divide-and-conquer solve builds that table once for all its steps and
-hands each leaf its slice; ``dense_solve`` and PolCoeffsDE let the
-kernel build its own.  Each step is one ``convolution._step_mod`` call,
-which for a step the table inverts is also the product with the table;
-any other step is then one elimination.
+with q != 1 folds the twist q^g of step g out of the whole step, so the
+steps read one history array, and runs one loop over the steps on one
+step table (``step_table``: the folded step matrices q^(-g) M_g and
+their inverses from one ``mat_inv_stack``, for k > 1 the one matrix
+-A_0).  A divide-and-conquer solve builds that table once for all its
+steps and hands each leaf its slice; ``dense_solve`` and PolCoeffsDE let
+the kernel build its own.  Each step is one ``convolution._step_mod``
+call, which for a step the table inverts is also the product with the
+table; any other step is then one elimination on its folded step matrix.
 
 ``residual``, which ``qdsolve check`` refutes solutions with, forms its
 product A sigma(F) by Kronecker substitution in Python integers
@@ -43,11 +43,11 @@ import numpy as np
 from .convolution import _matmul_mod, _step_mod
 from .errors import PreconditionError, QdsolveError
 from .field import PrimeField, mulmod
-from .linalg import _affine_solve, mat_inv, mat_inv_stack
+from .linalg import _affine_solve, mat_inv_stack
 from .polymat import SeriesMatrix
 from .series import QContext
 from .solution import SolutionSpace, resolve_affine_family
-from .spectrum import good_spectrum, step_matrices
+from .spectrum import good_spectrum
 
 _INT64 = np.int64
 
@@ -155,48 +155,48 @@ def residual(F: SeriesMatrix, inst: ProblemInstance, homogeneous: bool = False) 
 
 @dataclass(frozen=True)
 class StepTable:
-    """The step-inverse table of a run of steps g = lo, lo + 1, ...: row j is
-    step g = lo + j.
+    """The step table of a run of steps g = lo, lo + 1, ...: row j is step
+    g = lo + j.
 
-    inv[j] is M_g^(-1) for k = 1, which a call that folds the twist q^g
-    scales by q^g, and q^g M_g^(-1) = -A_0^(-1) for k > 1; inv is None
-    when no step is inverted.  elim marks the steps that are eliminated
-    instead, and M holds the step matrices M_g they are eliminated on
-    (None when no step is).  A slice is the table of a sub-run.
+    M[j] is the folded step matrix q^(-g) M_g, inv[j] its inverse, and
+    elim marks the steps that are eliminated on M[j] instead of inverted
+    (inv[j] is zero there).  A slice is the table of a sub-run.
     """
 
-    M: np.ndarray | None
-    inv: np.ndarray | None
+    M: np.ndarray
+    inv: np.ndarray
     elim: np.ndarray
 
     def __getitem__(self, s: slice) -> "StepTable":
-        return StepTable(*(None if t is None else t[s] for t in (self.M, self.inv, self.elim)))
+        return StepTable(self.M[s], self.inv[s], self.elim[s])
 
 
-def step_table(A0: np.ndarray, ctx: QContext, lo: int, hi: int, windowed: bool) -> StepTable:
-    """The step-inverse table of steps lo <= g < hi of an equation with
-    constant coefficient A0 (``windowed``: A has more coefficients).
+def step_table(A: SeriesMatrix, ctx: QContext, lo: int, hi: int) -> StepTable:
+    """The step table of steps lo <= g < hi of an equation with coefficient A.
 
-    For k > 1 it is the one matrix -A_0^(-1), from one ``mat_inv``, for
-    every step, and a singular A_0 marks every step.  For k = 1 it is one
-    ``mat_inv_stack`` of every M_g = gamma_g Id - q^g A_0, whose singular
-    mask is elim, except when n > 1 and A is windowed: then every step is
+    The folded step matrix q^(-g) M_g is gamma_g q^(-g) Id - A_0 for k = 1
+    (gamma_g Id - A_0 at q = 1, with no product) and the one matrix -A_0
+    for k > 1.  One ``mat_inv_stack`` inverts them: for k > 1 a stack of
+    one, broadcast over the steps, so a singular A_0 marks every step.
+    For k = 1, n > 1 and A with more coefficients than A_0 every step is
     marked (batching those steps waits on ROADMAP item 1, a memory metric
     that measures the solver).
     """
-    p, n = ctx.p, A0.shape[0]
-    elim = np.ones(hi - lo, dtype=bool)
+    p, n, N = ctx.p, A.rows, hi - lo
+    M = (-A.coefficient_array(0) % p)[None]
     if ctx.k > 1:
-        try:
-            inv = -mat_inv(A0, p) % p
-        except ValueError:  # A_0 is singular, and so is every step
-            pass
-        else:
-            return StepTable(None, np.broadcast_to(inv, (hi - lo, n, n)), ~elim)
-    M = (-step_matrices(A0, ctx, lo, hi)) % p
-    if ctx.k == 1 and (n == 1 or not windowed):
-        return StepTable(M, *mat_inv_stack(M, p))
-    return StepTable(M, None, elim)
+        inv, elim = mat_inv_stack(M, p)
+        steps = (N, n, n)
+        return StepTable(np.broadcast_to(M, steps), np.broadcast_to(inv, steps), np.broadcast_to(elim, N))
+    M = np.repeat(M, N, axis=0)
+    gam = ctx.gamma_slice(hi)[lo:]
+    if ctx.q != 1:
+        gam = mulmod(gam, ctx.qinv_pow_slice(hi)[lo:], p)
+    d = np.arange(n)
+    M[:, d, d] = (M[:, d, d] + gam[:, None]) % p
+    if n > 1 and A.data.shape[2] > 1:
+        return StepTable(M, np.zeros_like(M), np.ones(N, dtype=bool))
+    return StepTable(M, *mat_inv_stack(M, p))
 
 
 def _solve_term_by_term(
@@ -213,28 +213,29 @@ def _solve_term_by_term(
         M_g F_j = C_j + sum_{d>=1} q^(g-d) A_d F_(j-d) - [k > 1] gamma_(g-k+1) F_(j-k+1),
 
     M_g = gamma_g Id - q^g A_0 for k = 1 and -q^g A_0 for k > 1.  The
-    twist q^g is folded out once per call: with Ah_d = q^(-d) A_d and
-    Ch_j = q^(-g) C_j the right side is q^g R_j,
+    twist q^g is folded out of the whole step: with Mh_g = q^(-g) M_g,
+    Ah_d = q^(-d) A_d and Ch_j = q^(-g) C_j it reads Mh_g F_j = R_j,
 
         R_j = Ch_j + sum_{d>=1} Ah_d F_(j-d) - [k > 1] q^(-g) gamma_(g-k+1) F_(j-k+1),
 
     so every step reads the one history array F, and the window sum is one
     product of Ah_D .. Ah_1 side by side with the stacked F_(j-D) .. F_(j-1).
+    At q = 1 there is nothing to fold.
 
-    The step-inverse table (``step_table``) of steps [i, i + N) is handed
-    in, as a divide-and-conquer solve hands each leaf its slice of the
-    one table it builds, or built here.  A call that folds scales a k = 1
-    table by q^g, so that F_j = inv[j] R_j for each step j not marked in
-    elim.  Then one loop runs the steps in order: an unmarked step is one
+    The step table (``step_table``) of steps [i, i + N) holds the Mh_g and
+    their inverses; it is handed in, as a divide-and-conquer solve hands
+    each leaf its slice of the one table it builds, or built here.  One
+    loop runs the steps in order: an unmarked step is one
     ``convolution._step_mod`` call (window product, gamma term, one
     reduction and the product with inv[j]), a marked one forms R_j by the
-    same call and is one ``linalg._affine_solve`` of M_g F_j = q^g R_j,
-    whose particular/nullspace block is F_j, so each free column of a
-    singular M_g becomes a new parameter, and each nonzero leftover row an
-    affine constraint.  When k = 1 and A is constant no step reads
-    another and there is nothing to fold: the unmarked steps are solved
-    first as one stacked product of M_g^(-1) with C_j, and the loop visits
-    the marked ones only.
+    same call and is one ``linalg._affine_solve`` of Mh_g F_j = R_j, whose
+    particular/nullspace block is F_j, so each free column of a singular
+    Mh_g becomes a new parameter, and each nonzero leftover row an affine
+    constraint.  [Mh_g | R_j] is q^(-g) [M_g | q^g R_j], so the reduced
+    form, the parameters and the constraints' zero set are those of the
+    unfolded step.  When k = 1 and A is constant no step reads another:
+    the unmarked steps are solved first as one stacked product of the
+    inverses with Ch_j, and the loop visits the marked ones only.
 
     Returns (family, cons, sing): the n x width affine family mod x^N, the
     constraint rows (row[0] + row[1:] . params = 0, each as wide as the
@@ -243,14 +244,9 @@ def _solve_term_by_term(
     p, k, n = ctx.p, ctx.k, A.rows
     A = A.as_poly_prec(N)  # exact: A.prec >= N, or A is PolCoeffsDE's polynomial
     La = A.data.shape[2]
-    # q = 1 has nothing to fold, and neither has a batch of independent steps
-    fold = ctx.q != 1 and (k > 1 or La > 1)
-    qp = ctx.qpow_slice(i + N)[i:]
     if table is None:
-        table = step_table(A.coefficient_array(0), ctx, i, i + N, La > 1)
+        table = step_table(A, ctx, i, i + N)
     Ms, inv, elim = table.M, table.inv, table.elim
-    if fold and k == 1 and inv is not None:
-        inv = mulmod(inv, qp[:, None, None], p)
     # [Ah_(La-1) | ... | Ah_1]; the window of step j is its last D blocks
     Acat = A.side_by_side()[:, : (La - 1) * n]
     width = C.cols
@@ -261,16 +257,18 @@ def _solve_term_by_term(
     Cd = C.data[:, :, :N]
     Lc = Cd.shape[2]
     F[: Lc * n] = Cd.transpose(2, 0, 1).reshape(-1, width)
-    gam = ctx.gamma_slice(i + N)[i : i + max(N - k + 1, 0)]  # gamma_(g-k+1) at j - k + 1
-    if fold:
-        qinv = ctx.qinv_pow_slice(i + N)[i:]  # q^(-g)
+    if ctx.q != 1:
         Acat = mulmod(Acat, np.repeat(ctx.qinv_pow_slice(La)[La - 1 : 0 : -1], n), p)
-        F[: Lc * n] = mulmod(F[: Lc * n], np.repeat(qinv[:Lc], n)[:, None], p)
-        gam = mulmod(qinv[k - 1 :], gam, p)
-    gam = gam.tolist()
+        F[: Lc * n] = mulmod(F[: Lc * n], np.repeat(ctx.qinv_pow_slice(i + Lc)[i:], n)[:, None], p)
+    gam = []
+    if k > 1:  # q^(-g) gamma_(g-k+1) at j - k + 1
+        gam = ctx.gamma_slice(i + N)[i : i + max(N - k + 1, 0)]
+        if ctx.q != 1:
+            gam = mulmod(ctx.qinv_pow_slice(i + N)[i + k - 1 :], gam, p)
+        gam = gam.tolist()
     Fw = F
     steps = range(N)
-    if k == 1 and La <= 1 and inv is not None:
+    if k == 1 and La <= 1:
         F3, free = F.reshape(N, n, width), ~elim
         F3[free] = _matmul_mod(inv[free], F3[free], p)
         steps = np.flatnonzero(elim).tolist()
@@ -287,8 +285,6 @@ def _solve_term_by_term(
             gam[j - k + 1] if h is not None else 0, h, None if elim[j] else inv[j], p,
         )
         if elim[j]:
-            if fold:
-                fi = mulmod(qp[j], fi, p)
             fi, rest = _affine_solve(Ms[j], fi, p)
             if len(rest):
                 sing.append(i + j)

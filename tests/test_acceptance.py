@@ -296,16 +296,17 @@ def test_A6_scaling_slopes():
     assert slopes["dense"] >= 1.8, f"dense slope {slopes['dense']:.3f} < 1.8"
     # systems: N = 512 .. 4096 is past the transform cutoff, below which
     # every engine's products are quadratic; seed 42 draws a good spectrum
-    # for every (n, N) at random q
+    # for every (n, N) at random q and at q = 1
     t1 = time.perf_counter()
     systems = []
-    for n in (2, 4):
-        for k in (1, 3):
-            got = top4_slopes(run_bench([n], [512, 1024, 2048, 4096], k, "random", ["dac", "newton"],
-                                        seed=42, reps=1, p=P28))
-            for algo, slope in got.items():
-                assert slope <= 1.35, f"{algo} slope {slope:.3f} > 1.35 at n={n}, k={k}"
-            systems.append(f"n={n} k={k}: dac {got['dac']:.2f}, newton {got['newton']:.2f}")
+    for q_mode in ("random", "one"):
+        for n in (2, 4):
+            for k in (1, 3):
+                got = top4_slopes(run_bench([n], [512, 1024, 2048, 4096], k, q_mode, ["dac", "newton"],
+                                            seed=42, reps=1, p=P28))
+                for algo, slope in got.items():
+                    assert slope <= 1.35, f"{algo} slope {slope:.3f} > 1.35 at n={n}, k={k}, q {q_mode}"
+                systems.append(f"n={n} k={k} q {q_mode}: dac {got['dac']:.2f}, newton {got['newton']:.2f}")
     elapsed_systems = time.perf_counter() - t1
     assert elapsed_systems < 60.0, f"A6 systems took {elapsed_systems:.1f}s, budget 60s"
     report(

@@ -79,8 +79,11 @@ def test_lin_solve_deterministic():
 def test_mat_inv_examples():
     assert np.array_equal(mat_inv(eye(3), 101), eye(3))
     assert np.array_equal(mat_inv(diag(7, [2, 3]), 7), diag(7, [4, 5]))
+    assert np.array_equal(mat_inv(mat(7, [[3]]), 7), mat(7, [[5]]))
     with pytest.raises(ValueError):
         mat_inv(mat(7, [[1, 1], [1, 1]]), 7)
+    with pytest.raises(ValueError):
+        mat_inv(mat(7, [[1, 1]]), 7)
 
 
 def test_char_poly_examples():

@@ -137,7 +137,7 @@ _CHARGING_KERNELS = {
     ("field.py", "mulmod"), ("field.py", "inverses"),
     ("convolution.py", "_matmul_mod"), ("linalg.py", "_rref"), ("linalg.py", "mat_inv_stack"),
     ("convolution.py", "_conv_direct"), ("convolution.py", "_conv_ntt"),
-    ("convolution.py", "_step_mod"), ("oracle.py", "_solve_term_by_term"),
+    ("convolution.py", "_step_mod"),
 }
 # products reduced mod p that are uncharged by design: set-up tables (the
 # powers and the 1/gamma_i table's inverse tree), the primality test and

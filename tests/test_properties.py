@@ -2,8 +2,9 @@
 kernel at any base index against the operator-matrix reference, with each
 product on the route the rule picks and with every product pinned to the
 shift-batched, the direct or the transform backend, the step kernel on
-a divide-and-conquer solve's one step-inverse table against the tables
-it builds itself, every engine answer against the
+a divide-and-conquer solve's one step table against the tables it
+builds itself, the step table against the unfolded step matrices, every
+engine answer against the
 independent residual, every route of SeriesMatrix.mul and the batched
 _matmul_mod against Python-int products, QContext.theta against the
 composed delta, shift and sigma chain, the stacked inverse against
@@ -872,8 +873,8 @@ def step_kernel_cases(draw):
 
 def check_step_kernel(case):
     """The step kernel at base index i (as in a divide-and-conquer leaf) with
-    runtime checks on, on all three kinds of step-inverse table (the k = 1
-    stack, the k > 1 A_0 inverse, every step eliminated): the singular
+    runtime checks on, on all three kinds of step table (the k = 1
+    stack, the k > 1 stack of one, every step eliminated): the singular
     steps it reports are exactly the g = i + j whose step matrix M_g has
     a kernel, and its family and constraints give the space the
     operator-matrix reference finds for the equation at base index 0."""
@@ -959,10 +960,10 @@ def table_slice_cases(draw):
 @settings(max_examples=80, deadline=None)
 @given(table_slice_cases())
 def test_step_kernel_on_supplied_table_slice(case):
-    # every leaf on its slice of the solve's one step-inverse table finds
+    # every leaf on its slice of the solve's one step table finds
     # the family, constraints and singular steps it finds on its own table
     A, C, N, ctx, leaf = case
-    table = step_table(A.coefficient_array(0), ctx, 0, N, A.data.shape[2] > 1)
+    table = step_table(A, ctx, 0, N)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dac, "DAC_LEAF", leaf)
         instrument.set_runtime_checks(True)
@@ -974,6 +975,63 @@ def test_step_kernel_on_supplied_table_slice(case):
     assert F == F_own
     assert len(cons) == len(cons_own) and all(map(np.array_equal, cons, cons_own))
     assert sing == sing_own
+
+
+@st.composite
+def table_contract_cases(draw):
+    """(A, ctx, lo, hi): the steps lo <= g < hi, lo up to 4096, of an
+    equation whose A is constant or has two coefficients.  For k = 1 at
+    times A_0's eigenvalues are rigged to gamma_g q^(-g) for chosen steps g
+    in [lo, hi), which makes those steps singular; for k > 1 at times A_0
+    has a zero row, which makes every step singular."""
+    p = draw(st.sampled_from([3, 65521, 2**31 - 1]))
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    lo = draw(st.sampled_from([0, 1, 7, 64, 4095, 4096]))
+    hi = lo + draw(st.integers(1, 40))
+    q = 1 if draw(st.booleans()) else draw(st.integers(2, p - 1))
+    ctx = QContext(PrimeField(p), q, k)
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Ad = gen.integers(0, p, (n, n, draw(st.integers(1, 2))))
+    if k == 1 and draw(st.booleans()):
+        steps = draw(st.lists(st.integers(lo, hi - 1), min_size=1, max_size=n))
+        T = np.triu(gen.integers(0, p, (n, n))).astype(object)
+        for t, g in enumerate(steps):
+            T[t, t] = ctx.gamma(g) * pow(ctx.qpow(g), p - 2, p) % p
+        perm = gen.permutation(n)
+        Ad[:, :, 0] = T[np.ix_(perm, perm)].astype(np.int64)
+    elif k > 1 and draw(st.booleans()):
+        Ad[draw(st.integers(0, n - 1)), :, 0] = 0
+    return SeriesMatrix(p, Ad, hi), ctx, lo, hi
+
+
+@settings(max_examples=150, deadline=None)
+@given(table_contract_cases())
+def test_step_table_contract(case):
+    # M[j] is the step matrix folded by q^(-g), inv[j] its inverse where
+    # elim is clear and zero where it is set, and elim marks exactly the
+    # singular steps, or every step when k = 1, n > 1 and A is windowed or
+    # when k > 1 and A_0 is singular
+    A, ctx, lo, hi = case
+    p, n, N = ctx.p, A.rows, hi - lo
+    A0 = A.coefficient_array(0)
+    table = step_table(A, ctx, lo, hi)
+    assert table.M.shape == table.inv.shape == (N, n, n) and table.elim.shape == (N,)
+    unfolded = (-step_matrices(A0, ctx, lo, hi)) % p
+    singular = [rank_mod(unfolded[j], p) < n for j in range(N)]
+    if ctx.k == 1 and n > 1 and A.data.shape[2] > 1:
+        singular = [True] * N
+    elif ctx.k > 1:
+        assert len(set(singular)) == 1 and singular[0] == (rank_mod(A0, p) < n)
+    assert table.elim.tolist() == singular
+    eye = np.eye(n, dtype=object)
+    for j, g in enumerate(range(lo, hi)):
+        M, inv = table.M[j].astype(object), table.inv[j].astype(object)
+        assert np.array_equal(ctx.qpow(g) * M % p, unfolded[j])
+        if singular[j]:
+            assert not inv.any()
+        else:
+            assert np.array_equal(inv.dot(M) % p, eye)
 
 
 HELPER_PRIMES = [3, 65521, 134217757, 2**31 - 1]
