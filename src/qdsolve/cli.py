@@ -175,15 +175,11 @@ def _check_seed(seed: int, origin: str = "") -> None:
 def _cmd_bench(args) -> int:
     ns = _parse_int_list(args.n, "n")
     Ns = _parse_int_list(args.N, "N")
-    if min(ns) < 1 or min(Ns) < 1:
-        raise UsageError("n and N must be positive")
-    _check_indexable(max(ns), max(Ns), UsageError)
-    if args.k < 0:
-        raise UsageError("k must be nonnegative")
     if args.reps < 1:
         raise UsageError("reps must be positive")
     for n in ns:
         for N in Ns:
+            _check_indexable(args.k, n, N, UsageError)
             _check_seed(case_seed(args.seed, n, N), f" (from --seed {args.seed}, n = {n}, N = {N})")
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     if not algos:
@@ -197,13 +193,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.n < 1:
-        raise UsageError("n must be positive")
-    if args.N < 1:
-        raise UsageError("N must be positive")
-    _check_indexable(args.n, args.N, UsageError)
-    if args.k < 0:
-        raise UsageError("k must be nonnegative")
+    _check_indexable(args.k, args.n, args.N, UsageError)
     _check_seed(args.seed)
     if args.q == "random":
         q_mode = "random"

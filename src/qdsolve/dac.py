@@ -118,11 +118,7 @@ def dac_solve(A: SeriesMatrix, C: SeriesMatrix, N: int, ctx: QContext) -> Soluti
     improves the constant in the running time.  Returns None when the
     equation is inconsistent.
     """
-    if N < 1:
-        raise ValueError("precision must be positive")
-    if A.prec < N or C.prec < N:
-        raise ValueError("operands known to lower precision than requested")
-    ctx.require_field(A, C)
+    ctx.require_operands(A, C, N)
     A = A.truncate(N)
     table = step_table(A, ctx, 0, N)
     F, cons, _ = rdac(A, C.truncate(N), 0, N, ctx, table)

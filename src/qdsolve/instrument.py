@@ -4,7 +4,8 @@ The counter tracks the number of multiplications in K performed by the
 algorithms, and only the kernels charge it: ``field.mulmod``, the one
 elementwise product (one per entry of its result), and
 ``field.inverses``; ``convolution._matmul_mod`` and the two convolution
-backends; ``linalg._rref`` and ``mat_inv_stack``; and
+backends; ``linalg._column_step``, the one Gauss-Jordan column step, and
+``linalg._rref``, for the inversion of each pivot other than 1; and
 ``convolution._step_mod``, one step of the step kernel, which charges
 its window product, its gamma product and its product with the
 step table's inverse, reduced together.  Limb splitting and other int64

@@ -9,7 +9,10 @@ and a nullspace basis in standard reduced row-echelon form, and both
 ``lin_solve`` and the step kernel's singular steps read their answers
 from it.  Every inverse comes from ``mat_inv_stack``, one Gauss-Jordan
 elimination of a whole stack (..., n, n) side by side; ``mat_inv`` is
-its one-matrix case.  Matrix products go through
+its one-matrix case.  Both eliminations, and ``solution.canonical_form``,
+run on one column step, ``_column_step``: it scales a pivot row and
+clears the pivot column of every member of a stack, and charges both.
+Matrix products go through
 ``convolution._matmul_mod``, which keeps int64 sums below 2^63 for
 every modulus below 2^31.  It, like ``mat_inv_stack`` and
 ``sylvester_solve``, takes stacks of matrices and runs one vectorized
@@ -39,9 +42,35 @@ class AffineSolution:
     nullspace: np.ndarray
 
 
+def _column_step(W: np.ndarray, r: int, c: int, f: np.ndarray, p: int) -> None:
+    """One Gauss-Jordan column step on a stack W (B, rows, cols), in place.
+
+    Row r of member b is multiplied by f[b], charged cols for each factor
+    other than 1; then row r clears column c from every other row, charged
+    cols per nonzero entry cleared.
+    """
+    cols = W.shape[2]
+    scaled = int(np.count_nonzero(f != 1))
+    if scaled:  # a factor 1 leaves its row as it is, uncharged
+        instrument.mul_counter.add(scaled * cols)
+        W[:, r] = W[:, r] * f[:, None] % p
+    colv = W[:, :, c].copy()
+    colv[:, r] = 0
+    nnz = int(np.count_nonzero(colv))
+    if nnz:
+        instrument.mul_counter.add(nnz * cols)
+        W -= colv[:, :, None] * W[:, r : r + 1, :]
+        W %= p
+
+
 def _rref(m: np.ndarray, p: int, main_cols: int) -> tuple[np.ndarray, list[int]]:
-    """In-place reduced row echelon form of the first main_cols columns."""
-    rows, cols = m.shape
+    """In-place reduced row echelon form of the first main_cols columns.
+
+    Each pivot is the first nonzero entry at or below the current row,
+    inverted by one charged power unless it is 1, and then one
+    ``_column_step`` scales its row and clears its column.
+    """
+    rows = m.shape[0]
     pivots = []
     r = 0
     for c in range(main_cols):
@@ -55,14 +84,9 @@ def _rref(m: np.ndarray, p: int, main_cols: int) -> tuple[np.ndarray, list[int]]
             m[[r, pr]] = m[[pr, r]]
         piv = int(m[r, c])
         if piv != 1:
-            instrument.mul_counter.add(cols + instrument.inv_cost(p))
-            m[r] = m[r] * pow(piv, p - 2, p) % p
-        colv = m[:, c].copy()
-        colv[r] = 0
-        nzr = np.nonzero(colv)[0]
-        if len(nzr):
-            instrument.mul_counter.add(len(nzr) * cols)
-            m[nzr] = (m[nzr] - colv[nzr, None] * m[r][None, :]) % p
+            instrument.mul_counter.add(instrument.inv_cost(p))
+            piv = pow(piv, p - 2, p)
+        _column_step(m[None], r, c, np.array([piv]), p)
         pivots.append(c)
         r += 1
     return m, pivots
@@ -109,23 +133,16 @@ def mat_inv_stack(U: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     its singular members, whose slots hold zeros.
 
     One Gauss-Jordan elimination of [U | Id] runs on all members side by
-    side, pivoting and charging row operations as _rref does; a column's
-    pivots are inverted together.  A member with no pivot in some column
-    is singular and gets a stand-in pivot 1 so that the others run on.
-    A stack of 1 x 1 matrices skips the elimination: its nonzero members
-    are inverted by one ``field.inverses`` call, and charged just that.
+    side, pivoting as _rref does: for each column one ``field.inverses``
+    call inverts the members' pivots other than 1, and one
+    ``_column_step`` scales and clears.  A member with no pivot in some
+    column is singular and gets a stand-in pivot 1 so that the others run on.
     """
     n = U.shape[-1]
     if U.shape[-2] != n:
         raise ValueError("only square matrices are invertible")
     batch = U.shape[:-2]
-    if n == 1:
-        singular = U == 0
-        inv = np.zeros_like(U, dtype=_INT64)
-        inv[~singular] = inverses(U[~singular], p)
-        return inv, singular.reshape(batch)
-    cols = 2 * n
-    W = np.zeros((math.prod(batch), n, cols), dtype=_INT64)
+    W = np.zeros((math.prod(batch), n, 2 * n), dtype=_INT64)
     W[:, :, :n] = U.reshape(-1, n, n)
     W[:, :, n:] = np.eye(n, dtype=_INT64)
     singular = np.zeros(len(W), dtype=bool)
@@ -139,17 +156,10 @@ def mat_inv_stack(U: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
             dead = piv == 0
             singular |= dead
             W[dead, c, c] = 1
-        scale = np.flatnonzero(piv != 1)
-        if len(scale):
-            instrument.mul_counter.add(len(scale) * cols)
-            W[scale, c] = W[scale, c] * inverses(piv[scale], p)[:, None] % p
-        colv = W[:, :, c].copy()
-        colv[:, c] = 0
-        nnz = int(np.count_nonzero(colv))
-        if nnz:
-            instrument.mul_counter.add(nnz * cols)
-            W -= colv[:, :, None] * W[:, c : c + 1, :]
-            W %= p
+        f = np.ones(len(W), dtype=_INT64)
+        scale = piv != 1
+        f[scale] = inverses(piv[scale], p)
+        _column_step(W, c, c, f, p)
     inv = W[:, :, n:]
     inv[singular] = 0
     return inv.reshape(U.shape), singular.reshape(batch)

@@ -382,11 +382,7 @@ def newton_solve(A: SeriesMatrix, C: SeriesMatrix, N: int, ctx: QContext) -> Sol
     (this is distinct from returning None, which reports a consistent
     check that the equation itself has no solution).
     """
-    if N < 1:
-        raise ValueError("precision must be positive")
-    if A.prec < N or C.prec < N:
-        raise ValueError("operands known to lower precision than requested")
-    ctx.require_field(A, C)
+    ctx.require_operands(A, C, N)
     rep = good_spectrum(A.coefficient_array(0), ctx, N)
     if not rep.good:
         raise SpectrumError(f"no good spectrum at precision {N}: {rep.reason}")

@@ -70,15 +70,13 @@ class ProblemInstance:
         p = self.field.p
         if self.ctx.field.p != p:
             raise PreconditionError(f"context over p = {self.ctx.p} for a field over p = {p}")
-        self.ctx.require_field(self.A, self.C)
+        self.ctx.require_operands(self.A, self.C, self.N)
         if self.ctx.q == 1 and p <= self.N:
             raise PreconditionError(
                 f"q = 1 requires p > N for nonzero gamma values (p={p}, N={self.N})"
             )
-        if self.A.rows != self.n or self.A.cols != self.n or self.C.rows != self.n:
+        if self.A.rows != self.n:
             raise ValueError("coefficient shapes disagree with n")
-        if self.A.prec < self.N or self.C.prec < self.N:
-            raise ValueError("coefficients must be known at least mod x^N")
         self.A = self.A.truncate(self.N)
         self.C = self.C.truncate(self.N)
 
@@ -309,14 +307,19 @@ def dense_solve(inst: ProblemInstance) -> SolutionSpace | None:
     return resolve_affine_family(family, cons)
 
 
-def _check_indexable(n: int, N: int, error: type[QdsolveError]) -> None:
-    """Raise error when numpy cannot index the arrays of an n x n system mod x^N.
+def _check_indexable(k: int, n: int, N: int, error: type[QdsolveError]) -> None:
+    """Raise error unless k >= 0, n, N >= 1 and numpy can index the arrays
+    of an n x n system mod x^N.
 
     numpy refuses an array of more than intp-max bytes with a ValueError.
     The largest engine arrays, the transform's limb planes, take under 256
     bytes per coefficient of A, so a size that passes and still does not
     fit raises MemoryError instead.
     """
+    if k < 0:
+        raise error("k must be nonnegative")
+    if n < 1 or N < 1:
+        raise error("n and N must be positive")
     if 256 * n * n * N > np.iinfo(np.intp).max:
         raise error(f"n = {n} and N = {N} are too large: numpy cannot index arrays of that size")
 

@@ -123,11 +123,7 @@ def parse_problem(text: str) -> ProblemInstance:
     headers, blocks = _parse_document(text, int_headers={"p", "q", "k", "n", "N"})
     _require(headers, ("p", "q", "k", "n", "N"))
     p, q, k, n, N = (headers[key] for key in ("p", "q", "k", "n", "N"))
-    if k < 0:
-        raise ProblemFormatError("k must be nonnegative")
-    if n < 1 or N < 1:
-        raise ProblemFormatError("n and N must be positive")
-    _check_indexable(n, N, ProblemFormatError)
+    _check_indexable(k, n, N, ProblemFormatError)
     for nm, _d in blocks:
         if nm not in ("A", "C"):
             raise ProblemFormatError(f"unknown block name {nm!r}")

@@ -63,11 +63,20 @@ class QContext:
     def __repr__(self):
         return f"QContext(p={self.p}, q={self.q}, k={self.k})"
 
-    def require_field(self, *mats: SeriesMatrix) -> None:
-        """PreconditionError unless every series matrix is over this
-        context's field: an operand over another p states another equation."""
-        if any(m.p != self.p for m in mats):
-            raise PreconditionError(f"operands over p = {[m.p for m in mats]} in a context over p = {self.p}")
+    def require_operands(self, A: SeriesMatrix, C: SeriesMatrix, N: int) -> None:
+        """Refuse operands that do not state an equation mod x^N over this
+        context: PreconditionError unless A and C are over its p (an operand
+        over another p states another equation), ValueError unless N >= 1,
+        A is n x n with n >= 1, C is n x 1 and both are known mod x^N."""
+        if A.p != self.p or C.p != self.p:
+            raise PreconditionError(f"operands over p = {[A.p, C.p]} in a context over p = {self.p}")
+        if N < 1:
+            raise ValueError("precision must be positive")
+        if A.rows < 1 or A.cols != A.rows or C.rows != A.rows or C.cols != 1:
+            shapes = f"{A.rows} x {A.cols} and {C.rows} x {C.cols}"
+            raise ValueError(f"A must be n x n with n >= 1 and C n x 1, got {shapes}")
+        if A.prec < N or C.prec < N:
+            raise ValueError("operands known to lower precision than requested")
 
     def _grow(self, n: int):
         """Rebuild the gamma_i, q^i and q^(-i) tables to at least n entries,

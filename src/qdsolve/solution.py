@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import mulmod
-from .linalg import _rref, lin_solve
+from .linalg import _column_step, _rref, lin_solve
 from .polymat import SeriesMatrix
 
 _INT64 = np.int64
@@ -51,16 +50,19 @@ def _flatten_cols(m: SeriesMatrix) -> np.ndarray:
 
 
 def canonical_form(space: SolutionSpace) -> tuple[np.ndarray, np.ndarray]:
-    """(canonical basis rows, canonical particular) for set comparison."""
+    """(canonical basis rows, canonical particular) for set comparison.
+
+    The particular, stacked below the reduced basis rows, is reduced
+    modulo their row space by one column step per pivot.
+    """
     p = space.particular.p
     rows = _flatten_cols(space.basis) % p
-    red, pivots = _rref(rows.copy(), p, rows.shape[1])
-    red = red[: len(pivots)]
-    part = _flatten_cols(space.particular)[0] % p
+    red, pivots = _rref(rows, p, rows.shape[1])
+    W = np.vstack([red[: len(pivots)], _flatten_cols(space.particular) % p])[None]
+    unit = np.ones(1, dtype=_INT64)
     for i, c in enumerate(pivots):
-        if part[c]:
-            part = (part - mulmod(part[c], red[i], p)) % p
-    return red, part
+        _column_step(W, i, c, unit, p)
+    return W[0, :-1], W[0, -1]
 
 
 def spaces_equal(s1: SolutionSpace | None, s2: SolutionSpace | None) -> bool:

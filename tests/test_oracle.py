@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from qdsolve import oracle
+from qdsolve.dac import dac_solve
 from qdsolve.errors import PreconditionError
 from qdsolve.field import PrimeField
+from qdsolve.newton import newton_solve
 from qdsolve.oracle import (
     ProblemInstance,
     dense_solve,
@@ -282,6 +284,40 @@ def test_instance_refuses_operands_over_another_field():
         ProblemInstance(field, ctx, 2, 8, SeriesMatrix.zeros(101, 2, 2, 8), C)
     with pytest.raises(PreconditionError, match="context over p = 103"):
         ProblemInstance(field, QContext(PrimeField(103), 5, 1), 2, 8, A, C)
+
+
+def _series(p, rows, cols, prec, seed):
+    gen = np.random.default_rng(seed)
+    return SeriesMatrix(p, gen.integers(1, p, (rows, cols, prec)), prec)
+
+
+@pytest.mark.parametrize(
+    ("a_shape", "c_shape", "prec", "N"),
+    [
+        ((2, 2), (2, 3), 8, 8),  # C with three columns
+        ((2, 2), (3, 1), 8, 8),  # C with three rows
+        ((2, 3), (2, 1), 8, 8),  # A not square
+        ((0, 0), (0, 1), 4, 4),  # n = 0
+        ((2, 2), (2, 1), 8, 0),  # N = 0
+        ((2, 2), (2, 1), 4, 8),  # known to lower precision than N
+    ],
+    ids=["C_2x3", "C_3x1", "A_2x3", "n0", "N0", "low_prec"],
+)
+def test_every_entry_point_refuses_malformed_operands(a_shape, c_shape, prec, N):
+    # one check, before any arithmetic: a wide C used to give a space whose
+    # basis fails the equation, and the other cases numpy's or Python's errors
+    field = PrimeField(101)
+    ctx = QContext(field, 5, 1)
+    A, C = _series(101, *a_shape, prec, 1), _series(101, *c_shape, prec, 2)
+    entry_points = [
+        lambda: ProblemInstance(field, ctx, a_shape[0], N, A, C),
+        lambda: dac_solve(A, C, N, ctx),
+        lambda: newton_solve(A, C, N, ctx),
+    ]
+    for solve in entry_points:
+        with pytest.raises(ValueError, match="precision|n x n") as err:
+            solve()
+        assert type(err.value) is ValueError
 
 
 def test_instance_validation():

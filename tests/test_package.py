@@ -135,7 +135,7 @@ def test_modular_pow_only_where_charged():
 # window, gamma and table products reduced together
 _CHARGING_KERNELS = {
     ("field.py", "mulmod"), ("field.py", "inverses"),
-    ("convolution.py", "_matmul_mod"), ("linalg.py", "_rref"), ("linalg.py", "mat_inv_stack"),
+    ("convolution.py", "_matmul_mod"), ("linalg.py", "_rref"), ("linalg.py", "_column_step"),
     ("convolution.py", "_conv_direct"), ("convolution.py", "_conv_ntt"),
     ("convolution.py", "_step_mod"),
 }

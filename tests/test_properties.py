@@ -383,13 +383,20 @@ def test_mat_inv_stack_matches_mat_inv(case):
     charged = instrument.mul_counter.value - before
     assert type(charged) is int  # charges stay Python ints
     if n == 1:
-        # a 1 x 1 stack is one field.inverses call over its nonzero members
-        m = int(np.count_nonzero(U))
-        assert charged == (3 * (m - 1) + instrument.inv_cost(p) if m else 0)
+        # like every size, a 1 x 1 stack skips its unit and singular members:
+        # each other one is a row of 2 scaled, after one field.inverses call
+        m = int(np.count_nonzero(U > 1))
+        assert charged == (2 * m + 3 * (m - 1) + instrument.inv_cost(p) if m else 0)
     assert sing[forced].all()
     inv2, sing2 = mat_inv_stack(U.reshape(1, b, n, n), p)
     assert np.array_equal(inv2[0], inv) and np.array_equal(sing2[0], sing)
     eye = np.eye(n, dtype=np.int64)
+    # identity members change neither the others' inverses nor the charge
+    before = instrument.mul_counter.value
+    inv3, sing3 = mat_inv_stack(np.concatenate([U, np.broadcast_to(eye, (3, n, n))]), p)
+    assert instrument.mul_counter.value - before == charged
+    assert np.array_equal(inv3[:b], inv) and np.array_equal(inv3[b:], np.broadcast_to(eye, (3, n, n)))
+    assert np.array_equal(sing3, np.concatenate([sing, np.zeros(3, dtype=bool)]))
     for j in range(b):
         rank = len(_rref(U[j].copy(), p, n)[1])
         assert bool(sing[j]) == (rank < n)
