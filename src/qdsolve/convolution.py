@@ -56,7 +56,20 @@ backend.  A modulus at or above the ceiling 2^31 of the int64 kernels
 on, is also the one matrix product of the package's other modules.
 ``_step_mod`` is one step of the step kernel (``oracle._solve_term_by_term``):
 its window product, gamma term and product with the step table's inverse
-as one call, under ``_matmul_mod``'s overflow rule and charge.
+as one call, charged as ``_matmul_mod`` would charge them.  A window of
+m < ``_overflow_step(p)`` columns is one int64 product, reduced once
+with the right side and the gamma term.  A longer one reads the
+coefficient block the kernel split into limbs once per call
+(``_limb_stack``), not the history: the k limbs of b bits are stacked as
+one (k n, M) array, so the window is one product of its last m columns
+with the history, whose k limb rows are combined by Horner's rule mod p,
+the right side c and the gamma term g h added before the last
+reduction.  Each limb sum is below m 2^b (p - 1), so that last sum lies
+in [-(p - 1)^2, (m + 1) 2^b (p - 1)], and k is the fewest limbs,
+b = ceil(bits(p - 1) / k), for which (M + 1) 2^b (p - 1) < 2^63 holds
+for the longest window M: two limbs hold up to M = 4,194,302 at
+p = 134217757 and up to M = 65,535 at p = 2^31 - 1, where three hold up
+to M = 2,097,151.
 
 ``TRANSFORM_CUTOFF`` depends on the shorter operand's length only, not
 on the number of coefficient pairs or of entries: a 64 x 65536 product
@@ -220,20 +233,47 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def _limb_stack(a: np.ndarray, p: int) -> tuple[np.ndarray, int] | None:
+    """(S, b): the (n, M) block a of canonical residues split into k limbs
+    of b bits, limb i (bits i b .. (i + 1) b) in rows i n .. (i + 1) n of S.
+
+    k is the fewest limbs, b = ceil(bits(p - 1) / k), for which
+    (M + 1) 2^b (p - 1) < 2^63, so that every window of at most M columns
+    meets ``_step_mod``'s bound.  None when even the M-column window fits
+    one int64 sum (M < ``_overflow_step(p)``), since no step splits then.
+    """
+    n, M = a.shape
+    if M < _overflow_step(p):
+        return None
+    bits = (p - 1).bit_length()
+    for k in range(1, bits + 1):
+        b = -(-bits // k)
+        if ((M + 1) << b) * (p - 1) < 2**63:
+            shifts = b * np.arange(k, dtype=_INT64)[:, None, None]
+            return ((a >> shifts) & ((1 << b) - 1)).reshape(k * n, M), b
+    raise PreconditionError(f"no limb split keeps a window of {M} terms below 2^63 at p = {p}")
+
+
 def _step_mod(
-    a: np.ndarray, f: np.ndarray, c: np.ndarray, g: int, h: np.ndarray | None,
-    inv: np.ndarray | None, p: int,
+    a: np.ndarray, limbs: tuple[np.ndarray, int] | None, f: np.ndarray, c: np.ndarray,
+    g: int, h: np.ndarray | None, inv: np.ndarray | None, p: int,
 ) -> np.ndarray:
     """inv @ ((c + a @ f - g h) mod p) mod p: one step of the step kernel.
 
     c (n, w) is the step's canonical right side, a (n, m) @ f (m, w) its
     window sum (m = 0 for none) and g h its k > 1 gamma term (h None for
     none).  inv None returns the reduced right side itself.  The sum is
-    reduced once when its m + 1 products fit an int64 sum (``_overflow_step``);
-    otherwise the window product goes through ``_matmul_mod`` first, and
-    so does the product with inv when its n terms do not fit.  Charged as
-    ``_matmul_mod`` would charge the two products, n w m and n n w, plus
-    n w for the gamma term.
+    reduced once when its m + 1 products fit an int64 sum, m < step =
+    ``_overflow_step(p)``.  A longer window reads limbs = (S, b) instead of
+    a: the limb stack (``_limb_stack``) of a block whose last m columns are
+    a, made once per kernel call.  One product S[:, -m:] @ f forms the
+    limb sums P_0 .. P_(k-1), each below m 2^b (p - 1), and Horner's rule
+    r = (r 2^b + P_i) mod p combines them from the top, with c - g h added
+    to the last term before the one reduction that ends the sum; it lies in
+    [-(p - 1)^2, (m + 1) 2^b (p - 1)], inside int64 by the limb count.
+    The product with inv goes through ``_matmul_mod`` when its n terms do
+    not fit one sum.  Charged as ``_matmul_mod`` would charge the two
+    products, n w m and n n w, plus n w for the gamma term.
     """
     step = _overflow_step(p)
     m = a.shape[1]
@@ -244,7 +284,14 @@ def _step_mod(
         r = c + a @ f
         muls = r.size * m
     else:
-        r = c + _matmul_mod(a, f, p)
+        S, b = limbs
+        prod = S[:, S.shape[1] - m :] @ f
+        n = len(c)
+        r = 0  # Horner's rule over limbs k - 1 .. 1, each step reduced
+        for i in range(len(prod) - n, 0, -n):
+            r = ((r << b) + prod[i : i + n]) % p
+        r = (r << b) + prod[:n] + c
+        muls = r.size * m
     if h is not None:
         r = r - g * h
         muls += r.size

@@ -9,7 +9,11 @@ backends; ``linalg._column_step``, the one Gauss-Jordan column step, and
 ``convolution._step_mod``, one step of the step kernel, which charges
 its window product, its gamma product and its product with the
 step table's inverse, reduced together.  Limb splitting and other int64
-overflow tricks are representation details and are not double-counted.
+overflow tricks are representation details and are not double-counted:
+``_step_mod`` charges n w m for an m-term window whether it forms it as
+one int64 product or as one product of the limb stack the step kernel
+split once per call, and ``_matmul_mod`` its product once however many
+limbs or chunks it takes.
 Inversions count the square-and-multiply cost of Fermat exponentiation;
 m inversions batched by ``field.inverses`` count one such power and
 3(m - 1) products.  Uncharged on purpose are ``field.powers`` and

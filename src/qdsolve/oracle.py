@@ -27,6 +27,8 @@ steps and hands each leaf its slice; ``dense_solve`` and PolCoeffsDE let
 the kernel build its own.  Each step is one ``convolution._step_mod``
 call, which for a step the table inverts is also the product with the
 table; any other step is then one elimination on its folded step matrix.
+The coefficient block the windows read is split into limbs once per call,
+never per step, when its longest window does not fit one int64 sum.
 
 ``residual``, which ``qdsolve check`` refutes solutions with, forms its
 product A sigma(F) by Kronecker substitution in Python integers
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import _matmul_mod, _step_mod
+from .convolution import _limb_stack, _matmul_mod, _step_mod
 from .errors import PreconditionError, QdsolveError
 from .field import PrimeField, mulmod
 from .linalg import _affine_solve, mat_inv_stack
@@ -71,10 +73,6 @@ class ProblemInstance:
         if self.ctx.field.p != p:
             raise PreconditionError(f"context over p = {self.ctx.p} for a field over p = {p}")
         self.ctx.require_operands(self.A, self.C, self.N)
-        if self.ctx.q == 1 and p <= self.N:
-            raise PreconditionError(
-                f"q = 1 requires p > N for nonzero gamma values (p={p}, N={self.N})"
-            )
         if self.A.rows != self.n:
             raise ValueError("coefficient shapes disagree with n")
         self.A = self.A.truncate(self.N)
@@ -218,14 +216,20 @@ def _solve_term_by_term(
 
     so every step reads the one history array F, and the window sum is one
     product of Ah_D .. Ah_1 side by side with the stacked F_(j-D) .. F_(j-1).
-    At q = 1 there is nothing to fold.
+    At q = 1 there is nothing to fold.  Right after the fold the block
+    [Ah_(La-1) | ... | Ah_1] is split into limbs once
+    (``convolution._limb_stack``), as many as its longest window needs to
+    stay inside int64 with the right side and the gamma term; a step whose
+    window does not fit one int64 sum reads its columns of that limb stack
+    instead of splitting F.  When every window fits, nothing is split.
 
     The step table (``step_table``) of steps [i, i + N) holds the Mh_g and
     their inverses; it is handed in, as a divide-and-conquer solve hands
     each leaf its slice of the one table it builds, or built here.  One
     loop runs the steps in order: an unmarked step is one
-    ``convolution._step_mod`` call (window product, gamma term, one
-    reduction and the product with inv[j]), a marked one forms R_j by the
+    ``convolution._step_mod`` call (window product, on the limb stack when
+    the window is long, gamma term, one reduction and the product with
+    inv[j]), a marked one forms R_j by the
     same call and is one ``linalg._affine_solve`` of Mh_g F_j = R_j, whose
     particular/nullspace block is F_j, so each free column of a singular
     Mh_g becomes a new parameter, and each nonzero leftover row an affine
@@ -258,6 +262,7 @@ def _solve_term_by_term(
     if ctx.q != 1:
         Acat = mulmod(Acat, np.repeat(ctx.qinv_pow_slice(La)[La - 1 : 0 : -1], n), p)
         F[: Lc * n] = mulmod(F[: Lc * n], np.repeat(ctx.qinv_pow_slice(i + Lc)[i:], n)[:, None], p)
+    limbs = _limb_stack(Acat, p)
     gam = []
     if k > 1:  # q^(-g) gamma_(g-k+1) at j - k + 1
         gam = ctx.gamma_slice(i + N)[i : i + max(N - k + 1, 0)]
@@ -279,7 +284,7 @@ def _solve_term_by_term(
         D = min(j, La - 1)
         h = Fw[r - back : r - back + n] if k > 1 and j >= k - 1 else None
         fi = _step_mod(
-            Acat[:, (La - 1 - D) * n :], Fw[r - D * n : r], Fw[r : r + n],
+            Acat[:, (La - 1 - D) * n :], limbs, Fw[r - D * n : r], Fw[r : r + n],
             gam[j - k + 1] if h is not None else 0, h, None if elim[j] else inv[j], p,
         )
         if elim[j]:

@@ -67,7 +67,9 @@ class QContext:
         """Refuse operands that do not state an equation mod x^N over this
         context: PreconditionError unless A and C are over its p (an operand
         over another p states another equation), ValueError unless N >= 1,
-        A is n x n with n >= 1, C is n x 1 and both are known mod x^N."""
+        A is n x n with n >= 1, C is n x 1 and both are known mod x^N, and
+        PreconditionError when q = 1 and p <= N (gamma_i = i vanishes at
+        i = p), the one q = 1 policy of every entry point."""
         if A.p != self.p or C.p != self.p:
             raise PreconditionError(f"operands over p = {[A.p, C.p]} in a context over p = {self.p}")
         if N < 1:
@@ -77,6 +79,10 @@ class QContext:
             raise ValueError(f"A must be n x n with n >= 1 and C n x 1, got {shapes}")
         if A.prec < N or C.prec < N:
             raise ValueError("operands known to lower precision than requested")
+        if self.q == 1 and self.p <= N:
+            raise PreconditionError(
+                f"q = 1 requires p > N for nonzero gamma values (p={self.p}, N={N})"
+            )
 
     def _grow(self, n: int):
         """Rebuild the gamma_i, q^i and q^(-i) tables to at least n entries,

@@ -1,7 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
-from qdsolve import oracle
+from qdsolve import convolution, oracle
 from qdsolve.dac import dac_solve
 from qdsolve.errors import PreconditionError
 from qdsolve.field import PrimeField
@@ -136,6 +138,35 @@ def test_dense_routes_agree_at_p_2_31_minus_1():
             assert spaces_equal(s_mat, s_step), (seed, k)
             if s_mat is not None:
                 assert residual(s_mat.particular, inst).is_zero()
+
+
+def test_step_loop_splits_coefficients_once_per_call():
+    # n = 1, N = 1024, p = 134217757: windows of 255 terms and more do not
+    # fit one int64 sum, and the kernel splits the coefficient block into
+    # limbs once, not the history once per step, so no step reaches
+    # _matmul_mod for its window
+    inst = random_instance(35, 134217757, 1, 1024, 1, "random")
+    calls = {"split": 0, "steps": 0, "step_matmul": 0}
+    step = convolution._step_mod.__code__
+
+    def count(frame, event, arg):
+        if event != "call":
+            return
+        code = frame.f_code
+        if code is convolution._limb_stack.__code__:
+            calls["split"] += 1
+        elif code is step:
+            calls["steps"] += 1
+        elif code is convolution._matmul_mod.__code__ and frame.f_back.f_code is step:
+            calls["step_matmul"] += 1
+
+    sys.setprofile(count)
+    try:
+        space = dense_solve(inst)
+    finally:
+        sys.setprofile(None)
+    assert space is not None and residual(space.particular, inst).is_zero()
+    assert calls == {"split": 1, "steps": 1024, "step_matmul": 0}
 
 
 def test_dense_residuals_always_zero():
@@ -292,22 +323,26 @@ def _series(p, rows, cols, prec, seed):
 
 
 @pytest.mark.parametrize(
-    ("a_shape", "c_shape", "prec", "N"),
+    ("a_shape", "c_shape", "prec", "N", "q", "error", "match"),
     [
-        ((2, 2), (2, 3), 8, 8),  # C with three columns
-        ((2, 2), (3, 1), 8, 8),  # C with three rows
-        ((2, 3), (2, 1), 8, 8),  # A not square
-        ((0, 0), (0, 1), 4, 4),  # n = 0
-        ((2, 2), (2, 1), 8, 0),  # N = 0
-        ((2, 2), (2, 1), 4, 8),  # known to lower precision than N
+        ((2, 2), (2, 3), 8, 8, 5, ValueError, "n x n"),  # C with three columns
+        ((2, 2), (3, 1), 8, 8, 5, ValueError, "n x n"),  # C with three rows
+        ((2, 3), (2, 1), 8, 8, 5, ValueError, "n x n"),  # A not square
+        ((0, 0), (0, 1), 4, 4, 5, ValueError, "n x n"),  # n = 0
+        ((2, 2), (2, 1), 8, 0, 5, ValueError, "precision"),  # N = 0
+        ((2, 2), (2, 1), 4, 8, 5, ValueError, "precision"),  # known to lower precision than N
+        ((2, 2), (2, 1), 150, 101, 1, PreconditionError, "q = 1 requires p > N"),  # p = N
+        ((2, 2), (2, 1), 150, 150, 1, PreconditionError, "q = 1 requires p > N"),  # p < N
     ],
-    ids=["C_2x3", "C_3x1", "A_2x3", "n0", "N0", "low_prec"],
+    ids=["C_2x3", "C_3x1", "A_2x3", "n0", "N0", "low_prec", "q1_N101", "q1_N150"],
 )
-def test_every_entry_point_refuses_malformed_operands(a_shape, c_shape, prec, N):
+def test_every_entry_point_refuses_malformed_operands(a_shape, c_shape, prec, N, q, error, match):
     # one check, before any arithmetic: a wide C used to give a space whose
-    # basis fails the equation, and the other cases numpy's or Python's errors
+    # basis fails the equation, and the other cases numpy's or Python's
+    # errors; q = 1 with p <= N used to be refused by ProblemInstance alone,
+    # while dac_solve answered and newton_solve raised SpectrumError
     field = PrimeField(101)
-    ctx = QContext(field, 5, 1)
+    ctx = QContext(field, q, 1)
     A, C = _series(101, *a_shape, prec, 1), _series(101, *c_shape, prec, 2)
     entry_points = [
         lambda: ProblemInstance(field, ctx, a_shape[0], N, A, C),
@@ -315,9 +350,9 @@ def test_every_entry_point_refuses_malformed_operands(a_shape, c_shape, prec, N)
         lambda: newton_solve(A, C, N, ctx),
     ]
     for solve in entry_points:
-        with pytest.raises(ValueError, match="precision|n x n") as err:
+        with pytest.raises(error, match=match) as err:
             solve()
-        assert type(err.value) is ValueError
+        assert type(err.value) is error
 
 
 def test_instance_validation():

@@ -7,7 +7,9 @@ builds itself, the step table against the unfolded step matrices, every
 engine answer against the
 independent residual, every route of SeriesMatrix.mul and the batched
 _matmul_mod against Python-int products, QContext.theta against the
-composed delta, shift and sigma chain, the stacked inverse against
+composed delta, shift and sigma chain, one step of the step kernel on
+its coefficient block split into limbs once against Python ints, the
+stacked inverse against
 mat_inv, good_spectrum against the gcd criterion it replaced, its q = 1,
 k > 1 clause and diagonalize against Python-int gcds and known spectra,
 its chi(Y_i) table against Horner at each step matrix, and the scalar
@@ -473,6 +475,93 @@ def test_matmul_mod_inner_one_matches_matmul(a_shape, b_shape):
     assert np.array_equal(got, want.astype(np.int64))
     assert np.array_equal(got, a @ b % p)
     assert charged == want.size
+
+
+def _check_step_mod(block, m, f, c, g, h, inv, p):
+    """_step_mod on the last m columns of block, split once by _limb_stack,
+    against inv (c + a f - g h) mod p in Python ints, with its charge
+    n w m + [gamma term] n w + [inv] n n w; returns the limb stack."""
+    limbs = convolution._limb_stack(block, p)
+    M, bits = block.shape[1], (p - 1).bit_length()
+    if M < convolution._overflow_step(p):
+        assert limbs is None
+    else:
+        # the limb-count rule: the fewest b-bit limbs, b = ceil(bits / k),
+        # that keep (M + 1) 2^b (p - 1) below 2^63
+        k, b = len(limbs[0]) // len(block), limbs[1]
+        assert b == -(-bits // k) and (M + 1) * 2**b * (p - 1) < 2**63
+        assert k == 1 or (M + 1) * 2 ** -(-bits // (k - 1)) * (p - 1) >= 2**63
+        radix = 2 ** (b * np.arange(k, dtype=object))
+        assert np.array_equal(radix @ limbs[0].reshape(k, -1).astype(object), block.ravel())
+    a = block[:, block.shape[1] - m :]
+    n, w = c.shape
+    before = instrument.mul_counter.value
+    got = convolution._step_mod(a, limbs, f, c, g, h, inv, p)
+    charged = instrument.mul_counter.value - before
+    want = c.astype(object) + a.astype(object) @ f.astype(object)
+    if h is not None:
+        want = want - g * h.astype(object)
+    want = want % p
+    if inv is not None:
+        want = inv.astype(object) @ want % p
+    assert got.dtype == np.int64 and got.shape == (n, w)
+    assert np.array_equal(got, want.astype(np.int64))
+    assert charged == n * w * m + (h is not None) * n * w + (inv is not None) * n * n * w
+    return limbs
+
+
+@st.composite
+def step_mod_cases(draw):
+    """One step of the step kernel: a window of m = step - 1, step or
+    step + 1 columns (step = _overflow_step(p)) at the primes where that is
+    a few hundred or fewer, a short one at the others, taken from the end of
+    a coefficient block of up to 3 more columns; at times every operand is
+    p - 1, and the gamma term and the table inverse are each present or not."""
+    p = draw(st.sampled_from(PRIMES))
+    step = convolution._overflow_step(p)
+    m = step + draw(st.integers(-1, 1)) if step <= 256 else draw(st.integers(0, 40))
+    n, w, M = draw(st.integers(1, 3)), draw(st.integers(1, 3)), m + draw(st.integers(0, 3))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    extreme = draw(st.booleans())
+
+    def residues(*shape):
+        if extreme:
+            return np.full(shape, p - 1, dtype=np.int64)
+        x = gen.integers(0, p, shape)
+        x[gen.random(shape) < 0.2] = p - 1
+        return x
+
+    block, f, c = residues(n, M), residues(m, w), residues(n, w)
+    h = residues(n, w) if draw(st.booleans()) else None
+    g = (p - 1 if extreme else int(gen.integers(0, p))) if h is not None else 0
+    inv = residues(n, n) if draw(st.booleans()) else None
+    return block, m, f, c, g, h, inv, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(step_mod_cases())
+def test_step_mod_on_split_window_matches_python_ints(case):
+    _check_step_mod(*case)
+
+
+@pytest.mark.parametrize("extreme", [True, False])
+@pytest.mark.parametrize("gamma", [True, False])
+@pytest.mark.parametrize("table", [True, False])
+def test_step_mod_past_two_limbs(extreme, gamma, table):
+    # n = 1 at p = 2^31 - 1: two 16-bit limbs hold windows up to 65,535
+    # terms, so a 70,000-term window takes three
+    p, m = 2**31 - 1, 70_000
+    gen = np.random.default_rng(35)
+
+    def residues(*shape):
+        return np.full(shape, p - 1, dtype=np.int64) if extreme else gen.integers(0, p, shape)
+
+    h = residues(1, 1) if gamma else None
+    limbs = _check_step_mod(
+        residues(1, m), m, residues(m, 1), residues(1, 1), p - 1 if gamma else 0, h,
+        residues(1, 1) if table else None, p,
+    )
+    assert len(limbs[0]) == 3
 
 
 def _pscale_arg(f, s, p):
