@@ -100,8 +100,11 @@ def _cmd_solve(args) -> int:
         if args.algo == "dac":
             R = singular_indices(char_poly(inst.A.coefficient_array(0), inst.p), inst.ctx, inst.N)
             if len(R) > 1:
+                # the count, and the first few indices: all N of them when
+                # k > 1 and A0 is singular
+                shown = ", ".join(map(str, R[:10])) + (", ..." if len(R) > 10 else "")
                 print(
-                    f"warning: {len(R)} singular indices {R}; "
+                    f"warning: {len(R)} singular indices [{shown}]; "
                     "the divide-and-conquer cost bound assumes at most one",
                     file=sys.stderr,
                 )

@@ -71,14 +71,13 @@ def _widen(M: SeriesMatrix, width: int) -> SeriesMatrix:
 
 
 def rdac(
-    A: SeriesMatrix, C: SeriesMatrix, i: int, N: int, ctx: QContext, table: StepTable | None = None
+    A: SeriesMatrix, C: SeriesMatrix, i: int, N: int, ctx: QContext, table: StepTable
 ) -> tuple[SeriesMatrix, list[np.ndarray], list[int]]:
     """Recursive halving pass at base index i: (family, constraints, singular steps).
 
     Halves N until N <= DAC_LEAF and solves each leaf with the step
     kernel at the leaf's base index, on its slice of table, the
-    step table of steps [i, i + N); without one each leaf builds
-    its own.  Contract: C has
+    step table of steps [i, i + N).  Contract: C has
     precision >= N; the family has precision N and at least C's columns,
     and coefficient j of op_E vanishes for every i + j that is not a
     singular step once the constraints hold.
@@ -87,11 +86,10 @@ def rdac(
         F, cons, sing = _solve_term_by_term(A, C, N, ctx, i, table)
     else:
         m = (N + 1) // 2
-        low, high = (None, None) if table is None else (table[:m], table[m:])
-        H, cons, sing = rdac(A.truncate(m), C.truncate(m), i, m, ctx, low)
+        H, cons, sing = rdac(A.truncate(m), C.truncate(m), i, m, ctx, table[:m])
         Hp = H.as_poly_prec(N)
         D = -op_E(A, Hp, _widen(C.truncate(N), H.cols), i, ctx, N, m)
-        K, cons_K, sing_K = rdac(A.truncate(N - m), D, i + m, N - m, ctx, high)
+        K, cons_K, sing_K = rdac(A.truncate(N - m), D, i + m, N - m, ctx, table[m:])
         F = _widen(Hp, K.cols) + K.shift(m)
         cons += cons_K
         sing += sing_K

@@ -29,7 +29,7 @@ import numpy as np
 from . import instrument
 from .convolution import _matmul_mod, conv_trunc
 from .errors import InternalInvariantError
-from .field import inverses, mulmod
+from .field import inverses
 
 _INT64 = np.int64
 
@@ -246,15 +246,12 @@ def sylvester_tables(V: np.ndarray, chi: list[int], p: int) -> tuple[np.ndarray,
 
 
 def sylvester_solve(
-    Y, V: np.ndarray, Z: np.ndarray, p: int,
-    m_inv: np.ndarray, tables: tuple[np.ndarray, np.ndarray],
+    Y: np.ndarray, V: np.ndarray, Z: np.ndarray, p: int, m_inv: np.ndarray, D: np.ndarray
 ) -> np.ndarray:
     """The unique X with Y X - X V = Z, by the Cayley-Hamilton identity.
 
     Z is an n x n matrix or a stack (..., n, n) of them, solved side by
-    side against the one n x n matrix V.  Y is a matrix or stack shaped
-    like Z or, for one matrix Z, the row (s, s^2, ..., s^(n-1)) of powers
-    of a scalar s standing for Y = s V (the row (s) when n = 1).  With
+    side against the one n x n matrix V, and Y is shaped like Z.  With
     c = char_poly(V) = (c_0, ..., c_n), c_n = 1, the equation gives
     Y^j X - X V^j = sum_{l<j} Y^(j-1-l) Z V^l, and chi_V(V) = 0 turns the
     c-weighted sum of these into
@@ -262,43 +259,27 @@ def sylvester_solve(
         chi_V(Y) X = S = sum_a Y^a Z D_a,   D_a = sum_l c_(a+l+1) V^l.
 
     The D_a are polynomials in V alone, so all the Z D_a are one product
-    with the table [D_0 | ... | D_(n-2)], and Z D_(n-1) = Z.  For a matrix
-    Y, S is then Horner in Y, n - 1 products.  For Y = s V,
-    S = Z D_0 + [V^1 | ... | V^(n-1)] times the stacked s^a Z D_a, a >= 1:
-    one product, whose scalings read s^a from the row.  X is
-    chi_V(Y)^(-1) S, one more.  Each member costs
-    O(n^4) and no eigenvalues are needed, so it works over any field.
+    with the table [D_0 | ... | D_(n-2)], and Z D_(n-1) = Z; S is then
+    Horner in Y, n - 1 products, and X is chi_V(Y)^(-1) S, one more.  Each
+    member costs O(n^4) and no eigenvalues are needed, so it works over
+    any field.
 
-    m_inv must be chi_V(Y)^(-1), shaped like Z, and tables
-    sylvester_tables(V, char_poly(V), p); a caller solving many steps
+    m_inv must be chi_V(Y)^(-1), shaped like Z, and D the right-side table
+    of sylvester_tables(V, char_poly(V), p); a caller solving many steps
     against one V forms both once.  chi_V(Y) is invertible exactly when
     Spec(Y) and Spec(V) are disjoint, which the singular mask of the
     ``mat_inv_stack`` that forms m_inv decides.
     """
     n = V.shape[0]
-    scaled = np.ndim(Y) == 1
-    if V.shape != (n, n) or Z.shape[-2:] != (n, n) or Z.shape != ((n, n) if scaled else np.shape(Y)):
+    if V.shape != (n, n) or Z.shape[-2:] != (n, n) or Z.shape != Y.shape:
         raise ValueError("Sylvester solve needs equally sized square matrices")
-    if scaled and len(Y) != max(n - 1, 1):
-        raise ValueError("a scaled Sylvester solve needs the powers s .. s^(n-1)")
-    P, D = tables
     S = Z
     if n > 1:
         ZD = _matmul_mod(Z, D[:, : (n - 1) * n], p)  # [Z D_0 | ... | Z D_(n-2)]
-        if scaled:
-            # s^a Z D_a for a = 1 .. n-1, stacked down the rows
-            W = np.concatenate([ZD[:, n:], Z], axis=1).reshape(n, n - 1, n)
-            W = mulmod(W, Y[:, None], p).swapaxes(0, 1).reshape((n - 1) * n, n)
-            S = (ZD[:, :n] + _matmul_mod(P[:, n:], W, p)) % p
-        else:
-            for a in range(n - 2, -1, -1):
-                S = (_matmul_mod(Y, S, p) + ZD[..., a * n : (a + 1) * n]) % p
+        for a in range(n - 2, -1, -1):
+            S = (_matmul_mod(Y, S, p) + ZD[..., a * n : (a + 1) * n]) % p
     X = _matmul_mod(m_inv, S, p)
     if instrument.checks_enabled():
-        if scaled:
-            YX = mulmod(Y[0], _matmul_mod(V, X, p), p)
-        else:
-            YX = _matmul_mod(Y, X, p)
-        if not np.array_equal((YX - _matmul_mod(X, V, p)) % p, Z):
+        if not np.array_equal((_matmul_mod(Y, X, p) - _matmul_mod(X, V, p)) % p, Z):
             raise InternalInvariantError("Sylvester residual nonzero")
     return X

@@ -1,39 +1,42 @@
 """Newton-iteration solver: gauge to polynomial coefficients and back.
 
 The pipeline: pick (B, V) with A sigma(V) = V B mod x^k and V_0
-invertible, lift V to an invertible W solving the associated equation
-x^k delta(W) = A sigma(W) - W B mod x^N by a precision-doubling
-iteration (each step solves an auxiliary equation whose right side is
-the current residual), then solve the polynomial-coefficient equation
-x^k delta(Y) = B sigma(Y) + Gamma coefficient by coefficient and return
-(W Y, W M).  The right side Gamma = W^(-1) C is lifted as C's column
-(``_lift_column``): W^(-1) is refined only to ceil(N/2) coefficients,
-and one error-window correction takes Gamma from there to x^N, so the
-last half of the precision costs n x n by n x 1 products, O(n^2 M(N)),
-instead of a full n x n inverse refresh.  PolCoeffsDE calls the dense
-oracle's step kernel (oracle._solve_term_by_term), so its singular steps
-get the same exact parameter and constraint treatment.  The kernel
-folds the twist q^g of step g out of the whole step, so its step table
-holds the folded step matrices, gamma_g q^(-g) Id - B_0 for k = 1 and
-the one matrix -B_0 for k > 1, with their inverses from one stacked
-elimination; for k > 1 every step reads one history array and is one
-window product and one product with -B_0^(-1).  For k = 1, B is
-constant and no step of that solve reads another, so the nonsingular
-steps are one stacked product and the kernel's loop eliminates only the
-singular ones.
+invertible (``choose_associated``), lift V to an invertible W solving
+the associated equation x^k delta(W) = A sigma(W) - W B mod x^N by a
+precision-doubling iteration (each step solves an auxiliary equation
+whose right side is the current residual), then solve the
+polynomial-coefficient equation x^k delta(Y) = B sigma(Y) + Gamma
+coefficient by coefficient and return (W Y, W M).  For k = 1 and for
+every q != 1, B = A0 is constant and V_0 = Id; only q = 1, k > 1 needs
+the splitting lemma, whose B is diagonal of degree < k.  The right side
+Gamma = W^(-1) C is lifted as C's column (``_lift_column``): W^(-1) is
+refined only to ceil(N/2) coefficients, and one error-window correction
+takes Gamma from there to x^N, so the last half of the precision costs
+n x n by n x 1 products, O(n^2 M(N)), instead of a full n x n inverse
+refresh.  PolCoeffsDE calls the dense oracle's step kernel
+(oracle._solve_term_by_term), so its singular steps get the same exact
+parameter and constraint treatment.  The kernel folds the twist q^g of
+step g out of the whole step, so its step table holds the folded step
+matrices, gamma_g q^(-g) Id - B_0 for k = 1 and the one matrix -B_0 for
+k > 1, with their inverses from one stacked elimination; for k > 1
+every step reads one history array and is one product with -B_0^(-1),
+after a window product when B is the splitting lemma's polynomial.  For
+k = 1 no step of that solve reads another, so the nonsingular steps are
+one stacked product and the kernel's loop eliminates only the singular
+ones.
 
 The good-spectrum condition is a hard precondition here: it makes every
-per-coefficient Sylvester step Y_i X - X B0 = Z_i uniquely solvable.
+per-coefficient Sylvester step Y_i X - X B0 = Z_i uniquely solvable,
+with Y_i = q^i B0 - gamma_i Id for k = 1 and q^i B0 for k > 1, q != 1.
 Each step is solved by the Cayley-Hamilton identity
 chi_B0(Y_i) X = sum_a Y_i^a Z_i D_a (see linalg.sylvester_solve), with
 chi_B0 = chi_A0, D_a polynomials in B0, and the inverses of every
-chi_B0(Y_i), B0's powers and the D_a taken from the spectrum report, all
-formed once per solve.  For k = 1 the steps of a ladder level are
-independent and the level is one stacked solve, Horner in the stacked
-Y_i.  For k > 1, q != 1 the window sum links them and each step is one
-solve; there Y_i = q^i B0, so a step is three products: Z_i against the
-D_a, B0's powers against the q^(ia)-scaled results, and
-chi_B0(Y_i)^(-1).  For q = 1, k > 1, B is diagonal with distinct
+chi_B0(Y_i) and the D_a taken from the spectrum report, all formed once
+per solve.  Since B is constant, step i of the auxiliary equation reads
+only step i - k + 1: for k = 1 the steps of a ladder level are
+independent and the level is one stacked solve, and for k > 1 each run
+of k - 1 steps is one, Horner in the stacked Y_i.  The same steps with
+i < k build V.  For q = 1, k > 1, B is diagonal with distinct
 constant entries b_i0, so no entry of the auxiliary equation involves
 another (diff_sylvester_differential):
 diagonal entries are integrals, and all off-diagonal ones run
@@ -71,17 +74,48 @@ from .spectrum import SpectrumReport, diagonalize, good_spectrum, step_matrices
 _INT64 = np.int64
 
 
-def choose_associated(A: SeriesMatrix, ctx: QContext) -> tuple[SeriesMatrix, SeriesMatrix]:
-    """Polynomials (B, V) of degree < k with A sigma(V) = V B mod x^k,
-    formed mod x^min(k, A.prec): coefficients past A's precision never
-    reach a solution known to that precision.
+def choose_associated(
+    A: SeriesMatrix, ctx: QContext, rep: SpectrumReport
+) -> tuple[SeriesMatrix, SeriesMatrix]:
+    """Polynomials (B, V) of degree < k with A sigma(V) = V B mod x^k and
+    V_0 invertible, formed mod x^m, m = min(k, A.prec): coefficients past
+    A's precision never reach a solution known to that precision.
 
-    B = A mod x^k with V = Id, except in the differential case with
-    k > 1 where the splitting construction is required."""
-    if ctx.k == 1 or ctx.q != 1:
-        m = min(ctx.k, A.prec)
-        return A.truncate(m), SeriesMatrix.identity(A.p, A.rows, m)
-    return splitting_lemma(A, ctx)
+    For k = 1 or q != 1, B = A_0 is constant, V_0 = Id, and coefficient i
+    of the congruence is the Sylvester step
+
+        q^i A_0 V_i - V_i A_0 = -sum_(d=1..i) q^(i-d) A_d V_(i-d),  1 <= i < m,
+
+    one sylvester_solve each against Y_i = q^i A_0, uniquely solvable
+    under the good-spectrum condition.  rep must be good_spectrum(A_0, ctx,
+    N') for some N' >= m: it holds chi(Y_i)^(-1) and the right-side table.
+    For q = 1, k > 1 it is the splitting construction, B diagonal of
+    degree < k.
+    """
+    if ctx.k > 1 and ctx.q == 1:
+        return splitting_lemma(A, ctx)
+    m, p, n = min(ctx.k, A.prec), ctx.p, A.rows
+    A0 = A.coefficient_array(0)
+    if m > 1 and (rep.steps_inv is None or len(rep.steps_inv) < m):
+        raise ValueError(f"spectrum report has no Sylvester table up to index {m - 1}")
+    if m > 1 and rep.steps_singular[1:m].any():
+        raise SpectrumError("a Sylvester step of the associated pair is singular")
+    # rows j n .. (j+1) n of Vq hold q^j V_j, so the right side of step i is
+    # one product of [A_J | ... | A_1] with a row range of Vq
+    Vq = np.zeros((m * n, n), dtype=_INT64)
+    Vq[:n] = np.eye(n, dtype=_INT64)
+    V = np.zeros((n, n, m), dtype=_INT64)
+    V[:, :, 0] = Vq[:n]
+    Am = A.truncate(m)
+    Acat, La = Am.side_by_side(), Am.data.shape[2]
+    Y = step_matrices(A0, ctx, 1, m)
+    qp = ctx.qpow_slice(m)
+    for i in range(1, m):
+        J = min(i, La - 1)  # A_0 is invertible here, so J >= 0; J = 0 is an empty product
+        Z = -_matmul_mod(Acat[:, (La - 1 - J) * n : (La - 1) * n], Vq[(i - J) * n : i * n], p) % p
+        V[:, :, i] = sylvester_solve(Y[i - 1], A0, Z, p, rep.steps_inv[i], rep.rhs_table)
+        Vq[i * n : (i + 1) * n] = mulmod(qp[i], V[:, :, i], p)
+    return A.truncate(1).as_poly_prec(m), SeriesMatrix(p, V, m)
 
 
 def splitting_lemma(A: SeriesMatrix, ctx: QContext) -> tuple[SeriesMatrix, SeriesMatrix]:
@@ -152,30 +186,31 @@ def pol_coeffs_de(P: SeriesMatrix, Q: SeriesMatrix, N: int, ctx: QContext) -> So
 def diff_sylvester(
     Gamma: SeriesMatrix, B: SeriesMatrix, m: int, N: int, ctx: QContext, rep: SpectrumReport
 ) -> SeriesMatrix:
-    """Solve x^k delta(U) = B sigma(U) - U B + Gamma mod x^N, Gamma = 0 mod x^m.
+    """Solve x^k delta(U) = B sigma(U) - U B + Gamma mod x^N, Gamma = 0 mod x^m,
+    for a constant B (k = 1 or q != 1); a B with more planes raises.
 
-    For k = 1 or q != 1; each coefficient is one constant Sylvester
-    solve Y_i X - X B0 = Z_i, uniquely solvable under the good-spectrum
-    condition.  rep must be good_spectrum(B0, ctx, N') for some N' >= N:
-    it holds chi_B0(Y_i)^(-1) for every step and B0's Sylvester tables,
-    so each step is only the Cayley-Hamilton right side and one product.
-    For k = 1 the steps do not depend on each other and the whole window
-    is one stacked sylvester_solve.  For k > 1 the window sum links them
-    and each step is one call, with Y_i = q^i B0 passed as its row of
-    powers q^i .. q^((n-1)i), all formed once per call: three products,
-    and two more, side by side, for the window.  The
-    result satisfies U = 0 mod x^m.
+    Coefficient i in [m, N) is the constant Sylvester step
+
+        Y_i U_i - U_i B_0 = [k > 1] gamma_(i-k+1) U_(i-k+1) - Gamma_i,
+
+    Y_i = q^i B_0 - gamma_i Id for k = 1 and q^i B_0 for k > 1, uniquely
+    solvable under the good-spectrum condition.  rep must be
+    good_spectrum(B0, ctx, N') for some N' >= N: it holds chi_B0(Y_i)^(-1)
+    for every step and B0's right-side table, so each step is only the
+    Cayley-Hamilton right side and one product.  A step reads only the
+    step k - 1 before it, so each run of k - 1 steps is one stacked
+    sylvester_solve; for k = 1 the whole window is one run.  The result
+    satisfies U = 0 mod x^m.
     """
     k, p, n = ctx.k, ctx.p, B.rows
     if not (k <= m < N):
         raise ValueError("window must satisfy k <= m < N")
+    if B.data.shape[2] > 1:
+        raise ValueError("the auxiliary Sylvester solve needs a constant B")
     if rep.steps_inv is None or len(rep.steps_inv) < N:
         raise ValueError(f"spectrum report has no Sylvester table up to index {N - 1}")
     B0 = B.coefficient_array(0)
-    Bd = B.data
-    Ld = Bd.shape[2]
     Gd = Gamma.data[:, :, :N]
-    Lg = Gd.shape[2]
     if np.any(Gd[:, :, :m]):
         raise ValueError("right-hand side not divisible by x^m")
     bad = np.flatnonzero(rep.steps_singular[m:N])
@@ -184,44 +219,18 @@ def diff_sylvester(
             f"Sylvester step at index {m + int(bad[0])} is singular: "
             "spectra of the step pair intersect"
         )
-    if k == 1:
-        Z = np.zeros((N - m, n, n), dtype=_INT64)
-        if Lg > m:
-            Z[: Lg - m] = (-Gd[:, :, m:]).transpose(2, 0, 1) % p
-        Y = step_matrices(B0, ctx, m, N)
-        X = sylvester_solve(Y, B0, Z, p, rep.steps_inv[m:N], rep.tables)
-        U = np.zeros((n, n, N), dtype=_INT64)
-        U[:, :, m:] = X.transpose(1, 2, 0)
-        return SeriesMatrix(p, U, N)
-    # column block t of Uc is U_t, and rows t n .. (t+1) n of Gq hold
-    # q^t U_t, so the window of step i is one slice of each
-    K = max(min(Ld, k) - 1, 0)
-    Bside = Bd[:, :, K:0:-1].transpose(0, 2, 1).reshape(n, K * n)  # [B_K | ... | B_1]
-    Bdown = Bd[:, :, K:0:-1].transpose(2, 0, 1).reshape(K * n, n)  # [B_K; ...; B_1]
-    Uc = np.zeros((n, N * n), dtype=_INT64)
-    Gq = np.zeros((N * n, n), dtype=_INT64)
-    qp = ctx.qpow_slice(N)
-    # row i - m holds q^i, q^(2i), .., q^((n-1)i): the Y_i = q^i B0 of step i
-    spow = np.repeat(qp[m:, None], max(n - 1, 1), axis=1)
-    for a in range(1, n - 1):
-        spow[:, a] = mulmod(spow[:, a - 1], qp[m:], p)
-    qp = qp.tolist()
-    gam = ctx.gamma_slice(N).tolist()
-    for i in range(m, N):
-        C = Gd[:, :, i] if i < Lg else np.zeros((n, n), dtype=_INT64)
-        J = min(K, i - m)  # sum_(j=1..J) B_j q^(i-j) U_(i-j) - U_(i-j) B_j
-        if J:
-            lo, hi = (i - J) * n, i * n
-            C = (C + _matmul_mod(Bside[:, (K - J) * n :], Gq[lo:hi], p)
-                 - _matmul_mod(Uc[:, lo:hi], Bdown[(K - J) * n :], p))
-        if i - k + 1 >= m:
-            t = (i - k + 1) * n
-            C = C - mulmod(gam[i - k + 1], Uc[:, t : t + n], p)
-        X = sylvester_solve(spow[i - m], B0, (-C) % p, p, rep.steps_inv[i], rep.tables)
-        Uc[:, i * n : (i + 1) * n] = X
-        if K and i + 1 < N:
-            Gq[i * n : (i + 1) * n] = mulmod(qp[i], X, p)
-    return SeriesMatrix(p, Uc.reshape(n, N, n).transpose(0, 2, 1), N)
+    # U[i] holds the right side of step i until the step solves U_i
+    U = np.zeros((N, n, n), dtype=_INT64)
+    U[m : Gd.shape[2]] = (-Gd[:, :, m:]).transpose(2, 0, 1) % p
+    Y = step_matrices(B0, ctx, m, N)
+    gam = ctx.gamma_slice(N)[:, None, None]
+    run = N - m if k == 1 else k - 1
+    for lo in range(m, N, run):
+        hi = min(lo + run, N)
+        if lo > m:  # k > 1: the run before this one holds U_(i-k+1)
+            U[lo:hi] = (U[lo:hi] + mulmod(gam[lo - run : hi - run], U[lo - run : hi - run], p)) % p
+        U[lo:hi] = sylvester_solve(Y[lo - m : hi - m], B0, U[lo:hi], p, rep.steps_inv[lo:hi], rep.rhs_table)
+    return SeriesMatrix(p, U.transpose(1, 2, 0), N)
 
 
 def diff_sylvester_differential(
@@ -387,8 +396,8 @@ def newton_solve(A: SeriesMatrix, C: SeriesMatrix, N: int, ctx: QContext) -> Sol
     if not rep.good:
         raise SpectrumError(f"no good spectrum at precision {N}: {rep.reason}")
     At = A.truncate(N)
-    B, V = choose_associated(At, ctx)
-    # B0 is A0 unless k > 1 and q = 1, where diff_sylvester is not used
+    B, V = choose_associated(At, ctx, rep)
+    # B is A0 unless k > 1 and q = 1, where diff_sylvester is not used
     W, Winv, inv_valid = _newton_ae_impl(At, B, V, N, ctx, rep)
     Wp = W.as_poly_prec(N)
     Gamma = _lift_column(Wp, C.truncate(N), N, Winv, inv_valid)

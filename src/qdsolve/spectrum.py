@@ -8,10 +8,11 @@ q != 1 form chi(Y_i) for every step matrix Y_i = q^i A0 - gamma_i Id or
 q^i A0, 1 <= i < N, and invert the whole stack in one vectorized
 elimination.  Each Y_i is a polynomial in A0, and so is chi(Y_i): its
 coefficients, reduced mod chi, are one row of a table, and the stack is
-that table times the powers A0^0 .. A0^(n-1) (``step_chi_table``), one
-product.  The singular mask is the verdict, and the inverses, the powers
-and the Cayley-Hamilton right-side table go to the Newton solver, whose
-Sylvester steps need exactly them.  The k > 1, q = 1 clause (A0 has n
+that table times the power row A0^0 .. A0^(n-1) (``step_chi_table``),
+one product; the power row serves that product only.  The singular mask
+is the verdict, and the inverses and the Cayley-Hamilton right-side
+table go to the Newton solver, whose Sylvester steps against the
+constant B = A0 need exactly them.  The k > 1, q = 1 clause (A0 has n
 distinct eigenvalues in K) is decided in K[A0], the polynomials in A0:
 chi is squarefree exactly when chi'(A0) is nonsingular, and then it
 splits over K exactly when A0^p = A0.  diagonalize finds those
@@ -42,9 +43,10 @@ class SpectrumReport:
     For k = 1 or q != 1: steps_inv holds chi(Y_i)^(-1) for i < N (zeros
     where singular), chi = char_poly(A0), and steps_singular the singular
     mask, which is set at i = 0, where there is no step.  When N > 1,
-    tables is sylvester_tables(A0, chi): the power row [A0^0 | ... |
-    A0^(n-1)] and the Cayley-Hamilton right-side table, which
-    linalg.sylvester_solve takes for every step against A0.
+    rhs_table is the right-side table D of sylvester_tables(A0, chi),
+    which linalg.sylvester_solve takes for every Sylvester step against
+    A0: the steps that build V in newton.choose_associated and those of
+    newton.diff_sylvester, where B = A0 is constant.
     """
 
     good: bool
@@ -52,7 +54,7 @@ class SpectrumReport:
     singular_indices: list[int] = field(default_factory=list)
     steps_inv: np.ndarray | None = None
     steps_singular: np.ndarray | None = None
-    tables: tuple[np.ndarray, np.ndarray] | None = None
+    rhs_table: np.ndarray | None = None
 
 
 def singular_indices(chi: list[int], ctx, N: int) -> list[int]:
@@ -119,7 +121,7 @@ def good_spectrum(A0: np.ndarray, ctx, N: int) -> SpectrumReport:
     for k > 1 with q != 1, the clause is that every chi(Y_i), 1 <= i < N,
     is invertible.  The stack of chi(Y_i) is ``step_chi_table``, one
     product against A0's powers, and one ``mat_inv_stack`` inverts it;
-    the inverses and the Sylvester tables go into the report.  For k > 1,
+    the inverses and the Sylvester right-side table go into the report.  For k > 1,
     q = 1 it is that A0 is nonsingular, gamma_i != 0 for i <= N - k, and
     A0 has n distinct eigenvalues in K: one ``mat_inv_stack`` mask on
     chi'(A0) and one comparison of A0^p with A0.
@@ -129,14 +131,14 @@ def good_spectrum(A0: np.ndarray, ctx, N: int) -> SpectrumReport:
     chi = char_poly(A0, p)
     sing = singular_indices(chi, ctx, N)
     report = None
-    steps_inv = steps_singular = tables = None
+    steps_inv = steps_singular = rhs_table = None
     first = None  # the first i >= 1 with chi(Y_i) singular
     if k == 1 or q != 1:
         steps_inv = np.zeros((N, n, n), dtype=_INT64)
         steps_singular = np.ones(N, dtype=bool)
         if N > 1:
-            tables = sylvester_tables(A0, chi, p)
-            M = step_chi_table(chi, tables[0], ctx, N)
+            P, rhs_table = sylvester_tables(A0, chi, p)
+            M = step_chi_table(chi, P, ctx, N)
             steps_inv[1:], steps_singular[1:] = mat_inv_stack(M, p)
         bad = np.flatnonzero(steps_singular[1:])
         if len(bad):
@@ -165,7 +167,7 @@ def good_spectrum(A0: np.ndarray, ctx, N: int) -> SpectrumReport:
             raise InternalInvariantError("good spectrum with more than one singular index")
         if ctx.k > 1 and sing:
             raise InternalInvariantError("good spectrum with singular indices for k > 1")
-    return SpectrumReport(good, report, sing, steps_inv, steps_singular, tables)
+    return SpectrumReport(good, report, sing, steps_inv, steps_singular, rhs_table)
 
 
 def _mat_pow(U: np.ndarray, e: int, p: int) -> np.ndarray:

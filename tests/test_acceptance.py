@@ -160,7 +160,7 @@ def test_A2_and_A5_engine_agreement_and_newton_invariants():
         # A5: the Newton machinery invariants on the same instance
         ctx, N, k = inst.ctx, inst.N, inst.k
         At = inst.A.truncate(N).as_poly_prec(max(N, k))
-        B, V = choose_associated(At, ctx)
+        B, V = choose_associated(At, ctx, good_spectrum(At.coefficient_array(0), ctx, At.prec))
         W = newton_ae(At, B, V, N, ctx)
         Wp = W.as_poly_prec(max(N, W.prec))
         res = (

@@ -113,6 +113,23 @@ def test_solve_dac_warns_on_many_singular_indices(tmp_path):
     assert out == dense
 
 
+def test_solve_dac_warning_shows_at_most_ten_indices(tmp_path, monkeypatch):
+    # at N = 5000 every index of this k = 2 problem is singular; the warning
+    # gives the count and the first ten, not a line of all 5000.  The solve
+    # itself is stubbed, since at this N it adds a parameter per step and
+    # peaks near 1 GB: this checks the warning alone
+    prob = tmp_path / "sing.prob"
+    prob.write_text("p: 10007\nq: 1\nk: 2\nn: 1\nN: 5000\nA[1]:\n1\nC[0]:\n1\n")
+    monkeypatch.setattr("qdsolve.cli._run_algo", lambda algo, inst: None)
+    code, out, err = run_cli(["solve", str(prob), "--algo", "dac"])
+    assert code == 0
+    warning = [line for line in err.splitlines() if line.startswith("warning:")]
+    assert warning == [
+        "warning: 5000 singular indices [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ...]; "
+        "the divide-and-conquer cost bound assumes at most one"
+    ]
+
+
 def test_check_round_trip(tmp_path):
     prob = tmp_path / "p.prob"
     sol = tmp_path / "s.sol"

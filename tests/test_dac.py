@@ -81,14 +81,14 @@ def test_rdac_base_cases():
     ctx = QContext(P101, 1, 1)
     # nonsingular index: returns -R_i^{-1} C_0
     A = sm(p, [[[2]]], 1)
-    out, cons, sing = rdac(A, sm(p, [[[3]]], 1), 0, 1, ctx)
+    out, cons, sing = rdac(A, sm(p, [[[3]]], 1), 0, 1, ctx, oracle.step_table(A, ctx, 0, 1))
     # R_0 = q^0 A0 - gamma_0 = 2; -inv(2)*3 = -52*...; inv(2)=51; -51*3 = -153 = -52 = 49
     assert out.coefficient_array(0)[0, 0] == (-pow(2, p - 2, p) * 3) % p
     assert out.cols == 1 and cons == [] and sing == []
     # singular index: the step's unknown becomes parameter column 1, and its
     # equation 0 = C_0 becomes the one constraint
     A0 = sm(p, [[[0]]], 1)
-    out, cons, sing = rdac(A0, sm(p, [[[3]]], 1), 0, 1, ctx)
+    out, cons, sing = rdac(A0, sm(p, [[[3]]], 1), 0, 1, ctx, oracle.step_table(A0, ctx, 0, 1))
     assert sing == [0]
     assert out.col(0).is_zero()
     assert out.col(1) == SeriesMatrix.identity(p, 1, 1)
@@ -113,7 +113,7 @@ def test_rdac_exponential_block():
     p = 101
     ctx = QContext(P101, 1, 1)
     A = sm(p, [[[0, 1]]], 4)
-    F, cons, sing = rdac(A, SeriesMatrix.zeros(p, 1, 1, 4), 0, 4, ctx)
+    F, cons, sing = rdac(A, SeriesMatrix.zeros(p, 1, 1, 4), 0, 4, ctx, oracle.step_table(A, ctx, 0, 4))
     assert sing == [0] and cons == []
     assert F.col(0).is_zero()
     block = F.entry(0, 1)
@@ -158,7 +158,8 @@ def test_dac_fast_path_no_parameters():
     # R empty: the engine must not allocate parameter blocks
     p = 134217757
     inst = random_instance(77, p, 2, 10, 2, "random", require_good_spectrum=True)
-    F, cons, sing = rdac(inst.A, inst.C, 0, inst.N, inst.ctx)
+    table = oracle.step_table(inst.A, inst.ctx, 0, inst.N)
+    F, cons, sing = rdac(inst.A, inst.C, 0, inst.N, inst.ctx, table)
     assert F.cols == 1 and cons == [] and sing == []  # width 1: no parameters
     sol = dac_solve(inst.A, inst.C, inst.N, inst.ctx)
     assert sol is not None and spaces_equal(sol, solve_operator_matrix(inst))

@@ -109,19 +109,14 @@ def test_cayley_hamilton_random():
 
 
 def _sylvester(Y, V, Z, p):
-    """sylvester_solve(Y, V, Z) given V's tables and the mat_inv_stack
-    inverse of chi_V(Y), the inputs good_spectrum reports; None when the
-    singular mask shows that Spec(Y) and Spec(V) intersect.  A plain int
-    Y is the scalar s of Y = s V, passed on as its powers s .. s^(n-1)."""
+    """sylvester_solve(Y, V, Z) given V's right-side table and the
+    mat_inv_stack inverse of chi_V(Y), the inputs good_spectrum reports;
+    None when the singular mask shows that Spec(Y) and Spec(V) intersect."""
     chi = char_poly(V, p)
-    Ym = Y
-    if np.ndim(Y) == 0:
-        Ym = Y * V % p
-        Y = np.array([pow(Y, a, p) for a in range(1, max(len(V) - 1, 1) + 1)], dtype=np.int64)
-    m_inv, singular = mat_inv_stack(monic_at(chi, Ym, p), p)
+    m_inv, singular = mat_inv_stack(monic_at(chi, Y, p), p)
     if singular.any():
         return None
-    return sylvester_solve(Y, V, Z, p, m_inv, sylvester_tables(V, chi, p))
+    return sylvester_solve(Y, V, Z, p, m_inv, sylvester_tables(V, chi, p)[1])
 
 
 def test_sylvester_examples():
@@ -213,7 +208,7 @@ def _check_sylvester(Y, V, Z, p, want):
 
 
 def test_sylvester_matches_kronecker_reference():
-    # Y a matrix, Y = s V given as the scalar s, and stacks of matrices
+    # Y a matrix, Y = s V, and stacks of matrices
     rng = random.Random(8)
     for p in (3, 5, 7, 101, 134217757):
         solved = singular = 0
@@ -230,10 +225,10 @@ def test_sylvester_matches_kronecker_reference():
                     singular += 1
                     continue
                 solved += 1
-                s = rng.randrange(p)
-                _check_sylvester(s, V, Z, p, _kron_sylvester(s * V % p, V, Z, p))
-            # Y = V shares its whole spectrum, and so does s = 1
-            _check_sylvester(1, V, Z, p, None)
+                sV = rng.randrange(p) * V % p
+                _check_sylvester(sV, V, Z, p, _kron_sylvester(sV, V, Z, p))
+            # Y = V shares its whole spectrum
+            _check_sylvester(V, V, Z, p, None)
             # a stack of matrices against one V, some of them s V; one
             # singular member, here Y = V, makes the whole stack raise
             V = _rand_matrix(rng, p, n)
@@ -252,7 +247,8 @@ def test_sylvester_matches_kronecker_reference():
         J = np.full((n, n), p - 1, dtype=np.int64)
         V = (J - eye(n)) % p
         _check_sylvester(J, V, J, p, _kron_sylvester(J, V, J, p))
-        _check_sylvester(p - 1, V, J, p, _kron_sylvester((p - 1) * V % p, V, J, p))
+        sV = (p - 1) * V % p
+        _check_sylvester(sV, V, J, p, _kron_sylvester(sV, V, J, p))
         Ys, Zs = np.stack([J, J]), np.stack([J, (p - 1) * eye(n) % p])
         want = np.stack([_kron_sylvester(J, V, Z, p) for Z in Zs])
         _check_sylvester(Ys, V, Zs, p, want)

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from qdsolve import convolution, instrument, linalg, newton, oracle, spectrum
+from qdsolve import instrument, linalg, newton, oracle, spectrum
 from qdsolve.errors import InternalInvariantError, PreconditionError, SpectrumError
 from qdsolve.field import PrimeField
 from qdsolve.linalg import char_poly, mat_inv
@@ -29,7 +29,7 @@ from qdsolve.series import QContext
 from qdsolve.solution import SolutionSpace, resolve_affine_family, spaces_equal
 from qdsolve.spectrum import good_spectrum
 
-from operator_matrix import solve_operator_matrix
+from operator_matrix import rigged_singular_system, solve_operator_matrix
 
 P101 = PrimeField(101)
 
@@ -99,6 +99,7 @@ def assert_good(A, ctx):
     """A_0 passes the good spectrum test, as newton_solve requires."""
     rep = good_spectrum(A.coefficient_array(0), ctx, A.prec)
     assert rep.good, rep.reason
+    return rep
 
 
 def test_splitting_lemma_examples():
@@ -163,18 +164,26 @@ def test_choose_associated_branches():
     # k=1: B = A0, V = Id
     ctx = QContext(P101, 5, 1)
     A = sm(p, [[[3, 1, 4]]], 3)
-    assert_good(A, ctx)
-    B, V = choose_associated(A, ctx)
+    B, V = choose_associated(A, ctx, assert_good(A, ctx))
     assert B == A.truncate(1) and V == SeriesMatrix.identity(p, 1, 1)
-    # k=3, q != 1: B = A mod x^3, V = Id
+    # k=3, q != 1: B = A0 is constant and V solves the Sylvester steps
+    # (5^i 3 - 3) v_i = -sum_(d=1..i) 5^(i-d) a_d v_(i-d), v_0 = 1
     ctx = QContext(P101, 5, 3)
-    assert_good(A, ctx)
-    B, V = choose_associated(A, ctx)
-    assert B == A.truncate(3) and V == SeriesMatrix.identity(p, 1, 3)
+    B, V = choose_associated(A, ctx, assert_good(A, ctx))
+    inv = lambda x: pow(x % p, p - 2, p)
+    v1 = -inv(12) % p
+    v2 = -(5 * v1 + 4) * inv(72) % p
+    assert B == A.truncate(1).as_poly_prec(3) and V == sm(p, [[[1, v1, v2]]], 3)
+    assert A.mul(V.sigma(ctx), 3) == V.mul(B, 3)
+    # a report short of step k - 1, or one that flags a step, is refused
+    with pytest.raises(ValueError, match="no Sylvester table"):
+        choose_associated(A, ctx, good_spectrum(A.coefficient_array(0), ctx, 2))
+    A_sing = sm(p, [[[0, 1, 4]]], 3)
+    with pytest.raises(SpectrumError):
+        choose_associated(A_sing, ctx, good_spectrum(A_sing.coefficient_array(0), ctx, 3))
     # k=3, q = 1: the splitting construction, B diagonal of degree < k
     ctx = QContext(P101, 1, 3)
-    assert_good(A, ctx)
-    B, V = choose_associated(A, ctx)
+    B, V = choose_associated(A, ctx, assert_good(A, ctx))
     assert B == A.truncate(3) and V == SeriesMatrix.identity(p, 1, 3)
 
 
@@ -206,7 +215,7 @@ def test_diff_sylvester_residual_random():
             N = rng.randrange(k + 2, 14)
             m = rng.randrange(k, N)
             gen = np.random.default_rng(trial)
-            B = SeriesMatrix(p, gen.integers(0, p, (n, n, k)), k)
+            B = SeriesMatrix(p, gen.integers(0, p, (n, n, 1)), k)
             Gd = np.zeros((n, n, N), dtype=np.int64)
             Gd[:, :, m:] = gen.integers(0, p, (n, n, N - m))
             Gamma = SeriesMatrix(p, Gd, N)
@@ -215,6 +224,10 @@ def test_diff_sylvester_residual_random():
                 U = diff_sylvester(Gamma, B, m, N, ctx, rep)
             except SpectrumError:
                 continue
+            # B + x Id has two planes, which only q = 1, k > 1 may have
+            Bx = SeriesMatrix(p, np.dstack([B.coefficient_array(0), np.eye(n, dtype=np.int64)]), 2)
+            with pytest.raises(ValueError, match="constant B"):
+                diff_sylvester(Gamma, Bx, m, N, ctx, rep)
             solved += n > 1
             # residual of x^k delta(U) = B sigma(U) - U B + Gamma
             Bp = B.as_poly_prec(N)
@@ -295,20 +308,19 @@ def test_sylvester_steps_batched_per_level(monkeypatch):
 
 
 def test_k3_sylvester_steps_one_call_each(monkeypatch):
-    # k > 1, q != 1: every coefficient of every auxiliary solve is one
-    # linalg.sylvester_solve call, with Y_i = q^i B0 passed as its row of
-    # powers q^i .. q^((n-1)i), and _rref still runs (the perfbench tracer
+    # k > 1, q != 1: B = B0 is constant, so each step of an auxiliary solve
+    # reads only the step k - 1 before it, and each run of k - 1 steps is
+    # one linalg.sylvester_solve call with Y the stack of q^i B0; V's steps
+    # i < k are one call each.  _rref still runs (the perfbench tracer
     # self-check reads both on its k = 3 workload); runtime checks verify
     # each step's residual
-    windows, rows, rrefs = [], [], []
+    windows, calls, rrefs = [], [], []
     real_diff, real_syl, rref = newton.diff_sylvester, newton.sylvester_solve, linalg._rref
     monkeypatch.setattr(newton, "diff_sylvester", lambda *a: windows.append(a[2:4]) or real_diff(*a))
-    monkeypatch.setattr(
-        newton, "sylvester_solve", lambda *a, **kw: rows.append(np.asarray(a[0]).tolist()) or real_syl(*a, **kw)
-    )
+    monkeypatch.setattr(newton, "sylvester_solve", lambda *a: calls.append(a[0].copy()) or real_syl(*a))
     monkeypatch.setattr(linalg, "_rref", lambda *a: rrefs.append(1) or rref(*a))
     inst = random_instance(4343, 134217757, 3, 48, 3, "random", require_good_spectrum=True)
-    p, q = inst.p, inst.ctx.q
+    p, q, k = inst.p, inst.ctx.q, inst.k
     assert q != 1
     instrument.set_runtime_checks(True)
     try:
@@ -316,7 +328,15 @@ def test_k3_sylvester_steps_one_call_each(monkeypatch):
     finally:
         instrument.set_runtime_checks(False)
     assert len(windows) > 1
-    assert rows == [[pow(q, i * a, p) for a in (1, 2)] for m, N in windows for i in range(m, N)]
+    A0 = inst.A.coefficient_array(0)
+
+    def qB0(steps):
+        return np.stack([pow(q, i, p) * A0 % p for i in steps])
+
+    want = [qB0([i])[0] for i in range(1, k)]
+    want += [qB0(range(lo, min(lo + k - 1, N))) for m, N in windows for lo in range(m, N, k - 1)]
+    assert len(calls) == len(want)
+    assert all(np.array_equal(Y, W) for Y, W in zip(calls, want))
     assert rrefs
     assert spaces_equal(got, solve_operator_matrix(inst))
 
@@ -473,7 +493,7 @@ def test_newton_ae_postconditions_random():
         inst = random_instance(8000 + trial, p, n, N, k, q_mode, require_good_spectrum=True)
         ctx = inst.ctx
         At = inst.A.truncate(N).as_poly_prec(max(N, k))
-        B, V = choose_associated(At, ctx)
+        B, V = choose_associated(At, ctx, good_spectrum(At.coefficient_array(0), ctx, At.prec))
         W = newton_ae(At, B, V, N, ctx)
         # residual of the associated equation and det W0 != 0, all branches
         assert associated_residual(inst.A, B, W, min(N, W.prec), ctx).is_zero()
@@ -537,7 +557,7 @@ def test_gauge_equivalence_both_directions():
         inst = random_instance(9000 + trial, p, n, N, k, "random", require_good_spectrum=True)
         ctx = inst.ctx
         At = inst.A.truncate(N).as_poly_prec(max(N, k))
-        B, V = choose_associated(At, ctx)
+        B, V = choose_associated(At, ctx, good_spectrum(At.coefficient_array(0), ctx, At.prec))
         W = newton_ae(At, B, V, N, ctx).as_poly_prec(N)
         Winv = W.inv_newton(N)
         sol = solve_operator_matrix(inst)
@@ -687,36 +707,12 @@ def test_column_lift_paths(k, q_mode, N, constant_A, monkeypatch):
             assert Winv is not None and inv_valid > 0
 
 
-def _singular_system(p, q, n, N, s, gen):
-    """k = 1, good spectrum, singular index s only, C planted from a random F."""
-    field = PrimeField(p)
-    ctx = QContext(field, q, 1)
-    # gamma_s q^(-s) is an eigenvalue of A0 exactly when index s is singular
-    lam0 = ctx.gamma(s) * pow(q, -s, p) % p
-    while True:
-        lam = np.concatenate(([lam0], gen.integers(1, p, size=n - 1))).astype(np.int64)
-        P = gen.integers(0, p, size=(n, n), dtype=np.int64)
-        try:
-            A0 = convolution._matmul_mod(P * lam % p, mat_inv(P, p), p)
-        except ValueError:
-            continue
-        rep = good_spectrum(A0, ctx, N)
-        if rep.good and rep.singular_indices == [s]:
-            break
-    Ad = gen.integers(0, p, size=(n, n, N), dtype=np.int64)
-    Ad[:, :, 0] = A0
-    A = SeriesMatrix(p, Ad, N)
-    F = SeriesMatrix(p, gen.integers(0, p, size=(n, 1, N), dtype=np.int64), N)
-    C = residual(F, ProblemInstance(field, ctx, n, N, A, SeriesMatrix.zeros(p, n, 1, N)), True)
-    return ProblemInstance(field, ctx, n, N, A, C)
-
-
 def test_column_lift_singular_index_system():
     # system_singular's shape: n = 4, k = 1, q != 1, one singular index, so
     # PolCoeffsDE introduces a parameter after the lift
     gen = np.random.default_rng(4343)
     for N, s in ((41, 5), (48, 30)):
-        inst = _singular_system(134217757, 3, 4, N, s, gen)
+        inst = rigged_singular_system(134217757, 3, 4, N, s, gen)
         got = _solve_checked(inst)
         assert got is not None and got.dim == 1
 
@@ -826,7 +822,7 @@ def test_ladder_checks_low_part_with_runtime_checks(monkeypatch):
     A, ctx, p = inst.A.truncate(2).as_poly_prec(N), inst.ctx, inst.p
     assert newton._newton_ladder(N, 1)[-3:] == [c, 2 * c, N]
     want = oracle.dense_solve(ProblemInstance(inst.field, ctx, 3, N, A, inst.C))
-    B, V = choose_associated(A, ctx)
+    B, V = choose_associated(A, ctx, good_spectrum(A.coefficient_array(0), ctx, N))
     Winv = newton_ae(A, B, V, N, ctx).inv_newton(N)
     eps = np.arange(1, 10, dtype=np.int64).reshape(3, 3)
     real = newton.diff_sylvester

@@ -1,16 +1,17 @@
 """Property tests: the divide-and-conquer and Newton engines and the step
 kernel at any base index against the operator-matrix reference, with each
 product on the route the rule picks and with every product pinned to the
-shift-batched, the direct or the transform backend, the step kernel on
-a divide-and-conquer solve's one step table against the tables it
-builds itself, the step table against the unfolded step matrices, every
+shift-batched, the direct or the transform backend, the leaves of a
+divide-and-conquer solve on slices of its one step table against one
+dense run, the step table against the unfolded step matrices, every
 engine answer against the
 independent residual, every route of SeriesMatrix.mul and the batched
 _matmul_mod against Python-int products, QContext.theta against the
 composed delta, shift and sigma chain, one step of the step kernel on
 its coefficient block split into limbs once against Python ints, the
 stacked inverse against
-mat_inv, good_spectrum against the gcd criterion it replaced, its q = 1,
+mat_inv, the associated pair's constant B and its congruence against
+Python ints, good_spectrum against the gcd criterion it replaced, its q = 1,
 k > 1 clause and diagonalize against Python-int gcds and known spectra,
 its chi(Y_i) table against Horner at each step matrix, and the scalar
 helpers field.powers, field.inverses and the QContext tables against
@@ -31,7 +32,7 @@ from qdsolve.convolution import _matmul_mod  # noqa: E402
 from qdsolve.linalg import (  # noqa: E402
     _rref, char_poly, lin_solve, mat_inv, mat_inv_stack, sylvester_tables,
 )
-from qdsolve.newton import newton_solve, pol_coeffs_de  # noqa: E402
+from qdsolve.newton import choose_associated, newton_solve, pol_coeffs_de  # noqa: E402
 from qdsolve.oracle import (  # noqa: E402
     _solve_term_by_term, dense_solve, make_instance, residual, step_table,
 )
@@ -898,6 +899,43 @@ def test_newton_agrees_on_pinned_route(pinned_route, inst):
     check_newton(inst)
 
 
+@st.composite
+def associated_cases(draw):
+    """(A, ctx) with q != 1 and k in {1, 2, 3, 5}, A known to a precision
+    below, at or above k, at the boundary primes up to 2^31 - 1."""
+    p = draw(st.sampled_from([65521, 134217757, 2**31 - 1]))
+    k = draw(st.sampled_from([1, 2, 3, 5]))
+    n = draw(st.integers(1, 4))
+    prec = draw(st.integers(1, k + 2))
+    ctx = QContext(PrimeField(p), draw(st.integers(2, p - 1)), k)
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return SeriesMatrix(p, gen.integers(0, p, (n, n, prec)), prec), ctx
+
+
+@settings(max_examples=80, deadline=None)
+@given(associated_cases())
+def test_associated_pair_has_constant_b(case):
+    # for q != 1 the associated pair is B = A_0, one plane, and V with
+    # V_0 = Id and A sigma(V) = V B mod x^m, m = min(k, A.prec), checked
+    # coefficient by coefficient in Python ints
+    A, ctx = case
+    p, n, m = ctx.p, A.rows, min(ctx.k, A.prec)
+    rep = good_spectrum(A.coefficient_array(0), ctx, A.prec)
+    hypothesis.assume(rep.good)
+    instrument.set_runtime_checks(True)
+    try:
+        B, V = choose_associated(A, ctx, rep)
+    finally:
+        instrument.set_runtime_checks(False)
+    assert B.data.shape[2] == 1 and np.array_equal(B.coefficient_array(0), A.coefficient_array(0))
+    assert V.prec == m and np.array_equal(V.coefficient_array(0), np.eye(n))
+    Ao = [A.coefficient_array(d).astype(object) for d in range(m)]
+    Vo = [V.coefficient_array(i).astype(object) for i in range(m)]
+    for i in range(m):
+        lhs = sum(pow(ctx.q, i - d, p) * Ao[d].dot(Vo[i - d]) for d in range(i + 1))
+        assert np.array_equal(lhs % p, Vo[i].dot(Ao[0]) % p), i
+
+
 def rank_mod(M, p):
     """rank of M mod p by Gaussian elimination on Python ints."""
     m = [[int(v) % p for v in row] for row in M]
@@ -1056,21 +1094,20 @@ def table_slice_cases(draw):
 @settings(max_examples=80, deadline=None)
 @given(table_slice_cases())
 def test_step_kernel_on_supplied_table_slice(case):
-    # every leaf on its slice of the solve's one step table finds
-    # the family, constraints and singular steps it finds on its own table
+    # leaves on their slices of the solve's one step table find the
+    # singular steps and, resolved, the space of one dense run over all N
     A, C, N, ctx, leaf = case
     table = step_table(A, ctx, 0, N)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dac, "DAC_LEAF", leaf)
         instrument.set_runtime_checks(True)
         try:
-            F_own, cons_own, sing_own = rdac(A, C, 0, N, ctx)
             F, cons, sing = rdac(A, C, 0, N, ctx, table)
         finally:
             instrument.set_runtime_checks(False)
-    assert F == F_own
-    assert len(cons) == len(cons_own) and all(map(np.array_equal, cons, cons_own))
-    assert sing == sing_own
+    assert sing == _solve_term_by_term(A, C, N, ctx)[2]
+    inst = make_instance(ctx.p, ctx.q, ctx.k, A.rows, N, A, C)
+    assert spaces_equal(resolve_affine_family(F, cons), dense_solve(inst))
 
 
 @st.composite
